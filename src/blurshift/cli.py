@@ -117,8 +117,7 @@ def _cmd_cluster(args) -> int:
     result = cluster(points, kernel, args.h, stop=_stop_rule(args),
                      merge_tol=args.merge_tol)
     if args.trace is not None:
-        run = run_bms(points, kernel, args.h, stop=_stop_rule(args))
-        emit_trace(run.records, args.trace)
+        emit_trace(result.records, args.trace)
     payload = result.to_json_dict()
     if stats is not None:
         payload["representatives"] = [

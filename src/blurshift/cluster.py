@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
-from .config import as_configuration, pairwise_sqdist
+from ._pairwise import component_labels
+from .config import as_configuration, check_bandwidth, pairwise_sqdist
 from .diagnostics import diameter
 from .engine import BmsRun, IterationRecord, StopRule, objective, run_bms
 from .kernels import KernelSpec
@@ -30,7 +29,7 @@ class ClusterResult:
     Labels are contiguous ``1..M`` in order of each cluster's smallest
     member index; ``representatives[m-1]`` is the mean terminal position of
     cluster ``m``.  ``T`` is the terminated step count of the underlying
-    run and ``trace_summary`` its final iteration record.
+    run and ``records`` its iteration records, one per step.
     """
 
     labels: np.ndarray
@@ -38,9 +37,14 @@ class ClusterResult:
     T: int
     M: int
     stop_reason: str
-    trace_summary: IterationRecord | None
+    records: list[IterationRecord]
     h: float
     kernel: str
+
+    @property
+    def trace_summary(self) -> IterationRecord | None:
+        """The final iteration record."""
+        return self.records[-1] if self.records else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -54,21 +58,10 @@ class ClusterResult:
         }
 
 
-def _single_linkage_groups(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Component labels of the thresholded mutual-distance graph, 0-based,
-    numbered by smallest member index."""
-    close = pairwise_sqdist(points) <= threshold * threshold
-    _, labels = connected_components(csr_array(close), directed=False)
-    _, first = np.unique(labels, return_index=True)
-    order = np.argsort(first)
-    remap = np.empty_like(order)
-    remap[order] = np.arange(order.size)
-    return remap[labels]
-
-
 def _labels_from_run(run: BmsRun, merge_tol: float) -> tuple[np.ndarray, np.ndarray]:
     terminal = run.final.points
-    groups = _single_linkage_groups(terminal, merge_tol)
+    # single linkage: components of the graph joining points within merge_tol
+    groups = component_labels(pairwise_sqdist(terminal) <= merge_tol * merge_tol)
     m = int(groups.max()) + 1
     reps = np.vstack([terminal[groups == c].mean(axis=0) for c in range(m)])
     return groups + 1, reps
@@ -85,11 +78,11 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     small radius instead of bitwise equality works for both.
     """
     cfg = as_configuration(points)
-    if merge_tol is None:
-        merge_tol = 1e-8 * diameter(cfg)
-    elif merge_tol < 0:
+    if merge_tol is not None and merge_tol < 0:
         raise ValueError("merge_tol must be non-negative")
     run = run_bms(cfg, kernel, h, stop=stop)
+    if merge_tol is None:
+        merge_tol = 1e-8 * run.records[0].diameter  # the initial data diameter
     labels, reps = _labels_from_run(run, merge_tol)
     return ClusterResult(
         labels=labels,
@@ -97,7 +90,7 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
         T=run.T,
         M=reps.shape[0],
         stop_reason=run.stop_reason,
-        trace_summary=run.records[-1] if run.records else None,
+        records=run.records,
         h=float(h),
         kernel=kernel.id,
     )
@@ -118,11 +111,9 @@ def bandwidth_sweep(points, kernel: KernelSpec, h_grid, stop: StopRule | None = 
     Returns per-bandwidth summaries ``(h, M, T, L_final)`` where
     ``L_final`` is the objective of the terminal configuration.
     """
-    h_grid = [float(h) for h in h_grid]
+    h_grid = [check_bandwidth(h) for h in h_grid]
     if not h_grid:
         raise ValueError("bandwidth grid is empty")
-    if any(h <= 0 for h in h_grid):
-        raise ValueError("bandwidths must be positive")
     cfg = as_configuration(points)
     if merge_tol is None:
         merge_tol = 1e-8 * diameter(cfg)

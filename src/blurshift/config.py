@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Configuration", "as_configuration", "pairwise_sqdist", "profile_args"]
+__all__ = [
+    "Configuration",
+    "as_configuration",
+    "check_bandwidth",
+    "pairwise_sqdist",
+    "profile_args",
+]
 
 
 @dataclass(frozen=True)
@@ -50,16 +57,51 @@ def as_configuration(obj) -> Configuration:
     return Configuration.from_points(obj)
 
 
-def pairwise_sqdist(points: np.ndarray) -> np.ndarray:
-    """Exact squared pairwise distances, (n, n) with a zero diagonal.
+def check_bandwidth(h) -> float:
+    """Validate a bandwidth and return it as a float.
+
+    ``h`` must be positive, and ``2 * h * h`` (the divisor of every profile
+    argument) must neither underflow to zero nor overflow to inf: either
+    would turn every profile argument into ``0/0``, ``x/0`` or ``x/inf``.
+    """
+    h = float(h)
+    if not h > 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    scale = 2.0 * h * h
+    if scale == 0.0 or math.isinf(scale):
+        raise ValueError(
+            f"bandwidth {h!r} is out of range: 2*h*h evaluates to {scale} in "
+            "double precision; rescale the points and the bandwidth"
+        )
+    return h
+
+
+def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+    """Exact squared distances from each row of ``points`` to each row of
+    ``others`` (default ``points``: an (n, n) matrix with a zero diagonal).
 
     Computed from coordinate differences (not the expanded dot-product
-    identity) so that tiny distances keep full relative precision.
+    identity) so that tiny distances keep full relative precision.  The
+    summation order is pinned: coordinates are added one at a time in
+    ascending order, ``(((y_0 - z_0)**2 + (y_1 - z_1)**2) + ...)``.  Every
+    entry therefore has the same bits whichever rows are passed, so a row
+    block or a subset of the points reproduces the full matrix exactly,
+    and the matrix is exactly symmetric.
     """
-    diff = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    if others is None:
+        others = points
+    total = np.subtract.outer(points[:, 0], others[:, 0])
+    total *= total
+    for k in range(1, points.shape[1]):
+        term = np.subtract.outer(points[:, k], others[:, k])
+        term *= term
+        total += term
+    return total
 
 
-def profile_args(sqdist: np.ndarray, h: float) -> np.ndarray:
-    """Map squared distances to profile arguments ``||v/h||^2 / 2``."""
-    return sqdist / (2.0 * h * h)
+def profile_args(sqdist: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Map squared distances to profile arguments ``||v/h||^2 / 2``.
+
+    ``out=sqdist`` converts the distances in place.
+    """
+    return np.divide(sqdist, 2.0 * h * h, out=out)

@@ -9,7 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import as_configuration, pairwise_sqdist
+from . import _pairwise
+from .config import as_configuration
 from .kernels import KernelSpec
 
 __all__ = [
@@ -58,23 +59,15 @@ def diameter(cfg) -> float:
 
     For a finite point set this equals the largest directional width (the
     width in the maximizing direction is attained by a point pair), so the
-    exact O(n^2) pair scan is used instead of direction sampling.
+    exact O(n^2) pair scan is used instead of direction sampling.  Raises
+    ``ValueError`` when the squared distance overflows double precision.
     """
-    cfg = as_configuration(cfg)
-    if cfg.n == 1:
-        return 0.0
-    return float(math.sqrt(np.max(pairwise_sqdist(cfg.points))))
+    return math.sqrt(_pairwise.max_sqdist(as_configuration(cfg).points))
 
 
 def component_diameter(cfg, components: Sequence[np.ndarray]) -> float:
     """Largest intra-component pairwise distance over a partition."""
-    cfg = as_configuration(cfg)
-    sqd = pairwise_sqdist(cfg.points)
-    worst = 0.0
-    for comp in components:
-        if len(comp) > 1:
-            worst = max(worst, float(np.max(sqd[np.ix_(comp, comp)])))
-    return math.sqrt(worst)
+    return _pairwise.component_diameter(as_configuration(cfg).points, components)
 
 
 def diam_rate_check(d_t: float, d_t1: float, kernel: KernelSpec, h: float,

@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import diagnostics, graph as graph_mod
-from .config import Configuration, as_configuration, pairwise_sqdist, profile_args
-from .kernels import KernelSpec, TruncationClass
+from ._pairwise import PairwiseState
+from .config import Configuration, as_configuration, check_bandwidth
+from .kernels import KernelSpec
 
 __all__ = [
     "Configuration",
@@ -48,17 +48,6 @@ class IsolatedQueryError(ValueError):
     """A query point carries zero weight against every data point."""
 
 
-def _weights(points: np.ndarray, kernel: KernelSpec, h: float) -> np.ndarray:
-    return kernel.g(profile_args(pairwise_sqdist(points), h))
-
-
-def _check_bandwidth(h: float) -> float:
-    h = float(h)
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    return h
-
-
 def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     """One blurring update of the whole configuration.
 
@@ -72,17 +61,12 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     truncated kernels reach bit-exact fixed points (it also keeps results
     independent of the BLAS backend and its threading).
     """
-    h = _check_bandwidth(h)
-    cfg = as_configuration(cfg)
-    w = _weights(cfg.points, kernel, h)
-    num = (w[:, :, None] * cfg.points[None, :, :]).sum(axis=1)
-    new = num / w.sum(axis=1)[:, None]
-    return Configuration.from_points(new)
+    return Configuration.from_points(PairwiseState(cfg, kernel, h).update())
 
 
 def ms_step(query, data, kernel: KernelSpec, h: float) -> np.ndarray:
     """One mean shift step of a query point against fixed data points."""
-    h = _check_bandwidth(h)
+    h = check_bandwidth(h)
     data = as_configuration(data)
     query = np.asarray(query, dtype=float).reshape(-1)
     if query.shape[0] != data.d:
@@ -101,9 +85,7 @@ def objective(cfg, kernel: KernelSpec, h: float) -> float:
     Self terms are included, so ``L = 2 * sum_{i<j} k(.) + n * k(0)``; the
     value is reported in unnormalized profile units.
     """
-    h = _check_bandwidth(h)
-    cfg = as_configuration(cfg)
-    return float(np.sum(kernel.profile(profile_args(pairwise_sqdist(cfg.points), h))))
+    return PairwiseState(cfg, kernel, h).objective
 
 
 class GradientResult(NamedTuple):
@@ -126,20 +108,8 @@ def gradient(cfg, kernel: KernelSpec, h: float) -> GradientResult:
     Computed from pairwise differences so that fixed-point configurations
     (every joined pair coincident) give an exactly zero gradient.
     """
-    h = _check_bandwidth(h)
-    cfg = as_configuration(cfg)
-    y = cfg.points
-    diff = y[:, None, :] - y[None, :, :]
-    u = profile_args(np.einsum("ijk,ijk->ij", diff, diff), h)
-    w = kernel.g(u)
-    grad = (-2.0 / (h * h)) * np.einsum("ij,ijk->ik", w, diff)
-
-    flag = False
-    if (kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
-            and kernel.boundary_u is not None):
-        off = ~np.eye(cfg.n, dtype=bool)
-        flag = bool(np.any(u[off] == kernel.boundary_u))
-    return GradientResult(grad, flag)
+    state = PairwiseState(cfg, kernel, h)
+    return GradientResult(state.gradient(), state.boundary_hit)
 
 
 def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
@@ -151,17 +121,13 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
     ``(2 g(0) / h^2) * ||y' - y||^2``, and the objective gain is at least
     this gap.
     """
-    h = _check_bandwidth(h)
     cfg = as_configuration(cfg)
     cfg_next = as_configuration(cfg_next)
     if cfg_next.points.shape != cfg.points.shape:
         raise ValueError(
             f"shape mismatch: {cfg_next.points.shape} vs {cfg.points.shape}"
         )
-    w = _weights(cfg.points, kernel, h)
-    before = float(np.sum(w * pairwise_sqdist(cfg.points)))
-    after = float(np.sum(w * pairwise_sqdist(cfg_next.points)))
-    return (before - after) / (2.0 * h * h)
+    return PairwiseState(cfg, kernel, h, keep_sqdist=True).minorizer_gap(cfg_next)
 
 
 @dataclass(frozen=True)
@@ -227,33 +193,39 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     One record per iteration is passed to ``sink`` (when given) and
     collected in the returned run unless ``keep_records`` is false, so long
     runs can stream their trace without buffering.
+
+    Every record field comes from one :class:`PairwiseState` per iteration;
+    the public per-layer functions wrap the same state, so a record rebuilt
+    from them is bitwise equal to the one produced here.
     """
-    h = _check_bandwidth(h)
-    cfg = as_configuration(cfg0)
+    state = PairwiseState(cfg0, kernel, h)
+    cfg = state.cfg
     if stop is None:
         stop = StopRule()
     move_tol = stop.move_tol
     if move_tol is None:
-        move_tol = 1e-12 * diagnostics.diameter(cfg)
+        move_tol = 1e-12 * state.diameter
 
     records: list[IterationRecord] = []
     stop_reason = STOP_MAX_ITER
     for t in range(1, stop.max_iter + 1):
-        g = graph_mod.build_graph(cfg, kernel, h)
-        cls = graph_mod.classify(g, cfg, kernel, h)
-        nxt = bms_step(cfg, kernel, h)
+        if state is None:
+            state = PairwiseState(cfg, kernel, h)
+        nxt = Configuration.from_points(state.update())
         max_move = float(np.max(np.linalg.norm(nxt.points - cfg.points, axis=1)))
         record = IterationRecord(
             t=t,
-            objective=objective(cfg, kernel, h),
-            diameter=diagnostics.diameter(cfg),
-            comp_diameter=diagnostics.component_diameter(cfg, g.components),
+            objective=state.objective,
+            diameter=state.diameter,
+            comp_diameter=state.component_diameter,
             max_move=max_move,
-            n_components=g.M,
-            closed=cls.closed,
-            singular=cls.singular,
-            stable=cls.stable,
+            n_components=state.M,
+            closed=state.closed,
+            singular=state.singular,
+            stable=state.stable(),
         )
+        # drop this step's n x n arrays before the next state allocates its own
+        state = None
         if sink is not None:
             sink(record)
         if keep_records:

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
-from .config import as_configuration, pairwise_sqdist, profile_args
+from ._pairwise import PairwiseState
+from .config import check_bandwidth
 from .kernels import KernelSpec
 
 __all__ = [
@@ -52,42 +51,20 @@ class BmsGraph:
         return np.column_stack([i, j])
 
 
-def _canonical_components(labels: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    # renumber component labels by smallest member index for reproducibility
-    _, first = np.unique(labels, return_index=True)
-    order = np.argsort(first)
-    remap = np.empty_like(order)
-    remap[order] = np.arange(order.size)
-    labels = remap[labels]
-    comps = tuple(np.flatnonzero(labels == m) for m in range(order.size))
-    return labels, comps
-
-
 def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
     """Build the proximity graph of a configuration.
 
     Edge ``{i, j}`` is present iff ``i != j`` and ``g`` is nonzero at the
     pairwise profile argument.  Components come from a union-find style
-    sweep (scipy's connected components) with deterministic ordering.
+    sweep (scipy's connected components) with deterministic ordering; the
+    complete graph of a non-truncated kernel is one component.
 
     Nonzeroness follows the exact sign structure of ``g``: a non-truncated
     kernel joins every pair even where the evaluated weight underflows to
     zero in doubles.
     """
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    cfg = as_configuration(cfg)
-    if not kernel.truncated:
-        adjacency = np.ones((cfg.n, cfg.n), dtype=bool)
-    else:
-        w = kernel.g(profile_args(pairwise_sqdist(cfg.points), h))
-        adjacency = w != 0.0
-    np.fill_diagonal(adjacency, False)
-    n_comp, labels = connected_components(csr_array(adjacency), directed=False)
-    labels, comps = _canonical_components(labels)
-    adjacency.setflags(write=False)
-    labels.setflags(write=False)
-    return BmsGraph(cfg.n, adjacency, labels, comps)
+    state = PairwiseState(cfg, kernel, h)
+    return BmsGraph(state.n, state.adjacency, state.labels, state.components)
 
 
 @dataclass(frozen=True)
@@ -119,30 +96,16 @@ def classify(graph: BmsGraph, cfg, kernel: KernelSpec, h: float,
         The graph is unchanged by sufficiently small perturbations of the
         configuration; decided by the margin test with tolerance
         ``stability_tol`` (default ``1e-9 * beta * h``).
+
+    ``graph`` must be ``build_graph(cfg, kernel, h)``: the flags are read
+    from the same pairwise state that the graph and the iteration driver
+    are built from.
     """
-    cfg = as_configuration(cfg)
-    sqd = pairwise_sqdist(cfg.points)
-
-    sizes = np.array([len(c) for c in graph.components])
-    # directed edge counts per component; a clique has size*(size-1)
-    i, j = np.nonzero(graph.adjacency)
-    per_comp = np.bincount(graph.labels[i], minlength=graph.M)
-    closed = bool(np.all(per_comp == sizes * (sizes - 1)))
-
-    singular = not bool(np.any(graph.adjacency & (sqd != 0.0)))
-
-    if not kernel.truncated:
-        return GraphClassification(closed, singular, True, math.inf)
-
-    radius = kernel.beta * h
-    if stability_tol is None:
-        stability_tol = 1e-9 * radius
-    iu = np.triu_indices(graph.n, 1)
-    if iu[0].size == 0:
-        margin = math.inf
-    else:
-        margin = float(np.min(np.abs(np.sqrt(sqd[iu]) - radius)))
-    return GraphClassification(closed, singular, margin > stability_tol, margin)
+    state = PairwiseState(cfg, kernel, h)
+    if graph.n != state.n:
+        raise ValueError(f"graph has {graph.n} vertices, configuration has {state.n} points")
+    return GraphClassification(state.closed, state.singular,
+                               state.stable(stability_tol), state.margin)
 
 
 def component_count_bound(n: int, gamma: float, beta: float, h: float, d: int) -> int:
@@ -152,8 +115,7 @@ def component_count_bound(n: int, gamma: float, beta: float, h: float, d: int) -
     ``gamma`` is the largest pairwise distance; ``n`` when the kernel is
     non-truncated (the bound degenerates).
     """
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    h = check_bandwidth(h)
     if not math.isfinite(beta):
         return n
     return int(min(n, math.floor((1.0 + 2.0 * gamma / (beta * h)) ** d)))
@@ -168,14 +130,7 @@ def is_fixed_point(cfg, kernel: KernelSpec, h: float, tol: float = 0.0) -> bool:
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    cfg = as_configuration(cfg)
-    y = cfg.points
-    diff = y[:, None, :] - y[None, :, :]
-    w = kernel.g(profile_args(np.einsum("ijk,ijk->ij", diff, diff), h))
-    # summing weighted differences keeps singular configurations at exactly
-    # zero (coincident pairs difference to 0.0, separated pairs have w = 0)
-    moments = np.einsum("ij,ijk->ik", w, diff)
-    return bool(np.all(np.linalg.norm(moments, axis=1) <= tol))
+    return PairwiseState(cfg, kernel, h).is_fixed_point(tol)
 
 
 def graph_to_json(graph: BmsGraph) -> dict:

@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .config import check_bandwidth
+
 __all__ = [
     "TruncationClass",
     "KernelSpec",
@@ -260,23 +262,16 @@ def eval_g(spec: KernelSpec, u):
     return spec.g(_as_nonneg(u))
 
 
-def _check_bandwidth(h: float) -> float:
-    h = float(h)
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    return h
-
-
 def kernel_value(spec: KernelSpec, v, h: float):
     """Evaluate ``K(v / h) = k(||v/h||^2 / 2)`` for a vector ``v``."""
-    h = _check_bandwidth(h)
+    h = check_bandwidth(h)
     v = np.asarray(v, dtype=float)
     return spec.profile(np.dot(v, v) / (2.0 * h * h))
 
 
 def g_value(spec: KernelSpec, v, h: float):
     """Evaluate ``G(v / h) = g(||v/h||^2 / 2)`` for a vector ``v``."""
-    h = _check_bandwidth(h)
+    h = check_bandwidth(h)
     v = np.asarray(v, dtype=float)
     return spec.g(np.dot(v, v) / (2.0 * h * h))
 

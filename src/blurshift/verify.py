@@ -14,25 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph as graph_mod
-from .config import as_configuration
+from ._pairwise import PairwiseState
+from .config import Configuration
 from .diagnostics import (
     DEFAULT_DIRECTION_SEED,
-    diameter,
     direction_set,
     float_step_allowance,
     interval_nesting_violation,
 )
-from .engine import (
-    STOP_EXACT_FIXED_POINT,
-    STOP_MAX_ITER,
-    STOP_MOVE_TOL,
-    StopRule,
-    bms_step,
-    gradient,
-    minorizer_gap,
-    objective,
-)
+from .engine import STOP_EXACT_FIXED_POINT, STOP_MAX_ITER, STOP_MOVE_TOL, StopRule
+from .graph import component_count_bound
 from .kernels import KernelSpec, TruncationClass
 
 __all__ = ["CheckResult", "VerifyReport", "run_verify"]
@@ -146,12 +137,16 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     cross-checks.  ``inject_descent`` deliberately corrupts one objective
     value so the harness itself can be tested for failure detection.
     """
-    cfg = as_configuration(points)
+    # one pairwise state per configuration; it keeps its squared distances
+    # for the minorizer gap of the step taken from it
+    state = PairwiseState(points, kernel, h, keep_sqdist=True)
+    cfg = state.cfg
+    h = state.h
     if stop is None:
         stop = StopRule()
     move_tol = stop.move_tol
     if move_tol is None:
-        move_tol = 1e-12 * diameter(cfg)
+        move_tol = 1e-12 * state.diameter
     dirs = direction_set(cfg.d, directions, seed)
 
     ascent = _Check("objective_ascent")
@@ -174,22 +169,30 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     stable_steps = 0
     total_steps = 0
     stop_reason = STOP_MAX_ITER
-    L_cur = objective(cfg, kernel, h)
     for t in range(1, stop.max_iter + 1):
-        g = graph_mod.build_graph(cfg, kernel, h)
-        cls = graph_mod.classify(g, cfg, kernel, h)
-        d_t = diameter(cfg)
+        d_t = state.diameter
         total_steps += 1
-        stable_steps += int(cls.stable)
+        stable_steps += int(state.stable())
 
-        bound = graph_mod.component_count_bound(cfg.n, d_t, kernel.beta, h, cfg.d)
-        comp_bound.update(float(bound - g.M), t)
+        bound = component_count_bound(cfg.n, d_t, kernel.beta, h, cfg.d)
+        comp_bound.update(float(bound - state.M), t)
 
-        nxt = bms_step(cfg, kernel, h)
+        nxt = Configuration.from_points(state.update())
         delta = nxt.points - cfg.points
         move_sq = float(np.sum(delta * delta))
         max_move = float(np.max(np.linalg.norm(delta, axis=1)))
-        L_next = objective(nxt, kernel, h)
+        L_cur = state.objective
+        gap = state.minorizer_gap(nxt)
+        if smooth:
+            grad_norm = float(np.linalg.norm(state.gradient()))
+            grad_bound.update(
+                math.sqrt(move_sq) - b_coeff * grad_norm + 1e-10 * max(1.0, d_t), t
+            )
+        # release this step's n x n arrays before the next state allocates its own
+        state = None
+        state = PairwiseState(nxt, kernel, h, keep_sqdist=True)
+
+        L_next = state.objective
         if t == inject_at:
             L_next_checked = L_next - 10.0 * (1.0 + abs(L_next))
         else:
@@ -197,29 +200,21 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
 
         tol = 1e-10 * (1.0 + abs(L_cur))
         gain = L_next_checked - L_cur
-        gap = minorizer_gap(nxt, cfg, kernel, h)
         ascent.update(gain - a_coeff * move_sq + tol, t)
         min_improve.update(gap - a_coeff * move_sq + tol, t)
         min_sandwich.update(gain - gap + tol, t)
 
         nesting.update(1e-12 - interval_nesting_violation(cfg, nxt, dirs), t)
 
-        d_t1 = diameter(nxt)
+        d_t1 = state.diameter
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         diam_mono.update(d_t - d_t1 + 1e-12 * d_t + allowance, t)
         if d_t > 0:
             factor = 1.0 - float(kernel.g((d_t / h) ** 2 / 2.0)) / (4.0 * kernel.g0)
             diam_contract.update(factor * d_t - d_t1 + 1e-10 * d_t + allowance, t)
 
-        if smooth:
-            grad_norm = float(np.linalg.norm(gradient(cfg, kernel, h).grad))
-            grad_bound.update(
-                math.sqrt(move_sq) - b_coeff * grad_norm + 1e-10 * max(1.0, d_t), t
-            )
-
         fixed = np.array_equal(nxt.points, cfg.points)
         cfg = nxt
-        L_cur = L_next
         if stop.exact_fixed_point and fixed:
             stop_reason = STOP_EXACT_FIXED_POINT
             break
@@ -228,25 +223,17 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
             break
 
     if stop_reason == STOP_EXACT_FIXED_POINT:
-        g = graph_mod.build_graph(cfg, kernel, h)
-        cls = graph_mod.classify(g, cfg, kernel, h)
-        terminal.update(1.0 if cls.singular else -1.0, total_steps)
+        terminal.update(1.0 if state.singular else -1.0, total_steps)
 
     fuzz_mismatches = 0
     rng = np.random.default_rng(seed)
     for _ in range(fuzz):
-        probe = _fuzz_configuration(rng, kernel, h)
-        probe_cfg = as_configuration(probe)
-        pg = graph_mod.build_graph(probe_cfg, kernel, h)
-        singular = graph_mod.classify(pg, probe_cfg, kernel, h).singular
-        scale = max(diameter(probe_cfg), h)
-        fixed = graph_mod.is_fixed_point(probe_cfg, kernel, h, tol=1e-12 * scale)
-        if fixed != singular:
+        probe = PairwiseState(_fuzz_configuration(rng, kernel, h), kernel, h)
+        fixed = probe.is_fixed_point(tol=1e-12 * max(probe.diameter, h))
+        if fixed != probe.singular:
             fuzz_mismatches += 1
-        bound = graph_mod.component_count_bound(
-            probe_cfg.n, diameter(probe_cfg), kernel.beta, h, probe_cfg.d
-        )
-        comp_bound.update(float(bound - pg.M), -1)
+        bound = component_count_bound(probe.n, probe.diameter, kernel.beta, h, probe.cfg.d)
+        comp_bound.update(float(bound - probe.M), -1)
     if fuzz:
         agreement.update(0.0 if fuzz_mismatches == 0 else -float(fuzz_mismatches), -1)
 

@@ -76,6 +76,29 @@ class TestCluster:
         with pytest.raises(ValueError):
             bs.cluster(blob_pair(), EPA, 0.5, merge_tol=-1.0)
 
+    def test_tiny_bandwidth_rejected_by_name(self):
+        # 2*h*h underflows to zero: every profile argument would be 0/0
+        with pytest.raises(ValueError, match="bandwidth 1e-170"):
+            bs.cluster([[0.0, 0.0], [1e-170, 0.0], [5e-170, 0.0]], EPA, h=1e-170)
+
+    def test_huge_bandwidth_rejected_by_name(self):
+        # 2*h*h overflows to inf; the run used to return M=1 silently
+        with pytest.raises(ValueError, match="bandwidth 1e[+]?160"):
+            bs.cluster([[0.0, 0.0], [1e159, 0.0], [5e160, 0.0], [5.1e160, 0.0]],
+                       EPA, h=1e160)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_distances_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            bs.cluster([[0.0, 0.0], [1e159, 0.0], [5e160, 0.0], [5.1e160, 0.0]],
+                       EPA, h=1e150)
+
+    def test_records_are_the_runs(self):
+        result = bs.cluster(blob_pair(), EPA, 0.8)
+        run = bs.run_bms(blob_pair(), EPA, 0.8)
+        assert result.records == run.records
+        assert result.trace_summary == run.records[-1]
+
     def test_json_payload(self):
         result = bs.cluster(blob_pair(), EPA, 0.8)
         payload = result.to_json_dict()

@@ -71,6 +71,30 @@ class TestBmsStep:
         with pytest.raises(ValueError):
             bms_step([[0.0]], GAUSS, 0.0)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf, 1e-170, 1e160])
+    def test_one_bandwidth_check_everywhere(self, h):
+        # 1e-170 and 1e160 are positive, but 2*h*h underflows / overflows
+        pts = [[0.0, 0.0], [1e-3, 0.0]]
+        calls = [
+            lambda: bms_step(pts, EPA, h),
+            lambda: objective(pts, EPA, h),
+            lambda: run_bms(pts, EPA, h),
+            lambda: bs.build_graph(pts, EPA, h),
+            lambda: bs.is_fixed_point(pts, EPA, h),
+            lambda: ms_step([0.0, 0.0], pts, EPA, h),
+            lambda: bs.kernel_value(EPA, [1.0, 0.0], h),
+            lambda: bs.component_count_bound(2, 1.0, EPA.beta, h, 2),
+            lambda: bs.run_verify(pts, EPA, h),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="bandwidth"):
+                call()
+
+    def test_extreme_but_representable_bandwidth_runs(self):
+        pts = np.array([[0.0, 0.0], [1e-150, 0.0], [5e-150, 0.0]])
+        out = bms_step(pts, EPA, 1e-150).points
+        assert np.all(np.isfinite(out))
+
 
 class TestMsStep:
     def test_isolated_neighborhood_returns_data_point(self):

@@ -121,6 +121,29 @@ class TestCliCommands:
         assert len(trace.read_text().splitlines()) == payload["T"]
         assert "clusters=2" in capsys.readouterr().out
 
+    def test_cluster_trace_runs_the_iteration_once(self, blob_csv, tmp_path, monkeypatch):
+        calls = []
+        real = run_bms
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # every blurshift module that bound run_bms, as the CLI may reach it
+        for mod in [m for name, m in sys.modules.items() if name.startswith("blurshift")]:
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+        trace = tmp_path / "trace.jsonl"
+        code = main(["cluster", "--input", str(blob_csv), "--kernel", "gaussian",
+                     "--h", "0.5", "--max-iter", "6", "--out", str(tmp_path / "r.json"),
+                     "--trace", str(trace)])
+        assert code == 0
+        assert len(calls) == 1
+        run = real(load_points(blob_csv), bs.builtin("gaussian"), 0.5,
+                   stop=StopRule(max_iter=6))
+        assert trace.read_text().splitlines() == [trace_line(r) for r in run.records]
+
     def test_trace_command(self, blob_csv, tmp_path):
         trace = tmp_path / "t.jsonl"
         code = main(["trace", "--input", str(blob_csv), "--kernel", "gaussian",
