@@ -36,6 +36,21 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + rows, n))
 
 
+def _column_blocks(n: int):
+    # Column blocks of an n x n matrix, sized like the row blocks.  No block
+    # is a single column (unless n == 1): numpy sums one contiguous column
+    # pairwise, not one row at a time, so a trailing lone column joins the
+    # block before it.
+    cols = max(2, _BLOCK_ENTRIES // n)
+    start = 0
+    while start < n:
+        stop = min(start + cols, n)
+        if n - stop == 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
+
+
 def _by_row_blocks(fn, u: np.ndarray) -> np.ndarray:
     # fn is elementwise (profiles and weight functions are), so evaluating
     # it one row block at a time gives the same bits with bounded temporaries
@@ -215,28 +230,49 @@ class PairwiseState:
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``.
 
-        The numerator is reduced over j with numpy's axis reduction, in row
-        blocks (each row's order over j is that of the full product); the
-        denominator over full rows.
+        The numerator is summed one j at a time in ascending order from
+        ``+0.0``, for every coordinate and every d:
+        ``((0.0 + g_i0 y_0) + g_i1 y_1) + ...``.
+        The weight matrix is exactly symmetric, so column i holds row i's
+        weights, and each column block is reduced over axis 0.  The
+        denominator is numpy's row sum ``sum(axis=1)``.
+
+        Raises ``ValueError`` when a point's weights sum to zero, which a
+        kernel with ``g(0) = 0`` gives a point or a group of coincident
+        points with no other point at nonzero weight.
         """
-        y = self.cfg.points
         w = self.weights
+        den = w.sum(axis=1)
+        empty = np.flatnonzero(den == 0.0)
+        if empty.size:
+            raise ValueError(
+                f"point {empty[0]} has zero total weight under kernel "
+                f"{self.kernel.id!r}: its g(0) = {self.kernel.g0!r} leaves a "
+                f"point or a group of coincident points with no other point at "
+                f"nonzero weight, so its blurred position would be 0/0"
+            )
+        y = self.cfg.points
         num = np.empty_like(y)
-        for rows in _row_blocks(self.n, self.n * self.cfg.d):
-            num[rows] = (w[rows, :, None] * y[None, :, :]).sum(axis=1)
-        return num / w.sum(axis=1)[:, None]
+        for cols in _column_blocks(self.n):
+            block = w[:, cols]
+            for k in range(self.cfg.d):
+                num[cols, k] = (block * y[:, k, None]).sum(axis=0)
+        return num / den[:, None]
 
     def moments(self) -> np.ndarray:
         """Weighted difference sums ``sum_j (y_i - y_j) g_ij``, one row per point.
 
-        Summed from pairwise differences so that a singular configuration
-        (every joined pair coincident) gives exactly zero.
+        Summed one j at a time in ascending order, like the update's
+        numerator, from the pairwise differences, so that a singular
+        configuration (every joined pair coincident) gives exactly zero.
         """
         y = self.cfg.points
+        w = self.weights
         out = np.empty_like(y)
-        for rows in _row_blocks(self.n, self.n * self.cfg.d):
-            diff = y[rows, None, :] - y[None, :, :]
-            out[rows] = np.einsum("ij,ijk->ik", self.weights[rows], diff)
+        for cols in _column_blocks(self.n):
+            block = w[:, cols]
+            for k in range(self.cfg.d):
+                out[cols, k] = (block * (y[None, cols, k] - y[:, k, None])).sum(axis=0)
         return out
 
     def gradient(self) -> np.ndarray:

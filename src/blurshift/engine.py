@@ -54,12 +54,16 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     Each new point is a convex combination of the current points of its own
     graph component, so component hulls never grow.
 
-    The weighted sums are reduced with numpy's axis reduction rather than a
-    BLAS matmul: the reduction order then depends only on the row content,
-    so points with identical weight rows land on bitwise-identical outputs.
-    That makes collapsed groups exactly coincident and lets flat-weight
-    truncated kernels reach bit-exact fixed points (it also keeps results
-    independent of the BLAS backend and its threading).
+    The numerator ``sum_j g_ij y_j`` is summed one j at a time in ascending
+    order, for every coordinate and every d, rather than by a BLAS matmul:
+    points with identical weight rows then land on bitwise-identical
+    outputs.  That makes collapsed groups exactly coincident and lets
+    flat-weight truncated kernels reach bit-exact fixed points (it also
+    keeps results independent of the BLAS backend and its threading).  The
+    denominator is numpy's row sum.
+
+    Raises ``ValueError`` when a point's weights sum to zero (a kernel with
+    ``g(0) = 0``, such as ``tricube``, and no other point at nonzero weight).
     """
     return Configuration.from_points(PairwiseState(cfg, kernel, h).update())
 

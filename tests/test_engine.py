@@ -261,6 +261,24 @@ class TestRunDriver:
         assert run.records[-1].max_move == 0.0
         assert bs.is_fixed_point(run.final, EPA, 0.7, tol=0.0)
 
+    @pytest.mark.parametrize("kernel_id", ["epanechnikov", "cosine", "biweight"])
+    def test_truncated_kernels_reach_exact_fixed_point_in_one_dimension(self, kernel_id):
+        kernel = bs.builtin(kernel_id)
+        for seed in range(20):
+            pts = np.random.default_rng([5, seed]).uniform(-2.0, 2.0, size=(60, 1))
+            run = run_bms(pts, kernel, 0.3, stop=StopRule(max_iter=500, move_tol=0.0))
+            assert run.stop_reason == STOP_EXACT_FIXED_POINT, seed
+            assert bs.is_fixed_point(run.final, kernel, 0.3, tol=0.0)
+
+    def test_zero_self_weight_names_the_cause(self):
+        # tricube has g(0) = 0: a coincident pair with no other point at
+        # nonzero weight would blur to 0/0
+        tricube = bs.get_kernel("tricube")
+        pts = [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]
+        for call in (lambda: run_bms(pts, tricube, 0.5), lambda: bms_step(pts, tricube, 0.5)):
+            with pytest.raises(ValueError, match=r"point 0 has zero total weight .*'tricube'.*g\(0\) = 0\.0"):
+                call()
+
     def test_smooth_kernel_stops_on_move_tol(self):
         rng = np.random.default_rng(22)
         pts = rng.normal(size=(10, 2))

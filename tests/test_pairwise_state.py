@@ -1,5 +1,5 @@
 """The shared per-configuration pairwise state: replay identity, the pinned
-distance order and the memory bound of the iteration driver."""
+distance and summation orders and the memory bound of the iteration driver."""
 
 import math
 import struct
@@ -8,8 +8,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blurshift as bs
+from blurshift._pairwise import PairwiseState
 from blurshift.config import pairwise_sqdist
 from blurshift.diagnostics import component_diameter, diameter
 from blurshift.engine import IterationRecord, StopRule, bms_step, objective, run_bms
@@ -107,6 +110,66 @@ def test_pairwise_sqdist_pins_ascending_coordinate_order():
             assert _bits(float(sqd[i, j])) == _bits(total)
     # any row block reproduces the full matrix bit for bit
     assert pairwise_sqdist(pts[3:5], pts).tobytes() == sqd[3:5].tobytes()
+
+
+def _ascending_j_sums(w, y):
+    """Update numerator and moments as explicit sums over ascending j.
+
+    Each step is elementwise over i, so every entry is its own
+    ``((0.0 + t_0) + t_1) + ...`` with ``t_j = w[i, j] * ...``; like numpy's
+    sum, it starts from ``+0.0``, so a sum of ``-0.0`` terms is ``+0.0``.
+    """
+    num = np.zeros_like(y)
+    mom = np.zeros_like(y)
+    for j in range(y.shape[0]):
+        num += w[:, j, None] * y[j]
+        mom += w[:, j, None] * (y - y[j])
+    return num, mom
+
+
+def _assert_sums_ascending_j(pts, kernel, h):
+    state = PairwiseState(pts, kernel, h)
+    num, mom = _ascending_j_sums(state.weights, state.cfg.points)
+    want = num / state.weights.sum(axis=1)[:, None]
+    for got, ref in ((state.update(), want), (state.moments(), mom)):
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kernel_id,h", [("biweight", 0.5), ("gaussian", 0.4)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [300, 181])
+def test_update_and_moments_sum_ascending_j(n, d, kernel_id, h):
+    # n = 300 gives column blocks of 54 and a ragged last one of 30; at
+    # n = 181 a last block of one lone column is folded into the one before
+    pts = np.random.default_rng([n, d]).uniform(-1.0, 1.0, size=(n, d))
+    pts[1] = pts[2] = pts[0]
+    pts[3] = -0.0
+    if d > 1:  # one coordinate of signed zeros only
+        pts[5:, -1] = -0.0
+        pts[4:7, -1] = 0.0
+    _assert_sums_ascending_j(pts, bs.builtin(kernel_id), h)
+
+
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.5]),
+                    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_small_update_and_moments_sum_ascending_j(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    rows = st.lists(_COORDS, min_size=d, max_size=d)
+    pts = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="points"))
+    for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                 st.integers(0, n - 1)), max_size=3),
+                              label="duplicates"):
+        pts[dst] = pts[src]
+    kernel = bs.builtin(data.draw(st.sampled_from(
+        ["epanechnikov", "biweight", "cosine", "gaussian", "cauchy"]), label="kernel"))
+    h = data.draw(st.sampled_from([0.3, 1.0, 4.0]), label="h")
+    _assert_sums_ascending_j(pts, kernel, h)
 
 
 # tracemalloc peaks of exactly the run below, measured once on the driver
