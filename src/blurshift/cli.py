@@ -188,8 +188,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     kernel = get_kernel(args.kernel)
     points, _ = _load(args)
-    if args.h_step <= 0:
-        raise ValueError("--h-step must be positive")
+    if not args.h_step > 0:
+        raise ValueError(f"--h-step must be positive, got {args.h_step}")
     count = int(np.floor((args.h_max - args.h_min) / args.h_step + 1e-9)) + 1
     grid = [args.h_min + k * args.h_step for k in range(count)]
     entries = bandwidth_sweep(points, kernel, grid, stop=_stop_rule(args),

@@ -78,8 +78,8 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     small radius instead of bitwise equality works for both.
     """
     cfg = as_configuration(points)
-    if merge_tol is not None and merge_tol < 0:
-        raise ValueError("merge_tol must be non-negative")
+    if merge_tol is not None and not merge_tol >= 0:
+        raise ValueError(f"merge_tol must be non-negative, got {merge_tol}")
     run = run_bms(cfg, kernel, h, stop=stop)
     if merge_tol is None:
         merge_tol = 1e-8 * run.records[0].diameter  # the initial data diameter
@@ -117,6 +117,8 @@ def bandwidth_sweep(points, kernel: KernelSpec, h_grid, stop: StopRule | None = 
     cfg = as_configuration(points)
     if merge_tol is None:
         merge_tol = 1e-8 * diameter(cfg)
+    elif not merge_tol >= 0:
+        raise ValueError(f"merge_tol must be non-negative, got {merge_tol}")
     entries = []
     for h in h_grid:
         run = run_bms(cfg, kernel, h, stop=stop)

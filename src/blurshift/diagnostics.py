@@ -43,6 +43,8 @@ def directional_extents(cfg, direction) -> tuple[float, float]:
 
 def direction_set(d: int, count: int = 256, seed: int = DEFAULT_DIRECTION_SEED) -> np.ndarray:
     """A fixed, seeded set of unit directions in R^d (reproducible checks)."""
+    if count < 1:
+        raise ValueError(f"direction count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((count, d))
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -86,8 +88,13 @@ def diam_rate_check(d_t: float, d_t1: float, kernel: KernelSpec, h: float,
     """
     if not d_t > 0:
         raise ValueError("d_t must be positive")
-    factor = 1.0 - float(kernel.g((d_t / h) ** 2 / 2.0)) / (4.0 * kernel.g0)
+    factor = _contraction_factor(d_t, kernel, h)
     return d_t1 <= factor * d_t + rel_slack * d_t + abs_slack
+
+
+def _contraction_factor(d_t: float, kernel: KernelSpec, h: float) -> float:
+    # the per-step diameter contraction factor 1 - g((d_t/h)^2/2) / (4 g(0))
+    return 1.0 - float(kernel.g((d_t / h) ** 2 / 2.0)) / (4.0 * kernel.g0)
 
 
 def float_step_allowance(coord_scale: float) -> float:

@@ -172,8 +172,8 @@ class StopRule:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.move_tol is not None and self.move_tol < 0:
-            raise ValueError("move_tol must be non-negative")
+        if self.move_tol is not None and not self.move_tol >= 0:
+            raise ValueError(f"move_tol must be non-negative, got {self.move_tol}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,37 @@ class BmsRun:
         return self.records[-1].t if self.records else 0
 
 
+def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
+             on_step: Callable[[int, PairwiseState, Configuration, float], None],
+             keep_sqdist: bool = False) -> tuple[Configuration, str]:
+    """The iteration loop and its stop rule; returns ``(final, stop_reason)``.
+
+    Step ``t`` calls ``on_step(t, state, nxt, max_move)`` with the pairwise
+    state of the current configuration (built with ``keep_sqdist``), its
+    blurred image and the largest point move.  Observers must not keep the
+    state: it is released before the next one is built.
+    """
+    if stop is None:
+        stop = StopRule()
+    cfg = as_configuration(cfg0)
+    move_tol = stop.move_tol
+    for t in range(1, stop.max_iter + 1):
+        state = PairwiseState(cfg, kernel, h, keep_sqdist=keep_sqdist)
+        if move_tol is None:  # 1e-12 x the initial diameter
+            move_tol = 1e-12 * state.diameter
+        nxt = Configuration.from_points(state.update())
+        max_move = float(np.max(np.linalg.norm(nxt.points - cfg.points, axis=1)))
+        on_step(t, state, nxt, max_move)
+        # drop this step's n x n arrays before the next state allocates its own
+        state = None
+        if stop.exact_fixed_point and np.array_equal(nxt.points, cfg.points):
+            return nxt, STOP_EXACT_FIXED_POINT
+        cfg = nxt
+        if max_move < move_tol:
+            return cfg, STOP_MOVE_TOL
+    return cfg, STOP_MAX_ITER
+
+
 def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
             sink: Callable[[IterationRecord], None] | None = None,
             keep_records: bool = True) -> BmsRun:
@@ -202,21 +233,9 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     the public per-layer functions wrap the same state, so a record rebuilt
     from them is bitwise equal to the one produced here.
     """
-    state = PairwiseState(cfg0, kernel, h)
-    cfg = state.cfg
-    if stop is None:
-        stop = StopRule()
-    move_tol = stop.move_tol
-    if move_tol is None:
-        move_tol = 1e-12 * state.diameter
-
     records: list[IterationRecord] = []
-    stop_reason = STOP_MAX_ITER
-    for t in range(1, stop.max_iter + 1):
-        if state is None:
-            state = PairwiseState(cfg, kernel, h)
-        nxt = Configuration.from_points(state.update())
-        max_move = float(np.max(np.linalg.norm(nxt.points - cfg.points, axis=1)))
+
+    def on_step(t, state, nxt, max_move):
         record = IterationRecord(
             t=t,
             objective=state.objective,
@@ -228,20 +247,10 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
             singular=state.singular,
             stable=state.stable(),
         )
-        # drop this step's n x n arrays before the next state allocates its own
-        state = None
         if sink is not None:
             sink(record)
         if keep_records:
             records.append(record)
 
-        if stop.exact_fixed_point and np.array_equal(nxt.points, cfg.points):
-            stop_reason = STOP_EXACT_FIXED_POINT
-            cfg = nxt
-            break
-        cfg = nxt
-        if max_move < move_tol:
-            stop_reason = STOP_MOVE_TOL
-            break
-
-    return BmsRun(cfg, records, stop_reason)
+    final, stop_reason = _iterate(cfg0, kernel, h, stop, on_step)
+    return BmsRun(final, records, stop_reason)

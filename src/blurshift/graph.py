@@ -128,8 +128,8 @@ def is_fixed_point(cfg, kernel: KernelSpec, h: float, tol: float = 0.0) -> bool:
     which is equivalent to graph singularity (exactly in real arithmetic,
     and up to ``tol`` in floats).
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     return PairwiseState(cfg, kernel, h).is_fixed_point(tol)
 
 

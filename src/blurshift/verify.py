@@ -1,10 +1,10 @@
 """Run-time invariant suite: inequality checks over a whole iteration run.
 
 Every inequality the iteration is supposed to satisfy is evaluated at every
-step; a check records the worst margin it saw (negative = violated) and the
-step where that happened.  An optional fuzzing stage cross-validates the
-fixed-point test against graph singularity on randomized configurations,
-including pairs planted near the joining radius.
+step that ``run_bms`` runs; a check records the worst margin it saw
+(negative = violated) and the step where that happened.  An optional fuzzing
+stage cross-validates the fixed-point test against graph singularity on
+randomized configurations, including pairs planted near the joining radius.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pairwise import PairwiseState
-from .config import Configuration
+from .config import as_configuration, check_bandwidth
 from .diagnostics import (
     DEFAULT_DIRECTION_SEED,
+    _contraction_factor,
     direction_set,
     float_step_allowance,
     interval_nesting_violation,
 )
-from .engine import STOP_EXACT_FIXED_POINT, STOP_MAX_ITER, STOP_MOVE_TOL, StopRule
+from .engine import STOP_EXACT_FIXED_POINT, StopRule, _iterate
 from .graph import component_count_bound
 from .kernels import KernelSpec, TruncationClass
 
@@ -133,97 +134,80 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
                inject_descent: bool = False) -> VerifyReport:
     """Iterate from ``points`` and check every invariant at every step.
 
+    The checks observe ``run_bms``'s own steps, stop rule and ``T``.
     ``fuzz`` adds that many randomized fixed-point-versus-singularity
     cross-checks.  ``inject_descent`` deliberately corrupts one objective
     value so the harness itself can be tested for failure detection.
     """
-    # one pairwise state per configuration; it keeps its squared distances
-    # for the minorizer gap of the step taken from it
-    state = PairwiseState(points, kernel, h, keep_sqdist=True)
-    cfg = state.cfg
-    h = state.h
-    if stop is None:
-        stop = StopRule()
-    move_tol = stop.move_tol
-    if move_tol is None:
-        move_tol = 1e-12 * state.diameter
-    dirs = direction_set(cfg.d, directions, seed)
+    if directions < 1:
+        raise ValueError(f"directions must be at least 1, got {directions}")
+    if fuzz < 0:
+        raise ValueError(f"fuzz must be non-negative, got {fuzz}")
+    h = check_bandwidth(h)
 
-    ascent = _Check("objective_ascent")
-    min_improve = _Check("minorizer_improvement")
-    min_sandwich = _Check("minorizer_sandwich")
-    nesting = _Check("interval_nesting")
-    diam_mono = _Check("diameter_monotone")
-    diam_contract = _Check("diameter_contraction")
-    comp_bound = _Check("component_count_bound")
-    grad_bound = _Check("gradient_move_bound")
-    terminal = _Check("terminal_fixed_point_singular")
-    agreement = _Check("fixed_point_graph_agreement")
+    checks = [_Check(name) for name in (
+        "objective_ascent", "minorizer_improvement", "minorizer_sandwich",
+        "interval_nesting", "diameter_monotone", "diameter_contraction",
+        "component_count_bound", "gradient_move_bound",
+        "terminal_fixed_point_singular", "fixed_point_graph_agreement")]
+    (ascent, min_improve, min_sandwich, nesting, diam_mono, diam_contract,
+     comp_bound, grad_bound, terminal, agreement) = checks
 
     smooth = kernel.truncation is not TruncationClass.NON_SMOOTHLY_TRUNCATED
     a_coeff = 2.0 * kernel.g0 / (h * h)  # quadratic ascent constant
-    b_coeff = h * h / (2.0 * cfg.n * kernel.g0)  # move-per-gradient constant
-
     inject_at = 2 if inject_descent else -1
 
+    dirs = direction_set(as_configuration(points).d, directions, seed)
+    # between steps only scalars are kept: ``pending`` holds the last step's
+    # values until the next state's objective and diameter close its checks
     stable_steps = 0
-    total_steps = 0
-    stop_reason = STOP_MAX_ITER
-    for t in range(1, stop.max_iter + 1):
+    pending = None
+
+    def close(L_next: float, d_t1: float) -> None:
+        t, L_cur, gap, move_sq, d_t, allowance = pending
+        if t == inject_at:
+            L_next = L_next - 10.0 * (1.0 + abs(L_next))
+        tol = 1e-10 * (1.0 + abs(L_cur))
+        gain = L_next - L_cur
+        ascent.update(gain - a_coeff * move_sq + tol, t)
+        min_improve.update(gap - a_coeff * move_sq + tol, t)
+        min_sandwich.update(gain - gap + tol, t)
+        diam_mono.update(d_t - d_t1 + 1e-12 * d_t + allowance, t)
+        if d_t > 0:
+            factor = _contraction_factor(d_t, kernel, h)
+            diam_contract.update(factor * d_t - d_t1 + 1e-10 * d_t + allowance, t)
+
+    def on_step(t, state, nxt, max_move):
+        nonlocal stable_steps, pending
+        if pending is not None:
+            close(state.objective, state.diameter)
+        gap = state.minorizer_gap(nxt)  # largest temporaries: before M caches the graph
+        cfg = state.cfg
         d_t = state.diameter
-        total_steps += 1
         stable_steps += int(state.stable())
 
         bound = component_count_bound(cfg.n, d_t, kernel.beta, h, cfg.d)
         comp_bound.update(float(bound - state.M), t)
 
-        nxt = Configuration.from_points(state.update())
         delta = nxt.points - cfg.points
         move_sq = float(np.sum(delta * delta))
-        max_move = float(np.max(np.linalg.norm(delta, axis=1)))
-        L_cur = state.objective
-        gap = state.minorizer_gap(nxt)
         if smooth:
+            b_coeff = h * h / (2.0 * cfg.n * kernel.g0)  # move-per-gradient constant
             grad_norm = float(np.linalg.norm(state.gradient()))
             grad_bound.update(
                 math.sqrt(move_sq) - b_coeff * grad_norm + 1e-10 * max(1.0, d_t), t
             )
-        # release this step's n x n arrays before the next state allocates its own
-        state = None
-        state = PairwiseState(nxt, kernel, h, keep_sqdist=True)
-
-        L_next = state.objective
-        if t == inject_at:
-            L_next_checked = L_next - 10.0 * (1.0 + abs(L_next))
-        else:
-            L_next_checked = L_next
-
-        tol = 1e-10 * (1.0 + abs(L_cur))
-        gain = L_next_checked - L_cur
-        ascent.update(gain - a_coeff * move_sq + tol, t)
-        min_improve.update(gap - a_coeff * move_sq + tol, t)
-        min_sandwich.update(gain - gap + tol, t)
-
         nesting.update(1e-12 - interval_nesting_violation(cfg, nxt, dirs), t)
-
-        d_t1 = state.diameter
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
-        diam_mono.update(d_t - d_t1 + 1e-12 * d_t + allowance, t)
-        if d_t > 0:
-            factor = 1.0 - float(kernel.g((d_t / h) ** 2 / 2.0)) / (4.0 * kernel.g0)
-            diam_contract.update(factor * d_t - d_t1 + 1e-10 * d_t + allowance, t)
+        pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
-        fixed = np.array_equal(nxt.points, cfg.points)
-        cfg = nxt
-        if stop.exact_fixed_point and fixed:
-            stop_reason = STOP_EXACT_FIXED_POINT
-            break
-        if max_move < move_tol:
-            stop_reason = STOP_MOVE_TOL
-            break
-
+    # each state keeps its squared distances for the minorizer gap
+    final, stop_reason = _iterate(points, kernel, h, stop, on_step, keep_sqdist=True)
+    T = pending[0]
+    state = PairwiseState(final, kernel, h)  # closes the last step
+    close(state.objective, state.diameter)
     if stop_reason == STOP_EXACT_FIXED_POINT:
-        terminal.update(1.0 if state.singular else -1.0, total_steps)
+        terminal.update(1.0 if state.singular else -1.0, T)
 
     fuzz_mismatches = 0
     rng = np.random.default_rng(seed)
@@ -237,17 +221,12 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     if fuzz:
         agreement.update(0.0 if fuzz_mismatches == 0 else -float(fuzz_mismatches), -1)
 
-    checks = [
-        ascent, min_improve, min_sandwich, nesting, diam_mono,
-        diam_contract, comp_bound, grad_bound, terminal, agreement,
-    ]
-    run_T = total_steps
     return VerifyReport(
         checks=[c.result() for c in checks],
         stop_reason=stop_reason,
-        T=run_T,
+        T=T,
         stable_steps=stable_steps,
-        total_steps=total_steps,
+        total_steps=T,
         fuzz_cases=fuzz,
         fuzz_mismatches=fuzz_mismatches,
     )

@@ -76,6 +76,15 @@ class TestCluster:
         with pytest.raises(ValueError):
             bs.cluster(blob_pair(), EPA, 0.5, merge_tol=-1.0)
 
+    def test_nan_merge_tol_rejected(self):
+        # a NaN radius joins no pair: every point would be its own cluster
+        pts = blob_pair(n_per=20)
+        assert bs.cluster(pts, EPA, 0.8).M == 2
+        with pytest.raises(ValueError, match="merge_tol must be non-negative, got nan"):
+            bs.cluster(pts, EPA, 0.8, merge_tol=float("nan"))
+        with pytest.raises(ValueError, match="merge_tol"):
+            bs.bandwidth_sweep(pts, EPA, [0.8], merge_tol=float("nan"))
+
     def test_tiny_bandwidth_rejected_by_name(self):
         # 2*h*h underflows to zero: every profile argument would be 0/0
         with pytest.raises(ValueError, match="bandwidth 1e-170"):

@@ -32,6 +32,11 @@ class TestExtents:
         with pytest.raises(ValueError):
             directional_extents([[0.0, 0.0]], [1.0, 1.0])
 
+    def test_direction_count_below_one_rejected(self):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match=f"direction count must be at least 1, got {count}"):
+                direction_set(2, count)
+
     def test_nested_after_update(self):
         rng = np.random.default_rng(41)
         pts = rng.normal(size=(10, 2))

@@ -252,6 +252,11 @@ class TestRunDriver:
         with pytest.raises(ValueError):
             StopRule(move_tol=-1.0)
 
+    def test_nan_move_tol_rejected(self):
+        # max_move < nan is never true, so a NaN tolerance would switch the test off
+        with pytest.raises(ValueError, match="move_tol must be non-negative, got nan"):
+            StopRule(move_tol=math.nan)
+
     def test_flat_kernel_reaches_exact_fixed_point(self):
         rng = np.random.default_rng(21)
         pts = np.vstack([rng.normal(-3, 0.2, size=(15, 2)),

@@ -158,6 +158,10 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             bs.is_fixed_point([[0.0]], EPA, 1.0, tol=-1.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol must be non-negative, got nan"):
+            bs.is_fixed_point([[0.0]], EPA, 1.0, tol=math.nan)
+
     def test_agreement_with_singularity(self, fuzz_corpus):
         mismatches = [(kid, s, f) for kid, s, f, _, _ in fuzz_corpus if s != f]
         assert mismatches == []

@@ -200,6 +200,23 @@ class TestCliCommands:
         assert lines[0] == "h,M,T,L_final"
         assert len(lines) == 4
 
+    def test_sweep_nan_h_step_is_a_usage_error(self, blob_csv, tmp_path, capsys):
+        code = main(["sweep", "--input", str(blob_csv), "--kernel", "epanechnikov",
+                     "--h-min", "0.5", "--h-max", "1.5", "--h-step", "nan",
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == 2
+        assert "--h-step must be positive, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--fuzz", "-3"), ("--directions", "0"),
+                                            ("--directions", "-3")])
+    def test_verify_rejects_bad_counts(self, blob_csv, tmp_path, capsys, flag, value):
+        report = tmp_path / "report.json"
+        code = main(["verify", "--input", str(blob_csv), "--kernel", "epanechnikov",
+                     "--h", "1.5", flag, value, "--report", str(report)])
+        assert code == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_input_file(self, tmp_path):
         code = main(["cluster", "--input", str(tmp_path / "nope.csv"),
                      "--kernel", "gaussian", "--h", "1.0",

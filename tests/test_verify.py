@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 import blurshift as bs
-from blurshift.engine import StopRule
+from blurshift.engine import StopRule, run_bms
 from blurshift.verify import run_verify
 
 from synth_data import make_dataset
@@ -69,3 +72,77 @@ class TestRunVerify:
         assert payload["passed"] is True
         assert payload["fuzz_cases"] == 10
         assert len(payload["checks"]) == 10
+
+
+class TestOneDriver:
+    """run_verify observes the steps of run_bms's driver."""
+
+    STOP_RULES = {
+        "default": StopRule(),
+        "move_tol=0": StopRule(move_tol=0.0, max_iter=300),
+        "max_iter=3": StopRule(max_iter=3),
+        "no exact fixed point": StopRule(exact_fixed_point=False),
+    }
+
+    def test_stop_reason_and_T_match_run_bms(self):
+        pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(24, 2))
+        reasons = set()
+        for kid in bs.ASSUMPTION1_IDS:
+            kernel = bs.builtin(kid)
+            for name, stop in self.STOP_RULES.items():
+                run = run_bms(pts, kernel, 0.7, stop=stop)
+                report = run_verify(pts, kernel, 0.7, stop=stop, directions=16)
+                assert (report.stop_reason, report.T) == (run.stop_reason, run.T), (kid, name)
+                assert report.total_steps == run.T
+                assert report.stable_steps == sum(r.stable for r in run.records)
+                reasons.add(run.stop_reason)
+        assert reasons == {"exact_fixed_point", "move_tol", "max_iter"}
+
+    def test_one_step_closes_every_transition_check(self):
+        report = run_verify(blob_points(40), bs.builtin("biweight"), 1.2,
+                            stop=StopRule(max_iter=1))
+        assert report.T == 1 and report.stop_reason == "max_iter"
+        steps = {c.name: c.step for c in report.checks}
+        for name in ("objective_ascent", "minorizer_improvement", "minorizer_sandwich",
+                     "interval_nesting", "diameter_monotone", "diameter_contraction"):
+            assert steps[name] == 1, name
+
+    def test_injected_descent_on_the_last_step_is_caught(self):
+        # step 2's ascent check needs the objective of the final configuration,
+        # which only the close after the loop supplies
+        kernel = bs.builtin("biweight")
+        assert run_bms(blob_points(), kernel, 1.2).T > 2
+        report = run_verify(blob_points(), kernel, 1.2,
+                            stop=StopRule(max_iter=2), inject_descent=True)
+        assert report.T == 2 and report.stop_reason == "max_iter"
+        ascent = {c.name: c for c in report.checks}["objective_ascent"]
+        assert not ascent.passed
+        assert ascent.step == 2
+
+    def test_bad_counts_rejected_by_name(self):
+        pts = blob_points(20)
+        with pytest.raises(ValueError, match="fuzz must be non-negative, got -3"):
+            run_verify(pts, bs.builtin("epanechnikov"), 1.5, fuzz=-3)
+        for count in (0, -3):
+            with pytest.raises(ValueError, match=f"directions must be at least 1, got {count}"):
+                run_verify(pts, bs.builtin("epanechnikov"), 1.5, directions=count)
+
+
+# tracemalloc peak of run_verify at n=300 when it ran its own copy of the
+# iteration loop (measured at 8714ef6); keeping one more 300 x 300 float
+# array alive between steps would add 720,000 bytes
+OWN_LOOP_VERIFY_PEAK_BYTES = {"biweight": 3_226_795, "gaussian": 3_037_933}
+
+
+@pytest.mark.parametrize("kernel_id", sorted(OWN_LOOP_VERIFY_PEAK_BYTES))
+def test_run_verify_peak_memory_within_own_loop(kernel_id):
+    kernel = bs.builtin(kernel_id)
+    pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(300, 2))
+    run_verify(pts, kernel, 0.8, stop=StopRule(max_iter=3))  # warm-up
+    tracemalloc.start()
+    try:
+        run_verify(pts, kernel, 0.8, stop=StopRule(max_iter=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * OWN_LOOP_VERIFY_PEAK_BYTES[kernel_id]
