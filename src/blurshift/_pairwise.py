@@ -127,14 +127,13 @@ class PairwiseState:
     arguments in place; then the objective (summed over all n^2 entries)
     and the weights, after which the arguments are dropped.  Everything
     else (graph, classification, update, moments) is derived from the
-    weights on demand.  ``keep_sqdist`` keeps the distances in
-    ``sqdist`` for :meth:`minorizer_gap`, at the cost of one n x n array.
+    weights on demand.
 
     Raises ``ValueError`` for an out-of-range bandwidth and when the
     largest squared distance overflows to inf.
     """
 
-    def __init__(self, cfg, kernel: KernelSpec, h: float, keep_sqdist: bool = False):
+    def __init__(self, cfg, kernel: KernelSpec, h: float):
         self.h = check_bandwidth(h)
         self.cfg = as_configuration(cfg)
         self.kernel = kernel
@@ -148,8 +147,7 @@ class PairwiseState:
         if kernel.truncated:
             self.margin = _margin(sqd, kernel.beta * self.h)
             self._distinct = sqd != 0.0
-        self.sqdist = sqd if keep_sqdist else None
-        u = profile_args(sqd, self.h, out=None if keep_sqdist else sqd)
+        u = profile_args(sqd, self.h, out=sqd)
         del sqd
 
         # the pairwise sum must see all n^2 entries to keep its bits
@@ -227,22 +225,35 @@ class PairwiseState:
             return self.diameter
         return component_diameter(self.cfg.points, self.components)
 
+    def _sum_over_j(self, term) -> np.ndarray:
+        """``out[i, k] = sum_j g_ij t_j`` with ``t = term(cols, k)[:, i - cols.start]``.
+
+        Summed one j at a time in ascending order from ``+0.0``, for every
+        coordinate and every d: ``((0.0 + g_i0 t_0) + g_i1 t_1) + ...``.
+        The weight matrix is exactly symmetric, so column i holds row i's
+        weights, and each column block is reduced over axis 0, one
+        coordinate at a time (one ``(n, d, cols)`` product is slower).
+        """
+        w = self.weights
+        out = np.empty_like(self.cfg.points)
+        for cols in _column_blocks(self.n):
+            block = w[:, cols]
+            for k in range(self.cfg.d):
+                out[cols, k] = (block * term(cols, k)).sum(axis=0)
+        return out
+
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``.
 
-        The numerator is summed one j at a time in ascending order from
-        ``+0.0``, for every coordinate and every d:
-        ``((0.0 + g_i0 y_0) + g_i1 y_1) + ...``.
-        The weight matrix is exactly symmetric, so column i holds row i's
-        weights, and each column block is reduced over axis 0.  The
-        denominator is numpy's row sum ``sum(axis=1)``.
+        The numerator is summed one j at a time in ascending order (see
+        :meth:`_sum_over_j`); the denominator is numpy's row sum
+        ``sum(axis=1)``.
 
         Raises ``ValueError`` when a point's weights sum to zero, which a
         kernel with ``g(0) = 0`` gives a point or a group of coincident
         points with no other point at nonzero weight.
         """
-        w = self.weights
-        den = w.sum(axis=1)
+        den = self.weights.sum(axis=1)
         empty = np.flatnonzero(den == 0.0)
         if empty.size:
             raise ValueError(
@@ -252,12 +263,7 @@ class PairwiseState:
                 f"nonzero weight, so its blurred position would be 0/0"
             )
         y = self.cfg.points
-        num = np.empty_like(y)
-        for cols in _column_blocks(self.n):
-            block = w[:, cols]
-            for k in range(self.cfg.d):
-                num[cols, k] = (block * y[:, k, None]).sum(axis=0)
-        return num / den[:, None]
+        return self._sum_over_j(lambda cols, k: y[:, k, None]) / den[:, None]
 
     def moments(self) -> np.ndarray:
         """Weighted difference sums ``sum_j (y_i - y_j) g_ij``, one row per point.
@@ -267,13 +273,7 @@ class PairwiseState:
         configuration (every joined pair coincident) gives exactly zero.
         """
         y = self.cfg.points
-        w = self.weights
-        out = np.empty_like(y)
-        for cols in _column_blocks(self.n):
-            block = w[:, cols]
-            for k in range(self.cfg.d):
-                out[cols, k] = (block * (y[None, cols, k] - y[:, k, None])).sum(axis=0)
-        return out
+        return self._sum_over_j(lambda cols, k: y[None, cols, k] - y[:, k, None])
 
     def gradient(self) -> np.ndarray:
         """Objective gradient: block ``i`` is ``-(2/h^2) sum_j (y_i - y_j) g_ij``."""
@@ -286,8 +286,9 @@ class PairwiseState:
     def minorizer_gap(self, cfg_next) -> float:
         """Surrogate improvement ``(1/(2 h^2)) * (sum_ij g_ij ||y_i - y_j||^2
         - sum_ij g_ij ||y'_i - y'_j||^2)`` of ``cfg_next`` with these
-        weights; needs ``keep_sqdist``."""
+        weights (the constructor converted its distances in place, so
+        they are computed again)."""
         w = self.weights
-        before = float(np.sum(w * self.sqdist))
+        before = float(np.sum(w * pairwise_sqdist(self.cfg.points)))
         after = float(np.sum(w * pairwise_sqdist(as_configuration(cfg_next).points)))
         return (before - after) / (2.0 * self.h * self.h)

@@ -21,6 +21,8 @@ from .verify import run_verify
 
 __all__ = ["main", "build_parser"]
 
+MAX_SWEEP_BANDWIDTHS = 10_000  # checked before the sweep's grid is built
+
 
 def _add_input_args(p: argparse.ArgumentParser, with_h: bool = True) -> None:
     p.add_argument("--input", required=True, help="CSV or JSON point file")
@@ -188,10 +190,16 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     kernel = get_kernel(args.kernel)
     points, _ = _load(args)
+    for flag, value in (("--h-min", args.h_min), ("--h-max", args.h_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if not args.h_step > 0:
         raise ValueError(f"--h-step must be positive, got {args.h_step}")
-    count = int(np.floor((args.h_max - args.h_min) / args.h_step + 1e-9)) + 1
-    grid = [args.h_min + k * args.h_step for k in range(count)]
+    count = np.floor((args.h_max - args.h_min) / args.h_step + 1e-9) + 1
+    if count > MAX_SWEEP_BANDWIDTHS:
+        raise ValueError(f"the grid has {count:.0f} bandwidths, more than "
+                         f"{MAX_SWEEP_BANDWIDTHS}; raise --h-step")
+    grid = [args.h_min + k * args.h_step for k in range(int(count))]
     entries = bandwidth_sweep(points, kernel, grid, stop=_stop_rule(args),
                               merge_tol=args.merge_tol)
     _emit_table(["h", "M", "T", "L_final"],

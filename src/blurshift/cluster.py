@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pairwise import component_labels
-from .config import as_configuration, check_bandwidth, pairwise_sqdist
-from .diagnostics import diameter
-from .engine import BmsRun, IterationRecord, StopRule, objective, run_bms
+from .config import Configuration, as_configuration, check_bandwidth, pairwise_sqdist
+from .engine import IterationRecord, StopRule, objective, run_bms
 from .kernels import KernelSpec
 
 __all__ = [
@@ -29,7 +28,8 @@ class ClusterResult:
     Labels are contiguous ``1..M`` in order of each cluster's smallest
     member index; ``representatives[m-1]`` is the mean terminal position of
     cluster ``m``.  ``T`` is the terminated step count of the underlying
-    run and ``records`` its iteration records, one per step.
+    run, ``records`` its iteration records, one per step, and ``final``
+    the terminal configuration the labels come from (not serialised).
     """
 
     labels: np.ndarray
@@ -40,6 +40,7 @@ class ClusterResult:
     records: list[IterationRecord]
     h: float
     kernel: str
+    final: Configuration
 
     @property
     def trace_summary(self) -> IterationRecord | None:
@@ -58,15 +59,6 @@ class ClusterResult:
         }
 
 
-def _labels_from_run(run: BmsRun, merge_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    terminal = run.final.points
-    # single linkage: components of the graph joining points within merge_tol
-    groups = component_labels(pairwise_sqdist(terminal) <= merge_tol * merge_tol)
-    m = int(groups.max()) + 1
-    reps = np.vstack([terminal[groups == c].mean(axis=0) for c in range(m)])
-    return groups + 1, reps
-
-
 def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
             merge_tol: float | None = None) -> ClusterResult:
     """Run the blurring iteration and group the terminal points.
@@ -83,9 +75,13 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     run = run_bms(cfg, kernel, h, stop=stop)
     if merge_tol is None:
         merge_tol = 1e-8 * run.records[0].diameter  # the initial data diameter
-    labels, reps = _labels_from_run(run, merge_tol)
+    terminal = run.final.points
+    # single linkage: components of the graph joining points within merge_tol
+    groups = component_labels(pairwise_sqdist(terminal) <= merge_tol * merge_tol)
+    reps = np.vstack([terminal[groups == c].mean(axis=0)
+                      for c in range(int(groups.max()) + 1)])
     return ClusterResult(
-        labels=labels,
+        labels=groups + 1,
         representatives=reps,
         T=run.T,
         M=reps.shape[0],
@@ -93,6 +89,7 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
         records=run.records,
         h=float(h),
         kernel=kernel.id,
+        final=run.final,
     )
 
 
@@ -106,7 +103,7 @@ class SweepEntry:
 
 def bandwidth_sweep(points, kernel: KernelSpec, h_grid, stop: StopRule | None = None,
                     merge_tol: float | None = None) -> list[SweepEntry]:
-    """One clustering run per bandwidth; no automatic bandwidth selection.
+    """One :func:`cluster` per bandwidth; no automatic bandwidth selection.
 
     Returns per-bandwidth summaries ``(h, M, T, L_final)`` where
     ``L_final`` is the objective of the terminal configuration.
@@ -114,17 +111,11 @@ def bandwidth_sweep(points, kernel: KernelSpec, h_grid, stop: StopRule | None = 
     h_grid = [check_bandwidth(h) for h in h_grid]
     if not h_grid:
         raise ValueError("bandwidth grid is empty")
-    cfg = as_configuration(points)
-    if merge_tol is None:
-        merge_tol = 1e-8 * diameter(cfg)
-    elif not merge_tol >= 0:
-        raise ValueError(f"merge_tol must be non-negative, got {merge_tol}")
     entries = []
     for h in h_grid:
-        run = run_bms(cfg, kernel, h, stop=stop)
-        _, reps = _labels_from_run(run, merge_tol)
-        entries.append(SweepEntry(h=h, M=reps.shape[0], T=run.T,
-                                  L_final=objective(run.final, kernel, h)))
+        result = cluster(points, kernel, h, stop=stop, merge_tol=merge_tol)
+        entries.append(SweepEntry(h=h, M=result.M, T=result.T,
+                                  L_final=objective(result.final, kernel, h)))
     return entries
 
 

@@ -12,6 +12,7 @@ sum ``L`` with per-point step sizes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -131,7 +132,7 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
         raise ValueError(
             f"shape mismatch: {cfg_next.points.shape} vs {cfg.points.shape}"
         )
-    return PairwiseState(cfg, kernel, h, keep_sqdist=True).minorizer_gap(cfg_next)
+    return PairwiseState(cfg, kernel, h).minorizer_gap(cfg_next)
 
 
 @dataclass(frozen=True)
@@ -170,33 +171,30 @@ class StopRule:
     move_tol: float | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.move_tol is not None and not self.move_tol >= 0:
             raise ValueError(f"move_tol must be non-negative, got {self.move_tol}")
 
 
 @dataclass(frozen=True)
 class BmsRun:
-    """Result of an iteration run: final state, trace, and stop reason."""
+    """Result of an iteration run: final state, trace, stop reason, step count."""
 
     final: Configuration
     records: list[IterationRecord]
     stop_reason: str
-
-    @property
-    def T(self) -> int:
-        return self.records[-1].t if self.records else 0
+    T: int
 
 
 def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
-             on_step: Callable[[int, PairwiseState, Configuration, float], None],
-             keep_sqdist: bool = False) -> tuple[Configuration, str]:
-    """The iteration loop and its stop rule; returns ``(final, stop_reason)``.
+             on_step: Callable[[int, PairwiseState, Configuration, float], None]
+             ) -> tuple[Configuration, str, int]:
+    """The iteration loop and its stop rule; returns ``(final, stop_reason, T)``.
 
     Step ``t`` calls ``on_step(t, state, nxt, max_move)`` with the pairwise
-    state of the current configuration (built with ``keep_sqdist``), its
-    blurred image and the largest point move.  Observers must not keep the
+    state of the current configuration, its blurred image and the largest
+    point move; ``T`` is the number of steps.  Observers must not keep the
     state: it is released before the next one is built.
     """
     if stop is None:
@@ -204,7 +202,7 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     cfg = as_configuration(cfg0)
     move_tol = stop.move_tol
     for t in range(1, stop.max_iter + 1):
-        state = PairwiseState(cfg, kernel, h, keep_sqdist=keep_sqdist)
+        state = PairwiseState(cfg, kernel, h)
         if move_tol is None:  # 1e-12 x the initial diameter
             move_tol = 1e-12 * state.diameter
         nxt = Configuration.from_points(state.update())
@@ -213,11 +211,11 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
         # drop this step's n x n arrays before the next state allocates its own
         state = None
         if stop.exact_fixed_point and np.array_equal(nxt.points, cfg.points):
-            return nxt, STOP_EXACT_FIXED_POINT
+            return nxt, STOP_EXACT_FIXED_POINT, t
         cfg = nxt
         if max_move < move_tol:
-            return cfg, STOP_MOVE_TOL
-    return cfg, STOP_MAX_ITER
+            return cfg, STOP_MOVE_TOL, t
+    return cfg, STOP_MAX_ITER, stop.max_iter
 
 
 def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
@@ -252,5 +250,5 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
         if keep_records:
             records.append(record)
 
-    final, stop_reason = _iterate(cfg0, kernel, h, stop, on_step)
-    return BmsRun(final, records, stop_reason)
+    final, stop_reason, T = _iterate(cfg0, kernel, h, stop, on_step)
+    return BmsRun(final, records, stop_reason, T)

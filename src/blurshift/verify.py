@@ -134,7 +134,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
                inject_descent: bool = False) -> VerifyReport:
     """Iterate from ``points`` and check every invariant at every step.
 
-    The checks observe ``run_bms``'s own steps, stop rule and ``T``.
+    The checks observe the steps, stop rule and ``T`` of ``engine._iterate``.
     ``fuzz`` adds that many randomized fixed-point-versus-singularity
     cross-checks.  ``inject_descent`` deliberately corrupts one objective
     value so the harness itself can be tested for failure detection.
@@ -201,9 +201,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
-    # each state keeps its squared distances for the minorizer gap
-    final, stop_reason = _iterate(points, kernel, h, stop, on_step, keep_sqdist=True)
-    T = pending[0]
+    final, stop_reason, T = _iterate(points, kernel, h, stop, on_step)
     state = PairwiseState(final, kernel, h)  # closes the last step
     close(state.objective, state.diameter)
     if stop_reason == STOP_EXACT_FIXED_POINT:

@@ -27,6 +27,10 @@ class TestCluster:
         assert result.representatives.shape == (2, 2)
         assert np.linalg.norm(result.representatives[0] - [-2.0, 0.0]) < 0.3
         assert np.linalg.norm(result.representatives[1] - [2.0, 0.5]) < 0.3
+        # the terminal configuration the labels come from; not serialised
+        run = bs.run_bms(pts, EPA, 0.8, stop=StopRule(move_tol=0.0))
+        assert np.array_equal(result.final.points, run.final.points)
+        assert "final" not in result.to_json_dict()
 
     def test_huge_bandwidth_single_cluster(self):
         result = bs.cluster(blob_pair(), EPA, 50.0)

@@ -252,6 +252,13 @@ class TestRunDriver:
         with pytest.raises(ValueError):
             StopRule(move_tol=-1.0)
 
+    @pytest.mark.parametrize("max_iter", [math.nan, 2.5, "3", None])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        # range() in the driver would fail on it with a TypeError mid-run
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            StopRule(max_iter=max_iter)
+        assert StopRule(max_iter=np.int64(3)).max_iter == 3
+
     def test_nan_move_tol_rejected(self):
         # max_move < nan is never true, so a NaN tolerance would switch the test off
         with pytest.raises(ValueError, match="move_tol must be non-negative, got nan"):
@@ -297,6 +304,7 @@ class TestRunDriver:
         assert run.records == []
         assert len(seen) == 5
         assert [r.t for r in seen] == [1, 2, 3, 4, 5]
+        assert run.T == 5
 
     def test_records_monotone_objective_and_diameter(self):
         rng = np.random.default_rng(23)

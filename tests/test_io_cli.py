@@ -207,6 +207,24 @@ class TestCliCommands:
         assert code == 2
         assert "--h-step must be positive, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds,message", [
+        (("0.5", "inf", "0.5"), "--h-max must be finite, got inf"),
+        (("nan", "1.5", "0.5"), "--h-min must be finite, got nan"),
+        (("-inf", "1.5", "0.5"), "--h-min must be finite, got -inf"),
+        (("0.5", "1.5", "1e-5"), "the grid has 100001 bandwidths, more than 10000"),
+        (("-1e308", "1e308", "1e-300"), "the grid has inf bandwidths, more than 10000"),
+    ])
+    def test_sweep_rejects_bad_grid_bounds(self, blob_csv, tmp_path, capsys,
+                                           bounds, message):
+        out = tmp_path / "sweep.csv"
+        h_min, h_max, h_step = bounds
+        code = main(["sweep", "--input", str(blob_csv), "--kernel", "epanechnikov",
+                     f"--h-min={h_min}", f"--h-max={h_max}", f"--h-step={h_step}",
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--fuzz", "-3"), ("--directions", "0"),
                                             ("--directions", "-3")])
     def test_verify_rejects_bad_counts(self, blob_csv, tmp_path, capsys, flag, value):
