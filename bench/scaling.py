@@ -1,0 +1,121 @@
+"""Scaling benchmark: wall time, steps and peak heap of ``cluster`` and
+``run_verify`` as the number of points grows.
+
+    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_7.json
+
+The grid is n in {500, 1000, 2000, 4000} points in d = 2, for one flat
+truncated kernel (epanechnikov) and one full-support kernel (gaussian), at
+bandwidth ``H``.  The points are four Gaussian blobs (sigma 0.4, centres
+uniform in [-3, 3]^2, seed 0).  Every operation runs under a fixed step
+budget, ``StopRule(max_iter=STEPS)``, so the work per step is what is
+compared; ``T`` records the steps actually taken.
+
+For every cell the wall time is the best of ``REPEATS`` runs, and the peak
+is the ``tracemalloc`` peak of one more run (traced apart, so tracing does
+not slow the timed runs).  The records go under ``--label`` in the output
+file; entries under other labels are kept, so one file can hold the same
+grid measured on two source trees, each run with its own ``src`` on
+``PYTHONPATH``.  Uses only the standard library, numpy and blurshift.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+import blurshift as bs
+
+SIZES = (500, 1000, 2000, 4000)
+KERNELS = ("epanechnikov", "gaussian")
+H = 0.5
+STEPS = 3
+REPEATS = 3
+
+
+def blobs(n: int) -> np.ndarray:
+    """Four Gaussian blobs in the plane (sigma 0.4, centres in [-3, 3]^2)."""
+    rng = np.random.default_rng(0)
+    centres = rng.uniform(-3.0, 3.0, size=(4, 2))
+    return centres[rng.integers(0, 4, size=n)] + rng.normal(scale=0.4, size=(n, 2))
+
+
+def measure(operation) -> dict:
+    """Best wall seconds of ``REPEATS`` calls, then the traced peak of one."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        steps = operation()
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        operation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"wall_s": round(best, 6), "T": steps, "peak_mib": round(peak / 2**20, 3)}
+
+
+def nproc() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_grid() -> list[dict]:
+    stop = bs.StopRule(max_iter=STEPS)
+    records = []
+    for kernel_id in KERNELS:
+        kernel = bs.builtin(kernel_id)
+        for n in SIZES:
+            points = blobs(n)
+            record = {"kernel": kernel_id, "n": n, "d": 2, "h": H}
+            record["cluster"] = measure(lambda: bs.cluster(points, kernel, H, stop=stop).T)
+            record["verify"] = measure(lambda: bs.run_verify(points, kernel, H, stop=stop).T)
+            print(json.dumps(record), flush=True)
+            records.append(record)
+    return records
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True,
+                        help="key the records are stored under, e.g. parent or change")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
+    args = parser.parse_args(argv)
+
+    import scipy
+
+    entry = {
+        "environment": {
+            "nproc": nproc(),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "setup": {
+            "points": "four Gaussian blobs, sigma 0.4, centres uniform in [-3, 3]^2, seed 0",
+            "sizes": list(SIZES), "d": 2, "h": H, "kernels": list(KERNELS),
+            "step_budget": STEPS, "stop": f"StopRule(max_iter={STEPS})",
+            "wall": f"best of {REPEATS} runs",
+            "peak": "tracemalloc peak of one further run",
+        },
+        "records": run_grid(),
+    }
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = entry
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,7 @@
 """Blurring mean shift clustering with convergence diagnostics."""
 
+import logging
+
 from .cluster import ClusterResult, SweepEntry, bandwidth_sweep, cluster, standardize
 from .config import Configuration, as_configuration
 from .diagnostics import (
@@ -65,3 +67,6 @@ from .oracles import (
 from .verify import CheckResult, VerifyReport, run_verify
 
 __version__ = "0.1.0"
+
+# library logging stays silent unless the application configures it
+logging.getLogger(__name__).addHandler(logging.NullHandler())

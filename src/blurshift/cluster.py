@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pairwise import component_labels
-from .config import Configuration, as_configuration, check_bandwidth, pairwise_sqdist
+from ._pairwise import single_linkage_labels
+from .config import Configuration, as_configuration, check_bandwidth
 from .engine import IterationRecord, StopRule, objective, run_bms
 from .kernels import KernelSpec
 
@@ -76,8 +76,7 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     if merge_tol is None:
         merge_tol = 1e-8 * run.records[0].diameter  # the initial data diameter
     terminal = run.final.points
-    # single linkage: components of the graph joining points within merge_tol
-    groups = component_labels(pairwise_sqdist(terminal) <= merge_tol * merge_tol)
+    groups = single_linkage_labels(terminal, merge_tol)
     reps = np.vstack([terminal[groups == c].mean(axis=0)
                       for c in range(int(groups.max()) + 1)])
     return ClusterResult(

@@ -31,14 +31,34 @@ __all__ = [
 DEFAULT_DIRECTION_SEED = 0x5EED
 
 
+def _extents(points: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest projection of the points onto each row of
+    ``directions``, from row blocks of the points.
+
+    Each projection is summed over the coordinates one at a time in
+    ascending order, ``((y_0 u_0 + y_1 u_1) + ...)``, rather than by a BLAS
+    matmul, whose order (and so whose bits) depends on the BLAS kernel.
+    """
+    low = np.full(directions.shape[0], np.inf)
+    high = np.full(directions.shape[0], -np.inf)
+    for rows in _pairwise._row_blocks(points.shape[0], directions.shape[0]):
+        proj = np.multiply.outer(points[rows, 0], directions[:, 0])
+        for k in range(1, points.shape[1]):
+            proj += np.multiply.outer(points[rows, k], directions[:, k])
+        np.minimum(low, proj.min(axis=0), out=low)
+        np.maximum(high, proj.max(axis=0), out=high)
+    return low, high
+
+
 def directional_extents(cfg, direction) -> tuple[float, float]:
-    """Smallest and largest projection of the points onto a unit direction."""
+    """Smallest and largest projection of the points onto a unit direction
+    (summed over coordinates in ascending order)."""
     cfg = as_configuration(cfg)
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
-    proj = cfg.points @ direction
-    return float(proj.min()), float(proj.max())
+    low, high = _extents(cfg.points, direction[None, :])
+    return float(low[0]), float(high[0])
 
 
 def direction_set(d: int, count: int = 256, seed: int = DEFAULT_DIRECTION_SEED) -> np.ndarray:
@@ -107,12 +127,14 @@ def interval_nesting_violation(cfg_prev, cfg_next, directions: np.ndarray) -> fl
 
     For each direction ``u`` the interval ``[min u.y, max u.y]`` of the next
     configuration must lie inside the previous one; the return value is the
-    largest overshoot (0.0 when nesting holds exactly).
+    largest overshoot (0.0 when nesting holds exactly).  Projections are
+    summed over coordinates in ascending order, so the value does not
+    depend on the BLAS kernel.
     """
-    prev = as_configuration(cfg_prev).points @ directions.T
-    nxt = as_configuration(cfg_next).points @ directions.T
-    low = np.max(prev.min(axis=0) - nxt.min(axis=0), initial=0.0)
-    high = np.max(nxt.max(axis=0) - prev.max(axis=0), initial=0.0)
+    prev_low, prev_high = _extents(as_configuration(cfg_prev).points, directions)
+    next_low, next_high = _extents(as_configuration(cfg_next).points, directions)
+    low = np.max(prev_low - next_low, initial=0.0)
+    high = np.max(next_high - prev_high, initial=0.0)
     return float(max(low, high))
 
 

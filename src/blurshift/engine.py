@@ -12,7 +12,9 @@ sum ``L`` with per-point step sizes.
 
 from __future__ import annotations
 
+import logging
 import numbers
+import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -40,6 +42,10 @@ __all__ = [
     "run_bms",
 ]
 
+# silent unless the application configures logging; _iterate logs a start
+# and a stop summary of every run at DEBUG
+log = logging.getLogger("blurshift")
+
 STOP_EXACT_FIXED_POINT = "exact_fixed_point"
 STOP_MOVE_TOL = "move_tol"
 STOP_MAX_ITER = "max_iter"
@@ -56,12 +62,14 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     graph component, so component hulls never grow.
 
     The numerator ``sum_j g_ij y_j`` is summed one j at a time in ascending
-    order, for every coordinate and every d, rather than by a BLAS matmul:
-    points with identical weight rows then land on bitwise-identical
-    outputs.  That makes collapsed groups exactly coincident and lets
-    flat-weight truncated kernels reach bit-exact fixed points (it also
-    keeps results independent of the BLAS backend and its threading).  The
-    denominator is numpy's row sum.
+    order from ``+0.0``, for every coordinate and every d, rather than by a
+    BLAS matmul: points with identical weight rows then land on
+    bitwise-identical outputs.  That makes collapsed groups exactly
+    coincident and lets flat-weight truncated kernels reach bit-exact fixed
+    points (it also keeps results independent of the BLAS backend and its
+    threading).  A truncated kernel sums the denominator ``sum_j g_ij`` the
+    same way, over its edges only (a zero weight leaves such a sum
+    unchanged); a full-support kernel takes numpy's row sum.
 
     Raises ``ValueError`` when a point's weights sum to zero (a kernel with
     ``g(0) = 0``, such as ``tricube``, and no other point at nonzero weight).
@@ -88,7 +96,10 @@ def objective(cfg, kernel: KernelSpec, h: float) -> float:
     """Pairwise kernel sum ``L = sum_{i,j} k(||u_i - u_j||^2 / (2h^2))``.
 
     Self terms are included, so ``L = 2 * sum_{i<j} k(.) + n * k(0)``; the
-    value is reported in unnormalized profile units.
+    value is reported in unnormalized profile units.  A truncated kernel
+    sums each row over its pairs in support in ascending j, then the rows
+    in ascending i, all from ``+0.0``; a full-support kernel takes numpy's
+    sum over all n^2 entries.
     """
     return PairwiseState(cfg, kernel, h).objective
 
@@ -124,7 +135,10 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
     - sum_ij g_ij ||y'_i - y'_j||^2)`` with weights taken at ``cfg``.
     When ``cfg_next`` is the blurring update of ``cfg`` this is at least
     ``(2 g(0) / h^2) * ||y' - y||^2``, and the objective gain is at least
-    this gap.
+    this gap.  A truncated kernel reads both configurations only at its
+    edges and sums each of the two terms like the objective (rows in
+    ascending j, then the rows in ascending i); a full-support kernel takes
+    numpy's sum over all n^2 entries.
     """
     cfg = as_configuration(cfg)
     cfg_next = as_configuration(cfg_next)
@@ -195,12 +209,16 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     Step ``t`` calls ``on_step(t, state, nxt, max_move)`` with the pairwise
     state of the current configuration, its blurred image and the largest
     point move; ``T`` is the number of steps.  Observers must not keep the
-    state: it is released before the next one is built.
+    state: it is released before the next one is built.  The ``blurshift``
+    logger gets a start and a stop summary at DEBUG.
     """
     if stop is None:
         stop = StopRule()
     cfg = as_configuration(cfg0)
+    log.debug("start: n=%d d=%d kernel=%s h=%r", cfg.n, cfg.d, kernel.id, h)
+    started = time.perf_counter()
     move_tol = stop.move_tol
+    result = None
     for t in range(1, stop.max_iter + 1):
         state = PairwiseState(cfg, kernel, h)
         if move_tol is None:  # 1e-12 x the initial diameter
@@ -208,14 +226,20 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
         nxt = Configuration.from_points(state.update())
         max_move = float(np.max(np.linalg.norm(nxt.points - cfg.points, axis=1)))
         on_step(t, state, nxt, max_move)
-        # drop this step's n x n arrays before the next state allocates its own
+        # drop this step's arrays before the next state allocates its own
         state = None
         if stop.exact_fixed_point and np.array_equal(nxt.points, cfg.points):
-            return nxt, STOP_EXACT_FIXED_POINT, t
+            result = (nxt, STOP_EXACT_FIXED_POINT, t)
+            break
         cfg = nxt
         if max_move < move_tol:
-            return cfg, STOP_MOVE_TOL, t
-    return cfg, STOP_MAX_ITER, stop.max_iter
+            result = (cfg, STOP_MOVE_TOL, t)
+            break
+    if result is None:
+        result = (cfg, STOP_MAX_ITER, stop.max_iter)
+    log.debug("stop: n=%d d=%d kernel=%s h=%r T=%d stop=%s wall=%.6fs", cfg.n, cfg.d,
+              kernel.id, h, result[2], result[1], time.perf_counter() - started)
+    return result
 
 
 def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,

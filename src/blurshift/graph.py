@@ -64,7 +64,13 @@ def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
     zero in doubles.
     """
     state = PairwiseState(cfg, kernel, h)
-    return BmsGraph(state.n, state.adjacency, state.labels, state.components)
+    if kernel.truncated:
+        adjacency = state.graph.toarray() != 0.0
+    else:
+        adjacency = np.ones((state.n, state.n), dtype=bool)
+    np.fill_diagonal(adjacency, False)
+    adjacency.setflags(write=False)
+    return BmsGraph(state.n, adjacency, state.labels, state.components)
 
 
 @dataclass(frozen=True)

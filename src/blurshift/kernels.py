@@ -108,18 +108,21 @@ def _as_nonneg(u, what: str = "u") -> np.ndarray:
 
 def _poly_profile(p: float):
     def k(u):
-        t = np.clip(1.0 - np.asarray(u, dtype=float), 0.0, None)
+        t = np.maximum(1.0 - np.asarray(u, dtype=float), 0.0)
         return t**p
 
     return k
 
 
 def _poly_g(p: float):
-    # left derivative of (1-u)_+^p; 0**0 == 1 gives the correct boundary
-    # value p at u == 1 when p == 1 (flat-weight kernels).
+    # left derivative of (1-u)_+^p, p on the closed support; for p == 1
+    # (the flat weight) that is the indicator of u <= 1, which
+    # p * t**(p - 1) would also give, since 0**0 == 1
     def g(u):
         u = np.asarray(u, dtype=float)
-        t = np.clip(1.0 - u, 0.0, None)
+        if p == 1.0:
+            return np.where(u <= 1.0, 1.0, 0.0)
+        t = np.maximum(1.0 - u, 0.0)
         return np.where(u <= 1.0, p * t ** (p - 1.0), 0.0)
 
     return g
@@ -136,13 +139,16 @@ _COSINE_G0 = np.pi**2 / 8.0
 
 
 def _cosine_g(u):
+    # (pi/4) sin(pi s/2) / s = g(0) sin(x)/x with s = sqrt(u), x = pi s/2.
+    # sin(x)/x is exactly 1 wherever sin(x) rounds to x, so nearly
+    # coincident points weigh exactly g(0), like coincident ones, and a
+    # group of them collapses onto one point.
     u = np.asarray(u, dtype=float)
     inside = u <= 1.0
-    s = np.sqrt(np.where(inside, u, 1.0))
-    safe = np.where(s > 0.0, s, 1.0)
-    val = 0.25 * np.pi * np.sin(0.5 * np.pi * s) / safe
-    val = np.where(s > 0.0, val, _COSINE_G0)
-    return np.where(inside, val, 0.0)
+    x = (0.5 * np.pi) * np.sqrt(np.where(inside, u, 1.0))
+    safe = np.where(x > 0.0, x, 1.0)
+    ratio = np.where(x > 0.0, np.sin(safe) / safe, 1.0)
+    return np.where(inside, _COSINE_G0 * ratio, 0.0)
 
 
 def _gaussian_profile(u):

@@ -95,6 +95,12 @@ class VerifyReport:
         }
 
 
+def _norm(x: np.ndarray) -> float:
+    # Euclidean norm from numpy's sum of the squares; np.linalg.norm takes a
+    # BLAS dot, whose bits depend on the BLAS kernel
+    return math.sqrt(float(np.sum(x * x)))
+
+
 def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
     """Random configuration with occasional planted structure.
 
@@ -123,7 +129,7 @@ def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
         offset = rng.choice(offsets)
         i, j = rng.choice(n, size=2, replace=False)
         direction = rng.standard_normal(d)
-        direction /= np.linalg.norm(direction)
+        direction /= _norm(direction)
         points[j] = points[i] + direction * radius * (1.0 + offset)
     return points
 
@@ -181,7 +187,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         nonlocal stable_steps, pending
         if pending is not None:
             close(state.objective, state.diameter)
-        gap = state.minorizer_gap(nxt)  # largest temporaries: before M caches the graph
+        gap = state.minorizer_gap(nxt)  # dense n x n temporaries: before M caches the labels
         cfg = state.cfg
         d_t = state.diameter
         stable_steps += int(state.stable())
@@ -193,7 +199,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         move_sq = float(np.sum(delta * delta))
         if smooth:
             b_coeff = h * h / (2.0 * cfg.n * kernel.g0)  # move-per-gradient constant
-            grad_norm = float(np.linalg.norm(state.gradient()))
+            grad_norm = _norm(state.gradient())
             grad_bound.update(
                 math.sqrt(move_sq) - b_coeff * grad_norm + 1e-10 * max(1.0, d_t), t
             )

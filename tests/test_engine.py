@@ -1,4 +1,7 @@
+import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +293,28 @@ class TestRunDriver:
         for call in (lambda: run_bms(pts, tricube, 0.5), lambda: bms_step(pts, tricube, 0.5)):
             with pytest.raises(ValueError, match=r"point 0 has zero total weight .*'tricube'.*g\(0\) = 0\.0"):
                 call()
+
+    def test_debug_log_summarises_each_run(self, caplog):
+        pts = [[0.0, 0.0], [0.25, 0.0], [5.0, 5.0]]
+        with caplog.at_level(logging.DEBUG, logger="blurshift"):
+            run = run_bms(pts, EPA, 0.5, stop=StopRule(max_iter=50, move_tol=0.0))
+        messages = [r.getMessage() for r in caplog.records if r.name == "blurshift"]
+        assert len(messages) == 2
+        assert messages[0] == "start: n=3 d=2 kernel=epanechnikov h=0.5"
+        assert messages[1].startswith(
+            f"stop: n=3 d=2 kernel=epanechnikov h=0.5 T={run.T} stop={run.stop_reason} wall=")
+        assert messages[1].endswith("s")
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+
+    def test_logging_is_silent_by_default(self, cli_env):
+        code = ("import blurshift as bs; "
+                "bs.run_bms([[0.0], [1.0]], bs.builtin('gaussian'), 1.0, "
+                "stop=bs.StopRule(max_iter=3))")
+        proc = subprocess.run([sys.executable, "-c", code], env=cli_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
+        assert logging.getLogger("blurshift").handlers  # a NullHandler
 
     def test_smooth_kernel_stops_on_move_tol(self):
         rng = np.random.default_rng(22)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import blurshift as bs
 from blurshift._pairwise import PairwiseState
-from blurshift.config import pairwise_sqdist
+from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.diagnostics import component_diameter, diameter
 from blurshift.engine import IterationRecord, StopRule, bms_step, objective, run_bms
 
@@ -113,27 +113,78 @@ def test_pairwise_sqdist_pins_ascending_coordinate_order():
 
 
 def _ascending_j_sums(w, y):
-    """Update numerator and moments as explicit sums over ascending j.
+    """Update numerator, denominator and moments as explicit sums over
+    ascending j.
 
     Each step is elementwise over i, so every entry is its own
     ``((0.0 + t_0) + t_1) + ...`` with ``t_j = w[i, j] * ...``; like numpy's
     sum, it starts from ``+0.0``, so a sum of ``-0.0`` terms is ``+0.0``.
     """
     num = np.zeros_like(y)
+    den = np.zeros(y.shape[0])
     mom = np.zeros_like(y)
     for j in range(y.shape[0]):
         num += w[:, j, None] * y[j]
+        den += w[:, j]
         mom += w[:, j, None] * (y - y[j])
-    return num, mom
+    return num, den, mom
+
+
+def _rows_then_total(terms):
+    """``sum_i (sum_j terms[i, j])``: each row in ascending j, then the rows
+    in ascending i, all from ``+0.0``."""
+    rows = np.zeros(terms.shape[0])
+    for j in range(terms.shape[1]):
+        rows += terms[:, j]
+    total = 0.0
+    for value in rows:
+        total += float(value)
+    return total
+
+
+def _reference(pts, kernel, h, nxt):
+    """Update (or None when a weight row sums to zero), moments, objective
+    and minorizer gap towards ``nxt``, from the whole weight matrix.
+
+    A truncated kernel sums every row in ascending j, denominator, objective
+    and gap included, and adds the objective's and the gap's rows in
+    ascending i.  A full-support kernel keeps numpy's row sum for the
+    denominator and numpy's sum over all n^2 entries for the objective and
+    the gap.
+    """
+    y = bs.as_configuration(pts).points
+    sqd = pairwise_sqdist(y)
+    u = profile_args(sqd, h)
+    w = kernel.g(u)
+    num, den, mom = _ascending_j_sums(w, y)
+    after = w * pairwise_sqdist(nxt)
+    if kernel.truncated:
+        objective = _rows_then_total(kernel.profile(u))
+        gap = _rows_then_total(w * sqd) - _rows_then_total(after)
+    else:
+        den = w.sum(axis=1)
+        objective = float(np.sum(kernel.profile(u)))
+        gap = float(np.sum(w * sqd)) - float(np.sum(after))
+    update = None if np.any(den == 0.0) else num / den[:, None]
+    return update, mom, objective, gap / (2.0 * h * h)
 
 
 def _assert_sums_ascending_j(pts, kernel, h):
     state = PairwiseState(pts, kernel, h)
-    num, mom = _ascending_j_sums(state.weights, state.cfg.points)
-    want = num / state.weights.sum(axis=1)[:, None]
-    for got, ref in ((state.update(), want), (state.moments(), mom)):
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
-        assert got.tobytes() == ref.tobytes()
+    nxt = 0.5 * state.cfg.points + 0.125
+    update, mom, objective, gap = _reference(pts, kernel, h, nxt)
+    if update is None:
+        with pytest.raises(ValueError, match="zero total weight"):
+            state.update()
+    else:
+        got = state.update()
+        assert np.array_equal(np.signbit(got), np.signbit(update))
+        assert got.tobytes() == update.tobytes()
+    got = state.moments()
+    assert np.array_equal(np.signbit(got), np.signbit(mom))
+    assert got.tobytes() == mom.tobytes()
+    assert _bits(state.objective) == _bits(objective)
+    assert _bits(state.minorizer_gap(nxt)) == _bits(gap)
 
 
 @pytest.mark.parametrize("kernel_id,h", [("biweight", 0.5), ("gaussian", 0.4)])
@@ -149,6 +200,17 @@ def test_update_and_moments_sum_ascending_j(n, d, kernel_id, h):
         pts[5:, -1] = -0.0
         pts[4:7, -1] = 0.0
     _assert_sums_ascending_j(pts, bs.builtin(kernel_id), h)
+
+
+@pytest.mark.parametrize("kernel_id", bs.BUILTIN_IDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_every_builtin_sums_ascending_j_with_pairs_at_the_radius(kernel_id, d):
+    # pts[0] and pts[5] lie exactly at beta * h; pts[6] duplicates pts[2]
+    for seed in range(2):
+        pts, h = _planted_configuration(d, seed)
+        pts[3, -1] = -0.0
+        assert pairwise_sqdist(pts)[0, 5] / (2.0 * h * h) == 1.0
+        _assert_sums_ascending_j(pts, bs.builtin(kernel_id), h)
 
 
 _COORDS = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.5]),
@@ -190,6 +252,24 @@ def test_run_bms_peak_memory_within_per_call_driver(kernel_id, h):
     finally:
         tracemalloc.stop()
     assert peak <= PER_CALL_DRIVER_PEAK_BYTES[kernel_id]
+
+
+def test_truncated_run_bms_peak_below_one_dense_matrix():
+    # four Gaussian blobs (sigma 0.4, centres uniform in [-3, 3]^2): about
+    # 14% of the pairs are joined at h = 0.5, and the run keeps only those
+    n = 2000
+    rng = np.random.default_rng(0)
+    centres = rng.uniform(-3.0, 3.0, size=(4, 2))
+    pts = centres[rng.integers(0, 4, size=n)] + rng.normal(scale=0.4, size=(n, 2))
+    kernel = bs.builtin("epanechnikov")
+    run_bms(pts[:200], kernel, 0.5, stop=StopRule(max_iter=1))  # warm-up
+    tracemalloc.start()
+    try:
+        run_bms(pts, kernel, 0.5, stop=StopRule(max_iter=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
