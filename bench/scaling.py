@@ -1,7 +1,7 @@
 """Scaling benchmark: wall time, steps and peak heap of ``cluster`` and
 ``run_verify`` as the number of points grows.
 
-    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_7.json
+    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_8.json
 
 The grid is n in {500, 1000, 2000, 4000} points in d = 2, for one flat
 truncated kernel (epanechnikov) and one full-support kernel (gaussian), at
@@ -9,6 +9,12 @@ bandwidth ``H``.  The points are four Gaussian blobs (sigma 0.4, centres
 uniform in [-3, 3]^2, seed 0).  Every operation runs under a fixed step
 budget, ``StopRule(max_iter=STEPS)``, so the work per step is what is
 compared; ``T`` records the steps actually taken.
+
+A second grid runs one epanechnikov ``cluster`` per n to its exact fixed
+point (``StopRule(move_tol=0)``), the regime where blurring collapses the
+points onto few distinct positions.  Each of those records ``T`` and the
+mean share of distinct positions (bitwise-distinct points over n) over the
+configurations the steps start from, counted in a separate untimed run.
 
 For every cell the wall time is the best of ``REPEATS`` runs, and the peak
 is the ``tracemalloc`` peak of one more run (traced apart, so tracing does
@@ -35,6 +41,7 @@ import blurshift as bs
 
 SIZES = (500, 1000, 2000, 4000)
 KERNELS = ("epanechnikov", "gaussian")
+FIXED_POINT_KERNEL = "epanechnikov"
 H = 0.5
 STEPS = 3
 REPEATS = 3
@@ -68,6 +75,34 @@ def nproc() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def distinct_share(points: np.ndarray) -> float:
+    """Bitwise-distinct rows of ``points`` over their number."""
+    keys = np.ascontiguousarray(points).view(np.dtype((np.void, 8 * points.shape[1])))
+    return np.unique(keys.ravel()).size / points.shape[0]
+
+
+def mean_distinct_share(points: np.ndarray, kernel, stop) -> float:
+    """Mean distinct share over the configurations the steps start from."""
+    shares = []
+    bs.engine._iterate(points, kernel, H, stop,
+                       lambda t, state, nxt, move: shares.append(distinct_share(state.cfg.points)))
+    return float(np.mean(shares))
+
+
+def run_fixed_point() -> list[dict]:
+    stop = bs.StopRule(move_tol=0.0)
+    kernel = bs.builtin(FIXED_POINT_KERNEL)
+    records = []
+    for n in SIZES:
+        points = blobs(n)
+        record = {"kernel": FIXED_POINT_KERNEL, "n": n, "d": 2, "h": H}
+        record["cluster"] = measure(lambda: bs.cluster(points, kernel, H, stop=stop).T)
+        record["mean_distinct_share"] = round(mean_distinct_share(points, kernel, stop), 4)
+        print(json.dumps(record), flush=True)
+        records.append(record)
+    return records
 
 
 def run_grid() -> list[dict]:
@@ -108,8 +143,10 @@ def main(argv=None) -> int:
             "step_budget": STEPS, "stop": f"StopRule(max_iter={STEPS})",
             "wall": f"best of {REPEATS} runs",
             "peak": "tracemalloc peak of one further run",
+            "fixed_point": f"{FIXED_POINT_KERNEL} cluster per n with StopRule(move_tol=0.0)",
         },
         "records": run_grid(),
+        "fixed_point_records": run_fixed_point(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = entry

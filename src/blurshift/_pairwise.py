@@ -9,10 +9,16 @@ them.  :class:`PairwiseState` computes those once; the public functions in
 records of the iteration driver and the values rebuilt from the public
 calls are bitwise equal by construction.
 
+Blurring collapses points onto each other, so after a few steps a
+configuration holds far fewer distinct positions than points.  Coincident
+points have bitwise-equal rows of distances and weights, so every row is
+computed once per distinct position, against all n points, and read back
+through the point-to-position map where a point row is needed.
+
 A truncated kernel keeps only its edges, the pairs with ``g_ij != 0``, as a
 row-major CSR list built in one pass over row blocks of the distances, so
 no n x n array is allocated.  A full-support kernel joins every pair and
-keeps the dense n x n weight matrix.
+keeps the dense weight rows.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -41,17 +47,17 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + rows, n))
 
 
-def _column_blocks(n: int):
-    # Column blocks of an n x n matrix, sized like the row blocks.  No block
-    # is a single column (unless n == 1): numpy sums one contiguous column
-    # pairwise, not one row at a time, so a trailing lone column joins the
-    # block before it.
+def _column_blocks(count: int, n: int):
+    # Blocks of ``count`` columns of height n, sized like the row blocks.  No
+    # block is a single column unless count == 1: numpy sums one contiguous
+    # column pairwise, not one row at a time, so a trailing lone column joins
+    # the block before it.
     cols = max(2, _BLOCK_ENTRIES // n)
     start = 0
-    while start < n:
-        stop = min(start + cols, n)
-        if n - stop == 1:
-            stop = n
+    while start < count:
+        stop = min(start + cols, count)
+        if count - stop == 1:
+            stop = count
         yield slice(start, stop)
         start = stop
 
@@ -65,6 +71,60 @@ def _by_row_blocks(fn, u: np.ndarray) -> np.ndarray:
     return out
 
 
+class DistinctRows:
+    """The bitwise-distinct rows of an (n, d) array, in order of first appearance.
+
+    ``first[r]`` is the first row of group ``r``, ``inv[i]`` the group of
+    row ``i`` and ``rows`` holds the a distinct rows, so row ``i`` is
+    bitwise ``rows[inv[i]]``.  Rows are keyed by their bytes, so ``-0.0``
+    and ``+0.0`` stay apart.  When every row is distinct, or when one row
+    block holds every pair (grouping would cost more than it saves), no
+    grouping is made: ``rows`` are the points and ``first`` and ``inv`` are
+    None.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n = points.shape[0]
+        self.rows, self.first, self.inv = points, None, None
+        if n * n <= _BLOCK_ENTRIES:
+            return
+        points = np.ascontiguousarray(points)
+        keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        if first.size == n:
+            return
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.first = first[order]
+        self.inv = rank[inv]
+        self.rows = points[self.first]
+
+    @property
+    def a(self) -> int:
+        return self.rows.shape[0]
+
+    def expand(self, per_row: np.ndarray) -> np.ndarray:
+        """Index an array over the distinct rows by point."""
+        return per_row if self.inv is None else per_row[self.inv]
+
+    def points_of(self, rows: slice) -> np.ndarray:
+        """The first point of each distinct row in ``rows``."""
+        if self.first is None:
+            return np.arange(rows.start, rows.stop)
+        return self.first[rows]
+
+    def copy_to_members(self, out: np.ndarray) -> None:
+        """Copy ``out[first[r]]`` to every other row of group ``r``, in row
+        blocks (``out`` is indexed by point)."""
+        if self.inv is None:
+            return
+        source = self.first[self.inv]
+        members = np.flatnonzero(source != np.arange(source.size))
+        for rows in _row_blocks(members.size, out[0].size):
+            out[members[rows]] = out[source[members[rows]]]
+
+
 def _checked_max(sqdist: np.ndarray) -> float:
     largest = float(np.max(sqdist))
     if math.isinf(largest):
@@ -76,12 +136,14 @@ def _checked_max(sqdist: np.ndarray) -> float:
 
 
 def max_sqdist(points: np.ndarray) -> float:
-    """Largest squared pairwise distance, from row blocks of the matrix.
+    """Largest squared pairwise distance, from row blocks of the matrix over
+    the distinct rows.
 
     Raises ``ValueError`` when it overflows to inf.
     """
-    return max(_checked_max(pairwise_sqdist(points[rows], points))
-               for rows in _row_blocks(points.shape[0], points.shape[0]))
+    rows = DistinctRows(points).rows
+    return max(_checked_max(pairwise_sqdist(rows[block], rows))
+               for block in _row_blocks(rows.shape[0], rows.shape[0]))
 
 
 def component_diameter(points: np.ndarray, components) -> float:
@@ -93,6 +155,15 @@ def component_diameter(points: np.ndarray, components) -> float:
     return math.sqrt(worst)
 
 
+def _first_seen(labels: np.ndarray) -> np.ndarray:
+    # renumber labels 0..M-1 in order of their smallest vertex
+    _, first = np.unique(labels, return_index=True)
+    order = np.argsort(first)
+    remap = np.empty_like(order)
+    remap[order] = np.arange(order.size)
+    return remap[labels]
+
+
 def component_labels(adjacency) -> np.ndarray:
     """Connected-component labels of a symmetric adjacency (dense or sparse).
 
@@ -102,11 +173,7 @@ def component_labels(adjacency) -> np.ndarray:
     # a symmetric graph's strong components are its components, and scipy
     # finds those without building the transpose
     _, labels = connected_components(adjacency, directed=True, connection="strong")
-    _, first = np.unique(labels, return_index=True)
-    order = np.argsort(first)
-    remap = np.empty_like(order)
-    remap[order] = np.arange(order.size)
-    return remap[labels]
+    return _first_seen(labels)
 
 
 def _nonzero_by_row(mask: np.ndarray):
@@ -118,38 +185,78 @@ def _nonzero_by_row(mask: np.ndarray):
     return row, (flat - row * width).astype(np.int32), flat
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> csr_array:
+class _EdgeBuffer:
+    """Parallel per-edge arrays of a row-major edge list (int32 columns, and
+    weights), appended block by block into one array each.
+
+    The first block's arrays become the buffers; they grow in place by at
+    least a quarter (``ndarray.resize`` reallocates), so the list never
+    exists twice, as it would if the blocks were kept and concatenated.
+    Appended arrays must own their data.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.arrays = None
+
+    def append(self, *parts: np.ndarray) -> None:
+        if self.arrays is None:
+            self.arrays, self.size = parts, parts[0].size
+            return
+        stop = self.size + parts[0].size
+        if stop > self.arrays[0].size:
+            capacity = max(stop, self.arrays[0].size * 5 // 4)
+            for array in self.arrays:
+                array.resize(capacity, refcheck=False)
+        for array, part in zip(self.arrays, parts):
+            array[self.size:stop] = part
+        self.size = stop
+
+    def trimmed(self) -> tuple[np.ndarray, ...]:
+        """The arrays, resized to the edge count."""
+        for array in self.arrays:
+            array.resize(self.size, refcheck=False)
+        return self.arrays
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, counts: np.ndarray, n: int) -> csr_array:
     # indptr of indices' dtype, so scipy keeps both arrays as they are
-    n = counts.size
+    rows = counts.size
     dtype = np.int32 if indices.size <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=dtype)
+    indptr = np.zeros(rows + 1, dtype=dtype)
     np.cumsum(counts, out=indptr[1:])
-    return csr_array((data, indices.astype(dtype, copy=False), indptr), shape=(n, n))
+    return csr_array((data, indices.astype(dtype, copy=False), indptr), shape=(rows, n))
 
 
 def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
     """Component labels (see :func:`component_labels`) of the graph joining
-    every pair of points within ``radius``, built from row blocks of the
-    squared distances, so no n x n array is allocated."""
-    n = points.shape[0]
+    every pair of points within ``radius``.
+
+    Coincident points are always joined, so the graph is built over the
+    distinct rows only (see :class:`DistinctRows`), from row blocks of their
+    squared distances, and no n x n array is allocated.
+    """
+    distinct = DistinctRows(points)
+    rows, a = distinct.rows, distinct.a
     limit = radius * radius
-    counts, indices = [], []
-    for rows in _row_blocks(n, n):
-        row, cols, _ = _nonzero_by_row(pairwise_sqdist(points[rows], points) <= limit)
-        counts.append(np.bincount(row, minlength=rows.stop - rows.start))
-        indices.append(cols)
-    indices = np.concatenate(indices)
-    return component_labels(_csr(np.ones(indices.size, dtype=bool), indices,
-                                 np.concatenate(counts)))
+    counts = np.empty(a, dtype=np.intp)
+    edges = _EdgeBuffer()
+    for block in _row_blocks(a, a):
+        row, cols, _ = _nonzero_by_row(pairwise_sqdist(rows[block], rows) <= limit)
+        counts[block] = np.bincount(row, minlength=block.stop - block.start)
+        edges.append(cols)
+    indices, = edges.trimmed()
+    graph = _csr(np.ones(indices.size, dtype=bool), indices, counts, a)
+    return distinct.expand(component_labels(graph))
 
 
-def _block_margin(sqd: np.ndarray, rows: slice, radius: float) -> float:
-    # smallest |distance - radius| over the block's pairs i != j
+def _block_margin(sqd: np.ndarray, own: np.ndarray, radius: float) -> float:
+    # smallest |distance - radius| over the block's pairs i != j, where
+    # own[r] is the column of row r's own point
     gap = np.sqrt(sqd)
     gap -= radius
     np.abs(gap, out=gap)
-    own = np.arange(rows.start, rows.stop)
-    gap[own - rows.start, own] = math.inf
+    gap[np.arange(own.size), own] = math.inf
     return float(np.min(gap))
 
 
@@ -159,24 +266,69 @@ def _ascending_total(row_sums: np.ndarray) -> float:
     return float(np.cumsum(row_sums)[-1] + 0.0)
 
 
+def _rows_of_edges(graph: csr_array) -> np.ndarray:
+    # the row of every edge (intp: gathers and bincount take it as it is)
+    counts = np.diff(graph.indptr)
+    return np.repeat(np.arange(counts.size), counts)
+
+
+def _row_sums(rows: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
+    # bincount adds the terms in edge order: ascending j within a row, one
+    # at a time from +0.0
+    return np.bincount(rows, weights=terms, minlength=count)
+
+
+def _edge_differences(rows: np.ndarray, cols: np.ndarray, row_values: np.ndarray,
+                      values: np.ndarray) -> np.ndarray:
+    # row_values[row] - values[col] for every edge.  The column gather goes
+    # first: it copies the int32 columns to intp, and that copy is freed
+    # before the row gather's temporary exists.
+    diff = values[cols]
+    np.subtract(row_values[rows], diff, out=diff)
+    return diff
+
+
+def _weighted_row_sums(graph: csr_array, rows: np.ndarray, row_points: np.ndarray,
+                       points: np.ndarray) -> np.ndarray:
+    # sum_j g_ij ||p_i - p_j||^2 for every row i of graph (``rows`` is
+    # _rows_of_edges(graph)), with p_i = row_points[i] and p_j = points[j], each
+    # squared distance summed over coordinates in pairwise_sqdist's order
+    cols = graph.indices
+    total = _edge_differences(rows, cols, row_points[:, 0], points[:, 0])
+    total *= total
+    for k in range(1, points.shape[1]):
+        term = _edge_differences(rows, cols, row_points[:, k], points[:, k])
+        term *= term
+        total += term
+    total *= graph.data
+    return _row_sums(rows, total, graph.shape[0])
+
+
 class PairwiseState:
     """Squared distances, profile arguments and weights of a configuration.
 
-    A truncated kernel is handled in one pass over row blocks of the squared
-    distances.  Each block gives the largest squared distance, the boundary
-    margin, the boundary hit, the largest squared distance of a joined pair
-    (zero when the graph is singular), the objective's row sums and the
-    block's edges: the pairs with ``g_ij != 0`` (the diagonal included where
-    ``g(0) != 0``).  The edges are kept as the
-    row-major CSR array ``graph`` (int32 column indices, the weights as its
-    data); the components, classification, update, moments and minorizer
-    gap read only them.
+    Rows are computed once per distinct position: the points are grouped
+    by their bytes (:class:`DistinctRows`, stored as ``distinct``), and
+    every distance, profile and weight row is evaluated for the a distinct
+    positions against all n points.  A coincident point's row is bitwise
+    its group's row, so the values read back through ``distinct.inv`` are
+    the ones a full n x n evaluation gives.
 
-    A full-support kernel joins every pair, so it keeps the dense n x n
-    ``weights``.  Its constructor takes the largest squared distance first,
-    then turns the distances into profile arguments in place, takes the
-    objective (summed over all n^2 entries) and the weights, and drops the
-    arguments.
+    A truncated kernel is handled in one pass over row blocks of those
+    squared distances.  Each block gives the largest squared distance, the
+    boundary margin, the boundary hit, the largest squared distance of a
+    joined pair (zero when the graph is singular), the objective's row sums
+    and the block's edges: the pairs with ``g_ij != 0`` (the diagonal
+    included where ``g(0) != 0``).  The edges are kept as the row-major CSR
+    array ``graph`` with one row per distinct position and n columns (int32
+    column indices, the weights as its data); the components,
+    classification, update, moments and minorizer gap read only them.
+
+    A full-support kernel joins every pair, so it keeps the dense weight
+    rows ``weights``, one per distinct position.  Its constructor takes the
+    largest squared distance first, then turns the distances into profile
+    arguments in place, takes the objective (summed over all n^2 entries)
+    and the weights, and drops the arguments.
 
     Summation contract: the update's numerator ``sum_j g_ij y_j`` and the
     moments ``sum_j g_ij (y_i - y_j)`` are summed one j at a time in
@@ -186,9 +338,11 @@ class PairwiseState:
     ``sum_j g_ij ||y_i - y_j||^2``; the objective and the gap then add
     their row sums in ascending i from ``+0.0``.  Such a sum never becomes
     ``-0.0``, so skipping the pairs with a zero term leaves its bits as
-    they are.  A full-support kernel keeps numpy's row sum for the
-    denominator and numpy's sum over all n^2 entries for the objective and
-    the minorizer gap.
+    they are.  A full-support kernel keeps numpy's pairwise sum over a
+    contiguous row of n for the denominator and numpy's sum over the full
+    row-major n x n array for the objective and the minorizer gap.  Every
+    j-sum runs over the n points, not over the distinct positions, so the
+    grouping changes no bit.
 
     Raises ``ValueError`` for an out-of-range bandwidth and when the
     largest squared distance overflows to inf.
@@ -199,6 +353,7 @@ class PairwiseState:
         self.cfg = as_configuration(cfg)
         self.kernel = kernel
         self.n = self.cfg.n
+        self.distinct = DistinctRows(self.cfg.points)
         self.margin = math.inf
         if kernel.truncated:
             self._scan_edges()
@@ -216,26 +371,37 @@ class PairwiseState:
         )
 
     def _dense_weights(self) -> None:
-        sqd = pairwise_sqdist(self.cfg.points)
+        distinct, n = self.distinct, self.n
+        sqd = pairwise_sqdist(distinct.rows, self.cfg.points)
         self.max_sqdist = _checked_max(sqd)
         u = profile_args(sqd, self.h, out=sqd)
         del sqd
-        # the pairwise sum must see all n^2 entries to keep its bits
-        self.objective = float(np.sum(_by_row_blocks(self.kernel.profile, u)))
+        # the pairwise sum must see all n^2 entries, row-major, to keep its
+        # bits: each distinct row is evaluated once and copied to its members
+        k = np.empty((n, n))
+        for rows in _row_blocks(distinct.a, n):
+            k[distinct.points_of(rows)] = self.kernel.profile(u[rows])
+        distinct.copy_to_members(k)
+        self.objective = float(np.sum(k))
+        del k
         self.boundary_hit = self._hits_boundary(u)
         self.weights = _by_row_blocks(self.kernel.g, u)
 
     def _scan_edges(self) -> None:
         points, n, kernel = self.cfg.points, self.n, self.kernel
+        rows_at, a = self.distinct.rows, self.distinct.a
         radius = kernel.beta * self.h
         largest, margin, hit, joined = 0.0, math.inf, False, 0.0
-        row_sums = np.empty(n)
-        counts, loops, indices, weights = [], [], [], []
-        for rows in _row_blocks(n, n):
+        row_sums = np.empty(a)
+        counts = np.empty(a, dtype=np.intp)
+        loops = np.empty(a, dtype=bool)
+        edges = _EdgeBuffer()
+        for rows in _row_blocks(a, n):
             size = rows.stop - rows.start
-            sqd = pairwise_sqdist(points[rows], points)
+            own = self.distinct.points_of(rows)
+            sqd = pairwise_sqdist(rows_at[rows], points)
             largest = max(largest, _checked_max(sqd))
-            margin = min(margin, _block_margin(sqd, rows, radius))
+            margin = min(margin, _block_margin(sqd, own, radius))
             u = profile_args(sqd, self.h)
             hit = hit or self._hits_boundary(u)
             # the objective's terms in support, summed per row in ascending j
@@ -244,27 +410,38 @@ class PairwiseState:
             row_sums[rows] = np.bincount(row, weights=k.ravel()[flat], minlength=size)
             g = kernel.g(u)
             row, cols, flat = _nonzero_by_row(g != 0.0)
-            counts.append(np.bincount(row, minlength=size))
-            loops.append(g[np.arange(size), np.arange(rows.start, rows.stop)] != 0.0)
-            indices.append(cols)
-            weights.append(g.ravel()[flat])
+            counts[rows] = np.bincount(row, minlength=size)
+            loops[rows] = g[np.arange(size), own] != 0.0
+            edges.append(cols, g.ravel()[flat])
             joined = max(joined, float(np.max(sqd.ravel()[flat], initial=0.0)))
-        counts = np.concatenate(counts)
         self.max_sqdist = largest
         self.margin = margin
         self.boundary_hit = hit
-        self.objective = _ascending_total(row_sums)
-        self.graph = _csr(np.concatenate(weights), np.concatenate(indices), counts)
-        self._degree = counts - np.concatenate(loops)  # edges i != j
+        self.objective = _ascending_total(self.distinct.expand(row_sums))
+        indices, weights = edges.trimmed()
+        self.graph = _csr(weights, indices, counts, n)
+        self._degree = counts - loops  # edges i != j of each row
         self._joined_max = joined  # largest squared distance of an edge
 
     @cached_property
     def labels(self) -> np.ndarray:
         """Component index of every vertex, read-only (see :func:`component_labels`)."""
-        if self.kernel.truncated:
-            labels = component_labels(self.graph)
-        else:  # a complete graph is one component
+        distinct = self.distinct
+        if not self.kernel.truncated:  # a complete graph is one component
             labels = np.zeros(self.n, dtype=np.intp)
+        elif distinct.inv is None:
+            labels = component_labels(self.graph)
+        else:
+            # the graph over the distinct positions, expanded: coincident
+            # points share every neighbour, and they are joined to each
+            # other where g(0) != 0.  Where g(0) = 0 (tricube) a group with
+            # no edge at all is not joined, so its points stay apart.
+            labels = component_labels(self.graph[:, distinct.first])[distinct.inv]
+            apart = np.flatnonzero((self._degree[distinct.inv] == 0)
+                                   & (distinct.first[distinct.inv] != np.arange(self.n)))
+            if apart.size:
+                labels[apart] = labels.max() + 1 + np.arange(apart.size)
+                labels = _first_seen(labels)
         labels.setflags(write=False)
         return labels
 
@@ -284,7 +461,7 @@ class PairwiseState:
         if not self.kernel.truncated:
             return True
         sizes = np.bincount(self.labels)
-        return bool(np.all(self._degree == sizes[self.labels] - 1))
+        return bool(np.all(self.distinct.expand(self._degree) == sizes[self.labels] - 1))
 
     @cached_property
     def singular(self) -> bool:
@@ -311,33 +488,31 @@ class PairwiseState:
 
     @cached_property
     def _edge_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), np.diff(self.graph.indptr))
-
-    def _row_sums(self, terms: np.ndarray) -> np.ndarray:
-        # bincount adds the terms in edge order: ascending j within a row,
-        # one at a time from +0.0
-        return np.bincount(self._edge_rows, weights=terms, minlength=self.n)
+        return _rows_of_edges(self.graph)
 
     def _sum_over_j(self, term) -> np.ndarray:
-        """``out[i, k] = sum_j g_ij t_j`` with ``t = term(cols, k)[:, i - cols.start]``,
-        for the dense weights.
+        """``out[r, k] = sum_j g_rj t_j`` over the distinct rows r, with
+        ``t = term(cols, k)[:, r - cols.start]``, for the dense weights.
 
-        The weight matrix is exactly symmetric, so column i holds row i's
-        weights, and each column block is reduced over axis 0, one
-        coordinate at a time (one ``(n, d, cols)`` product is slower).
+        Each block of weight rows is transposed into contiguous columns and
+        reduced over axis 0, one coordinate at a time (one ``(n, d, cols)``
+        product is slower).  A lone column (a == 1) is doubled, since numpy
+        sums one contiguous column pairwise.
         """
         w = self.weights
-        out = np.empty_like(self.cfg.points)
-        for cols in _column_blocks(self.n):
-            block = w[:, cols]
+        out = np.empty_like(self.distinct.rows)
+        for cols in _column_blocks(w.shape[0], self.n):
+            block = np.ascontiguousarray(w[cols].T)
+            if block.shape[1] == 1:
+                block = np.repeat(block, 2, axis=1)
             for k in range(self.cfg.d):
-                out[cols, k] = (block * term(cols, k)).sum(axis=0)
+                out[cols, k] = (block * term(cols, k)).sum(axis=0)[:cols.stop - cols.start]
         return out
 
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the
         class docstring's contract says (for a truncated kernel, ``graph @ y``
-        over ``graph @ 1``).
+        over ``graph @ 1``), once per distinct position.
 
         Raises ``ValueError`` when a point's weights sum to zero, which a
         kernel with ``g(0) = 0`` gives a point or a group of coincident
@@ -348,7 +523,7 @@ class PairwiseState:
             den = self.graph @ np.ones(self.n)
         else:
             den = self.weights.sum(axis=1)
-        empty = np.flatnonzero(den == 0.0)
+        empty = np.flatnonzero(self.distinct.expand(den) == 0.0)
         if empty.size:
             raise ValueError(
                 f"point {empty[0]} has zero total weight under kernel "
@@ -360,7 +535,19 @@ class PairwiseState:
             num = self.graph @ y
         else:
             num = self._sum_over_j(lambda cols, k: y[:, k, None])
-        return num / den[:, None]
+        return self.distinct.expand(num / den[:, None])
+
+    def _row_moments(self) -> np.ndarray:
+        y, at = self.cfg.points, self.distinct.rows
+        if not self.kernel.truncated:
+            return self._sum_over_j(lambda cols, k: at[None, cols, k] - y[:, k, None])
+        rows, cols, a = self._edge_rows, self.graph.indices, self.distinct.a
+        out = np.empty_like(at)
+        for k in range(self.cfg.d):
+            term = _edge_differences(rows, cols, at[:, k], y[:, k])
+            term *= self.graph.data
+            out[:, k] = _row_sums(rows, term, a)
+        return out
 
     def moments(self) -> np.ndarray:
         """Weighted difference sums ``sum_j (y_i - y_j) g_ij``, one row per point.
@@ -369,17 +556,7 @@ class PairwiseState:
         numerator, from the pairwise differences, so that a singular
         configuration (every joined pair coincident) gives exactly zero.
         """
-        y = self.cfg.points
-        if not self.kernel.truncated:
-            return self._sum_over_j(lambda cols, k: y[None, cols, k] - y[:, k, None])
-        rows, cols = self._edge_rows, self.graph.indices
-        out = np.empty_like(y)
-        for k in range(self.cfg.d):
-            yk = y[:, k]
-            term = yk[rows] - yk[cols]
-            term *= self.graph.data
-            out[:, k] = self._row_sums(term)
-        return out
+        return self.distinct.expand(self._row_moments())
 
     def gradient(self) -> np.ndarray:
         """Objective gradient: block ``i`` is ``-(2/h^2) sum_j (y_i - y_j) g_ij``."""
@@ -387,20 +564,32 @@ class PairwiseState:
 
     def is_fixed_point(self, tol: float) -> bool:
         """Whether every moment has norm at most ``tol``: no point would move."""
-        return bool(np.all(np.linalg.norm(self.moments(), axis=1) <= tol))
+        return bool(np.all(np.linalg.norm(self._row_moments(), axis=1) <= tol))
 
     def _weighted_sqdist(self, points: np.ndarray) -> float:
-        # sum_ij g_ij ||p_i - p_j||^2 over the edges, each squared distance
-        # summed over coordinates in pairwise_sqdist's order
-        rows, cols = self._edge_rows, self.graph.indices
-        total = points[rows, 0] - points[cols, 0]
-        total *= total
-        for k in range(1, points.shape[1]):
-            term = points[rows, k] - points[cols, k]
-            term *= term
-            total += term
-        total *= self.graph.data
-        return _ascending_total(self._row_sums(total))
+        # sum_ij g_ij ||p_i - p_j||^2 over the edges, one row sum per
+        # distinct position of the configuration; a point whose p_i differs
+        # from its group's first point gets its own row sum
+        distinct, rows = self.distinct, self._edge_rows
+        if distinct.inv is None:
+            return _ascending_total(_weighted_row_sums(self.graph, rows, points, points))
+        sums = distinct.expand(_weighted_row_sums(
+            self.graph, rows, points[distinct.first], points))
+        bits = np.ascontiguousarray(points).view(np.int64)
+        apart = np.flatnonzero(np.any(bits != bits[distinct.first[distinct.inv]], axis=1))
+        if apart.size:
+            graph = self.graph[distinct.inv[apart]]
+            sums[apart] = _weighted_row_sums(graph, _rows_of_edges(graph), points[apart], points)
+        return _ascending_total(sums)
+
+    def _dense_weighted_sqdist(self, points: np.ndarray) -> float:
+        # numpy's sum of g_ij ||p_i - p_j||^2 over the full n x n array, the
+        # weight rows read back per point one row block at a time
+        terms = pairwise_sqdist(points)
+        group = self.distinct.expand(np.arange(self.distinct.a))
+        for rows in _row_blocks(self.n, self.n):
+            terms[rows] *= self.weights[group[rows]]
+        return float(np.sum(terms))
 
     def minorizer_gap(self, cfg_next) -> float:
         """Surrogate improvement ``(1/(2 h^2)) * (sum_ij g_ij ||y_i - y_j||^2
@@ -414,7 +603,6 @@ class PairwiseState:
             before = self._weighted_sqdist(self.cfg.points)
             after = self._weighted_sqdist(nxt)
         else:
-            w = self.weights
-            before = float(np.sum(w * pairwise_sqdist(self.cfg.points)))
-            after = float(np.sum(w * pairwise_sqdist(nxt)))
+            before = self._dense_weighted_sqdist(self.cfg.points)
+            after = self._dense_weighted_sqdist(nxt)
         return (before - after) / (2.0 * self.h * self.h)

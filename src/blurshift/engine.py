@@ -21,7 +21,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._pairwise import PairwiseState
-from .config import Configuration, as_configuration, check_bandwidth
+from .config import (
+    Configuration,
+    as_configuration,
+    check_bandwidth,
+    pairwise_sqdist,
+    profile_args,
+)
 from .kernels import KernelSpec
 
 __all__ = [
@@ -78,18 +84,28 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
 
 
 def ms_step(query, data, kernel: KernelSpec, h: float) -> np.ndarray:
-    """One mean shift step of a query point against fixed data points."""
+    """One mean shift step of a query point against fixed data points.
+
+    The squared distances keep ``pairwise_sqdist``'s coordinate order, and
+    the numerator ``sum_j w_j y_j`` and the denominator ``sum_j w_j`` are
+    summed one j at a time in ascending order from ``+0.0`` rather than by
+    BLAS, so the result does not depend on the BLAS kernel.
+    """
     h = check_bandwidth(h)
     data = as_configuration(data)
     query = np.asarray(query, dtype=float).reshape(-1)
     if query.shape[0] != data.d:
         raise ValueError(f"query has dimension {query.shape[0]}, data has {data.d}")
-    diff = query[None, :] - data.points
-    w = kernel.g(np.einsum("ij,ij->i", diff, diff) / (2.0 * h * h))
-    total = w.sum()
-    if total == 0.0:
+    w = kernel.g(profile_args(pairwise_sqdist(query[None, :], data.points)[0], h))
+    terms = np.empty((data.n, data.d + 1))
+    np.multiply(w[:, None], data.points, out=terms[:, :-1])
+    terms[:, -1] = w
+    # accumulate adds one j at a time in every column, a lone one included;
+    # the trailing + 0.0 stands for the +0.0 start
+    sums = np.cumsum(terms, axis=0)[-1] + 0.0
+    if sums[-1] == 0.0:
         raise IsolatedQueryError("query is beyond the kernel support of every data point")
-    return (w @ data.points) / total
+    return sums[:-1] / sums[-1]
 
 
 def objective(cfg, kernel: KernelSpec, h: float) -> float:

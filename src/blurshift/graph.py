@@ -65,7 +65,7 @@ def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
     """
     state = PairwiseState(cfg, kernel, h)
     if kernel.truncated:
-        adjacency = state.graph.toarray() != 0.0
+        adjacency = state.distinct.expand(state.graph.toarray() != 0.0)
     else:
         adjacency = np.ones((state.n, state.n), dtype=bool)
     np.fill_diagonal(adjacency, False)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import check_bandwidth
+from .config import check_bandwidth, pairwise_sqdist, profile_args
 
 __all__ = [
     "TruncationClass",
@@ -152,7 +152,10 @@ def _cosine_g(u):
 
 
 def _gaussian_profile(u):
-    return np.exp(-np.asarray(u, dtype=float))
+    # exp(-u) in one temporary: the dense path evaluates it on row blocks
+    # while its n x n objective array is alive, where it sets the peak
+    out = np.negative(np.asarray(u, dtype=float))
+    return np.exp(out, out=out) if isinstance(out, np.ndarray) else np.exp(out)
 
 
 def _logistic_profile(u):
@@ -268,18 +271,21 @@ def eval_g(spec: KernelSpec, u):
     return spec.g(_as_nonneg(u))
 
 
+def _profile_arg(v, h: float):
+    # ||v||^2 / (2 h^2), the squares added in pairwise_sqdist's coordinate
+    # order (the distance from the origin), not by a BLAS dot
+    v = np.asarray(v, dtype=float).reshape(1, -1)
+    return profile_args(pairwise_sqdist(v, np.zeros_like(v))[0, 0], check_bandwidth(h))
+
+
 def kernel_value(spec: KernelSpec, v, h: float):
     """Evaluate ``K(v / h) = k(||v/h||^2 / 2)`` for a vector ``v``."""
-    h = check_bandwidth(h)
-    v = np.asarray(v, dtype=float)
-    return spec.profile(np.dot(v, v) / (2.0 * h * h))
+    return spec.profile(_profile_arg(v, h))
 
 
 def g_value(spec: KernelSpec, v, h: float):
     """Evaluate ``G(v / h) = g(||v/h||^2 / 2)`` for a vector ``v``."""
-    h = check_bandwidth(h)
-    v = np.asarray(v, dtype=float)
-    return spec.g(np.dot(v, v) / (2.0 * h * h))
+    return spec.g(_profile_arg(v, h))
 
 
 def classify_truncation(spec: KernelSpec) -> tuple[float, TruncationClass]:

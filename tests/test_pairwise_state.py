@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
 from blurshift._pairwise import PairwiseState
@@ -232,6 +233,123 @@ def test_small_update_and_moments_sum_ascending_j(data):
         ["epanechnikov", "biweight", "cosine", "gaussian", "cauchy"]), label="kernel"))
     h = data.draw(st.sampled_from([0.3, 1.0, 4.0]), label="h")
     _assert_sums_ascending_j(pts, kernel, h)
+
+
+def _full_row_fields(pts, kernel, h, moved):
+    """Every field of the state from the whole n x n matrices, one row per
+    point: what the state must give whether or not it groups coincident
+    points.  ``moved`` is a second configuration for the minorizer gap."""
+    y = bs.as_configuration(pts).points
+    n = y.shape[0]
+    sqd = pairwise_sqdist(y)
+    u = profile_args(sqd, h)
+    w = kernel.g(u)
+    update, mom, objective, gap = _reference(y, kernel, h, moved)
+    fields = {"graph": w, "update": update, "moments": mom, "objective": objective,
+              "gap": gap, "diameter": math.sqrt(float(np.max(sqd)))}
+    off = ~np.eye(n, dtype=bool)
+    if kernel.truncated:
+        distance_gap = np.abs(np.sqrt(sqd) - kernel.beta * h)
+        fields["margin"] = float(np.min(distance_gap[off], initial=math.inf))
+        joined = w != 0.0
+        _, raw = connected_components(joined & off, directed=False)
+        seen = {}
+        labels = np.array([seen.setdefault(c, len(seen)) for c in raw])
+        same = labels[:, None] == labels[None, :]
+        fields["closed"] = bool(np.all(joined[same & off]))
+        fields["singular"] = bool(np.all(sqd[joined] == 0.0))
+    else:
+        fields["margin"] = math.inf
+        labels = np.zeros(n, dtype=int)
+        same = np.ones((n, n), dtype=bool)
+        fields["closed"] = True
+        fields["singular"] = float(np.max(sqd)) == 0.0
+    fields["labels"] = labels
+    fields["component_diameter"] = math.sqrt(float(np.max(sqd[same])))
+    fields["boundary_hit"] = bool(
+        kernel.truncation is bs.TruncationClass.NON_SMOOTHLY_TRUNCATED
+        and np.any(u == kernel.boundary_u))
+    return fields
+
+
+def _assert_state_equals_full_rows(pts, kernel, h, moved):
+    want = _full_row_fields(pts, kernel, h, moved)
+    state = PairwiseState(pts, kernel, h)
+    # every point is bitwise its group's row, signed zeros included
+    assert state.distinct.expand(state.distinct.rows).tobytes() == state.cfg.points.tobytes()
+    rows = state.graph.toarray() if kernel.truncated else state.weights
+    assert state.distinct.expand(rows).tobytes() == want["graph"].tobytes()
+    for name in ("objective", "margin", "diameter", "component_diameter"):
+        assert _bits(getattr(state, name)) == _bits(want[name]), name
+    for name in ("boundary_hit", "closed", "singular"):
+        assert getattr(state, name) == want[name], name
+    assert np.array_equal(state.labels, want["labels"])
+    assert state.moments().tobytes() == want["moments"].tobytes()
+    assert _bits(state.minorizer_gap(moved)) == _bits(want["gap"])
+    if want["update"] is None:
+        with pytest.raises(ValueError, match="zero total weight"):
+            state.update()
+    else:
+        assert state.update().tobytes() == want["update"].tobytes()
+    return state
+
+
+def _sites(rng, d, count):
+    """Positions for groups of coincident points: the origin, a site at
+    exactly ``beta * h`` from it (for the built-in truncated kernels), the
+    origin's ``-0.0`` twin, ``count`` random sites and an isolated one."""
+    v, h = representable_boundary_pair(1.0)
+    origin = np.zeros(d)
+    at_radius = origin.copy()
+    at_radius[0] = v
+    sites = [origin, at_radius, -origin, *rng.uniform(-1.5, 1.5, size=(count, d)),
+             np.full(d, 100.0)]
+    return np.array(sites), h
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_state_equals_full_row_reference(data):
+    # many coincident groups, so the state computes each row once per
+    # distinct position; n = 128 and 129 sit on both sides of the size
+    # below which no grouping is made
+    kernel = bs.builtin(data.draw(st.sampled_from(bs.BUILTIN_IDS), label="kernel"))
+    n = data.draw(st.sampled_from([1, 2, 9, 128, 129, 200]), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sites, h = _sites(rng, d, data.draw(st.integers(0, 5), label="random sites"))
+    pts = sites[rng.integers(0, len(sites), size=n)]
+    loose = data.draw(st.integers(0, n), label="points off the sites")
+    pts[rng.integers(0, n, size=loose)] = rng.uniform(-1.5, 1.5, size=(loose, d))
+    moved = pts + rng.normal(scale=1e-3, size=pts.shape)  # groups move apart
+    state = _assert_state_equals_full_rows(pts, kernel, h, moved)
+    grouped = n > 128 and len({row.tobytes() for row in pts}) < n
+    assert (state.distinct.inv is not None) == grouped
+
+
+@pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy", "logistic"])
+@pytest.mark.parametrize("n", [129, 300])
+def test_dense_single_distinct_row(kernel_id, n):
+    # every point coincides: one weight row, whose j-sums must not turn into
+    # numpy's pairwise sum of a lone column (n equal terms of 0.1 add up to
+    # different bits in the two orders)
+    pts = np.full((n, 2), 0.1)
+    pts[:, 1] = -1.3
+    moved = pts + np.linspace(0.0, 1e-3, n)[:, None]
+    state = _assert_state_equals_full_rows(pts, bs.builtin(kernel_id), 0.5, moved)
+    assert state.distinct.rows.shape == (1, 2)
+
+
+def test_isolated_tricube_group_stays_apart():
+    # g(0) = 0: coincident points with no other point in reach are not joined
+    # to each other, so the grouped graph must not merge them
+    tricube = bs.builtin("tricube")
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(150, 2))
+    pts[100:] = pts[0]  # a group joined to its neighbours
+    pts[140:] = 50.0  # an isolated group of ten
+    state = _assert_state_equals_full_rows(pts, tricube, 0.5, pts + 1e-3)
+    assert state.distinct.inv is not None
+    assert len(set(state.labels[140:])) == 10
 
 
 # tracemalloc peaks of exactly the run below, measured once on the driver
