@@ -1,7 +1,7 @@
 """Scaling benchmark: wall time, steps and peak heap of ``cluster`` and
 ``run_verify`` as the number of points grows.
 
-    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_8.json
+    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_9.json
 
 The grid is n in {500, 1000, 2000, 4000} points in d = 2, for one flat
 truncated kernel (epanechnikov) and one full-support kernel (gaussian), at

@@ -18,7 +18,8 @@ through the point-to-position map where a point row is needed.
 A truncated kernel keeps only its edges, the pairs with ``g_ij != 0``, as a
 row-major CSR list built in one pass over row blocks of the distances, so
 no n x n array is allocated.  A full-support kernel joins every pair and
-keeps the dense weight rows.
+keeps one n x a weight array (a distinct positions), whose j-sums stream
+over chunks of its rows.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -36,8 +37,9 @@ from scipy.sparse.csgraph import connected_components
 from .config import as_configuration, check_bandwidth, pairwise_sqdist, profile_args
 from .kernels import KernelSpec, TruncationClass
 
-# Entries per row block of the n x n (x d) temporaries; bounds their memory
-# at 128 KiB of float64 whatever the configuration size.
+# Entries per block of the pairwise temporaries: the truncated scan's row
+# blocks of distances and the dense path's chunks of j-rows (at least 8
+# rows).  Bounds each at about 128 KiB of float64 whatever the size.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -47,28 +49,36 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + rows, n))
 
 
-def _column_blocks(count: int, n: int):
-    # Blocks of ``count`` columns of height n, sized like the row blocks.  No
-    # block is a single column unless count == 1: numpy sums one contiguous
-    # column pairwise, not one row at a time, so a trailing lone column joins
-    # the block before it.
-    cols = max(2, _BLOCK_ENTRIES // n)
-    start = 0
-    while start < count:
-        stop = min(start + cols, count)
-        if count - stop == 1:
-            stop = count
-        yield slice(start, stop)
-        start = stop
+def _ascending_j(n: int, width: int, fill) -> np.ndarray:
+    """``sum_j t[j, c]`` for every column c of an (n, width) array of terms,
+    in ascending j from ``+0.0``, without holding that array.
+
+    ``fill(rows, out)`` writes the terms of the j-rows ``rows`` into
+    ``out``.  Each chunk of rows is written below an accumulator row and
+    reduced over axis 0, which numpy does one row at a time.  A lone
+    column gets a zero twin, since numpy sums one contiguous column
+    pairwise.
+    """
+    cols = max(2, width)
+    step = max(8, _BLOCK_ENTRIES // cols)
+    buf = np.zeros((min(step, n) + 1, cols))
+    acc = np.zeros(cols)
+    for start in range(0, n, step):
+        size = min(step, n - start)
+        buf[0] = acc
+        fill(slice(start, start + size), buf[1:size + 1, :width])
+        np.add.reduce(buf[:size + 1], axis=0, out=acc)
+    return acc[:width]
 
 
-def _by_row_blocks(fn, u: np.ndarray) -> np.ndarray:
-    # fn is elementwise (profiles and weight functions are), so evaluating
-    # it one row block at a time gives the same bits with bounded temporaries
-    out = np.empty_like(u)
-    for rows in _row_blocks(u.shape[0], u.shape[1]):
-        out[rows] = fn(u[rows])
-    return out
+def _column_sums(array: np.ndarray) -> np.ndarray:
+    # sum over axis 0 in ascending row order from +0.0: numpy adds the rows
+    # one at a time, but sums a single contiguous column pairwise, so that
+    # one is accumulated (from its first entry instead of +0.0, which only
+    # changes the sign of a zero sum)
+    if array.shape[1] == 1:
+        return np.cumsum(array[:, 0])[-1:]
+    return array.sum(axis=0)
 
 
 class DistinctRows:
@@ -113,16 +123,6 @@ class DistinctRows:
         if self.first is None:
             return np.arange(rows.start, rows.stop)
         return self.first[rows]
-
-    def copy_to_members(self, out: np.ndarray) -> None:
-        """Copy ``out[first[r]]`` to every other row of group ``r``, in row
-        blocks (``out`` is indexed by point)."""
-        if self.inv is None:
-            return
-        source = self.first[self.inv]
-        members = np.flatnonzero(source != np.arange(source.size))
-        for rows in _row_blocks(members.size, out[0].size):
-            out[members[rows]] = out[source[members[rows]]]
 
 
 def _checked_max(sqdist: np.ndarray) -> float:
@@ -324,25 +324,26 @@ class PairwiseState:
     column indices, the weights as its data); the components,
     classification, update, moments and minorizer gap read only them.
 
-    A full-support kernel joins every pair, so it keeps the dense weight
-    rows ``weights``, one per distinct position.  Its constructor takes the
-    largest squared distance first, then turns the distances into profile
-    arguments in place, takes the objective (summed over all n^2 entries)
-    and the weights, and drops the arguments.
+    A full-support kernel joins every pair, so it keeps every weight, in
+    the (n, a) array ``weights`` whose column r holds distinct row r's
+    weights against the n points (the weights are exactly symmetric, so
+    ``weights[j, r]`` is ``g_rj``).  Its constructor builds that array in
+    chunks of j-rows: the squared distances are written straight into it
+    (their largest is taken), then turned into profile arguments and
+    weights in place; the objective's row sums come from the same pass.
+    Its j-sums stream over the same chunks, so no other n x a or n x n
+    array is allocated.
 
-    Summation contract: the update's numerator ``sum_j g_ij y_j`` and the
-    moments ``sum_j g_ij (y_i - y_j)`` are summed one j at a time in
-    ascending order from ``+0.0``, for every coordinate and every d.  For a
-    truncated kernel so are the denominator ``sum_j g_ij``, the objective's
-    row sums ``sum_j k_ij`` and the minorizer gap's row sums
-    ``sum_j g_ij ||y_i - y_j||^2``; the objective and the gap then add
-    their row sums in ascending i from ``+0.0``.  Such a sum never becomes
-    ``-0.0``, so skipping the pairs with a zero term leaves its bits as
-    they are.  A full-support kernel keeps numpy's pairwise sum over a
-    contiguous row of n for the denominator and numpy's sum over the full
-    row-major n x n array for the objective and the minorizer gap.  Every
-    j-sum runs over the n points, not over the distinct positions, so the
-    grouping changes no bit.
+    Summation contract, the same for every kernel: the update's numerator
+    ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
+    ``sum_j g_ij (y_i - y_j)``, the objective's row sums ``sum_j k_ij`` and
+    the minorizer gap's row sums ``sum_j g_ij ||y_i - y_j||^2`` are summed
+    one j at a time in ascending order from ``+0.0``, for every coordinate
+    and every d; the objective and the gap then add their row sums in
+    ascending i from ``+0.0``.  Such a sum never becomes ``-0.0``, so a
+    truncated kernel skipping the pairs with a zero term leaves its bits
+    as they are.  Every j-sum runs over the n points, not over the
+    distinct positions, so the grouping changes no bit.
 
     Raises ``ValueError`` for an out-of-range bandwidth and when the
     largest squared distance overflows to inf.
@@ -371,21 +372,27 @@ class PairwiseState:
         )
 
     def _dense_weights(self) -> None:
-        distinct, n = self.distinct, self.n
-        sqd = pairwise_sqdist(distinct.rows, self.cfg.points)
-        self.max_sqdist = _checked_max(sqd)
-        u = profile_args(sqd, self.h, out=sqd)
-        del sqd
-        # the pairwise sum must see all n^2 entries, row-major, to keep its
-        # bits: each distinct row is evaluated once and copied to its members
-        k = np.empty((n, n))
-        for rows in _row_blocks(distinct.a, n):
-            k[distinct.points_of(rows)] = self.kernel.profile(u[rows])
-        distinct.copy_to_members(k)
-        self.objective = float(np.sum(k))
-        del k
-        self.boundary_hit = self._hits_boundary(u)
-        self.weights = _by_row_blocks(self.kernel.g, u)
+        points, at, kernel, h = self.cfg.points, self.distinct.rows, self.kernel, self.h
+        weights = np.empty((self.n, self.distinct.a))
+        largest = 0.0
+
+        def profile_terms(rows, out):
+            nonlocal largest
+            block = pairwise_sqdist(points[rows], at, out=weights[rows])
+            largest = max(largest, _checked_max(block))
+            u = profile_args(block, h, out=block)
+            if kernel.profile is kernel.g:  # gaussian: one evaluation for both
+                block[...] = kernel.g(u)
+                out[...] = block
+            else:
+                out[...] = kernel.profile(u)
+                block[...] = kernel.g(u)
+
+        row_sums = _ascending_j(self.n, self.distinct.a, profile_terms)
+        self.max_sqdist = largest
+        self.objective = _ascending_total(self.distinct.expand(row_sums))
+        self.boundary_hit = False  # a full-support kernel has no boundary
+        self.weights = weights
 
     def _scan_edges(self) -> None:
         points, n, kernel = self.cfg.points, self.n, self.kernel
@@ -490,23 +497,14 @@ class PairwiseState:
     def _edge_rows(self) -> np.ndarray:
         return _rows_of_edges(self.graph)
 
-    def _sum_over_j(self, term) -> np.ndarray:
-        """``out[r, k] = sum_j g_rj t_j`` over the distinct rows r, with
-        ``t = term(cols, k)[:, r - cols.start]``, for the dense weights.
-
-        Each block of weight rows is transposed into contiguous columns and
-        reduced over axis 0, one coordinate at a time (one ``(n, d, cols)``
-        product is slower).  A lone column (a == 1) is doubled, since numpy
-        sums one contiguous column pairwise.
-        """
-        w = self.weights
+    def _dense_j_sums(self, terms) -> np.ndarray:
+        """``out[r, k] = sum_j t_jr`` over the distinct rows r for the dense
+        weights, one coordinate at a time, where ``terms(rows, k, out)``
+        writes ``t[rows]`` for coordinate k (see :func:`_ascending_j`)."""
         out = np.empty_like(self.distinct.rows)
-        for cols in _column_blocks(w.shape[0], self.n):
-            block = np.ascontiguousarray(w[cols].T)
-            if block.shape[1] == 1:
-                block = np.repeat(block, 2, axis=1)
-            for k in range(self.cfg.d):
-                out[cols, k] = (block * term(cols, k)).sum(axis=0)[:cols.stop - cols.start]
+        for k in range(self.cfg.d):
+            out[:, k] = _ascending_j(self.n, self.distinct.a,
+                                     lambda rows, block: terms(rows, k, block))
         return out
 
     def update(self) -> np.ndarray:
@@ -522,7 +520,7 @@ class PairwiseState:
         if self.kernel.truncated:
             den = self.graph @ np.ones(self.n)
         else:
-            den = self.weights.sum(axis=1)
+            den = _column_sums(self.weights)
         empty = np.flatnonzero(self.distinct.expand(den) == 0.0)
         if empty.size:
             raise ValueError(
@@ -534,13 +532,21 @@ class PairwiseState:
         if self.kernel.truncated:
             num = self.graph @ y
         else:
-            num = self._sum_over_j(lambda cols, k: y[:, k, None])
+            w = self.weights
+            num = self._dense_j_sums(
+                lambda rows, k, out: np.multiply(w[rows], y[rows, k, None], out=out))
         return self.distinct.expand(num / den[:, None])
 
     def _row_moments(self) -> np.ndarray:
         y, at = self.cfg.points, self.distinct.rows
         if not self.kernel.truncated:
-            return self._sum_over_j(lambda cols, k: at[None, cols, k] - y[:, k, None])
+            w = self.weights
+
+            def terms(rows, k, out):
+                np.subtract(at[None, :, k], y[rows, k, None], out=out)
+                out *= w[rows]
+
+            return self._dense_j_sums(terms)
         rows, cols, a = self._edge_rows, self.graph.indices, self.distinct.a
         out = np.empty_like(at)
         for k in range(self.cfg.d):
@@ -566,30 +572,36 @@ class PairwiseState:
         """Whether every moment has norm at most ``tol``: no point would move."""
         return bool(np.all(np.linalg.norm(self._row_moments(), axis=1) <= tol))
 
+    def _gap_row_sums(self, centres: np.ndarray, points: np.ndarray,
+                      groups: np.ndarray | None = None) -> np.ndarray:
+        # sum_j g_rj ||c - p_j||^2 for each row c of centres, with r its
+        # distinct row groups[c] (default: r = c)
+        if self.kernel.truncated:
+            if groups is None:
+                return _weighted_row_sums(self.graph, self._edge_rows, centres, points)
+            graph = self.graph[groups]
+            return _weighted_row_sums(graph, _rows_of_edges(graph), centres, points)
+        w = self.weights
+
+        def terms(rows, out):
+            pairwise_sqdist(points[rows], centres, out=out)
+            out *= w[rows] if groups is None else w[rows][:, groups]
+
+        return _ascending_j(self.n, centres.shape[0], terms)
+
     def _weighted_sqdist(self, points: np.ndarray) -> float:
-        # sum_ij g_ij ||p_i - p_j||^2 over the edges, one row sum per
-        # distinct position of the configuration; a point whose p_i differs
-        # from its group's first point gets its own row sum
-        distinct, rows = self.distinct, self._edge_rows
+        # sum_ij g_ij ||p_i - p_j||^2, one row sum per distinct position of
+        # the configuration; a point whose p_i differs from its group's
+        # first point gets its own row sum
+        distinct = self.distinct
         if distinct.inv is None:
-            return _ascending_total(_weighted_row_sums(self.graph, rows, points, points))
-        sums = distinct.expand(_weighted_row_sums(
-            self.graph, rows, points[distinct.first], points))
+            return _ascending_total(self._gap_row_sums(points, points))
+        sums = distinct.expand(self._gap_row_sums(points[distinct.first], points))
         bits = np.ascontiguousarray(points).view(np.int64)
         apart = np.flatnonzero(np.any(bits != bits[distinct.first[distinct.inv]], axis=1))
         if apart.size:
-            graph = self.graph[distinct.inv[apart]]
-            sums[apart] = _weighted_row_sums(graph, _rows_of_edges(graph), points[apart], points)
+            sums[apart] = self._gap_row_sums(points[apart], points, distinct.inv[apart])
         return _ascending_total(sums)
-
-    def _dense_weighted_sqdist(self, points: np.ndarray) -> float:
-        # numpy's sum of g_ij ||p_i - p_j||^2 over the full n x n array, the
-        # weight rows read back per point one row block at a time
-        terms = pairwise_sqdist(points)
-        group = self.distinct.expand(np.arange(self.distinct.a))
-        for rows in _row_blocks(self.n, self.n):
-            terms[rows] *= self.weights[group[rows]]
-        return float(np.sum(terms))
 
     def minorizer_gap(self, cfg_next) -> float:
         """Surrogate improvement ``(1/(2 h^2)) * (sum_ij g_ij ||y_i - y_j||^2
@@ -599,10 +611,6 @@ class PairwiseState:
         computes the distances again, since the constructor converted them
         in place)."""
         nxt = as_configuration(cfg_next).points
-        if self.kernel.truncated:
-            before = self._weighted_sqdist(self.cfg.points)
-            after = self._weighted_sqdist(nxt)
-        else:
-            before = self._dense_weighted_sqdist(self.cfg.points)
-            after = self._dense_weighted_sqdist(nxt)
+        before = self._weighted_sqdist(self.cfg.points)
+        after = self._weighted_sqdist(nxt)
         return (before - after) / (2.0 * self.h * self.h)

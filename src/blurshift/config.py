@@ -76,9 +76,11 @@ def check_bandwidth(h) -> float:
     return h
 
 
-def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Exact squared distances from each row of ``points`` to each row of
-    ``others`` (default ``points``: an (n, n) matrix with a zero diagonal).
+    ``others`` (default ``points``: an (n, n) matrix with a zero diagonal),
+    written into ``out`` when it is given.
 
     Computed from coordinate differences (not the expanded dot-product
     identity) so that tiny distances keep full relative precision.  The
@@ -90,7 +92,7 @@ def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None) -> np.
     """
     if others is None:
         others = points
-    total = np.subtract.outer(points[:, 0], others[:, 0])
+    total = np.subtract.outer(points[:, 0], others[:, 0], out=out)
     total *= total
     for k in range(1, points.shape[1]):
         term = np.subtract.outer(points[:, k], others[:, k])

@@ -73,9 +73,9 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     bitwise-identical outputs.  That makes collapsed groups exactly
     coincident and lets flat-weight truncated kernels reach bit-exact fixed
     points (it also keeps results independent of the BLAS backend and its
-    threading).  A truncated kernel sums the denominator ``sum_j g_ij`` the
-    same way, over its edges only (a zero weight leaves such a sum
-    unchanged); a full-support kernel takes numpy's row sum.
+    threading).  The denominator ``sum_j g_ij`` is summed the same way; a
+    truncated kernel sums both over its edges only (a zero weight leaves
+    such a sum unchanged).
 
     Raises ``ValueError`` when a point's weights sum to zero (a kernel with
     ``g(0) = 0``, such as ``tricube``, and no other point at nonzero weight).
@@ -112,10 +112,9 @@ def objective(cfg, kernel: KernelSpec, h: float) -> float:
     """Pairwise kernel sum ``L = sum_{i,j} k(||u_i - u_j||^2 / (2h^2))``.
 
     Self terms are included, so ``L = 2 * sum_{i<j} k(.) + n * k(0)``; the
-    value is reported in unnormalized profile units.  A truncated kernel
-    sums each row over its pairs in support in ascending j, then the rows
-    in ascending i, all from ``+0.0``; a full-support kernel takes numpy's
-    sum over all n^2 entries.
+    value is reported in unnormalized profile units.  Each row is summed
+    in ascending j, then the rows in ascending i, all from ``+0.0``; a
+    truncated kernel sums a row over its pairs in support only.
     """
     return PairwiseState(cfg, kernel, h).objective
 
@@ -151,10 +150,9 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
     - sum_ij g_ij ||y'_i - y'_j||^2)`` with weights taken at ``cfg``.
     When ``cfg_next`` is the blurring update of ``cfg`` this is at least
     ``(2 g(0) / h^2) * ||y' - y||^2``, and the objective gain is at least
-    this gap.  A truncated kernel reads both configurations only at its
-    edges and sums each of the two terms like the objective (rows in
-    ascending j, then the rows in ascending i); a full-support kernel takes
-    numpy's sum over all n^2 entries.
+    this gap.  Each of the two terms is summed like the objective (rows in
+    ascending j, then the rows in ascending i); a truncated kernel reads
+    both configurations only at its edges.
     """
     cfg = as_configuration(cfg)
     cfg_next = as_configuration(cfg_next)

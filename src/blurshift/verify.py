@@ -187,7 +187,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         nonlocal stable_steps, pending
         if pending is not None:
             close(state.objective, state.diameter)
-        gap = state.minorizer_gap(nxt)  # dense n x n temporaries: before M caches the labels
+        gap = state.minorizer_gap(nxt)  # before M caches the labels, so they add nothing to its peak
         cfg = state.cfg
         d_t = state.diameter
         stable_steps += int(state.stable())

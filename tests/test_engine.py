@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blurshift as bs
 from blurshift.diagnostics import direction_set, interval_nesting_violation
@@ -408,3 +410,38 @@ class TestRunDriver:
             assert fitted > 0
             # lower bound from the analogous current-iterate constant
             assert fitted >= 1e-3 * h * h / (2 * 14 * kernel.g0), kid
+
+
+def _run_or_error(pts, kernel, h):
+    try:
+        return run_bms(pts, kernel, h, stop=StopRule(max_iter=60))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kernel_id=st.sampled_from(bs.BUILTIN_IDS), seed=st.integers(0, 2**32 - 1),
+       e=st.sampled_from([40, -40, 300, -300]), h=st.sampled_from([0.3, 0.8, 1.5]))
+def test_power_of_two_scale_is_bitwise_equivariant(kernel_id, seed, e, h):
+    # scaling the points and the bandwidth by 2**e scales every distance
+    # exactly and leaves every profile argument's bits as they are, far from
+    # overflow and underflow; so the run is the same run, scaled
+    kernel = bs.builtin(kernel_id)
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+    centres = rng.uniform(-2.0, 2.0, size=(3, d))
+    pts = centres[rng.integers(0, 3, size=n)] + rng.normal(scale=0.3, size=(n, d))
+    pts[rng.integers(0, n)] = pts[0]
+    plain = _run_or_error(pts, kernel, h)
+    scaled = _run_or_error(np.ldexp(pts, e), kernel, math.ldexp(h, e))
+    if isinstance(plain, str):
+        assert isinstance(scaled, str)
+        return
+    assert (scaled.T, scaled.stop_reason) == (plain.T, plain.stop_reason)
+    for got, want in zip(scaled.records, plain.records, strict=True):
+        assert got.objective.hex() == want.objective.hex()
+        for name in ("diameter", "comp_diameter", "max_move"):
+            assert math.ldexp(getattr(got, name), -e).hex() == getattr(want, name).hex(), name
+        for name in ("n_components", "closed", "singular", "stable"):
+            assert getattr(got, name) == getattr(want, name), name
+    assert np.ldexp(scaled.final.points, -e).tobytes() == plain.final.points.tobytes()

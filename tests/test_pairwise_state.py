@@ -147,25 +147,17 @@ def _reference(pts, kernel, h, nxt):
     """Update (or None when a weight row sums to zero), moments, objective
     and minorizer gap towards ``nxt``, from the whole weight matrix.
 
-    A truncated kernel sums every row in ascending j, denominator, objective
-    and gap included, and adds the objective's and the gap's rows in
-    ascending i.  A full-support kernel keeps numpy's row sum for the
-    denominator and numpy's sum over all n^2 entries for the objective and
-    the gap.
+    Every kernel sums every row in ascending j, denominator, objective and
+    gap included, and adds the objective's and the gap's rows in ascending
+    i.
     """
     y = bs.as_configuration(pts).points
     sqd = pairwise_sqdist(y)
     u = profile_args(sqd, h)
     w = kernel.g(u)
     num, den, mom = _ascending_j_sums(w, y)
-    after = w * pairwise_sqdist(nxt)
-    if kernel.truncated:
-        objective = _rows_then_total(kernel.profile(u))
-        gap = _rows_then_total(w * sqd) - _rows_then_total(after)
-    else:
-        den = w.sum(axis=1)
-        objective = float(np.sum(kernel.profile(u)))
-        gap = float(np.sum(w * sqd)) - float(np.sum(after))
+    objective = _rows_then_total(kernel.profile(u))
+    gap = _rows_then_total(w * sqd) - _rows_then_total(w * pairwise_sqdist(nxt))
     update = None if np.any(den == 0.0) else num / den[:, None]
     return update, mom, objective, gap / (2.0 * h * h)
 
@@ -192,8 +184,8 @@ def _assert_sums_ascending_j(pts, kernel, h):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [300, 181])
 def test_update_and_moments_sum_ascending_j(n, d, kernel_id, h):
-    # n = 300 gives column blocks of 54 and a ragged last one of 30; at
-    # n = 181 a last block of one lone column is folded into the one before
+    # the dense j-sums stream over chunks of 16384 // a rows: n = 300
+    # (a = 298) gives five chunks of 54 and a ragged last one of 30
     pts = np.random.default_rng([n, d]).uniform(-1.0, 1.0, size=(n, d))
     pts[1] = pts[2] = pts[0]
     pts[3] = -0.0
@@ -277,7 +269,7 @@ def _assert_state_equals_full_rows(pts, kernel, h, moved):
     state = PairwiseState(pts, kernel, h)
     # every point is bitwise its group's row, signed zeros included
     assert state.distinct.expand(state.distinct.rows).tobytes() == state.cfg.points.tobytes()
-    rows = state.graph.toarray() if kernel.truncated else state.weights
+    rows = state.graph.toarray() if kernel.truncated else state.weights.T
     assert state.distinct.expand(rows).tobytes() == want["graph"].tobytes()
     for name in ("objective", "margin", "diameter", "component_diameter"):
         assert _bits(getattr(state, name)) == _bits(want[name]), name
@@ -372,22 +364,43 @@ def test_run_bms_peak_memory_within_per_call_driver(kernel_id, h):
     assert peak <= PER_CALL_DRIVER_PEAK_BYTES[kernel_id]
 
 
-def test_truncated_run_bms_peak_below_one_dense_matrix():
-    # four Gaussian blobs (sigma 0.4, centres uniform in [-3, 3]^2): about
-    # 14% of the pairs are joined at h = 0.5, and the run keeps only those
-    n = 2000
+def _four_blobs(n):
+    # four Gaussian blobs (sigma 0.4, centres uniform in [-3, 3]^2)
     rng = np.random.default_rng(0)
     centres = rng.uniform(-3.0, 3.0, size=(4, 2))
-    pts = centres[rng.integers(0, 4, size=n)] + rng.normal(scale=0.4, size=(n, 2))
-    kernel = bs.builtin("epanechnikov")
-    run_bms(pts[:200], kernel, 0.5, stop=StopRule(max_iter=1))  # warm-up
+    return centres[rng.integers(0, 4, size=n)] + rng.normal(scale=0.4, size=(n, 2))
+
+
+def _traced_peak(run):
     tracemalloc.start()
     try:
-        run_bms(pts, kernel, 0.5, stop=StopRule(max_iter=2))
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8
+
+
+def test_truncated_run_bms_peak_below_one_dense_matrix():
+    # about 14% of the pairs are joined at h = 0.5, and the run keeps only those
+    n = 2000
+    pts = _four_blobs(n)
+    kernel = bs.builtin("epanechnikov")
+    run_bms(pts[:200], kernel, 0.5, stop=StopRule(max_iter=1))  # warm-up
+    assert _traced_peak(lambda: run_bms(pts, kernel, 0.5, stop=StopRule(max_iter=2))) \
+        < n * n * 8
+
+
+def test_dense_peak_below_one_and_a_half_weight_matrices():
+    # a full-support kernel holds its n x a weight array and streams every
+    # j-sum, the minorizer gap's included, over chunks of its rows
+    n = 2000
+    pts = _four_blobs(n)
+    kernel = bs.builtin("gaussian")
+    bs.run_verify(pts[:200], kernel, 0.5, stop=StopRule(max_iter=1))  # warm-up
+    assert _traced_peak(lambda: run_bms(pts, kernel, 0.5, stop=StopRule(max_iter=2))) \
+        < 1.5 * n * n * 8
+    assert _traced_peak(lambda: bs.run_verify(pts, kernel, 0.5, stop=StopRule(max_iter=1))) \
+        < 1.5 * n * n * 8
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
