@@ -1,10 +1,14 @@
 """Golden outputs: digests of the library's and the CLI's results on a small
 committed corpus.
 
-The corpus is three CSV files beside this script, one per dimension
-d = 1, 2, 3.  Each holds three clouds of points plus a duplicated point,
-a ``-0.0`` coordinate and a pair at exactly the joining radius ``beta * h``
-of the built-in truncated kernels, at the corpus bandwidth ``H``.
+The corpus is four CSV files beside this script: one per dimension
+d = 1, 2, 3 (40-60 points) and a larger one in d = 2 (200 points).  Each
+holds three clouds of points plus a duplicated point, a ``-0.0`` coordinate
+and a pair at exactly the joining radius ``beta * h`` of the built-in
+truncated kernels, at the corpus bandwidth ``H``.  The pairs of the large
+file's first configuration do not fit in one block of the pairwise state,
+and every truncated run on it collapses until they do, so its runs cross
+between the state's two representations.
 
 ``golden.json`` records, for every input:
 
@@ -12,9 +16,9 @@ of the built-in truncated kernels, at the corpus bandwidth ``H``.
   ``MAX_ITER`` steps): the bits
   of every record field, then the final points' bytes, with the readable
   final record, ``T`` and the stop reason beside it for diffing;
-- the sha256 of each file the in-process CLI writes for
-  ``cluster --out --trace``, ``verify --fuzz 50 --report`` and ``sweep``
-  (epanechnikov, biweight and gaussian), with the exit code.
+- for the three small inputs, the sha256 of each file the in-process CLI
+  writes for ``cluster --out --trace``, ``verify --fuzz 50 --report`` and
+  ``sweep`` (epanechnikov, biweight and gaussian), with the exit code.
 
 ``tests/test_golden.py`` recomputes all of it and compares.  Regenerate
 only when a change moves bits on purpose, and list what moved::
@@ -47,7 +51,9 @@ sys.path.insert(0, str(HERE.parent))
 from conftest import representable_boundary_pair  # noqa: E402
 
 GOLDEN = HERE / "golden.json"
-INPUTS = {"d1.csv": (1, 40, 11), "d2.csv": (2, 50, 12), "d3.csv": (3, 60, 13)}
+INPUTS = {"d1.csv": (1, 40, 11), "d2.csv": (2, 50, 12), "d3.csv": (3, 60, 13),
+          "d2_large.csv": (2, 200, 15)}
+CLI_INPUTS = ("d1.csv", "d2.csv", "d3.csv")
 CLI_KERNELS = ("epanechnikov", "biweight", "gaussian")
 SWEEP = ("0.5", "1.5", "0.5")  # --h-min, --h-max, --h-step
 
@@ -128,6 +134,8 @@ def compute() -> dict:
                     "stop_reason": run.stop_reason,
                     "final_record": dataclasses.asdict(run.records[-1]),
                 }
+            if name not in CLI_INPUTS:
+                continue
             common = ["--input", str(path), "--max-iter", str(MAX_ITER)]
             for kid in CLI_KERNELS:
                 key = f"{stem}/{kid}"

@@ -3,7 +3,11 @@
 
 import json
 
-from golden.regenerate import GOLDEN, compute
+import blurshift as bs
+from blurshift._pairwise import _BLOCK_ENTRIES
+from blurshift.engine import _iterate
+from blurshift.io import load_points
+from golden.regenerate import GOLDEN, H, HERE, MAX_ITER, compute
 
 
 def test_outputs_match_golden_corpus():
@@ -18,3 +22,18 @@ def test_outputs_match_golden_corpus():
     assert not moved, (
         f"{len(moved)} golden outputs moved: {moved}; if on purpose, regenerate "
         "with tests/golden/regenerate.py and list what moved")
+
+
+def test_large_input_crosses_one_block():
+    # every truncated run on d2_large.csv starts with more pairs than one
+    # block of the pairwise state holds and collapses to fewer
+    points = load_points(HERE / "d2_large.csv")
+    for kid in bs.ASSUMPTION1_IDS:
+        kernel = bs.builtin(kid)
+        if not kernel.truncated:
+            continue
+        pairs = []
+        _iterate(points, kernel, H, bs.StopRule(max_iter=MAX_ITER),
+                 lambda t, state, nxt, move: pairs.append(state.distinct.a * state.n))
+        assert pairs[0] > _BLOCK_ENTRIES, kid
+        assert min(pairs) <= _BLOCK_ENTRIES, kid
