@@ -15,11 +15,12 @@ points have bitwise-equal rows of distances and weights, so every row is
 computed once per distinct position, against all n points, and read back
 through the point-to-position map where a point row is needed.
 
-A truncated kernel keeps only its edges, the pairs with ``g_ij != 0``, as a
+A full-support kernel joins every pair and keeps one n x a weight array
+(a distinct positions), whose j-sums stream over chunks of its rows.  So
+does a truncated kernel whose a x n pairs fit in one block.  A larger
+truncated state keeps only its edges, the pairs with ``g_ij != 0``, as a
 row-major CSR list built in one pass over row blocks of the distances, so
-no n x n array is allocated.  A full-support kernel joins every pair and
-keeps one n x a weight array (a distinct positions), whose j-sums stream
-over chunks of its rows.
+no n x n array is allocated.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -39,7 +40,8 @@ from .kernels import KernelSpec, TruncationClass
 
 # Entries per block of the pairwise temporaries: the truncated scan's row
 # blocks of distances and the dense path's chunks of j-rows (at least 8
-# rows).  Bounds each at about 128 KiB of float64 whatever the size.
+# rows).  Bounds each at about 128 KiB of float64 whatever the size.  A
+# truncated state whose pairs fit in one block takes the dense path.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -176,6 +178,32 @@ def component_labels(adjacency) -> np.ndarray:
     return _first_seen(labels)
 
 
+def small_component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """:func:`component_labels` of a small dense symmetric boolean adjacency.
+
+    Min-label propagation with pointer jumping: each round, every vertex
+    takes the smallest label next to it, hands that label to its own
+    label's vertex as well, and then takes its label's label, until a
+    round changes nothing.  Every label stays a vertex of its own component
+    and never exceeds its vertex, so each component ends labelled by its
+    smallest vertex.  A round costs a^2, so it is meant for graphs of at
+    most one block.
+    """
+    a = adjacency.shape[0]
+    labels = np.arange(a)
+    while True:
+        nearest = np.where(adjacency, labels, a).min(axis=1)
+        smallest = np.minimum(labels, nearest)
+        np.minimum.at(smallest, labels, nearest)
+        smallest = smallest[smallest]
+        if (smallest == labels).all():
+            break
+        labels = smallest
+    # the roots (label == vertex) in ascending order are the components'
+    # smallest vertices, so counting them numbers the components
+    return (np.cumsum(labels == np.arange(a)) - 1)[labels]
+
+
 def _nonzero_by_row(mask: np.ndarray):
     """Row (within the block), int32 column and flat position of every true
     entry of a 2-D boolean block, in row-major order."""
@@ -250,13 +278,14 @@ def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
     return distinct.expand(component_labels(graph))
 
 
-def _block_margin(sqd: np.ndarray, own: np.ndarray, radius: float) -> float:
+def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
+                  radius: float) -> float:
     # smallest |distance - radius| over the block's pairs i != j, where
-    # own[r] is the column of row r's own point
+    # skip indexes the block's entries of a point against itself
     gap = np.sqrt(sqd)
     gap -= radius
     np.abs(gap, out=gap)
-    gap[np.arange(own.size), own] = math.inf
+    gap[skip] = math.inf
     return float(np.min(gap))
 
 
@@ -314,16 +343,6 @@ class PairwiseState:
     its group's row, so the values read back through ``distinct.inv`` are
     the ones a full n x n evaluation gives.
 
-    A truncated kernel is handled in one pass over row blocks of those
-    squared distances.  Each block gives the largest squared distance, the
-    boundary margin, the boundary hit, the largest squared distance of a
-    joined pair (zero when the graph is singular), the objective's row sums
-    and the block's edges: the pairs with ``g_ij != 0`` (the diagonal
-    included where ``g(0) != 0``).  The edges are kept as the row-major CSR
-    array ``graph`` with one row per distinct position and n columns (int32
-    column indices, the weights as its data); the components,
-    classification, update, moments and minorizer gap read only them.
-
     A full-support kernel joins every pair, so it keeps every weight, in
     the (n, a) array ``weights`` whose column r holds distinct row r's
     weights against the n points (the weights are exactly symmetric, so
@@ -334,6 +353,26 @@ class PairwiseState:
     Its j-sums stream over the same chunks, so no other n x a or n x n
     array is allocated.
 
+    A truncated kernel whose a x n pairs fit in one block
+    (``_BLOCK_ENTRIES``) takes that dense path too.  The same pass gives
+    the boundary margin, the boundary hit and the largest squared distance
+    of a joined pair (zero when the graph is singular); the degrees and
+    self-loops are the nonzero weights, and the components come from
+    :func:`small_component_labels` over the a x a adjacency of the
+    distinct positions.
+
+    A larger truncated state is handled in one pass over row blocks of the
+    squared distances.  Each block gives the largest squared distance, the
+    boundary margin, the boundary hit, the largest squared distance of a
+    joined pair, the objective's row sums and the block's edges: the pairs
+    with ``g_ij != 0`` (the diagonal included where ``g(0) != 0``).  The
+    edges are kept as the row-major CSR array ``graph`` with one row per
+    distinct position and n columns (int32 column indices, the weights as
+    its data); the components, classification, update, moments and
+    minorizer gap read only them.
+
+    Exactly one of ``weights`` and ``graph`` is set; the other is None.
+
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
     ``sum_j g_ij (y_i - y_j)``, the objective's row sums ``sum_j k_ij`` and
@@ -342,12 +381,16 @@ class PairwiseState:
     and every d; the objective and the gap then add their row sums in
     ascending i from ``+0.0``.  Such a sum never becomes ``-0.0``, so a
     truncated kernel skipping the pairs with a zero term leaves its bits
-    as they are.  Every j-sum runs over the n points, not over the
-    distinct positions, so the grouping changes no bit.
+    as they are, and both representations of a truncated state give the
+    same bits.  Every j-sum runs over the n points, not over the distinct
+    positions, so the grouping changes no bit.
 
     Raises ``ValueError`` for an out-of-range bandwidth and when the
     largest squared distance overflows to inf.
     """
+
+    weights: np.ndarray | None = None
+    graph: csr_array | None = None
 
     def __init__(self, cfg, kernel: KernelSpec, h: float):
         self.h = check_bandwidth(h)
@@ -355,8 +398,7 @@ class PairwiseState:
         self.kernel = kernel
         self.n = self.cfg.n
         self.distinct = DistinctRows(self.cfg.points)
-        self.margin = math.inf
-        if kernel.truncated:
+        if kernel.truncated and self.distinct.a * self.n > _BLOCK_ENTRIES:
             self._scan_edges()
         else:
             self._dense_weights()
@@ -373,26 +415,46 @@ class PairwiseState:
 
     def _dense_weights(self) -> None:
         points, at, kernel, h = self.cfg.points, self.distinct.rows, self.kernel, self.h
-        weights = np.empty((self.n, self.distinct.a))
-        largest = 0.0
+        a = self.distinct.a
+        weights = np.empty((self.n, a))
+        own = self.distinct.points_of(slice(0, a))
+        radius = kernel.beta * h
+        largest, margin, hit, joined = 0.0, math.inf, False, 0.0
 
         def profile_terms(rows, out):
-            nonlocal largest
+            nonlocal largest, margin, hit, joined
             block = pairwise_sqdist(points[rows], at, out=weights[rows])
             largest = max(largest, _checked_max(block))
-            u = profile_args(block, h, out=block)
-            if kernel.profile is kernel.g:  # gaussian: one evaluation for both
-                block[...] = kernel.g(u)
-                out[...] = block
-            else:
-                out[...] = kernel.profile(u)
-                block[...] = kernel.g(u)
+            if not kernel.truncated:
+                u = profile_args(block, h, out=block)
+                if kernel.profile is kernel.g:  # gaussian: one evaluation for both
+                    block[...] = kernel.g(u)
+                    out[...] = block
+                else:
+                    out[...] = kernel.profile(u)
+                    block[...] = kernel.g(u)
+                return
+            inside = np.flatnonzero((own >= rows.start) & (own < rows.stop))
+            margin = min(margin, _block_margin(block, (own[inside] - rows.start, inside),
+                                               radius))
+            u = profile_args(block, h)
+            hit = hit or self._hits_boundary(u)
+            out[...] = kernel.profile(u)
+            g = kernel.g(u)
+            joined = max(joined, float(np.max(block[g != 0.0], initial=0.0)))
+            block[...] = g
 
-        row_sums = _ascending_j(self.n, self.distinct.a, profile_terms)
+        row_sums = _ascending_j(self.n, a, profile_terms)
         self.max_sqdist = largest
         self.objective = _ascending_total(self.distinct.expand(row_sums))
-        self.boundary_hit = False  # a full-support kernel has no boundary
+        # a full-support kernel has no boundary: inf and False
+        self.margin = margin
+        self.boundary_hit = hit
         self.weights = weights
+        if kernel.truncated:
+            joins = weights != 0.0
+            self._degree = np.count_nonzero(joins, axis=0) - joins[own, np.arange(a)]
+            self._joined_max = joined
 
     def _scan_edges(self) -> None:
         points, n, kernel = self.cfg.points, self.n, self.kernel
@@ -408,7 +470,7 @@ class PairwiseState:
             own = self.distinct.points_of(rows)
             sqd = pairwise_sqdist(rows_at[rows], points)
             largest = max(largest, _checked_max(sqd))
-            margin = min(margin, _block_margin(sqd, own, radius))
+            margin = min(margin, _block_margin(sqd, (np.arange(size), own), radius))
             u = profile_args(sqd, self.h)
             hit = hit or self._hits_boundary(u)
             # the objective's terms in support, summed per row in ascending j
@@ -436,14 +498,20 @@ class PairwiseState:
         distinct = self.distinct
         if not self.kernel.truncated:  # a complete graph is one component
             labels = np.zeros(self.n, dtype=np.intp)
+            labels.setflags(write=False)
+            return labels
+        # the graph over the distinct positions, expanded: coincident points
+        # share every neighbour, and they are joined to each other where
+        # g(0) != 0.  Where g(0) = 0 (tricube) a group with no edge at all
+        # is not joined, so its points stay apart.
+        if self.graph is None:
+            joins = self.weights if distinct.inv is None else self.weights[distinct.first]
+            labels = distinct.expand(small_component_labels(joins != 0.0))
         elif distinct.inv is None:
             labels = component_labels(self.graph)
         else:
-            # the graph over the distinct positions, expanded: coincident
-            # points share every neighbour, and they are joined to each
-            # other where g(0) != 0.  Where g(0) = 0 (tricube) a group with
-            # no edge at all is not joined, so its points stay apart.
             labels = component_labels(self.graph[:, distinct.first])[distinct.inv]
+        if distinct.inv is not None:
             apart = np.flatnonzero((self._degree[distinct.inv] == 0)
                                    & (distinct.first[distinct.inv] != np.arange(self.n)))
             if apart.size:
@@ -509,15 +577,15 @@ class PairwiseState:
 
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the
-        class docstring's contract says (for a truncated kernel, ``graph @ y``
-        over ``graph @ 1``), once per distinct position.
+        class docstring's contract says (for an edge list, ``graph @ y`` over
+        ``graph @ 1``), once per distinct position.
 
         Raises ``ValueError`` when a point's weights sum to zero, which a
         kernel with ``g(0) = 0`` gives a point or a group of coincident
         points with no other point at nonzero weight.
         """
         y = self.cfg.points
-        if self.kernel.truncated:
+        if self.graph is not None:
             den = self.graph @ np.ones(self.n)
         else:
             den = _column_sums(self.weights)
@@ -529,7 +597,7 @@ class PairwiseState:
                 f"point or a group of coincident points with no other point at "
                 f"nonzero weight, so its blurred position would be 0/0"
             )
-        if self.kernel.truncated:
+        if self.graph is not None:
             num = self.graph @ y
         else:
             w = self.weights
@@ -539,7 +607,7 @@ class PairwiseState:
 
     def _row_moments(self) -> np.ndarray:
         y, at = self.cfg.points, self.distinct.rows
-        if not self.kernel.truncated:
+        if self.graph is None:
             w = self.weights
 
             def terms(rows, k, out):
@@ -576,7 +644,7 @@ class PairwiseState:
                       groups: np.ndarray | None = None) -> np.ndarray:
         # sum_j g_rj ||c - p_j||^2 for each row c of centres, with r its
         # distinct row groups[c] (default: r = c)
-        if self.kernel.truncated:
+        if self.graph is not None:
             if groups is None:
                 return _weighted_row_sums(self.graph, self._edge_rows, centres, points)
             graph = self.graph[groups]
@@ -606,10 +674,10 @@ class PairwiseState:
     def minorizer_gap(self, cfg_next) -> float:
         """Surrogate improvement ``(1/(2 h^2)) * (sum_ij g_ij ||y_i - y_j||^2
         - sum_ij g_ij ||y'_i - y'_j||^2)`` of ``cfg_next`` with these
-        weights, summed as the class docstring's contract says (a truncated
-        kernel reads both configurations only at its edges; the dense path
-        computes the distances again, since the constructor converted them
-        in place)."""
+        weights, summed as the class docstring's contract says (an edge list
+        reads both configurations only at its edges; the dense path computes
+        the distances again, since the constructor converted them in
+        place)."""
         nxt = as_configuration(cfg_next).points
         before = self._weighted_sqdist(self.cfg.points)
         after = self._weighted_sqdist(nxt)

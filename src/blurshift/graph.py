@@ -64,10 +64,12 @@ def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
     zero in doubles.
     """
     state = PairwiseState(cfg, kernel, h)
-    if kernel.truncated:
-        adjacency = state.distinct.expand(state.graph.toarray() != 0.0)
-    else:
+    if not kernel.truncated:
         adjacency = np.ones((state.n, state.n), dtype=bool)
+    elif state.graph is None:  # column r of the dense weights is distinct row r's row
+        adjacency = state.distinct.expand(state.weights.T != 0.0)
+    else:
+        adjacency = state.distinct.expand(state.graph.toarray() != 0.0)
     np.fill_diagonal(adjacency, False)
     adjacency.setflags(write=False)
     return BmsGraph(state.n, adjacency, state.labels, state.components)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
-from blurshift._pairwise import PairwiseState
+from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState, small_component_labels
 from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.diagnostics import component_diameter, diameter
 from blurshift.engine import IterationRecord, StopRule, bms_step, objective, run_bms
@@ -269,7 +269,10 @@ def _assert_state_equals_full_rows(pts, kernel, h, moved):
     state = PairwiseState(pts, kernel, h)
     # every point is bitwise its group's row, signed zeros included
     assert state.distinct.expand(state.distinct.rows).tobytes() == state.cfg.points.tobytes()
-    rows = state.graph.toarray() if kernel.truncated else state.weights.T
+    # exactly one representation: the dense weights (column r is distinct
+    # row r's row) or the edge list (row r)
+    assert (state.graph is None) != (state.weights is None)
+    rows = state.weights.T if state.graph is None else state.graph.toarray()
     assert state.distinct.expand(rows).tobytes() == want["graph"].tobytes()
     for name in ("objective", "margin", "diameter", "component_diameter"):
         assert _bits(getattr(state, name)) == _bits(want[name]), name
@@ -304,7 +307,8 @@ def _sites(rng, d, count):
 def test_state_equals_full_row_reference(data):
     # many coincident groups, so the state computes each row once per
     # distinct position; n = 128 and 129 sit on both sides of the size
-    # below which no grouping is made
+    # below which no grouping is made, and a truncated kernel keeps dense
+    # weights only while its a x n pairs fit in one block
     kernel = bs.builtin(data.draw(st.sampled_from(bs.BUILTIN_IDS), label="kernel"))
     n = data.draw(st.sampled_from([1, 2, 9, 128, 129, 200]), label="n")
     d = data.draw(st.integers(1, 3), label="d")
@@ -315,11 +319,15 @@ def test_state_equals_full_row_reference(data):
     pts[rng.integers(0, n, size=loose)] = rng.uniform(-1.5, 1.5, size=(loose, d))
     moved = pts + rng.normal(scale=1e-3, size=pts.shape)  # groups move apart
     state = _assert_state_equals_full_rows(pts, kernel, h, moved)
-    grouped = n > 128 and len({row.tobytes() for row in pts}) < n
+    distinct = len({row.tobytes() for row in pts})
+    grouped = n > 128 and distinct < n
     assert (state.distinct.inv is not None) == grouped
+    dense = not kernel.truncated or (distinct if grouped else n) * n <= _BLOCK_ENTRIES
+    assert (state.graph is None) == dense
 
 
-@pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy", "logistic"])
+@pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy", "logistic", "epanechnikov",
+                                       "biweight"])
 @pytest.mark.parametrize("n", [129, 300])
 def test_dense_single_distinct_row(kernel_id, n):
     # every point coincides: one weight row, whose j-sums must not turn into
@@ -332,16 +340,47 @@ def test_dense_single_distinct_row(kernel_id, n):
     assert state.distinct.rows.shape == (1, 2)
 
 
-def test_isolated_tricube_group_stays_apart():
+@pytest.mark.parametrize("n,dense", [(150, True), (300, False)])
+def test_isolated_tricube_group_stays_apart(n, dense):
     # g(0) = 0: coincident points with no other point in reach are not joined
-    # to each other, so the grouped graph must not merge them
+    # to each other, so the grouped graph must not merge them, whether the
+    # a x n pairs fit in one block (a = 101) or not (a = 251)
     tricube = bs.builtin("tricube")
-    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(150, 2))
-    pts[100:] = pts[0]  # a group joined to its neighbours
-    pts[140:] = 50.0  # an isolated group of ten
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
+    pts[n - 50:] = pts[0]  # a group joined to its neighbours
+    pts[n - 10:] = 50.0  # an isolated group of ten
     state = _assert_state_equals_full_rows(pts, tricube, 0.5, pts + 1e-3)
     assert state.distinct.inv is not None
-    assert len(set(state.labels[140:])) == 10
+    assert (state.graph is None) == dense
+    assert len(set(state.labels[n - 10:])) == 10
+
+
+@st.composite
+def _symmetric_graphs(draw):
+    a = draw(st.integers(1, 128), label="a")
+    if draw(st.booleans(), label="path"):
+        # a path through every vertex in scrambled order: its labels must
+        # travel the whole length
+        order = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed")).permutation(a)
+        adjacency = np.zeros((a, a), dtype=bool)
+        adjacency[order[:-1], order[1:]] = True
+    else:
+        density = draw(st.sampled_from([0.0, 0.5 / a, 2.0 / a, 0.3]), label="density")
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+        adjacency = rng.random((a, a)) < density
+    adjacency |= adjacency.T
+    if draw(st.booleans(), label="self-loops"):
+        np.fill_diagonal(adjacency, True)
+    return adjacency
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(adjacency=_symmetric_graphs())
+def test_small_component_labels_equal_scipy(adjacency):
+    _, raw = connected_components(adjacency, directed=False)
+    seen = {}
+    want = np.array([seen.setdefault(c, len(seen)) for c in raw])
+    assert np.array_equal(small_component_labels(adjacency), want)
 
 
 # tracemalloc peaks of exactly the run below, measured once on the driver
