@@ -131,10 +131,16 @@ def interval_nesting_violation(cfg_prev, cfg_next, directions: np.ndarray) -> fl
     summed over coordinates in ascending order, so the value does not
     depend on the BLAS kernel.
     """
-    prev_low, prev_high = _extents(as_configuration(cfg_prev).points, directions)
-    next_low, next_high = _extents(as_configuration(cfg_next).points, directions)
-    low = np.max(prev_low - next_low, initial=0.0)
-    high = np.max(next_high - prev_high, initial=0.0)
+    return _nesting_overshoot(_extents(as_configuration(cfg_prev).points, directions),
+                              _extents(as_configuration(cfg_next).points, directions))
+
+
+def _nesting_overshoot(prev: tuple[np.ndarray, np.ndarray],
+                       nxt: tuple[np.ndarray, np.ndarray]) -> float:
+    # largest amount by which the (low, high) extents of nxt leave those of
+    # prev, 0.0 when they nest
+    low = np.max(prev[0] - nxt[0], initial=0.0)
+    high = np.max(nxt[1] - prev[1], initial=0.0)
     return float(max(low, high))
 
 

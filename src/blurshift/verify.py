@@ -19,9 +19,10 @@ from .config import as_configuration, check_bandwidth
 from .diagnostics import (
     DEFAULT_DIRECTION_SEED,
     _contraction_factor,
+    _extents,
+    _nesting_overshoot,
     direction_set,
     float_step_allowance,
-    interval_nesting_violation,
 )
 from .engine import STOP_EXACT_FIXED_POINT, StopRule, _iterate
 from .graph import component_count_bound
@@ -164,10 +165,13 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     inject_at = 2 if inject_descent else -1
 
     dirs = direction_set(as_configuration(points).d, directions, seed)
-    # between steps only scalars are kept: ``pending`` holds the last step's
-    # values until the next state's objective and diameter close its checks
+    # between steps only scalars and the directional extents are kept:
+    # ``pending`` holds the last step's values until the next state's
+    # objective and diameter close its checks, and ``extents`` holds the
+    # next configuration's extents, which are the next step's own
     stable_steps = 0
     pending = None
+    extents = None
 
     def close(L_next: float, d_t1: float) -> None:
         t, L_cur, gap, move_sq, d_t, allowance = pending
@@ -184,7 +188,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
             diam_contract.update(factor * d_t - d_t1 + 1e-10 * d_t + allowance, t)
 
     def on_step(t, state, nxt, max_move):
-        nonlocal stable_steps, pending
+        nonlocal stable_steps, pending, extents
         if pending is not None:
             close(state.objective, state.diameter)
         gap = state.minorizer_gap(nxt)  # before M caches the labels, so they add nothing to its peak
@@ -197,13 +201,16 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
 
         delta = nxt.points - cfg.points
         move_sq = float(np.sum(delta * delta))
+        del delta  # freed before the gradient, whose peak the carried extents add to
         if smooth:
             b_coeff = h * h / (2.0 * cfg.n * kernel.g0)  # move-per-gradient constant
             grad_norm = _norm(state.gradient())
             grad_bound.update(
                 math.sqrt(move_sq) - b_coeff * grad_norm + 1e-10 * max(1.0, d_t), t
             )
-        nesting.update(1e-12 - interval_nesting_violation(cfg, nxt, dirs), t)
+        prev_extents = _extents(cfg.points, dirs) if extents is None else extents
+        extents = _extents(nxt.points, dirs)
+        nesting.update(1e-12 - _nesting_overshoot(prev_extents, extents), t)
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
