@@ -10,6 +10,7 @@ of a Gaussian population blurred with a Gaussian kernel,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,9 +85,19 @@ def simplex_recurrence_step(state: SimplexState, kernel: KernelSpec) -> SimplexS
     return replace(state, r=_shrink_factor(kernel, state.n, state.r, state.h) * state.r)
 
 
+def _check_steps(steps) -> int:
+    if not (isinstance(steps, numbers.Integral) and steps >= 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    return int(steps)
+
+
 def simplex_radius_sequence(kernel: KernelSpec, n: int, h: float, r0: float,
                             steps: int) -> np.ndarray:
-    """Radii ``r_1 = r0, ..., r_{steps+1}`` of the scalar recurrence."""
+    """Radii ``r_1 = r0, ..., r_{steps+1}`` of the scalar recurrence.
+
+    Raises ``ValueError`` unless ``steps`` is an integer >= 0.
+    """
+    steps = _check_steps(steps)
     out = np.empty(steps + 1)
     out[0] = r = float(r0)
     for t in range(1, steps + 1):
@@ -110,8 +121,10 @@ def population_sequence(s0, h: float, steps: int) -> np.ndarray:
 
     Unlike the single-step function, the iteration tolerates standard
     deviations that underflow to exactly zero (the cubic decay reaches the
-    smallest subnormal within a few dozen steps); zeros stay zero.
+    smallest subnormal within a few dozen steps); zeros stay zero.  Raises
+    ``ValueError`` unless ``steps`` is an integer >= 0.
     """
+    steps = _check_steps(steps)
     if not h > 0:
         raise ValueError("bandwidth must be positive")
     s = np.atleast_1d(np.asarray(s0, dtype=float))
@@ -154,8 +167,9 @@ def compare_sim_to_oracle(kernel: KernelSpec, n: int, d: int, h: float, r0: floa
     contraction inherits absolute rounding noise of order ``eps * r_prev``
     from the cancellation in the weighted means, which then dominates its
     own radius; such steps measure double-precision quantization, not the
-    update rule.
+    update rule.  Raises ``ValueError`` unless ``steps`` is an integer >= 0.
     """
+    steps = _check_steps(steps)
     cfg = simplex_vertices(n, d, r0)
     if floor is None:
         floor = residual_floor(math.sqrt(2.0 / (n - 1)) * r0)

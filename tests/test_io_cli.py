@@ -190,6 +190,17 @@ class TestCliCommands:
         assert float(out[1].split(",")[1]) == 1.0
         assert float(out[2].split(",")[1]) == 0.5
 
+    @pytest.mark.parametrize("kind,args", [
+        ("simplex", ["--kernel", "gaussian", "--n", "2", "--d", "1", "--h", "1",
+                     "--r0", "0.99"]),
+        ("population", ["--s0", "1.0", "--h", "1.0"]),
+    ])
+    @pytest.mark.parametrize("steps", ["-1", "-2"])
+    def test_oracle_negative_steps_exit_2(self, kind, args, steps, capsys):
+        code = main(["oracle", kind, *args, "--steps", steps])
+        assert code == 2
+        assert f"steps must be an integer >= 0, got {steps}" in capsys.readouterr().err
+
     def test_sweep_command(self, blob_csv, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--input", str(blob_csv), "--kernel", "epanechnikov",

@@ -158,3 +158,15 @@ class TestEngineAgreement:
                     break  # contracted into inherited rounding noise
                 assert np.max(np.abs(off / off[0] - 1)) < 1e-12
                 prev = off[0]
+
+
+@pytest.mark.parametrize("steps", [-1, -2, 2.5, math.nan, "3"])
+@pytest.mark.parametrize("call", [
+    lambda steps: bs.simplex_radius_sequence(GAUSS, 2, 1.0, 0.99, steps),
+    lambda steps: bs.population_sequence(1.0, 1.0, steps),
+    lambda steps: bs.compare_sim_to_oracle(GAUSS, 2, 1, 1.0, 0.99, steps).rows,
+], ids=["simplex_radius_sequence", "population_sequence", "compare_sim_to_oracle"])
+def test_step_count_must_be_a_non_negative_integer(call, steps):
+    with pytest.raises(ValueError, match="steps must be an integer >= 0"):
+        call(steps)
+    assert len(call(np.int64(0))) == 1  # numpy integers and zero steps run
