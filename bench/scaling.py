@@ -1,7 +1,7 @@
 """Scaling benchmark: wall time, steps and peak heap of ``cluster`` and
 ``run_verify`` as the number of points grows.
 
-    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_9.json
+    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_10.json
 
 The grid is n in {500, 1000, 2000, 4000} points in d = 2, for one flat
 truncated kernel (epanechnikov) and one full-support kernel (gaussian), at
@@ -12,9 +12,17 @@ compared; ``T`` records the steps actually taken.
 
 A second grid runs one epanechnikov ``cluster`` per n to its exact fixed
 point (``StopRule(move_tol=0)``), the regime where blurring collapses the
-points onto few distinct positions.  Each of those records ``T`` and the
-mean share of distinct positions (bitwise-distinct points over n) over the
-configurations the steps start from, counted in a separate untimed run.
+points onto few distinct positions.  Each of those records ``T``, the mean
+share of distinct positions (bitwise-distinct points over n) over the
+configurations the steps start from and the share of those configurations
+whose a x n pairs (a distinct positions) fit in one block of the pairwise
+state, counted in a separate untimed run.
+
+A third record times the fuzz probes of ``run_verify``: one call on a
+single point with ``FUZZ_CASES`` probes (configurations of at most 12
+points), where the one-step iteration is negligible, for one smoothly
+(biweight) and one non-smoothly (epanechnikov) truncated kernel at
+bandwidth ``FUZZ_H``, as perfbench's ``verify-fuzz`` workload does.
 
 For every cell the wall time is the best of ``REPEATS`` runs, and the peak
 is the ``tracemalloc`` peak of one more run (traced apart, so tracing does
@@ -38,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 import blurshift as bs
+from blurshift._pairwise import _BLOCK_ENTRIES
 
 SIZES = (500, 1000, 2000, 4000)
 KERNELS = ("epanechnikov", "gaussian")
@@ -45,6 +54,9 @@ FIXED_POINT_KERNEL = "epanechnikov"
 H = 0.5
 STEPS = 3
 REPEATS = 3
+FUZZ_KERNELS = ("biweight", "epanechnikov")
+FUZZ_H = 0.8
+FUZZ_CASES = 400
 
 
 def blobs(n: int) -> np.ndarray:
@@ -83,12 +95,17 @@ def distinct_share(points: np.ndarray) -> float:
     return np.unique(keys.ravel()).size / points.shape[0]
 
 
-def mean_distinct_share(points: np.ndarray, kernel, stop) -> float:
-    """Mean distinct share over the configurations the steps start from."""
-    shares = []
-    bs.engine._iterate(points, kernel, H, stop,
-                       lambda t, state, nxt, move: shares.append(distinct_share(state.cfg.points)))
-    return float(np.mean(shares))
+def state_shares(points: np.ndarray, kernel, stop) -> tuple[float, float]:
+    """Mean distinct share, and share of one-block states, over the
+    configurations the steps start from."""
+    shares, one_block = [], []
+
+    def observe(t, state, nxt, move):
+        shares.append(distinct_share(state.cfg.points))
+        one_block.append(state.distinct.a * state.n <= _BLOCK_ENTRIES)
+
+    bs.engine._iterate(points, kernel, H, stop, observe)
+    return float(np.mean(shares)), float(np.mean(one_block))
 
 
 def run_fixed_point() -> list[dict]:
@@ -99,7 +116,22 @@ def run_fixed_point() -> list[dict]:
         points = blobs(n)
         record = {"kernel": FIXED_POINT_KERNEL, "n": n, "d": 2, "h": H}
         record["cluster"] = measure(lambda: bs.cluster(points, kernel, H, stop=stop).T)
-        record["mean_distinct_share"] = round(mean_distinct_share(points, kernel, stop), 4)
+        shares = state_shares(points, kernel, stop)
+        record["mean_distinct_share"] = round(shares[0], 4)
+        record["one_block_share"] = round(shares[1], 4)
+        print(json.dumps(record), flush=True)
+        records.append(record)
+    return records
+
+
+def run_fuzz() -> list[dict]:
+    records = []
+    for kernel_id in FUZZ_KERNELS:
+        kernel = bs.builtin(kernel_id)
+        record = {"kernel": kernel_id, "h": FUZZ_H, "probes": FUZZ_CASES}
+        record["verify"] = measure(
+            lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=FUZZ_CASES).T)
+        record["probe_us"] = round(1e6 * record["verify"]["wall_s"] / FUZZ_CASES, 1)
         print(json.dumps(record), flush=True)
         records.append(record)
     return records
@@ -144,9 +176,13 @@ def main(argv=None) -> int:
             "wall": f"best of {REPEATS} runs",
             "peak": "tracemalloc peak of one further run",
             "fixed_point": f"{FIXED_POINT_KERNEL} cluster per n with StopRule(move_tol=0.0)",
+            "one_block": f"a * n <= {_BLOCK_ENTRIES}, a the distinct positions of a state",
+            "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES}) "
+                    f"for {', '.join(FUZZ_KERNELS)}",
         },
         "records": run_grid(),
         "fixed_point_records": run_fixed_point(),
+        "fuzz_records": run_fuzz(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = entry
