@@ -329,6 +329,7 @@ def _weighted_row_sums(graph: csr_array, rows: np.ndarray, row_points: np.ndarra
         term = _edge_differences(rows, cols, row_points[:, k], points[:, k])
         term *= term
         total += term
+        del term  # freed before the next coordinate's temporaries
     total *= graph.data
     return _row_sums(rows, total, graph.shape[0])
 
@@ -417,7 +418,7 @@ class PairwiseState:
         points, at, kernel, h = self.cfg.points, self.distinct.rows, self.kernel, self.h
         a = self.distinct.a
         weights = np.empty((self.n, a))
-        own = self.distinct.points_of(slice(0, a))
+        own = self.distinct.points_of(slice(0, a)) if kernel.truncated else None
         radius = kernel.beta * h
         largest, margin, hit, joined = 0.0, math.inf, False, 0.0
 
@@ -477,7 +478,9 @@ class PairwiseState:
             k = kernel.profile(u)
             row, _, flat = _nonzero_by_row(k != 0.0)
             row_sums[rows] = np.bincount(row, weights=k.ravel()[flat], minlength=size)
+            del k, row, flat  # off the peak of the edges' temporaries
             g = kernel.g(u)
+            del u
             row, cols, flat = _nonzero_by_row(g != 0.0)
             counts[rows] = np.bincount(row, minlength=size)
             loops[rows] = g[np.arange(size), own] != 0.0
@@ -621,6 +624,7 @@ class PairwiseState:
             term = _edge_differences(rows, cols, at[:, k], y[:, k])
             term *= self.graph.data
             out[:, k] = _row_sums(rows, term, a)
+            del term  # freed before the next coordinate's temporaries
         return out
 
     def moments(self) -> np.ndarray:

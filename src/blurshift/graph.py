@@ -66,7 +66,7 @@ def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
     state = PairwiseState(cfg, kernel, h)
     if not kernel.truncated:
         adjacency = np.ones((state.n, state.n), dtype=bool)
-    elif state.graph is None:  # column r of the dense weights is distinct row r's row
+    elif state.graph is None:  # the dense weights hold distinct row r in column r
         adjacency = state.distinct.expand(state.weights.T != 0.0)
     else:
         adjacency = state.distinct.expand(state.graph.toarray() != 0.0)
