@@ -415,47 +415,56 @@ class PairwiseState:
         )
 
     def _dense_weights(self) -> None:
-        points, at, kernel, h = self.cfg.points, self.distinct.rows, self.kernel, self.h
         a = self.distinct.a
-        weights = np.empty((self.n, a))
-        own = self.distinct.points_of(slice(0, a)) if kernel.truncated else None
-        radius = kernel.beta * h
-        largest, margin, hit, joined = 0.0, math.inf, False, 0.0
-
-        def profile_terms(rows, out):
-            nonlocal largest, margin, hit, joined
-            block = pairwise_sqdist(points[rows], at, out=weights[rows])
-            largest = max(largest, _checked_max(block))
-            if not kernel.truncated:
-                u = profile_args(block, h, out=block)
-                if kernel.profile is kernel.g:  # gaussian: one evaluation for both
-                    block[...] = kernel.g(u)
-                    out[...] = block
-                else:
-                    out[...] = kernel.profile(u)
-                    block[...] = kernel.g(u)
-                return
-            inside = np.flatnonzero((own >= rows.start) & (own < rows.stop))
-            margin = min(margin, _block_margin(block, (own[inside] - rows.start, inside),
-                                               radius))
-            u = profile_args(block, h)
-            hit = hit or self._hits_boundary(u)
-            out[...] = kernel.profile(u)
-            g = kernel.g(u)
-            joined = max(joined, float(np.max(block[g != 0.0], initial=0.0)))
-            block[...] = g
-
-        row_sums = _ascending_j(self.n, a, profile_terms)
-        self.max_sqdist = largest
-        self.objective = _ascending_total(self.distinct.expand(row_sums))
-        # a full-support kernel has no boundary: inf and False
-        self.margin = margin
-        self.boundary_hit = hit
-        self.weights = weights
-        if kernel.truncated:
-            joins = weights != 0.0
+        self.weights = np.empty((self.n, a))
+        self.max_sqdist = 0.0
+        # a full-support kernel has no boundary, so these stay as they are
+        self.margin, self.boundary_hit = math.inf, False
+        if self.kernel.truncated:
+            self._joined_max = 0.0
+            row_sums = _ascending_j(self.n, a, self._truncated_terms)
+            joins = self.weights != 0.0
+            own = self.distinct.points_of(slice(0, a))
             self._degree = np.count_nonzero(joins, axis=0) - joins[own, np.arange(a)]
-            self._joined_max = joined
+        else:
+            row_sums = _ascending_j(self.n, a, self._full_support_terms)
+        self.objective = _ascending_total(self.distinct.expand(row_sums))
+
+    def _distances_into_weights(self, rows: slice) -> np.ndarray:
+        # the squared distances of the j-rows ``rows``, written into the
+        # weights, whose largest is taken
+        block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows,
+                                out=self.weights[rows])
+        self.max_sqdist = max(self.max_sqdist, _checked_max(block))
+        return block
+
+    def _full_support_terms(self, rows: slice, out: np.ndarray) -> None:
+        # the objective's terms into out and the weights in place (see _ascending_j)
+        kernel = self.kernel
+        block = self._distances_into_weights(rows)
+        u = profile_args(block, self.h, out=block)
+        if kernel.profile is kernel.g:  # gaussian: one evaluation for both
+            block[...] = kernel.g(u)
+            out[...] = block
+        else:
+            out[...] = kernel.profile(u)
+            block[...] = kernel.g(u)
+
+    def _truncated_terms(self, rows: slice, out: np.ndarray) -> None:
+        # as _full_support_terms, and the margin, boundary hit and largest
+        # joined squared distance of the j-rows ``rows``
+        kernel = self.kernel
+        block = self._distances_into_weights(rows)
+        own = self.distinct.points_of(slice(0, self.distinct.a))
+        inside = np.flatnonzero((own >= rows.start) & (own < rows.stop))
+        self.margin = min(self.margin, _block_margin(
+            block, (own[inside] - rows.start, inside), kernel.beta * self.h))
+        u = profile_args(block, self.h)
+        self.boundary_hit = self.boundary_hit or self._hits_boundary(u)
+        out[...] = kernel.profile(u)
+        g = kernel.g(u)
+        self._joined_max = max(self._joined_max, float(np.max(block[g != 0.0], initial=0.0)))
+        block[...] = g
 
     def _scan_edges(self) -> None:
         points, n, kernel = self.cfg.points, self.n, self.kernel
