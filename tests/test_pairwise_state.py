@@ -340,19 +340,20 @@ def test_dense_single_distinct_row(kernel_id, n):
     assert state.distinct.rows.shape == (1, 2)
 
 
-@pytest.mark.parametrize("n,dense", [(150, True), (300, False)])
-def test_isolated_tricube_group_stays_apart(n, dense):
+def test_isolated_tricube_group_stays_apart():
     # g(0) = 0: coincident points with no other point in reach are not joined
     # to each other, so the grouped graph must not merge them, whether the
-    # a x n pairs fit in one block (a = 101) or not (a = 251)
+    # a x n pairs fit in one block (a = 101, dense weights) or not (a = 251,
+    # edge list)
     tricube = bs.builtin("tricube")
-    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
-    pts[n - 50:] = pts[0]  # a group joined to its neighbours
-    pts[n - 10:] = 50.0  # an isolated group of ten
-    state = _assert_state_equals_full_rows(pts, tricube, 0.5, pts + 1e-3)
-    assert state.distinct.inv is not None
-    assert (state.graph is None) == dense
-    assert len(set(state.labels[n - 10:])) == 10
+    for n, dense in ((150, True), (300, False)):
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
+        pts[n - 50:] = pts[0]  # a group joined to its neighbours
+        pts[n - 10:] = 50.0  # an isolated group of ten
+        state = _assert_state_equals_full_rows(pts, tricube, 0.5, pts + 1e-3)
+        assert state.distinct.inv is not None
+        assert (state.graph is None) == dense
+        assert len(set(state.labels[n - 10:])) == 10
 
 
 @st.composite
