@@ -10,7 +10,6 @@ of a Gaussian population blurred with a Gaussian kernel,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +85,7 @@ def simplex_recurrence_step(state: SimplexState, kernel: KernelSpec) -> SimplexS
 
 
 def _check_steps(steps) -> int:
-    if not (isinstance(steps, numbers.Integral) and steps >= 0):
+    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     return int(steps)
 

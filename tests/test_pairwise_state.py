@@ -269,8 +269,8 @@ def _assert_state_equals_full_rows(pts, kernel, h, moved):
     state = PairwiseState(pts, kernel, h)
     # every point is bitwise its group's row, signed zeros included
     assert state.distinct.expand(state.distinct.rows).tobytes() == state.cfg.points.tobytes()
-    # exactly one representation: the dense weights (column r is distinct
-    # row r's row) or the edge list (row r)
+    # exactly one representation: the dense weights (distinct row r in
+    # column r) or the edge list (distinct row r in row r)
     assert (state.graph is None) != (state.weights is None)
     rows = state.weights.T if state.graph is None else state.graph.toarray()
     assert state.distinct.expand(rows).tobytes() == want["graph"].tobytes()
@@ -359,15 +359,15 @@ def test_isolated_tricube_group_stays_apart():
 @st.composite
 def _symmetric_graphs(draw):
     a = draw(st.integers(1, 128), label="a")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if draw(st.booleans(), label="path"):
         # a path through every vertex in scrambled order: its labels must
         # travel the whole length
-        order = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed")).permutation(a)
+        order = rng.permutation(a)
         adjacency = np.zeros((a, a), dtype=bool)
         adjacency[order[:-1], order[1:]] = True
     else:
         density = draw(st.sampled_from([0.0, 0.5 / a, 2.0 / a, 0.3]), label="density")
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
         adjacency = rng.random((a, a)) < density
     adjacency |= adjacency.T
     if draw(st.booleans(), label="self-loops"):
