@@ -1,14 +1,20 @@
 """Scaling benchmark: wall time, steps and peak heap of ``cluster`` and
-``run_verify`` as the number of points grows.
+``run_verify`` as the number of points grows, measured on two source trees
+in one invocation.
 
-    PYTHONPATH=src python bench/scaling.py --label change --out BENCH_10.json
+    python bench/scaling.py --tree parent=PARENT/src --tree change=src --out BENCH_12.json
+
+Each ``--tree LABEL=SRC`` names a ``src`` directory holding ``blurshift``;
+its records go under LABEL in the output file, and entries under other
+labels are kept.  Uses only the standard library, numpy and blurshift.
 
 The grid is n in {500, 1000, 2000, 4000} points in d = 2, for one flat
 truncated kernel (epanechnikov) and one full-support kernel (gaussian), at
-bandwidth ``H``.  The points are four Gaussian blobs (sigma 0.4, centres
-uniform in [-3, 3]^2, seed 0).  Every operation runs under a fixed step
-budget, ``StopRule(max_iter=STEPS)``, so the work per step is what is
-compared; ``T`` records the steps actually taken.
+bandwidth ``H``, plus gaussian ``cluster`` at 16000 points (``LARGE``).  The
+points are four Gaussian blobs (sigma 0.4, centres uniform in [-3, 3]^2,
+seed 0).  Every operation runs under a fixed step budget,
+``StopRule(max_iter=STEPS)``, so the work per step is what is compared;
+``T`` records the steps actually taken.
 
 A second grid runs one epanechnikov ``cluster`` per n to its exact fixed
 point (``StopRule(move_tol=0)``), the regime where blurring collapses the
@@ -16,7 +22,7 @@ points onto few distinct positions.  Each of those records ``T``, the mean
 share of distinct positions (bitwise-distinct points over n) over the
 configurations the steps start from and the share of those configurations
 whose a x n pairs (a distinct positions) fit in one block of the pairwise
-state, counted in a separate untimed run.
+state, counted once per tree in an untimed run.
 
 A third record times the fuzz probes of ``run_verify``: one call on a
 single point with ``FUZZ_CASES`` probes (configurations of at most 12
@@ -24,12 +30,15 @@ points), where the one-step iteration is negligible, for one smoothly
 (biweight) and one non-smoothly (epanechnikov) truncated kernel at
 bandwidth ``FUZZ_H``, as perfbench's ``verify-fuzz`` workload does.
 
-For every cell the wall time is the best of ``REPEATS`` runs, and the peak
-is the ``tracemalloc`` peak of one more run (traced apart, so tracing does
-not slow the timed runs).  The records go under ``--label`` in the output
-file; entries under other labels are kept, so one file can hold the same
-grid measured on two source trees, each run with its own ``src`` on
-``PYTHONPATH``.  Uses only the standard library, numpy and blurshift.
+Every cell runs ``REPEATS`` times on each tree, each time in a fresh
+interpreter with that tree's ``src`` first on ``sys.path``.  The trees
+alternate within a cell, and the tree that goes first alternates from
+repeat to repeat, so a slow spell of a shared machine falls on both.  The
+interpreter runs the operation once on a small input (imports and lazy
+set-up), times one call, then takes the ``tracemalloc`` peak of one more
+call (traced apart, so tracing does not slow the timed call).  A record
+holds the median wall time with its quartiles and every run, and the
+median peak.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -45,15 +56,14 @@ from pathlib import Path
 
 import numpy as np
 
-import blurshift as bs
-from blurshift._pairwise import _BLOCK_ENTRIES
-
 SIZES = (500, 1000, 2000, 4000)
 KERNELS = ("epanechnikov", "gaussian")
+LARGE = ("gaussian", 16000)  # cluster only: a held n x n array would be 1.9 GiB
 FIXED_POINT_KERNEL = "epanechnikov"
 H = 0.5
 STEPS = 3
-REPEATS = 3
+REPEATS = 5
+WARM_UP_N = 200
 FUZZ_KERNELS = ("biweight", "epanechnikov")
 FUZZ_H = 0.8
 FUZZ_CASES = 400
@@ -66,28 +76,14 @@ def blobs(n: int) -> np.ndarray:
     return centres[rng.integers(0, 4, size=n)] + rng.normal(scale=0.4, size=(n, 2))
 
 
-def measure(operation) -> dict:
-    """Best wall seconds of ``REPEATS`` calls, then the traced peak of one."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        steps = operation()
-        best = min(best, time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        operation()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"wall_s": round(best, 6), "T": steps, "peak_mib": round(peak / 2**20, 3)}
-
-
 def nproc() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
 
+
+# --- one cell, in the interpreter of one tree -------------------------------
 
 def distinct_share(points: np.ndarray) -> float:
     """Bitwise-distinct rows of ``points`` over their number."""
@@ -98,6 +94,9 @@ def distinct_share(points: np.ndarray) -> float:
 def state_shares(points: np.ndarray, kernel, stop) -> tuple[float, float]:
     """Mean distinct share, and share of one-block states, over the
     configurations the steps start from."""
+    import blurshift as bs
+    from blurshift._pairwise import _BLOCK_ENTRIES
+
     shares, one_block = [], []
 
     def observe(t, state, nxt, move):
@@ -108,84 +107,155 @@ def state_shares(points: np.ndarray, kernel, stop) -> tuple[float, float]:
     return float(np.mean(shares)), float(np.mean(one_block))
 
 
-def run_fixed_point() -> list[dict]:
-    stop = bs.StopRule(move_tol=0.0)
-    kernel = bs.builtin(FIXED_POINT_KERNEL)
-    records = []
-    for n in SIZES:
-        points = blobs(n)
-        record = {"kernel": FIXED_POINT_KERNEL, "n": n, "d": 2, "h": H}
-        record["cluster"] = measure(lambda: bs.cluster(points, kernel, H, stop=stop).T)
-        shares = state_shares(points, kernel, stop)
-        record["mean_distinct_share"] = round(shares[0], 4)
-        record["one_block_share"] = round(shares[1], 4)
-        print(json.dumps(record), flush=True)
-        records.append(record)
-    return records
+def operation(cell: dict, points: np.ndarray):
+    """The call a cell times, on ``points``; it returns the steps taken."""
+    import blurshift as bs
+
+    kernel = bs.builtin(cell["kernel"])
+    if cell["op"] == "fuzz":
+        return lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=cell["probes"]).T
+    if cell["op"] == "fixed_point":
+        stop = bs.StopRule(move_tol=0.0)
+    else:
+        stop = bs.StopRule(max_iter=STEPS)
+    if cell["op"] == "verify":
+        return lambda: bs.run_verify(points, kernel, H, stop=stop).T
+    return lambda: bs.cluster(points, kernel, H, stop=stop).T
 
 
-def run_fuzz() -> list[dict]:
-    records = []
-    for kernel_id in FUZZ_KERNELS:
-        kernel = bs.builtin(kernel_id)
-        record = {"kernel": kernel_id, "h": FUZZ_H, "probes": FUZZ_CASES}
-        record["verify"] = measure(
-            lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=FUZZ_CASES).T)
-        record["probe_us"] = round(1e6 * record["verify"]["wall_s"] / FUZZ_CASES, 1)
-        print(json.dumps(record), flush=True)
-        records.append(record)
-    return records
+def run_cell(cell: dict) -> dict:
+    """Warm up, time one call, then trace the peak of one more."""
+    n = cell.get("n", 2)
+    operation(dict(cell, probes=10), blobs(min(n, WARM_UP_N)))()
+    call = operation(cell, blobs(n))
+    start = time.perf_counter()
+    steps = call()
+    wall = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = {"wall_s": wall, "T": steps, "peak_mib": peak / 2**20}
+    if cell.get("shares"):
+        import blurshift as bs
+
+        shares = state_shares(blobs(n), bs.builtin(cell["kernel"]),
+                              bs.StopRule(move_tol=0.0))
+        result["mean_distinct_share"] = round(shares[0], 4)
+        result["one_block_share"] = round(shares[1], 4)
+    return result
 
 
-def run_grid() -> list[dict]:
-    stop = bs.StopRule(max_iter=STEPS)
-    records = []
-    for kernel_id in KERNELS:
-        kernel = bs.builtin(kernel_id)
-        for n in SIZES:
-            points = blobs(n)
-            record = {"kernel": kernel_id, "n": n, "d": 2, "h": H}
-            record["cluster"] = measure(lambda: bs.cluster(points, kernel, H, stop=stop).T)
-            record["verify"] = measure(lambda: bs.run_verify(points, kernel, H, stop=stop).T)
-            print(json.dumps(record), flush=True)
-            records.append(record)
-    return records
+# --- the driver ---------------------------------------------------------------
+
+def cells() -> list[dict]:
+    grid = [{"group": "records", "kernel": k, "n": n, "op": op}
+            for k in KERNELS for n in SIZES for op in ("cluster", "verify")]
+    grid.append({"group": "records", "kernel": LARGE[0], "n": LARGE[1], "op": "cluster"})
+    grid += [{"group": "fixed_point_records", "kernel": FIXED_POINT_KERNEL, "n": n,
+              "op": "fixed_point"} for n in SIZES]
+    grid += [{"group": "fuzz_records", "kernel": k, "op": "fuzz", "probes": FUZZ_CASES}
+             for k in FUZZ_KERNELS]
+    return grid
+
+
+def spawn(src: str, cell: dict) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, __file__, "--cell", json.dumps(cell)],
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"cell {cell} failed on {src}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summary(runs: list[dict]) -> dict:
+    walls = [run["wall_s"] for run in runs]
+    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    out = {"wall_s": round(median, 6), "wall_q1_s": round(q1, 6), "wall_q3_s": round(q3, 6),
+           "walls_s": [round(w, 6) for w in walls], "T": runs[0]["T"],
+           "peak_mib": round(statistics.median(run["peak_mib"] for run in runs), 3)}
+    if any(run["T"] != out["T"] for run in runs):
+        raise RuntimeError(f"step counts differ between runs: {[r['T'] for r in runs]}")
+    return out
+
+
+def record(cell: dict, runs: list[dict]) -> dict:
+    key = {"records": cell["op"], "fixed_point_records": "cluster",
+           "fuzz_records": "verify"}[cell["group"]]
+    if cell["group"] == "fuzz_records":
+        out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
+        out[key] = summary(runs)
+        out["probe_us"] = round(1e6 * out[key]["wall_s"] / cell["probes"], 1)
+        return out
+    out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": H, key: summary(runs)}
+    for name in ("mean_distinct_share", "one_block_share"):
+        if name in runs[0]:
+            out[name] = runs[0][name]
+    return out
+
+
+def measure(trees: dict[str, str]) -> dict[str, dict]:
+    """Every cell on every tree, alternating, grouped by tree label."""
+    out = {label: {"records": [], "fixed_point_records": [], "fuzz_records": []}
+           for label in trees}
+    labels = list(trees)
+    for cell in cells():
+        runs = {label: [] for label in labels}
+        for repeat in range(REPEATS):
+            for label in (labels if repeat % 2 == 0 else labels[::-1]):
+                shares = repeat == 0 and cell["op"] == "fixed_point"
+                runs[label].append(spawn(trees[label], dict(cell, shares=shares)))
+        for label in labels:
+            rec = record(cell, runs[label])
+            out[label][cell["group"]].append(rec)
+            print(json.dumps({"tree": label, "op": cell["op"], **rec}), flush=True)
+    return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True,
-                        help="key the records are stored under, e.g. parent or change")
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
+    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
+                        help="a source tree to measure, e.g. change=src (repeatable)")
+    parser.add_argument("--out", type=Path, help="JSON file to update")
+    parser.add_argument("--cell", help=argparse.SUPPRESS)  # one cell, in a fresh interpreter
     args = parser.parse_args(argv)
+    if args.cell is not None:
+        print(json.dumps(run_cell(json.loads(args.cell))))
+        return 0
+    if not args.tree or args.out is None:
+        parser.error("--tree (at least once) and --out are required")
+    trees = dict(tree.split("=", 1) for tree in args.tree)
 
     import scipy
 
-    entry = {
-        "environment": {
-            "nproc": nproc(),
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "setup": {
-            "points": "four Gaussian blobs, sigma 0.4, centres uniform in [-3, 3]^2, seed 0",
-            "sizes": list(SIZES), "d": 2, "h": H, "kernels": list(KERNELS),
-            "step_budget": STEPS, "stop": f"StopRule(max_iter={STEPS})",
-            "wall": f"best of {REPEATS} runs",
-            "peak": "tracemalloc peak of one further run",
-            "fixed_point": f"{FIXED_POINT_KERNEL} cluster per n with StopRule(move_tol=0.0)",
-            "one_block": f"a * n <= {_BLOCK_ENTRIES}, a the distinct positions of a state",
-            "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES}) "
-                    f"for {', '.join(FUZZ_KERNELS)}",
-        },
-        "records": run_grid(),
-        "fixed_point_records": run_fixed_point(),
-        "fuzz_records": run_fuzz(),
+    setup = {
+        "points": "four Gaussian blobs, sigma 0.4, centres uniform in [-3, 3]^2, seed 0",
+        "sizes": list(SIZES), "d": 2, "h": H, "kernels": list(KERNELS),
+        "large": f"{LARGE[0]} cluster at n = {LARGE[1]}",
+        "step_budget": STEPS, "stop": f"StopRule(max_iter={STEPS})",
+        "trees": list(trees),
+        "wall": f"median and quartiles of {REPEATS} runs per tree, each in a fresh "
+                f"interpreter after a warm-up on {WARM_UP_N} points; the trees "
+                f"alternate per cell and the first tree alternates per repeat",
+        "peak": "median tracemalloc peak of one further call per run",
+        "fixed_point": f"{FIXED_POINT_KERNEL} cluster per n with StopRule(move_tol=0.0)",
+        "one_block": "a * n <= _BLOCK_ENTRIES, a the distinct positions of a state",
+        "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES}) "
+                f"for {', '.join(FUZZ_KERNELS)}",
+    }
+    environment = {
+        "nproc": nproc(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = entry
+    for label, entry in measure(trees).items():
+        data[label] = {"environment": environment, "setup": setup, **entry}
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 

@@ -15,9 +15,12 @@ points have bitwise-equal rows of distances and weights, so every row is
 computed once per distinct position, against all n points, and read back
 through the point-to-position map where a point row is needed.
 
-A full-support kernel joins every pair and keeps one n x a weight array
-(a distinct positions), whose j-sums stream over chunks of its rows.  So
-does a truncated kernel whose a x n pairs fit in one block.  A larger
+A full-support kernel joins every pair and holds no weight array: one
+pass over chunks of j-rows (a distinct positions wide) computes each
+chunk's weights and adds it into every sum the caller reads, so its memory
+is O(n d) plus one chunk per sum.  A sum read later costs one more pass
+that computes the same chunks again.  A truncated kernel whose a x n pairs
+fit in one block keeps its n x a weight array, zeros included.  A larger
 truncated state keeps only its edges, the pairs with ``g_ij != 0``, as a
 row-major CSR list built in one pass over row blocks of the distances, so
 no n x n array is allocated.
@@ -39,9 +42,9 @@ from .config import as_configuration, check_bandwidth, pairwise_sqdist, profile_
 from .kernels import KernelSpec, TruncationClass
 
 # Entries per block of the pairwise temporaries: the truncated scan's row
-# blocks of distances and the dense path's chunks of j-rows (at least 8
-# rows).  Bounds each at about 128 KiB of float64 whatever the size.  A
-# truncated state whose pairs fit in one block takes the dense path.
+# blocks of distances and each slab of the dense paths' chunks of j-rows
+# (at least 8 rows).  Bounds each at about 128 KiB of float64 whatever the
+# size.  A truncated state whose pairs fit in one block takes the dense path.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -51,36 +54,28 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + rows, n))
 
 
-def _ascending_j(n: int, width: int, fill) -> np.ndarray:
-    """``sum_j t[j, c]`` for every column c of an (n, width) array of terms,
-    in ascending j from ``+0.0``, without holding that array.
+def _ascending_j(n: int, width: int, slabs: int, fill) -> np.ndarray:
+    """``sum_j t[s, j, c]`` for every slab s and column c of a
+    (slabs, n, width) array of terms, in ascending j from ``+0.0``, without
+    holding that array.
 
-    ``fill(rows, out)`` writes the terms of the j-rows ``rows`` into
-    ``out``.  Each chunk of rows is written below an accumulator row and
-    reduced over axis 0, which numpy does one row at a time.  A lone
-    column gets a zero twin, since numpy sums one contiguous column
+    ``fill(rows, out)`` writes the terms of the j-rows ``rows`` into the
+    (slabs, len(rows), width) array ``out``.  Each slab's chunk of rows is
+    written below its accumulator row, so every slab is one contiguous
+    block, and reduced over its rows, which numpy does one row at a time.
+    A lone column gets a zero twin, since numpy sums one contiguous column
     pairwise.
     """
     cols = max(2, width)
     step = max(8, _BLOCK_ENTRIES // cols)
-    buf = np.zeros((min(step, n) + 1, cols))
-    acc = np.zeros(cols)
+    buf = np.zeros((slabs, min(step, n) + 1, cols))
+    acc = np.zeros((slabs, cols))
     for start in range(0, n, step):
         size = min(step, n - start)
-        buf[0] = acc
-        fill(slice(start, start + size), buf[1:size + 1, :width])
-        np.add.reduce(buf[:size + 1], axis=0, out=acc)
-    return acc[:width]
-
-
-def _column_sums(array: np.ndarray) -> np.ndarray:
-    # sum over axis 0 in ascending row order from +0.0: numpy adds the rows
-    # one at a time, but sums a single contiguous column pairwise, so that
-    # one is accumulated (from its first entry instead of +0.0, which only
-    # changes the sign of a zero sum)
-    if array.shape[1] == 1:
-        return np.cumsum(array[:, 0])[-1:]
-    return array.sum(axis=0)
+        buf[:, 0] = acc
+        fill(slice(start, start + size), buf[:, 1:size + 1, :width])
+        np.add.reduce(buf[:, :size + 1], axis=1, out=acc)
+    return acc[:, :width]
 
 
 class DistinctRows:
@@ -344,20 +339,28 @@ class PairwiseState:
     its group's row, so the values read back through ``distinct.inv`` are
     the ones a full n x n evaluation gives.
 
-    A full-support kernel joins every pair, so it keeps every weight, in
-    the (n, a) array ``weights`` whose column r holds distinct row r's
-    weights against the n points (the weights are exactly symmetric, so
-    ``weights[j, r]`` is ``g_rj``).  Its constructor builds that array in
-    chunks of j-rows: the squared distances are written straight into it
-    (their largest is taken), then turned into profile arguments and
-    weights in place; the objective's row sums come from the same pass.
-    Its j-sums stream over the same chunks, so no other n x a or n x n
-    array is allocated.
+    A full-support kernel joins every pair and holds no weight array.  Its
+    constructor makes one pass over chunks of j-rows (see
+    :func:`_ascending_j`): each chunk's squared distances against the a
+    distinct rows are written into a weight slab (their largest is taken)
+    and turned into weights in place, and the chunk is added into the
+    objective's row sums (for gaussian, the weights' own sums) and into
+    the sums named in ``reads``: ``"update"``, the update's denominator
+    and numerators; ``"moments"``; and ``"gap"``, the minorizer gap's
+    pre-step row sums, taken as distances times weights before the
+    distances are overwritten.  A sum not read in the pass costs one more
+    pass that computes the same weight chunks again, bit for bit; the
+    gap's post-step term always does.  So a full-support state holds
+    O(n d) plus one chunk per sum, and ``reads`` moves no bit.
 
     A truncated kernel whose a x n pairs fit in one block
-    (``_BLOCK_ENTRIES``) takes that dense path too.  The same pass gives
-    the boundary margin, the boundary hit and the largest squared distance
-    of a joined pair (zero when the graph is singular); the degrees and
+    (``_BLOCK_ENTRIES``) keeps every weight, in the (n, a) array
+    ``weights`` whose column r holds distinct row r's weights against the
+    n points (the weights are exactly symmetric, so ``weights[j, r]`` is
+    ``g_rj``).  Its constructor builds that array in the same chunks and
+    its sums read them.  The same pass gives the objective's row sums, the
+    boundary margin, the boundary hit and the largest squared distance of
+    a joined pair (zero when the graph is singular); the degrees and
     self-loops are the nonzero weights, and the components come from
     :func:`small_component_labels` over the a x a adjacency of the
     distinct positions.
@@ -372,7 +375,9 @@ class PairwiseState:
     its data); the components, classification, update, moments and
     minorizer gap read only them.
 
-    Exactly one of ``weights`` and ``graph`` is set; the other is None.
+    A truncated state sets exactly one of ``weights`` and ``graph``; a
+    full-support state sets neither.  ``reads`` changes nothing for a
+    truncated state.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -392,14 +397,22 @@ class PairwiseState:
 
     weights: np.ndarray | None = None
     graph: csr_array | None = None
+    # what a full-support state's pass filled because ``reads`` named it:
+    # the update's denominator and numerators, the moments and the gap's
+    # pre-step total
+    _update: tuple[np.ndarray, np.ndarray] | None = None
+    _moments: np.ndarray | None = None
+    _gap_before: float | None = None
 
-    def __init__(self, cfg, kernel: KernelSpec, h: float):
+    def __init__(self, cfg, kernel: KernelSpec, h: float, reads=frozenset()):
         self.h = check_bandwidth(h)
         self.cfg = as_configuration(cfg)
         self.kernel = kernel
         self.n = self.cfg.n
         self.distinct = DistinctRows(self.cfg.points)
-        if kernel.truncated and self.distinct.a * self.n > _BLOCK_ENTRIES:
+        if not kernel.truncated:
+            self._stream_sums(reads)
+        elif self.distinct.a * self.n > _BLOCK_ENTRIES:
             self._scan_edges()
         else:
             self._dense_weights()
@@ -414,54 +427,73 @@ class PairwiseState:
             and np.any(u == kernel.boundary_u)
         )
 
-    def _dense_weights(self) -> None:
-        a = self.distinct.a
-        self.weights = np.empty((self.n, a))
+    def _stream_sums(self, reads) -> None:
+        kernel, d = self.kernel, self.cfg.d
+        y, at = self.cfg.points, self.distinct.rows
+        update, moments, gap = ("update" in reads, "moments" in reads, "gap" in reads)
+        # slabs: the weights (the denominator's terms), the objective's
+        # terms unless they are the weights (gaussian), then the d
+        # numerators, the d moments and the gap's pre-step terms when read
+        shared = kernel.profile is kernel.g
+        obj = 0 if shared else 1
+        num = obj + 1
+        mom = num + d * update
+        pre = mom + d * moments
         self.max_sqdist = 0.0
         # a full-support kernel has no boundary, so these stay as they are
         self.margin, self.boundary_hit = math.inf, False
-        if self.kernel.truncated:
-            self._joined_max = 0.0
-            row_sums = _ascending_j(self.n, a, self._truncated_terms)
-            joins = self.weights != 0.0
-            own = self.distinct.points_of(slice(0, a))
-            self._degree = np.count_nonzero(joins, axis=0) - joins[own, np.arange(a)]
-        else:
-            row_sums = _ascending_j(self.n, a, self._full_support_terms)
+
+        def fill(rows, out):
+            w = out[0]
+            sqd = pairwise_sqdist(y[rows], at, out=out[pre] if gap else w)
+            self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
+            u = profile_args(sqd, self.h, out=w)
+            if not shared:
+                out[obj] = kernel.profile(u)
+            w[...] = kernel.g(u)
+            if update:
+                self._numerator_terms(rows, w, out[num:mom])
+            if moments:
+                self._moment_terms(rows, w, out[mom:pre])
+            if gap:
+                out[pre] *= w
+
+        sums = _ascending_j(self.n, self.distinct.a, pre + gap, fill)
+        self.objective = _ascending_total(self.distinct.expand(sums[obj]))
+        if update:
+            self._update = sums[0], np.ascontiguousarray(sums[num:mom].T)
+        if moments:
+            self._moments = np.ascontiguousarray(sums[mom:pre].T)
+        if gap:
+            self._gap_before = _ascending_total(self.distinct.expand(sums[pre]))
+
+    def _dense_weights(self) -> None:
+        a = self.distinct.a
+        self.weights = np.empty((self.n, a))
+        self.max_sqdist, self._joined_max = 0.0, 0.0
+        self.margin, self.boundary_hit = math.inf, False
+        row_sums = _ascending_j(self.n, a, 1, self._truncated_terms)[0]
+        joins = self.weights != 0.0
+        own = self.distinct.points_of(slice(0, a))
+        self._degree = np.count_nonzero(joins, axis=0) - joins[own, np.arange(a)]
         self.objective = _ascending_total(self.distinct.expand(row_sums))
 
-    def _distances_into_weights(self, rows: slice) -> np.ndarray:
-        # the squared distances of the j-rows ``rows``, written into the
-        # weights, whose largest is taken
+    def _truncated_terms(self, rows: slice, out: np.ndarray) -> None:
+        # the objective's terms of the j-rows ``rows`` into out[0], their
+        # squared distances written into the weights and turned into
+        # weights in place, and their largest squared distance, margin,
+        # boundary hit and largest joined squared distance
+        kernel = self.kernel
         block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows,
                                 out=self.weights[rows])
         self.max_sqdist = max(self.max_sqdist, _checked_max(block))
-        return block
-
-    def _full_support_terms(self, rows: slice, out: np.ndarray) -> None:
-        # the objective's terms into out and the weights in place (see _ascending_j)
-        kernel = self.kernel
-        block = self._distances_into_weights(rows)
-        u = profile_args(block, self.h, out=block)
-        if kernel.profile is kernel.g:  # gaussian: one evaluation for both
-            block[...] = kernel.g(u)
-            out[...] = block
-        else:
-            out[...] = kernel.profile(u)
-            block[...] = kernel.g(u)
-
-    def _truncated_terms(self, rows: slice, out: np.ndarray) -> None:
-        # as _full_support_terms, and the margin, boundary hit and largest
-        # joined squared distance of the j-rows ``rows``
-        kernel = self.kernel
-        block = self._distances_into_weights(rows)
         own = self.distinct.points_of(slice(0, self.distinct.a))
         inside = np.flatnonzero((own >= rows.start) & (own < rows.stop))
         self.margin = min(self.margin, _block_margin(
             block, (own[inside] - rows.start, inside), kernel.beta * self.h))
         u = profile_args(block, self.h)
         self.boundary_hit = self.boundary_hit or self._hits_boundary(u)
-        out[...] = kernel.profile(u)
+        out[0] = kernel.profile(u)
         g = kernel.g(u)
         self._joined_max = max(self._joined_max, float(np.max(block[g != 0.0], initial=0.0)))
         block[...] = g
@@ -577,15 +609,48 @@ class PairwiseState:
     def _edge_rows(self) -> np.ndarray:
         return _rows_of_edges(self.graph)
 
-    def _dense_j_sums(self, terms) -> np.ndarray:
-        """``out[r, k] = sum_j t_jr`` over the distinct rows r for the dense
-        weights, one coordinate at a time, where ``terms(rows, k, out)``
-        writes ``t[rows]`` for coordinate k (see :func:`_ascending_j`)."""
-        out = np.empty_like(self.distinct.rows)
+    def _weight_rows(self, rows: slice) -> np.ndarray:
+        # the weights of the j-rows ``rows``: the held array's, or a
+        # full-support state's computed again as its constructor's pass did
+        if self.weights is not None:
+            return self.weights[rows]
+        block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
+        return self.kernel.g(profile_args(block, self.h, out=block))
+
+    def _weight_sums(self, slabs: int, terms) -> np.ndarray:
+        """``out[s, r] = sum_j t_sjr`` over the distinct rows r for
+        ``slabs`` kinds of terms of the weights, in one pass (see
+        :func:`_ascending_j`), where ``terms(rows, w, out)`` writes the
+        terms of the j-rows ``rows`` from their weights ``w``."""
+        return _ascending_j(self.n, self.distinct.a, slabs,
+                            lambda rows, out: terms(rows, self._weight_rows(rows), out))
+
+    def _numerator_terms(self, rows: slice, w: np.ndarray, out: np.ndarray) -> None:
+        # w_jr y_jk of every coordinate k into out[k]
+        y = self.cfg.points
         for k in range(self.cfg.d):
-            out[:, k] = _ascending_j(self.n, self.distinct.a,
-                                     lambda rows, block: terms(rows, k, block))
-        return out
+            np.multiply(w, y[rows, k, None], out=out[k])
+
+    def _moment_terms(self, rows: slice, w: np.ndarray, out: np.ndarray) -> None:
+        # w_jr (y_rk - y_jk) of every coordinate k into out[k]
+        y, at = self.cfg.points, self.distinct.rows
+        for k in range(self.cfg.d):
+            np.subtract(at[None, :, k], y[rows, k, None], out=out[k])
+            out[k] *= w
+
+    def _update_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        # the denominator and the numerators, one row per distinct position
+        if self.graph is not None:
+            return self.graph @ np.ones(self.n), self.graph @ self.cfg.points
+        if self._update is not None:
+            return self._update
+
+        def terms(rows, w, out):
+            out[0] = w
+            self._numerator_terms(rows, w, out[1:])
+
+        sums = self._weight_sums(1 + self.cfg.d, terms)
+        return sums[0], np.ascontiguousarray(sums[1:].T)
 
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the
@@ -596,11 +661,7 @@ class PairwiseState:
         kernel with ``g(0) = 0`` gives a point or a group of coincident
         points with no other point at nonzero weight.
         """
-        y = self.cfg.points
-        if self.graph is not None:
-            den = self.graph @ np.ones(self.n)
-        else:
-            den = _column_sums(self.weights)
+        den, num = self._update_sums()
         empty = np.flatnonzero(self.distinct.expand(den) == 0.0)
         if empty.size:
             raise ValueError(
@@ -609,24 +670,14 @@ class PairwiseState:
                 f"point or a group of coincident points with no other point at "
                 f"nonzero weight, so its blurred position would be 0/0"
             )
-        if self.graph is not None:
-            num = self.graph @ y
-        else:
-            w = self.weights
-            num = self._dense_j_sums(
-                lambda rows, k, out: np.multiply(w[rows], y[rows, k, None], out=out))
         return self.distinct.expand(num / den[:, None])
 
     def _row_moments(self) -> np.ndarray:
-        y, at = self.cfg.points, self.distinct.rows
+        if self._moments is not None:
+            return self._moments
         if self.graph is None:
-            w = self.weights
-
-            def terms(rows, k, out):
-                np.subtract(at[None, :, k], y[rows, k, None], out=out)
-                out *= w[rows]
-
-            return self._dense_j_sums(terms)
+            return np.ascontiguousarray(self._weight_sums(self.cfg.d, self._moment_terms).T)
+        y, at = self.cfg.points, self.distinct.rows
         rows, cols, a = self._edge_rows, self.graph.indices, self.distinct.a
         out = np.empty_like(at)
         for k in range(self.cfg.d):
@@ -662,13 +713,13 @@ class PairwiseState:
                 return _weighted_row_sums(self.graph, self._edge_rows, centres, points)
             graph = self.graph[groups]
             return _weighted_row_sums(graph, _rows_of_edges(graph), centres, points)
-        w = self.weights
 
         def terms(rows, out):
-            pairwise_sqdist(points[rows], centres, out=out)
-            out *= w[rows] if groups is None else w[rows][:, groups]
+            w = self._weight_rows(rows)
+            pairwise_sqdist(points[rows], centres, out=out[0])
+            out[0] *= w if groups is None else w[:, groups]
 
-        return _ascending_j(self.n, centres.shape[0], terms)
+        return _ascending_j(self.n, centres.shape[0], 1, terms)[0]
 
     def _weighted_sqdist(self, points: np.ndarray) -> float:
         # sum_ij g_ij ||p_i - p_j||^2, one row sum per distinct position of
@@ -688,10 +739,12 @@ class PairwiseState:
         """Surrogate improvement ``(1/(2 h^2)) * (sum_ij g_ij ||y_i - y_j||^2
         - sum_ij g_ij ||y'_i - y'_j||^2)`` of ``cfg_next`` with these
         weights, summed as the class docstring's contract says (an edge list
-        reads both configurations only at its edges; the dense path computes
-        the distances again, since the constructor converted them in
-        place)."""
+        reads both configurations only at its edges; the dense paths compute
+        the distances again, and a full-support state its weights too,
+        unless its constructor's pass read the pre-step term)."""
         nxt = as_configuration(cfg_next).points
-        before = self._weighted_sqdist(self.cfg.points)
+        before = self._gap_before
+        if before is None:
+            before = self._weighted_sqdist(self.cfg.points)
         after = self._weighted_sqdist(nxt)
         return (before - after) / (2.0 * self.h * self.h)

@@ -133,12 +133,20 @@ def _cmd_cluster(args) -> int:
 def _cmd_trace(args) -> int:
     kernel = get_kernel(args.kernel)
     points, _ = _load(args)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        from .io import trace_line
+    import os
 
-        run_bms(points, kernel, args.h, stop=_stop_rule(args),
-                sink=lambda rec: fh.write(trace_line(rec) + "\n"),
-                keep_records=False)
+    from .io import trace_line
+
+    fh = open(args.out, "w", encoding="utf-8")
+    try:
+        with fh:
+            run_bms(points, kernel, args.h, stop=_stop_rule(args),
+                    sink=lambda rec: fh.write(trace_line(rec) + "\n"),
+                    keep_records=False)
+    except BaseException:
+        # an empty or cut trace would read as a shorter valid run
+        os.remove(args.out)
+        raise
     return 0
 
 

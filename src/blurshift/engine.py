@@ -80,7 +80,7 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     Raises ``ValueError`` when a point's weights sum to zero (a kernel with
     ``g(0) = 0``, such as ``tricube``, and no other point at nonzero weight).
     """
-    return Configuration.from_points(PairwiseState(cfg, kernel, h).update())
+    return Configuration.from_points(PairwiseState(cfg, kernel, h, {"update"}).update())
 
 
 def ms_step(query, data, kernel: KernelSpec, h: float) -> np.ndarray:
@@ -139,7 +139,7 @@ def gradient(cfg, kernel: KernelSpec, h: float) -> GradientResult:
     Computed from pairwise differences so that fixed-point configurations
     (every joined pair coincident) give an exactly zero gradient.
     """
-    state = PairwiseState(cfg, kernel, h)
+    state = PairwiseState(cfg, kernel, h, {"moments"})
     return GradientResult(state.gradient(), state.boundary_hit)
 
 
@@ -160,7 +160,7 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
         raise ValueError(
             f"shape mismatch: {cfg_next.points.shape} vs {cfg.points.shape}"
         )
-    return PairwiseState(cfg, kernel, h).minorizer_gap(cfg_next)
+    return PairwiseState(cfg, kernel, h, {"gap"}).minorizer_gap(cfg_next)
 
 
 @dataclass(frozen=True)
@@ -216,15 +216,19 @@ class BmsRun:
 
 
 def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
-             on_step: Callable[[int, PairwiseState, Configuration, float], None]
-             ) -> tuple[Configuration, str, int]:
+             on_step: Callable[[int, PairwiseState, Configuration, float], None],
+             reads=frozenset()) -> tuple[Configuration, str, int]:
     """The iteration loop and its stop rule; returns ``(final, stop_reason, T)``.
 
     Step ``t`` calls ``on_step(t, state, nxt, max_move)`` with the pairwise
     state of the current configuration, its blurred image and the largest
     point move; ``T`` is the number of steps.  Observers must not keep the
-    state: it is released before the next one is built.  The ``blurshift``
-    logger gets a start and a stop summary at DEBUG.
+    state: it is released before the next one is built.  ``reads`` names
+    the sums beyond the update and the objective that ``on_step`` reads
+    (``"moments"``, ``"gap"``), so that a full-support state fills them in
+    its constructor's pass, with the update, instead of one more pass
+    each; it moves no bit.  The ``blurshift`` logger gets a start and a
+    stop summary at DEBUG.
     """
     if stop is None:
         stop = StopRule()
@@ -234,7 +238,7 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     move_tol = stop.move_tol
     result = None
     for t in range(1, stop.max_iter + 1):
-        state = PairwiseState(cfg, kernel, h)
+        state = PairwiseState(cfg, kernel, h, {"update", *reads})
         if move_tol is None:  # 1e-12 x the initial diameter
             move_tol = 1e-12 * state.diameter
         nxt = Configuration.from_points(state.update())

@@ -138,7 +138,7 @@ def is_fixed_point(cfg, kernel: KernelSpec, h: float, tol: float = 0.0) -> bool:
     """
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    return PairwiseState(cfg, kernel, h).is_fixed_point(tol)
+    return PairwiseState(cfg, kernel, h, {"moments"}).is_fixed_point(tol)
 
 
 def graph_to_json(graph: BmsGraph) -> dict:

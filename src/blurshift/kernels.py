@@ -152,8 +152,8 @@ def _cosine_g(u):
 
 
 def _gaussian_profile(u):
-    # exp(-u) in one temporary: the dense path evaluates it on every chunk
-    # of rows of its weight array
+    # exp(-u) in one temporary: the dense paths evaluate it on every chunk
+    # of j-rows of their weights
     out = np.negative(np.asarray(u, dtype=float))
     return np.exp(out, out=out) if isinstance(out, np.ndarray) else np.exp(out)
 

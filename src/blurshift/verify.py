@@ -214,7 +214,8 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
-    final, stop_reason, T = _iterate(points, kernel, h, stop, on_step)
+    reads = {"gap", "moments"} if smooth else {"gap"}
+    final, stop_reason, T = _iterate(points, kernel, h, stop, on_step, reads)
     state = PairwiseState(final, kernel, h)  # closes the last step
     close(state.objective, state.diameter)
     if stop_reason == STOP_EXACT_FIXED_POINT:
@@ -223,7 +224,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     fuzz_mismatches = 0
     rng = np.random.default_rng(seed)
     for _ in range(fuzz):
-        probe = PairwiseState(_fuzz_configuration(rng, kernel, h), kernel, h)
+        probe = PairwiseState(_fuzz_configuration(rng, kernel, h), kernel, h, {"moments"})
         fixed = probe.is_fixed_point(tol=1e-12 * max(probe.diameter, h))
         if fixed != probe.singular:
             fuzz_mismatches += 1

@@ -153,6 +153,16 @@ class TestCliCommands:
         assert len(lines) == 4
         assert json.loads(lines[0])["t"] == 1
 
+    @pytest.mark.parametrize("h", ["-1", "1e200"])
+    def test_failed_trace_leaves_no_output(self, blob_csv, tmp_path, capsys, h):
+        # an empty trace would read as a valid zero-step run
+        trace = tmp_path / "t.jsonl"
+        code = main(["trace", "--input", str(blob_csv), "--kernel", "gaussian",
+                     "--h", h, "--out", str(trace)])
+        assert code == 2
+        assert "bandwidth" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_verify_command_passes(self, blob_csv, tmp_path, capsys):
         report = tmp_path / "report.json"
         code = main(["verify", "--input", str(blob_csv), "--kernel", "epanechnikov",

@@ -269,11 +269,16 @@ def _assert_state_equals_full_rows(pts, kernel, h, moved):
     state = PairwiseState(pts, kernel, h)
     # every point is bitwise its group's row, signed zeros included
     assert state.distinct.expand(state.distinct.rows).tobytes() == state.cfg.points.tobytes()
-    # exactly one representation: the dense weights (distinct row r in
-    # column r) or the edge list (distinct row r in row r)
-    assert (state.graph is None) != (state.weights is None)
-    rows = state.weights.T if state.graph is None else state.graph.toarray()
-    assert state.distinct.expand(rows).tobytes() == want["graph"].tobytes()
+    if kernel.truncated:
+        # exactly one representation: the dense weights (distinct row r in
+        # column r) or the edge list (distinct row r in row r)
+        assert (state.graph is None) != (state.weights is None)
+        rows = state.weights.T if state.graph is None else state.graph.toarray()
+        assert state.distinct.expand(rows).tobytes() == want["graph"].tobytes()
+    else:
+        # no weight array: the update, moments, objective and gap below
+        # pin the weights bit for bit
+        assert state.graph is None and state.weights is None
     for name in ("objective", "margin", "diameter", "component_diameter"):
         assert _bits(getattr(state, name)) == _bits(want[name]), name
     for name in ("boundary_hit", "closed", "singular"):
@@ -356,6 +361,38 @@ def test_isolated_tricube_group_stays_apart():
         assert len(set(state.labels[n - 10:])) == 10
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_full_support_reads_move_no_bit(data):
+    # the sums a full-support state's constructor fills because its caller
+    # reads them equal the extra passes that compute them otherwise
+    kernel = bs.builtin(data.draw(st.sampled_from(["cauchy", "gaussian", "logistic"]),
+                                  label="kernel"))
+    n = data.draw(st.sampled_from([1, 2, 129, 300]), label="n")
+    d = data.draw(st.sampled_from([1, 3]), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sites, h = _sites(rng, d, data.draw(st.integers(0, 5), label="random sites"))
+    pts = sites[rng.integers(0, len(sites), size=n)]
+    loose = data.draw(st.integers(0, n), label="points off the sites")
+    pts[rng.integers(0, n, size=loose)] = rng.uniform(-1.5, 1.5, size=(loose, d))
+    if data.draw(st.booleans(), label="one position"):
+        pts[:] = pts[0]  # a == 1: the lone column's zero twin
+    moved = pts + rng.normal(scale=1e-3, size=pts.shape)
+    read = PairwiseState(pts, kernel, h, reads={"update", "moments", "gap"})
+    plain = PairwiseState(pts, kernel, h)
+    filled = (read._update, read._moments, read._gap_before)
+    assert not any(value is None for value in filled)
+    assert all(value is None for value in (plain._update, plain._moments, plain._gap_before))
+    assert read.update().tobytes() == plain.update().tobytes()
+    assert _bits(read.objective) == _bits(plain.objective)
+    assert read.moments().tobytes() == plain.moments().tobytes()
+    assert read.gradient().tobytes() == plain.gradient().tobytes()
+    for tol in (0.0, 1e-12 * max(plain.diameter, h)):
+        assert read.is_fixed_point(tol) == plain.is_fixed_point(tol)
+    assert _bits(read.minorizer_gap(moved)) == _bits(plain.minorizer_gap(moved))
+    assert _bits(read.minorizer_gap(pts)) == _bits(plain.minorizer_gap(pts)) == _bits(0.0)
+
+
 @st.composite
 def _symmetric_graphs(draw):
     a = draw(st.integers(1, 128), label="a")
@@ -430,17 +467,18 @@ def test_truncated_run_bms_peak_below_one_dense_matrix():
         < n * n * 8
 
 
-def test_dense_peak_below_one_and_a_half_weight_matrices():
-    # a full-support kernel holds its n x a weight array and streams every
-    # j-sum, the minorizer gap's included, over chunks of its rows
+def test_full_support_peak_below_four_mib():
+    # a full-support state holds no weight array: every sum, the minorizer
+    # gap's included, streams over chunks of j-rows, so the peak is
+    # O(n d) plus one chunk per sum, far below one n x n array (30.5 MiB)
     n = 2000
     pts = _four_blobs(n)
     kernel = bs.builtin("gaussian")
     bs.run_verify(pts[:200], kernel, 0.5, stop=StopRule(max_iter=1))  # warm-up
     assert _traced_peak(lambda: run_bms(pts, kernel, 0.5, stop=StopRule(max_iter=2))) \
-        < 1.5 * n * n * 8
+        < 4 * 2**20
     assert _traced_peak(lambda: bs.run_verify(pts, kernel, 0.5, stop=StopRule(max_iter=1))) \
-        < 1.5 * n * n * 8
+        < 4 * 2**20
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
