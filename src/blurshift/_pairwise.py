@@ -15,15 +15,18 @@ points have bitwise-equal rows of distances and weights, so every row is
 computed once per distinct position, against all n points, and read back
 through the point-to-position map where a point row is needed.
 
-A full-support kernel joins every pair and holds no weight array: one
-pass over chunks of j-rows (a distinct positions wide) computes each
-chunk's weights and adds it into every sum the caller reads, so its memory
-is O(n d) plus one chunk per sum.  A sum read later costs one more pass
-that computes the same chunks again.  A truncated kernel whose a x n pairs
-fit in one block keeps its n x a weight array, zeros included.  A larger
-truncated state keeps only its edges, the pairs with ``g_ij != 0``, as a
-row-major CSR list built in one pass over row blocks of the distances, so
-no n x n array is allocated.
+Every state is built in one pass over chunks of j-rows (a distinct
+positions wide).  Each chunk gives its largest squared distance, its
+objective terms and its weights, and a truncated kernel's chunk also its
+boundary margin, boundary hit and largest joined squared distance.  Only
+what the state keeps depends on the kernel and the size.  A full-support
+state keeps nothing, and a truncated state whose a x n pairs fit in one
+block keeps only its join bits: both add each chunk into every sum the
+caller reads, so their memory is O(n d) plus one chunk per sum, and a sum
+read later costs one more pass that computes the same chunks again.  A
+larger truncated state keeps its edges, the pairs with ``g_ij != 0``,
+appended chunk by chunk as a j-major CSR list, so no n x n array is
+allocated.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -41,10 +44,11 @@ from scipy.sparse.csgraph import connected_components
 from .config import as_configuration, check_bandwidth, pairwise_sqdist, profile_args
 from .kernels import KernelSpec, TruncationClass
 
-# Entries per block of the pairwise temporaries: the truncated scan's row
-# blocks of distances and each slab of the dense paths' chunks of j-rows
-# (at least 8 rows).  Bounds each at about 128 KiB of float64 whatever the
-# size.  A truncated state whose pairs fit in one block takes the dense path.
+# Entries per block of the pairwise temporaries: the row blocks of
+# distances and each slab of a full-support state's chunks of j-rows (at
+# least 8 rows); a truncated state's chunk holds at most two blocks over
+# all its slabs.  Bounds each at about 128 KiB of float64 whatever the
+# size.  A truncated state whose pairs fit in one block keeps no edge list.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -54,20 +58,22 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + rows, n))
 
 
-def _ascending_j(n: int, width: int, slabs: int, fill) -> np.ndarray:
+def _ascending_j(n: int, width: int, slabs: int, fill,
+                 entries: int = _BLOCK_ENTRIES) -> np.ndarray:
     """``sum_j t[s, j, c]`` for every slab s and column c of a
     (slabs, n, width) array of terms, in ascending j from ``+0.0``, without
     holding that array.
 
     ``fill(rows, out)`` writes the terms of the j-rows ``rows`` into the
-    (slabs, len(rows), width) array ``out``.  Each slab's chunk of rows is
-    written below its accumulator row, so every slab is one contiguous
-    block, and reduced over its rows, which numpy does one row at a time.
-    A lone column gets a zero twin, since numpy sums one contiguous column
-    pairwise.
+    (slabs, len(rows), width) array ``out``, in chunks of about ``entries``
+    entries per slab.  Each slab's chunk of rows is written below its
+    accumulator row, so every slab is one contiguous block, and reduced
+    over its rows, which numpy does one row at a time, so the chunk size
+    moves no bit.  A lone column gets a zero twin, since numpy sums one
+    contiguous column pairwise.
     """
     cols = max(2, width)
-    step = max(8, _BLOCK_ENTRIES // cols)
+    step = max(8, entries // cols)
     buf = np.zeros((slabs, min(step, n) + 1, cols))
     acc = np.zeros((slabs, cols))
     for start in range(0, n, step):
@@ -242,13 +248,13 @@ class _EdgeBuffer:
         return self.arrays
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, counts: np.ndarray, n: int) -> csr_array:
+def _csr(data: np.ndarray, indices: np.ndarray, counts: np.ndarray, width: int) -> csr_array:
     # indptr of indices' dtype, so scipy keeps both arrays as they are
     rows = counts.size
     dtype = np.int32 if indices.size <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(rows + 1, dtype=dtype)
     np.cumsum(counts, out=indptr[1:])
-    return csr_array((data, indices.astype(dtype, copy=False), indptr), shape=(rows, n))
+    return csr_array((data, indices.astype(dtype, copy=False), indptr), shape=(rows, width))
 
 
 def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
@@ -291,42 +297,42 @@ def _ascending_total(row_sums: np.ndarray) -> float:
 
 
 def _rows_of_edges(graph: csr_array) -> np.ndarray:
-    # the row of every edge (intp: gathers and bincount take it as it is)
+    # the row of every edge (intp: gathers take it as it is)
     counts = np.diff(graph.indptr)
     return np.repeat(np.arange(counts.size), counts)
 
 
-def _row_sums(rows: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
-    # bincount adds the terms in edge order: ascending j within a row, one
-    # at a time from +0.0
-    return np.bincount(rows, weights=terms, minlength=count)
+def _column_sums(cols: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
+    # bincount adds the terms in edge order: on a j-major list, ascending j
+    # within a column, one at a time from +0.0
+    return np.bincount(cols, weights=terms, minlength=count)
 
 
-def _edge_differences(rows: np.ndarray, cols: np.ndarray, row_values: np.ndarray,
+def _edge_differences(cols: np.ndarray, rows: np.ndarray, col_values: np.ndarray,
                       values: np.ndarray) -> np.ndarray:
-    # row_values[row] - values[col] for every edge.  The column gather goes
+    # col_values[col] - values[row] for every edge.  The column gather goes
     # first: it copies the int32 columns to intp, and that copy is freed
     # before the row gather's temporary exists.
-    diff = values[cols]
-    np.subtract(row_values[rows], diff, out=diff)
+    diff = col_values[cols]
+    np.subtract(diff, values[rows], out=diff)
     return diff
 
 
-def _weighted_row_sums(graph: csr_array, rows: np.ndarray, row_points: np.ndarray,
-                       points: np.ndarray) -> np.ndarray:
-    # sum_j g_ij ||p_i - p_j||^2 for every row i of graph (``rows`` is
-    # _rows_of_edges(graph)), with p_i = row_points[i] and p_j = points[j], each
-    # squared distance summed over coordinates in pairwise_sqdist's order
+def _weighted_column_sums(graph: csr_array, rows: np.ndarray, col_points: np.ndarray,
+                          points: np.ndarray) -> np.ndarray:
+    # sum_j g_jc ||q_c - p_j||^2 for every column c of graph (``rows`` is
+    # _rows_of_edges(graph)), with q_c = col_points[c] and p_j = points[j],
+    # each squared distance summed over coordinates in pairwise_sqdist's order
     cols = graph.indices
-    total = _edge_differences(rows, cols, row_points[:, 0], points[:, 0])
+    total = _edge_differences(cols, rows, col_points[:, 0], points[:, 0])
     total *= total
     for k in range(1, points.shape[1]):
-        term = _edge_differences(rows, cols, row_points[:, k], points[:, k])
+        term = _edge_differences(cols, rows, col_points[:, k], points[:, k])
         term *= term
         total += term
         del term  # freed before the next coordinate's temporaries
     total *= graph.data
-    return _row_sums(rows, total, graph.shape[0])
+    return _column_sums(cols, total, graph.shape[1])
 
 
 class PairwiseState:
@@ -339,45 +345,36 @@ class PairwiseState:
     its group's row, so the values read back through ``distinct.inv`` are
     the ones a full n x n evaluation gives.
 
-    A full-support kernel joins every pair and holds no weight array.  Its
-    constructor makes one pass over chunks of j-rows (see
-    :func:`_ascending_j`): each chunk's squared distances against the a
-    distinct rows are written into a weight slab (their largest is taken)
-    and turned into weights in place, and the chunk is added into the
-    objective's row sums (for gaussian, the weights' own sums) and into
-    the sums named in ``reads``: ``"update"``, the update's denominator
-    and numerators; ``"moments"``; and ``"gap"``, the minorizer gap's
-    pre-step row sums, taken as distances times weights before the
-    distances are overwritten.  A sum not read in the pass costs one more
-    pass that computes the same weight chunks again, bit for bit; the
-    gap's post-step term always does.  So a full-support state holds
-    O(n d) plus one chunk per sum, and ``reads`` moves no bit.
+    The constructor makes one pass over chunks of j-rows (see
+    :func:`_ascending_j`), whatever the kernel.  Each chunk's squared
+    distances against the a distinct rows give their largest value, and
+    are turned into the objective's terms and the weights (the weights are
+    exactly symmetric, so the weight of j-row j in column r is ``g_rj``).
+    A truncated kernel's chunks also give the boundary margin, the
+    boundary hit, the largest squared distance of a joined pair (zero when
+    the graph is singular) and the degrees.  The objective's row sums are
+    summed in the pass.  What else the state keeps depends on the kernel
+    and the size:
 
-    A truncated kernel whose a x n pairs fit in one block
-    (``_BLOCK_ENTRIES``) keeps every weight, in the (n, a) array
-    ``weights`` whose column r holds distinct row r's weights against the
-    n points (the weights are exactly symmetric, so ``weights[j, r]`` is
-    ``g_rj``).  Its constructor builds that array in the same chunks and
-    its sums read them.  The same pass gives the objective's row sums, the
-    boundary margin, the boundary hit and the largest squared distance of
-    a joined pair (zero when the graph is singular); the degrees and
-    self-loops are the nonzero weights, and the components come from
-    :func:`small_component_labels` over the a x a adjacency of the
-    distinct positions.
+    * a full-support state keeps nothing: it joins every pair;
+    * a truncated state whose a x n pairs fit in one block
+      (``_BLOCK_ENTRIES``) keeps the (n, a) join bits ``g != 0``; its
+      components come from :func:`small_component_labels` over the a x a
+      adjacency of the distinct positions;
+    * a larger truncated state keeps its edges, the pairs with
+      ``g_ij != 0`` (the diagonal included where ``g(0) != 0``), as the
+      j-major CSR array ``graph`` with n rows and a columns (int32 column
+      indices, the weights as its data).  Its components, update, moments
+      and minorizer gap read only them.
 
-    A larger truncated state is handled in one pass over row blocks of the
-    squared distances.  Each block gives the largest squared distance, the
-    boundary margin, the boundary hit, the largest squared distance of a
-    joined pair, the objective's row sums and the block's edges: the pairs
-    with ``g_ij != 0`` (the diagonal included where ``g(0) != 0``).  The
-    edges are kept as the row-major CSR array ``graph`` with one row per
-    distinct position and n columns (int32 column indices, the weights as
-    its data); the components, classification, update, moments and
-    minorizer gap read only them.
-
-    A truncated state sets exactly one of ``weights`` and ``graph``; a
-    full-support state sets neither.  ``reads`` changes nothing for a
-    truncated state.
+    The first two kinds hold no weight array.  Their pass adds every chunk
+    into the sums named in ``reads``: ``"update"``, the update's
+    denominator and numerators; ``"moments"``; and ``"gap"``, the
+    minorizer gap's pre-step row sums, taken as distances times weights.
+    A sum not read in the pass costs one more pass that computes the same
+    weight chunks again, bit for bit; the gap's post-step term always
+    does.  So such a state holds O(n d), the join bits, and one chunk per
+    sum, and ``reads`` moves no bit.  An edge-list state ignores ``reads``.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -387,19 +384,18 @@ class PairwiseState:
     and every d; the objective and the gap then add their row sums in
     ascending i from ``+0.0``.  Such a sum never becomes ``-0.0``, so a
     truncated kernel skipping the pairs with a zero term leaves its bits
-    as they are, and both representations of a truncated state give the
-    same bits.  Every j-sum runs over the n points, not over the distinct
-    positions, so the grouping changes no bit.
+    as they are, and the edge list gives the chunks' bits.  Every j-sum
+    runs over the n points, not over the distinct positions, so the
+    grouping changes no bit.
 
     Raises ``ValueError`` for an out-of-range bandwidth and when the
     largest squared distance overflows to inf.
     """
 
-    weights: np.ndarray | None = None
     graph: csr_array | None = None
-    # what a full-support state's pass filled because ``reads`` named it:
-    # the update's denominator and numerators, the moments and the gap's
-    # pre-step total
+    _joins: np.ndarray | None = None
+    # what the pass filled because ``reads`` named it: the update's
+    # denominator and numerators, the moments and the gap's pre-step total
     _update: tuple[np.ndarray, np.ndarray] | None = None
     _moments: np.ndarray | None = None
     _gap_before: float | None = None
@@ -410,12 +406,7 @@ class PairwiseState:
         self.kernel = kernel
         self.n = self.cfg.n
         self.distinct = DistinctRows(self.cfg.points)
-        if not kernel.truncated:
-            self._stream_sums(reads)
-        elif self.distinct.a * self.n > _BLOCK_ENTRIES:
-            self._scan_edges()
-        else:
-            self._dense_weights()
+        self._pass(reads)
         self.diameter = math.sqrt(self.max_sqdist)
 
     def _hits_boundary(self, u: np.ndarray) -> bool:
@@ -427,30 +418,64 @@ class PairwiseState:
             and np.any(u == kernel.boundary_u)
         )
 
-    def _stream_sums(self, reads) -> None:
-        kernel, d = self.kernel, self.cfg.d
-        y, at = self.cfg.points, self.distinct.rows
-        update, moments, gap = ("update" in reads, "moments" in reads, "gap" in reads)
-        # slabs: the weights (the denominator's terms), the objective's
-        # terms unless they are the weights (gaussian), then the d
-        # numerators, the d moments and the gap's pre-step terms when read
-        shared = kernel.profile is kernel.g
-        obj = 0 if shared else 1
+    def _pass(self, reads) -> None:
+        kernel, h, n, d = self.kernel, self.h, self.n, self.cfg.d
+        y, at, a = self.cfg.points, self.distinct.rows, self.distinct.a
+        truncated = kernel.truncated
+        listed = truncated and a * n > _BLOCK_ENTRIES
+        update, moments, gap = (not listed and name in reads
+                                for name in ("update", "moments", "gap"))
+        # slabs: the weights (the denominator's terms) unless the edges are
+        # listed, the objective's terms unless they are the weights
+        # (gaussian), then the d numerators, the d moments and the gap's
+        # pre-step terms when read
+        shared = not listed and kernel.profile is kernel.g
+        obj = 0 if listed or shared else 1
         num = obj + 1
         mom = num + d * update
         pre = mom + d * moments
-        self.max_sqdist = 0.0
+        self.max_sqdist, self._joined_max = 0.0, 0.0
         # a full-support kernel has no boundary, so these stay as they are
         self.margin, self.boundary_hit = math.inf, False
+        if truncated:
+            own = self.distinct.points_of(slice(0, a))
+            self._degree = np.zeros(a, dtype=np.intp)  # joins i != j per distinct row
+        if listed:
+            counts, edges = np.empty(n, dtype=np.intp), _EdgeBuffer()
+        elif truncated:
+            self._joins = np.empty((n, a), dtype=bool)
 
         def fill(rows, out):
-            w = out[0]
+            w = None if listed else out[0]
             sqd = pairwise_sqdist(y[rows], at, out=out[pre] if gap else w)
             self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
-            u = profile_args(sqd, self.h, out=w)
+            if truncated:
+                # the distinct rows whose own point is a j-row here (own ascends)
+                inside = np.arange(*np.searchsorted(own, (rows.start, rows.stop)))
+                skip = (own[inside] - rows.start, inside)  # the pairs i == j
+                self.margin = min(self.margin, _block_margin(sqd, skip, kernel.beta * h))
+            # a full-support kernel reads no distance again, so in place
+            u = profile_args(sqd, h, out=None if truncated else w)
+            if truncated:
+                self.boundary_hit = self.boundary_hit or self._hits_boundary(u)
             if not shared:
                 out[obj] = kernel.profile(u)
-            w[...] = kernel.g(u)
+            g = kernel.g(u)
+            del u
+            if truncated:
+                joined = g != 0.0
+                row, cols, flat = _nonzero_by_row(joined)
+                self._joined_max = max(self._joined_max,
+                                       float(np.max(sqd.ravel()[flat], initial=0.0)))
+                self._degree += np.bincount(cols, minlength=a)
+                self._degree[inside] -= joined[skip]
+                if listed:
+                    counts[rows] = np.bincount(row, minlength=rows.stop - rows.start)
+                    edges.append(cols, g.ravel()[flat])
+                    return
+                self._joins[rows] = joined
+            w[...] = g
+            del g  # off the peak of the sums' terms
             if update:
                 self._numerator_terms(rows, w, out[num:mom])
             if moments:
@@ -458,7 +483,11 @@ class PairwiseState:
             if gap:
                 out[pre] *= w
 
-        sums = _ascending_j(self.n, self.distinct.a, pre + gap, fill)
+        # a truncated chunk's temporaries (margin, joins, edges) come on top
+        # of its slabs, so its slabs share two blocks, a lone slab one
+        slabs = pre + gap
+        per_slab = min(_BLOCK_ENTRIES, 2 * _BLOCK_ENTRIES // slabs)
+        sums = _ascending_j(n, a, slabs, fill, per_slab if truncated else _BLOCK_ENTRIES)
         self.objective = _ascending_total(self.distinct.expand(sums[obj]))
         if update:
             self._update = sums[0], np.ascontiguousarray(sums[num:mom].T)
@@ -466,75 +495,20 @@ class PairwiseState:
             self._moments = np.ascontiguousarray(sums[mom:pre].T)
         if gap:
             self._gap_before = _ascending_total(self.distinct.expand(sums[pre]))
+        if listed:
+            indices, weights = edges.trimmed()
+            self.graph = _csr(weights, indices, counts, a)
+        if not truncated:  # every pair is joined
+            self._joined_max = self.max_sqdist
 
-    def _dense_weights(self) -> None:
-        a = self.distinct.a
-        self.weights = np.empty((self.n, a))
-        self.max_sqdist, self._joined_max = 0.0, 0.0
-        self.margin, self.boundary_hit = math.inf, False
-        row_sums = _ascending_j(self.n, a, 1, self._truncated_terms)[0]
-        joins = self.weights != 0.0
-        own = self.distinct.points_of(slice(0, a))
-        self._degree = np.count_nonzero(joins, axis=0) - joins[own, np.arange(a)]
-        self.objective = _ascending_total(self.distinct.expand(row_sums))
-
-    def _truncated_terms(self, rows: slice, out: np.ndarray) -> None:
-        # the objective's terms of the j-rows ``rows`` into out[0], their
-        # squared distances written into the weights and turned into
-        # weights in place, and their largest squared distance, margin,
-        # boundary hit and largest joined squared distance
-        kernel = self.kernel
-        block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows,
-                                out=self.weights[rows])
-        self.max_sqdist = max(self.max_sqdist, _checked_max(block))
-        own = self.distinct.points_of(slice(0, self.distinct.a))
-        inside = np.flatnonzero((own >= rows.start) & (own < rows.stop))
-        self.margin = min(self.margin, _block_margin(
-            block, (own[inside] - rows.start, inside), kernel.beta * self.h))
-        u = profile_args(block, self.h)
-        self.boundary_hit = self.boundary_hit or self._hits_boundary(u)
-        out[0] = kernel.profile(u)
-        g = kernel.g(u)
-        self._joined_max = max(self._joined_max, float(np.max(block[g != 0.0], initial=0.0)))
-        block[...] = g
-
-    def _scan_edges(self) -> None:
-        points, n, kernel = self.cfg.points, self.n, self.kernel
-        rows_at, a = self.distinct.rows, self.distinct.a
-        radius = kernel.beta * self.h
-        largest, margin, hit, joined = 0.0, math.inf, False, 0.0
-        row_sums = np.empty(a)
-        counts = np.empty(a, dtype=np.intp)
-        loops = np.empty(a, dtype=bool)
-        edges = _EdgeBuffer()
-        for rows in _row_blocks(a, n):
-            size = rows.stop - rows.start
-            own = self.distinct.points_of(rows)
-            sqd = pairwise_sqdist(rows_at[rows], points)
-            largest = max(largest, _checked_max(sqd))
-            margin = min(margin, _block_margin(sqd, (np.arange(size), own), radius))
-            u = profile_args(sqd, self.h)
-            hit = hit or self._hits_boundary(u)
-            # the objective's terms in support, summed per row in ascending j
-            k = kernel.profile(u)
-            row, _, flat = _nonzero_by_row(k != 0.0)
-            row_sums[rows] = np.bincount(row, weights=k.ravel()[flat], minlength=size)
-            del k, row, flat  # off the peak of the edges' temporaries
-            g = kernel.g(u)
-            del u
-            row, cols, flat = _nonzero_by_row(g != 0.0)
-            counts[rows] = np.bincount(row, minlength=size)
-            loops[rows] = g[np.arange(size), own] != 0.0
-            edges.append(cols, g.ravel()[flat])
-            joined = max(joined, float(np.max(sqd.ravel()[flat], initial=0.0)))
-        self.max_sqdist = largest
-        self.margin = margin
-        self.boundary_hit = hit
-        self.objective = _ascending_total(self.distinct.expand(row_sums))
-        indices, weights = edges.trimmed()
-        self.graph = _csr(weights, indices, counts, n)
-        self._degree = counts - loops  # edges i != j of each row
-        self._joined_max = joined  # largest squared distance of an edge
+    def joined_rows(self) -> np.ndarray:
+        """A new (a, n) boolean array whose row r marks the points joined to
+        distinct row r: ``g != 0``, or every point for a full-support kernel."""
+        if not self.kernel.truncated:
+            return np.ones((self.distinct.a, self.n), dtype=bool)
+        if self.graph is None:
+            return self._joins.T.copy()
+        return self.graph.T.toarray() != 0.0
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -549,12 +523,11 @@ class PairwiseState:
         # g(0) != 0.  Where g(0) = 0 (tricube) a group with no edge at all
         # is not joined, so its points stay apart.
         if self.graph is None:
-            joins = self.weights if distinct.inv is None else self.weights[distinct.first]
-            labels = distinct.expand(small_component_labels(joins != 0.0))
-        elif distinct.inv is None:
-            labels = component_labels(self.graph)
+            joins = self._joins if distinct.inv is None else self._joins[distinct.first]
+            labels = distinct.expand(small_component_labels(joins))
         else:
-            labels = component_labels(self.graph[:, distinct.first])[distinct.inv]
+            graph = self.graph if distinct.inv is None else self.graph[distinct.first]
+            labels = distinct.expand(component_labels(graph))
         if distinct.inv is not None:
             apart = np.flatnonzero((self._degree[distinct.inv] == 0)
                                    & (distinct.first[distinct.inv] != np.arange(self.n)))
@@ -585,8 +558,6 @@ class PairwiseState:
     @cached_property
     def singular(self) -> bool:
         """Every joined pair of points coincides exactly."""
-        if not self.kernel.truncated:
-            return self.max_sqdist == 0.0
         return self._joined_max == 0.0
 
     def stable(self, stability_tol: float | None = None) -> bool:
@@ -610,10 +581,8 @@ class PairwiseState:
         return _rows_of_edges(self.graph)
 
     def _weight_rows(self, rows: slice) -> np.ndarray:
-        # the weights of the j-rows ``rows``: the held array's, or a
-        # full-support state's computed again as its constructor's pass did
-        if self.weights is not None:
-            return self.weights[rows]
+        # the weights of the j-rows ``rows``, computed again as the
+        # constructor's pass did
         block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
         return self.kernel.g(profile_args(block, self.h, out=block))
 
@@ -627,21 +596,20 @@ class PairwiseState:
 
     def _numerator_terms(self, rows: slice, w: np.ndarray, out: np.ndarray) -> None:
         # w_jr y_jk of every coordinate k into out[k]
-        y = self.cfg.points
-        for k in range(self.cfg.d):
-            np.multiply(w, y[rows, k, None], out=out[k])
+        np.multiply(w, self.cfg.points[rows].T[:, :, None], out=out)
 
     def _moment_terms(self, rows: slice, w: np.ndarray, out: np.ndarray) -> None:
         # w_jr (y_rk - y_jk) of every coordinate k into out[k]
-        y, at = self.cfg.points, self.distinct.rows
-        for k in range(self.cfg.d):
-            np.subtract(at[None, :, k], y[rows, k, None], out=out[k])
-            out[k] *= w
+        np.subtract(self.distinct.rows.T[:, None, :], self.cfg.points[rows].T[:, :, None],
+                    out=out)
+        out *= w
 
     def _update_sums(self) -> tuple[np.ndarray, np.ndarray]:
         # the denominator and the numerators, one row per distinct position
         if self.graph is not None:
-            return self.graph @ np.ones(self.n), self.graph @ self.cfg.points
+            # scipy's CSC matvec adds each column's edges in ascending j
+            by_column = self.graph.T
+            return by_column @ np.ones(self.n), by_column @ self.cfg.points
         if self._update is not None:
             return self._update
 
@@ -654,8 +622,8 @@ class PairwiseState:
 
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the
-        class docstring's contract says (for an edge list, ``graph @ y`` over
-        ``graph @ 1``), once per distinct position.
+        class docstring's contract says (for an edge list, ``graph.T @ y``
+        over ``graph.T @ 1``), once per distinct position.
 
         Raises ``ValueError`` when a point's weights sum to zero, which a
         kernel with ``g(0) = 0`` gives a point or a group of coincident
@@ -681,9 +649,9 @@ class PairwiseState:
         rows, cols, a = self._edge_rows, self.graph.indices, self.distinct.a
         out = np.empty_like(at)
         for k in range(self.cfg.d):
-            term = _edge_differences(rows, cols, at[:, k], y[:, k])
+            term = _edge_differences(cols, rows, at[:, k], y[:, k])
             term *= self.graph.data
-            out[:, k] = _row_sums(rows, term, a)
+            out[:, k] = _column_sums(cols, term, a)
             del term  # freed before the next coordinate's temporaries
         return out
 
@@ -710,9 +678,9 @@ class PairwiseState:
         # distinct row groups[c] (default: r = c)
         if self.graph is not None:
             if groups is None:
-                return _weighted_row_sums(self.graph, self._edge_rows, centres, points)
-            graph = self.graph[groups]
-            return _weighted_row_sums(graph, _rows_of_edges(graph), centres, points)
+                return _weighted_column_sums(self.graph, self._edge_rows, centres, points)
+            graph = self.graph[:, groups]
+            return _weighted_column_sums(graph, _rows_of_edges(graph), centres, points)
 
         def terms(rows, out):
             w = self._weight_rows(rows)

@@ -55,6 +55,8 @@ def directional_extents(cfg, direction) -> tuple[float, float]:
     (summed over coordinates in ascending order)."""
     cfg = as_configuration(cfg)
     direction = np.asarray(direction, dtype=float)
+    if not np.all(np.isfinite(direction)):
+        raise ValueError(f"direction must be finite, got {direction.tolist()}")
     if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
     low, high = _extents(cfg.points, direction[None, :])
@@ -97,7 +99,8 @@ def diam_rate_check(d_t: float, d_t1: float, kernel: KernelSpec, h: float,
     """Check the per-step diameter contraction bound.
 
     Requires ``d_{t+1} <= (1 - g((d_t/h)^2/2) / (4 g(0))) * d_t`` up to the
-    slack.  Apply to the full configuration, or per component with the
+    slack.  Raises ``ValueError`` for a kernel with ``g(0) <= 0``.  Apply
+    to the full configuration, or per component with the
     component diameter when the graph is closed.
 
     ``abs_slack`` absorbs the floating-point drift of one update: the
@@ -108,8 +111,19 @@ def diam_rate_check(d_t: float, d_t1: float, kernel: KernelSpec, h: float,
     """
     if not d_t > 0:
         raise ValueError("d_t must be positive")
+    _require_positive_g0(kernel)
     factor = _contraction_factor(d_t, kernel, h)
     return d_t1 <= factor * d_t + rel_slack * d_t + abs_slack
+
+
+def _require_positive_g0(kernel: KernelSpec) -> None:
+    """Raise ``ValueError`` unless ``g(0) > 0``: the diameter contraction
+    factor and the verify constants divide by it (tricube has g(0) = 0)."""
+    if not kernel.g0 > 0:
+        raise ValueError(
+            f"kernel {kernel.id!r} has g(0) = {kernel.g0!r}; the contraction and "
+            f"verify constants divide by g(0), so they need g(0) > 0"
+        )
 
 
 def _contraction_factor(d_t: float, kernel: KernelSpec, h: float) -> float:

@@ -94,6 +94,8 @@ def ms_step(query, data, kernel: KernelSpec, h: float) -> np.ndarray:
     h = check_bandwidth(h)
     data = as_configuration(data)
     query = np.asarray(query, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(query)):
+        raise ValueError(f"query must be finite, got {query.tolist()}")
     if query.shape[0] != data.d:
         raise ValueError(f"query has dimension {query.shape[0]}, data has {data.d}")
     w = kernel.g(profile_args(pairwise_sqdist(query[None, :], data.points)[0], h))

@@ -64,12 +64,7 @@ def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
     zero in doubles.
     """
     state = PairwiseState(cfg, kernel, h)
-    if not kernel.truncated:
-        adjacency = np.ones((state.n, state.n), dtype=bool)
-    elif state.graph is None:  # the dense weights hold distinct row r in column r
-        adjacency = state.distinct.expand(state.weights.T != 0.0)
-    else:
-        adjacency = state.distinct.expand(state.graph.toarray() != 0.0)
+    adjacency = state.distinct.expand(state.joined_rows())
     np.fill_diagonal(adjacency, False)
     adjacency.setflags(write=False)
     return BmsGraph(state.n, adjacency, state.labels, state.components)

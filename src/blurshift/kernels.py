@@ -416,7 +416,9 @@ def kernel_from_descriptor(desc: dict) -> KernelSpec:
 
     Sampled profiles are interpolated piecewise-linearly; the weight
     function is minus the left slope of the interpolant.  Sampled kernels
-    must declare ``beta`` and ``class`` explicitly.
+    must declare ``beta`` and ``class`` explicitly.  The interpolant is
+    zero beyond the last sample, so ``class`` must be a truncated one and
+    ``beta`` finite and positive.
     """
     if "profile" in desc:
         return builtin(desc["profile"])
@@ -437,11 +439,15 @@ def kernel_from_descriptor(desc: dict) -> KernelSpec:
             f"unknown truncation class {desc['class']!r}; expected one of "
             f"{[t.value for t in TruncationClass]}"
         ) from None
-    beta = float(desc["beta"])
     if truncation is TruncationClass.NON_TRUNCATED:
-        beta = math.inf
-    elif not beta > 0:
-        raise ValueError("beta must be positive for truncated kernels")
+        raise ValueError(
+            "'class' cannot be 'non_truncated' for a sampled profile: it is zero "
+            "beyond its last sample, so the kernel is truncated"
+        )
+    beta = float(desc["beta"])
+    if not 0 < beta < math.inf:
+        raise ValueError(f"'beta' must be finite and positive for truncated kernels, "
+                         f"got {desc['beta']!r}")
     name = str(desc.get("id", "custom"))
     return _sampled_kernel(name, us, ks, beta, truncation)
 

@@ -21,6 +21,7 @@ from .diagnostics import (
     _contraction_factor,
     _extents,
     _nesting_overshoot,
+    _require_positive_g0,
     direction_set,
     float_step_allowance,
 )
@@ -145,12 +146,16 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     ``fuzz`` adds that many randomized fixed-point-versus-singularity
     cross-checks.  ``inject_descent`` deliberately corrupts one objective
     value so the harness itself can be tested for failure detection.
+
+    Raises ``ValueError`` for a kernel with ``g(0) <= 0`` (tricube, or a
+    sampled profile flat at 0): the checks' constants divide by ``g(0)``.
     """
     if directions < 1:
         raise ValueError(f"directions must be at least 1, got {directions}")
     if fuzz < 0:
         raise ValueError(f"fuzz must be non-negative, got {fuzz}")
     h = check_bandwidth(h)
+    _require_positive_g0(kernel)
 
     checks = [_Check(name) for name in (
         "objective_ascent", "minorizer_improvement", "minorizer_sandwich",

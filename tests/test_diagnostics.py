@@ -32,6 +32,11 @@ class TestExtents:
         with pytest.raises(ValueError):
             directional_extents([[0.0, 0.0]], [1.0, 1.0])
 
+    def test_non_finite_direction_rejected_by_name(self):
+        for bad in ([math.nan, 0.0], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="direction must be finite"):
+                directional_extents([[0.0, 0.0]], bad)
+
     def test_direction_count_below_one_rejected(self):
         for count in (0, -3):
             with pytest.raises(ValueError, match=f"direction count must be at least 1, got {count}"):
@@ -99,6 +104,11 @@ class TestDiameterRate:
     def test_requires_positive_diameter(self):
         with pytest.raises(ValueError):
             diam_rate_check(0.0, 0.0, GAUSS, 1.0)
+
+    def test_kernel_without_positive_g0_rejected_by_name(self):
+        # the contraction factor divides by g(0), which is 0 for tricube
+        with pytest.raises(ValueError, match=r"kernel 'tricube' has g\(0\) = 0\.0"):
+            diam_rate_check(1.0, 0.5, bs.builtin("tricube"), 1.0)
 
     def test_per_component_rate_on_closed_graphs(self):
         # once the graph is closed, each component contracts at least as

@@ -119,6 +119,14 @@ class TestMsStep:
         with pytest.raises(IsolatedQueryError):
             ms_step([50.0], [[0.0], [1.0]], EPA, 1.0)
 
+    def test_non_finite_query_rejected_by_name(self):
+        # not an isolated query: a NaN one would otherwise come back as NaN
+        for bad in ([math.nan, 0.0], [math.inf, 0.0]):
+            for kernel in (GAUSS, EPA):
+                with pytest.raises(ValueError, match="query must be finite") as info:
+                    ms_step(bad, [[0.0, 0.0], [1.0, 1.0]], kernel, 1.0)
+                assert not isinstance(info.value, IsolatedQueryError)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ms_step([0.0, 0.0], [[0.0], [1.0]], GAUSS, 1.0)

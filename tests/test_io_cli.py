@@ -174,6 +174,16 @@ class TestCliCommands:
         assert any(c["name"] == "objective_ascent" for c in payload["checks"])
         assert "verify: pass" in capsys.readouterr().out
 
+    def test_verify_tricube_is_a_usage_error(self, blob_csv, tmp_path, capsys):
+        # g(0) = 0: the checks' constants cannot be formed, which is not a
+        # failed check (exit 1)
+        report = tmp_path / "report.json"
+        code = main(["verify", "--input", str(blob_csv), "--kernel", "tricube",
+                     "--h", "0.6", "--report", str(report)])
+        assert code == 2
+        assert "kernel 'tricube' has g(0) = 0.0" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_verify_inject_descent_fails(self, blob_csv, tmp_path):
         code = main(["verify", "--input", str(blob_csv), "--kernel", "epanechnikov",
                      "--h", "0.6", "--inject-descent"])

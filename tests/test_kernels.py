@@ -236,6 +236,29 @@ class TestCustomKernels:
                 "beta": 1.0, "class": "nope",
             })
 
+    def test_non_truncated_class_rejected_for_samples(self):
+        # the interpolant is zero beyond the last sample, so a declared
+        # infinite support would contradict it
+        with pytest.raises(ValueError, match="'class' cannot be 'non_truncated'"):
+            bs.kernel_from_descriptor({
+                "samples": {"u": [0.0, 1.0, 2.0], "k": [1.0, 0.5, 0.25]},
+                "beta": 1.0, "class": "non_truncated",
+            })
+
+    def test_truncated_beta_must_be_finite_and_positive(self, tmp_path):
+        for beta in (math.inf, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="'beta' must be finite and positive"):
+                bs.kernel_from_descriptor({
+                    "samples": {"u": [0.0, 1.0], "k": [1.0, 0.0]},
+                    "beta": beta, "class": "smoothly_truncated",
+                })
+        # JSON parses 1e400 to inf
+        path = tmp_path / "kern.json"
+        path.write_text('{"samples": {"u": [0, 1], "k": [1, 0]}, "beta": 1e400, '
+                        '"class": "non_smoothly_truncated"}')
+        with pytest.raises(ValueError, match="'beta' must be finite and positive"):
+            bs.load_kernel_json(path)
+
     def test_bad_sample_grids_rejected(self):
         for u, k in ([[0.5, 1.0], [1.0, 0.0]], [[0.0], [1.0]], [[0.0, 0.0], [1.0, 0.0]]):
             with pytest.raises(ValueError):

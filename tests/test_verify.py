@@ -127,6 +127,15 @@ class TestOneDriver:
             with pytest.raises(ValueError, match=f"directions must be at least 1, got {count}"):
                 run_verify(pts, bs.builtin("epanechnikov"), 1.5, directions=count)
 
+    def test_kernel_without_positive_g0_rejected_by_name(self):
+        # the move-per-gradient and contraction constants divide by g(0)
+        flat = bs.kernel_from_descriptor({
+            "id": "flat-start", "samples": {"u": [0.0, 1.0, 2.0], "k": [1.0, 1.0, 0.0]},
+            "beta": 2.0, "class": "smoothly_truncated"})
+        for kernel in (bs.builtin("tricube"), flat):
+            with pytest.raises(ValueError, match=rf"kernel '{kernel.id}' has g\(0\) = -?0\.0"):
+                run_verify(blob_points(20), kernel, 1.5)
+
 
 # tracemalloc peak of run_verify at n=300 when it ran its own copy of the
 # iteration loop (measured at 8714ef6); keeping one more 300 x 300 float
