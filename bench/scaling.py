@@ -6,7 +6,12 @@ in one invocation.
 
 Each ``--tree LABEL=SRC`` names a ``src`` directory holding ``blurshift``;
 its records go under LABEL in the output file, and entries under other
-labels are kept.  Uses only the standard library, numpy and blurshift.
+labels are kept.  ``--only PATTERN`` (repeatable) runs only the cells whose
+label matches one of the shell-style patterns, such as
+``--only 'cluster/epanechnikov/*' --only fuzz/biweight``; a cell's label is
+``OP/KERNEL/n=N`` (``fuzz/KERNEL`` for the fuzz probes), and the ``cells``
+of each tree's ``setup`` list the labels it holds.  Uses only the standard
+library, numpy and blurshift.
 
 The grid is n in {500, 1000, 2000, 4000} points in d = 2, for one flat
 truncated kernel (epanechnikov) and one full-support kernel (gaussian), at
@@ -44,6 +49,7 @@ median peak.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import platform
@@ -150,6 +156,13 @@ def run_cell(cell: dict) -> dict:
 
 # --- the driver ---------------------------------------------------------------
 
+def label(cell: dict) -> str:
+    """``OP/KERNEL/n=N``, or ``fuzz/KERNEL`` for the fuzz probes."""
+    if cell["op"] == "fuzz":
+        return f"fuzz/{cell['kernel']}"
+    return f"{cell['op']}/{cell['kernel']}/n={cell['n']}"
+
+
 def cells() -> list[dict]:
     grid = [{"group": "records", "kernel": k, "n": n, "op": op}
             for k in KERNELS for n in SIZES for op in ("cluster", "verify")]
@@ -197,21 +210,21 @@ def record(cell: dict, runs: list[dict]) -> dict:
     return out
 
 
-def measure(trees: dict[str, str]) -> dict[str, dict]:
-    """Every cell on every tree, alternating, grouped by tree label."""
-    out = {label: {"records": [], "fixed_point_records": [], "fuzz_records": []}
-           for label in trees}
-    labels = list(trees)
-    for cell in cells():
-        runs = {label: [] for label in labels}
+def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
+    """Every cell of ``grid`` on every tree, alternating, grouped by tree."""
+    out = {tree: {"records": [], "fixed_point_records": [], "fuzz_records": []}
+           for tree in trees}
+    names = list(trees)
+    for cell in grid:
+        runs = {tree: [] for tree in names}
         for repeat in range(REPEATS):
-            for label in (labels if repeat % 2 == 0 else labels[::-1]):
+            for tree in (names if repeat % 2 == 0 else names[::-1]):
                 shares = repeat == 0 and cell["op"] == "fixed_point"
-                runs[label].append(spawn(trees[label], dict(cell, shares=shares)))
-        for label in labels:
-            rec = record(cell, runs[label])
-            out[label][cell["group"]].append(rec)
-            print(json.dumps({"tree": label, "op": cell["op"], **rec}), flush=True)
+                runs[tree].append(spawn(trees[tree], dict(cell, shares=shares)))
+        for tree in names:
+            rec = record(cell, runs[tree])
+            out[tree][cell["group"]].append(rec)
+            print(json.dumps({"tree": tree, "cell": label(cell), **rec}), flush=True)
     return out
 
 
@@ -220,6 +233,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
                         help="a source tree to measure, e.g. change=src (repeatable)")
     parser.add_argument("--out", type=Path, help="JSON file to update")
+    parser.add_argument("--only", action="append", metavar="PATTERN",
+                        help="run only the cells whose label matches (repeatable)")
     parser.add_argument("--cell", help=argparse.SUPPRESS)  # one cell, in a fresh interpreter
     args = parser.parse_args(argv)
     if args.cell is not None:
@@ -228,23 +243,26 @@ def main(argv=None) -> int:
     if not args.tree or args.out is None:
         parser.error("--tree (at least once) and --out are required")
     trees = dict(tree.split("=", 1) for tree in args.tree)
+    grid = [cell for cell in cells()
+            if args.only is None or any(fnmatch.fnmatchcase(label(cell), pattern)
+                                        for pattern in args.only)]
+    if not grid:
+        parser.error(f"no cell matches --only {args.only}")
 
     import scipy
 
     setup = {
         "points": "four Gaussian blobs, sigma 0.4, centres uniform in [-3, 3]^2, seed 0",
-        "sizes": list(SIZES), "d": 2, "h": H, "kernels": list(KERNELS),
-        "large": f"{LARGE[0]} cluster at n = {LARGE[1]}",
+        "cells": [label(cell) for cell in grid], "d": 2, "h": H,
         "step_budget": STEPS, "stop": f"StopRule(max_iter={STEPS})",
         "trees": list(trees),
         "wall": f"median and quartiles of {REPEATS} runs per tree, each in a fresh "
                 f"interpreter after a warm-up on {WARM_UP_N} points; the trees "
                 f"alternate per cell and the first tree alternates per repeat",
         "peak": "median tracemalloc peak of one further call per run",
-        "fixed_point": f"{FIXED_POINT_KERNEL} cluster per n with StopRule(move_tol=0.0)",
+        "fixed_point": "cluster with StopRule(move_tol=0.0)",
         "one_block": "a * n <= _BLOCK_ENTRIES, a the distinct positions of a state",
-        "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES}) "
-                f"for {', '.join(FUZZ_KERNELS)}",
+        "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES})",
     }
     environment = {
         "nproc": nproc(),
@@ -254,8 +272,8 @@ def main(argv=None) -> int:
         "scipy": scipy.__version__,
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    for label, entry in measure(trees).items():
-        data[label] = {"environment": environment, "setup": setup, **entry}
+    for tree, entry in measure(trees, grid).items():
+        data[tree] = {"environment": environment, "setup": setup, **entry}
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 

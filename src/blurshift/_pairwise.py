@@ -16,17 +16,18 @@ computed once per distinct position, against all n points, and read back
 through the point-to-position map where a point row is needed.
 
 Every state is built in one pass over chunks of j-rows (a distinct
-positions wide).  Each chunk gives its largest squared distance, its
-objective terms and its weights, and a truncated kernel's chunk also its
-boundary margin, boundary hit and largest joined squared distance.  Only
-what the state keeps depends on the kernel and the size.  A full-support
-state keeps nothing, and a truncated state whose a x n pairs fit in one
-block keeps only its join bits: both add each chunk into every sum the
-caller reads, so their memory is O(n d) plus one chunk per sum, and a sum
-read later costs one more pass that computes the same chunks again.  A
-larger truncated state keeps its edges, the pairs with ``g_ij != 0``,
-appended chunk by chunk as a j-major CSR list, so no n x n array is
-allocated.
+positions wide).  Each chunk gives its largest squared distance and its
+weights, and a truncated kernel's chunk also its largest joined squared
+distance; the objective's terms and a truncated kernel's boundary margin
+and boundary hit come from the chunks only when the caller declares that
+it reads them.  Only what the state keeps depends on the kernel and the
+size.  A full-support state keeps nothing, and a truncated state whose
+a x n pairs fit in one block keeps only its join bits: both add each chunk
+into every sum the caller reads, so their memory is O(n d) plus one chunk
+per sum.  A larger truncated state keeps its edges, the pairs with
+``g_ij != 0``, appended chunk by chunk as a j-major CSR list, so no n x n
+array is allocated.  A value read but not declared costs one more pass
+that computes the same chunks again.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -129,7 +130,7 @@ class DistinctRows:
 
 
 def _checked_max(sqdist: np.ndarray) -> float:
-    largest = float(np.max(sqdist))
+    largest = float(sqdist.max())
     if math.isinf(largest):
         raise ValueError(
             "squared pairwise distances overflow double precision; "
@@ -138,23 +139,36 @@ def _checked_max(sqdist: np.ndarray) -> float:
     return largest
 
 
+def _rows_max_sqdist(rows: np.ndarray) -> float:
+    # largest squared pairwise distance of the rows, from row blocks
+    return max(_checked_max(pairwise_sqdist(rows[block], rows))
+               for block in _row_blocks(rows.shape[0], rows.shape[0]))
+
+
 def max_sqdist(points: np.ndarray) -> float:
     """Largest squared pairwise distance, from row blocks of the matrix over
     the distinct rows.
 
     Raises ``ValueError`` when it overflows to inf.
     """
-    rows = DistinctRows(points).rows
-    return max(_checked_max(pairwise_sqdist(rows[block], rows))
-               for block in _row_blocks(rows.shape[0], rows.shape[0]))
+    return _rows_max_sqdist(DistinctRows(points).rows)
 
 
-def component_diameter(points: np.ndarray, components) -> float:
-    """Largest intra-component pairwise distance over a partition."""
+def component_diameter(distinct: DistinctRows, components) -> float:
+    """Largest intra-component pairwise distance over a partition of the
+    points that ``distinct`` groups.
+
+    Each component's distances run over its distinct positions only, read
+    from the group indices, so the points are grouped once; a component at
+    one position is skipped.  Raises ``ValueError`` when a squared distance
+    overflows to inf.
+    """
     worst = 0.0
     for comp in components:
+        if distinct.inv is not None:
+            comp = np.unique(distinct.inv[comp])
         if len(comp) > 1:
-            worst = max(worst, max_sqdist(points[comp]))
+            worst = max(worst, _rows_max_sqdist(distinct.rows[comp]))
     return math.sqrt(worst)
 
 
@@ -279,6 +293,13 @@ def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
     return distinct.expand(component_labels(graph))
 
 
+def _self_pairs(own: np.ndarray, rows: slice):
+    # the distinct rows whose own point (``own``, ascending) is a j-row in
+    # ``rows``, and the index of each such pair i == j in a (rows, a) block
+    inside = np.arange(*own.searchsorted((rows.start, rows.stop)))
+    return inside, (own[inside] - rows.start, inside)
+
+
 def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
                   radius: float) -> float:
     # smallest |distance - radius| over the block's pairs i != j, where
@@ -347,14 +368,12 @@ class PairwiseState:
 
     The constructor makes one pass over chunks of j-rows (see
     :func:`_ascending_j`), whatever the kernel.  Each chunk's squared
-    distances against the a distinct rows give their largest value, and
-    are turned into the objective's terms and the weights (the weights are
-    exactly symmetric, so the weight of j-row j in column r is ``g_rj``).
-    A truncated kernel's chunks also give the boundary margin, the
-    boundary hit, the largest squared distance of a joined pair (zero when
-    the graph is singular) and the degrees.  The objective's row sums are
-    summed in the pass.  What else the state keeps depends on the kernel
-    and the size:
+    distances against the a distinct rows give their largest value and
+    the weights (exactly symmetric, so the weight of j-row j in column r is
+    ``g_rj``).  A truncated kernel's chunks also give the largest squared
+    distance of a joined pair (zero when the graph is singular) and the
+    degrees.  What else the state keeps depends on the kernel and the
+    size:
 
     * a full-support state keeps nothing: it joins every pair;
     * a truncated state whose a x n pairs fit in one block
@@ -367,14 +386,19 @@ class PairwiseState:
       indices, the weights as its data).  Its components, update, moments
       and minorizer gap read only them.
 
-    The first two kinds hold no weight array.  Their pass adds every chunk
-    into the sums named in ``reads``: ``"update"``, the update's
-    denominator and numerators; ``"moments"``; and ``"gap"``, the
-    minorizer gap's pre-step row sums, taken as distances times weights.
-    A sum not read in the pass costs one more pass that computes the same
-    weight chunks again, bit for bit; the gap's post-step term always
-    does.  So such a state holds O(n d), the join bits, and one chunk per
-    sum, and ``reads`` moves no bit.  An edge-list state ignores ``reads``.
+    ``reads`` declares what the caller reads, and the pass computes only
+    that: ``"objective"``, the objective's terms and their sum (free for a
+    kernel whose profile is its weight function, such as gaussian, whose
+    objective is the weights' sum); ``"margin"``, the boundary margin and
+    boundary hit of a truncated kernel; and, for the first two kinds of
+    state, the sums ``"update"`` (the update's denominator and
+    numerators), ``"moments"`` and ``"gap"`` (the minorizer gap's pre-step
+    row sums, taken as distances times weights).  A value not declared
+    costs one more chunked pass on its first read, which computes the same
+    chunks again, bit for bit, and is then kept; the gap's post-step term
+    always does.  So a state holds O(n d), its join bits or edges, and one
+    chunk per sum, and ``reads`` moves no bit.  An edge-list state sums its
+    update, moments and gap over its edges, whatever ``reads`` says.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -394,8 +418,13 @@ class PairwiseState:
 
     graph: csr_array | None = None
     _joins: np.ndarray | None = None
-    # what the pass filled because ``reads`` named it: the update's
-    # denominator and numerators, the moments and the gap's pre-step total
+    # what the pass filled because ``reads`` named it (the margin and the
+    # boundary hit from the start for a full-support kernel): the objective,
+    # the margin and boundary hit, the update's denominator and numerators,
+    # the moments and the gap's pre-step total
+    _objective: float | None = None
+    _margin: float | None = None
+    _boundary_hit: bool | None = None
     _update: tuple[np.ndarray, np.ndarray] | None = None
     _moments: np.ndarray | None = None
     _gap_before: float | None = None
@@ -425,18 +454,20 @@ class PairwiseState:
         listed = truncated and a * n > _BLOCK_ENTRIES
         update, moments, gap = (not listed and name in reads
                                 for name in ("update", "moments", "gap"))
+        shared = not listed and kernel.profile is kernel.g
+        objective = "objective" in reads and not shared
+        margin = truncated and "margin" in reads
         # slabs: the weights (the denominator's terms) unless the edges are
-        # listed, the objective's terms unless they are the weights
+        # listed, the objective's terms when read and not the weights
         # (gaussian), then the d numerators, the d moments and the gap's
         # pre-step terms when read
-        shared = not listed and kernel.profile is kernel.g
         obj = 0 if listed or shared else 1
-        num = obj + 1
+        num = (not listed) + objective
         mom = num + d * update
         pre = mom + d * moments
         self.max_sqdist, self._joined_max = 0.0, 0.0
-        # a full-support kernel has no boundary, so these stay as they are
-        self.margin, self.boundary_hit = math.inf, False
+        if margin or not truncated:  # a full-support kernel has no boundary
+            self._margin, self._boundary_hit = math.inf, False
         if truncated:
             own = self.distinct.points_of(slice(0, a))
             self._degree = np.zeros(a, dtype=np.intp)  # joins i != j per distinct row
@@ -445,35 +476,44 @@ class PairwiseState:
         elif truncated:
             self._joins = np.empty((n, a), dtype=bool)
 
+        # fill closes over fewer than 20 names: CPython 3.11 keeps every
+        # freed 20-item tuple (such as a closure's) on a free list that it
+        # never takes one back from, so each state would leave 200 B behind
         def fill(rows, out):
             w = None if listed else out[0]
             sqd = pairwise_sqdist(y[rows], at, out=out[pre] if gap else w)
             self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
             if truncated:
-                # the distinct rows whose own point is a j-row here (own ascends)
-                inside = np.arange(*np.searchsorted(own, (rows.start, rows.stop)))
-                skip = (own[inside] - rows.start, inside)  # the pairs i == j
-                self.margin = min(self.margin, _block_margin(sqd, skip, kernel.beta * h))
+                inside, skip = _self_pairs(own, rows)
+            if margin:
+                self._margin = min(self._margin, _block_margin(sqd, skip, kernel.beta * h))
             # a full-support kernel reads no distance again, so in place
             u = profile_args(sqd, h, out=None if truncated else w)
-            if truncated:
-                self.boundary_hit = self.boundary_hit or self._hits_boundary(u)
-            if not shared:
+            if margin:
+                self._boundary_hit = self._boundary_hit or self._hits_boundary(u)
+            if objective:
                 out[obj] = kernel.profile(u)
             g = kernel.g(u)
             del u
             if truncated:
                 joined = g != 0.0
-                row, cols, flat = _nonzero_by_row(joined)
-                self._joined_max = max(self._joined_max,
-                                       float(np.max(sqd.ravel()[flat], initial=0.0)))
-                self._degree += np.bincount(cols, minlength=a)
-                self._degree[inside] -= joined[skip]
                 if listed:
+                    row, cols, flat = _nonzero_by_row(joined)
+                    joined_max = np.max(sqd.ravel()[flat], initial=0.0)
+                    self._degree += np.bincount(cols, minlength=at.shape[0])
                     counts[rows] = np.bincount(row, minlength=rows.stop - rows.start)
                     edges.append(cols, g.ravel()[flat])
+                else:
+                    # the distances are finite, so a joined one times 1.0 is
+                    # itself and an unjoined one becomes +0.0; w is free
+                    # until it takes the weights
+                    joined_max = np.multiply(sqd, joined, out=w).max()
+                    self._degree += joined.sum(axis=0)
+                    self._joins[rows] = joined
+                self._joined_max = max(self._joined_max, float(joined_max))
+                self._degree[inside] -= joined[skip]
+                if listed:
                     return
-                self._joins[rows] = joined
             w[...] = g
             del g  # off the peak of the sums' terms
             if update:
@@ -484,11 +524,13 @@ class PairwiseState:
                 out[pre] *= w
 
         # a truncated chunk's temporaries (margin, joins, edges) come on top
-        # of its slabs, so its slabs share two blocks, a lone slab one
+        # of its slabs, so its slabs share two blocks, a lone slab (or none:
+        # an edge list that sums nothing in the pass) one
         slabs = pre + gap
-        per_slab = min(_BLOCK_ENTRIES, 2 * _BLOCK_ENTRIES // slabs)
+        per_slab = min(_BLOCK_ENTRIES, 2 * _BLOCK_ENTRIES // max(1, slabs))
         sums = _ascending_j(n, a, slabs, fill, per_slab if truncated else _BLOCK_ENTRIES)
-        self.objective = _ascending_total(self.distinct.expand(sums[obj]))
+        if objective or shared:
+            self._objective = _ascending_total(self.distinct.expand(sums[obj]))
         if update:
             self._update = sums[0], np.ascontiguousarray(sums[num:mom].T)
         if moments:
@@ -500,6 +542,45 @@ class PairwiseState:
             self.graph = _csr(weights, indices, counts, a)
         if not truncated:  # every pair is joined
             self._joined_max = self.max_sqdist
+
+    @property
+    def objective(self) -> float:
+        """The objective ``sum_ij k_ij``, summed as the class docstring's
+        contract says."""
+        if self._objective is None:
+            def terms(rows, out):
+                out[0] = self.kernel.profile(self._profile_args_rows(rows))
+
+            sums = _ascending_j(self.n, self.distinct.a, 1, terms)
+            self._objective = _ascending_total(self.distinct.expand(sums[0]))
+        return self._objective
+
+    def _boundary_pass(self) -> None:
+        # the margin and the boundary hit, from the chunks of j-rows again
+        margin, hit = math.inf, False
+        own = self.distinct.points_of(slice(0, self.distinct.a))
+        for rows in _row_blocks(self.n, self.distinct.a):
+            sqd = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
+            skip = _self_pairs(own, rows)[1]
+            margin = min(margin, _block_margin(sqd, skip, self.kernel.beta * self.h))
+            hit = hit or self._hits_boundary(profile_args(sqd, self.h, out=sqd))
+        self._margin, self._boundary_hit = margin, hit
+
+    @property
+    def margin(self) -> float:
+        """Smallest distance of a pair i != j to the joining radius
+        ``beta * h`` (``inf`` for a full-support kernel)."""
+        if self._margin is None:
+            self._boundary_pass()
+        return self._margin
+
+    @property
+    def boundary_hit(self) -> bool:
+        """Some pair's profile argument is exactly the support boundary of a
+        non-smoothly truncated kernel."""
+        if self._boundary_hit is None:
+            self._boundary_pass()
+        return self._boundary_hit
 
     def joined_rows(self) -> np.ndarray:
         """A new (a, n) boolean array whose row r marks the points joined to
@@ -561,7 +642,12 @@ class PairwiseState:
         return self._joined_max == 0.0
 
     def stable(self, stability_tol: float | None = None) -> bool:
-        """Margin test with tolerance ``stability_tol`` (default ``1e-9 * beta * h``)."""
+        """Margin test with tolerance ``stability_tol`` (default ``1e-9 * beta * h``).
+
+        Raises ``ValueError`` for a negative or NaN ``stability_tol``.
+        """
+        if stability_tol is not None and not stability_tol >= 0:
+            raise ValueError(f"stability_tol must be non-negative, got {stability_tol}")
         if not self.kernel.truncated:
             return True
         if stability_tol is None:
@@ -574,17 +660,20 @@ class PairwiseState:
             return self.diameter
         if self.closed:  # every pair within a component is an edge
             return math.sqrt(self._joined_max)
-        return component_diameter(self.cfg.points, self.components)
+        return component_diameter(self.distinct, self.components)
 
     @cached_property
     def _edge_rows(self) -> np.ndarray:
         return _rows_of_edges(self.graph)
 
-    def _weight_rows(self, rows: slice) -> np.ndarray:
-        # the weights of the j-rows ``rows``, computed again as the
+    def _profile_args_rows(self, rows: slice) -> np.ndarray:
+        # the profile arguments of the j-rows ``rows``, computed again as the
         # constructor's pass did
         block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
-        return self.kernel.g(profile_args(block, self.h, out=block))
+        return profile_args(block, self.h, out=block)
+
+    def _weight_rows(self, rows: slice) -> np.ndarray:
+        return self.kernel.g(self._profile_args_rows(rows))
 
     def _weight_sums(self, slabs: int, terms) -> np.ndarray:
         """``out[s, r] = sum_j t_sjr`` over the distinct rows r for
@@ -670,7 +759,9 @@ class PairwiseState:
 
     def is_fixed_point(self, tol: float) -> bool:
         """Whether every moment has norm at most ``tol``: no point would move."""
-        return bool(np.all(np.linalg.norm(self._row_moments(), axis=1) <= tol))
+        # np.linalg.norm's own formula for axis=1, without its wrapper
+        moments = self._row_moments()
+        return bool(np.all(np.sqrt(np.add.reduce(moments * moments, axis=1)) <= tol))
 
     def _gap_row_sums(self, centres: np.ndarray, points: np.ndarray,
                       groups: np.ndarray | None = None) -> np.ndarray:

@@ -91,7 +91,8 @@ def diameter(cfg) -> float:
 
 def component_diameter(cfg, components: Sequence[np.ndarray]) -> float:
     """Largest intra-component pairwise distance over a partition."""
-    return _pairwise.component_diameter(as_configuration(cfg).points, components)
+    points = as_configuration(cfg).points
+    return _pairwise.component_diameter(_pairwise.DistinctRows(points), components)
 
 
 def diam_rate_check(d_t: float, d_t1: float, kernel: KernelSpec, h: float,

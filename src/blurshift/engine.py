@@ -118,7 +118,7 @@ def objective(cfg, kernel: KernelSpec, h: float) -> float:
     in ascending j, then the rows in ascending i, all from ``+0.0``; a
     truncated kernel sums a row over its pairs in support only.
     """
-    return PairwiseState(cfg, kernel, h).objective
+    return PairwiseState(cfg, kernel, h, {"objective"}).objective
 
 
 class GradientResult(NamedTuple):
@@ -141,7 +141,7 @@ def gradient(cfg, kernel: KernelSpec, h: float) -> GradientResult:
     Computed from pairwise differences so that fixed-point configurations
     (every joined pair coincident) give an exactly zero gradient.
     """
-    state = PairwiseState(cfg, kernel, h, {"moments"})
+    state = PairwiseState(cfg, kernel, h, {"moments", "margin"})
     return GradientResult(state.gradient(), state.boundary_hit)
 
 
@@ -226,10 +226,11 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     state of the current configuration, its blurred image and the largest
     point move; ``T`` is the number of steps.  Observers must not keep the
     state: it is released before the next one is built.  ``reads`` names
-    the sums beyond the update and the objective that ``on_step`` reads
-    (``"moments"``, ``"gap"``), so that a full-support state fills them in
-    its constructor's pass, with the update, instead of one more pass
-    each; it moves no bit.  The ``blurshift`` logger gets a start and a
+    what ``on_step`` reads beyond the update, which the loop always reads
+    (``"objective"``, ``"margin"``, ``"moments"``, ``"gap"``; see
+    :class:`PairwiseState`), so that the state computes it in its
+    constructor's pass and nothing else, instead of one more pass per value
+    read; it moves no bit.  The ``blurshift`` logger gets a start and a
     stop summary at DEBUG.
     """
     if stop is None:
@@ -294,5 +295,5 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
         if keep_records:
             records.append(record)
 
-    final, stop_reason, T = _iterate(cfg0, kernel, h, stop, on_step)
+    final, stop_reason, T = _iterate(cfg0, kernel, h, stop, on_step, {"objective", "margin"})
     return BmsRun(final, records, stop_reason, T)

@@ -102,9 +102,10 @@ def classify(graph: BmsGraph, cfg, kernel: KernelSpec, h: float,
 
     ``graph`` must be ``build_graph(cfg, kernel, h)``: the flags are read
     from the same pairwise state that the graph and the iteration driver
-    are built from.
+    are built from.  Raises ``ValueError`` for a negative or NaN
+    ``stability_tol``.
     """
-    state = PairwiseState(cfg, kernel, h)
+    state = PairwiseState(cfg, kernel, h, {"margin"})
     if graph.n != state.n:
         raise ValueError(f"graph has {graph.n} vertices, configuration has {state.n} points")
     return GraphClassification(state.closed, state.singular,

@@ -219,9 +219,9 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
-    reads = {"gap", "moments"} if smooth else {"gap"}
+    reads = {"objective", "margin", "gap"} | ({"moments"} if smooth else set())
     final, stop_reason, T = _iterate(points, kernel, h, stop, on_step, reads)
-    state = PairwiseState(final, kernel, h)  # closes the last step
+    state = PairwiseState(final, kernel, h, {"objective"})  # closes the last step
     close(state.objective, state.diameter)
     if stop_reason == STOP_EXACT_FIXED_POINT:
         terminal.update(1.0 if state.singular else -1.0, T)

@@ -109,6 +109,17 @@ class TestClassify:
         assert self.classify(pts, EPA, h).stable
         assert not self.classify(pts, EPA, h, stability_tol=1e-3).stable
 
+    def test_negative_or_nan_stability_tol_rejected_by_name(self):
+        # the pair at exactly beta * h has margin 0.0: a tolerance of -1.0
+        # called it stable and NaN silently called it unstable
+        h = 0.5
+        cls = self.classify([[0.0], [EPA.beta * h]], EPA, h, stability_tol=0.0)
+        assert cls.margin == 0.0 and not cls.stable
+        for kernel in (EPA, GAUSS):
+            for tol in (-1.0, math.nan):
+                with pytest.raises(ValueError, match="stability_tol"):
+                    self.classify([[0.0], [EPA.beta * h]], kernel, h, stability_tol=tol)
+
 
 class TestComponentBound:
     def test_coincident_bound_is_one(self):

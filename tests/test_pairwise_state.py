@@ -1,10 +1,11 @@
 """The shared per-configuration pairwise state: replay identity, the pinned
 distance and summation orders and the memory bound of the iteration driver."""
 
+import gc
 import math
 import struct
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -399,12 +400,88 @@ def test_one_block_truncated_reads_move_no_bit(data):
     _assert_reads_move_no_bit(pts, kernel, h, pts + rng.normal(scale=1e-3, size=pts.shape))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_edge_list_reads_move_no_bit(data):
+    # a truncated state that keeps an edge list computes its objective,
+    # margin and boundary hit in the pass when they are declared; its sums
+    # come from the edges either way
+    kernel = bs.builtin(data.draw(st.sampled_from(["epanechnikov", "biweight", "cosine"]),
+                                  label="kernel"))
+    n = data.draw(st.sampled_from([200, 300]), label="n")
+    d = data.draw(st.sampled_from([1, 3]), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sites, h = _sites(rng, d, data.draw(st.integers(0, 5), label="random sites"))
+    pts = sites[rng.integers(0, len(sites), size=n)]
+    # at least n / 2 distinct positions, so a * n exceeds one block
+    loose = data.draw(st.integers(n // 2, n), label="points off the sites")
+    pts[rng.choice(n, size=loose, replace=False)] = rng.uniform(-1.5, 1.5, size=(loose, d))
+    read, _ = _assert_reads_move_no_bit(pts, kernel, h,
+                                        pts + rng.normal(scale=1e-3, size=pts.shape))
+    assert read.graph is not None
+
+
+@pytest.mark.parametrize("n", [12, 300])
+def test_reads_move_no_bit_at_the_boundary(n):
+    # a non-smoothly truncated pair exactly at beta * h, whose profile
+    # argument is the support boundary bitwise at this h: boundary_hit is
+    # true and the margin is 0.0, whether the pass or a later one computes
+    # them, in a one-block state (n = 12) and an edge list (n = 300)
+    kernel, h = bs.builtin("epanechnikov"), 1.004
+    radius = kernel.beta * h
+    assert radius * radius / (2.0 * h * h) == kernel.boundary_u
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(n, 2))
+    pts[0] = 0.0
+    pts[1] = (radius, 0.0)
+    moved = pts + np.random.default_rng(4).normal(scale=1e-3, size=pts.shape)
+    for state in _assert_reads_move_no_bit(pts, kernel, h, moved):
+        assert (state.graph is None) == (n == 12)
+        assert state.boundary_hit
+        assert _bits(state.margin) == _bits(0.0)
+
+
+@pytest.mark.parametrize("kernel_id,n", [("cauchy", 12), ("cauchy", 300),
+                                         ("epanechnikov", 12), ("epanechnikov", 300)])
+def test_undeclared_objective_evaluates_no_profile(kernel_id, n):
+    # a state built for its moments (a fuzz probe's read) evaluates the
+    # profile zero times; the objective's first read evaluates it
+    base = bs.builtin(kernel_id)
+    calls = []
+
+    def profile(u):
+        calls.append(u.shape)
+        return base.profile(u)
+
+    kernel = replace(base, profile=profile)
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(n, 2))
+    state = PairwiseState(pts, kernel, 0.5, {"moments"})
+    state.is_fixed_point(0.0)
+    assert state.M >= 1 and state.singular in (True, False)  # the probe's other reads
+    assert calls == []
+    want = PairwiseState(pts, base, 0.5, {"objective"}).objective
+    assert _bits(state.objective) == _bits(want)
+    assert calls
+
+
+_EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin"})
+
+
 def _assert_reads_move_no_bit(pts, kernel, h, moved):
-    read = PairwiseState(pts, kernel, h, reads={"update", "moments", "gap"})
+    """A state built with every read gives bitwise the values of one built
+    with none, whose values come from later passes; returns both."""
+    read = PairwiseState(pts, kernel, h, reads=_EVERY_READ)
     plain = PairwiseState(pts, kernel, h)
+    # what each constructor's pass filled: an edge list sums its update,
+    # moments and gap over its edges, and a full-support kernel has no
+    # boundary, and gaussian's objective is its weights' sum
     filled = (read._update, read._moments, read._gap_before)
-    assert not any(value is None for value in filled)
+    assert all((value is None) == (read.graph is not None) for value in filled)
+    assert read._objective is not None and read._margin is not None
     assert all(value is None for value in (plain._update, plain._moments, plain._gap_before))
+    assert (plain._margin is None) == (plain._boundary_hit is None) == kernel.truncated
+    assert (plain._objective is None) == (kernel.profile is not kernel.g)
+    assert read.boundary_hit == plain.boundary_hit
+    assert _bits(read.margin) == _bits(plain.margin)
     assert read.update().tobytes() == plain.update().tobytes()
     assert _bits(read.objective) == _bits(plain.objective)
     assert read.moments().tobytes() == plain.moments().tobytes()
@@ -413,6 +490,7 @@ def _assert_reads_move_no_bit(pts, kernel, h, moved):
         assert read.is_fixed_point(tol) == plain.is_fixed_point(tol)
     assert _bits(read.minorizer_gap(moved)) == _bits(plain.minorizer_gap(moved))
     assert _bits(read.minorizer_gap(pts)) == _bits(plain.minorizer_gap(pts)) == _bits(0.0)
+    return read, plain
 
 
 @st.composite
@@ -506,6 +584,36 @@ def test_full_support_peak_below_four_mib():
         < 4 * 2**20
     assert _traced_peak(lambda: bs.run_verify(pts, kernel, 0.5, stop=StopRule(max_iter=1))) \
         < 4 * 2**20
+
+
+def test_dropped_states_keep_no_memory():
+    # 600 dropped states hold no memory, on every path: a closure over 20
+    # names left a 200 B tuple per state on CPython 3.11's tuple free list,
+    # which never hands a 20-item tuple back (117 KiB here).  Other free
+    # lists fill by a few KiB over the same builds.
+    rng = np.random.default_rng(7)
+    configs = [rng.uniform(-1.0, 1.0, size=(n, 2)) for n in (2, 12, 300)]
+
+    def build():
+        for kernel_id in ("gaussian", "epanechnikov"):
+            for pts in configs:
+                state = PairwiseState(pts, bs.builtin(kernel_id), 0.5, {"moments"})
+                state.is_fixed_point(0.0)
+                assert state.M >= 1 and state.objective > 0 and state.margin >= 0
+
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            build()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            build()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 32 * 1024
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
