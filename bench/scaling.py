@@ -1,4 +1,4 @@
-"""Scaling benchmark: wall time, steps and peak heap of ``cluster`` and
+"""Scaling benchmark: wall and CPU time, steps and peak heap of ``cluster`` and
 ``run_verify`` as the number of points grows, measured on two source trees
 in one invocation.
 
@@ -41,9 +41,12 @@ alternate within a cell, and the tree that goes first alternates from
 repeat to repeat, so a slow spell of a shared machine falls on both.  The
 interpreter runs the operation once on a small input (imports and lazy
 set-up), times one call, then takes the ``tracemalloc`` peak of one more
-call (traced apart, so tracing does not slow the timed call).  A record
-holds the median wall time with its quartiles and every run, and the
-median peak.
+call (traced apart, so tracing does not slow the timed call).  The timed
+call records its wall seconds (``time.perf_counter``) and its CPU seconds
+(``time.process_time``, every thread of the process); on a busy machine
+the CPU time moves less than the wall time, but it is not the same
+quantity.  A record holds the median wall and CPU times with their
+quartiles and every run, and the median peak.
 """
 
 from __future__ import annotations
@@ -134,16 +137,16 @@ def run_cell(cell: dict) -> dict:
     n = cell.get("n", 2)
     operation(dict(cell, probes=10), blobs(min(n, WARM_UP_N)))()
     call = operation(cell, blobs(n))
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     steps = call()
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result = {"wall_s": wall, "T": steps, "peak_mib": peak / 2**20}
+    result = {"wall_s": wall, "cpu_s": cpu, "T": steps, "peak_mib": peak / 2**20}
     if cell.get("shares"):
         import blurshift as bs
 
@@ -185,11 +188,14 @@ def spawn(src: str, cell: dict) -> dict:
 
 
 def summary(runs: list[dict]) -> dict:
-    walls = [run["wall_s"] for run in runs]
-    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
-    out = {"wall_s": round(median, 6), "wall_q1_s": round(q1, 6), "wall_q3_s": round(q3, 6),
-           "walls_s": [round(w, 6) for w in walls], "T": runs[0]["T"],
-           "peak_mib": round(statistics.median(run["peak_mib"] for run in runs), 3)}
+    out = {}
+    for clock in ("wall", "cpu"):
+        times = [run[f"{clock}_s"] for run in runs]
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out.update({f"{clock}_s": round(median, 6), f"{clock}_q1_s": round(q1, 6),
+                    f"{clock}_q3_s": round(q3, 6), f"{clock}s_s": [round(t, 6) for t in times]})
+    out.update(T=runs[0]["T"],
+               peak_mib=round(statistics.median(run["peak_mib"] for run in runs), 3))
     if any(run["T"] != out["T"] for run in runs):
         raise RuntimeError(f"step counts differ between runs: {[r['T'] for r in runs]}")
     return out
@@ -259,6 +265,7 @@ def main(argv=None) -> int:
         "wall": f"median and quartiles of {REPEATS} runs per tree, each in a fresh "
                 f"interpreter after a warm-up on {WARM_UP_N} points; the trees "
                 f"alternate per cell and the first tree alternates per repeat",
+        "cpu": "time.process_time of the same timed calls, summarised as the wall",
         "peak": "median tracemalloc peak of one further call per run",
         "fixed_point": "cluster with StopRule(move_tol=0.0)",
         "one_block": "a * n <= _BLOCK_ENTRIES, a the distinct positions of a state",

@@ -26,8 +26,9 @@ a x n pairs fit in one block keeps only its join bits: both add each chunk
 into every sum the caller reads, so their memory is O(n d) plus one chunk
 per sum.  A larger truncated state keeps its edges, the pairs with
 ``g_ij != 0``, appended chunk by chunk as a j-major CSR list, so no n x n
-array is allocated.  A value read but not declared costs one more pass
-that computes the same chunks again.
+array is allocated.  A value read but not declared runs the same pass
+again for that value alone, so the pass is the only code that fills the
+objective, the margin, the update and the moments.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -293,11 +294,11 @@ def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
     return distinct.expand(component_labels(graph))
 
 
-def _self_pairs(own: np.ndarray, rows: slice):
-    # the distinct rows whose own point (``own``, ascending) is a j-row in
-    # ``rows``, and the index of each such pair i == j in a (rows, a) block
+def _self_pairs(own: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    # the index in a (rows, a) block of each pair i == j of a distinct row
+    # whose own point (``own``, ascending) is a j-row in ``rows``
     inside = np.arange(*own.searchsorted((rows.start, rows.stop)))
-    return inside, (own[inside] - rows.start, inside)
+    return own[inside] - rows.start, inside
 
 
 def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
@@ -371,9 +372,9 @@ class PairwiseState:
     distances against the a distinct rows give their largest value and
     the weights (exactly symmetric, so the weight of j-row j in column r is
     ``g_rj``).  A truncated kernel's chunks also give the largest squared
-    distance of a joined pair (zero when the graph is singular) and the
-    degrees.  What else the state keeps depends on the kernel and the
-    size:
+    distance of a joined pair (zero when the graph is singular); its
+    degrees are counted from what it keeps, once, when first read.  What
+    else the state keeps depends on the kernel and the size:
 
     * a full-support state keeps nothing: it joins every pair;
     * a truncated state whose a x n pairs fit in one block
@@ -394,11 +395,14 @@ class PairwiseState:
     state, the sums ``"update"`` (the update's denominator and
     numerators), ``"moments"`` and ``"gap"`` (the minorizer gap's pre-step
     row sums, taken as distances times weights).  A value not declared
-    costs one more chunked pass on its first read, which computes the same
-    chunks again, bit for bit, and is then kept; the gap's post-step term
-    always does.  So a state holds O(n d), its join bits or edges, and one
-    chunk per sum, and ``reads`` moves no bit.  An edge-list state sums its
-    update, moments and gap over its edges, whatever ``reads`` says.
+    runs the constructor's pass again on its first read, for that value
+    alone: it computes the same chunks, bit for bit, fills only that value,
+    which is then kept, and leaves the join bits, the edges and the largest
+    distances as the first pass built them.  Only the gap's post-step term
+    (and its pre-step term when not declared) is summed outside the pass.
+    So a state holds O(n d), its join bits or edges, and one chunk per
+    sum, and ``reads`` moves no bit.  An edge-list state sums its update,
+    moments and gap over its edges, whatever ``reads`` says.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -418,7 +422,7 @@ class PairwiseState:
 
     graph: csr_array | None = None
     _joins: np.ndarray | None = None
-    # what the pass filled because ``reads`` named it (the margin and the
+    # what a pass filled because its ``reads`` named it (the margin and the
     # boundary hit from the start for a full-support kernel): the objective,
     # the margin and boundary hit, the update's denominator and numerators,
     # the moments and the gap's pre-step total
@@ -435,7 +439,7 @@ class PairwiseState:
         self.kernel = kernel
         self.n = self.cfg.n
         self.distinct = DistinctRows(self.cfg.points)
-        self._pass(reads)
+        self._pass(reads, first=True)
         self.diameter = math.sqrt(self.max_sqdist)
 
     def _hits_boundary(self, u: np.ndarray) -> bool:
@@ -447,7 +451,10 @@ class PairwiseState:
             and np.any(u == kernel.boundary_u)
         )
 
-    def _pass(self, reads) -> None:
+    def _pass(self, reads, first: bool = False) -> None:
+        # the constructor's pass (``first``) also builds what the state
+        # keeps; a later pass fills only what ``reads`` names and leaves
+        # what the state keeps as it is
         kernel, h, n, d = self.kernel, self.h, self.n, self.cfg.d
         y, at, a = self.cfg.points, self.distinct.rows, self.distinct.a
         truncated = kernel.truncated
@@ -465,16 +472,17 @@ class PairwiseState:
         num = (not listed) + objective
         mom = num + d * update
         pre = mom + d * moments
-        self.max_sqdist, self._joined_max = 0.0, 0.0
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
-        if truncated:
+        if margin:
             own = self.distinct.points_of(slice(0, a))
-            self._degree = np.zeros(a, dtype=np.intp)  # joins i != j per distinct row
-        if listed:
-            counts, edges = np.empty(n, dtype=np.intp), _EdgeBuffer()
-        elif truncated:
-            self._joins = np.empty((n, a), dtype=bool)
+        build = truncated and first  # the joins or the edges
+        if first:
+            self.max_sqdist, self._joined_max = 0.0, 0.0
+            if listed:
+                counts, edges = np.empty(n, dtype=np.intp), _EdgeBuffer()
+            elif truncated:
+                self._joins = np.empty((n, a), dtype=bool)
 
         # fill closes over fewer than 20 names: CPython 3.11 keeps every
         # freed 20-item tuple (such as a closure's) on a free list that it
@@ -483,24 +491,22 @@ class PairwiseState:
             w = None if listed else out[0]
             sqd = pairwise_sqdist(y[rows], at, out=out[pre] if gap else w)
             self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
-            if truncated:
-                inside, skip = _self_pairs(own, rows)
             if margin:
+                skip = _self_pairs(own, rows)
                 self._margin = min(self._margin, _block_margin(sqd, skip, kernel.beta * h))
-            # a full-support kernel reads no distance again, so in place
-            u = profile_args(sqd, h, out=None if truncated else w)
+            # only building the joins reads a distance again, else in place
+            u = profile_args(sqd, h, out=None if build else w)
             if margin:
                 self._boundary_hit = self._boundary_hit or self._hits_boundary(u)
             if objective:
                 out[obj] = kernel.profile(u)
             g = kernel.g(u)
             del u
-            if truncated:
+            if build:
                 joined = g != 0.0
                 if listed:
                     row, cols, flat = _nonzero_by_row(joined)
                     joined_max = np.max(sqd.ravel()[flat], initial=0.0)
-                    self._degree += np.bincount(cols, minlength=at.shape[0])
                     counts[rows] = np.bincount(row, minlength=rows.stop - rows.start)
                     edges.append(cols, g.ravel()[flat])
                 else:
@@ -508,12 +514,10 @@ class PairwiseState:
                     # itself and an unjoined one becomes +0.0; w is free
                     # until it takes the weights
                     joined_max = np.multiply(sqd, joined, out=w).max()
-                    self._degree += joined.sum(axis=0)
                     self._joins[rows] = joined
                 self._joined_max = max(self._joined_max, float(joined_max))
-                self._degree[inside] -= joined[skip]
-                if listed:
-                    return
+            if listed:
+                return
             w[...] = g
             del g  # off the peak of the sums' terms
             if update:
@@ -537,7 +541,7 @@ class PairwiseState:
             self._moments = np.ascontiguousarray(sums[mom:pre].T)
         if gap:
             self._gap_before = _ascending_total(self.distinct.expand(sums[pre]))
-        if listed:
+        if listed and first:
             indices, weights = edges.trimmed()
             self.graph = _csr(weights, indices, counts, a)
         if not truncated:  # every pair is joined
@@ -548,30 +552,15 @@ class PairwiseState:
         """The objective ``sum_ij k_ij``, summed as the class docstring's
         contract says."""
         if self._objective is None:
-            def terms(rows, out):
-                out[0] = self.kernel.profile(self._profile_args_rows(rows))
-
-            sums = _ascending_j(self.n, self.distinct.a, 1, terms)
-            self._objective = _ascending_total(self.distinct.expand(sums[0]))
+            self._pass({"objective"})
         return self._objective
-
-    def _boundary_pass(self) -> None:
-        # the margin and the boundary hit, from the chunks of j-rows again
-        margin, hit = math.inf, False
-        own = self.distinct.points_of(slice(0, self.distinct.a))
-        for rows in _row_blocks(self.n, self.distinct.a):
-            sqd = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
-            skip = _self_pairs(own, rows)[1]
-            margin = min(margin, _block_margin(sqd, skip, self.kernel.beta * self.h))
-            hit = hit or self._hits_boundary(profile_args(sqd, self.h, out=sqd))
-        self._margin, self._boundary_hit = margin, hit
 
     @property
     def margin(self) -> float:
         """Smallest distance of a pair i != j to the joining radius
         ``beta * h`` (``inf`` for a full-support kernel)."""
         if self._margin is None:
-            self._boundary_pass()
+            self._pass({"margin"})
         return self._margin
 
     @property
@@ -579,7 +568,7 @@ class PairwiseState:
         """Some pair's profile argument is exactly the support boundary of a
         non-smoothly truncated kernel."""
         if self._boundary_hit is None:
-            self._boundary_pass()
+            self._pass({"margin"})
         return self._boundary_hit
 
     def joined_rows(self) -> np.ndarray:
@@ -663,25 +652,27 @@ class PairwiseState:
         return component_diameter(self.distinct, self.components)
 
     @cached_property
+    def _degree(self) -> np.ndarray:
+        # joins i != j per distinct row: its joined j-rows, counted over
+        # bounded slices of an edge list, less the pair with its own point,
+        # which is joined exactly when g(0) != 0
+        if self.graph is None:
+            degree = self._joins.sum(axis=0)
+        else:
+            cols, degree = self.graph.indices, np.zeros(self.distinct.a, dtype=np.intp)
+            for part in _row_blocks(cols.size, 1):
+                degree += np.bincount(cols[part], minlength=degree.size)
+        return degree - (self.kernel.g0 != 0.0)
+
+    @cached_property
     def _edge_rows(self) -> np.ndarray:
         return _rows_of_edges(self.graph)
 
-    def _profile_args_rows(self, rows: slice) -> np.ndarray:
-        # the profile arguments of the j-rows ``rows``, computed again as the
+    def _weight_rows(self, rows: slice) -> np.ndarray:
+        # the weights of the j-rows ``rows``, computed again as the
         # constructor's pass did
         block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
-        return profile_args(block, self.h, out=block)
-
-    def _weight_rows(self, rows: slice) -> np.ndarray:
-        return self.kernel.g(self._profile_args_rows(rows))
-
-    def _weight_sums(self, slabs: int, terms) -> np.ndarray:
-        """``out[s, r] = sum_j t_sjr`` over the distinct rows r for
-        ``slabs`` kinds of terms of the weights, in one pass (see
-        :func:`_ascending_j`), where ``terms(rows, w, out)`` writes the
-        terms of the j-rows ``rows`` from their weights ``w``."""
-        return _ascending_j(self.n, self.distinct.a, slabs,
-                            lambda rows, out: terms(rows, self._weight_rows(rows), out))
+        return self.kernel.g(profile_args(block, self.h, out=block))
 
     def _numerator_terms(self, rows: slice, w: np.ndarray, out: np.ndarray) -> None:
         # w_jr y_jk of every coordinate k into out[k]
@@ -699,15 +690,9 @@ class PairwiseState:
             # scipy's CSC matvec adds each column's edges in ascending j
             by_column = self.graph.T
             return by_column @ np.ones(self.n), by_column @ self.cfg.points
-        if self._update is not None:
-            return self._update
-
-        def terms(rows, w, out):
-            out[0] = w
-            self._numerator_terms(rows, w, out[1:])
-
-        sums = self._weight_sums(1 + self.cfg.d, terms)
-        return sums[0], np.ascontiguousarray(sums[1:].T)
+        if self._update is None:
+            self._pass({"update"})
+        return self._update
 
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the
@@ -730,10 +715,10 @@ class PairwiseState:
         return self.distinct.expand(num / den[:, None])
 
     def _row_moments(self) -> np.ndarray:
-        if self._moments is not None:
-            return self._moments
         if self.graph is None:
-            return np.ascontiguousarray(self._weight_sums(self.cfg.d, self._moment_terms).T)
+            if self._moments is None:
+                self._pass({"moments"})
+            return self._moments
         y, at = self.cfg.points, self.distinct.rows
         rows, cols, a = self._edge_rows, self.graph.indices, self.distinct.a
         out = np.empty_like(at)

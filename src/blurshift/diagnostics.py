@@ -192,12 +192,19 @@ def estimate_rate(residuals, floor: float) -> RateEstimate:
     fitted over pairs whose left member exceeds ``floor``; ``p`` in
     [2.5, 3.5] is labelled cubic, ``p`` in [0.8, 1.2] with shrinking
     residuals exponential, anything else inconclusive.
+
+    Raises ``ValueError`` for a residual that is negative, NaN or infinite
+    and for a negative or NaN ``floor``.
     """
     res = np.asarray(residuals, dtype=float)
     if res.ndim != 1:
         raise ValueError("residuals must be a 1-D sequence")
+    if not np.all(np.isfinite(res)):
+        raise ValueError("residuals must be finite")
     if np.any(res < 0):
         raise ValueError("residuals must be non-negative")
+    if not floor >= 0:
+        raise ValueError(f"floor must be non-negative, got {floor}")
 
     hit_zero = (res[1:] == 0.0) & (res[:-1] > floor)
     if np.any(hit_zero):

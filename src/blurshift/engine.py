@@ -229,8 +229,8 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     what ``on_step`` reads beyond the update, which the loop always reads
     (``"objective"``, ``"margin"``, ``"moments"``, ``"gap"``; see
     :class:`PairwiseState`), so that the state computes it in its
-    constructor's pass and nothing else, instead of one more pass per value
-    read; it moves no bit.  The ``blurshift`` logger gets a start and a
+    constructor's pass and nothing else, instead of running that pass again
+    for each value read; it moves no bit.  The ``blurshift`` logger gets a start and a
     stop summary at DEBUG.
     """
     if stop is None:

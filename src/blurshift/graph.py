@@ -122,7 +122,10 @@ def component_count_bound(n: int, gamma: float, beta: float, h: float, d: int) -
     h = check_bandwidth(h)
     if not math.isfinite(beta):
         return n
-    return int(min(n, math.floor((1.0 + 2.0 * gamma / (beta * h)) ** d)))
+    try:
+        return int(min(n, math.floor((1.0 + 2.0 * gamma / (beta * h)) ** d)))
+    except OverflowError:  # the packing bound exceeds every float, so n
+        return n
 
 
 def is_fixed_point(cfg, kernel: KernelSpec, h: float, tol: float = 0.0) -> bool:

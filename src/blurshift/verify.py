@@ -10,6 +10,7 @@ randomized configurations, including pairs planted near the joining radius.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,12 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     value so the harness itself can be tested for failure detection.
 
     Raises ``ValueError`` for a kernel with ``g(0) <= 0`` (tricube, or a
-    sampled profile flat at 0): the checks' constants divide by ``g(0)``.
+    sampled profile flat at 0): the checks' constants divide by ``g(0)``,
+    and for a ``directions`` or ``fuzz`` count that is not an integer.
     """
+    for name, count in (("directions", directions), ("fuzz", fuzz)):
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if directions < 1:
         raise ValueError(f"directions must be at least 1, got {directions}")
     if fuzz < 0:

@@ -223,6 +223,16 @@ class TestRateEstimation:
         assert est.order is None
         assert est.samples_used < 3
 
+    def test_non_finite_residual_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="residuals must be finite"):
+                estimate_rate([1, bad, 1e-3, 1e-9, 1e-27, 1e-81], 1e-300)
+
+    def test_bad_floor_rejected_by_name(self):
+        for floor in (math.nan, -1e-12):
+            with pytest.raises(ValueError, match=f"floor must be non-negative, got {floor}"):
+                estimate_rate([1, 1e-3, 1e-9, 1e-27, 1e-81], floor)
+
     def test_constant_sequence_inconclusive(self):
         est = estimate_rate(np.ones(10), 1e-12)
         assert est.classification is RateClass.INCONCLUSIVE

@@ -133,6 +133,13 @@ class TestComponentBound:
     def test_capped_at_n(self):
         assert bs.component_count_bound(3, 1e9, math.sqrt(2), 1.0, 2) == 3
 
+    def test_overflowing_packing_bound_is_n(self):
+        # (1 + 2 gamma / (beta h))^50 exceeds every float here
+        assert bs.component_count_bound(10, 1e8, math.sqrt(2), 1.0, 50) == 10
+        # a huge but finite bound below n is still the packing bound
+        want = math.floor((1.0 + 2.0 * 1e5 / math.sqrt(2)) ** 50)
+        assert bs.component_count_bound(10**300, 1e5, math.sqrt(2), 1.0, 50) == want
+
     def test_non_truncated_bound_is_n(self):
         assert bs.component_count_bound(7, 123.0, math.inf, 1.0, 2) == 7
 

@@ -463,6 +463,37 @@ def test_undeclared_objective_evaluates_no_profile(kernel_id, n):
     assert calls
 
 
+@pytest.mark.parametrize("n", [60, 200])
+def test_later_pass_keeps_the_structure(n):
+    # four tight blobs far apart: closed, not singular, M = 4, so the
+    # component diameter is the largest joined distance.  Reading the
+    # objective and then the margin runs the pass twice more; it must
+    # leave the join bits (n = 60) or the edge list (n = 200) as the
+    # constructor built them, and the values it fills must be bitwise
+    # those of a state that declared them
+    kernel, h = bs.builtin("epanechnikov"), 0.5
+    rng = np.random.default_rng(9)
+    centres = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
+    pts = centres[np.arange(n) % 4] + rng.uniform(-0.2, 0.2, size=(n, 2))
+    pts[n - 20:] = pts[:20]  # coincident points, grouped when n > 128
+    state = PairwiseState(pts, kernel, h, {"moments"})
+    kept = state._joins if state.graph is None else state.graph
+    assert state._objective is None and state._margin is None
+    assert (state.graph is None) == (n == 60)
+    objective, margin = state.objective, state.margin
+    want = PairwiseState(pts, kernel, h, {"moments", "objective", "margin"})
+    assert (state._joins if state.graph is None else state.graph) is kept
+    assert _bits(objective) == _bits(want.objective)
+    assert _bits(margin) == _bits(want.margin)
+    assert state.boundary_hit == want.boundary_hit
+    assert np.array_equal(state.labels, want.labels) and state.M == 4
+    assert state.closed and want.closed
+    assert not state.singular and not want.singular
+    assert _bits(state.component_diameter) == _bits(want.component_diameter)
+    assert _bits(state.diameter) == _bits(want.diameter)
+    assert state.moments().tobytes() == want.moments().tobytes()
+
+
 _EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin"})
 
 

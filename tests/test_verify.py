@@ -127,6 +127,23 @@ class TestOneDriver:
             with pytest.raises(ValueError, match=f"directions must be at least 1, got {count}"):
                 run_verify(pts, bs.builtin("epanechnikov"), 1.5, directions=count)
 
+    def test_fractional_fuzz_rejected_by_name(self):
+        with pytest.raises(ValueError, match="fuzz must be an integer, got 2.5"):
+            run_verify(blob_points(20), bs.builtin("epanechnikov"), 1.5, fuzz=2.5)
+
+    def test_fractional_directions_rejected_by_name(self):
+        with pytest.raises(ValueError, match="directions must be an integer, got 2.5"):
+            run_verify(blob_points(20), bs.builtin("epanechnikov"), 1.5, directions=2.5)
+
+    def test_overflowing_component_bound_passes(self):
+        # 20 points spread over [0, 1000]^50 at h = 1e-3: the packing bound
+        # (1 + 2 gamma / (beta h))^50 exceeds every float, so the bound is n
+        pts = np.random.default_rng(0).uniform(0.0, 1000.0, size=(20, 50))
+        report = run_verify(pts, bs.builtin("epanechnikov"), 1e-3, fuzz=2)
+        assert report.passed
+        bound = {c.name: c for c in report.checks}["component_count_bound"]
+        assert bound.passed and bound.worst_slack is not None
+
     def test_kernel_without_positive_g0_rejected_by_name(self):
         # the move-per-gradient and contraction constants divide by g(0)
         flat = bs.kernel_from_descriptor({
