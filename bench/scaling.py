@@ -15,21 +15,26 @@ library, numpy and blurshift.
 
 The grid is n in {500, 1000, 2000, 4000} points in d = 2, for one flat
 truncated kernel (epanechnikov) and one full-support kernel (gaussian), at
-bandwidth ``H``, plus gaussian ``cluster`` at 16000 points (``LARGE``).  The
-points are four Gaussian blobs (sigma 0.4, centres uniform in [-3, 3]^2,
-seed 0).  Every operation runs under a fixed step budget,
-``StopRule(max_iter=STEPS)``, so the work per step is what is compared;
-``T`` records the steps actually taken.
+bandwidth ``H``, plus ``cluster`` of both kernels at 16000 points
+(``LARGE``).  The points are four Gaussian blobs (sigma 0.4, centres
+uniform in [-3, 3]^2, seed 0).  Every operation runs under a fixed step
+budget, ``StopRule(max_iter=STEPS)``, so the work per step is what is
+compared; ``T`` records the steps actually taken.
 
 A second grid runs one epanechnikov ``cluster`` per n to its exact fixed
 point (``StopRule(move_tol=0)``), the regime where blurring collapses the
-points onto few distinct positions.  Each of those records ``T``, the mean
-share of distinct positions (bitwise-distinct points over n) over the
-configurations the steps start from and the share of those configurations
-whose a x n pairs (a distinct positions) fit in one block of the pairwise
-state, counted once per tree in an untimed run.
+points onto few distinct positions.  Each of those records ``T`` and the
+mean share of distinct positions (bitwise-distinct points over n) over the
+configurations the steps start from, counted once per tree in an untimed
+run.
 
-A third record times the fuzz probes of ``run_verify``: one call on a
+A third grid times, per n, the minorizer gap's post-step term of
+``run_verify``'s first epanechnikov step alone (op ``gap``): the pairwise
+state is built once with ``run_verify``'s reads, and the call sums
+``sum_ij g_ij ||y'_i - y'_j||^2`` over the blurred points, as the
+observer does at every step.
+
+A fourth record times the fuzz probes of ``run_verify``: one call on a
 single point with ``FUZZ_CASES`` probes (configurations of at most 12
 points), where the one-step iteration is negligible, for one smoothly
 (biweight) and one non-smoothly (epanechnikov) truncated kernel at
@@ -67,7 +72,7 @@ import numpy as np
 
 SIZES = (500, 1000, 2000, 4000)
 KERNELS = ("epanechnikov", "gaussian")
-LARGE = ("gaussian", 16000)  # cluster only: a held n x n array would be 1.9 GiB
+LARGE = 16000  # cluster only: a held n x n array would be 1.9 GiB
 FIXED_POINT_KERNEL = "epanechnikov"
 H = 0.5
 STEPS = 3
@@ -100,20 +105,17 @@ def distinct_share(points: np.ndarray) -> float:
     return np.unique(keys.ravel()).size / points.shape[0]
 
 
-def state_shares(points: np.ndarray, kernel, stop) -> tuple[float, float]:
-    """Mean distinct share, and share of one-block states, over the
-    configurations the steps start from."""
+def mean_distinct_share(points: np.ndarray, kernel, stop) -> float:
+    """Mean distinct share over the configurations the steps start from."""
     import blurshift as bs
-    from blurshift._pairwise import _BLOCK_ENTRIES
 
-    shares, one_block = [], []
+    shares = []
 
     def observe(t, state, nxt, move):
         shares.append(distinct_share(state.cfg.points))
-        one_block.append(state.distinct.a * state.n <= _BLOCK_ENTRIES)
 
     bs.engine._iterate(points, kernel, H, stop, observe)
-    return float(np.mean(shares)), float(np.mean(one_block))
+    return float(np.mean(shares))
 
 
 def operation(cell: dict, points: np.ndarray):
@@ -121,6 +123,18 @@ def operation(cell: dict, points: np.ndarray):
     import blurshift as bs
 
     kernel = bs.builtin(cell["kernel"])
+    if cell["op"] == "gap":
+        from blurshift._pairwise import PairwiseState
+
+        state = PairwiseState(points, kernel, H, {"update", "objective", "margin", "gap",
+                                                  "labels"})
+        nxt = state.update()
+
+        def post_step_gap():
+            state._weighted_sqdist(nxt)
+            return 1  # the one step whose term it is
+
+        return post_step_gap
     if cell["op"] == "fuzz":
         return lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=cell["probes"]).T
     if cell["op"] == "fixed_point":
@@ -150,10 +164,9 @@ def run_cell(cell: dict) -> dict:
     if cell.get("shares"):
         import blurshift as bs
 
-        shares = state_shares(blobs(n), bs.builtin(cell["kernel"]),
-                              bs.StopRule(move_tol=0.0))
-        result["mean_distinct_share"] = round(shares[0], 4)
-        result["one_block_share"] = round(shares[1], 4)
+        share = mean_distinct_share(blobs(n), bs.builtin(cell["kernel"]),
+                                    bs.StopRule(move_tol=0.0))
+        result["mean_distinct_share"] = round(share, 4)
     return result
 
 
@@ -169,9 +182,11 @@ def label(cell: dict) -> str:
 def cells() -> list[dict]:
     grid = [{"group": "records", "kernel": k, "n": n, "op": op}
             for k in KERNELS for n in SIZES for op in ("cluster", "verify")]
-    grid.append({"group": "records", "kernel": LARGE[0], "n": LARGE[1], "op": "cluster"})
+    grid += [{"group": "records", "kernel": k, "n": LARGE, "op": "cluster"} for k in KERNELS]
     grid += [{"group": "fixed_point_records", "kernel": FIXED_POINT_KERNEL, "n": n,
               "op": "fixed_point"} for n in SIZES]
+    grid += [{"group": "gap_records", "kernel": FIXED_POINT_KERNEL, "n": n, "op": "gap"}
+             for n in SIZES]
     grid += [{"group": "fuzz_records", "kernel": k, "op": "fuzz", "probes": FUZZ_CASES}
              for k in FUZZ_KERNELS]
     return grid
@@ -203,22 +218,22 @@ def summary(runs: list[dict]) -> dict:
 
 def record(cell: dict, runs: list[dict]) -> dict:
     key = {"records": cell["op"], "fixed_point_records": "cluster",
-           "fuzz_records": "verify"}[cell["group"]]
+           "gap_records": "gap_after", "fuzz_records": "verify"}[cell["group"]]
     if cell["group"] == "fuzz_records":
         out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
         out[key] = summary(runs)
         out["probe_us"] = round(1e6 * out[key]["wall_s"] / cell["probes"], 1)
         return out
     out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": H, key: summary(runs)}
-    for name in ("mean_distinct_share", "one_block_share"):
-        if name in runs[0]:
-            out[name] = runs[0][name]
+    if "mean_distinct_share" in runs[0]:
+        out["mean_distinct_share"] = runs[0]["mean_distinct_share"]
     return out
 
 
 def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
     """Every cell of ``grid`` on every tree, alternating, grouped by tree."""
-    out = {tree: {"records": [], "fixed_point_records": [], "fuzz_records": []}
+    out = {tree: {"records": [], "fixed_point_records": [], "gap_records": [],
+                  "fuzz_records": []}
            for tree in trees}
     names = list(trees)
     for cell in grid:
@@ -255,8 +270,6 @@ def main(argv=None) -> int:
     if not grid:
         parser.error(f"no cell matches --only {args.only}")
 
-    import scipy
-
     setup = {
         "points": "four Gaussian blobs, sigma 0.4, centres uniform in [-3, 3]^2, seed 0",
         "cells": [label(cell) for cell in grid], "d": 2, "h": H,
@@ -268,7 +281,8 @@ def main(argv=None) -> int:
         "cpu": "time.process_time of the same timed calls, summarised as the wall",
         "peak": "median tracemalloc peak of one further call per run",
         "fixed_point": "cluster with StopRule(move_tol=0.0)",
-        "one_block": "a * n <= _BLOCK_ENTRIES, a the distinct positions of a state",
+        "gap": "post-step minorizer gap term of the first epanechnikov state, "
+               "built with run_verify's reads",
         "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES})",
     }
     environment = {
@@ -276,7 +290,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     for tree, entry in measure(trees, grid).items():

@@ -18,17 +18,15 @@ through the point-to-position map where a point row is needed.
 Every state is built in one pass over chunks of j-rows (a distinct
 positions wide).  Each chunk gives its largest squared distance and its
 weights, and a truncated kernel's chunk also its largest joined squared
-distance; the objective's terms and a truncated kernel's boundary margin
-and boundary hit come from the chunks only when the caller declares that
-it reads them.  Only what the state keeps depends on the kernel and the
-size.  A full-support state keeps nothing, and a truncated state whose
-a x n pairs fit in one block keeps only its join bits: both add each chunk
-into every sum the caller reads, so their memory is O(n d) plus one chunk
-per sum.  A larger truncated state keeps its edges, the pairs with
-``g_ij != 0``, appended chunk by chunk as a j-major CSR list, so no n x n
-array is allocated.  A value read but not declared runs the same pass
-again for that value alone, so the pass is the only code that fills the
-objective, the margin, the update and the moments.
+distance; the objective's terms, a truncated kernel's boundary margin and
+boundary hit, and its degrees and components come from the chunks only
+when the caller declares that it reads them.  The state keeps none of the
+chunks, whatever the kernel: each chunk is added into every sum the caller
+reads, its joined pairs are counted per column and joined into the
+components by :func:`_union`, so the memory is O(n d) plus one chunk per
+sum.  A value read but not declared runs the same pass again for that
+value alone, so the pass is the only code that fills the objective, the
+margin, the labels, the update and the moments.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -40,17 +38,15 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .config import as_configuration, check_bandwidth, pairwise_sqdist, profile_args
 from .kernels import KernelSpec, TruncationClass
 
 # Entries per block of the pairwise temporaries: the row blocks of
 # distances and each slab of a full-support state's chunks of j-rows (at
-# least 8 rows); a truncated state's chunk holds at most two blocks over
+# least 8 rows); a truncated state's chunk holds at most three blocks over
 # all its slabs.  Bounds each at about 128 KiB of float64 whatever the
-# size.  A truncated state whose pairs fit in one block keeps no edge list.
+# size.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -173,125 +169,55 @@ def component_diameter(distinct: DistinctRows, components) -> float:
     return math.sqrt(worst)
 
 
-def _first_seen(labels: np.ndarray) -> np.ndarray:
-    # renumber labels 0..M-1 in order of their smallest vertex
-    _, first = np.unique(labels, return_index=True)
-    order = np.argsort(first)
-    remap = np.empty_like(order)
-    remap[order] = np.arange(order.size)
-    return remap[labels]
+def _numbered(roots: np.ndarray) -> np.ndarray:
+    # component labels 0..M-1 in order of each component's smallest vertex,
+    # from each vertex's smallest vertex of its component: a label is the
+    # rank of its vertex among the roots (root == vertex)
+    return np.flatnonzero(roots == np.arange(roots.size)).searchsorted(roots)
 
 
-def component_labels(adjacency) -> np.ndarray:
-    """Connected-component labels of a symmetric adjacency (dense or sparse).
+def _union(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The component labels ``labels`` with the pairs ``(u[k], v[k])`` joined.
 
-    Components are numbered contiguously from 0 in order of their smallest
-    vertex index, so the labelling is reproducible.
+    Start from ``np.arange(a)`` and join the pairs of a graph in any number
+    of calls; each vertex then holds the smallest vertex of its component.
+    Min-label propagation with pointer jumping: each round, every pair
+    hands the smaller of its ends' labels to the larger label's vertex, and
+    then every vertex takes its label's label until no label changes.
+    Every label stays a vertex of its own component and never exceeds its
+    vertex, so once every pair's ends agree each component is labelled by
+    its smallest vertex.  A round costs the pairs plus the vertices, so the
+    pairs can come one chunk at a time.
     """
-    # a symmetric graph's strong components are its components, and scipy
-    # finds those without building the transpose
-    _, labels = connected_components(adjacency, directed=True, connection="strong")
-    return _first_seen(labels)
-
-
-def small_component_labels(adjacency: np.ndarray) -> np.ndarray:
-    """:func:`component_labels` of a small dense symmetric boolean adjacency.
-
-    Min-label propagation with pointer jumping: each round, every vertex
-    takes the smallest label next to it, hands that label to its own
-    label's vertex as well, and then takes its label's label, until a
-    round changes nothing.  Every label stays a vertex of its own component
-    and never exceeds its vertex, so each component ends labelled by its
-    smallest vertex.  A round costs a^2, so it is meant for graphs of at
-    most one block.
-    """
-    a = adjacency.shape[0]
-    labels = np.arange(a)
     while True:
-        nearest = np.where(adjacency, labels, a).min(axis=1)
-        smallest = np.minimum(labels, nearest)
-        np.minimum.at(smallest, labels, nearest)
-        smallest = smallest[smallest]
-        if (smallest == labels).all():
-            break
-        labels = smallest
-    # the roots (label == vertex) in ascending order are the components'
-    # smallest vertices, so counting them numbers the components
-    return (np.cumsum(labels == np.arange(a)) - 1)[labels]
-
-
-def _nonzero_by_row(mask: np.ndarray):
-    """Row (within the block), int32 column and flat position of every true
-    entry of a 2-D boolean block, in row-major order."""
-    flat = np.flatnonzero(mask)  # several times faster on bools than on floats
-    width = mask.shape[1]
-    row = flat // width
-    return row, (flat - row * width).astype(np.int32), flat
-
-
-class _EdgeBuffer:
-    """Parallel per-edge arrays of a row-major edge list (int32 columns, and
-    weights), appended block by block into one array each.
-
-    The first block's arrays become the buffers; they grow in place by at
-    least a quarter (``ndarray.resize`` reallocates), so the list never
-    exists twice, as it would if the blocks were kept and concatenated.
-    Appended arrays must own their data.
-    """
-
-    def __init__(self):
-        self.size = 0
-        self.arrays = None
-
-    def append(self, *parts: np.ndarray) -> None:
-        if self.arrays is None:
-            self.arrays, self.size = parts, parts[0].size
-            return
-        stop = self.size + parts[0].size
-        if stop > self.arrays[0].size:
-            capacity = max(stop, self.arrays[0].size * 5 // 4)
-            for array in self.arrays:
-                array.resize(capacity, refcheck=False)
-        for array, part in zip(self.arrays, parts):
-            array[self.size:stop] = part
-        self.size = stop
-
-    def trimmed(self) -> tuple[np.ndarray, ...]:
-        """The arrays, resized to the edge count."""
-        for array in self.arrays:
-            array.resize(self.size, refcheck=False)
-        return self.arrays
-
-
-def _csr(data: np.ndarray, indices: np.ndarray, counts: np.ndarray, width: int) -> csr_array:
-    # indptr of indices' dtype, so scipy keeps both arrays as they are
-    rows = counts.size
-    dtype = np.int32 if indices.size <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(rows + 1, dtype=dtype)
-    np.cumsum(counts, out=indptr[1:])
-    return csr_array((data, indices.astype(dtype, copy=False), indptr), shape=(rows, width))
+        lu, lv = labels[u], labels[v]
+        if not np.count_nonzero(lu != lv):
+            return labels
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if not np.count_nonzero(jumped != labels):
+                break
+            labels = jumped
 
 
 def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
-    """Component labels (see :func:`component_labels`) of the graph joining
-    every pair of points within ``radius``.
+    """Component labels of the graph joining every pair of points within
+    ``radius``, numbered contiguously from 0 in order of each component's
+    smallest point index.
 
     Coincident points are always joined, so the graph is built over the
-    distinct rows only (see :class:`DistinctRows`), from row blocks of their
-    squared distances, and no n x n array is allocated.
+    distinct rows only (see :class:`DistinctRows`), one row block of their
+    squared distances at a time, and no n x n array is allocated.
     """
     distinct = DistinctRows(points)
     rows, a = distinct.rows, distinct.a
     limit = radius * radius
-    counts = np.empty(a, dtype=np.intp)
-    edges = _EdgeBuffer()
+    labels = np.arange(a)
     for block in _row_blocks(a, a):
-        row, cols, _ = _nonzero_by_row(pairwise_sqdist(rows[block], rows) <= limit)
-        counts[block] = np.bincount(row, minlength=block.stop - block.start)
-        edges.append(cols)
-    indices, = edges.trimmed()
-    graph = _csr(np.ones(indices.size, dtype=bool), indices, counts, a)
-    return distinct.expand(component_labels(graph))
+        row, col = np.divmod(np.flatnonzero(pairwise_sqdist(rows[block], rows) <= limit), a)
+        labels = _union(labels, row + block.start, col)
+    return distinct.expand(_numbered(labels))
 
 
 def _self_pairs(own: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -318,45 +244,6 @@ def _ascending_total(row_sums: np.ndarray) -> float:
     return float(np.cumsum(row_sums)[-1] + 0.0)
 
 
-def _rows_of_edges(graph: csr_array) -> np.ndarray:
-    # the row of every edge (intp: gathers take it as it is)
-    counts = np.diff(graph.indptr)
-    return np.repeat(np.arange(counts.size), counts)
-
-
-def _column_sums(cols: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
-    # bincount adds the terms in edge order: on a j-major list, ascending j
-    # within a column, one at a time from +0.0
-    return np.bincount(cols, weights=terms, minlength=count)
-
-
-def _edge_differences(cols: np.ndarray, rows: np.ndarray, col_values: np.ndarray,
-                      values: np.ndarray) -> np.ndarray:
-    # col_values[col] - values[row] for every edge.  The column gather goes
-    # first: it copies the int32 columns to intp, and that copy is freed
-    # before the row gather's temporary exists.
-    diff = col_values[cols]
-    np.subtract(diff, values[rows], out=diff)
-    return diff
-
-
-def _weighted_column_sums(graph: csr_array, rows: np.ndarray, col_points: np.ndarray,
-                          points: np.ndarray) -> np.ndarray:
-    # sum_j g_jc ||q_c - p_j||^2 for every column c of graph (``rows`` is
-    # _rows_of_edges(graph)), with q_c = col_points[c] and p_j = points[j],
-    # each squared distance summed over coordinates in pairwise_sqdist's order
-    cols = graph.indices
-    total = _edge_differences(cols, rows, col_points[:, 0], points[:, 0])
-    total *= total
-    for k in range(1, points.shape[1]):
-        term = _edge_differences(cols, rows, col_points[:, k], points[:, k])
-        term *= term
-        total += term
-        del term  # freed before the next coordinate's temporaries
-    total *= graph.data
-    return _column_sums(cols, total, graph.shape[1])
-
-
 class PairwiseState:
     """Squared distances, profile arguments and weights of a configuration.
 
@@ -372,37 +259,29 @@ class PairwiseState:
     distances against the a distinct rows give their largest value and
     the weights (exactly symmetric, so the weight of j-row j in column r is
     ``g_rj``).  A truncated kernel's chunks also give the largest squared
-    distance of a joined pair (zero when the graph is singular); its
-    degrees are counted from what it keeps, once, when first read.  What
-    else the state keeps depends on the kernel and the size:
-
-    * a full-support state keeps nothing: it joins every pair;
-    * a truncated state whose a x n pairs fit in one block
-      (``_BLOCK_ENTRIES``) keeps the (n, a) join bits ``g != 0``; its
-      components come from :func:`small_component_labels` over the a x a
-      adjacency of the distinct positions;
-    * a larger truncated state keeps its edges, the pairs with
-      ``g_ij != 0`` (the diagonal included where ``g(0) != 0``), as the
-      j-major CSR array ``graph`` with n rows and a columns (int32 column
-      indices, the weights as its data).  Its components, update, moments
-      and minorizer gap read only them.
+    distance of a joined pair (zero when the graph is singular).  The
+    state keeps no chunk: a full-support kernel joins every pair, and a
+    truncated kernel's joins (``g != 0``) are counted and labelled as the
+    chunks go by, so every state holds O(n d).
 
     ``reads`` declares what the caller reads, and the pass computes only
     that: ``"objective"``, the objective's terms and their sum (free for a
     kernel whose profile is its weight function, such as gaussian, whose
     objective is the weights' sum); ``"margin"``, the boundary margin and
-    boundary hit of a truncated kernel; and, for the first two kinds of
-    state, the sums ``"update"`` (the update's denominator and
-    numerators), ``"moments"`` and ``"gap"`` (the minorizer gap's pre-step
-    row sums, taken as distances times weights).  A value not declared
-    runs the constructor's pass again on its first read, for that value
-    alone: it computes the same chunks, bit for bit, fills only that value,
-    which is then kept, and leaves the join bits, the edges and the largest
-    distances as the first pass built them.  Only the gap's post-step term
-    (and its pre-step term when not declared) is summed outside the pass.
-    So a state holds O(n d), its join bits or edges, and one chunk per
-    sum, and ``reads`` moves no bit.  An edge-list state sums its update,
-    moments and gap over its edges, whatever ``reads`` says.
+    boundary hit of a truncated kernel; ``"labels"``, a truncated kernel's
+    degrees and components (each chunk counts its joins per column and
+    joins its pairs of distinct rows with :func:`_union`), which ``labels``,
+    ``M``, ``components``, ``closed`` and ``component_diameter`` read; and
+    the sums ``"update"`` (the update's denominator and numerators),
+    ``"moments"`` and ``"gap"`` (the minorizer gap's pre-step row sums,
+    taken as distances times weights).  A value not declared runs the
+    constructor's pass again on its first read, for that value alone: it
+    computes the same chunks, bit for bit, fills only that value, which is
+    then kept, and leaves the largest distances as the first pass found
+    them.  Only the gap's post-step term (and its pre-step term when not
+    declared) is summed outside the pass, from the weights computed again.
+    So a state holds O(n d) and one chunk per sum, and ``reads`` moves no
+    bit.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -410,25 +289,25 @@ class PairwiseState:
     the minorizer gap's row sums ``sum_j g_ij ||y_i - y_j||^2`` are summed
     one j at a time in ascending order from ``+0.0``, for every coordinate
     and every d; the objective and the gap then add their row sums in
-    ascending i from ``+0.0``.  Such a sum never becomes ``-0.0``, so a
-    truncated kernel skipping the pairs with a zero term leaves its bits
-    as they are, and the edge list gives the chunks' bits.  Every j-sum
-    runs over the n points, not over the distinct positions, so the
-    grouping changes no bit.
+    ascending i from ``+0.0``.  Such a sum never becomes ``-0.0``, so the
+    zero terms of a truncated kernel's unjoined pairs leave its bits as
+    they are.  Every j-sum runs over the n points, not over the distinct
+    positions, so the grouping changes no bit.
 
     Raises ``ValueError`` for an out-of-range bandwidth and when the
     largest squared distance overflows to inf.
     """
 
-    graph: csr_array | None = None
-    _joins: np.ndarray | None = None
     # what a pass filled because its ``reads`` named it (the margin and the
     # boundary hit from the start for a full-support kernel): the objective,
-    # the margin and boundary hit, the update's denominator and numerators,
-    # the moments and the gap's pre-step total
+    # the margin and boundary hit, the joins i != j and the component roots
+    # of each distinct row, the update's denominator and numerators, the
+    # moments and the gap's pre-step total
     _objective: float | None = None
     _margin: float | None = None
     _boundary_hit: bool | None = None
+    _degree: np.ndarray | None = None
+    _roots: np.ndarray | None = None
     _update: tuple[np.ndarray, np.ndarray] | None = None
     _moments: np.ndarray | None = None
     _gap_before: float | None = None
@@ -452,72 +331,61 @@ class PairwiseState:
         )
 
     def _pass(self, reads, first: bool = False) -> None:
-        # the constructor's pass (``first``) also builds what the state
-        # keeps; a later pass fills only what ``reads`` names and leaves
-        # what the state keeps as it is
+        # the constructor's pass (``first``) also finds the largest squared
+        # distance and joined squared distance; a later pass fills only
+        # what ``reads`` names
         kernel, h, n, d = self.kernel, self.h, self.n, self.cfg.d
         y, at, a = self.cfg.points, self.distinct.rows, self.distinct.a
         truncated = kernel.truncated
-        listed = truncated and a * n > _BLOCK_ENTRIES
-        update, moments, gap = (not listed and name in reads
-                                for name in ("update", "moments", "gap"))
-        shared = not listed and kernel.profile is kernel.g
+        update, moments, gap = (name in reads for name in ("update", "moments", "gap"))
+        shared = kernel.profile is kernel.g
         objective = "objective" in reads and not shared
         margin = truncated and "margin" in reads
-        # slabs: the weights (the denominator's terms) unless the edges are
-        # listed, the objective's terms when read and not the weights
-        # (gaussian), then the d numerators, the d moments and the gap's
-        # pre-step terms when read
-        obj = 0 if listed or shared else 1
-        num = (not listed) + objective
+        labels = truncated and "labels" in reads
+        # slabs: the weights (the denominator's terms), the objective's
+        # terms when read and not the weights (gaussian), then the d
+        # numerators, the d moments and the gap's pre-step terms when read
+        obj = 0 if shared else 1
+        num = 1 + objective
         mom = num + d * update
         pre = mom + d * moments
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
         if margin:
             own = self.distinct.points_of(slice(0, a))
-        build = truncated and first  # the joins or the edges
+        joins = truncated and (first or labels)
         if first:
             self.max_sqdist, self._joined_max = 0.0, 0.0
-            if listed:
-                counts, edges = np.empty(n, dtype=np.intp), _EdgeBuffer()
-            elif truncated:
-                self._joins = np.empty((n, a), dtype=bool)
+        if labels:
+            self._degree, self._roots = np.zeros(a, dtype=np.intp), np.arange(a)
 
         # fill closes over fewer than 20 names: CPython 3.11 keeps every
         # freed 20-item tuple (such as a closure's) on a free list that it
         # never takes one back from, so each state would leave 200 B behind
         def fill(rows, out):
-            w = None if listed else out[0]
+            w = out[0]
             sqd = pairwise_sqdist(y[rows], at, out=out[pre] if gap else w)
             self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
             if margin:
                 skip = _self_pairs(own, rows)
                 self._margin = min(self._margin, _block_margin(sqd, skip, kernel.beta * h))
-            # only building the joins reads a distance again, else in place
-            u = profile_args(sqd, h, out=None if build else w)
+            # only the joins read a distance again, else in place
+            u = profile_args(sqd, h, out=None if joins else w)
             if margin:
                 self._boundary_hit = self._boundary_hit or self._hits_boundary(u)
             if objective:
                 out[obj] = kernel.profile(u)
             g = kernel.g(u)
             del u
-            if build:
+            if joins:
                 joined = g != 0.0
-                if listed:
-                    row, cols, flat = _nonzero_by_row(joined)
-                    joined_max = np.max(sqd.ravel()[flat], initial=0.0)
-                    counts[rows] = np.bincount(row, minlength=rows.stop - rows.start)
-                    edges.append(cols, g.ravel()[flat])
-                else:
-                    # the distances are finite, so a joined one times 1.0 is
-                    # itself and an unjoined one becomes +0.0; w is free
-                    # until it takes the weights
-                    joined_max = np.multiply(sqd, joined, out=w).max()
-                    self._joins[rows] = joined
+                # the distances are finite, so a joined one times 1.0 is
+                # itself and an unjoined one becomes +0.0; w is free until
+                # it takes the weights
+                joined_max = np.multiply(sqd, joined, out=w).max()
                 self._joined_max = max(self._joined_max, float(joined_max))
-            if listed:
-                return
+                if labels:
+                    self._join_chunk(rows, joined)
             w[...] = g
             del g  # off the peak of the sums' terms
             if update:
@@ -527,11 +395,12 @@ class PairwiseState:
             if gap:
                 out[pre] *= w
 
-        # a truncated chunk's temporaries (margin, joins, edges) come on top
-        # of its slabs, so its slabs share two blocks, a lone slab (or none:
-        # an edge list that sums nothing in the pass) one
+        # a truncated chunk's temporaries (its profile arguments, margin and
+        # joins) come on top of its slabs, so its slabs share three blocks,
+        # at most one each; each chunk costs a fixed count of numpy calls,
+        # so smaller chunks would slow the states of a few hundred points
         slabs = pre + gap
-        per_slab = min(_BLOCK_ENTRIES, 2 * _BLOCK_ENTRIES // max(1, slabs))
+        per_slab = min(_BLOCK_ENTRIES, 3 * _BLOCK_ENTRIES // slabs)
         sums = _ascending_j(n, a, slabs, fill, per_slab if truncated else _BLOCK_ENTRIES)
         if objective or shared:
             self._objective = _ascending_total(self.distinct.expand(sums[obj]))
@@ -541,11 +410,19 @@ class PairwiseState:
             self._moments = np.ascontiguousarray(sums[mom:pre].T)
         if gap:
             self._gap_before = _ascending_total(self.distinct.expand(sums[pre]))
-        if listed and first:
-            indices, weights = edges.trimmed()
-            self.graph = _csr(weights, indices, counts, a)
+        if labels:  # the pair with its own point is joined exactly when g(0) != 0
+            self._degree -= kernel.g0 != 0.0
         if not truncated:  # every pair is joined
             self._joined_max = self.max_sqdist
+
+    def _join_chunk(self, rows: slice, joined: np.ndarray) -> None:
+        # count the chunk's joins per column, and join the distinct row of
+        # each j-row to every column it reaches
+        row, col = np.divmod(np.flatnonzero(joined), joined.shape[1])
+        self._degree += np.bincount(col, minlength=self._degree.size)
+        inv = self.distinct.inv
+        ends = row + rows.start if inv is None else inv[rows][row]
+        self._roots = _union(self._roots, ends, col)
 
     @property
     def objective(self) -> float:
@@ -574,36 +451,36 @@ class PairwiseState:
     def joined_rows(self) -> np.ndarray:
         """A new (a, n) boolean array whose row r marks the points joined to
         distinct row r: ``g != 0``, or every point for a full-support kernel."""
-        if not self.kernel.truncated:
-            return np.ones((self.distinct.a, self.n), dtype=bool)
-        if self.graph is None:
-            return self._joins.T.copy()
-        return self.graph.T.toarray() != 0.0
+        out = np.ones((self.distinct.a, self.n), dtype=bool)
+        if self.kernel.truncated:
+            for rows in _row_blocks(self.n, self.distinct.a):
+                out[:, rows] = (self._weight_rows(rows) != 0.0).T
+        return out
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """Component index of every vertex, read-only (see :func:`component_labels`)."""
+        """Component index of every point, read-only: components are numbered
+        contiguously from 0 in order of their smallest point index."""
         distinct = self.distinct
         if not self.kernel.truncated:  # a complete graph is one component
-            labels = np.zeros(self.n, dtype=np.intp)
-            labels.setflags(write=False)
-            return labels
-        # the graph over the distinct positions, expanded: coincident points
-        # share every neighbour, and they are joined to each other where
-        # g(0) != 0.  Where g(0) = 0 (tricube) a group with no edge at all
-        # is not joined, so its points stay apart.
-        if self.graph is None:
-            joins = self._joins if distinct.inv is None else self._joins[distinct.first]
-            labels = distinct.expand(small_component_labels(joins))
+            roots = np.zeros(self.n, dtype=np.intp)
         else:
-            graph = self.graph if distinct.inv is None else self.graph[distinct.first]
-            labels = distinct.expand(component_labels(graph))
-        if distinct.inv is not None:
-            apart = np.flatnonzero((self._degree[distinct.inv] == 0)
-                                   & (distinct.first[distinct.inv] != np.arange(self.n)))
-            if apart.size:
-                labels[apart] = labels.max() + 1 + np.arange(apart.size)
-                labels = _first_seen(labels)
+            if self._roots is None:
+                self._pass({"labels"})
+            roots = self._roots
+            if distinct.inv is not None:
+                # the graph over the distinct positions, expanded: coincident
+                # points share every neighbour, and the distinct rows come in
+                # order of first appearance, so a component's smallest point
+                # is the first point of its smallest row.  Coincident points
+                # are joined to each other where g(0) != 0; where g(0) = 0
+                # (tricube) a group with no join at all is not, so its points
+                # stay apart.
+                point = np.arange(self.n)
+                roots = distinct.first[roots][distinct.inv]
+                apart = (self._degree[distinct.inv] == 0) & (distinct.first[distinct.inv] != point)
+                roots = np.where(apart, point, roots)
+        labels = _numbered(roots)
         labels.setflags(write=False)
         return labels
 
@@ -647,26 +524,9 @@ class PairwiseState:
     def component_diameter(self) -> float:
         if self.M == 1:
             return self.diameter
-        if self.closed:  # every pair within a component is an edge
+        if self.closed:  # every pair within a component is joined
             return math.sqrt(self._joined_max)
         return component_diameter(self.distinct, self.components)
-
-    @cached_property
-    def _degree(self) -> np.ndarray:
-        # joins i != j per distinct row: its joined j-rows, counted over
-        # bounded slices of an edge list, less the pair with its own point,
-        # which is joined exactly when g(0) != 0
-        if self.graph is None:
-            degree = self._joins.sum(axis=0)
-        else:
-            cols, degree = self.graph.indices, np.zeros(self.distinct.a, dtype=np.intp)
-            for part in _row_blocks(cols.size, 1):
-                degree += np.bincount(cols[part], minlength=degree.size)
-        return degree - (self.kernel.g0 != 0.0)
-
-    @cached_property
-    def _edge_rows(self) -> np.ndarray:
-        return _rows_of_edges(self.graph)
 
     def _weight_rows(self, rows: slice) -> np.ndarray:
         # the weights of the j-rows ``rows``, computed again as the
@@ -684,26 +544,17 @@ class PairwiseState:
                     out=out)
         out *= w
 
-    def _update_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        # the denominator and the numerators, one row per distinct position
-        if self.graph is not None:
-            # scipy's CSC matvec adds each column's edges in ascending j
-            by_column = self.graph.T
-            return by_column @ np.ones(self.n), by_column @ self.cfg.points
-        if self._update is None:
-            self._pass({"update"})
-        return self._update
-
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the
-        class docstring's contract says (for an edge list, ``graph.T @ y``
-        over ``graph.T @ 1``), once per distinct position.
+        class docstring's contract says, once per distinct position.
 
         Raises ``ValueError`` when a point's weights sum to zero, which a
         kernel with ``g(0) = 0`` gives a point or a group of coincident
         points with no other point at nonzero weight.
         """
-        den, num = self._update_sums()
+        if self._update is None:
+            self._pass({"update"})
+        den, num = self._update
         empty = np.flatnonzero(self.distinct.expand(den) == 0.0)
         if empty.size:
             raise ValueError(
@@ -715,19 +566,9 @@ class PairwiseState:
         return self.distinct.expand(num / den[:, None])
 
     def _row_moments(self) -> np.ndarray:
-        if self.graph is None:
-            if self._moments is None:
-                self._pass({"moments"})
-            return self._moments
-        y, at = self.cfg.points, self.distinct.rows
-        rows, cols, a = self._edge_rows, self.graph.indices, self.distinct.a
-        out = np.empty_like(at)
-        for k in range(self.cfg.d):
-            term = _edge_differences(cols, rows, at[:, k], y[:, k])
-            term *= self.graph.data
-            out[:, k] = _column_sums(cols, term, a)
-            del term  # freed before the next coordinate's temporaries
-        return out
+        if self._moments is None:
+            self._pass({"moments"})
+        return self._moments
 
     def moments(self) -> np.ndarray:
         """Weighted difference sums ``sum_j (y_i - y_j) g_ij``, one row per point.
@@ -752,12 +593,6 @@ class PairwiseState:
                       groups: np.ndarray | None = None) -> np.ndarray:
         # sum_j g_rj ||c - p_j||^2 for each row c of centres, with r its
         # distinct row groups[c] (default: r = c)
-        if self.graph is not None:
-            if groups is None:
-                return _weighted_column_sums(self.graph, self._edge_rows, centres, points)
-            graph = self.graph[:, groups]
-            return _weighted_column_sums(graph, _rows_of_edges(graph), centres, points)
-
         def terms(rows, out):
             w = self._weight_rows(rows)
             pairwise_sqdist(points[rows], centres, out=out[0])
@@ -782,10 +617,9 @@ class PairwiseState:
     def minorizer_gap(self, cfg_next) -> float:
         """Surrogate improvement ``(1/(2 h^2)) * (sum_ij g_ij ||y_i - y_j||^2
         - sum_ij g_ij ||y'_i - y'_j||^2)`` of ``cfg_next`` with these
-        weights, summed as the class docstring's contract says (an edge list
-        reads both configurations only at its edges; the dense paths compute
-        the distances again, and a full-support state its weights too,
-        unless its constructor's pass read the pre-step term)."""
+        weights, summed as the class docstring's contract says (the
+        post-step term computes the weights and distances again, and so does
+        the pre-step term unless the constructor's pass read it)."""
         nxt = as_configuration(cfg_next).points
         before = self._gap_before
         if before is None:

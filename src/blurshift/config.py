@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ __all__ = [
     "Configuration",
     "as_configuration",
     "check_bandwidth",
+    "check_count",
     "pairwise_sqdist",
     "profile_args",
 ]
@@ -74,6 +76,16 @@ def check_bandwidth(h) -> float:
             "double precision; rescale the points and the bandwidth"
         )
     return h
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Validate a count: raises ``ValueError`` naming ``name`` for anything
+    but an integer (numpy integers accepted) of at least ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None,

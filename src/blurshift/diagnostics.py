@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _pairwise
-from .config import as_configuration
+from .config import as_configuration, check_count
 from .kernels import KernelSpec
 
 __all__ = [
@@ -64,9 +64,13 @@ def directional_extents(cfg, direction) -> tuple[float, float]:
 
 
 def direction_set(d: int, count: int = 256, seed: int = DEFAULT_DIRECTION_SEED) -> np.ndarray:
-    """A fixed, seeded set of unit directions in R^d (reproducible checks)."""
-    if count < 1:
-        raise ValueError(f"direction count must be at least 1, got {count}")
+    """A fixed, seeded set of unit directions in R^d (reproducible checks).
+
+    Raises ``ValueError`` naming the argument for a ``d`` or ``count`` that
+    is not an integer of at least 1.
+    """
+    check_count("d", d, 1)
+    check_count("direction count", count, 1)
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((count, d))
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)

@@ -73,9 +73,9 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     bitwise-identical outputs.  That makes collapsed groups exactly
     coincident and lets flat-weight truncated kernels reach bit-exact fixed
     points (it also keeps results independent of the BLAS backend and its
-    threading).  The denominator ``sum_j g_ij`` is summed the same way; a
-    truncated kernel sums both over its edges only (a zero weight leaves
-    such a sum unchanged).
+    threading).  The denominator ``sum_j g_ij`` is summed the same way; the
+    zero weights of a truncated kernel's unjoined pairs leave both sums
+    unchanged.
 
     Raises ``ValueError`` when a point's weights sum to zero (a kernel with
     ``g(0) = 0``, such as ``tricube``, and no other point at nonzero weight).
@@ -153,8 +153,8 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
     When ``cfg_next`` is the blurring update of ``cfg`` this is at least
     ``(2 g(0) / h^2) * ||y' - y||^2``, and the objective gain is at least
     this gap.  Each of the two terms is summed like the objective (rows in
-    ascending j, then the rows in ascending i); a truncated kernel reads
-    both configurations only at its edges.
+    ascending j, then the rows in ascending i), from the distances and
+    weights computed chunk by chunk, whatever the kernel.
     """
     cfg = as_configuration(cfg)
     cfg_next = as_configuration(cfg_next)
@@ -227,8 +227,8 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     point move; ``T`` is the number of steps.  Observers must not keep the
     state: it is released before the next one is built.  ``reads`` names
     what ``on_step`` reads beyond the update, which the loop always reads
-    (``"objective"``, ``"margin"``, ``"moments"``, ``"gap"``; see
-    :class:`PairwiseState`), so that the state computes it in its
+    (``"objective"``, ``"margin"``, ``"labels"``, ``"moments"``, ``"gap"``;
+    see :class:`PairwiseState`), so that the state computes it in its
     constructor's pass and nothing else, instead of running that pass again
     for each value read; it moves no bit.  The ``blurshift`` logger gets a start and a
     stop summary at DEBUG.
@@ -295,5 +295,6 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
         if keep_records:
             records.append(record)
 
-    final, stop_reason, T = _iterate(cfg0, kernel, h, stop, on_step, {"objective", "margin"})
+    reads = {"objective", "margin", "labels"}
+    final, stop_reason, T = _iterate(cfg0, kernel, h, stop, on_step, reads)
     return BmsRun(final, records, stop_reason, T)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pairwise import PairwiseState
-from .config import check_bandwidth
+from .config import check_bandwidth, check_count
 from .kernels import KernelSpec
 
 __all__ = [
@@ -55,15 +55,16 @@ def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
     """Build the proximity graph of a configuration.
 
     Edge ``{i, j}`` is present iff ``i != j`` and ``g`` is nonzero at the
-    pairwise profile argument.  Components come from a union-find style
-    sweep (scipy's connected components) with deterministic ordering; the
-    complete graph of a non-truncated kernel is one component.
+    pairwise profile argument.  Components come from a min-label union over
+    the joined pairs, streamed through the pairwise state's pass, and are
+    numbered in order of their smallest vertex; the complete graph of a
+    non-truncated kernel is one component.
 
     Nonzeroness follows the exact sign structure of ``g``: a non-truncated
     kernel joins every pair even where the evaluated weight underflows to
     zero in doubles.
     """
-    state = PairwiseState(cfg, kernel, h)
+    state = PairwiseState(cfg, kernel, h, {"labels"})
     adjacency = state.distinct.expand(state.joined_rows())
     np.fill_diagonal(adjacency, False)
     adjacency.setflags(write=False)
@@ -105,7 +106,7 @@ def classify(graph: BmsGraph, cfg, kernel: KernelSpec, h: float,
     are built from.  Raises ``ValueError`` for a negative or NaN
     ``stability_tol``.
     """
-    state = PairwiseState(cfg, kernel, h, {"margin"})
+    state = PairwiseState(cfg, kernel, h, {"margin", "labels"})
     if graph.n != state.n:
         raise ValueError(f"graph has {graph.n} vertices, configuration has {state.n} points")
     return GraphClassification(state.closed, state.singular,
@@ -118,7 +119,14 @@ def component_count_bound(n: int, gamma: float, beta: float, h: float, d: int) -
     ``min{n, (1 + 2*gamma/(beta*h))^d}`` for truncated kernels, where
     ``gamma`` is the largest pairwise distance; ``n`` when the kernel is
     non-truncated (the bound degenerates).
+
+    Raises ``ValueError`` naming the argument for an ``n`` or ``d`` that is
+    not an integer of at least 1 and for a negative or NaN ``gamma``.
     """
+    check_count("n", n, 1)
+    check_count("d", d, 1)
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
     h = check_bandwidth(h)
     if not math.isfinite(beta):
         return n

@@ -10,13 +10,12 @@ randomized configurations, including pairs planted near the joining radius.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._pairwise import PairwiseState
-from .config import as_configuration, check_bandwidth
+from .config import as_configuration, check_bandwidth, check_count
 from .diagnostics import (
     DEFAULT_DIRECTION_SEED,
     _contraction_factor,
@@ -152,13 +151,8 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     sampled profile flat at 0): the checks' constants divide by ``g(0)``,
     and for a ``directions`` or ``fuzz`` count that is not an integer.
     """
-    for name, count in (("directions", directions), ("fuzz", fuzz)):
-        if not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if directions < 1:
-        raise ValueError(f"directions must be at least 1, got {directions}")
-    if fuzz < 0:
-        raise ValueError(f"fuzz must be non-negative, got {fuzz}")
+    check_count("directions", directions, 1)
+    check_count("fuzz", fuzz, 0)
     h = check_bandwidth(h)
     _require_positive_g0(kernel)
 
@@ -224,7 +218,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
-    reads = {"objective", "margin", "gap"} | ({"moments"} if smooth else set())
+    reads = {"objective", "margin", "gap", "labels"} | ({"moments"} if smooth else set())
     final, stop_reason, T = _iterate(points, kernel, h, stop, on_step, reads)
     state = PairwiseState(final, kernel, h, {"objective"})  # closes the last step
     close(state.objective, state.diameter)
@@ -234,7 +228,8 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
     fuzz_mismatches = 0
     rng = np.random.default_rng(seed)
     for _ in range(fuzz):
-        probe = PairwiseState(_fuzz_configuration(rng, kernel, h), kernel, h, {"moments"})
+        probe = PairwiseState(_fuzz_configuration(rng, kernel, h), kernel, h,
+                              {"moments", "labels"})
         fixed = probe.is_fixed_point(tol=1e-12 * max(probe.diameter, h))
         if fixed != probe.singular:
             fuzz_mismatches += 1

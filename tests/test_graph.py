@@ -148,6 +148,16 @@ class TestComponentBound:
             assert m <= bound, kid
 
 
+@pytest.mark.parametrize("name,call", [
+    ("direction count", lambda: direction_set(2, 2.5)),
+    ("d", lambda: bs.component_count_bound(10, 1.0, math.sqrt(2), 1.0, 2.5)),
+    ("gamma", lambda: bs.component_count_bound(10, math.nan, math.sqrt(2), 1.0, 2)),
+], ids=["fractional-direction-count", "fractional-dimension", "nan-gamma"])
+def test_bad_count_or_distance_rejected_by_name(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
 class TestFixedPoint:
     def test_singular_configuration(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0]])

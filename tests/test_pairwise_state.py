@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
-from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState, small_component_labels
+from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState, _union
 from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.diagnostics import component_diameter, diameter
 from blurshift.engine import IterationRecord, StopRule, bms_step, objective, run_bms
@@ -274,14 +275,9 @@ def _assert_state_equals_full_rows(pts, kernel, h, moved):
     # full-support kernel
     joins = want["graph"] != 0.0 if kernel.truncated else np.ones_like(want["graph"], bool)
     assert np.array_equal(state.distinct.expand(state.joined_rows()), joins)
-    if state.graph is not None:
-        # the j-major edge list: point j's weight against distinct row r in
-        # row j, column r
-        assert kernel.truncated
-        assert state.distinct.expand(state.graph.T.toarray()).tobytes() \
-            == want["graph"].tobytes()
-    # the other states hold no weight array: the update, moments, objective
-    # and gap below pin the weights bit for bit
+    # no state holds a weight array: the update, moments, objective and gap
+    # below pin the weights bit for bit
+    _assert_holds_no_pairwise_array(state)
     for name in ("objective", "margin", "diameter", "component_diameter"):
         assert _bits(getattr(state, name)) == _bits(want[name]), name
     for name in ("boundary_hit", "closed", "singular"):
@@ -289,12 +285,23 @@ def _assert_state_equals_full_rows(pts, kernel, h, moved):
     assert np.array_equal(state.labels, want["labels"])
     assert state.moments().tobytes() == want["moments"].tobytes()
     assert _bits(state.minorizer_gap(moved)) == _bits(want["gap"])
+    _assert_holds_no_pairwise_array(state)
     if want["update"] is None:
         with pytest.raises(ValueError, match="zero total weight"):
             state.update()
     else:
         assert state.update().tobytes() == want["update"].tobytes()
     return state
+
+
+def _assert_holds_no_pairwise_array(state):
+    """Every array the state holds, with its configuration and grouping,
+    has at most n * d entries: no chunk, join bit or edge outlives the pass."""
+    held = [*vars(state).values(), *vars(state.distinct).values(), state.cfg.points]
+    arrays = [item for value in held
+              for item in (value if isinstance(value, tuple) else (value,))
+              if isinstance(item, np.ndarray)]
+    assert max(array.size for array in arrays) <= state.n * state.cfg.d
 
 
 def _sites(rng, d, count):
@@ -315,8 +322,8 @@ def _sites(rng, d, count):
 def test_state_equals_full_row_reference(data):
     # many coincident groups, so the state computes each row once per
     # distinct position; n = 128 and 129 sit on both sides of the size
-    # below which no grouping is made, and a truncated kernel keeps dense
-    # weights only while its a x n pairs fit in one block
+    # below which no grouping is made, and a truncated state's a x n pairs
+    # fit in one block or span several; either way it holds O(n d)
     kernel = bs.builtin(data.draw(st.sampled_from(bs.BUILTIN_IDS), label="kernel"))
     n = data.draw(st.sampled_from([1, 2, 9, 128, 129, 200]), label="n")
     d = data.draw(st.integers(1, 3), label="d")
@@ -330,8 +337,6 @@ def test_state_equals_full_row_reference(data):
     distinct = len({row.tobytes() for row in pts})
     grouped = n > 128 and distinct < n
     assert (state.distinct.inv is not None) == grouped
-    dense = not kernel.truncated or (distinct if grouped else n) * n <= _BLOCK_ENTRIES
-    assert (state.graph is None) == dense
 
 
 @pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy", "logistic", "epanechnikov",
@@ -351,16 +356,15 @@ def test_dense_single_distinct_row(kernel_id, n):
 def test_isolated_tricube_group_stays_apart():
     # g(0) = 0: coincident points with no other point in reach are not joined
     # to each other, so the grouped graph must not merge them, whether the
-    # a x n pairs fit in one block (a = 101, dense weights) or not (a = 251,
-    # edge list)
+    # a x n pairs fit in one block (a = 101) or not (a = 251)
     tricube = bs.builtin("tricube")
-    for n, dense in ((150, True), (300, False)):
+    for n, one_block in ((150, True), (300, False)):
         pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
         pts[n - 50:] = pts[0]  # a group joined to its neighbours
         pts[n - 10:] = 50.0  # an isolated group of ten
         state = _assert_state_equals_full_rows(pts, tricube, 0.5, pts + 1e-3)
         assert state.distinct.inv is not None
-        assert (state.graph is None) == dense
+        assert (state.distinct.a * n <= _BLOCK_ENTRIES) == one_block
         assert len(set(state.labels[n - 10:])) == 10
 
 
@@ -403,9 +407,8 @@ def test_one_block_truncated_reads_move_no_bit(data):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_edge_list_reads_move_no_bit(data):
-    # a truncated state that keeps an edge list computes its objective,
-    # margin and boundary hit in the pass when they are declared; its sums
-    # come from the edges either way
+    # a truncated state whose pairs span several blocks fills what its
+    # caller reads in the same pass too, its labels and degrees included
     kernel = bs.builtin(data.draw(st.sampled_from(["epanechnikov", "biweight", "cosine"]),
                                   label="kernel"))
     n = data.draw(st.sampled_from([200, 300]), label="n")
@@ -418,7 +421,7 @@ def test_edge_list_reads_move_no_bit(data):
     pts[rng.choice(n, size=loose, replace=False)] = rng.uniform(-1.5, 1.5, size=(loose, d))
     read, _ = _assert_reads_move_no_bit(pts, kernel, h,
                                         pts + rng.normal(scale=1e-3, size=pts.shape))
-    assert read.graph is not None
+    assert read.distinct.a * read.n > _BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("n", [12, 300])
@@ -426,7 +429,7 @@ def test_reads_move_no_bit_at_the_boundary(n):
     # a non-smoothly truncated pair exactly at beta * h, whose profile
     # argument is the support boundary bitwise at this h: boundary_hit is
     # true and the margin is 0.0, whether the pass or a later one computes
-    # them, in a one-block state (n = 12) and an edge list (n = 300)
+    # them, in one chunk (n = 12) and over several (n = 300)
     kernel, h = bs.builtin("epanechnikov"), 1.004
     radius = kernel.beta * h
     assert radius * radius / (2.0 * h * h) == kernel.boundary_u
@@ -435,7 +438,8 @@ def test_reads_move_no_bit_at_the_boundary(n):
     pts[1] = (radius, 0.0)
     moved = pts + np.random.default_rng(4).normal(scale=1e-3, size=pts.shape)
     for state in _assert_reads_move_no_bit(pts, kernel, h, moved):
-        assert (state.graph is None) == (n == 12)
+        assert (state.distinct.a * n <= _BLOCK_ENTRIES) == (n == 12)
+        _assert_holds_no_pairwise_array(state)
         assert state.boundary_hit
         assert _bits(state.margin) == _bits(0.0)
 
@@ -467,22 +471,22 @@ def test_undeclared_objective_evaluates_no_profile(kernel_id, n):
 def test_later_pass_keeps_the_structure(n):
     # four tight blobs far apart: closed, not singular, M = 4, so the
     # component diameter is the largest joined distance.  Reading the
-    # objective and then the margin runs the pass twice more; it must
-    # leave the join bits (n = 60) or the edge list (n = 200) as the
-    # constructor built them, and the values it fills must be bitwise
-    # those of a state that declared them
+    # objective, the margin and then the labels runs the pass three times
+    # more, in one block (n = 60) or several (n = 200); each fills only
+    # what it is run for, the state holds O(n d) throughout, and the values
+    # it fills must be bitwise those of a state that declared them
     kernel, h = bs.builtin("epanechnikov"), 0.5
     rng = np.random.default_rng(9)
     centres = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
     pts = centres[np.arange(n) % 4] + rng.uniform(-0.2, 0.2, size=(n, 2))
     pts[n - 20:] = pts[:20]  # coincident points, grouped when n > 128
     state = PairwiseState(pts, kernel, h, {"moments"})
-    kept = state._joins if state.graph is None else state.graph
-    assert state._objective is None and state._margin is None
-    assert (state.graph is None) == (n == 60)
+    assert state._objective is None and state._margin is None and state._roots is None
+    assert (state.distinct.a * n <= _BLOCK_ENTRIES) == (n == 60)
     objective, margin = state.objective, state.margin
-    want = PairwiseState(pts, kernel, h, {"moments", "objective", "margin"})
-    assert (state._joins if state.graph is None else state.graph) is kept
+    want = PairwiseState(pts, kernel, h, {"moments", "objective", "margin", "labels"})
+    assert state._roots is None and state._degree is None
+    _assert_holds_no_pairwise_array(state)
     assert _bits(objective) == _bits(want.objective)
     assert _bits(margin) == _bits(want.margin)
     assert state.boundary_hit == want.boundary_hit
@@ -492,9 +496,10 @@ def test_later_pass_keeps_the_structure(n):
     assert _bits(state.component_diameter) == _bits(want.component_diameter)
     assert _bits(state.diameter) == _bits(want.diameter)
     assert state.moments().tobytes() == want.moments().tobytes()
+    _assert_holds_no_pairwise_array(state)
 
 
-_EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin"})
+_EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin", "labels"})
 
 
 def _assert_reads_move_no_bit(pts, kernel, h, moved):
@@ -502,13 +507,15 @@ def _assert_reads_move_no_bit(pts, kernel, h, moved):
     with none, whose values come from later passes; returns both."""
     read = PairwiseState(pts, kernel, h, reads=_EVERY_READ)
     plain = PairwiseState(pts, kernel, h)
-    # what each constructor's pass filled: an edge list sums its update,
-    # moments and gap over its edges, and a full-support kernel has no
-    # boundary, and gaussian's objective is its weights' sum
+    # what each constructor's pass filled: a full-support kernel has no
+    # boundary and one component, and gaussian's objective is its weights'
+    # sum
     filled = (read._update, read._moments, read._gap_before)
-    assert all((value is None) == (read.graph is not None) for value in filled)
+    assert all(value is not None for value in filled)
     assert read._objective is not None and read._margin is not None
-    assert all(value is None for value in (plain._update, plain._moments, plain._gap_before))
+    assert (read._roots is None) == (read._degree is None) == (not kernel.truncated)
+    assert all(value is None for value in (plain._update, plain._moments, plain._gap_before,
+                                           plain._roots, plain._degree))
     assert (plain._margin is None) == (plain._boundary_hit is None) == kernel.truncated
     assert (plain._objective is None) == (kernel.profile is not kernel.g)
     assert read.boundary_hit == plain.boundary_hit
@@ -521,35 +528,49 @@ def _assert_reads_move_no_bit(pts, kernel, h, moved):
         assert read.is_fixed_point(tol) == plain.is_fixed_point(tol)
     assert _bits(read.minorizer_gap(moved)) == _bits(plain.minorizer_gap(moved))
     assert _bits(read.minorizer_gap(pts)) == _bits(plain.minorizer_gap(pts)) == _bits(0.0)
+    assert np.array_equal(read.labels, plain.labels)
+    assert read.closed == plain.closed and read.singular == plain.singular
+    assert _bits(read.component_diameter) == _bits(plain.component_diameter)
+    for state in (read, plain):
+        _assert_holds_no_pairwise_array(state)
     return read, plain
 
 
 @st.composite
-def _symmetric_graphs(draw):
-    a = draw(st.integers(1, 128), label="a")
+def _pair_graphs(draw):
+    """A graph on ``a`` vertices as the pair lists ``(u, v)``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if draw(st.booleans(), label="path"):
-        # a path through every vertex in scrambled order: its labels must
-        # travel the whole length
+        # a path through every vertex in scrambled order, each edge listed
+        # once: its labels must travel the whole length
+        a = draw(st.one_of(st.integers(1, 128), st.sampled_from([2000, 4096])), label="a")
         order = rng.permutation(a)
-        adjacency = np.zeros((a, a), dtype=bool)
-        adjacency[order[:-1], order[1:]] = True
+        u, v = order[:-1], order[1:]
     else:
+        a = draw(st.integers(1, 128), label="a")
         density = draw(st.sampled_from([0.0, 0.5 / a, 2.0 / a, 0.3]), label="density")
         adjacency = rng.random((a, a)) < density
-    adjacency |= adjacency.T
+        u, v = np.nonzero(adjacency | adjacency.T)
     if draw(st.booleans(), label="self-loops"):
-        np.fill_diagonal(adjacency, True)
-    return adjacency
+        u, v = np.concatenate([u, np.arange(a)]), np.concatenate([v, np.arange(a)])
+    shuffle = rng.permutation(u.size)
+    return a, u[shuffle], v[shuffle]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(adjacency=_symmetric_graphs())
-def test_small_component_labels_equal_scipy(adjacency):
-    _, raw = connected_components(adjacency, directed=False)
-    seen = {}
-    want = np.array([seen.setdefault(c, len(seen)) for c in raw])
-    assert np.array_equal(small_component_labels(adjacency), want)
+@given(graph=_pair_graphs(), chunks=st.integers(1, 5))
+def test_pair_list_union_equals_scipy(graph, chunks):
+    # the pairs come in several chunks, as a state's pass hands them over;
+    # each vertex ends labelled by the smallest vertex of its component
+    a, u, v = graph
+    _, raw = connected_components(coo_array((np.ones(u.size), (u, v)), shape=(a, a)),
+                                  directed=False)
+    smallest = {}
+    want = np.array([smallest.setdefault(c, vertex) for vertex, c in enumerate(raw)])
+    labels = np.arange(a)
+    for part in np.array_split(np.arange(u.size), chunks):
+        labels = _union(labels, u[part], v[part])
+    assert np.array_equal(labels, want)
 
 
 # tracemalloc peaks of exactly the run below, measured once on the driver
@@ -589,11 +610,11 @@ def _traced_peak(run):
 
 
 def test_truncated_run_bms_peak_below_one_dense_matrix():
-    # about 14% of the pairs are joined at h = 0.5, and the run keeps only
-    # those, far below one n x n array (30.5 MiB).  The fixed bounds sit
-    # about 3 MiB and 2 MiB above the measured 20.9 and 11.7 MiB; an update
-    # summed with bincount (31.2 MiB) or degrees counted over the whole edge
-    # list at once (15.9 MiB for biweight) exceed them.
+    # about 14% of the pairs are joined at h = 0.5, and a run must stay far
+    # below one n x n array (30.5 MiB) whatever it holds per joined pair.
+    # The fixed bounds sit about 3 MiB and 2 MiB above the 20.9 and 11.7 MiB
+    # of a run that keeps its joined pairs as an edge list; the streamed
+    # states peak below 4 MiB (test_truncated_peak_below_four_mib).
     n = 2000
     pts = _four_blobs(n)
     for kernel_id, bound_mib in (("epanechnikov", 24), ("biweight", 14)):
@@ -615,6 +636,23 @@ def test_full_support_peak_below_four_mib():
         < 4 * 2**20
     assert _traced_peak(lambda: bs.run_verify(pts, kernel, 0.5, stop=StopRule(max_iter=1))) \
         < 4 * 2**20
+
+
+def test_truncated_peak_below_four_mib():
+    # a truncated state keeps no join bit or edge either: its degrees and
+    # components stream through the pass, so a run whose clusters contract
+    # to cliques peaks like a full-support one, far below its joined pairs
+    # (about 14% of the n x n at h = 0.5)
+    n = 2000
+    pts = _four_blobs(n)
+    for kernel_id in ("epanechnikov", "biweight"):
+        kernel = bs.builtin(kernel_id)
+        bs.run_verify(pts[:200], kernel, 0.5, stop=StopRule(max_iter=1))  # warm-up
+        assert _traced_peak(lambda: run_bms(pts, kernel, 0.5, stop=StopRule(max_iter=2))) \
+            < 4 * 2**20, kernel_id
+        assert _traced_peak(lambda: bs.run_verify(pts, kernel, 0.5,
+                                                  stop=StopRule(max_iter=1))) \
+            < 4 * 2**20, kernel_id
 
 
 def test_dropped_states_keep_no_memory():
