@@ -34,6 +34,13 @@ state is built once with ``run_verify``'s reads, and the call sums
 ``sum_ij g_ij ||y'_i - y'_j||^2`` over the blurred points, as the
 observer does at every step.
 
+A sparse grid runs epanechnikov ``cluster`` for ``STEPS`` steps (op
+``sparse``) at n in ``SPARSE_SIZES`` on a standardized uniform square (seed
+0) at the density of perfbench's ``sparse-exact-epan``: h = 0.25 *
+sqrt(400 / n), so a point has pi (beta h)^2 n / 12, about 13, neighbours
+within beta * h at t = 1.  There a truncated state evaluates only the
+candidate pairs of its grid of cells, so n can reach 50 000.
+
 A fourth record times the fuzz probes of ``run_verify``: one call on a
 single point with ``FUZZ_CASES`` probes (configurations of at most 12
 points), where the one-step iteration is negligible, for one smoothly
@@ -81,6 +88,8 @@ WARM_UP_N = 200
 FUZZ_KERNELS = ("biweight", "epanechnikov")
 FUZZ_H = 0.8
 FUZZ_CASES = 400
+SPARSE_SIZES = (4000, 16000, 50000)
+SPARSE_KERNEL = "epanechnikov"
 
 
 def blobs(n: int) -> np.ndarray:
@@ -88,6 +97,22 @@ def blobs(n: int) -> np.ndarray:
     rng = np.random.default_rng(0)
     centres = rng.uniform(-3.0, 3.0, size=(4, 2))
     return centres[rng.integers(0, 4, size=n)] + rng.normal(scale=0.4, size=(n, 2))
+
+
+def sparse_square(n: int) -> np.ndarray:
+    """A uniform square, standardized per axis (seed 0)."""
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+    return (pts - pts.mean(axis=0)) / pts.std(axis=0)
+
+
+def sparse_h(n: int) -> float:
+    """The bandwidth that keeps ``sparse_square``'s neighbours per point at
+    those of 400 points at h = 0.25."""
+    return 0.25 * (400 / n) ** 0.5
+
+
+def points_for(cell: dict, n: int) -> np.ndarray:
+    return sparse_square(n) if cell["op"] == "sparse" else blobs(n)
 
 
 def nproc() -> int:
@@ -143,14 +168,15 @@ def operation(cell: dict, points: np.ndarray):
         stop = bs.StopRule(max_iter=STEPS)
     if cell["op"] == "verify":
         return lambda: bs.run_verify(points, kernel, H, stop=stop).T
-    return lambda: bs.cluster(points, kernel, H, stop=stop).T
+    h = sparse_h(points.shape[0]) if cell["op"] == "sparse" else H
+    return lambda: bs.cluster(points, kernel, h, stop=stop).T
 
 
 def run_cell(cell: dict) -> dict:
     """Warm up, time one call, then trace the peak of one more."""
     n = cell.get("n", 2)
-    operation(dict(cell, probes=10), blobs(min(n, WARM_UP_N)))()
-    call = operation(cell, blobs(n))
+    operation(dict(cell, probes=10), points_for(cell, min(n, WARM_UP_N)))()
+    call = operation(cell, points_for(cell, n))
     start, cpu_start = time.perf_counter(), time.process_time()
     steps = call()
     wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
@@ -189,6 +215,8 @@ def cells() -> list[dict]:
              for n in SIZES]
     grid += [{"group": "fuzz_records", "kernel": k, "op": "fuzz", "probes": FUZZ_CASES}
              for k in FUZZ_KERNELS]
+    grid += [{"group": "sparse_records", "kernel": SPARSE_KERNEL, "n": n, "op": "sparse"}
+             for n in SPARSE_SIZES]
     return grid
 
 
@@ -218,13 +246,15 @@ def summary(runs: list[dict]) -> dict:
 
 def record(cell: dict, runs: list[dict]) -> dict:
     key = {"records": cell["op"], "fixed_point_records": "cluster",
-           "gap_records": "gap_after", "fuzz_records": "verify"}[cell["group"]]
+           "gap_records": "gap_after", "fuzz_records": "verify",
+           "sparse_records": "cluster"}[cell["group"]]
     if cell["group"] == "fuzz_records":
         out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
         out[key] = summary(runs)
         out["probe_us"] = round(1e6 * out[key]["wall_s"] / cell["probes"], 1)
         return out
-    out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": H, key: summary(runs)}
+    h = sparse_h(cell["n"]) if cell["op"] == "sparse" else H
+    out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": h, key: summary(runs)}
     if "mean_distinct_share" in runs[0]:
         out["mean_distinct_share"] = runs[0]["mean_distinct_share"]
     return out
@@ -233,7 +263,7 @@ def record(cell: dict, runs: list[dict]) -> dict:
 def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
     """Every cell of ``grid`` on every tree, alternating, grouped by tree."""
     out = {tree: {"records": [], "fixed_point_records": [], "gap_records": [],
-                  "fuzz_records": []}
+                  "fuzz_records": [], "sparse_records": []}
            for tree in trees}
     names = list(trees)
     for cell in grid:
@@ -284,6 +314,8 @@ def main(argv=None) -> int:
         "gap": "post-step minorizer gap term of the first epanechnikov state, "
                "built with run_verify's reads",
         "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES})",
+        "sparse": f"{SPARSE_KERNEL} cluster with StopRule(max_iter={STEPS}) on a uniform "
+                  f"square in [-1, 1]^2 (seed 0), standardized, at h = 0.25 * sqrt(400 / n)",
     }
     environment = {
         "nproc": nproc(),

@@ -28,6 +28,17 @@ sum.  A value read but not declared runs the same pass again for that
 value alone, so the pass is the only code that fills the objective, the
 margin, the labels, the update and the moments.
 
+A truncated kernel joins a pair only within its radius ``beta * h``.  So
+where a truncated state's pairs span several blocks and few of them lie in
+neighbouring cells of a grid of side ``beta * h`` (:func:`_cell_ranges`,
+the fixed-radius grid of Bentley, Stanat and Williams, 1977), the pass
+evaluates only those candidate pairs, with the same formulas, and sums
+them per column with ``np.bincount`` in the same order; every pair left
+out adds a zero term, so no bit moves.  The candidates decide everything
+but the diameter, which an exact bounding-box prune finds
+(:func:`_pruned_max_sqdist`), and the exact margin, which a read of
+``margin`` finds by scanning every pair.
+
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
 """
@@ -39,7 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import as_configuration, check_bandwidth, pairwise_sqdist, profile_args
+from .config import (as_configuration, check_bandwidth, coordinate_sqdist, pairwise_sqdist,
+                     profile_args)
 from .kernels import KernelSpec, TruncationClass
 
 # Entries per block of the pairwise temporaries: the row blocks of
@@ -80,6 +92,92 @@ def _ascending_j(n: int, width: int, slabs: int, fill,
         fill(slice(start, start + size), buf[:, 1:size + 1, :width])
         np.add.reduce(buf[:, :size + 1], axis=1, out=acc)
     return acc[:, :width]
+
+
+# A truncated state whose pairs span several blocks sums only its
+# candidate pairs (see _cell_ranges) when they number at most this share of
+# its n * a pairs.  Epanechnikov states of 400 to 2000 points, uniform or in
+# four blobs, took as long either way at shares of 0.22 to 0.26; above
+# that, the scan of every pair is the faster one.
+_GRID_SHARE = 0.2
+# The grid's cells are wider than the joining radius by this factor, so
+# that rounding never brings a pair of rows whose cells do not touch within
+# the radius; such a pair's margin |distance - radius| is at least
+# _FAR_MARGIN times the radius.
+_CELL_SIDE = 1.0 + 2.0 ** -20
+_FAR_MARGIN = 2.0 ** -24
+
+
+def _cell_ranges(rows: np.ndarray, radius: float):
+    """Candidate rows of each of ``rows`` from a grid of cells of side
+    ``radius * (1 + 2**-20)`` over the one or two widest axes.
+
+    Returns ``(order, starts, stops)``: ``order`` lists the rows by cell,
+    and the candidates of row r, the rows in the 3**k cells around its own
+    (k axes), are ``order[starts[r, m]:stops[r, m]]`` for the 3**(k-1)
+    ranges m.  Cell indices are ``floor(x / side)``, each within 2**-23 of
+    a cell of the exact quotient while ``|x| / side < 2**30``, so two rows
+    whose cells do not touch lie more than ``side * (1 - 2**-22)``, and so
+    ``radius * (1 + 2**-21)``, apart along that axis.  Their squared
+    distance and profile argument round by a few ulps, so the pair is not
+    joined (its profile argument exceeds ``beta**2 / 2``), misses the
+    support boundary and has a margin above ``2**-24 * radius``.  Returns
+    None where some ``|x| / side`` reaches ``2**30``; below it, cell keys
+    stay below 2**62.
+    """
+    side = radius * _CELL_SIDE
+    axes = np.argsort(-np.ptp(rows, axis=0), kind="stable")[:2]
+    q = rows[:, axes] / side
+    if not np.all(np.abs(q) < 2.0 ** 30):
+        return None
+    cell = np.floor(q).astype(np.int64)
+    cell -= cell.min(axis=0) - 1  # from 1, so no neighbouring index is negative
+    key, low = cell[:, 0], np.array([-1])
+    if axes.size == 2:  # rows of cells, each `width` keys long, padded
+        width = int(cell[:, 1].max()) + 2
+        key = key * width + cell[:, 1]
+        low = np.array([-width - 1, -1, width - 1])
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    low = key[:, None] + low
+    return order, keys.searchsorted(low, "left"), keys.searchsorted(low + 2, "right")
+
+
+def _candidate_sums(grid, inv, n: int, a: int, slabs: int, fill,
+                    entries: int) -> np.ndarray:
+    """:func:`_ascending_j`'s sums over the candidate pairs of ``grid`` (see
+    :func:`_cell_ranges`) alone, for j-rows whose distinct row is ``inv[j]``
+    (``j`` when ``inv`` is None).
+
+    Chunks of consecutive j-rows hold about ``entries`` pairs each (one
+    j-row at least), listed in ascending j.  ``fill(j, out, col)`` writes
+    the terms of the pairs ``(j[p], col[p])`` into the (slabs, pairs) array
+    ``out``.  Each slab's terms come after its running totals, and
+    ``np.bincount`` adds them in the order given, so each column's sum adds
+    one j at a time in ascending order from ``+0.0``; a pair left out adds
+    a zero term, which moves no bit.
+    """
+    order, starts, stops = grid
+    per_j = (stops - starts).sum(axis=1)
+    if inv is not None:
+        per_j = per_j[inv]
+    ends = np.cumsum(per_j)
+    acc = np.zeros((slabs, a))
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(ends.searchsorted(ends[start] - per_j[start] + entries,
+                                                    "right")))
+        group = np.arange(start, stop) if inv is None else inv[start:stop]
+        low, sizes = starts[group].ravel(), (stops[group] - starts[group]).ravel()
+        col = order[np.arange(sizes.sum()) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)]
+        buf = np.empty((slabs, a + col.size))
+        buf[:, :a] = acc
+        fill(np.repeat(np.arange(start, stop), per_j[start:stop]), buf[:, a:], col)
+        bins = np.concatenate([np.arange(a), col])
+        for s in range(slabs):
+            acc[s] = np.bincount(bins, buf[s], minlength=a)
+        start = stop
+    return acc
 
 
 class DistinctRows:
@@ -136,10 +234,30 @@ def _checked_max(sqdist: np.ndarray) -> float:
     return largest
 
 
-def _rows_max_sqdist(rows: np.ndarray) -> float:
-    # largest squared pairwise distance of the rows, from row blocks
-    return max(_checked_max(pairwise_sqdist(rows[block], rows))
-               for block in _row_blocks(rows.shape[0], rows.shape[0]))
+def _rows_max_sqdist(rows: np.ndarray, scan: np.ndarray | None = None) -> float:
+    # largest squared distance of the rows ``scan`` (default: every row)
+    # to the rows, from row blocks
+    scan = rows if scan is None else scan
+    return max(_checked_max(pairwise_sqdist(scan[block], rows))
+               for block in _row_blocks(scan.shape[0], rows.shape[0]))
+
+
+def _pruned_max_sqdist(rows: np.ndarray) -> float:
+    """:func:`_rows_max_sqdist` of the rows, scanning only the rows that can
+    reach it.
+
+    The extreme rows of each axis against every row give a lower bound.  A
+    row's squared distance to its farther extreme on each axis, added in
+    ``pairwise_sqdist``'s order, bounds its squared distance to every row
+    from above, bit for bit, since every rounding in it is monotone.  Only
+    the rows whose bound reaches the lower bound are scanned.
+    """
+    extremes = np.unique(np.concatenate([rows.argmin(axis=0), rows.argmax(axis=0)]))
+    lower = _rows_max_sqdist(rows, rows[extremes])
+    with np.errstate(over="ignore"):  # a bound of inf only keeps its row
+        far = np.maximum(rows - rows.min(axis=0), rows.max(axis=0) - rows)
+        upper = coordinate_sqdist(far.T, np.zeros((rows.shape[1], 1)))
+    return max(lower, _rows_max_sqdist(rows, rows[upper >= lower]))
 
 
 def max_sqdist(points: np.ndarray) -> float:
@@ -264,6 +382,19 @@ class PairwiseState:
     truncated kernel's joins (``g != 0``) are counted and labelled as the
     chunks go by, so every state holds O(n d).
 
+    A truncated state whose a x n pairs span several blocks evaluates only
+    the candidate pairs of a grid of cells (:func:`_cell_ranges`) when they
+    number at most ``_GRID_SHARE`` of its pairs and the grid decides them
+    exactly; its chunks hold candidate pairs (:func:`_candidate_sums`).
+    Every pair left out is farther than ``beta * h``, so it is not joined
+    and adds zero terms, and the candidates give every value above bit for
+    bit, but two: the largest squared distance comes from a bounding-box
+    prune (:func:`_pruned_max_sqdist`), and the margin only from the
+    candidates.  Where their margin exceeds ``_FAR_MARGIN * beta * h``, a
+    pair left out may lie nearer the radius; ``stable`` then decides a
+    tolerance below that bound from the candidates, and ``margin`` (or a
+    larger tolerance) runs the pass again over every pair.
+
     ``reads`` declares what the caller reads, and the pass computes only
     that: ``"objective"``, the objective's terms and their sum (free for a
     kernel whose profile is its weight function, such as gaussian, whose
@@ -305,6 +436,7 @@ class PairwiseState:
     # moments and the gap's pre-step total
     _objective: float | None = None
     _margin: float | None = None
+    _near_margin: float | None = None
     _boundary_hit: bool | None = None
     _degree: np.ndarray | None = None
     _roots: np.ndarray | None = None
@@ -330,10 +462,11 @@ class PairwiseState:
             and np.any(u == kernel.boundary_u)
         )
 
-    def _pass(self, reads, first: bool = False) -> None:
+    def _pass(self, reads, first: bool = False, scan: bool = False) -> None:
         # the constructor's pass (``first``) also finds the largest squared
         # distance and joined squared distance; a later pass fills only
-        # what ``reads`` names
+        # what ``reads`` names.  ``scan`` evaluates every pair even where
+        # the candidate pairs would do.
         kernel, h, n, d = self.kernel, self.h, self.n, self.cfg.d
         y, at, a = self.cfg.points, self.distinct.rows, self.distinct.a
         truncated = kernel.truncated
@@ -349,25 +482,34 @@ class PairwiseState:
         num = 1 + objective
         mom = num + d * update
         pre = mom + d * moments
+        grid = None if scan else self._candidates()
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
         if margin:
             own = self.distinct.points_of(slice(0, a))
         joins = truncated and (first or labels)
         if first:
-            self.max_sqdist, self._joined_max = 0.0, 0.0
+            self.max_sqdist = 0.0 if grid is None else _pruned_max_sqdist(at)
+            self._joined_max = 0.0
         if labels:
             self._degree, self._roots = np.zeros(a, dtype=np.intp), np.arange(a)
 
+        # the terms of the j-rows ``rows`` against every distinct row, in
+        # (rows, a) blocks, or of the pairs (rows[p], col[p]) of the grid.
         # fill closes over fewer than 20 names: CPython 3.11 keeps every
         # freed 20-item tuple (such as a closure's) on a free list that it
         # never takes one back from, so each state would leave 200 B behind
-        def fill(rows, out):
+        def fill(rows, out, col=None):
             w = out[0]
-            sqd = pairwise_sqdist(y[rows], at, out=out[pre] if gap else w)
-            self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
+            if col is None:  # a (rows, a) block
+                yj, ar = y[rows].T[:, :, None], at.T[:, None, :]
+            else:  # a list of pairs
+                yj, ar = y[rows].T, at[col].T
+            sqd = coordinate_sqdist(yj, ar, out=out[pre] if gap else w)
+            if col is None:
+                self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
             if margin:
-                skip = _self_pairs(own, rows)
+                skip = _self_pairs(own, rows) if col is None else own[col] == rows
                 self._margin = min(self._margin, _block_margin(sqd, skip, kernel.beta * h))
             # only the joins read a distance again, else in place
             u = profile_args(sqd, h, out=None if joins else w)
@@ -385,13 +527,14 @@ class PairwiseState:
                 joined_max = np.multiply(sqd, joined, out=w).max()
                 self._joined_max = max(self._joined_max, float(joined_max))
                 if labels:
-                    self._join_chunk(rows, joined)
+                    self._join_chunk(rows, joined, col)
             w[...] = g
             del g  # off the peak of the sums' terms
-            if update:
-                self._numerator_terms(rows, w, out[num:mom])
-            if moments:
-                self._moment_terms(rows, w, out[mom:pre])
+            if update:  # w_jr y_jk of every coordinate k
+                np.multiply(w, yj, out=out[num:mom])
+            if moments:  # w_jr (y_rk - y_jk) of every coordinate k
+                np.subtract(ar, yj, out=out[mom:pre])
+                out[mom:pre] *= w
             if gap:
                 out[pre] *= w
 
@@ -399,9 +542,17 @@ class PairwiseState:
         # joins) come on top of its slabs, so its slabs share three blocks,
         # at most one each; each chunk costs a fixed count of numpy calls,
         # so smaller chunks would slow the states of a few hundred points
+        # (a pair of the grid has 2 d + 4 more: its two ends, their
+        # coordinates, its profile argument and its weight; and a grid
+        # chunk holds a pairs at least, so that the a running totals it
+        # copies cost no more than its pairs)
         slabs = pre + gap
         per_slab = min(_BLOCK_ENTRIES, 3 * _BLOCK_ENTRIES // slabs)
-        sums = _ascending_j(n, a, slabs, fill, per_slab if truncated else _BLOCK_ENTRIES)
+        if grid is not None:
+            sums = _candidate_sums(grid, self.distinct.inv, n, a, slabs, fill,
+                                   max(a, 3 * _BLOCK_ENTRIES // (slabs + 2 * d + 4)))
+        else:
+            sums = _ascending_j(n, a, slabs, fill, per_slab if truncated else _BLOCK_ENTRIES)
         if objective or shared:
             self._objective = _ascending_total(self.distinct.expand(sums[obj]))
         if update:
@@ -414,15 +565,39 @@ class PairwiseState:
             self._degree -= kernel.g0 != 0.0
         if not truncated:  # every pair is joined
             self._joined_max = self.max_sqdist
+        if margin and grid is not None and self._margin > _FAR_MARGIN * (kernel.beta * h):
+            # a pair left out may lie nearer the radius: the margin is known
+            # only to be the candidates' or above _FAR_MARGIN of the radius
+            self._margin, self._near_margin = None, self._margin
 
-    def _join_chunk(self, rows: slice, joined: np.ndarray) -> None:
+    def _candidates(self):
+        # the grid of a truncated state whose pairs span several blocks,
+        # when its candidate pairs are few enough (see _GRID_SHARE) and it
+        # decides them exactly (bandwidth and radius far from underflow,
+        # see _cell_ranges); else None
+        kernel, h, n, a = self.kernel, self.h, self.n, self.distinct.a
+        radius = kernel.beta * h
+        if not kernel.truncated or n * a <= _BLOCK_ENTRIES or min(h, radius) < 2.0 ** -500:
+            return None
+        grid = _cell_ranges(self.distinct.rows, radius)
+        if grid is not None:
+            per_row = (grid[2] - grid[1]).sum(axis=1)
+            if self.distinct.expand(per_row).sum() > _GRID_SHARE * n * a:
+                return None
+        return grid
+
+    def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
         # count the chunk's joins per column, and join the distinct row of
         # each j-row to every column it reaches
-        row, col = np.divmod(np.flatnonzero(joined), joined.shape[1])
+        if col is None:
+            j, col = np.divmod(np.flatnonzero(joined), joined.shape[1])
+            j += rows.start
+        else:
+            pairs = np.flatnonzero(joined)
+            j, col = rows[pairs], col[pairs]
         self._degree += np.bincount(col, minlength=self._degree.size)
         inv = self.distinct.inv
-        ends = row + rows.start if inv is None else inv[rows][row]
-        self._roots = _union(self._roots, ends, col)
+        self._roots = _union(self._roots, j if inv is None else inv[j], col)
 
     @property
     def objective(self) -> float:
@@ -435,9 +610,10 @@ class PairwiseState:
     @property
     def margin(self) -> float:
         """Smallest distance of a pair i != j to the joining radius
-        ``beta * h`` (``inf`` for a full-support kernel)."""
+        ``beta * h`` (``inf`` for a full-support kernel).  A state whose pass
+        took the candidate pairs of the grid may scan every pair for it."""
         if self._margin is None:
-            self._pass({"margin"})
+            self._pass({"margin"}, scan=True)
         return self._margin
 
     @property
@@ -516,8 +692,13 @@ class PairwiseState:
             raise ValueError(f"stability_tol must be non-negative, got {stability_tol}")
         if not self.kernel.truncated:
             return True
+        radius = self.kernel.beta * self.h
         if stability_tol is None:
-            stability_tol = 1e-9 * (self.kernel.beta * self.h)
+            stability_tol = 1e-9 * radius
+        if (self._margin is None and self._near_margin is not None
+                and stability_tol < _FAR_MARGIN * radius):
+            # the pairs left out of the pass are farther than the tolerance
+            return self._near_margin > stability_tol
         return self.margin > stability_tol
 
     @cached_property
@@ -533,16 +714,6 @@ class PairwiseState:
         # constructor's pass did
         block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
         return self.kernel.g(profile_args(block, self.h, out=block))
-
-    def _numerator_terms(self, rows: slice, w: np.ndarray, out: np.ndarray) -> None:
-        # w_jr y_jk of every coordinate k into out[k]
-        np.multiply(w, self.cfg.points[rows].T[:, :, None], out=out)
-
-    def _moment_terms(self, rows: slice, w: np.ndarray, out: np.ndarray) -> None:
-        # w_jr (y_rk - y_jk) of every coordinate k into out[k]
-        np.subtract(self.distinct.rows.T[:, None, :], self.cfg.points[rows].T[:, :, None],
-                    out=out)
-        out *= w
 
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the

@@ -104,10 +104,19 @@ def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None,
     """
     if others is None:
         others = points
-    total = np.subtract.outer(points[:, 0], others[:, 0], out=out)
+    return coordinate_sqdist(points.T[:, :, None], others.T[:, None, :], out)
+
+
+def coordinate_sqdist(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_k (p[k] - q[k])**2`` for two stacks of coordinate arrays that
+    broadcast against each other, in :func:`pairwise_sqdist`'s order: the
+    coordinates are added one at a time in ascending k.  Both the full
+    matrix (``p[k]`` a column, ``q[k]`` a row) and a list of pairs (``p[k]``
+    and ``q[k]`` gathered per pair) give every entry the same bits."""
+    total = np.subtract(p[0], q[0], out=out)
     total *= total
-    for k in range(1, points.shape[1]):
-        term = np.subtract.outer(points[:, k], others[:, k])
+    for k in range(1, len(p)):
+        term = p[k] - q[k]
         term *= term
         total += term
     return total

@@ -377,6 +377,17 @@ def _sampled_kernel(name: str, us: np.ndarray, ks: np.ndarray, beta: float,
     if ks[0] <= 0:
         raise ValueError("profile must be positive at 0")
     ks = ks / ks[0]  # store unnormalized with k(0) = 1
+    # the interpolant and its left slope vanish beyond the knot after the
+    # last nonzero sample (beyond the last knot if that sample is nonzero)
+    # and nowhere before it; sqrt(2 u) <= beta accepts a beta rounded from it
+    nonzero = np.flatnonzero(ks)
+    support_end = float(us[min(nonzero[-1] + 1, us.size - 1)])
+    if math.sqrt(2.0 * support_end) > beta:
+        raise ValueError(
+            f"'beta' {beta!r} contradicts the samples: the profile or its slope is "
+            f"nonzero up to u = {support_end!r}, beyond beta**2 / 2 = {beta * beta / 2.0!r}; "
+            f"declare beta >= sqrt(2 u) = {math.sqrt(2.0 * support_end)!r}"
+        )
     slopes = np.diff(ks) / np.diff(us)
     u_max = float(us[-1])
 
@@ -411,14 +422,16 @@ def kernel_from_descriptor(desc: dict) -> KernelSpec:
     Two forms are accepted::
 
         {"profile": "<built-in id>"}
-        {"id": "myk", "samples": {"u": [...], "k": [...]},
-         "beta": 1.4142, "class": "non_smoothly_truncated"}
+        {"id": "myk", "samples": {"u": [0, 0.5, 1], "k": [1, 0.5, 0]},
+         "beta": 1.4142135623730951, "class": "non_smoothly_truncated"}
 
     Sampled profiles are interpolated piecewise-linearly; the weight
     function is minus the left slope of the interpolant.  Sampled kernels
     must declare ``beta`` and ``class`` explicitly.  The interpolant is
     zero beyond the last sample, so ``class`` must be a truncated one and
-    ``beta`` finite and positive.
+    ``beta`` finite and positive.  ``beta`` must also reach the support:
+    a descriptor whose profile or slope is nonzero beyond ``beta**2 / 2``
+    is rejected, since pairs farther than ``beta * h`` would be joined.
     """
     if "profile" in desc:
         return builtin(desc["profile"])

@@ -128,7 +128,7 @@ def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
         offsets = [1e-3, -1e-3, 1e-6, 1e-9]
         if kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED:
             offsets += [0.0, -1e-6, -1e-9]
-        offset = rng.choice(offsets)
+        offset = offsets[rng.integers(len(offsets))]  # rng.choice's draw, without its overhead
         i, j = rng.choice(n, size=2, replace=False)
         direction = rng.standard_normal(d)
         direction /= _norm(direction)

@@ -259,6 +259,25 @@ class TestCustomKernels:
         with pytest.raises(ValueError, match="'beta' must be finite and positive"):
             bs.load_kernel_json(path)
 
+    def test_beta_contradicted_by_the_samples_rejected(self):
+        # with beta = 0.5 this profile would join two points 1.5 h apart
+        # (u = 1.125, where k = 0.4375 and g = 0.5)
+        for u, k, beta in (([0.0, 1.0, 2.0], [1.0, 0.5, 0.0], 0.5),
+                           ([0.0, 0.5, 1.0], [1.0, 0.5, 0.0], 1.4142),  # below sqrt(2)
+                           ([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], math.sqrt(1.8)),  # inside a ramp
+                           ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], 1.99)):  # k jumps at u = 2
+            with pytest.raises(ValueError, match="'beta' .* contradicts the samples"):
+                bs.kernel_from_descriptor({"samples": {"u": u, "k": k}, "beta": beta,
+                                           "class": "non_smoothly_truncated"})
+        # a beta rounded from sqrt(2 u) of the support's end, or above it, is kept
+        for u, k, beta in (([0.0, 0.5, 1.0], [1.0, 0.5, 0.0], math.sqrt(2.0)),
+                           ([0.0, 1.5], [1.0, 0.0], math.sqrt(3.0)),
+                           ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], 2.0),
+                           ([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], 1.5)):
+            spec = bs.kernel_from_descriptor({"samples": {"u": u, "k": k}, "beta": beta,
+                                              "class": "non_smoothly_truncated"})
+            assert spec.beta == beta
+
     def test_bad_sample_grids_rejected(self):
         for u, k in ([[0.5, 1.0], [1.0, 0.0]], [[0.0], [1.0]], [[0.0, 0.0], [1.0, 0.0]]):
             with pytest.raises(ValueError):

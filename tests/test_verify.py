@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import blurshift as bs
 from blurshift.engine import StopRule, run_bms
-from blurshift.verify import run_verify
+from blurshift.verify import DEFAULT_DIRECTION_SEED, _fuzz_configuration, run_verify
 
 from synth_data import make_dataset
 
@@ -172,3 +173,27 @@ def test_run_verify_peak_memory_within_own_loop(kernel_id):
     finally:
         tracemalloc.stop()
     assert peak <= 1.01 * OWN_LOOP_VERIFY_PEAK_BYTES[kernel_id]
+
+
+# sha256 of the first 400 probe configurations (shape and bytes of each)
+# and of the generator's state after them, drawn from run_verify's default
+# seed at h = 0.8; the smoothly truncated biweight draws from 4 offsets of
+# the joining radius and the non-smoothly truncated epanechnikov from 7
+FUZZ_STREAM_SHA256 = {
+    "biweight": "9ffc69630a1cf3f6018ac86f62852f6c4911b8b2b6b42ae5a2d3d5bb131269ae",
+    "epanechnikov": "ba75d6c0dd5ffc07dc3fe503176cce3688991de5ba3e0c852a1190f4d6273f88",
+}
+
+
+@pytest.mark.parametrize("kernel_id", sorted(FUZZ_STREAM_SHA256))
+def test_fuzz_configurations_keep_their_stream(kernel_id):
+    # however the draws are made, they give the same probes and leave the
+    # generator in the same state for the draws that follow
+    rng = np.random.default_rng(DEFAULT_DIRECTION_SEED)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        pts = _fuzz_configuration(rng, bs.builtin(kernel_id), 0.8)
+        digest.update(repr(pts.shape).encode())
+        digest.update(pts.tobytes())
+    digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == FUZZ_STREAM_SHA256[kernel_id]
