@@ -28,6 +28,14 @@ mean share of distinct positions (bitwise-distinct points over n) over the
 configurations the steps start from, counted once per tree in an untimed
 run.
 
+Iteration records are built only where they are read: ``cluster`` builds
+none, and reading its ``records`` runs the iteration again.  So each
+``cluster`` cell of the first two grids up to n = 4000 has a twin that
+also reads the records (op ``cluster_read``, and ``fixed_point_read`` to the fixed point),
+and a sweep grid runs ``bandwidth_sweep`` per n over ``SWEEP_H`` to each
+bandwidth's exact fixed point (op ``sweep``), which reads no record; its
+``T`` is the sum of the runs' steps.
+
 A third grid times, per n, the minorizer gap's post-step term of
 ``run_verify``'s first epanechnikov step alone (op ``gap``): the pairwise
 state is built once with ``run_verify``'s reads, and the call sums
@@ -90,6 +98,7 @@ FUZZ_H = 0.8
 FUZZ_CASES = 400
 SPARSE_SIZES = (4000, 16000, 50000)
 SPARSE_KERNEL = "epanechnikov"
+SWEEP_H = (0.4, 0.5, 0.6)
 
 
 def blobs(n: int) -> np.ndarray:
@@ -162,13 +171,17 @@ def operation(cell: dict, points: np.ndarray):
         return post_step_gap
     if cell["op"] == "fuzz":
         return lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=cell["probes"]).T
-    if cell["op"] == "fixed_point":
+    if cell["op"] in ("fixed_point", "fixed_point_read", "sweep"):
         stop = bs.StopRule(move_tol=0.0)
     else:
         stop = bs.StopRule(max_iter=STEPS)
     if cell["op"] == "verify":
         return lambda: bs.run_verify(points, kernel, H, stop=stop).T
+    if cell["op"] == "sweep":
+        return lambda: sum(e.T for e in bs.bandwidth_sweep(points, kernel, SWEEP_H, stop=stop))
     h = sparse_h(points.shape[0]) if cell["op"] == "sparse" else H
+    if cell["op"].endswith("_read"):
+        return lambda: len(bs.cluster(points, kernel, h, stop=stop).records)
     return lambda: bs.cluster(points, kernel, h, stop=stop).T
 
 
@@ -206,11 +219,13 @@ def label(cell: dict) -> str:
 
 
 def cells() -> list[dict]:
-    grid = [{"group": "records", "kernel": k, "n": n, "op": op}
-            for k in KERNELS for n in SIZES for op in ("cluster", "verify")]
+    grid = [{"group": "records", "kernel": k, "n": n, "op": op} for k in KERNELS
+            for n in SIZES for op in ("cluster", "cluster_read", "verify")]
     grid += [{"group": "records", "kernel": k, "n": LARGE, "op": "cluster"} for k in KERNELS]
     grid += [{"group": "fixed_point_records", "kernel": FIXED_POINT_KERNEL, "n": n,
-              "op": "fixed_point"} for n in SIZES]
+              "op": op} for n in SIZES for op in ("fixed_point", "fixed_point_read")]
+    grid += [{"group": "sweep_records", "kernel": FIXED_POINT_KERNEL, "n": n, "op": "sweep"}
+             for n in SIZES]
     grid += [{"group": "gap_records", "kernel": FIXED_POINT_KERNEL, "n": n, "op": "gap"}
              for n in SIZES]
     grid += [{"group": "fuzz_records", "kernel": k, "op": "fuzz", "probes": FUZZ_CASES}
@@ -245,9 +260,8 @@ def summary(runs: list[dict]) -> dict:
 
 
 def record(cell: dict, runs: list[dict]) -> dict:
-    key = {"records": cell["op"], "fixed_point_records": "cluster",
-           "gap_records": "gap_after", "fuzz_records": "verify",
-           "sparse_records": "cluster"}[cell["group"]]
+    key = {"fixed_point": "cluster", "fixed_point_read": "cluster_read", "gap": "gap_after",
+           "fuzz": "verify", "sparse": "cluster"}.get(cell["op"], cell["op"])
     if cell["group"] == "fuzz_records":
         out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
         out[key] = summary(runs)
@@ -262,8 +276,8 @@ def record(cell: dict, runs: list[dict]) -> dict:
 
 def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
     """Every cell of ``grid`` on every tree, alternating, grouped by tree."""
-    out = {tree: {"records": [], "fixed_point_records": [], "gap_records": [],
-                  "fuzz_records": [], "sparse_records": []}
+    out = {tree: {"records": [], "fixed_point_records": [], "sweep_records": [],
+                  "gap_records": [], "fuzz_records": [], "sparse_records": []}
            for tree in trees}
     names = list(trees)
     for cell in grid:
@@ -311,6 +325,9 @@ def main(argv=None) -> int:
         "cpu": "time.process_time of the same timed calls, summarised as the wall",
         "peak": "median tracemalloc peak of one further call per run",
         "fixed_point": "cluster with StopRule(move_tol=0.0)",
+        "read": "the ops ending in _read also read the cluster's records",
+        "sweep": f"bandwidth_sweep over h in {list(SWEEP_H)} with StopRule(move_tol=0.0); "
+                 f"T sums the runs' steps",
         "gap": "post-step minorizer gap term of the first epanechnikov state, "
                "built with run_verify's reads",
         "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES})",

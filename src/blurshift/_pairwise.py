@@ -269,21 +269,30 @@ def max_sqdist(points: np.ndarray) -> float:
     return _rows_max_sqdist(DistinctRows(points).rows)
 
 
-def component_diameter(distinct: DistinctRows, components) -> float:
-    """Largest intra-component pairwise distance over a partition of the
-    points that ``distinct`` groups.
+def component_diameter(rows: np.ndarray, groups: np.ndarray, floor: float = 0.0) -> float:
+    """Largest distance between two rows of one group, where ``groups[r]``
+    is the group of row ``r``, or ``sqrt(floor)`` when that is larger.
 
-    Each component's distances run over its distinct positions only, read
-    from the group indices, so the points are grouped once; a component at
-    one position is skipped.  Raises ``ValueError`` when a squared distance
-    overflows to inf.
+    The rows are sorted by group once.  The squared diagonal of a group's
+    bounding box, added in ``pairwise_sqdist``'s order, bounds each of its
+    squared distances from above, bit for bit, since every rounding in it
+    is monotone; so the groups are scanned by decreasing bound, and the
+    scan stops at the first bound that does not exceed the largest squared
+    distance found (or ``floor``): a group of one row is never scanned.
+    Raises ``ValueError`` when a squared distance overflows to inf.
     """
-    worst = 0.0
-    for comp in components:
-        if distinct.inv is not None:
-            comp = np.unique(distinct.inv[comp])
-        if len(comp) > 1:
-            worst = max(worst, _rows_max_sqdist(distinct.rows[comp]))
+    order = np.argsort(groups, kind="stable")
+    rows, groups = rows[order], groups[order]
+    starts = np.flatnonzero(np.concatenate([[True], groups[1:] != groups[:-1]]))
+    stops = np.append(starts[1:], groups.size)
+    with np.errstate(over="ignore"):  # a bound of inf only keeps its group
+        bound = coordinate_sqdist(np.maximum.reduceat(rows, starts).T,
+                                  np.minimum.reduceat(rows, starts).T)
+    worst = floor
+    for k in np.argsort(-bound, kind="stable"):
+        if not bound[k] > worst:
+            break
+        worst = max(worst, _rows_max_sqdist(rows[starts[k]:stops[k]]))
     return math.sqrt(worst)
 
 
@@ -707,7 +716,9 @@ class PairwiseState:
             return self.diameter
         if self.closed:  # every pair within a component is joined
             return math.sqrt(self._joined_max)
-        return component_diameter(self.distinct, self.components)
+        # the components of the distinct rows: where g(0) = 0, coincident
+        # points with no join are apart, but at distance 0 from each other
+        return component_diameter(self.distinct.rows, self._roots, self._joined_max)
 
     def _weight_rows(self, rows: slice) -> np.ndarray:
         # the weights of the j-rows ``rows``, computed again as the

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .cluster import bandwidth_sweep, cluster, standardize
+from .cluster import _recording, bandwidth_sweep, cluster, standardize
 from .diagnostics import DEFAULT_DIRECTION_SEED
 from .engine import StopRule, run_bms
 from .io import ParseError, emit_trace, load_points, write_csv, write_json
@@ -116,10 +116,14 @@ def _stop_rule(args) -> StopRule:
 def _cmd_cluster(args) -> int:
     kernel = get_kernel(args.kernel)
     points, stats = _load(args)
-    result = cluster(points, kernel, args.h, stop=_stop_rule(args),
-                     merge_tol=args.merge_tol)
+    # a trace takes the records from a sink as the run goes: read from the
+    # result, they would be built by a second run
+    records = []
+    with _recording(None if args.trace is None else records.append):
+        result = cluster(points, kernel, args.h, stop=_stop_rule(args),
+                         merge_tol=args.merge_tol)
     if args.trace is not None:
-        emit_trace(result.records, args.trace)
+        emit_trace(records, args.trace)
     payload = result.to_json_dict()
     if stats is not None:
         payload["representatives"] = [

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ._pairwise import single_linkage_labels
 from .config import Configuration, as_configuration, check_bandwidth
-from .engine import IterationRecord, StopRule, objective, run_bms
+from .engine import BmsRun, IterationRecord, StopRule, objective, run_bms
 from .kernels import KernelSpec
 
 __all__ = [
@@ -28,8 +31,8 @@ class ClusterResult:
     Labels are contiguous ``1..M`` in order of each cluster's smallest
     member index; ``representatives[m-1]`` is the mean terminal position of
     cluster ``m``.  ``T`` is the terminated step count of the underlying
-    run, ``records`` its iteration records, one per step, and ``final``
-    the terminal configuration the labels come from (not serialised).
+    run, ``final`` the terminal configuration the labels come from and
+    ``run`` the run itself (neither is serialised).
     """
 
     labels: np.ndarray
@@ -37,10 +40,17 @@ class ClusterResult:
     T: int
     M: int
     stop_reason: str
-    records: list[IterationRecord]
     h: float
     kernel: str
     final: Configuration
+    run: BmsRun
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        """The run's iteration records, one per step: built on their first
+        read, by a second run, unless the run had a sink (see
+        :func:`~blurshift.engine.run_bms`)."""
+        return self.run.records
 
     @property
     def trace_summary(self) -> IterationRecord | None:
@@ -59,6 +69,35 @@ class ClusterResult:
         }
 
 
+# the sink that cluster() hands run_bms; see _recording
+_sink: ContextVar[Callable[[IterationRecord], None] | None] = ContextVar(
+    "blurshift_cluster_sink", default=None)
+
+
+@contextlib.contextmanager
+def _recording(sink: Callable[[IterationRecord], None] | None):
+    """Within the block, :func:`cluster` passes ``sink`` to ``run_bms``: a
+    sink makes its run build the records as it goes instead of on their
+    first read."""
+    token = _sink.set(sink)
+    try:
+        yield
+    finally:
+        _sink.reset(token)
+
+
+def _representatives(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The mean of each group's points, for groups numbered ``0..M-1``.
+
+    One stable sort puts each group's points in a contiguous slice in
+    ascending point order, so each mean sums the rows ``points[groups ==
+    c]`` would give, in the same order and layout, and keeps their bits.
+    """
+    order = np.argsort(groups, kind="stable")
+    bounds = np.cumsum(np.bincount(groups))[:-1]
+    return np.vstack([part.mean(axis=0) for part in np.split(points[order], bounds)])
+
+
 def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
             merge_tol: float | None = None) -> ClusterResult:
     """Run the blurring iteration and group the terminal points.
@@ -67,28 +106,27 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     (default ``1e-8 *`` initial data diameter): flat-weight truncated
     kernels land clusters on exactly coincident points, while smooth
     kernels only agree to within the stopping tolerance, so grouping by a
-    small radius instead of bitwise equality works for both.
+    small radius instead of bitwise equality works for both.  The run
+    builds no iteration record; ``records`` builds them on first read.
     """
     cfg = as_configuration(points)
     if merge_tol is not None and not merge_tol >= 0:
         raise ValueError(f"merge_tol must be non-negative, got {merge_tol}")
-    run = run_bms(cfg, kernel, h, stop=stop)
+    run = run_bms(cfg, kernel, h, stop=stop, sink=_sink.get())
     if merge_tol is None:
-        merge_tol = 1e-8 * run.records[0].diameter  # the initial data diameter
-    terminal = run.final.points
-    groups = single_linkage_labels(terminal, merge_tol)
-    reps = np.vstack([terminal[groups == c].mean(axis=0)
-                      for c in range(int(groups.max()) + 1)])
+        merge_tol = 1e-8 * run.initial_diameter
+    groups = single_linkage_labels(run.final.points, merge_tol)
+    reps = _representatives(run.final.points, groups)
     return ClusterResult(
         labels=groups + 1,
         representatives=reps,
         T=run.T,
         M=reps.shape[0],
         stop_reason=run.stop_reason,
-        records=run.records,
         h=float(h),
         kernel=kernel.id,
         final=run.final,
+        run=run,
     )
 
 

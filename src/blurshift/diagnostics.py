@@ -94,9 +94,20 @@ def diameter(cfg) -> float:
 
 
 def component_diameter(cfg, components: Sequence[np.ndarray]) -> float:
-    """Largest intra-component pairwise distance over a partition."""
+    """Largest intra-component pairwise distance over a partition.
+
+    Raises ``ValueError`` for an empty list of components, which partitions
+    no configuration.
+    """
     points = as_configuration(cfg).points
-    return _pairwise.component_diameter(_pairwise.DistinctRows(points), components)
+    if not len(components):
+        raise ValueError("components is empty: a partition of the points has "
+                         "at least one component")
+    members = np.concatenate([np.asarray(c, dtype=np.intp) for c in components])
+    groups = np.repeat(np.arange(len(components)), [len(c) for c in components])
+    # each component's distinct positions: a row is its point and its group
+    rows = _pairwise.DistinctRows(np.column_stack([points[members], groups])).rows
+    return _pairwise.component_diameter(rows[:, :-1], rows[:, -1])
 
 
 def diam_rate_check(d_t: float, d_t1: float, kernel: KernelSpec, h: float,

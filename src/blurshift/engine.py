@@ -12,10 +12,12 @@ sum ``L`` with per-point step sizes.
 
 from __future__ import annotations
 
+import functools
 import logging
 import numbers
+import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -207,14 +209,46 @@ class StopRule:
             raise ValueError(f"move_tol must be non-negative, got {self.move_tol}")
 
 
+class _Records:
+    """A run's records, or the replay that builds them on their first read.
+
+    The first read takes a lock, so threads that read at once wait for one
+    replay and get the same list.
+    """
+
+    def __init__(self, records: list[IterationRecord] | None = None,
+                 replay: Callable[[], list[IterationRecord]] | None = None):
+        self._records, self._replay = records, replay
+        self._lock = threading.Lock()
+
+    def read(self) -> list[IterationRecord]:
+        with self._lock:
+            if self._records is None:
+                self._records = self._replay()
+                self._replay = None
+        return self._records
+
+
 @dataclass(frozen=True)
 class BmsRun:
-    """Result of an iteration run: final state, trace, stop reason, step count."""
+    """Result of an iteration run: final state, stop reason, step count, the
+    diameter of the starting configuration and the records.
+
+    ``records`` holds one :class:`IterationRecord` per step.  A run given a
+    ``sink`` built them as it went; a run without one built none, and its
+    first read of ``records`` runs the iteration again to build them (see
+    :func:`run_bms`).
+    """
 
     final: Configuration
-    records: list[IterationRecord]
     stop_reason: str
     T: int
+    initial_diameter: float
+    _records: _Records = field(repr=False, compare=False)
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        return self._records.read()
 
 
 def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
@@ -263,38 +297,78 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     return result
 
 
+# what a record reads of each state beyond the update
+_RECORD_READS = frozenset({"objective", "margin", "labels"})
+
+
+def _record(t: int, state: PairwiseState, max_move: float) -> IterationRecord:
+    return IterationRecord(
+        t=t,
+        objective=state.objective,
+        diameter=state.diameter,
+        comp_diameter=state.component_diameter,
+        max_move=max_move,
+        n_components=state.M,
+        closed=state.closed,
+        singular=state.singular,
+        stable=state.stable(),
+    )
+
+
+def _replay(cfg: Configuration, kernel: KernelSpec, h: float, stop: StopRule | None,
+            run: tuple[Configuration, str, int]) -> list[IterationRecord]:
+    # the records of ``run``, from the iteration run again; it must take
+    # the same steps to the same bits
+    records: list[IterationRecord] = []
+    final, _, T = _iterate(cfg, kernel, h, stop,
+                           lambda t, state, nxt, move: records.append(_record(t, state, move)),
+                           _RECORD_READS)
+    same = final.points.tobytes() == run[0].points.tobytes()
+    if T != run[2] or not same:
+        raise RuntimeError(
+            f"replaying the run to build its records diverged: it took {T} steps "
+            f"against the run's {run[2]}, and its final configuration "
+            f"{'is bitwise the same' if same else 'differs'}")
+    return records
+
+
 def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
             sink: Callable[[IterationRecord], None] | None = None,
             keep_records: bool = True) -> BmsRun:
     """Iterate the blurring update from ``cfg0`` until a stop rule fires.
 
-    One record per iteration is passed to ``sink`` (when given) and
-    collected in the returned run unless ``keep_records`` is false, so long
-    runs can stream their trace without buffering.
+    With a ``sink``, one record per iteration is passed to it as the run
+    goes, and collected in the returned run unless ``keep_records`` is
+    false, so long runs can stream their trace without buffering.  Without
+    one, the run builds no record, which makes it cheaper: a state computes
+    only the update.  Its ``records`` are then built on their first read
+    by running the iteration again, so reading them costs a second run; a
+    replay that does not end at the same step on the same bits raises
+    ``RuntimeError``.  With ``keep_records`` false and no sink, ``records``
+    is empty.  ``initial_diameter`` is kept either way.
 
     Every record field comes from one :class:`PairwiseState` per iteration;
     the public per-layer functions wrap the same state, so a record rebuilt
     from them is bitwise equal to the one produced here.
     """
-    records: list[IterationRecord] = []
+    cfg = as_configuration(cfg0)
+    kept: list[IterationRecord] = []
+    initial = []
 
     def on_step(t, state, nxt, max_move):
-        record = IterationRecord(
-            t=t,
-            objective=state.objective,
-            diameter=state.diameter,
-            comp_diameter=state.component_diameter,
-            max_move=max_move,
-            n_components=state.M,
-            closed=state.closed,
-            singular=state.singular,
-            stable=state.stable(),
-        )
+        if t == 1:
+            initial.append(state.diameter)
         if sink is not None:
+            record = _record(t, state, max_move)
             sink(record)
-        if keep_records:
-            records.append(record)
+            if keep_records:
+                kept.append(record)
 
-    reads = {"objective", "margin", "labels"}
-    final, stop_reason, T = _iterate(cfg0, kernel, h, stop, on_step, reads)
-    return BmsRun(final, records, stop_reason, T)
+    run = _iterate(cfg, kernel, h, stop, on_step,
+                   frozenset() if sink is None else _RECORD_READS)
+    if sink is None and keep_records:
+        records = _Records(replay=functools.partial(_replay, cfg, kernel, h, stop, run))
+    else:
+        records = _Records(kept)
+    final, stop_reason, T = run
+    return BmsRun(final, stop_reason, T, initial[0], records)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import blurshift as bs
-from blurshift.cluster import standardize
+from blurshift.cluster import _representatives, standardize
 from blurshift.engine import StopRule
 
 EPA = bs.builtin("epanechnikov")
@@ -111,6 +111,24 @@ class TestCluster:
         run = bs.run_bms(blob_pair(), EPA, 0.8)
         assert result.records == run.records
         assert result.trace_summary == run.records[-1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_representatives_are_the_per_cluster_loop(self, d):
+        # one stable sort and a mean per slice keep the bits of a mean over
+        # each cluster's rows in point order, a cluster of -0.0 points too
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+        groups = rng.integers(0, 17, size=300)
+        groups[groups == 16] = 0
+        points[groups == 3] = -0.0
+        want = np.vstack([points[groups == c].mean(axis=0) for c in range(16)])
+        got = _representatives(points, groups)
+        assert got.tobytes() == want.tobytes()
+        result = bs.cluster(blob_pair(), EPA, 0.8)
+        terminal = result.final.points
+        assert result.representatives.tobytes() == np.vstack(
+            [terminal[result.labels == m].mean(axis=0)
+             for m in range(1, result.M + 1)]).tobytes()
 
     def test_json_payload(self):
         result = bs.cluster(blob_pair(), EPA, 0.8)

@@ -145,6 +145,16 @@ class TestComponentDiameter:
         comps = [np.array([0]), np.array([1]), np.array([2])]
         assert component_diameter(pts, comps) == 0.0
 
+    def test_position_shared_by_two_components(self):
+        # coincident points in different components count in each
+        pts = [[0.0], [0.0], [3.0], [0.5]]
+        assert component_diameter(pts, [np.array([0, 2]), np.array([1, 3])]) == 3.0
+        assert component_diameter(pts, [np.array([2]), np.array([0, 1, 3])]) == 0.5
+
+    def test_empty_partition_rejected_by_name(self):
+        with pytest.raises(ValueError, match="components is empty"):
+            component_diameter([[0.0], [1.0]], [])
+
     def test_single_component_equals_diameter(self):
         rng = np.random.default_rng(43)
         pts = rng.normal(size=(8, 2))
