@@ -549,14 +549,19 @@ class PairwiseState:
 
         # a truncated chunk's temporaries (its profile arguments, margin and
         # joins) come on top of its slabs, so its slabs share three blocks,
-        # at most one each; each chunk costs a fixed count of numpy calls,
+        # at most three fifths of one each: with the profile argument and
+        # the weight of each entry, a chunk of the update's three slabs (or
+        # fewer) then holds three blocks, below a grid chunk, so a run's
+        # peak does not hang on the a of the states whose n x a pairs fit
+        # one chunk (with a block per slab those peaked in proportion to a,
+        # above the grid's).  Each chunk costs a fixed count of numpy calls,
         # so smaller chunks would slow the states of a few hundred points
         # (a pair of the grid has 2 d + 4 more: its two ends, their
         # coordinates, its profile argument and its weight; and a grid
         # chunk holds a pairs at least, so that the a running totals it
         # copies cost no more than its pairs)
         slabs = pre + gap
-        per_slab = min(_BLOCK_ENTRIES, 3 * _BLOCK_ENTRIES // slabs)
+        per_slab = 3 * _BLOCK_ENTRIES // max(slabs, 5)
         if grid is not None:
             sums = _candidate_sums(grid, self.distinct.inv, n, a, slabs, fill,
                                    max(a, 3 * _BLOCK_ENTRIES // (slabs + 2 * d + 4)))

@@ -655,6 +655,21 @@ def test_truncated_peak_below_four_mib():
             < 4 * 2**20, kernel_id
 
 
+def test_truncated_chunk_peak_does_not_grow_with_distinct_rows():
+    # a truncated chunk's slabs and its entries' profile arguments and
+    # weights share three blocks, so a state whose n x a pairs fit in one
+    # chunk peaks below four blocks of float64 whatever a is; with the
+    # temporaries on top of the slabs, a = 40 peaked at about five
+    kernel = bs.builtin("epanechnikov")
+    n = 400
+    rng = np.random.default_rng(3)
+    for a in (16, 24, 32, 40, 48):
+        pts = rng.uniform(-1.0, 1.0, size=(a, 2))[np.arange(n) % a]
+        PairwiseState(pts, kernel, 0.25, {"update"})  # warm-up
+        peak = _traced_peak(lambda: PairwiseState(pts, kernel, 0.25, {"update"}))
+        assert peak < 4 * _BLOCK_ENTRIES * 8, a
+
+
 def test_dropped_states_keep_no_memory():
     # 600 dropped states hold no memory, on every path: a closure over 20
     # names left a 200 B tuple per state on CPython 3.11's tuple free list,
