@@ -52,8 +52,9 @@ candidate pairs of its grid of cells, so n can reach 50 000.
 A fourth record times the fuzz probes of ``run_verify``: one call on a
 single point with ``FUZZ_CASES`` probes (configurations of at most 12
 points), where the one-step iteration is negligible, for one smoothly
-(biweight) and one non-smoothly (epanechnikov) truncated kernel at
-bandwidth ``FUZZ_H``, as perfbench's ``verify-fuzz`` workload does.
+(biweight) and one non-smoothly (epanechnikov) truncated kernel and one
+full-support kernel (gaussian) at bandwidth ``FUZZ_H``, as perfbench's
+``verify-fuzz`` workload does for biweight.
 
 Every cell runs ``REPEATS`` times on each tree, each time in a fresh
 interpreter with that tree's ``src`` first on ``sys.path``.  The trees
@@ -93,7 +94,7 @@ H = 0.5
 STEPS = 3
 REPEATS = 5
 WARM_UP_N = 200
-FUZZ_KERNELS = ("biweight", "epanechnikov")
+FUZZ_KERNELS = ("biweight", "epanechnikov", "gaussian")
 FUZZ_H = 0.8
 FUZZ_CASES = 400
 SPARSE_SIZES = (4000, 16000, 50000)

@@ -39,6 +39,11 @@ but the diameter, which an exact bounding-box prune finds
 (:func:`_pruned_max_sqdist`), and the exact margin, which a read of
 ``margin`` finds by scanning every pair.
 
+Many small configurations, such as ``run_verify``'s fuzz probes, share
+one pass of that kind (:meth:`PairwiseState.batch`): stacked, each row's
+candidates are its own configuration's rows, so each state is bitwise
+the one built alone, and the per-call cost of a pass is paid once.
+
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
 """
@@ -50,8 +55,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import (as_configuration, check_bandwidth, coordinate_sqdist, pairwise_sqdist,
-                     profile_args)
+from .config import (Configuration, as_configuration, check_bandwidth, coordinate_sqdist,
+                     pairwise_sqdist, profile_args)
 from .kernels import KernelSpec, TruncationClass
 
 # Entries per block of the pairwise temporaries: the row blocks of
@@ -238,8 +243,14 @@ def _rows_max_sqdist(rows: np.ndarray, scan: np.ndarray | None = None) -> float:
     # largest squared distance of the rows ``scan`` (default: every row)
     # to the rows, from row blocks
     scan = rows if scan is None else scan
-    return max(_checked_max(pairwise_sqdist(scan[block], rows))
+    return max(_block_max_sqdist(scan[block], rows)
                for block in _row_blocks(scan.shape[0], rows.shape[0]))
+
+
+def _block_max_sqdist(points: np.ndarray, rows: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # an overflow raises by name just below
+        sqd = pairwise_sqdist(points, rows)
+    return _checked_max(sqd)
 
 
 def _pruned_max_sqdist(rows: np.ndarray) -> float:
@@ -452,6 +463,8 @@ class PairwiseState:
     _update: tuple[np.ndarray, np.ndarray] | None = None
     _moments: np.ndarray | None = None
     _gap_before: float | None = None
+    # the configuration of each row of a stack of configurations (see batch)
+    _segment: np.ndarray | None = None
 
     def __init__(self, cfg, kernel: KernelSpec, h: float, reads=frozenset()):
         self.h = check_bandwidth(h)
@@ -461,6 +474,71 @@ class PairwiseState:
         self.distinct = DistinctRows(self.cfg.points)
         self._pass(reads, first=True)
         self.diameter = math.sqrt(self.max_sqdist)
+
+    @classmethod
+    def batch(cls, configs, kernel: KernelSpec, h: float,
+              reads=frozenset()) -> list[PairwiseState]:
+        """``[PairwiseState(cfg, kernel, h, reads) for cfg in configs]``, bit
+        for bit, from one pass per dimension d over the configurations of
+        that d stacked, for configurations of at most 128 points (one block
+        each, so that no state of theirs groups its rows or takes the grid).
+
+        The stack's pass runs over pair lists (:func:`_candidate_sums`),
+        whose candidates are each row's own configuration's rows, so no pair
+        crosses two configurations, every column sums its own
+        configuration's j-rows in ascending order from ``+0.0``, as the
+        configuration's own pass does, and the components never meet.  The
+        largest squared distance and joined squared distance are maxima per
+        configuration, which no order moves.  Each state takes its rows of
+        the sums, its degrees, and its component roots less its first row.
+        The batch fills ``"update"``, ``"moments"`` and ``"labels"``; the
+        objective, the margin and the gap are left to each state's own pass
+        on their first read.
+
+        Raises ``ValueError`` for a configuration of more than 128 points
+        and, as the constructor does, for an out-of-range bandwidth and
+        squared distances that overflow.
+        """
+        h = check_bandwidth(h)
+        reads = frozenset(reads) & {"update", "moments", "labels"}
+        states = []
+        for cfg in configs:
+            state = cls.__new__(cls)
+            state.h, state.cfg, state.kernel = h, as_configuration(cfg), kernel
+            state.n = state.cfg.n
+            if state.n * state.n > _BLOCK_ENTRIES:
+                raise ValueError(f"a batched configuration has at most 128 points, "
+                                 f"got {state.n}")
+            state.distinct = DistinctRows(state.cfg.points)
+            states.append(state)
+        for d in {state.cfg.d for state in states}:
+            group = [state for state in states if state.cfg.d == d]
+            stack = cls.__new__(cls)
+            stack.h, stack.kernel = h, kernel
+            stack.cfg = Configuration(np.concatenate([state.cfg.points for state in group]))
+            stack.n = stack.cfg.n
+            # every row its own: a grouping could join rows of two configurations
+            stack.distinct = DistinctRows.__new__(DistinctRows)
+            stack.distinct.rows, stack.distinct.first, stack.distinct.inv = (
+                stack.cfg.points, None, None)
+            stack._segment = np.repeat(np.arange(len(group)), [state.n for state in group])
+            stack._pass(reads, first=True)
+            start = 0
+            for k, state in enumerate(group):
+                rows = slice(start, start + state.n)
+                state.max_sqdist = float(stack.max_sqdist[k])
+                state._joined_max = float(stack._joined_max[k])
+                state.diameter = math.sqrt(state.max_sqdist)
+                if not kernel.truncated:
+                    state._margin, state._boundary_hit = math.inf, False
+                if stack._update is not None:
+                    state._update = stack._update[0][rows], stack._update[1][rows]
+                if stack._moments is not None:
+                    state._moments = stack._moments[rows]
+                if stack._roots is not None:
+                    state._degree, state._roots = stack._degree[rows], stack._roots[rows] - start
+                start = rows.stop
+        return states
 
     def _hits_boundary(self, u: np.ndarray) -> bool:
         # u_ii = 0 lies inside every support, so the diagonal never matches
@@ -492,12 +570,15 @@ class PairwiseState:
         mom = num + d * update
         pre = mom + d * moments
         grid = None if scan else self._candidates()
+        segment = self._segment
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
         if margin:
             own = self.distinct.points_of(slice(0, a))
         joins = truncated and (first or labels)
-        if first:
+        if first and segment is not None:  # the largest of each configuration
+            self.max_sqdist, self._joined_max = np.zeros((2, segment[-1] + 1))
+        elif first:
             self.max_sqdist = 0.0 if grid is None else _pruned_max_sqdist(at)
             self._joined_max = 0.0
         if labels:
@@ -514,9 +595,18 @@ class PairwiseState:
                 yj, ar = y[rows].T[:, :, None], at.T[:, None, :]
             else:  # a list of pairs
                 yj, ar = y[rows].T, at[col].T
-            sqd = coordinate_sqdist(yj, ar, out=out[pre] if gap else w)
-            if col is None:
-                self.max_sqdist = max(self.max_sqdist, _checked_max(sqd))
+            sqd = out[pre] if gap else w
+            if col is not None and segment is None:
+                # the grid's pairs lie within the pruned largest, checked already
+                coordinate_sqdist(yj, ar, out=sqd)
+            else:
+                with np.errstate(over="ignore"):  # an overflow raises by name just below
+                    coordinate_sqdist(yj, ar, out=sqd)
+                largest = _checked_max(sqd)
+                if segment is None:
+                    self.max_sqdist = max(self.max_sqdist, largest)
+                else:  # a stack's pairs: the largest of each configuration
+                    np.maximum.at(self.max_sqdist, segment[rows], sqd)
             if margin:
                 skip = _self_pairs(own, rows) if col is None else own[col] == rows
                 self._margin = min(self._margin, _block_margin(sqd, skip, kernel.beta * h))
@@ -533,8 +623,11 @@ class PairwiseState:
                 # the distances are finite, so a joined one times 1.0 is
                 # itself and an unjoined one becomes +0.0; w is free until
                 # it takes the weights
-                joined_max = np.multiply(sqd, joined, out=w).max()
-                self._joined_max = max(self._joined_max, float(joined_max))
+                joined_sqd = np.multiply(sqd, joined, out=w)
+                if segment is None:
+                    self._joined_max = max(self._joined_max, float(joined_sqd.max()))
+                else:
+                    np.maximum.at(self._joined_max, segment[rows], joined_sqd)
                 if labels:
                     self._join_chunk(rows, joined, col)
             w[...] = g
@@ -590,6 +683,10 @@ class PairwiseState:
         # decides them exactly (bandwidth and radius far from underflow,
         # see _cell_ranges); else None
         kernel, h, n, a = self.kernel, self.h, self.n, self.distinct.a
+        if self._segment is not None:  # a stack: each row's own configuration's rows
+            segment = self._segment
+            return (np.arange(n), segment.searchsorted(segment)[:, None],
+                    segment.searchsorted(segment, "right")[:, None])
         radius = kernel.beta * h
         if not kernel.truncated or n * a <= _BLOCK_ENTRIES or min(h, radius) < 2.0 ** -500:
             return None

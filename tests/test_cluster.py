@@ -100,7 +100,6 @@ class TestCluster:
             bs.cluster([[0.0, 0.0], [1e159, 0.0], [5e160, 0.0], [5.1e160, 0.0]],
                        EPA, h=1e160)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_distances_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             bs.cluster([[0.0, 0.0], [1e159, 0.0], [5e160, 0.0], [5.1e160, 0.0]],

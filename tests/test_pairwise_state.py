@@ -700,7 +700,6 @@ def test_dropped_states_keep_no_memory():
     assert grown < 32 * 1024
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_distances_raise():
     pts = [[0.0, 0.0], [1e159, 0.0], [5e160, 0.0]]
     with pytest.raises(ValueError, match="overflow"):

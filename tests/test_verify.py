@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import blurshift as bs
+from blurshift._pairwise import _BLOCK_ENTRIES
 from blurshift.engine import StopRule, run_bms
 from blurshift.verify import DEFAULT_DIRECTION_SEED, _fuzz_configuration, run_verify
 
@@ -174,6 +175,23 @@ def test_run_verify_peak_memory_within_own_loop(kernel_id):
         tracemalloc.stop()
     assert peak <= 1.01 * OWN_LOOP_VERIFY_PEAK_BYTES[kernel_id]
 
+
+
+def test_fuzz_peak_memory_does_not_grow_with_probes():
+    # the probes are evaluated in batches of a fixed size, so ten times the
+    # probes add at most a block of float64 (how the batches' dimensions
+    # mix moves the peak a little) to the peak of run_verify on one point
+    kernel = bs.builtin("biweight")
+    run_verify([[0.0, 0.0]], kernel, 0.8, fuzz=10)  # warm-up
+    peaks = []
+    for fuzz in (400, 4000):
+        tracemalloc.start()
+        try:
+            run_verify([[0.0, 0.0]], kernel, 0.8, fuzz=fuzz)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * _BLOCK_ENTRIES
 
 # sha256 of the first 400 probe configurations (shape and bytes of each)
 # and of the generator's state after them, drawn from run_verify's default
