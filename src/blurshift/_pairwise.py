@@ -41,8 +41,10 @@ but the diameter, which an exact bounding-box prune finds
 
 Many small configurations, such as ``run_verify``'s fuzz probes, share
 one pass of that kind (:meth:`PairwiseState.batch`): stacked, each row's
-candidates are its own configuration's rows, so each state is bitwise
-the one built alone, and the per-call cost of a pass is paid once.
+candidates are its own configuration's rows, so each configuration's
+values are bitwise those of its state built alone.  They come back as
+arrays over the configurations, with no state per configuration, so the
+per-call cost of a pass and of a state is paid once per stack.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -382,6 +385,18 @@ def _ascending_total(row_sums: np.ndarray) -> float:
     return float(np.cumsum(row_sums)[-1] + 0.0)
 
 
+class BatchValues(NamedTuple):
+    """Per-configuration values of :meth:`PairwiseState.batch`, in input
+    order: entry k is what configuration k's own state gives."""
+
+    n: np.ndarray  # points
+    d: np.ndarray  # dimension
+    diameter: np.ndarray  # ``diameter``
+    singular: np.ndarray  # ``singular``
+    moment_norm: np.ndarray  # largest moment norm: ``is_fixed_point(tol)`` is ``<= tol``
+    M: np.ndarray  # ``M``, the number of components
+
+
 class PairwiseState:
     """Squared distances, profile arguments and weights of a configuration.
 
@@ -476,69 +491,69 @@ class PairwiseState:
         self.diameter = math.sqrt(self.max_sqdist)
 
     @classmethod
-    def batch(cls, configs, kernel: KernelSpec, h: float,
-              reads=frozenset()) -> list[PairwiseState]:
-        """``[PairwiseState(cfg, kernel, h, reads) for cfg in configs]``, bit
-        for bit, from one pass per dimension d over the configurations of
-        that d stacked, for configurations of at most 128 points (one block
-        each, so that no state of theirs groups its rows or takes the grid).
+    def batch(cls, configs, kernel: KernelSpec, h: float) -> BatchValues:
+        """What the fixed-point test and the component count of
+        ``PairwiseState(cfg, kernel, h)`` give for each of ``configs``
+        (arrays of at most 128 points: one block each, so that no state of
+        theirs groups its rows or takes the grid), bit for bit, as arrays in
+        input order (see :class:`BatchValues`), from one pass per dimension
+        d over the configurations of that d stacked.
 
-        The stack's pass runs over pair lists (:func:`_candidate_sums`),
-        whose candidates are each row's own configuration's rows, so no pair
-        crosses two configurations, every column sums its own
-        configuration's j-rows in ascending order from ``+0.0``, as the
-        configuration's own pass does, and the components never meet.  The
-        largest squared distance and joined squared distance are maxima per
-        configuration, which no order moves.  Each state takes its rows of
-        the sums, its degrees, and its component roots less its first row.
-        The batch fills ``"update"``, ``"moments"`` and ``"labels"``; the
-        objective, the margin and the gap are left to each state's own pass
-        on their first read.
+        Each stack is validated once, as one configuration.  Its pass runs
+        over pair lists (:func:`_candidate_sums`), whose candidates are each
+        row's own configuration's rows, so no pair crosses two
+        configurations, every column sums its own configuration's j-rows in
+        ascending order from ``+0.0``, as the configuration's own pass does,
+        and the components never meet.  The largest squared distance and
+        joined squared distance are maxima per configuration, which no order
+        moves.
 
         Raises ``ValueError`` for a configuration of more than 128 points
-        and, as the constructor does, for an out-of-range bandwidth and
-        squared distances that overflow.
+        and, as the constructor does, for an empty configuration, a
+        non-finite coordinate, an out-of-range bandwidth and squared
+        distances that overflow.
         """
         h = check_bandwidth(h)
-        reads = frozenset(reads) & {"update", "moments", "labels"}
-        states = []
-        for cfg in configs:
-            state = cls.__new__(cls)
-            state.h, state.cfg, state.kernel = h, as_configuration(cfg), kernel
-            state.n = state.cfg.n
-            if state.n * state.n > _BLOCK_ENTRIES:
-                raise ValueError(f"a batched configuration has at most 128 points, "
-                                 f"got {state.n}")
-            state.distinct = DistinctRows(state.cfg.points)
-            states.append(state)
-        for d in {state.cfg.d for state in states}:
-            group = [state for state in states if state.cfg.d == d]
+        points, sizes = [], []
+        stacks: dict[tuple, list[int]] = {}  # input positions by trailing shape
+        for k, cfg in enumerate(configs):
+            cfg = np.asarray(cfg, dtype=float)
+            n = len(cfg)
+            if n * n > _BLOCK_ENTRIES:
+                raise ValueError(f"a batched configuration has at most 128 points, got {n}")
+            if not n:
+                raise ValueError(f"expected an (n, d) array of points, got shape {cfg.shape}")
+            points.append(cfg)
+            sizes.append(n)
+            stacks.setdefault(cfg.shape[1:], []).append(k)
+        sizes = np.array(sizes, dtype=np.intp)
+        values = BatchValues(sizes, np.empty_like(sizes), np.empty(sizes.size),
+                             np.empty(sizes.size, dtype=bool), np.empty(sizes.size),
+                             np.ones_like(sizes))
+        for order in map(np.array, stacks.values()):
             stack = cls.__new__(cls)
             stack.h, stack.kernel = h, kernel
-            stack.cfg = Configuration(np.concatenate([state.cfg.points for state in group]))
+            stack.cfg = Configuration.from_points(np.concatenate([points[k] for k in order]))
             stack.n = stack.cfg.n
             # every row its own: a grouping could join rows of two configurations
             stack.distinct = DistinctRows.__new__(DistinctRows)
             stack.distinct.rows, stack.distinct.first, stack.distinct.inv = (
                 stack.cfg.points, None, None)
-            stack._segment = np.repeat(np.arange(len(group)), [state.n for state in group])
-            stack._pass(reads, first=True)
-            start = 0
-            for k, state in enumerate(group):
-                rows = slice(start, start + state.n)
-                state.max_sqdist = float(stack.max_sqdist[k])
-                state._joined_max = float(stack._joined_max[k])
-                state.diameter = math.sqrt(state.max_sqdist)
-                if not kernel.truncated:
-                    state._margin, state._boundary_hit = math.inf, False
-                if stack._update is not None:
-                    state._update = stack._update[0][rows], stack._update[1][rows]
-                if stack._moments is not None:
-                    state._moments = stack._moments[rows]
-                if stack._roots is not None:
-                    state._degree, state._roots = stack._degree[rows], stack._roots[rows] - start
-                start = rows.stop
-        return states
+            counts = sizes[order]
+            stack._segment = np.repeat(np.arange(order.size), counts)
+            stack._pass({"moments", "labels"}, first=True)
+            starts = np.cumsum(counts) - counts
+            moments = stack._moments
+            values.d[order] = stack.cfg.d
+            values.diameter[order] = np.sqrt(stack.max_sqdist)
+            values.singular[order] = stack._joined_max == 0.0
+            # is_fixed_point's norms, the largest of each configuration
+            values.moment_norm[order] = np.maximum.reduceat(
+                np.sqrt(np.add.reduce(moments * moments, axis=1)), starts)
+            if kernel.truncated:  # a component per row that is its own root
+                roots = np.flatnonzero(stack._roots == np.arange(stack.n))
+                values.M[order] = np.bincount(stack._segment[roots], minlength=order.size)
+        return values
 
     def _hits_boundary(self, u: np.ndarray) -> bool:
         # u_ii = 0 lies inside every support, so the diagonal never matches

@@ -127,7 +127,11 @@ def component_count_bound(n: int, gamma: float, beta: float, h: float, d: int) -
     check_count("d", d, 1)
     if not gamma >= 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    h = check_bandwidth(h)
+    return _packing_bound(n, gamma, beta, check_bandwidth(h), d)
+
+
+def _packing_bound(n: int, gamma: float, beta: float, h: float, d: int) -> int:
+    # component_count_bound's formula, for arguments checked already
     if not math.isfinite(beta):
         return n
     try:

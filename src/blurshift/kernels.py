@@ -120,8 +120,13 @@ def _poly_g(p: float):
     # p * t**(p - 1) would also give, since 0**0 == 1
     def g(u):
         u = np.asarray(u, dtype=float)
-        if p == 1.0:
-            return np.where(u <= 1.0, 1.0, 0.0)
+        if p == 1.0:  # False (u > 1 or NaN) casts to 0.0; asarray keeps a 0-d array
+            return np.asarray(u <= 1.0).astype(float)
+        if p == 2.0:  # 2 (1 - u)_+ in place; fmax takes a NaN (from NaN) to 0.0
+            t = np.subtract(1.0, u, out=np.empty_like(u))
+            np.fmax(t, 0.0, out=t)
+            t *= 2.0
+            return t
         t = np.maximum(1.0 - u, 0.0)
         return np.where(u <= 1.0, p * t ** (p - 1.0), 0.0)
 

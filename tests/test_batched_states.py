@@ -1,30 +1,22 @@
-"""States built in a batch (``PairwiseState.batch``, one pass over many small
-configurations stacked) are bit for bit the states built one at a time, and
-``run_verify``'s fuzz stage, which builds its probes in batches, reports what
-a probe-by-probe loop reports."""
-
-import struct
+"""``PairwiseState.batch`` (one pass over many small configurations stacked)
+gives, bit for bit, what each configuration's own state gives, as arrays in
+input order, and ``run_verify``'s fuzz stage, which checks its probes through
+it, reports what a loop over each probe's own state reports."""
 
 import numpy as np
 import pytest
 
 import blurshift as bs
+from blurshift import verify
 from blurshift._pairwise import PairwiseState
 from blurshift.engine import StopRule
+from blurshift.graph import component_count_bound
 from blurshift.verify import _fuzz_configuration, run_verify
 
 from synth_data import make_dataset
 
 _KERNEL_IDS = (*bs.ASSUMPTION1_IDS, "tricube")  # tricube: g(0) = 0 keeps coincident points apart
 _BANDWIDTHS = (1e-3, 0.8, 1e3)
-
-
-def _bits(value):
-    return struct.pack("<d", value) if isinstance(value, float) else value
-
-
-def _array_bits(values):
-    return None if values is None else values.tobytes()
 
 
 def _probes(kernel, h):
@@ -37,61 +29,55 @@ def _probes(kernel, h):
     while len(shapes) < 11 * 4:
         configs.append(_fuzz_configuration(rng, kernel, h))
         shapes.add(configs[-1].shape)
+    return configs + [_spread(rng, kernel, h, 1, 3), _spread(rng, kernel, h, 128, 2)]
+
+
+def _spread(rng, kernel, h, n, d):
+    # n points over 12 joining radii in each of d axes, every seventh
+    # coinciding with the one before it
     radius = kernel.beta * h if kernel.truncated else h
-    wide = rng.uniform(-6.0, 6.0, size=(128, 2)) * radius
-    wide[1::7] = wide[::7][:wide[1::7].shape[0]]  # coincident points
-    return configs + [rng.uniform(-1.0, 1.0, size=(1, 3)) * radius, wide]
+    points = rng.uniform(-6.0, 6.0, size=(n, d)) * radius
+    points[1::7] = points[::7][:points[1::7].shape[0]]
+    return points
 
 
-def _fields(state):
-    filled = {"moments": _array_bits(state._moments), "degrees": _array_bits(state._degree),
-              "roots": _array_bits(state._roots)}
-    try:
-        update = state.update().tobytes()
-    except ValueError as exc:  # g(0) = 0 leaves an isolated point no weight
-        update = str(exc)
-    tol = 1e-12 * max(state.diameter, state.h)
-    return {
-        **filled, "diameter": _bits(state.diameter), "joined_max": _bits(state._joined_max),
-        "singular": state.singular, "labels": state.labels.tobytes(), "M": state.M,
-        "moments_by_point": state.moments().tobytes(), "fixed": state.is_fixed_point(tol),
-        "update": update, "closed": state.closed,
-        "component_diameter": _bits(state.component_diameter),
-    }
+def _alone(cfg, kernel, h):
+    # what the fuzz stage reads of a configuration's own state
+    state = PairwiseState(cfg, kernel, h)
+    moments = state.moments()
+    return (state.n, state.cfg.d, state.diameter, state.singular,
+            float(np.max(np.sqrt(np.add.reduce(moments * moments, axis=1)))), state.M)
 
 
-def _own_pass_fields(state):
-    # the reads a batch leaves to each state's own pass
-    return {
-        "objective": _bits(state.objective), "margin": _bits(state.margin),
-        "boundary_hit": state.boundary_hit, "stable": state.stable(),
-        "gap": _bits(state.minorizer_gap(0.5 * state.cfg.points)),
-    }
+def _assert_batch_gives_each_state_alone(configs, kernel, h):
+    values = PairwiseState.batch(configs, kernel, h)
+    assert [v.shape for v in values] == [(len(configs),)] * len(values)
+    assert values.singular.dtype == bool
+    got = [tuple(v[k].tobytes() for v in values) for k in range(len(configs))]
+    want = [tuple(np.array(v).astype(w.dtype).tobytes()
+                  for v, w in zip(_alone(cfg, kernel, h), values)) for cfg in configs]
+    assert got == want
+    # the fixed-point test the norms stand for
+    for k in (0, 1, len(configs) - 1):
+        state = PairwiseState(configs[k], kernel, h)
+        for tol in (0.0, 1e-12 * max(state.diameter, h), values.moment_norm[k]):
+            assert state.is_fixed_point(tol) == (values.moment_norm[k] <= tol)
 
 
 @pytest.mark.parametrize("h", _BANDWIDTHS)
 @pytest.mark.parametrize("kernel_id", _KERNEL_IDS)
 def test_batch_gives_each_state_alone(kernel_id, h):
     kernel = bs.builtin(kernel_id)
-    configs = _probes(kernel, h)
-    reads = {"update", "moments", "labels"}
-    batch = PairwiseState.batch(configs, kernel, h, reads)
-    assert len(batch) == len(configs)
-    for cfg, state in zip(configs, batch):
-        assert state.cfg.points.tobytes() == cfg.tobytes()
-        assert state._moments is not None and state._update is not None
-        assert _fields(state) == _fields(PairwiseState(cfg, kernel, h, reads))
+    _assert_batch_gives_each_state_alone(_probes(kernel, h), kernel, h)
 
 
 @pytest.mark.parametrize("kernel_id", _KERNEL_IDS)
-def test_batch_reads_left_out_come_from_each_state(kernel_id):
+def test_batch_gives_each_state_alone_at_every_size(kernel_id):
+    # every n from 1 to 128 in every d from 1 to 4, the dimensions interleaved
     kernel, h = bs.builtin(kernel_id), 0.8
-    configs = _probes(kernel, h)
-    for cfg, state in zip(configs, PairwiseState.batch(configs, kernel, h, {"moments"})):
-        assert state._roots is None and state._update is None
-        alone = PairwiseState(cfg, kernel, h, {"moments"})
-        assert _own_pass_fields(state) == _own_pass_fields(alone)
-        assert _fields(state) == _fields(alone)
+    rng = np.random.default_rng(12)
+    configs = [_spread(rng, kernel, h, n, d) for n in range(1, 129) for d in range(1, 5)]
+    _assert_batch_gives_each_state_alone(configs, kernel, h)
 
 
 def test_batch_rejects_configurations_past_one_block():
@@ -106,16 +92,65 @@ def test_batch_overflow_fails_by_name():
         PairwiseState.batch([np.zeros((2, 1)), [[0.0], [1e155], [5e160]]], kernel, 1e150)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((0, 2)), r"expected an \(n, d\) array of points, got shape \(0, 2\)"),
+    ([[0.0, 1.0], [np.nan, 0.0]], "non-finite coordinates"),
+])
+def test_batch_validates_each_configuration(bad, message):
+    kernel = bs.builtin("biweight")
+    with pytest.raises(ValueError, match=message):
+        PairwiseState.batch([np.ones((3, 2)), bad], kernel, 0.8)
+
+
+def _probe_by_probe(kernel, h, seed, fuzz):
+    """The fuzz stage as a loop over each probe's own state: its mismatches
+    and its smallest component-count slack."""
+    rng = np.random.default_rng(seed)
+    mismatches, slack = 0, None
+    for _ in range(fuzz):
+        state = PairwiseState(_fuzz_configuration(rng, kernel, h), kernel, h)
+        fixed = state.is_fixed_point(tol=1e-12 * max(state.diameter, h))
+        mismatches += fixed != state.singular
+        bound = component_count_bound(state.n, state.diameter, kernel.beta, h, state.cfg.d)
+        slack = bound - state.M if slack is None else min(slack, bound - state.M)
+    return mismatches, slack
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2))
 @pytest.mark.parametrize("kernel_id", ("epanechnikov", "biweight", "three_halves", "gaussian"))
-def test_run_verify_matches_probe_by_probe_loop(kernel_id, seed, monkeypatch):
-    kernel = bs.builtin(kernel_id)
+def test_run_verify_matches_probe_by_probe_loop(kernel_id, seed):
+    kernel, h = bs.builtin(kernel_id), 0.8
     pts, _ = make_dataset("two_blobs", n=24)
-    kwargs = dict(seed=seed, fuzz=400, stop=StopRule(max_iter=4))  # 6 whole batches and a part
-    batched = run_verify(pts, kernel, 0.8, **kwargs).to_json_dict()
+    kwargs = dict(seed=seed, stop=StopRule(max_iter=4))
+    fuzzed = run_verify(pts, kernel, h, fuzz=400, **kwargs).to_json_dict()  # 6 batches and a part
 
-    def one_by_one(cls, configs, kernel, h, reads=frozenset()):
-        return [cls(cfg, kernel, h, reads) for cfg in configs]
+    # the steps' report, with the fuzz stage's entries from the loop
+    expected = run_verify(pts, kernel, h, fuzz=0, **kwargs).to_json_dict()
+    mismatches, slack = _probe_by_probe(kernel, h, seed, 400)
+    expected.update(fuzz_cases=400, fuzz_mismatches=mismatches)
+    for check in expected["checks"]:
+        if check["name"] == "component_count_bound" and slack < check["worst_slack"]:
+            check.update(worst_slack=float(slack), step=-1, passed=slack >= 0)
+        if check["name"] == "fixed_point_graph_agreement":
+            check.update(worst_slack=-float(mismatches) if mismatches else 0.0,
+                         step=-1, passed=not mismatches)
+    expected["passed"] = all(check["passed"] for check in expected["checks"])
+    assert fuzzed == expected
 
-    monkeypatch.setattr(PairwiseState, "batch", classmethod(one_by_one))
-    assert batched == run_verify(pts, kernel, 0.8, **kwargs).to_json_dict()
+
+def test_fuzz_stage_builds_no_state_per_probe(monkeypatch):
+    built = []
+
+    class Counted(PairwiseState):
+        def __new__(cls, *args, **kwargs):
+            built.append(cls)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(verify, "PairwiseState", Counted)
+    kernel, counts = bs.builtin("biweight"), []
+    for fuzz in (0, 400):
+        built.clear()
+        run_verify([[0.0, 0.0], [0.1, 0.0]], kernel, 0.8, fuzz=fuzz)
+        counts.append(len(built))
+    # at most one stack per dimension (1 to 4) in each of the 7 batches
+    assert 0 < counts[1] - counts[0] <= 4 * 7

@@ -71,6 +71,30 @@ class TestVectorForms:
         k = bs.builtin("gaussian")
         assert bs.g_value(k, [2.0], 2.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
+    @pytest.mark.parametrize("kernel_id, p", [("epanechnikov", 1.0), ("biweight", 2.0)])
+    def test_polynomial_weights_keep_the_where_formula_bits(self, kernel_id, p):
+        # the flat and the biweight weights are computed without np.where;
+        # every bit, the non-finite and signed-zero cases included, is the
+        # formula's: 1 or 0 for p = 1, else p (1 - u)_+^(p - 1) inside the support
+        def formula(u):
+            if p == 1.0:
+                return np.where(u <= 1.0, 1.0, 0.0)
+            t = np.maximum(1.0 - u, 0.0)
+            return np.where(u <= 1.0, p * t ** (p - 1.0), 0.0)
+
+        one = np.array([1.0])
+        special = np.concatenate([
+            [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1e308, -1e308],
+            np.nextafter(one, 2.0), np.nextafter(one, 0.0)])
+        u = np.concatenate([special, np.random.default_rng(5).uniform(-0.5, 2.5, 10**5)])
+        g = bs.builtin(kernel_id).g
+        with np.errstate(over="ignore"):  # 2 * 1e308 overflows to inf in both
+            assert g(u).tobytes() == formula(u).tobytes()
+            for x in special:  # a scalar gives a 0-d array
+                value = g(x)
+                assert isinstance(value, np.ndarray) and value.shape == ()
+                assert value.tobytes() == formula(np.asarray(x)).tobytes()
+
     def test_bad_bandwidth(self):
         k = bs.builtin("gaussian")
         for h in (0.0, -1.0):
