@@ -13,20 +13,29 @@ Blurring collapses points onto each other, so after a few steps a
 configuration holds far fewer distinct positions than points.  Coincident
 points have bitwise-equal rows of distances and weights, so every row is
 computed once per distinct position, against all n points, and read back
-through the point-to-position map where a point row is needed.
+through the point-to-position map where a point row is needed.  Coincident
+points also blur alike, so the iteration hands each step's grouping to the
+next (:meth:`DistinctRows.after`), which groups the a blurred positions
+instead of the n points.
 
 Every state is built in one pass over chunks of j-rows (a distinct
-positions wide).  Each chunk gives its largest squared distance and its
-weights, and a truncated kernel's chunk also its largest joined squared
-distance; the objective's terms, a truncated kernel's boundary margin and
-boundary hit, and its degrees and components come from the chunks only
-when the caller declares that it reads them.  The state keeps none of the
-chunks, whatever the kernel: each chunk is added into every sum the caller
-reads, its joined pairs are counted per column and joined into the
-components by :func:`_union`, so the memory is O(n d) plus one chunk per
-sum.  A value read but not declared runs the same pass again for that
-value alone, so the pass is the only code that fills the objective, the
-margin, the labels, the update and the moments.
+positions wide).  Each chunk gives its weights; its largest squared
+distance, a truncated kernel's largest joined squared distance, the
+objective's terms, a truncated kernel's boundary margin and boundary hit,
+and its degrees and components come from the chunks only when the caller
+declares that it reads them.  The state keeps none of the chunks, whatever
+the kernel: each chunk is added into every sum the caller reads, its
+joined pairs are counted per column and joined into the components by
+:func:`_union`, so the memory is O(n d) plus one chunk per sum.  A value
+read but not declared runs the same pass again for that value alone, so
+the pass is the only code that fills the objective, the margin, the
+labels, the largest joined distance, the update and the moments; the
+diameter, read but not declared, comes from an exact bounding-box prune
+(:func:`_pruned_max_sqdist`).  Before the pass, the squared diagonal of
+the distinct positions' bounding box bounds every pair's squared
+distance, bit for bit, so a state whose box stays finite cannot overflow;
+only a box of inf scans for the largest squared distance, which raises by
+name when it overflows.
 
 A truncated kernel joins a pair only within its radius ``beta * h``.  So
 where a truncated state's pairs span several blocks and few of them lie in
@@ -35,9 +44,8 @@ the fixed-radius grid of Bentley, Stanat and Williams, 1977), the pass
 evaluates only those candidate pairs, with the same formulas, and sums
 them per column with ``np.bincount`` in the same order; every pair left
 out adds a zero term, so no bit moves.  The candidates decide everything
-but the diameter, which an exact bounding-box prune finds
-(:func:`_pruned_max_sqdist`), and the exact margin, which a read of
-``margin`` finds by scanning every pair.
+but the diameter, which the bounding-box prune finds, and the exact
+margin, which a read of ``margin`` finds by scanning every pair.
 
 Many small configurations, such as ``run_verify``'s fuzz probes, share
 one pass of that kind (:meth:`PairwiseState.batch`): stacked, each row's
@@ -201,21 +209,46 @@ class DistinctRows:
     """
 
     def __init__(self, points: np.ndarray):
+        self._group(points, points, None)
+
+    def after(self, points: np.ndarray) -> DistinctRows:
+        """The grouping of ``points``, in which the points of each of this
+        grouping's groups coincide (as blurring leaves them), from the a
+        rows at each group's first point alone: bitwise
+        ``DistinctRows(points)``.
+
+        Two points coincide exactly when their groups' rows have the same
+        bytes, and a new group's first point is the first point of its
+        first old group, since ``first`` ascends; so the groups, their order
+        of first appearance, ``first``, ``inv`` and ``rows`` are those of a
+        grouping of the n points.
+        """
+        moved = DistinctRows.__new__(DistinctRows)
+        moved._group(points, points if self.first is None else points[self.first], self)
+        return moved
+
+    def _group(self, points: np.ndarray, rows: np.ndarray,
+               before: DistinctRows | None) -> None:
+        # group ``points`` by the bytes of ``rows``: each point of before's
+        # group r is rows[r], or each point is its own row of ``rows`` when
+        # ``before`` is None
         n = points.shape[0]
         self.rows, self.first, self.inv = points, None, None
         if n * n <= _BLOCK_ENTRIES:
             return
-        points = np.ascontiguousarray(points)
-        keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         if first.size == n:
             return
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
+        self.rows = rows[first[order]]
+        if before is not None:  # from rows of the earlier grouping to points
+            first, inv = before.points_of(first), before.expand(inv)
         self.first = first[order]
         self.inv = rank[inv]
-        self.rows = points[self.first]
 
     @property
     def a(self) -> int:
@@ -225,11 +258,9 @@ class DistinctRows:
         """Index an array over the distinct rows by point."""
         return per_row if self.inv is None else per_row[self.inv]
 
-    def points_of(self, rows: slice) -> np.ndarray:
-        """The first point of each distinct row in ``rows``."""
-        if self.first is None:
-            return np.arange(rows.start, rows.stop)
-        return self.first[rows]
+    def points_of(self, rows: np.ndarray) -> np.ndarray:
+        """The first point of each distinct row of the indices ``rows``."""
+        return rows if self.first is None else self.first[rows]
 
 
 def _checked_max(sqdist: np.ndarray) -> float:
@@ -256,6 +287,23 @@ def _block_max_sqdist(points: np.ndarray, rows: np.ndarray) -> float:
     return _checked_max(sqd)
 
 
+def _box_overflows(rows: np.ndarray) -> bool:
+    """Whether the squared diagonal of the rows' bounding box, added in
+    ``pairwise_sqdist``'s order, overflows to inf.
+
+    It bounds every pair's squared distance from above, bit for bit: each
+    coordinate difference is at most the box's side before rounding, and
+    every rounding in the sum is monotone.  So where it is finite, no
+    squared distance of the rows overflows.
+    """
+    with np.errstate(over="ignore"):  # an overflow is the answer
+        sides = (rows.max(axis=0) - rows.min(axis=0)).tolist()
+    total = 0.0  # Python floats round as numpy's do, and overflow to inf
+    for side in sides:
+        total += side * side
+    return math.isinf(total)
+
+
 def _pruned_max_sqdist(rows: np.ndarray) -> float:
     """:func:`_rows_max_sqdist` of the rows, scanning only the rows that can
     reach it.
@@ -263,8 +311,9 @@ def _pruned_max_sqdist(rows: np.ndarray) -> float:
     The extreme rows of each axis against every row give a lower bound.  A
     row's squared distance to its farther extreme on each axis, added in
     ``pairwise_sqdist``'s order, bounds its squared distance to every row
-    from above, bit for bit, since every rounding in it is monotone.  Only
-    the rows whose bound reaches the lower bound are scanned.
+    from above, bit for bit, since every rounding in it is monotone (see
+    :func:`_box_overflows`).  Only the rows whose bound reaches the lower
+    bound are scanned.
     """
     extremes = np.unique(np.concatenate([rows.argmin(axis=0), rows.argmax(axis=0)]))
     lower = _rows_max_sqdist(rows, rows[extremes])
@@ -401,19 +450,23 @@ class PairwiseState:
     """Squared distances, profile arguments and weights of a configuration.
 
     Rows are computed once per distinct position: the points are grouped
-    by their bytes (:class:`DistinctRows`, stored as ``distinct``), and
-    every distance, profile and weight row is evaluated for the a distinct
+    by their bytes (:class:`DistinctRows`, stored as ``distinct``; the
+    ``distinct`` argument hands in that grouping when the caller has it,
+    and must then be bitwise ``DistinctRows(cfg.points)``), and every
+    distance, profile and weight row is evaluated for the a distinct
     positions against all n points.  A coincident point's row is bitwise
     its group's row, so the values read back through ``distinct.inv`` are
     the ones a full n x n evaluation gives.
 
-    The constructor makes one pass over chunks of j-rows (see
-    :func:`_ascending_j`), whatever the kernel.  Each chunk's squared
-    distances against the a distinct rows give their largest value and
-    the weights (exactly symmetric, so the weight of j-row j in column r is
-    ``g_rj``).  A truncated kernel's chunks also give the largest squared
-    distance of a joined pair (zero when the graph is singular).  The
-    state keeps no chunk: a full-support kernel joins every pair, and a
+    The constructor first bounds every squared distance by the squared
+    diagonal of the distinct rows' bounding box (:func:`_box_overflows`,
+    O(a d)); only a box whose bound is inf finds the largest squared
+    distance by the bounding-box prune (:func:`_pruned_max_sqdist`), which
+    raises by name when it overflows.  It then makes one pass over chunks
+    of j-rows (see :func:`_ascending_j`), whatever the kernel.  Each
+    chunk's squared distances against the a distinct rows give the weights
+    (exactly symmetric, so the weight of j-row j in column r is ``g_rj``).
+    The state keeps no chunk: a full-support kernel joins every pair, and a
     truncated kernel's joins (``g != 0``) are counted and labelled as the
     chunks go by, so every state holds O(n d).
 
@@ -423,15 +476,20 @@ class PairwiseState:
     exactly; its chunks hold candidate pairs (:func:`_candidate_sums`).
     Every pair left out is farther than ``beta * h``, so it is not joined
     and adds zero terms, and the candidates give every value above bit for
-    bit, but two: the largest squared distance comes from a bounding-box
-    prune (:func:`_pruned_max_sqdist`), and the margin only from the
-    candidates.  Where their margin exceeds ``_FAR_MARGIN * beta * h``, a
-    pair left out may lie nearer the radius; ``stable`` then decides a
-    tolerance below that bound from the candidates, and ``margin`` (or a
-    larger tolerance) runs the pass again over every pair.
+    bit, but two: the largest squared distance comes from the bounding-box
+    prune, and the margin only from the candidates.  Where their margin
+    exceeds ``_FAR_MARGIN * beta * h``, a pair left out may lie nearer the
+    radius; ``stable`` then decides a tolerance below that bound from the
+    candidates, and ``margin`` (or a larger tolerance) runs the pass again
+    over every pair.
 
     ``reads`` declares what the caller reads, and the pass computes only
-    that: ``"objective"``, the objective's terms and their sum (free for a
+    that: ``"diameter"``, the largest squared distance (each chunk's
+    largest, or the prune on the grid); ``"singular"``, a truncated
+    kernel's largest joined squared distance (zero when the graph is
+    singular), which ``singular`` and ``component_diameter`` read (a
+    full-support kernel joins every pair, so there it is the diameter's);
+    ``"objective"``, the objective's terms and their sum (free for a
     kernel whose profile is its weight function, such as gaussian, whose
     objective is the weights' sum); ``"margin"``, the boundary margin and
     boundary hit of a truncated kernel; ``"labels"``, a truncated kernel's
@@ -442,12 +500,12 @@ class PairwiseState:
     ``"moments"`` and ``"gap"`` (the minorizer gap's pre-step row sums,
     taken as distances times weights).  A value not declared runs the
     constructor's pass again on its first read, for that value alone: it
-    computes the same chunks, bit for bit, fills only that value, which is
-    then kept, and leaves the largest distances as the first pass found
-    them.  Only the gap's post-step term (and its pre-step term when not
-    declared) is summed outside the pass, from the weights computed again.
-    So a state holds O(n d) and one chunk per sum, and ``reads`` moves no
-    bit.
+    computes the same chunks, bit for bit, and fills only that value, which
+    is then kept.  The diameter, not declared, comes from the prune, which
+    gives the same bits.  Only the gap's post-step term (and its pre-step
+    term when not declared) is summed outside the pass, from the weights
+    computed again.  So a state holds O(n d) and one chunk per sum, and
+    ``reads`` moves no bit.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -465,10 +523,14 @@ class PairwiseState:
     """
 
     # what a pass filled because its ``reads`` named it (the margin and the
-    # boundary hit from the start for a full-support kernel): the objective,
-    # the margin and boundary hit, the joins i != j and the component roots
-    # of each distinct row, the update's denominator and numerators, the
-    # moments and the gap's pre-step total
+    # boundary hit from the start for a full-support kernel): the largest
+    # squared distance (also found by the constructor's overflow check or
+    # the prune) and joined squared distance, the objective, the margin and
+    # boundary hit, the joins i != j and the component roots of each
+    # distinct row, the update's denominator and numerators, the moments
+    # and the gap's pre-step total
+    _max_sqdist: float | None = None
+    _joined_max: float | None = None
     _objective: float | None = None
     _margin: float | None = None
     _near_margin: float | None = None
@@ -481,14 +543,16 @@ class PairwiseState:
     # the configuration of each row of a stack of configurations (see batch)
     _segment: np.ndarray | None = None
 
-    def __init__(self, cfg, kernel: KernelSpec, h: float, reads=frozenset()):
+    def __init__(self, cfg, kernel: KernelSpec, h: float, reads=frozenset(),
+                 distinct: DistinctRows | None = None):
         self.h = check_bandwidth(h)
         self.cfg = as_configuration(cfg)
         self.kernel = kernel
         self.n = self.cfg.n
-        self.distinct = DistinctRows(self.cfg.points)
-        self._pass(reads, first=True)
-        self.diameter = math.sqrt(self.max_sqdist)
+        self.distinct = DistinctRows(self.cfg.points) if distinct is None else distinct
+        if _box_overflows(self.distinct.rows):  # the prune raises when a pair overflows
+            self._max_sqdist = _pruned_max_sqdist(self.distinct.rows)
+        self._pass(reads)
 
     @classmethod
     def batch(cls, configs, kernel: KernelSpec, h: float) -> BatchValues:
@@ -541,12 +605,14 @@ class PairwiseState:
                 stack.cfg.points, None, None)
             counts = sizes[order]
             stack._segment = np.repeat(np.arange(order.size), counts)
-            stack._pass({"moments", "labels"}, first=True)
+            # the largest of each configuration, from +0.0
+            stack._max_sqdist, stack._joined_max = np.zeros((2, order.size))
+            stack._pass({"moments", "labels", "diameter", "singular"})
             starts = np.cumsum(counts) - counts
             moments = stack._moments
             values.d[order] = stack.cfg.d
             values.diameter[order] = np.sqrt(stack.max_sqdist)
-            values.singular[order] = stack._joined_max == 0.0
+            values.singular[order] = stack._joined_max_sqdist() == 0.0
             # is_fixed_point's norms, the largest of each configuration
             values.moment_norm[order] = np.maximum.reduceat(
                 np.sqrt(np.add.reduce(moments * moments, axis=1)), starts)
@@ -564,19 +630,19 @@ class PairwiseState:
             and np.any(u == kernel.boundary_u)
         )
 
-    def _pass(self, reads, first: bool = False, scan: bool = False) -> None:
-        # the constructor's pass (``first``) also finds the largest squared
-        # distance and joined squared distance; a later pass fills only
-        # what ``reads`` names.  ``scan`` evaluates every pair even where
-        # the candidate pairs would do.
+    def _pass(self, reads, scan: bool = False) -> None:
+        # fill what ``reads`` names; ``scan`` evaluates every pair even where
+        # the candidate pairs would do
         kernel, h, n, d = self.kernel, self.h, self.n, self.cfg.d
         y, at, a = self.cfg.points, self.distinct.rows, self.distinct.a
         truncated = kernel.truncated
-        update, moments, gap = (name in reads for name in ("update", "moments", "gap"))
+        update, moments, gap, singular = (
+            name in reads for name in ("update", "moments", "gap", "singular"))
         shared = kernel.profile is kernel.g
         objective = "objective" in reads and not shared
         margin = truncated and "margin" in reads
         labels = truncated and "labels" in reads
+        joined_max = truncated and singular
         # slabs: the weights (the denominator's terms), the objective's
         # terms when read and not the weights (gaussian), then the d
         # numerators, the d moments and the gap's pre-step terms when read
@@ -589,12 +655,16 @@ class PairwiseState:
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
         if margin:
-            own = self.distinct.points_of(slice(0, a))
-        joins = truncated and (first or labels)
-        if first and segment is not None:  # the largest of each configuration
-            self.max_sqdist, self._joined_max = np.zeros((2, segment[-1] + 1))
-        elif first:
-            self.max_sqdist = 0.0 if grid is None else _pruned_max_sqdist(at)
+            first = self.distinct.first  # the own point of each distinct row
+            own = np.arange(a) if first is None else first
+        # a full-support kernel's largest joined distance is the largest
+        chunk_max = (self._max_sqdist is None
+                     and ("diameter" in reads or (singular and not truncated)))
+        if chunk_max and grid is not None:  # the grid's pairs miss the largest
+            self._max_sqdist, chunk_max = _pruned_max_sqdist(at), False
+        elif chunk_max:
+            self._max_sqdist = 0.0
+        if joined_max and segment is None:
             self._joined_max = 0.0
         if labels:
             self._degree, self._roots = np.zeros(a, dtype=np.intp), np.arange(a)
@@ -611,30 +681,29 @@ class PairwiseState:
             else:  # a list of pairs
                 yj, ar = y[rows].T, at[col].T
             sqd = out[pre] if gap else w
-            if col is not None and segment is None:
-                # the grid's pairs lie within the pruned largest, checked already
+            if segment is None:  # within the bounding box's bound, checked already
                 coordinate_sqdist(yj, ar, out=sqd)
-            else:
+                if chunk_max:
+                    self._max_sqdist = max(self._max_sqdist, float(sqd.max()))
+            else:  # a stack's pairs: the largest of each configuration
                 with np.errstate(over="ignore"):  # an overflow raises by name just below
                     coordinate_sqdist(yj, ar, out=sqd)
-                largest = _checked_max(sqd)
-                if segment is None:
-                    self.max_sqdist = max(self.max_sqdist, largest)
-                else:  # a stack's pairs: the largest of each configuration
-                    np.maximum.at(self.max_sqdist, segment[rows], sqd)
+                _checked_max(sqd)
+                np.maximum.at(self._max_sqdist, segment[rows], sqd)
             if margin:
                 skip = _self_pairs(own, rows) if col is None else own[col] == rows
                 self._margin = min(self._margin, _block_margin(sqd, skip, kernel.beta * h))
-            # only the joins read a distance again, else in place
-            u = profile_args(sqd, h, out=None if joins else w)
+            # only the joined distances read a distance again, else in place
+            u = profile_args(sqd, h, out=None if joined_max else w)
             if margin:
                 self._boundary_hit = self._boundary_hit or self._hits_boundary(u)
             if objective:
                 out[obj] = kernel.profile(u)
             g = kernel.g(u)
             del u
-            if joins:
+            if joined_max or labels:
                 joined = g != 0.0
+            if joined_max:
                 # the distances are finite, so a joined one times 1.0 is
                 # itself and an unjoined one becomes +0.0; w is free until
                 # it takes the weights
@@ -643,8 +712,8 @@ class PairwiseState:
                     self._joined_max = max(self._joined_max, float(joined_sqd.max()))
                 else:
                     np.maximum.at(self._joined_max, segment[rows], joined_sqd)
-                if labels:
-                    self._join_chunk(rows, joined, col)
+            if labels:
+                self._join_chunk(rows, joined, col)
             w[...] = g
             del g  # off the peak of the sums' terms
             if update:  # w_jr y_jk of every coordinate k
@@ -685,8 +754,6 @@ class PairwiseState:
             self._gap_before = _ascending_total(self.distinct.expand(sums[pre]))
         if labels:  # the pair with its own point is joined exactly when g(0) != 0
             self._degree -= kernel.g0 != 0.0
-        if not truncated:  # every pair is joined
-            self._joined_max = self.max_sqdist
         if margin and grid is not None and self._margin > _FAR_MARGIN * (kernel.beta * h):
             # a pair left out may lie nearer the radius: the margin is known
             # only to be the candidates' or above _FAR_MARGIN of the radius
@@ -724,6 +791,28 @@ class PairwiseState:
         self._degree += np.bincount(col, minlength=self._degree.size)
         inv = self.distinct.inv
         self._roots = _union(self._roots, j if inv is None else inv[j], col)
+
+    @property
+    def max_sqdist(self) -> float:
+        """Largest squared distance between two points; from the bounding-box
+        prune (:func:`_pruned_max_sqdist`) unless the pass read it."""
+        if self._max_sqdist is None:
+            self._max_sqdist = _pruned_max_sqdist(self.distinct.rows)
+        return self._max_sqdist
+
+    @property
+    def diameter(self) -> float:
+        """Largest distance between two points."""
+        return math.sqrt(self.max_sqdist)
+
+    def _joined_max_sqdist(self) -> float:
+        # largest squared distance of a joined pair: of every pair for a
+        # full-support kernel
+        if not self.kernel.truncated:
+            return self.max_sqdist
+        if self._joined_max is None:
+            self._pass({"singular"})
+        return self._joined_max
 
     @property
     def objective(self) -> float:
@@ -807,7 +896,7 @@ class PairwiseState:
     @cached_property
     def singular(self) -> bool:
         """Every joined pair of points coincides exactly."""
-        return self._joined_max == 0.0
+        return self._joined_max_sqdist() == 0.0
 
     def stable(self, stability_tol: float | None = None) -> bool:
         """Margin test with tolerance ``stability_tol`` (default ``1e-9 * beta * h``).
@@ -832,10 +921,10 @@ class PairwiseState:
         if self.M == 1:
             return self.diameter
         if self.closed:  # every pair within a component is joined
-            return math.sqrt(self._joined_max)
+            return math.sqrt(self._joined_max_sqdist())
         # the components of the distinct rows: where g(0) = 0, coincident
         # points with no join are apart, but at distance 0 from each other
-        return component_diameter(self.distinct.rows, self._roots, self._joined_max)
+        return component_diameter(self.distinct.rows, self._roots, self._joined_max_sqdist())
 
     def _weight_rows(self, rows: slice) -> np.ndarray:
         # the weights of the j-rows ``rows``, computed again as the
@@ -851,18 +940,23 @@ class PairwiseState:
         kernel with ``g(0) = 0`` gives a point or a group of coincident
         points with no other point at nonzero weight.
         """
+        return self.distinct.expand(self.update_rows())
+
+    def update_rows(self) -> np.ndarray:
+        """The blurred position of each distinct row, an (a, d) array that
+        :meth:`update` reads by point; raises as :meth:`update` does."""
         if self._update is None:
             self._pass({"update"})
         den, num = self._update
-        empty = np.flatnonzero(self.distinct.expand(den) == 0.0)
-        if empty.size:
+        empty = np.flatnonzero(den == 0.0)
+        if empty.size:  # the first point of the first such row is the first such point
             raise ValueError(
-                f"point {empty[0]} has zero total weight under kernel "
-                f"{self.kernel.id!r}: its g(0) = {self.kernel.g0!r} leaves a "
+                f"point {self.distinct.points_of(empty)[0]} has zero total weight under "
+                f"kernel {self.kernel.id!r}: its g(0) = {self.kernel.g0!r} leaves a "
                 f"point or a group of coincident points with no other point at "
                 f"nonzero weight, so its blurred position would be 0/0"
             )
-        return self.distinct.expand(num / den[:, None])
+        return num / den[:, None]
 
     def _row_moments(self) -> np.ndarray:
         if self._moments is None:

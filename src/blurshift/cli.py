@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -228,9 +229,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves a parser as it was
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, OSError) as exc:

@@ -260,12 +260,18 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     state of the current configuration, its blurred image and the largest
     point move; ``T`` is the number of steps.  Observers must not keep the
     state: it is released before the next one is built.  ``reads`` names
-    what ``on_step`` reads beyond the update, which the loop always reads
-    (``"objective"``, ``"margin"``, ``"labels"``, ``"moments"``, ``"gap"``;
-    see :class:`PairwiseState`), so that the state computes it in its
-    constructor's pass and nothing else, instead of running that pass again
-    for each value read; it moves no bit.  The ``blurshift`` logger gets a start and a
-    stop summary at DEBUG.
+    what ``on_step`` reads beyond the update, which the loop always reads,
+    and the initial diameter, which step 1 always reads (``"diameter"``,
+    ``"singular"``, ``"objective"``, ``"margin"``, ``"labels"``,
+    ``"moments"``, ``"gap"``; see :class:`PairwiseState`), so that the
+    state computes it in its constructor's pass and nothing else, instead
+    of running that pass again for each value read; it moves no bit.
+
+    Coincident points blur alike, so each step after the first is handed
+    the grouping of its points (:meth:`DistinctRows.after`, from the a
+    blurred rows), and the move and the fixed-point test run over the a
+    rows.  The ``blurshift`` logger gets a start and a stop summary at
+    DEBUG.
     """
     if stop is None:
         stop = StopRule()
@@ -274,22 +280,33 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     started = time.perf_counter()
     move_tol = stop.move_tol
     result = None
+    reads = frozenset({"update", *reads})
+    distinct = None  # step 1 groups its points
     for t in range(1, stop.max_iter + 1):
-        state = PairwiseState(cfg, kernel, h, {"update", *reads})
+        state = PairwiseState(cfg, kernel, h, reads | {"diameter"} if t == 1 else reads,
+                              distinct)
         if move_tol is None:  # 1e-12 x the initial diameter
             move_tol = 1e-12 * state.diameter
-        nxt = Configuration.from_points(state.update())
-        max_move = float(np.max(np.linalg.norm(nxt.points - cfg.points, axis=1)))
+        distinct = state.distinct
+        rows = state.update_rows()
+        nxt = Configuration.from_points(distinct.expand(rows))
+        # each point moves as its distinct row does
+        max_move = float(np.max(np.linalg.norm(rows - distinct.rows, axis=1)))
+        fixed = stop.exact_fixed_point and np.array_equal(rows, distinct.rows)
+        del rows  # off the observer's peak
         on_step(t, state, nxt, max_move)
         # drop this step's arrays before the next state allocates its own
         state = None
-        if stop.exact_fixed_point and np.array_equal(nxt.points, cfg.points):
+        if fixed:
             result = (nxt, STOP_EXACT_FIXED_POINT, t)
             break
         cfg = nxt
         if max_move < move_tol:
             result = (cfg, STOP_MOVE_TOL, t)
             break
+        # built after the state is released, so that its temporaries do not
+        # add to the state's peak
+        distinct = distinct.after(cfg.points)
     if result is None:
         result = (cfg, STOP_MAX_ITER, stop.max_iter)
     log.debug("stop: n=%d d=%d kernel=%s h=%r T=%d stop=%s wall=%.6fs", cfg.n, cfg.d,
@@ -298,7 +315,7 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
 
 
 # what a record reads of each state beyond the update
-_RECORD_READS = frozenset({"objective", "margin", "labels"})
+_RECORD_READS = frozenset({"diameter", "singular", "objective", "margin", "labels"})
 
 
 def _record(t: int, state: PairwiseState, max_move: float) -> IterationRecord:
@@ -341,7 +358,11 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     goes, and collected in the returned run unless ``keep_records`` is
     false, so long runs can stream their trace without buffering.  Without
     one, the run builds no record, which makes it cheaper: a state computes
-    only the update.  Its ``records`` are then built on their first read
+    only the update, and the first one also the initial diameter; no later
+    one finds a largest distance or joined distance, and each is handed the
+    grouping of its points by the step before, from the blurred distinct
+    positions, instead of grouping its n points.  Its ``records`` are then
+    built on their first read
     by running the iteration again, so reading them costs a second run; a
     replay that does not end at the same step on the same bits raises
     ``RuntimeError``.  With ``keep_records`` false and no sink, ``records``

@@ -130,9 +130,10 @@ def emit_trace(records: Iterable[IterationRecord], path) -> None:
 
 
 def write_json(obj, path) -> None:
+    """Write ``obj`` as indented JSON and a newline, in one write."""
+    text = json.dumps(obj, indent=2, sort_keys=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], path) -> None:

@@ -228,9 +228,11 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
-    reads = {"objective", "margin", "gap", "labels"} | ({"moments"} if smooth else set())
+    reads = {"diameter", "objective", "margin", "gap", "labels"} | (
+        {"moments"} if smooth else set())
     final, stop_reason, T = _iterate(points, kernel, h, stop, on_step, reads)
-    state = PairwiseState(final, kernel, h, {"objective"})  # closes the last step
+    # closes the last step's checks and tells whether a terminal fixed point is singular
+    state = PairwiseState(final, kernel, h, {"diameter", "singular", "objective"})
     close(state.objective, state.diameter)
     if stop_reason == STOP_EXACT_FIXED_POINT:
         terminal.update(1.0 if state.singular else -1.0, T)

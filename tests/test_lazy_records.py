@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import blurshift as bs
+import blurshift._pairwise as pairwise_mod
 import blurshift.engine as engine_mod
 from blurshift.io import load_points
 from golden.regenerate import H, HERE, INPUTS, MAX_ITER
@@ -30,27 +31,44 @@ def _golden(name):
 
 @pytest.mark.parametrize("kernel_id", ["epanechnikov", "gaussian"])
 def test_run_without_sink_reads_only_the_update(kernel_id, monkeypatch):
-    declared, passes = [], []
+    # step 1 also reads the initial diameter; no later step finds a largest
+    # distance (by the prune or per chunk), a largest joined distance or a
+    # grouping of the n points, which each step hands to the next
+    declared, filled, passes, pruned, groupings = [], [], [], [], []
     real = engine_mod.PairwiseState
 
     class Watched(real):
-        def __init__(self, cfg, kernel, h, reads=frozenset()):
+        def __init__(self, cfg, kernel, h, reads=frozenset(), distinct=None):
             declared.append(frozenset(reads))
-            super().__init__(cfg, kernel, h, reads)
+            super().__init__(cfg, kernel, h, reads, distinct)
+            filled.append((self._max_sqdist is not None, self._joined_max is not None))
 
-        def _pass(self, reads, first=False, scan=False):
-            passes.append(first)
-            super()._pass(reads, first, scan)
+        def _pass(self, reads, scan=False):
+            passes.append(len(declared))
+            super()._pass(reads, scan)
+
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(len(declared))
+            return fn(*args)
+        return wrapper
 
     monkeypatch.setattr(engine_mod, "PairwiseState", Watched)
+    monkeypatch.setattr(pairwise_mod, "_pruned_max_sqdist",
+                        counted(pruned, pairwise_mod._pruned_max_sqdist))
+    monkeypatch.setattr(pairwise_mod.DistinctRows, "__init__",
+                        counted(groupings, pairwise_mod.DistinctRows.__init__))
     run = bs.run_bms(_golden("d2_large.csv"), bs.builtin(kernel_id), H, stop=STOP)
-    assert len(declared) == run.T
-    assert set(declared) == {frozenset({"update"})}
-    assert all(passes)  # no value read beyond the constructor's pass
+    assert run.T > 2 and len(declared) == run.T
+    assert declared[0] == {"update", "diameter"}
+    assert set(declared[1:]) == {frozenset({"update"})}
+    assert filled == [(True, False)] + [(False, False)] * (run.T - 1)
+    assert passes == list(range(1, run.T + 1))  # no value read beyond the constructor's pass
+    assert set(pruned) <= {1} and groupings == [1]
     del declared[:]
     run.records
     assert len(declared) == run.T
-    assert all(reads > {"update"} for reads in declared)
+    assert all(reads >= engine_mod._RECORD_READS | {"update"} for reads in declared)
 
 
 @pytest.mark.parametrize("kernel_id", bs.ASSUMPTION1_IDS)

@@ -15,7 +15,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
-from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState, _union
+from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState, _box_overflows, _union
 from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.diagnostics import component_diameter, diameter
 from blurshift.engine import IterationRecord, StopRule, bms_step, objective, run_bms
@@ -499,7 +499,8 @@ def test_later_pass_keeps_the_structure(n):
     _assert_holds_no_pairwise_array(state)
 
 
-_EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin", "labels"})
+_EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin", "labels",
+                         "diameter", "singular"})
 
 
 def _assert_reads_move_no_bit(pts, kernel, h, moved):
@@ -510,8 +511,10 @@ def _assert_reads_move_no_bit(pts, kernel, h, moved):
     # what each constructor's pass filled: a full-support kernel has no
     # boundary and one component, and gaussian's objective is its weights'
     # sum
-    filled = (read._update, read._moments, read._gap_before)
+    filled = (read._update, read._moments, read._gap_before, read._max_sqdist)
     assert all(value is not None for value in filled)
+    assert (read._joined_max is None) == (not kernel.truncated)
+    assert plain._max_sqdist is None and plain._joined_max is None
     assert read._objective is not None and read._margin is not None
     assert (read._roots is None) == (read._degree is None) == (not kernel.truncated)
     assert all(value is None for value in (plain._update, plain._moments, plain._gap_before,
@@ -531,6 +534,7 @@ def _assert_reads_move_no_bit(pts, kernel, h, moved):
     assert np.array_equal(read.labels, plain.labels)
     assert read.closed == plain.closed and read.singular == plain.singular
     assert _bits(read.component_diameter) == _bits(plain.component_diameter)
+    assert _bits(read.diameter) == _bits(plain.diameter)
     for state in (read, plain):
         _assert_holds_no_pairwise_array(state)
     return read, plain
@@ -707,3 +711,35 @@ def test_overflowing_distances_raise():
     with pytest.raises(ValueError, match="overflow"):
         diameter(pts)
     assert math.isfinite(diameter([[0.0], [1e150]]))
+
+
+@pytest.mark.parametrize("n", [3, 200])
+def test_overflow_fails_by_name_without_the_diameter(n):
+    # a state that does not read the diameter still fails by name, from its
+    # bounding box's bound, on a scan (n = 3) and on a grid state (n = 200)
+    kernel, h = bs.builtin("epanechnikov"), 1e150
+    pts = np.column_stack([np.linspace(0.0, 1e159, n), np.zeros(n)])
+    # the same configuration scaled by a power of two, which overflows
+    # nothing and takes the same cells, takes the grid exactly when n = 200
+    tiny = PairwiseState(np.ldexp(pts, -600), kernel, math.ldexp(h, -600), {"update"})
+    assert (tiny._candidates() is not None) == (n == 200)
+    for build in (lambda: bms_step(pts, kernel, h),
+                  lambda: PairwiseState(pts, kernel, h, {"update"})):
+        with pytest.raises(ValueError, match="squared pairwise distances overflow"):
+            build()
+
+
+@pytest.mark.parametrize("kernel_id", ["epanechnikov", "gaussian"])
+@pytest.mark.parametrize("n", [4, 200])
+def test_overflowing_box_without_an_overflowing_pair_builds(kernel_id, n):
+    # the box's squared diagonal is 2 * 1.69e308, but no pair is farther
+    # apart than one side of it
+    sites = np.array([[0.0, 6.5e153], [1.3e154, 6.5e153], [6.5e153, 0.0], [6.5e153, 1.3e154]])
+    pts = sites[np.arange(n) % 4]
+    assert _box_overflows(sites)
+    kernel = bs.builtin(kernel_id)
+    for reads in (frozenset(), {"update"}, {"update", "diameter", "singular"}):
+        state = PairwiseState(pts, kernel, 1e153, reads)
+        assert _bits(state.diameter) == _bits(diameter(pts))
+        assert state.update().shape == pts.shape
+    assert bms_step(pts, kernel, 1e153).n == n
