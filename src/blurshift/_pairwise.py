@@ -112,9 +112,12 @@ def _ascending_j(n: int, width: int, slabs: int, fill,
 
 # A truncated state whose pairs span several blocks sums only its
 # candidate pairs (see _cell_ranges) when they number at most this share of
-# its n * a pairs.  Epanechnikov states of 400 to 2000 points, uniform or in
-# four blobs, took as long either way at shares of 0.22 to 0.26; above
-# that, the scan of every pair is the faster one.
+# its n * a pairs.  Epanechnikov states of 1000 and 2000 points on a uniform
+# square, built for the update alone, took 0.5 to 0.7 of the scan's time on
+# the grid at shares near 0.2 and 0.65 to 0.9 near 0.25 to 0.29, where the
+# two break even.  A share of 0.35 put the four-blob states of
+# bench/scaling.py on the grid and slowed them: cluster of 4000 points took
+# 0.66 s against 0.49 s (run_verify of 2000 points held at 0.51 s).
 _GRID_SHARE = 0.2
 # The grid's cells are wider than the joining radius by this factor, so
 # that rounding never brings a pair of rows whose cells do not touch within
@@ -143,7 +146,7 @@ def _cell_ranges(rows: np.ndarray, radius: float):
     """
     side = radius * _CELL_SIDE
     axes = np.argsort(-np.ptp(rows, axis=0), kind="stable")[:2]
-    q = rows[:, axes] / side
+    q = rows.take(axes, axis=1) / side
     if not np.all(np.abs(q) < 2.0 ** 30):
         return None
     cell = np.floor(q).astype(np.int64)
@@ -184,7 +187,9 @@ def _candidate_sums(grid, inv, n: int, a: int, slabs: int, fill,
         stop = max(start + 1, int(ends.searchsorted(ends[start] - per_j[start] + entries,
                                                     "right")))
         group = np.arange(start, stop) if inv is None else inv[start:stop]
-        low, sizes = starts[group].ravel(), (stops[group] - starts[group]).ravel()
+        low = starts.take(group, axis=0).ravel()
+        sizes = stops.take(group, axis=0).ravel()
+        sizes -= low
         col = order[np.arange(sizes.sum()) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)]
         buf = np.empty((slabs, a + col.size))
         buf[:, :a] = acc
@@ -224,7 +229,7 @@ class DistinctRows:
         grouping of the n points.
         """
         moved = DistinctRows.__new__(DistinctRows)
-        moved._group(points, points if self.first is None else points[self.first], self)
+        moved._group(points, self.at_first(points), self)
         return moved
 
     def _group(self, points: np.ndarray, rows: np.ndarray,
@@ -237,14 +242,24 @@ class DistinctRows:
         if n * n <= _BLOCK_ENTRIES:
             return
         rows = np.ascontiguousarray(rows)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        # rows with the same bytes have the same int64 words: a stable sort
+        # by the words puts each group's rows together in ascending order,
+        # so a group starts where a row's words differ from its predecessor's
+        bits = rows.view(np.int64)
+        by_bits = np.lexsort(bits.T)
+        sorted_bits = bits.take(by_bits, axis=0)
+        starts = np.empty(by_bits.size, dtype=bool)
+        starts[0] = True
+        np.logical_or.reduce(sorted_bits[1:] != sorted_bits[:-1], axis=1, out=starts[1:])
+        first = by_bits[starts]
         if first.size == n:
             return
+        inv = np.empty_like(by_bits)
+        inv[by_bits] = np.cumsum(starts) - 1
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        self.rows = rows[first[order]]
+        self.rows = rows.take(first[order], axis=0)
         if before is not None:  # from rows of the earlier grouping to points
             first, inv = before.points_of(first), before.expand(inv)
         self.first = first[order]
@@ -256,7 +271,11 @@ class DistinctRows:
 
     def expand(self, per_row: np.ndarray) -> np.ndarray:
         """Index an array over the distinct rows by point."""
-        return per_row if self.inv is None else per_row[self.inv]
+        return per_row if self.inv is None else per_row.take(self.inv, axis=0)
+
+    def at_first(self, points: np.ndarray) -> np.ndarray:
+        """The rows of an array over the points at each group's first point."""
+        return points if self.first is None else points.take(self.first, axis=0)
 
     def points_of(self, rows: np.ndarray) -> np.ndarray:
         """The first point of each distinct row of the indices ``rows``."""
@@ -316,7 +335,7 @@ def _pruned_max_sqdist(rows: np.ndarray) -> float:
     bound are scanned.
     """
     extremes = np.unique(np.concatenate([rows.argmin(axis=0), rows.argmax(axis=0)]))
-    lower = _rows_max_sqdist(rows, rows[extremes])
+    lower = _rows_max_sqdist(rows, rows.take(extremes, axis=0))
     with np.errstate(over="ignore"):  # a bound of inf only keeps its row
         far = np.maximum(rows - rows.min(axis=0), rows.max(axis=0) - rows)
         upper = coordinate_sqdist(far.T, np.zeros((rows.shape[1], 1)))
@@ -345,7 +364,7 @@ def component_diameter(rows: np.ndarray, groups: np.ndarray, floor: float = 0.0)
     Raises ``ValueError`` when a squared distance overflows to inf.
     """
     order = np.argsort(groups, kind="stable")
-    rows, groups = rows[order], groups[order]
+    rows, groups = rows.take(order, axis=0), groups[order]
     starts = np.flatnonzero(np.concatenate([[True], groups[1:] != groups[:-1]]))
     stops = np.append(starts[1:], groups.size)
     with np.errstate(over="ignore"):  # a bound of inf only keeps its group
@@ -678,8 +697,9 @@ class PairwiseState:
             w = out[0]
             if col is None:  # a (rows, a) block
                 yj, ar = y[rows].T[:, :, None], at.T[:, None, :]
-            else:  # a list of pairs
-                yj, ar = y[rows].T, at[col].T
+            else:  # a list of pairs: numpy's fancy indexing of (n, d) rows
+                # is about 10x slower than take, which gathers the same values
+                yj, ar = y.take(rows, axis=0).T, at.take(col, axis=0).T
             sqd = out[pre] if gap else w
             if segment is None:  # within the bounding box's bound, checked already
                 coordinate_sqdist(yj, ar, out=sqd)
@@ -1000,11 +1020,13 @@ class PairwiseState:
         distinct = self.distinct
         if distinct.inv is None:
             return _ascending_total(self._gap_row_sums(points, points))
-        sums = distinct.expand(self._gap_row_sums(points[distinct.first], points))
+        sums = distinct.expand(self._gap_row_sums(distinct.at_first(points), points))
         bits = np.ascontiguousarray(points).view(np.int64)
-        apart = np.flatnonzero(np.any(bits != bits[distinct.first[distinct.inv]], axis=1))
+        apart = np.flatnonzero(np.any(bits != bits.take(distinct.first[distinct.inv], axis=0),
+                                      axis=1))
         if apart.size:
-            sums[apart] = self._gap_row_sums(points[apart], points, distinct.inv[apart])
+            sums[apart] = self._gap_row_sums(points.take(apart, axis=0), points,
+                                             distinct.inv[apart])
         return _ascending_total(sums)
 
     def minorizer_gap(self, cfg_next) -> float:

@@ -95,7 +95,7 @@ def _representatives(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """
     order = np.argsort(groups, kind="stable")
     bounds = np.cumsum(np.bincount(groups))[:-1]
-    return np.vstack([part.mean(axis=0) for part in np.split(points[order], bounds)])
+    return np.vstack([part.mean(axis=0) for part in np.split(points.take(order, axis=0), bounds)])
 
 
 def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,

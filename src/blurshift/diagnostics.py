@@ -106,7 +106,7 @@ def component_diameter(cfg, components: Sequence[np.ndarray]) -> float:
     members = np.concatenate([np.asarray(c, dtype=np.intp) for c in components])
     groups = np.repeat(np.arange(len(components)), [len(c) for c in components])
     # each component's distinct positions: a row is its point and its group
-    rows = _pairwise.DistinctRows(np.column_stack([points[members], groups])).rows
+    rows = _pairwise.DistinctRows(np.column_stack([points.take(members, axis=0), groups])).rows
     return _pairwise.component_diameter(rows[:, :-1], rows[:, -1])
 
 

@@ -220,10 +220,9 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
             )
         # coincident points project alike, and the blurred image keeps them
         # coincident, so the extents need only each distinct row's first point
-        first = state.distinct.first
-        distinct = slice(None) if first is None else first
-        prev_extents = _extents(cfg.points[distinct], dirs) if extents is None else extents
-        extents = _extents(nxt.points[distinct], dirs)
+        at_first = state.distinct.at_first
+        prev_extents = _extents(at_first(cfg.points), dirs) if extents is None else extents
+        extents = _extents(at_first(nxt.points), dirs)
         nesting.update(1e-12 - _nesting_overshoot(prev_extents, extents), t)
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)

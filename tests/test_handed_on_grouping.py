@@ -101,3 +101,58 @@ def test_signed_zero_groups_meet_after_a_step():
     after = before.after(moved)
     assert after.a == 2
     _assert_same_grouping(after, DistinctRows(moved))
+
+
+def _unique_bytes_grouping(points):
+    """The grouping by ``np.unique`` over each row's bytes as one void key:
+    the formula the sort of int64 words replaced, kept as the reference."""
+    n = points.shape[0]
+    if n * n <= 1 << 14:
+        return points, None, None
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == n:
+        return points, None, None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], first[order], rank[inv]
+
+
+def _assert_reference_grouping(got, points):
+    rows, first, inv = _unique_bytes_grouping(points)
+    want = DistinctRows.__new__(DistinctRows)
+    want.rows, want.first, want.inv = rows, first, inv
+    _assert_same_grouping(got, want)
+
+
+@st.composite
+def _duplicated_rows(draw):
+    """60 to 300 rows (a grouping starts above 128) in d = 1 to 4, drawn
+    from a few sites whose coordinates include +0.0 and -0.0, or from as
+    many sites as rows; and a map of the sites onto fewer, as blurring
+    would merge them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = draw(st.integers(1, 4), label="d")
+    n = draw(st.integers(60, 300), label="n")
+    count = draw(st.sampled_from([1, 2, 5, 20, n]), label="sites")
+    sites = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(count, d))
+    sites[rng.random(sites.shape) < 0.5] = rng.normal(size=d)[0]
+    if count == n:  # as many distinct sites as rows, almost surely
+        sites = rng.normal(size=(count, d))
+    merged = rng.integers(max(1, count // 2), size=count)
+    return sites, rng.integers(count, size=n), sites[merged]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=_duplicated_rows())
+def test_grouping_matches_the_unique_bytes_reference(drawn):
+    sites, pick, merged = drawn
+    points = sites[pick]
+    grouping = DistinctRows(points)
+    _assert_reference_grouping(grouping, points)
+    # each group moves to where the merged sites take its first point, so
+    # that its points coincide, as blurring leaves them
+    moved = grouping.expand(grouping.at_first(merged[pick]))
+    _assert_reference_grouping(grouping.after(moved), moved)
