@@ -137,8 +137,7 @@ def _duplicated_rows(draw):
     d = draw(st.integers(1, 4), label="d")
     n = draw(st.integers(60, 300), label="n")
     count = draw(st.sampled_from([1, 2, 5, 20, n]), label="sites")
-    sites = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(count, d))
-    sites[rng.random(sites.shape) < 0.5] = rng.normal(size=d)[0]
+    sites = rng.choice([0.0, -0.0, 1.0, -1.0, rng.normal()], size=(count, d))
     if count == n:  # as many distinct sites as rows, almost surely
         sites = rng.normal(size=(count, d))
     merged = rng.integers(max(1, count // 2), size=count)
