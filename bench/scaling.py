@@ -38,7 +38,8 @@ bandwidth's exact fixed point (op ``sweep``), which reads no record; its
 
 A third grid times, per n, the minorizer gap's post-step term of
 ``run_verify``'s first epanechnikov step alone (op ``gap``): the pairwise
-state is built once with ``run_verify``'s reads, and the call sums
+state is built once with ``run_verify``'s reads, which include the gap's
+pre-step term, so the timed ``state.minorizer_gap`` call sums only
 ``sum_ij g_ij ||y'_i - y'_j||^2`` over the blurred points, as the
 observer does at every step.
 
@@ -47,7 +48,8 @@ A sparse grid runs epanechnikov ``cluster`` for ``STEPS`` steps (op
 0) at the density of perfbench's ``sparse-exact-epan``: h = 0.25 *
 sqrt(400 / n), so a point has pi (beta h)^2 n / 12, about 13, neighbours
 within beta * h at t = 1.  There a truncated state evaluates only the
-candidate pairs of its grid of cells, so n can reach 50 000.
+candidate pairs of its grid of cells, so n can reach 50 000.  The same
+grid runs ``run_verify`` for ``STEPS`` steps (op ``sparse_verify``).
 
 A fourth record times the fuzz probes of ``run_verify``: one call on a
 single point with ``FUZZ_CASES`` probes (configurations of at most 12
@@ -122,7 +124,7 @@ def sparse_h(n: int) -> float:
 
 
 def points_for(cell: dict, n: int) -> np.ndarray:
-    return sparse_square(n) if cell["op"] == "sparse" else blobs(n)
+    return sparse_square(n) if cell["op"].startswith("sparse") else blobs(n)
 
 
 def nproc() -> int:
@@ -166,7 +168,7 @@ def operation(cell: dict, points: np.ndarray):
         nxt = state.update()
 
         def post_step_gap():
-            state._weighted_sqdist(nxt)
+            state.minorizer_gap(nxt)
             return 1  # the one step whose term it is
 
         return post_step_gap
@@ -176,11 +178,11 @@ def operation(cell: dict, points: np.ndarray):
         stop = bs.StopRule(move_tol=0.0)
     else:
         stop = bs.StopRule(max_iter=STEPS)
-    if cell["op"] == "verify":
-        return lambda: bs.run_verify(points, kernel, H, stop=stop).T
+    h = sparse_h(points.shape[0]) if cell["op"].startswith("sparse") else H
+    if cell["op"] in ("verify", "sparse_verify"):
+        return lambda: bs.run_verify(points, kernel, h, stop=stop).T
     if cell["op"] == "sweep":
         return lambda: sum(e.T for e in bs.bandwidth_sweep(points, kernel, SWEEP_H, stop=stop))
-    h = sparse_h(points.shape[0]) if cell["op"] == "sparse" else H
     if cell["op"].endswith("_read"):
         return lambda: len(bs.cluster(points, kernel, h, stop=stop).records)
     return lambda: bs.cluster(points, kernel, h, stop=stop).T
@@ -231,8 +233,8 @@ def cells() -> list[dict]:
              for n in SIZES]
     grid += [{"group": "fuzz_records", "kernel": k, "op": "fuzz", "probes": FUZZ_CASES}
              for k in FUZZ_KERNELS]
-    grid += [{"group": "sparse_records", "kernel": SPARSE_KERNEL, "n": n, "op": "sparse"}
-             for n in SPARSE_SIZES]
+    grid += [{"group": "sparse_records", "kernel": SPARSE_KERNEL, "n": n, "op": op}
+             for op in ("sparse", "sparse_verify") for n in SPARSE_SIZES]
     return grid
 
 
@@ -262,13 +264,14 @@ def summary(runs: list[dict]) -> dict:
 
 def record(cell: dict, runs: list[dict]) -> dict:
     key = {"fixed_point": "cluster", "fixed_point_read": "cluster_read", "gap": "gap_after",
-           "fuzz": "verify", "sparse": "cluster"}.get(cell["op"], cell["op"])
+           "fuzz": "verify", "sparse": "cluster", "sparse_verify": "verify"}.get(
+               cell["op"], cell["op"])
     if cell["group"] == "fuzz_records":
         out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
         out[key] = summary(runs)
         out["probe_us"] = round(1e6 * out[key]["wall_s"] / cell["probes"], 1)
         return out
-    h = sparse_h(cell["n"]) if cell["op"] == "sparse" else H
+    h = sparse_h(cell["n"]) if cell["op"].startswith("sparse") else H
     out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": h, key: summary(runs)}
     if "mean_distinct_share" in runs[0]:
         out["mean_distinct_share"] = runs[0]["mean_distinct_share"]
@@ -330,10 +333,12 @@ def main(argv=None) -> int:
         "sweep": f"bandwidth_sweep over h in {list(SWEEP_H)} with StopRule(move_tol=0.0); "
                  f"T sums the runs' steps",
         "gap": "post-step minorizer gap term of the first epanechnikov state, "
-               "built with run_verify's reads",
+               "built with run_verify's reads: state.minorizer_gap(state.update())",
         "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES})",
         "sparse": f"{SPARSE_KERNEL} cluster with StopRule(max_iter={STEPS}) on a uniform "
                   f"square in [-1, 1]^2 (seed 0), standardized, at h = 0.25 * sqrt(400 / n)",
+        "sparse_verify": f"run_verify with StopRule(max_iter={STEPS}) on the sparse op's "
+                         f"points and bandwidth",
     }
     environment = {
         "nproc": nproc(),

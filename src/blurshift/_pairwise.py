@@ -27,10 +27,14 @@ declares that it reads them.  The state keeps none of the chunks, whatever
 the kernel: each chunk is added into every sum the caller reads, its
 joined pairs are counted per column and joined into the components by
 :func:`_union`, so the memory is O(n d) plus one chunk per sum.  A value
-read but not declared runs the same pass again for that value alone, so
-the pass is the only code that fills the objective, the margin, the
-labels, the largest joined distance, the update and the moments; the
-diameter, read but not declared, comes from an exact bounding-box prune
+read but not declared runs the same pass again for that value alone.
+Given the next configuration's points, a pass sums the minorizer gap's
+post-step term instead of its pre-step term, and given a boolean array it
+writes the join bits that ``joined_rows`` returns.  So the pass is the
+only code that computes a weight, and the only code that fills the
+objective, the margin, the labels, the largest joined distance, the
+update, the moments and both terms of the gap; the diameter, read but not
+declared, comes from an exact bounding-box prune
 (:func:`_pruned_max_sqdist`).  Before the pass, the squared diagonal of
 the distinct positions' bounding box bounds every pair's squared
 distance, bit for bit, so a state whose box stays finite cannot overflow;
@@ -43,9 +47,10 @@ neighbouring cells of a grid of side ``beta * h`` (:func:`_cell_ranges`,
 the fixed-radius grid of Bentley, Stanat and Williams, 1977), the pass
 evaluates only those candidate pairs, with the same formulas, and sums
 them per column with ``np.bincount`` in the same order; every pair left
-out adds a zero term, so no bit moves.  The candidates decide everything
-but the diameter, which the bounding-box prune finds, and the exact
-margin, which a read of ``margin`` finds by scanning every pair.
+out adds a zero term, so no bit moves.  The candidates decide everything,
+the gap's post-step term and the join bits included, but the diameter,
+which the bounding-box prune finds, and the exact margin, which a read of
+``margin`` finds by scanning every pair.
 
 Many small configurations, such as ``run_verify``'s fuzz probes, share
 one pass of that kind (:meth:`PairwiseState.batch`): stacked, each row's
@@ -207,14 +212,14 @@ class DistinctRows:
     ``first[r]`` is the first row of group ``r``, ``inv[i]`` the group of
     row ``i`` and ``rows`` holds the a distinct rows, so row ``i`` is
     bitwise ``rows[inv[i]]``.  Rows are keyed by their bytes, so ``-0.0``
-    and ``+0.0`` stay apart.  When every row is distinct, or when one row
-    block holds every pair (grouping would cost more than it saves), no
-    grouping is made: ``rows`` are the points and ``first`` and ``inv`` are
-    None.
+    and ``+0.0`` stay apart.  When every row is distinct, when one row
+    block holds every pair (grouping would cost more than it saves), or
+    when ``grouped`` is false, no grouping is made: ``rows`` are the points
+    and ``first`` and ``inv`` are None.
     """
 
-    def __init__(self, points: np.ndarray):
-        self._group(points, points, None)
+    def __init__(self, points: np.ndarray, grouped: bool = True):
+        self._group(points, points if grouped else None, None)
 
     def after(self, points: np.ndarray) -> DistinctRows:
         """The grouping of ``points``, in which the points of each of this
@@ -232,14 +237,14 @@ class DistinctRows:
         moved._group(points, self.at_first(points), self)
         return moved
 
-    def _group(self, points: np.ndarray, rows: np.ndarray,
+    def _group(self, points: np.ndarray, rows: np.ndarray | None,
                before: DistinctRows | None) -> None:
         # group ``points`` by the bytes of ``rows``: each point of before's
         # group r is rows[r], or each point is its own row of ``rows`` when
-        # ``before`` is None
+        # ``before`` is None; no grouping when ``rows`` is None
         n = points.shape[0]
         self.rows, self.first, self.inv = points, None, None
-        if n * n <= _BLOCK_ENTRIES:
+        if rows is None or n * n <= _BLOCK_ENTRIES:
             return
         rows = np.ascontiguousarray(rows)
         # rows with the same bytes have the same int64 words: a stable sort
@@ -436,6 +441,16 @@ def _self_pairs(own: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     return own[inside] - rows.start, inside
 
 
+def _pair_ends(points: np.ndarray, rows: np.ndarray, j, col: np.ndarray | None):
+    # the coordinates (d, ...) of the j-rows ``j`` of ``points`` and of the
+    # distinct ``rows``: against every row in a (j, a) block, or of the
+    # pairs (j[p], col[p]) of a list.  numpy's fancy indexing of (n, d) rows
+    # is about 10x slower than take, which gathers the same values
+    if col is None:
+        return points[j].T[:, :, None], rows.T[:, None, :]
+    return points.take(j, axis=0).T, rows.take(col, axis=0).T
+
+
 def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
                   radius: float) -> float:
     # smallest |distance - radius| over the block's pairs i != j, where
@@ -521,10 +536,10 @@ class PairwiseState:
     constructor's pass again on its first read, for that value alone: it
     computes the same chunks, bit for bit, and fills only that value, which
     is then kept.  The diameter, not declared, comes from the prune, which
-    gives the same bits.  Only the gap's post-step term (and its pre-step
-    term when not declared) is summed outside the pass, from the weights
-    computed again.  So a state holds O(n d) and one chunk per sum, and
-    ``reads`` moves no bit.
+    gives the same bits.  The gap's post-step term (:meth:`minorizer_gap`)
+    and the join bits (:meth:`joined_rows`) come from passes of their own,
+    over the same pairs, so every weight is the pass's.  So a state holds
+    O(n d) and one chunk per sum, and ``reads`` moves no bit.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -559,6 +574,8 @@ class PairwiseState:
     _update: tuple[np.ndarray, np.ndarray] | None = None
     _moments: np.ndarray | None = None
     _gap_before: float | None = None
+    # whether _candidates found no grid for the state
+    _no_grid = False
     # the configuration of each row of a stack of configurations (see batch)
     _segment: np.ndarray | None = None
 
@@ -619,9 +636,7 @@ class PairwiseState:
             stack.cfg = Configuration.from_points(np.concatenate([points[k] for k in order]))
             stack.n = stack.cfg.n
             # every row its own: a grouping could join rows of two configurations
-            stack.distinct = DistinctRows.__new__(DistinctRows)
-            stack.distinct.rows, stack.distinct.first, stack.distinct.inv = (
-                stack.cfg.points, None, None)
+            stack.distinct = DistinctRows(stack.cfg.points, grouped=False)
             counts = sizes[order]
             stack._segment = np.repeat(np.arange(order.size), counts)
             # the largest of each configuration, from +0.0
@@ -649,11 +664,18 @@ class PairwiseState:
             and np.any(u == kernel.boundary_u)
         )
 
-    def _pass(self, reads, scan: bool = False) -> None:
+    def _pass(self, reads, scan: bool = False, after: np.ndarray | None = None,
+              joins: np.ndarray | None = None) -> float | None:
         # fill what ``reads`` names; ``scan`` evaluates every pair even where
-        # the candidate pairs would do
+        # the candidate pairs would do.  Given ``after``, the points of a
+        # next configuration that is constant on the groups, the gap's terms
+        # are the post-step g_rj ||y'_r - y'_j||^2, and the pass returns
+        # their total; ``joins``, an (a, n) boolean array of False, takes the
+        # join bits g != 0
         kernel, h, n, d = self.kernel, self.h, self.n, self.cfg.d
         y, at, a = self.cfg.points, self.distinct.rows, self.distinct.a
+        if after is not None:
+            after = after, self.distinct.at_first(after)
         truncated = kernel.truncated
         update, moments, gap, singular = (
             name in reads for name in ("update", "moments", "gap", "singular"))
@@ -664,8 +686,7 @@ class PairwiseState:
         joined_max = truncated and singular
         # slabs: the weights (the denominator's terms), the objective's
         # terms when read and not the weights (gaussian), then the d
-        # numerators, the d moments and the gap's pre-step terms when read
-        obj = 0 if shared else 1
+        # numerators, the d moments and the gap's terms when read
         num = 1 + objective
         mom = num + d * update
         pre = mom + d * moments
@@ -695,12 +716,8 @@ class PairwiseState:
         # never takes one back from, so each state would leave 200 B behind
         def fill(rows, out, col=None):
             w = out[0]
-            if col is None:  # a (rows, a) block
-                yj, ar = y[rows].T[:, :, None], at.T[:, None, :]
-            else:  # a list of pairs: numpy's fancy indexing of (n, d) rows
-                # is about 10x slower than take, which gathers the same values
-                yj, ar = y.take(rows, axis=0).T, at.take(col, axis=0).T
-            sqd = out[pre] if gap else w
+            yj, ar = _pair_ends(y, at, rows, col)
+            sqd = out[pre] if gap and after is None else w
             if segment is None:  # within the bounding box's bound, checked already
                 coordinate_sqdist(yj, ar, out=sqd)
                 if chunk_max:
@@ -718,10 +735,10 @@ class PairwiseState:
             if margin:
                 self._boundary_hit = self._boundary_hit or self._hits_boundary(u)
             if objective:
-                out[obj] = kernel.profile(u)
+                out[1] = kernel.profile(u)
             g = kernel.g(u)
             del u
-            if joined_max or labels:
+            if joined_max or labels or joins is not None:
                 joined = g != 0.0
             if joined_max:
                 # the distances are finite, so a joined one times 1.0 is
@@ -734,13 +751,19 @@ class PairwiseState:
                     np.maximum.at(self._joined_max, segment[rows], joined_sqd)
             if labels:
                 self._join_chunk(rows, joined, col)
+            if joins is not None and col is None:  # row r: the points joined to distinct row r
+                joins[:, rows] = joined.T
+            elif joins is not None:  # a list of pairs
+                joins[col, rows] = joined
             w[...] = g
             del g  # off the peak of the sums' terms
             if update:  # w_jr y_jk of every coordinate k
                 np.multiply(w, yj, out=out[num:mom])
-            if moments:  # w_jr (y_rk - y_jk) of every coordinate k
+            if pre > mom:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
                 np.subtract(ar, yj, out=out[mom:pre])
                 out[mom:pre] *= w
+            if gap and after is not None:  # the post-step distances
+                coordinate_sqdist(*_pair_ends(*after, rows, col), out=out[pre])
             if gap:
                 out[pre] *= w
 
@@ -764,39 +787,44 @@ class PairwiseState:
                                    max(a, 3 * _BLOCK_ENTRIES // (slabs + 2 * d + 4)))
         else:
             sums = _ascending_j(n, a, slabs, fill, per_slab if truncated else _BLOCK_ENTRIES)
-        if objective or shared:
-            self._objective = _ascending_total(self.distinct.expand(sums[obj]))
+        if objective or shared:  # the slab below the numerators: the weights' when shared
+            self._objective = _ascending_total(self.distinct.expand(sums[num - 1]))
         if update:
             self._update = sums[0], np.ascontiguousarray(sums[num:mom].T)
         if moments:
             self._moments = np.ascontiguousarray(sums[mom:pre].T)
-        if gap:
-            self._gap_before = _ascending_total(self.distinct.expand(sums[pre]))
         if labels:  # the pair with its own point is joined exactly when g(0) != 0
             self._degree -= kernel.g0 != 0.0
         if margin and grid is not None and self._margin > _FAR_MARGIN * (kernel.beta * h):
             # a pair left out may lie nearer the radius: the margin is known
             # only to be the candidates' or above _FAR_MARGIN of the radius
             self._margin, self._near_margin = None, self._margin
+        if gap:
+            total = _ascending_total(self.distinct.expand(sums[pre]))
+            if after is not None:
+                return total
+            self._gap_before = total
 
     def _candidates(self):
         # the grid of a truncated state whose pairs span several blocks,
         # when its candidate pairs are few enough (see _GRID_SHARE) and it
         # decides them exactly (bandwidth and radius far from underflow,
-        # see _cell_ranges); else None
+        # see _cell_ranges); else None, which the state remembers
         kernel, h, n, a = self.kernel, self.h, self.n, self.distinct.a
         if self._segment is not None:  # a stack: each row's own configuration's rows
             segment = self._segment
             return (np.arange(n), segment.searchsorted(segment)[:, None],
                     segment.searchsorted(segment, "right")[:, None])
         radius = kernel.beta * h
-        if not kernel.truncated or n * a <= _BLOCK_ENTRIES or min(h, radius) < 2.0 ** -500:
+        if (self._no_grid or not kernel.truncated or n * a <= _BLOCK_ENTRIES
+                or min(h, radius) < 2.0 ** -500):
             return None
         grid = _cell_ranges(self.distinct.rows, radius)
         if grid is not None:
             per_row = (grid[2] - grid[1]).sum(axis=1)
             if self.distinct.expand(per_row).sum() > _GRID_SHARE * n * a:
-                return None
+                grid = None
+        self._no_grid = grid is None
         return grid
 
     def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
@@ -861,12 +889,13 @@ class PairwiseState:
 
     def joined_rows(self) -> np.ndarray:
         """A new (a, n) boolean array whose row r marks the points joined to
-        distinct row r: ``g != 0``, or every point for a full-support kernel."""
-        out = np.ones((self.distinct.a, self.n), dtype=bool)
-        if self.kernel.truncated:
-            for rows in _row_blocks(self.n, self.distinct.a):
-                out[:, rows] = (self._weight_rows(rows) != 0.0).T
-        return out
+        distinct row r: ``g != 0``, from a pass of its own, or every point
+        for a full-support kernel."""
+        if not self.kernel.truncated:
+            return np.ones((self.distinct.a, self.n), dtype=bool)
+        joins = np.zeros((self.distinct.a, self.n), dtype=bool)
+        self._pass((), joins=joins)
+        return joins
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -946,12 +975,6 @@ class PairwiseState:
         # points with no join are apart, but at distance 0 from each other
         return component_diameter(self.distinct.rows, self._roots, self._joined_max_sqdist())
 
-    def _weight_rows(self, rows: slice) -> np.ndarray:
-        # the weights of the j-rows ``rows``, computed again as the
-        # constructor's pass did
-        block = pairwise_sqdist(self.cfg.points[rows], self.distinct.rows)
-        return self.kernel.g(profile_args(block, self.h, out=block))
-
     def update(self) -> np.ndarray:
         """Blurred points ``sum_j g_ij y_j / sum_j g_ij``, summed as the
         class docstring's contract says, once per distinct position.
@@ -1002,42 +1025,27 @@ class PairwiseState:
         moments = self._row_moments()
         return bool(np.all(np.sqrt(np.add.reduce(moments * moments, axis=1)) <= tol))
 
-    def _gap_row_sums(self, centres: np.ndarray, points: np.ndarray,
-                      groups: np.ndarray | None = None) -> np.ndarray:
-        # sum_j g_rj ||c - p_j||^2 for each row c of centres, with r its
-        # distinct row groups[c] (default: r = c)
-        def terms(rows, out):
-            w = self._weight_rows(rows)
-            pairwise_sqdist(points[rows], centres, out=out[0])
-            out[0] *= w if groups is None else w[:, groups]
-
-        return _ascending_j(self.n, centres.shape[0], 1, terms)[0]
-
-    def _weighted_sqdist(self, points: np.ndarray) -> float:
-        # sum_ij g_ij ||p_i - p_j||^2, one row sum per distinct position of
-        # the configuration; a point whose p_i differs from its group's
-        # first point gets its own row sum
-        distinct = self.distinct
-        if distinct.inv is None:
-            return _ascending_total(self._gap_row_sums(points, points))
-        sums = distinct.expand(self._gap_row_sums(distinct.at_first(points), points))
-        bits = np.ascontiguousarray(points).view(np.int64)
-        apart = np.flatnonzero(np.any(bits != bits.take(distinct.first[distinct.inv], axis=0),
-                                      axis=1))
-        if apart.size:
-            sums[apart] = self._gap_row_sums(points.take(apart, axis=0), points,
-                                             distinct.inv[apart])
-        return _ascending_total(sums)
-
     def minorizer_gap(self, cfg_next) -> float:
         """Surrogate improvement ``(1/(2 h^2)) * (sum_ij g_ij ||y_i - y_j||^2
         - sum_ij g_ij ||y'_i - y'_j||^2)`` of ``cfg_next`` with these
-        weights, summed as the class docstring's contract says (the
-        post-step term computes the weights and distances again, and so does
-        the pre-step term unless the constructor's pass read it)."""
+        weights, summed as the class docstring's contract says.
+
+        The post-step term comes from a pass of its own, which computes the
+        weights again and sums ``g_rj ||y'_r - y'_j||^2`` over the same
+        pairs as every other sum (the candidates, on a grid state); so does
+        the pre-step term unless the constructor's pass read it.  Where
+        ``cfg_next`` splits a group of coincident points (its rows differ
+        bitwise), a state with no grouping gives each point its own row.
+        """
         nxt = as_configuration(cfg_next).points
-        before = self._gap_before
-        if before is None:
-            before = self._weighted_sqdist(self.cfg.points)
-        after = self._weighted_sqdist(nxt)
-        return (before - after) / (2.0 * self.h * self.h)
+        distinct = self.distinct
+        if distinct.inv is not None:
+            bits = np.ascontiguousarray(nxt).view(np.int64)
+            if np.any(bits != distinct.expand(distinct.at_first(bits))):
+                flat = DistinctRows(self.cfg.points, grouped=False)
+                return PairwiseState(self.cfg, self.kernel, self.h, {"gap"},
+                                     flat).minorizer_gap(nxt)
+        if self._gap_before is None:
+            self._pass({"gap"})
+        after = self._pass({"gap"}, after=nxt)
+        return (self._gap_before - after) / (2.0 * self.h * self.h)

@@ -2,6 +2,7 @@
 the state that scans every pair."""
 
 import contextlib
+import json
 import math
 import struct
 
@@ -42,11 +43,18 @@ def _scanned(pts, kernel, h):
         return PairwiseState(pts, kernel, h, _READS)
 
 
+def _scanned_fields(pts, kernel, h):
+    # read inside, so that the passes run after the constructor's scan too
+    with _scanning():
+        return _fields(PairwiseState(pts, kernel, h, _READS))
+
+
 def _fields(state):
     try:
         update = state.update().tobytes()
     except ValueError as exc:  # g(0) = 0 leaves an isolated point no weight
         update = str(exc)
+    pts = state.cfg.points
     return {
         "update": update, "moments": state.moments().tobytes(),
         "objective": _bits(state.objective), "labels": state.labels.tobytes(),
@@ -54,6 +62,10 @@ def _fields(state):
         "singular": state.singular, "stable": state.stable(),
         "boundary_hit": state.boundary_hit, "joined_max": _bits(state._joined_max),
         "component_diameter": _bits(state.component_diameter),
+        "joined_rows": state.joined_rows().tobytes(),
+        # towards points that keep the groups, and towards points that split them
+        "gap_kept": _bits(state.minorizer_gap(0.5 * pts + 0.125)),
+        "gap_split": _bits(state.minorizer_gap(pts + np.linspace(0.0, 1e-3, state.n)[:, None])),
         # read last: the exact margin of a grid state scans every pair
         "margin": _bits(state.margin), "diameter": _bits(state.diameter),
     }
@@ -105,7 +117,7 @@ def test_grid_state_equals_scanned_state(kernel_id, d, layout, planted, scale, s
     # 2**40 h is beyond 2**30 cells from the origin: the cell indices could
     # round by more than the cells' inflation, so the state scans every pair
     assert (state._candidates() is None) == (layout == "far clusters")
-    assert _fields(state) == _fields(_scanned(pts, kernel, h))
+    assert _fields(state) == _scanned_fields(pts, kernel, h)
 
 
 @pytest.mark.parametrize("kernel_id", ["epanechnikov", "sampled"])
@@ -133,8 +145,9 @@ def test_stable_beyond_the_inflation_reads_the_exact_margin(kernel_id):
 @given(kernel_id=st.sampled_from(["epanechnikov", "cosine", "sampled"]),
        d=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
 def test_grid_runs_equal_scanned_runs(kernel_id, d, seed):
-    # the states of a run collapse onto few positions: every record and the
-    # final points are the same bits whichever states take the grid
+    # the states of a run collapse onto few positions: every record, the
+    # final points and run_verify's report are the same bits whichever
+    # states take the grid
     kernel = _KERNELS[kernel_id]
     _, h = representable_boundary_pair(1.0)
     pts = _configuration(np.random.default_rng(seed), d, "plain", 3, h)
@@ -145,3 +158,6 @@ def test_grid_runs_equal_scanned_runs(kernel_id, d, seed):
     assert [tuple(map(_bits, vars(r).values())) for r in run.records] == \
         [tuple(map(_bits, vars(r).values())) for r in want.records]
     assert run.final.points.tobytes() == want.final.points.tobytes()
+    report = json.dumps(bs.run_verify(pts, kernel, h, stop=stop).to_json_dict())
+    with _scanning():
+        assert json.dumps(bs.run_verify(pts, kernel, h, stop=stop).to_json_dict()) == report

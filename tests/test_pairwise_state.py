@@ -687,6 +687,8 @@ def test_dropped_states_keep_no_memory():
             for pts in configs:
                 state = PairwiseState(pts, bs.builtin(kernel_id), 0.5, {"moments"})
                 state.is_fixed_point(0.0)
+                state.minorizer_gap(0.5 * pts)
+                state.joined_rows()
                 assert state.M >= 1 and state.objective > 0 and state.margin >= 0
 
     build()
