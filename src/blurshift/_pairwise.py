@@ -29,8 +29,9 @@ joined pairs are counted per column and joined into the components by
 :func:`_union`, so the memory is O(n d) plus one chunk per sum.  A value
 read but not declared runs the same pass again for that value alone.
 Given the next configuration's points, a pass sums the minorizer gap's
-post-step term instead of its pre-step term, and given a boolean array it
-writes the join bits that ``joined_rows`` returns.  So the pass is the
+post-step term instead of its pre-step term, in its only slab, and given a
+boolean array it writes the join bits that ``joined_rows`` returns.  So
+the pass is the
 only code that computes a weight, and the only code that fills the
 objective, the margin, the labels, the largest joined distance, the
 update, the moments and both terms of the gap; the diameter, read but not
@@ -40,6 +41,13 @@ the distinct positions' bounding box bounds every pair's squared
 distance, bit for bit, so a state whose box stays finite cannot overflow;
 only a box of inf scans for the largest squared distance, which raises by
 name when it overflows.
+
+The weights, the objective's terms and the gap's terms are symmetric in
+the pair, bit for bit.  So a pass of an ungrouped state that scans every
+pair and sums only those (the post-step gap's pass among them) fills only
+the square tiles on and above the diagonal of its n x n pairs, each of a
+chunk's entries (:func:`_tiled_j`), and adds a transposed copy of each
+tile above the diagonal into the mirrored columns, in the same order.
 
 A truncated kernel joins a pair only within its radius ``beta * h``.  So
 where a truncated state's pairs span several blocks and few of them lie in
@@ -57,7 +65,8 @@ one pass of that kind (:meth:`PairwiseState.batch`): stacked, each row's
 candidates are its own configuration's rows, so each configuration's
 values are bitwise those of its state built alone.  They come back as
 arrays over the configurations, with no state per configuration, so the
-per-call cost of a pass and of a state is paid once per stack.
+per-call cost of a pass and of a state, and of the validation, is paid
+once per stack.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -113,6 +122,49 @@ def _ascending_j(n: int, width: int, slabs: int, fill,
         fill(slice(start, start + size), buf[:, 1:size + 1, :width])
         np.add.reduce(buf[:, :size + 1], axis=1, out=acc)
     return acc[:, :width]
+
+
+def _tiled_j(n: int, slabs: int, fill, entries: int = _BLOCK_ENTRIES) -> np.ndarray:
+    """:func:`_ascending_j`'s sums for an (n, n) array of terms that is
+    symmetric, bit for bit (``t[s, j, c] == t[s, c, j]``), from its tiles on
+    and above the diagonal alone.
+
+    The columns are cut into blocks of ``isqrt(entries)`` (at least 2), so
+    that a tile holds about ``entries`` entries per slab.  The outer loop
+    takes the column blocks R in ascending order, and the inner loop the
+    row blocks J = 0..R.  ``fill(rows, out, cols)`` writes the terms of the
+    j-rows ``rows`` in the columns ``cols`` (two slices) into the (slabs,
+    len(rows), len(cols)) array ``out``, once per tile, and the tile's rows
+    are reduced into the columns R below their running totals, as
+    :func:`_ascending_j` reduces a chunk.  For J < R, a contiguous copy of
+    the tile's transpose, whose rows are the j-rows R, is reduced into the
+    columns J.  So column block C takes the j-row blocks 0..C while R = C,
+    and then C+1, C+2, ... as mirrors: every column still adds one j at a
+    time in ascending order from ``+0.0``, and no bit moves.
+    """
+    side = max(2, math.isqrt(entries))
+    acc = np.zeros((slabs, n + 1))  # a lone last column sums beside a zero twin
+    for r0 in range(0, n, side):
+        width = min(side, n - r0)
+        cols = slice(r0, r0 + width)
+        into = acc[:, r0:r0 + max(2, width)]
+        buf = np.zeros((slabs, side + 1, into.shape[1]))
+        for j0 in range(0, r0 + 1, side):
+            rows = slice(j0, min(j0 + side, n))
+            size = rows.stop - j0
+            tile = buf[:, 1:size + 1, :width]
+            buf[:, 0] = into
+            fill(rows, tile, cols)
+            np.add.reduce(buf[:, :size + 1], axis=1, out=into)
+            if j0 < r0:  # a full block of rows: only the last block is short
+                # made after fill and freed before the next, so that it
+                # never adds to the peak of fill's temporaries
+                mirror = np.empty((slabs, width + 1, side))
+                mirror[:, 0] = acc[:, rows]
+                mirror[:, 1:] = tile.transpose(0, 2, 1)
+                np.add.reduce(mirror, axis=1, out=acc[:, rows])
+                del mirror
+    return acc[:, :n]
 
 
 # A truncated state whose pairs span several blocks sums only its
@@ -441,14 +493,15 @@ def _self_pairs(own: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     return own[inside] - rows.start, inside
 
 
-def _pair_ends(points: np.ndarray, rows: np.ndarray, j, col: np.ndarray | None):
+def _pair_ends(points: np.ndarray, rows: np.ndarray, j, col):
     # the coordinates (d, ...) of the j-rows ``j`` of ``points`` and of the
-    # distinct ``rows``: against every row in a (j, a) block, or of the
-    # pairs (j[p], col[p]) of a list.  numpy's fancy indexing of (n, d) rows
-    # is about 10x slower than take, which gathers the same values
-    if col is None:
-        return points[j].T[:, :, None], rows.T[:, None, :]
-    return points.take(j, axis=0).T, rows.take(col, axis=0).T
+    # distinct ``rows``: against every row (``col`` None) or the rows of a
+    # slice ``col`` in a (j, col) block, or of the pairs (j[p], col[p]) of a
+    # list.  numpy's fancy indexing of (n, d) rows is about 10x slower than
+    # take, which gathers the same values
+    if isinstance(col, np.ndarray):
+        return points.take(j, axis=0).T, rows.take(col, axis=0).T
+    return points[j].T[:, :, None], (rows if col is None else rows[col]).T[:, None, :]
 
 
 def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
@@ -497,7 +550,8 @@ class PairwiseState:
     O(a d)); only a box whose bound is inf finds the largest squared
     distance by the bounding-box prune (:func:`_pruned_max_sqdist`), which
     raises by name when it overflows.  It then makes one pass over chunks
-    of j-rows (see :func:`_ascending_j`), whatever the kernel.  Each
+    of j-rows (see :func:`_ascending_j`; tiles, see :func:`_tiled_j`, where
+    every sum it reads is symmetric), whatever the kernel.  Each
     chunk's squared distances against the a distinct rows give the weights
     (exactly symmetric, so the weight of j-row j in column r is ``g_rj``).
     The state keeps no chunk: a full-support kernel joins every pair, and a
@@ -614,26 +668,27 @@ class PairwiseState:
         distances that overflow.
         """
         h = check_bandwidth(h)
-        points, sizes = [], []
-        stacks: dict[tuple, list[int]] = {}  # input positions by trailing shape
-        for k, cfg in enumerate(configs):
-            cfg = np.asarray(cfg, dtype=float)
-            n = len(cfg)
-            if n * n > _BLOCK_ENTRIES:
-                raise ValueError(f"a batched configuration has at most 128 points, got {n}")
-            if not n:
-                raise ValueError(f"expected an (n, d) array of points, got shape {cfg.shape}")
-            points.append(cfg)
-            sizes.append(n)
-            stacks.setdefault(cfg.shape[1:], []).append(k)
-        sizes = np.array(sizes, dtype=np.intp)
+        points = [np.asarray(cfg, dtype=float) for cfg in configs]
+        sizes = np.array([len(cfg) for cfg in points], dtype=np.intp)
+        bad = np.flatnonzero((sizes * sizes > _BLOCK_ENTRIES) | (sizes == 0))
+        if bad.size:  # the first in input order
+            k = bad[0]
+            if sizes[k]:
+                raise ValueError(f"a batched configuration has at most 128 points, got {sizes[k]}")
+            raise ValueError(f"expected an (n, d) array of points, got shape {points[k].shape}")
+        # one stack per trailing shape, numbered in order of first appearance
+        tails = [cfg.shape[1:] for cfg in points]
+        number = {tail: k for k, tail in enumerate(dict.fromkeys(tails))}
+        stack_of = np.array([number[tail] for tail in tails])
         values = BatchValues(sizes, np.empty_like(sizes), np.empty(sizes.size),
                              np.empty(sizes.size, dtype=bool), np.empty(sizes.size),
                              np.ones_like(sizes))
-        for order in map(np.array, stacks.values()):
+        for k in range(len(number)):
+            order = np.flatnonzero(stack_of == k)
             stack = cls.__new__(cls)
             stack.h, stack.kernel = h, kernel
-            stack.cfg = Configuration.from_points(np.concatenate([points[k] for k in order]))
+            stack.cfg = Configuration.from_points(
+                np.concatenate([points[i] for i in order.tolist()]))
             stack.n = stack.cfg.n
             # every row its own: a grouping could join rows of two configurations
             stack.distinct = DistinctRows(stack.cfg.points, grouped=False)
@@ -684,10 +739,12 @@ class PairwiseState:
         margin = truncated and "margin" in reads
         labels = truncated and "labels" in reads
         joined_max = truncated and singular
-        # slabs: the weights (the denominator's terms), the objective's
-        # terms when read and not the weights (gaussian), then the d
-        # numerators, the d moments and the gap's terms when read
-        num = 1 + objective
+        # slabs: the weights (the denominator's terms; a post-step pass
+        # holds only its gap terms), the objective's terms when read and not
+        # the weights (gaussian), then the d numerators, the d moments and
+        # the gap's terms when read
+        den = after is None
+        num = den + objective
         mom = num + d * update
         pre = mom + d * moments
         grid = None if scan else self._candidates()
@@ -710,7 +767,8 @@ class PairwiseState:
             self._degree, self._roots = np.zeros(a, dtype=np.intp), np.arange(a)
 
         # the terms of the j-rows ``rows`` against every distinct row, in
-        # (rows, a) blocks, or of the pairs (rows[p], col[p]) of the grid.
+        # (rows, a) blocks, against the rows of a slice ``col`` in a tile of
+        # _tiled_j, or of the pairs (rows[p], col[p]) of the grid.
         # fill closes over fewer than 20 names: CPython 3.11 keeps every
         # freed 20-item tuple (such as a closure's) on a free list that it
         # never takes one back from, so each state would leave 200 B behind
@@ -755,8 +813,11 @@ class PairwiseState:
                 joins[:, rows] = joined.T
             elif joins is not None:  # a list of pairs
                 joins[col, rows] = joined
-            w[...] = g
-            del g  # off the peak of the sums' terms
+            if after is None:  # den: the weights have their slab
+                w[...] = g
+                del g  # off the peak of the sums' terms
+            else:  # no slab sums the weights: w is the array kernel.g made
+                w = g
             if update:  # w_jr y_jk of every coordinate k
                 np.multiply(w, yj, out=out[num:mom])
             if pre > mom:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
@@ -777,17 +838,27 @@ class PairwiseState:
         # above the grid's).  Each chunk costs a fixed count of numpy calls,
         # so smaller chunks would slow the states of a few hundred points
         # (a pair of the grid has 2 d + 4 more: its two ends, their
-        # coordinates, its profile argument and its weight; and a grid
-        # chunk holds a pairs at least, so that the a running totals it
-        # copies cost no more than its pairs)
+        # coordinates, its profile argument and its weight, and 2 d more in
+        # a post-step pass: the coordinates of its ends' next points; and a
+        # grid chunk holds a pairs at least, so that the a running totals
+        # it copies cost no more than its pairs).  An ungrouped state
+        # without a grid whose slabs are all symmetric (the weights, the
+        # objective's and the gap's terms) and whose chunks fill nothing
+        # else but maxima, such as the post-step pass, fills only the tiles
+        # on and above the diagonal of its n x n pairs (_tiled_j), each of
+        # a chunk's entries per slab
         slabs = pre + gap
-        per_slab = 3 * _BLOCK_ENTRIES // max(slabs, 5)
+        entries = 3 * _BLOCK_ENTRIES // max(slabs, 5) if truncated else _BLOCK_ENTRIES
         if grid is not None:
+            per_pair = slabs + 2 * d + 4 + 2 * d * (after is not None)
             sums = _candidate_sums(grid, self.distinct.inv, n, a, slabs, fill,
-                                   max(a, 3 * _BLOCK_ENTRIES // (slabs + 2 * d + 4)))
+                                   max(a, 3 * _BLOCK_ENTRIES // per_pair))
+        elif self.distinct.inv is None and not (update or moments or margin or labels
+                                                or joins is not None):
+            sums = _tiled_j(n, slabs, fill, entries)
         else:
-            sums = _ascending_j(n, a, slabs, fill, per_slab if truncated else _BLOCK_ENTRIES)
-        if objective or shared:  # the slab below the numerators: the weights' when shared
+            sums = _ascending_j(n, a, slabs, fill, entries)
+        if objective or (shared and den):  # the slab below the numerators: the weights' when shared
             self._objective = _ascending_total(self.distinct.expand(sums[num - 1]))
         if update:
             self._update = sums[0], np.ascontiguousarray(sums[num:mom].T)
@@ -1033,9 +1104,12 @@ class PairwiseState:
         The post-step term comes from a pass of its own, which computes the
         weights again and sums ``g_rj ||y'_r - y'_j||^2`` over the same
         pairs as every other sum (the candidates, on a grid state); so does
-        the pre-step term unless the constructor's pass read it.  Where
-        ``cfg_next`` splits a group of coincident points (its rows differ
-        bitwise), a state with no grouping gives each point its own row.
+        the pre-step term unless the constructor's pass read it.  That pass
+        holds the gap's terms alone, and on an ungrouped state that scans
+        every pair it fills only the tiles on and above the diagonal, since
+        the terms are symmetric (:func:`_tiled_j`).  Where ``cfg_next``
+        splits a group of coincident points (its rows differ bitwise), a
+        state with no grouping gives each point its own row.
         """
         nxt = as_configuration(cfg_next).points
         distinct = self.distinct

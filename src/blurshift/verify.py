@@ -31,11 +31,21 @@ from .kernels import KernelSpec, TruncationClass
 
 __all__ = ["CheckResult", "VerifyReport", "run_verify"]
 
-# Fuzz probes per batch (PairwiseState.batch): a probe of 2 to 12 points
-# has 59 pairs on average, so a batch's pairs (about 3800) fill about one
-# chunk of the pass (2900 to 6100 pairs), and the fuzz stage's memory does
-# not grow with the probe count.
-_FUZZ_BATCH = 64
+# Fuzz probes per PairwiseState.batch call, at most; the stage splits its
+# probes into batches as even as can be.  A probe of 2 to 12 points has 59
+# pairs on average, and a batch stacks its probes by dimension (1 to 4), so
+# a stack's pass runs over at most about 3800 pairs, about one chunk (2900
+# to 6100 pairs), and the stage's memory does not grow with the probe
+# count.  400 probes take two calls of 200, of at most 4 stacks each, where
+# batches of 64 took 28 stacks.  Their stage peaks at 0.58 MiB (biweight,
+# h = 0.8), below the 0.66 to 0.85 MiB of verify-fuzz's steps; one call of
+# 400 probes peaks at 0.80 MiB.
+_FUZZ_BATCH = 256
+
+# The offsets from the joining radius of _fuzz_configuration's planted
+# pairs, and the ones a non-smoothly truncated kernel adds.
+_SMOOTH_OFFSETS = (1e-3, -1e-3, 1e-6, 1e-9)
+_EDGE_OFFSETS = _SMOOTH_OFFSETS + (0.0, -1e-6, -1e-9)
 
 
 @dataclass(frozen=True)
@@ -104,9 +114,10 @@ class VerifyReport:
 
 
 def _norm(x: np.ndarray) -> float:
-    # Euclidean norm from numpy's sum of the squares; np.linalg.norm takes a
-    # BLAS dot, whose bits depend on the BLAS kernel
-    return math.sqrt(float(np.sum(x * x)))
+    # Euclidean norm from numpy's sum of the squares (np.sum's own reduce,
+    # without its wrapper); np.linalg.norm takes a BLAS dot, whose bits
+    # depend on the BLAS kernel
+    return math.sqrt(float(np.add.reduce(x * x, axis=None)))
 
 
 def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
@@ -125,20 +136,25 @@ def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
     """
     n = int(rng.integers(2, 13))
     d = int(rng.integers(1, 5))
-    radius = kernel.beta * h if kernel.truncated else h
-    points = rng.uniform(-1.5, 1.5, size=(n, d)) * radius
+    truncated = kernel.truncated
+    radius = kernel.beta * h if truncated else h
+    points = rng.uniform(-1.5, 1.5, size=(n, d))
+    points *= radius
     if rng.random() < 0.3:
         i, j = rng.choice(n, size=2, replace=False)
         points[j] = points[i]
-    if kernel.truncated and rng.random() < 0.6:
-        offsets = [1e-3, -1e-3, 1e-6, 1e-9]
-        if kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED:
-            offsets += [0.0, -1e-6, -1e-9]
+    if truncated and rng.random() < 0.6:
+        offsets = (_EDGE_OFFSETS if kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
+                   else _SMOOTH_OFFSETS)
         offset = offsets[rng.integers(len(offsets))]  # rng.choice's draw, without its overhead
         i, j = rng.choice(n, size=2, replace=False)
         direction = rng.standard_normal(d)
         direction /= _norm(direction)
-        points[j] = points[i] + direction * radius * (1.0 + offset)
+        # points[i] + direction * radius * (1 + offset), in place
+        direction *= radius
+        direction *= 1.0 + offset
+        direction += points[i]
+        points[j] = direction
     return points
 
 
@@ -238,10 +254,12 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
 
     fuzz_mismatches = 0
     rng = np.random.default_rng(seed)
-    for start in range(0, fuzz, _FUZZ_BATCH):
-        # no draw depends on a probe's state, so a batch keeps the stream
+    calls = -(-fuzz // _FUZZ_BATCH)
+    for k in range(calls):
+        # batches as even as can be, of at most _FUZZ_BATCH probes; no draw
+        # depends on a probe's state, so a batch keeps the stream
         configs = [_fuzz_configuration(rng, kernel, h)
-                   for _ in range(min(_FUZZ_BATCH, fuzz - start))]
+                   for _ in range((k + 1) * fuzz // calls - k * fuzz // calls)]
         probes = PairwiseState.batch(configs, kernel, h)
         fixed = probes.moment_norm <= 1e-12 * np.maximum(probes.diameter, h)
         fuzz_mismatches += int(np.count_nonzero(fixed != probes.singular))

@@ -3,6 +3,8 @@ gives, bit for bit, what each configuration's own state gives, as arrays in
 input order, and ``run_verify``'s fuzz stage, which checks its probes through
 it, reports what a loop over each probe's own state reports."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ def test_run_verify_matches_probe_by_probe_loop(kernel_id, seed):
     kernel, h = bs.builtin(kernel_id), 0.8
     pts, _ = make_dataset("two_blobs", n=24)
     kwargs = dict(seed=seed, stop=StopRule(max_iter=4))
-    fuzzed = run_verify(pts, kernel, h, fuzz=400, **kwargs).to_json_dict()  # 6 batches and a part
+    fuzzed = run_verify(pts, kernel, h, fuzz=400, **kwargs).to_json_dict()  # a batch and a part
 
     # the steps' report, with the fuzz stage's entries from the loop
     expected = run_verify(pts, kernel, h, fuzz=0, **kwargs).to_json_dict()
@@ -152,5 +154,17 @@ def test_fuzz_stage_builds_no_state_per_probe(monkeypatch):
         built.clear()
         run_verify([[0.0, 0.0], [0.1, 0.0]], kernel, 0.8, fuzz=fuzz)
         counts.append(len(built))
-    # at most one stack per dimension (1 to 4) in each of the 7 batches
-    assert 0 < counts[1] - counts[0] <= 4 * 7
+    # at most one stack per dimension (1 to 4) in each of the 2 batches
+    assert 0 < counts[1] - counts[0] <= 4 * 2
+
+
+@pytest.mark.parametrize("kernel_id", ("epanechnikov", "biweight", "gaussian"))
+def test_fuzz_report_does_not_depend_on_the_batch_size(kernel_id, monkeypatch):
+    # one probe per batch, the old 64 and the cap: the same report bytes
+    kernel, reports = bs.builtin(kernel_id), set()
+    pts, _ = make_dataset("two_blobs", n=24)
+    for size in (1, 64, verify._FUZZ_BATCH):
+        monkeypatch.setattr(verify, "_FUZZ_BATCH", size)
+        report = run_verify(pts, kernel, 0.8, fuzz=400, stop=StopRule(max_iter=4))
+        reports.add(json.dumps(report.to_json_dict()))
+    assert len(reports) == 1
