@@ -64,12 +64,17 @@ alternate within a cell, and the tree that goes first alternates from
 repeat to repeat, so a slow spell of a shared machine falls on both.  The
 interpreter runs the operation once on a small input (imports and lazy
 set-up), times one call, then takes the ``tracemalloc`` peak of one more
-call (traced apart, so tracing does not slow the timed call).  The timed
-call records its wall seconds (``time.perf_counter``) and its CPU seconds
-(``time.process_time``, every thread of the process); on a busy machine
-the CPU time moves less than the wall time, but it is not the same
-quantity.  A record holds the median wall and CPU times with their
-quartiles and every run, and the median peak.
+call (traced apart, so tracing does not slow the timed call).  When the
+first timed call takes under ``SHORT_CALL_S``, as the fuzz probes' and the
+gap's at n = 500 do (4 to 30 ms on a 2-CPU x86-64 VM), the run times
+``CALLS`` calls in all and counts their median: one fuzz call of 10 to
+30 ms in a fresh interpreter swung by a fifth from one invocation to the
+next.  Each timed call records its wall seconds (``time.perf_counter``)
+and its CPU seconds (``time.process_time``, every thread of the process);
+on a busy machine the CPU time moves less than the wall time, but it is
+not the same quantity.  A record holds the median wall and CPU times over
+the runs with their quartiles, every run's time and every call's, and the
+median peak.
 """
 
 from __future__ import annotations
@@ -95,6 +100,8 @@ FIXED_POINT_KERNEL = "epanechnikov"
 H = 0.5
 STEPS = 3
 REPEATS = 5
+SHORT_CALL_S = 0.1  # a run whose first call is shorter times CALLS calls
+CALLS = 5
 WARM_UP_N = 200
 FUZZ_KERNELS = ("biweight", "epanechnikov", "gaussian")
 FUZZ_H = 0.8
@@ -189,20 +196,26 @@ def operation(cell: dict, points: np.ndarray):
 
 
 def run_cell(cell: dict) -> dict:
-    """Warm up, time one call, then trace the peak of one more."""
+    """Warm up, time one call (``CALLS`` calls when the first is shorter
+    than ``SHORT_CALL_S``), then trace the peak of one more."""
     n = cell.get("n", 2)
     operation(dict(cell, probes=10), points_for(cell, min(n, WARM_UP_N)))()
     call = operation(cell, points_for(cell, n))
-    start, cpu_start = time.perf_counter(), time.process_time()
-    steps = call()
-    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
+    walls, cpus = [], []
+    while not walls or (len(walls) < CALLS and walls[0] < SHORT_CALL_S):
+        start, cpu_start = time.perf_counter(), time.process_time()
+        steps = call()
+        walls.append(time.perf_counter() - start)
+        cpus.append(time.process_time() - cpu_start)
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result = {"wall_s": wall, "cpu_s": cpu, "T": steps, "peak_mib": peak / 2**20}
+    result = {"wall_s": statistics.median(walls), "cpu_s": statistics.median(cpus),
+              "call_walls_s": walls, "call_cpus_s": cpus, "T": steps,
+              "peak_mib": peak / 2**20}
     if cell.get("shares"):
         import blurshift as bs
 
@@ -254,7 +267,9 @@ def summary(runs: list[dict]) -> dict:
         times = [run[f"{clock}_s"] for run in runs]
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         out.update({f"{clock}_s": round(median, 6), f"{clock}_q1_s": round(q1, 6),
-                    f"{clock}_q3_s": round(q3, 6), f"{clock}s_s": [round(t, 6) for t in times]})
+                    f"{clock}_q3_s": round(q3, 6), f"{clock}s_s": [round(t, 6) for t in times],
+                    f"call_{clock}s_s": [[round(t, 6) for t in run[f"call_{clock}s_s"]]
+                                         for run in runs]})
     out.update(T=runs[0]["T"],
                peak_mib=round(statistics.median(run["peak_mib"] for run in runs), 3))
     if any(run["T"] != out["T"] for run in runs):
@@ -325,7 +340,9 @@ def main(argv=None) -> int:
         "trees": list(trees),
         "wall": f"median and quartiles of {REPEATS} runs per tree, each in a fresh "
                 f"interpreter after a warm-up on {WARM_UP_N} points; the trees "
-                f"alternate per cell and the first tree alternates per repeat",
+                f"alternate per cell and the first tree alternates per repeat; a run "
+                f"whose first call takes under {SHORT_CALL_S} s times {CALLS} calls "
+                f"and counts their median",
         "cpu": "time.process_time of the same timed calls, summarised as the wall",
         "peak": "median tracemalloc peak of one further call per run",
         "fixed_point": "cluster with StopRule(move_tol=0.0)",

@@ -25,9 +25,10 @@ objective's terms, a truncated kernel's boundary margin and boundary hit,
 and its degrees and components come from the chunks only when the caller
 declares that it reads them.  The state keeps none of the chunks, whatever
 the kernel: each chunk is added into every sum the caller reads, its
-joined pairs are counted per column and joined into the components by
-:func:`_union`, so the memory is O(n d) plus one chunk per sum.  A value
-read but not declared runs the same pass again for that value alone.
+joined pairs are counted per column, and those whose ends lie in two
+components so far are joined by :func:`_union`, so the memory is O(n d)
+plus one chunk per sum.  A value read but not declared runs the same pass
+again for that value alone.
 Given the next configuration's points, a pass sums the minorizer gap's
 post-step term instead of its pre-step term, in its only slab, and given a
 boolean array it writes the join bits that ``joined_rows`` returns.  So
@@ -68,6 +69,24 @@ arrays over the configurations, with no state per configuration, so the
 per-call cost of a pass and of a state, and of the validation, is paid
 once per stack.
 
+A pass over blocks of pairs (rows or tiles), and the per-point reductions
+of a state (the bounding box, the grid's cells, the prune's bounds and the
+grouping's word test), run over (d, n) coordinate rows: contiguous copies
+of the transposes of the points and of their distinct rows, one copy where
+those are the same array.  numpy loops over the columns of an (n, d) array
+one short row at a time: on a 2-CPU x86-64 VM with numpy 2.4,
+``rows.max(axis=0)`` took 8.0 us at n = 400 and 73 us at n = 4000, against
+0.8 us (and 0.4 us for the copy) on the contiguous transpose at n = 400,
+and the squared distances of a (26, 260) block took 10.1 us from
+``rows.T[:, None, :]``, whose d = 2 coordinates lie 16 bytes apart,
+against 8.3 us from contiguous rows.  Only order-free operations moved
+onto the transposes: min, max, logical or, integer counts and elementwise
+divides.  The row norms (the largest move, the fixed-point test and a
+batch's moment norms) stay sums over each row of an (a, d) array, whose
+order numpy picks from the row's length (one at a time below 8 entries,
+pairwise from 8).  A pair list (the grid's, a batch's) gathers (n, d) rows
+with ``take``: gathering the columns of (d, n) rows was slower.
+
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
 """
@@ -98,6 +117,12 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + rows, n))
 
 
+def _even(n: int, step: int) -> int:
+    # the size of as many chunks of n rows as chunks of ``step`` rows take,
+    # evened out: at most ``step``
+    return -(-n // -(-n // step))
+
+
 def _ascending_j(n: int, width: int, slabs: int, fill,
                  entries: int = _BLOCK_ENTRIES) -> np.ndarray:
     """``sum_j t[s, j, c]`` for every slab s and column c of a
@@ -105,16 +130,16 @@ def _ascending_j(n: int, width: int, slabs: int, fill,
     holding that array.
 
     ``fill(rows, out)`` writes the terms of the j-rows ``rows`` into the
-    (slabs, len(rows), width) array ``out``, in chunks of about ``entries``
-    entries per slab.  Each slab's chunk of rows is written below its
-    accumulator row, so every slab is one contiguous block, and reduced
-    over its rows, which numpy does one row at a time, so the chunk size
-    moves no bit.  A lone column gets a zero twin, since numpy sums one
-    contiguous column pairwise.
+    (slabs, len(rows), width) array ``out``, in as few chunks of at most
+    about ``entries`` entries per slab as it takes, of even sizes.  Each
+    slab's chunk of rows is written below its accumulator row, so every
+    slab is one contiguous block, and reduced over its rows, which numpy
+    does one row at a time, so the chunk size moves no bit.  A lone column
+    gets a zero twin, since numpy sums one contiguous column pairwise.
     """
     cols = max(2, width)
-    step = max(8, entries // cols)
-    buf = np.zeros((slabs, min(step, n) + 1, cols))
+    step = _even(n, max(8, entries // cols))
+    buf = np.zeros((slabs, step + 1, cols))
     acc = np.zeros((slabs, cols))
     for start in range(0, n, step):
         size = min(step, n - start)
@@ -129,20 +154,21 @@ def _tiled_j(n: int, slabs: int, fill, entries: int = _BLOCK_ENTRIES) -> np.ndar
     symmetric, bit for bit (``t[s, j, c] == t[s, c, j]``), from its tiles on
     and above the diagonal alone.
 
-    The columns are cut into blocks of ``isqrt(entries)`` (at least 2), so
-    that a tile holds about ``entries`` entries per slab.  The outer loop
-    takes the column blocks R in ascending order, and the inner loop the
-    row blocks J = 0..R.  ``fill(rows, out, cols)`` writes the terms of the
-    j-rows ``rows`` in the columns ``cols`` (two slices) into the (slabs,
-    len(rows), len(cols)) array ``out``, once per tile, and the tile's rows
-    are reduced into the columns R below their running totals, as
-    :func:`_ascending_j` reduces a chunk.  For J < R, a contiguous copy of
+    The columns are cut into as few blocks as ``isqrt(entries)`` columns
+    (at least 2) allow, of even widths, so that a tile holds at most about
+    ``entries`` entries per slab.  The outer loop takes the column blocks R
+    in ascending order, and the inner loop the row blocks J = 0..R.
+    ``fill(rows, out, cols)`` writes the terms of the j-rows ``rows`` in the
+    columns ``cols`` (two slices) into the (slabs, len(rows), len(cols))
+    array ``out``, once per tile, and the tile's rows are reduced into the
+    columns R below their running totals, as :func:`_ascending_j` reduces a
+    chunk.  For J < R, a contiguous copy of
     the tile's transpose, whose rows are the j-rows R, is reduced into the
     columns J.  So column block C takes the j-row blocks 0..C while R = C,
     and then C+1, C+2, ... as mirrors: every column still adds one j at a
     time in ascending order from ``+0.0``, and no bit moves.
     """
-    side = max(2, math.isqrt(entries))
+    side = _even(n, max(2, math.isqrt(entries)))
     acc = np.zeros((slabs, n + 1))  # a lone last column sums beside a zero twin
     for r0 in range(0, n, side):
         width = min(side, n - r0)
@@ -190,7 +216,7 @@ def _cell_ranges(rows: np.ndarray, radius: float):
 
     Returns ``(order, starts, stops)``: ``order`` lists the rows by cell,
     and the candidates of row r, the rows in the 3**k cells around its own
-    (k axes), are ``order[starts[r, m]:stops[r, m]]`` for the 3**(k-1)
+    (k axes), are ``order[starts[m, r]:stops[m, r]]`` for the 3**(k-1)
     ranges m.  Cell indices are ``floor(x / side)``, each within 2**-23 of
     a cell of the exact quotient while ``|x| / side < 2**30``, so two rows
     whose cells do not touch lie more than ``side * (1 - 2**-22)``, and so
@@ -202,20 +228,21 @@ def _cell_ranges(rows: np.ndarray, radius: float):
     stay below 2**62.
     """
     side = radius * _CELL_SIDE
-    axes = np.argsort(-np.ptp(rows, axis=0), kind="stable")[:2]
-    q = rows.take(axes, axis=1) / side
+    coords = np.ascontiguousarray(rows.T)
+    axes = np.argsort(-(coords.max(axis=1) - coords.min(axis=1)), kind="stable")[:2]
+    q = coords.take(axes, axis=0) / side
     if not np.all(np.abs(q) < 2.0 ** 30):
         return None
     cell = np.floor(q).astype(np.int64)
-    cell -= cell.min(axis=0) - 1  # from 1, so no neighbouring index is negative
-    key, low = cell[:, 0], np.array([-1])
+    cell -= cell.min(axis=1, keepdims=True) - 1  # from 1, so no neighbouring index is negative
+    key, low = cell[0], np.array([-1])
     if axes.size == 2:  # rows of cells, each `width` keys long, padded
-        width = int(cell[:, 1].max()) + 2
-        key = key * width + cell[:, 1]
+        width = int(cell[1].max()) + 2
+        key = key * width + cell[1]
         low = np.array([-width - 1, -1, width - 1])
     order = np.argsort(key, kind="stable")
     keys = key[order]
-    low = key[:, None] + low
+    low = low[:, None] + key
     return order, keys.searchsorted(low, "left"), keys.searchsorted(low + 2, "right")
 
 
@@ -234,7 +261,7 @@ def _candidate_sums(grid, inv, n: int, a: int, slabs: int, fill,
     a zero term, which moves no bit.
     """
     order, starts, stops = grid
-    per_j = (stops - starts).sum(axis=1)
+    per_j = (stops - starts).sum(axis=0)
     if inv is not None:
         per_j = per_j[inv]
     ends = np.cumsum(per_j)
@@ -244,8 +271,9 @@ def _candidate_sums(grid, inv, n: int, a: int, slabs: int, fill,
         stop = max(start + 1, int(ends.searchsorted(ends[start] - per_j[start] + entries,
                                                     "right")))
         group = np.arange(start, stop) if inv is None else inv[start:stop]
-        low = starts.take(group, axis=0).ravel()
-        sizes = stops.take(group, axis=0).ravel()
+        # each j-row's ranges in turn
+        low = starts.take(group, axis=1).T.ravel()
+        sizes = stops.take(group, axis=1).T.ravel()
         sizes -= low
         col = order[np.arange(sizes.sum()) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)]
         buf = np.empty((slabs, a + col.size))
@@ -298,16 +326,17 @@ class DistinctRows:
         self.rows, self.first, self.inv = points, None, None
         if rows is None or n * n <= _BLOCK_ENTRIES:
             return
-        rows = np.ascontiguousarray(rows)
         # rows with the same bytes have the same int64 words: a stable sort
         # by the words puts each group's rows together in ascending order,
         # so a group starts where a row's words differ from its predecessor's
-        bits = rows.view(np.int64)
-        by_bits = np.lexsort(bits.T)
-        sorted_bits = bits.take(by_bits, axis=0)
+        # (tested on the (d, n) words, whose rows numpy reduces contiguously)
+        words = np.ascontiguousarray(rows.T).view(np.int64)
+        by_bits = np.lexsort(words)
+        sorted_words = words.take(by_bits, axis=1)
         starts = np.empty(by_bits.size, dtype=bool)
         starts[0] = True
-        np.logical_or.reduce(sorted_bits[1:] != sorted_bits[:-1], axis=1, out=starts[1:])
+        np.logical_or.reduce(sorted_words[:, 1:] != sorted_words[:, :-1], axis=0,
+                             out=starts[1:])
         first = by_bits[starts]
         if first.size == n:
             return
@@ -372,8 +401,9 @@ def _box_overflows(rows: np.ndarray) -> bool:
     every rounding in the sum is monotone.  So where it is finite, no
     squared distance of the rows overflows.
     """
+    coords = np.ascontiguousarray(rows.T)
     with np.errstate(over="ignore"):  # an overflow is the answer
-        sides = (rows.max(axis=0) - rows.min(axis=0)).tolist()
+        sides = (coords.max(axis=1) - coords.min(axis=1)).tolist()
     total = 0.0  # Python floats round as numpy's do, and overflow to inf
     for side in sides:
         total += side * side
@@ -391,11 +421,13 @@ def _pruned_max_sqdist(rows: np.ndarray) -> float:
     :func:`_box_overflows`).  Only the rows whose bound reaches the lower
     bound are scanned.
     """
-    extremes = np.unique(np.concatenate([rows.argmin(axis=0), rows.argmax(axis=0)]))
+    coords = np.ascontiguousarray(rows.T)
+    extremes = np.unique(np.concatenate([coords.argmin(axis=1), coords.argmax(axis=1)]))
     lower = _rows_max_sqdist(rows, rows.take(extremes, axis=0))
     with np.errstate(over="ignore"):  # a bound of inf only keeps its row
-        far = np.maximum(rows - rows.min(axis=0), rows.max(axis=0) - rows)
-        upper = coordinate_sqdist(far.T, np.zeros((rows.shape[1], 1)))
+        far = np.maximum(coords - coords.min(axis=1, keepdims=True),
+                         coords.max(axis=1, keepdims=True) - coords)
+        upper = coordinate_sqdist(far, np.zeros((rows.shape[1], 1)))
     return max(lower, _rows_max_sqdist(rows, rows[upper >= lower]))
 
 
@@ -493,15 +525,24 @@ def _self_pairs(own: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     return own[inside] - rows.start, inside
 
 
+def _coordinate_rows(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # contiguous (d, n) and (d, a) copies of the points and of their distinct
+    # rows, one copy where they are the same array
+    coords = np.ascontiguousarray(points.T)
+    return coords, coords if rows is points else np.ascontiguousarray(rows.T)
+
+
 def _pair_ends(points: np.ndarray, rows: np.ndarray, j, col):
     # the coordinates (d, ...) of the j-rows ``j`` of ``points`` and of the
-    # distinct ``rows``: against every row (``col`` None) or the rows of a
-    # slice ``col`` in a (j, col) block, or of the pairs (j[p], col[p]) of a
-    # list.  numpy's fancy indexing of (n, d) rows is about 10x slower than
-    # take, which gathers the same values
+    # distinct ``rows``: of the pairs (j[p], col[p]) of a list, gathered
+    # from (n, d) and (a, d) rows with take (numpy's fancy indexing is about
+    # 10x slower, and gathering the columns of (d, n) copies slowed a sparse
+    # run by about 3%), or in a (j, col) block from (d, n) and (d, a)
+    # coordinate rows (see _coordinate_rows), against every row (``col``
+    # None) or the rows of a slice ``col``
     if isinstance(col, np.ndarray):
         return points.take(j, axis=0).T, rows.take(col, axis=0).T
-    return points[j].T[:, :, None], (rows if col is None else rows[col]).T[:, None, :]
+    return points[:, j, None], (rows if col is None else rows[:, col])[:, None, :]
 
 
 def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
@@ -561,7 +602,8 @@ class PairwiseState:
     A truncated state whose a x n pairs span several blocks evaluates only
     the candidate pairs of a grid of cells (:func:`_cell_ranges`) when they
     number at most ``_GRID_SHARE`` of its pairs and the grid decides them
-    exactly; its chunks hold candidate pairs (:func:`_candidate_sums`).
+    exactly; its chunks hold candidate pairs (:func:`_candidate_sums`).  It
+    finds the grid once (O(a) indices) and keeps it for every later pass.
     Every pair left out is farther than ``beta * h``, so it is not joined
     and adds zero terms, and the candidates give every value above bit for
     bit, but two: the largest squared distance comes from the bounding-box
@@ -582,18 +624,20 @@ class PairwiseState:
     objective is the weights' sum); ``"margin"``, the boundary margin and
     boundary hit of a truncated kernel; ``"labels"``, a truncated kernel's
     degrees and components (each chunk counts its joins per column and
-    joins its pairs of distinct rows with :func:`_union`), which ``labels``,
-    ``M``, ``components``, ``closed`` and ``component_diameter`` read; and
-    the sums ``"update"`` (the update's denominator and numerators),
-    ``"moments"`` and ``"gap"`` (the minorizer gap's pre-step row sums,
-    taken as distances times weights).  A value not declared runs the
-    constructor's pass again on its first read, for that value alone: it
-    computes the same chunks, bit for bit, and fills only that value, which
-    is then kept.  The diameter, not declared, comes from the prune, which
-    gives the same bits.  The gap's post-step term (:meth:`minorizer_gap`)
-    and the join bits (:meth:`joined_rows`) come from passes of their own,
-    over the same pairs, so every weight is the pass's.  So a state holds
-    O(n d) and one chunk per sum, and ``reads`` moves no bit.
+    joins its pairs of distinct rows with :func:`_union`, which a block of
+    j-rows hands only the joined pairs whose ends have two roots so far),
+    which ``labels``, ``M``, ``components``, ``closed`` and
+    ``component_diameter`` read; and the sums ``"update"`` (the update's
+    denominator and numerators), ``"moments"`` and ``"gap"`` (the
+    minorizer gap's pre-step row sums, taken as distances times weights).
+    A value not declared runs the constructor's pass again on its first
+    read, for that value alone: it computes the same chunks, bit for bit,
+    and fills only that value, which is then kept.  The diameter, not
+    declared, comes from the prune, which gives the same bits.  The gap's
+    post-step term (:meth:`minorizer_gap`) and the join bits
+    (:meth:`joined_rows`) come from passes of their own, over the same
+    pairs, so every weight is the pass's.  So a state holds O(n d) (its
+    grid included) and one chunk per sum, and ``reads`` moves no bit.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -628,8 +672,6 @@ class PairwiseState:
     _update: tuple[np.ndarray, np.ndarray] | None = None
     _moments: np.ndarray | None = None
     _gap_before: float | None = None
-    # whether _candidates found no grid for the state
-    _no_grid = False
     # the configuration of each row of a stack of configurations (see batch)
     _segment: np.ndarray | None = None
 
@@ -747,7 +789,7 @@ class PairwiseState:
         num = den + objective
         mom = num + d * update
         pre = mom + d * moments
-        grid = None if scan else self._candidates()
+        grid = None if scan else self._grid
         segment = self._segment
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
@@ -765,6 +807,12 @@ class PairwiseState:
             self._joined_max = 0.0
         if labels:
             self._degree, self._roots = np.zeros(a, dtype=np.intp), np.arange(a)
+        coords = 0
+        if grid is None:  # so that a block's subtracts and multiplies run over contiguous rows
+            y, at = _coordinate_rows(y, at)
+            if after is not None:
+                after = _coordinate_rows(*after)
+            coords = (y.size + at.size * (at is not y)) * (1 + (after is not None))
 
         # the terms of the j-rows ``rows`` against every distinct row, in
         # (rows, a) blocks, against the rows of a slice ``col`` in a tile of
@@ -846,9 +894,12 @@ class PairwiseState:
         # objective's and the gap's terms) and whose chunks fill nothing
         # else but maxima, such as the post-step pass, fills only the tiles
         # on and above the diagonal of its n x n pairs (_tiled_j), each of
-        # a chunk's entries per slab
+        # a chunk's entries per slab.  A pass over blocks holds its
+        # coordinate rows beside its chunks, so its slabs give up their
+        # entries, up to an eighth of their own
         slabs = pre + gap
         entries = 3 * _BLOCK_ENTRIES // max(slabs, 5) if truncated else _BLOCK_ENTRIES
+        entries -= min(entries // 8, coords // slabs)
         if grid is not None:
             per_pair = slabs + 2 * d + 4 + 2 * d * (after is not None)
             sums = _candidate_sums(grid, self.distinct.inv, n, a, slabs, fill,
@@ -861,7 +912,7 @@ class PairwiseState:
         if objective or (shared and den):  # the slab below the numerators: the weights' when shared
             self._objective = _ascending_total(self.distinct.expand(sums[num - 1]))
         if update:
-            self._update = sums[0], np.ascontiguousarray(sums[num:mom].T)
+            self._update = sums[0], sums[num:mom]
         if moments:
             self._moments = np.ascontiguousarray(sums[mom:pre].T)
         if labels:  # the pair with its own point is joined exactly when g(0) != 0
@@ -876,39 +927,45 @@ class PairwiseState:
                 return total
             self._gap_before = total
 
-    def _candidates(self):
+    @cached_property
+    def _grid(self):
         # the grid of a truncated state whose pairs span several blocks,
         # when its candidate pairs are few enough (see _GRID_SHARE) and it
         # decides them exactly (bandwidth and radius far from underflow,
-        # see _cell_ranges); else None, which the state remembers
+        # see _cell_ranges); else None.  Found once, for every pass
         kernel, h, n, a = self.kernel, self.h, self.n, self.distinct.a
         if self._segment is not None:  # a stack: each row's own configuration's rows
             segment = self._segment
-            return (np.arange(n), segment.searchsorted(segment)[:, None],
-                    segment.searchsorted(segment, "right")[:, None])
+            return (np.arange(n), segment.searchsorted(segment)[None],
+                    segment.searchsorted(segment, "right")[None])
         radius = kernel.beta * h
-        if (self._no_grid or not kernel.truncated or n * a <= _BLOCK_ENTRIES
+        if (not kernel.truncated or n * a <= _BLOCK_ENTRIES
                 or min(h, radius) < 2.0 ** -500):
             return None
         grid = _cell_ranges(self.distinct.rows, radius)
         if grid is not None:
-            per_row = (grid[2] - grid[1]).sum(axis=1)
+            per_row = (grid[2] - grid[1]).sum(axis=0)
             if self.distinct.expand(per_row).sum() > _GRID_SHARE * n * a:
                 grid = None
-        self._no_grid = grid is None
         return grid
 
     def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
         # count the chunk's joins per column, and join the distinct row of
-        # each j-row to every column it reaches
+        # each j-row to every column it reaches.  A block's pairs whose ends
+        # share a root already share a component, so only the pairs that
+        # cross two roots are listed (after the first blocks, almost none)
+        inv = self.distinct.inv
         if col is None:
-            j, col = np.divmod(np.flatnonzero(joined), joined.shape[1])
+            self._degree += np.count_nonzero(joined, axis=0)
+            own = self._roots[rows if inv is None else inv[rows]]
+            cross = own[:, None] != self._roots
+            cross &= joined
+            j, col = np.divmod(np.flatnonzero(cross), joined.shape[1])
             j += rows.start
         else:
             pairs = np.flatnonzero(joined)
             j, col = rows[pairs], col[pairs]
-        self._degree += np.bincount(col, minlength=self._degree.size)
-        inv = self.distinct.inv
+            self._degree += np.bincount(col, minlength=self._degree.size)
         self._roots = _union(self._roots, j if inv is None else inv[j], col)
 
     @property
@@ -1061,7 +1118,7 @@ class PairwiseState:
         :meth:`update` reads by point; raises as :meth:`update` does."""
         if self._update is None:
             self._pass({"update"})
-        den, num = self._update
+        den, num = self._update  # num: the (d, a) numerators
         empty = np.flatnonzero(den == 0.0)
         if empty.size:  # the first point of the first such row is the first such point
             raise ValueError(
@@ -1070,7 +1127,9 @@ class PairwiseState:
                 f"point or a group of coincident points with no other point at "
                 f"nonzero weight, so its blurred position would be 0/0"
             )
-        return num / den[:, None]
+        rows = np.empty(num.shape[::-1])
+        np.divide(num, den, out=rows.T)  # into the transpose: no second (a, d) array
+        return rows
 
     def _row_moments(self) -> np.ndarray:
         if self._moments is None:

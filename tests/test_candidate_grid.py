@@ -116,7 +116,7 @@ def test_grid_state_equals_scanned_state(kernel_id, d, layout, planted, scale, s
     assert state.n * state.distinct.a > _BLOCK_ENTRIES
     # 2**40 h is beyond 2**30 cells from the origin: the cell indices could
     # round by more than the cells' inflation, so the state scans every pair
-    assert (state._candidates() is None) == (layout == "far clusters")
+    assert (state._grid is None) == (layout == "far clusters")
     assert _fields(state) == _scanned_fields(pts, kernel, h)
 
 
@@ -131,7 +131,7 @@ def test_stable_beyond_the_inflation_reads_the_exact_margin(kernel_id):
     pts = np.arange(300.0)[:, None] * (3.0 * radius) * np.ones(2)
     pts[1] = pts[0] + (1.5 * radius, 0.0)
     state = PairwiseState(pts, kernel, h, _READS)
-    assert state._candidates() is not None
+    assert state._grid is not None
     assert state._margin is None and state._near_margin == pytest.approx(0.5 * radius)
     assert state.stable()
     assert state._margin is None  # decided from the candidates
@@ -161,3 +161,31 @@ def test_grid_runs_equal_scanned_runs(kernel_id, d, seed):
     report = json.dumps(bs.run_verify(pts, kernel, h, stop=stop).to_json_dict())
     with _scanning():
         assert json.dumps(bs.run_verify(pts, kernel, h, stop=stop).to_json_dict()) == report
+
+
+def test_grid_state_finds_its_grid_once(monkeypatch):
+    # run_verify reads each state in several passes (the constructor's, the
+    # post-step gap's, the values not declared): a grid state finds its grid
+    # of cells for the first and keeps it for the others
+    found, states = [], []
+    cell_ranges, init = _pairwise._cell_ranges, PairwiseState.__init__
+
+    def counted_cells(rows, radius):
+        found.append(rows.shape)
+        return cell_ranges(rows, radius)
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        states.append(self)
+
+    monkeypatch.setattr(_pairwise, "_cell_ranges", counted_cells)
+    monkeypatch.setattr(PairwiseState, "__init__", counted_init)
+    # a standardized uniform square, with about 13 points per point within the radius
+    n = 2000
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+    pts = (pts - pts.mean(axis=0)) / pts.std(axis=0)
+    report = bs.run_verify(pts, _KERNELS["epanechnikov"], 0.25 * math.sqrt(400 / n),
+                           stop=StopRule(max_iter=3))
+    assert report.T == 3 and len(states) == 4  # three steps and the final state
+    assert all(state._grid is not None for state in states)
+    assert len(found) == len(states)

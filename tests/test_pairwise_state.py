@@ -724,7 +724,7 @@ def test_overflow_fails_by_name_without_the_diameter(n):
     # the same configuration scaled by a power of two, which overflows
     # nothing and takes the same cells, takes the grid exactly when n = 200
     tiny = PairwiseState(np.ldexp(pts, -600), kernel, math.ldexp(h, -600), {"update"})
-    assert (tiny._candidates() is not None) == (n == 200)
+    assert (tiny._grid is not None) == (n == 200)
     for build in (lambda: bms_step(pts, kernel, h),
                   lambda: PairwiseState(pts, kernel, h, {"update"})):
         with pytest.raises(ValueError, match="squared pairwise distances overflow"):
