@@ -74,7 +74,10 @@ and its CPU seconds (``time.process_time``, every thread of the process);
 on a busy machine the CPU time moves less than the wall time, but it is
 not the same quantity.  A record holds the median wall and CPU times over
 the runs with their quartiles, every run's time and every call's, and the
-median peak.
+median peak.  Each tree's entry also records its ``environment``: the CPUs
+the process may use, the CPU model, Python, numpy, and numpy's baseline
+SIMD features and the dispatch targets it found, so that a move of host
+between two files shows.
 """
 
 from __future__ import annotations
@@ -139,6 +142,32 @@ def nproc() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def cpu_model() -> str:
+    """The CPU's model name, from /proc/cpuinfo where there is one."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def numpy_simd() -> dict:
+    """numpy's baseline SIMD features and the dispatch targets it found on
+    this CPU: two hosts with other targets run other float loops, whose
+    times (and last bits) can differ."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                                  __cpu_features__)
+    return {"baseline": list(__cpu_baseline__),
+            "found": [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]}
 
 
 # --- one cell, in the interpreter of one tree -------------------------------
@@ -359,9 +388,11 @@ def main(argv=None) -> int:
     }
     environment = {
         "nproc": nproc(),
+        "cpu_model": cpu_model(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "numpy": np.__version__,
+        "numpy_simd": numpy_simd(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     for tree, entry in measure(trees, grid).items():

@@ -52,14 +52,17 @@ tile above the diagonal into the mirrored columns, in the same order.
 
 A truncated kernel joins a pair only within its radius ``beta * h``.  So
 where a truncated state's pairs span several blocks and few of them lie in
-neighbouring cells of a grid of side ``beta * h`` (:func:`_cell_ranges`,
-the fixed-radius grid of Bentley, Stanat and Williams, 1977), the pass
-evaluates only those candidate pairs, with the same formulas, and sums
-them per column with ``np.bincount`` in the same order; every pair left
-out adds a zero term, so no bit moves.  The candidates decide everything,
+neighbouring cells of a grid of side ``beta * h``, cut into sub-cells
+along a second axis (:func:`_cell_ranges`, after the fixed-radius grid of
+Bentley, Stanat and Williams, 1977), the pass evaluates only those
+candidate pairs, with the same formulas, and sums them per column with
+``np.bincount`` in the same order; every pair left out adds a zero term,
+so no bit moves.  The candidates decide everything,
 the gap's post-step term and the join bits included, but the diameter,
 which the bounding-box prune finds, and the exact margin, which a read of
-``margin`` finds by scanning every pair.
+``margin`` finds by scanning every pair.  The terminal grouping of
+``cluster`` (:func:`single_linkage_labels`) takes its pairs from the same
+grid at its own radius.
 
 Many small configurations, such as ``run_verify``'s fuzz probes, share
 one pass of that kind (:meth:`PairwiseState.batch`): stacked, each row's
@@ -195,12 +198,17 @@ def _tiled_j(n: int, slabs: int, fill, entries: int = _BLOCK_ENTRIES) -> np.ndar
 
 # A truncated state whose pairs span several blocks sums only its
 # candidate pairs (see _cell_ranges) when they number at most this share of
-# its n * a pairs.  Epanechnikov states of 1000 and 2000 points on a uniform
-# square, built for the update alone, took 0.5 to 0.7 of the scan's time on
-# the grid at shares near 0.2 and 0.65 to 0.9 near 0.25 to 0.29, where the
-# two break even.  A share of 0.35 put the four-blob states of
-# bench/scaling.py on the grid and slowed them: cluster of 4000 points took
-# 0.66 s against 0.49 s (run_verify of 2000 points held at 0.51 s).
+# its n * a pairs, and the terminal grouping (single_linkage_labels) tests
+# only its candidates when they number at most this share of its a * a.
+# Epanechnikov states of 1000 and 2000 points on a uniform square, built
+# for the update alone, took 0.5 to 0.7 of the scan's time on the grid at
+# shares near 0.2 and 0.65 to 0.9 near 0.25 to 0.29, where the two break
+# even (measured with 3 x 3 whole cells, whose ranges came from binary
+# searches; the sub-cells cut the shares by about a fifth).  A
+# share of 0.35 put the four-blob states of bench/scaling.py on the grid
+# and slowed them: cluster of 4000 points took 0.66 s against 0.49 s
+# (run_verify of 2000 points held at 0.51 s); with the sub-cells their
+# shares are 0.21 to 0.26, so they stay off it.
 _GRID_SHARE = 0.2
 # The grid's cells are wider than the joining radius by this factor, so
 # that rounding never brings a pair of rows whose cells do not touch within
@@ -208,42 +216,102 @@ _GRID_SHARE = 0.2
 # _FAR_MARGIN times the radius.
 _CELL_SIDE = 1.0 + 2.0 ** -20
 _FAR_MARGIN = 2.0 ** -24
+# Sub-cells per cell along the second-widest axis.  A row's candidates lie
+# in 3 bands of cells along the widest axis, within _SUB sub-cells of its
+# own in each (7.75 / 9 of the 3 x 3 cells' area with 4).  On perfbench's
+# sparse-exact-epan instances 2 to 8 sub-cells took 2.12 to 2.16 ms an
+# operation, against 2.23 ms with whole cells (in-process, medians of 6)
+_SUB = 4
+# Grids of at most this many cell keys find their ranges from a table of
+# the rows below each key, which costs O(keys) but no comparison: on
+# 150-400 rows of a standardized uniform square, 21 us against 80 us for a
+# sort and binary searches whose branches the data decide (2-CPU x86-64
+# VM, numpy 2.4, a new configuration per call: the same rows again and
+# again train the branch predictor and took 31 us)
+_TABLE_KEYS = 1 << 16
 
 
 def _cell_ranges(rows: np.ndarray, radius: float):
     """Candidate rows of each of ``rows`` from a grid of cells of side
-    ``radius * (1 + 2**-20)`` over the one or two widest axes.
+    ``radius * (1 + 2**-20)`` along the widest axis, each cut into
+    ``_SUB`` sub-cells along the second-widest axis.
 
     Returns ``(order, starts, stops)``: ``order`` lists the rows by cell,
-    and the candidates of row r, the rows in the 3**k cells around its own
-    (k axes), are ``order[starts[m, r]:stops[m, r]]`` for the 3**(k-1)
-    ranges m.  Cell indices are ``floor(x / side)``, each within 2**-23 of
-    a cell of the exact quotient while ``|x| / side < 2**30``, so two rows
-    whose cells do not touch lie more than ``side * (1 - 2**-22)``, and so
-    ``radius * (1 + 2**-21)``, apart along that axis.  Their squared
-    distance and profile argument round by a few ulps, so the pair is not
-    joined (its profile argument exceeds ``beta**2 / 2``), misses the
+    and the candidates of row r are ``order[starts[m, r]:stops[m, r]]`` for
+    the ranges m: the rows in its own cell and the two cells beside it for
+    one axis (one range), or, for two axes, the rows within ``_SUB``
+    sub-cells of its own in its band of cells and in each band beside it
+    (three ranges).  Cell indices are ``floor(q)`` of the quotients
+    ``q = x / side``, the second axis's times ``_SUB``, an exact scaling;
+    each is within 2**-23 of the exact quotient's while ``|q| < 2**30``.
+    Two rows whose cells lie two or more apart along the widest axis, or
+    whose sub-cells lie ``_SUB + 1`` or more apart along the second, lie
+    more than ``side * (1 - 2**-22)`` apart along that axis, and so more
+    than ``radius * (1 + 2**-21)`` apart.  So every pair left out lies
+    beyond ``radius * (1 + 2**-21)``: its squared distance, each rounding
+    of which is monotone, exceeds the rounded ``radius**2`` while that is a
+    normal number, so the pair is not within the radius of
+    ``single_linkage_labels``; and its profile argument exceeds
+    ``beta**2 / 2``, so it is not joined, adds zero terms, misses the
     support boundary and has a margin above ``2**-24 * radius``.  Returns
-    None where some ``|x| / side`` reaches ``2**30``; below it, cell keys
-    stay below 2**62.
+    None where some ``|q|`` reaches ``2**30``; below it, cell keys stay
+    below 2**63.  The ranges come from a count of the rows below each key
+    where the grid has at most ``_TABLE_KEYS`` keys, and from binary
+    searches of the sorted keys otherwise: the same arrays either way.
     """
     side = radius * _CELL_SIDE
     coords = np.ascontiguousarray(rows.T)
     axes = np.argsort(-(coords.max(axis=1) - coords.min(axis=1)), kind="stable")[:2]
-    q = coords.take(axes, axis=0) / side
+    with np.errstate(over="ignore"):  # a quotient of inf fails the test below
+        q = coords.take(axes, axis=0) / side
+    if axes.size == 2:
+        q[1] *= _SUB
     if not np.all(np.abs(q) < 2.0 ** 30):
         return None
     cell = np.floor(q).astype(np.int64)
-    cell -= cell.min(axis=1, keepdims=True) - 1  # from 1, so no neighbouring index is negative
-    key, low = cell[0], np.array([-1])
-    if axes.size == 2:  # rows of cells, each `width` keys long, padded
-        width = int(cell[1].max()) + 2
+    cell -= cell.min(axis=1, keepdims=True) - _SUB  # so no neighbouring index is negative
+    key, low, span = cell[0], np.array([-1]), 2
+    size = int(cell[0].max()) + 3  # keys up to the band beyond the last, and one more
+    if axes.size == 2:  # bands of cells, each `width` sub-cell keys long, padded
+        width = int(cell[1].max()) + _SUB + 1
         key = key * width + cell[1]
-        low = np.array([-width - 1, -1, width - 1])
+        low, span = np.array([-width - _SUB, -_SUB, width - _SUB]), 2 * _SUB
+        size *= width
+    low = low[:, None] + key
+    if size <= _TABLE_KEYS:
+        # a radix sort, and the count of rows below each key: no branch of a
+        # comparison sort or a binary search to mispredict
+        order = np.argsort(key.astype(np.uint16), kind="stable")
+        below = np.bincount(key + 1, minlength=size)
+        np.cumsum(below, out=below)
+        return order, below.take(low), below.take(low + (span + 1))
     order = np.argsort(key, kind="stable")
     keys = key[order]
-    low = low[:, None] + key
-    return order, keys.searchsorted(low, "left"), keys.searchsorted(low + 2, "right")
+    return order, keys.searchsorted(low, "left"), keys.searchsorted(low + span, "right")
+
+
+def _candidate_pairs(grid, inv, n: int, entries: int):
+    """The candidate pairs ``(j, col)`` of ``grid`` (see :func:`_cell_ranges`)
+    of the j-rows ``0..n-1``, whose distinct row is ``inv[j]`` (``j`` when
+    ``inv`` is None), in chunks of consecutive j-rows of about ``entries``
+    pairs each (one j-row at least): listed in ascending j, each j-row's
+    ranges in turn."""
+    order, starts, stops = grid
+    per_j = (stops - starts).sum(axis=0)
+    if inv is not None:
+        per_j = per_j[inv]
+    ends = np.cumsum(per_j)
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(ends.searchsorted(ends[start] - per_j[start] + entries,
+                                                    "right")))
+        group = np.arange(start, stop) if inv is None else inv[start:stop]
+        low = starts.take(group, axis=1).T.ravel()
+        sizes = stops.take(group, axis=1).T.ravel()
+        sizes -= low
+        col = order[np.arange(sizes.sum()) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)]
+        yield np.repeat(np.arange(start, stop), per_j[start:stop]), col
+        start = stop
 
 
 def _candidate_sums(grid, inv, n: int, a: int, slabs: int, fill,
@@ -252,37 +320,24 @@ def _candidate_sums(grid, inv, n: int, a: int, slabs: int, fill,
     :func:`_cell_ranges`) alone, for j-rows whose distinct row is ``inv[j]``
     (``j`` when ``inv`` is None).
 
-    Chunks of consecutive j-rows hold about ``entries`` pairs each (one
-    j-row at least), listed in ascending j.  ``fill(j, out, col)`` writes
-    the terms of the pairs ``(j[p], col[p])`` into the (slabs, pairs) array
-    ``out``.  Each slab's terms come after its running totals, and
-    ``np.bincount`` adds them in the order given, so each column's sum adds
-    one j at a time in ascending order from ``+0.0``; a pair left out adds
-    a zero term, which moves no bit.
+    Chunks of consecutive j-rows hold about ``entries`` pairs each
+    (:func:`_candidate_pairs`).  ``fill(j, out, col)`` writes the terms of
+    the pairs ``(j[p], col[p])`` into the (slabs, pairs) array ``out``.
+    Each slab's terms come after its running totals, and ``np.bincount``
+    adds them in the order given, so each column's sum adds one j at a time
+    in ascending order from ``+0.0``; a pair left out adds a zero term,
+    which moves no bit.
     """
-    order, starts, stops = grid
-    per_j = (stops - starts).sum(axis=0)
-    if inv is not None:
-        per_j = per_j[inv]
-    ends = np.cumsum(per_j)
     acc = np.zeros((slabs, a))
-    start = 0
-    while start < n:
-        stop = max(start + 1, int(ends.searchsorted(ends[start] - per_j[start] + entries,
-                                                    "right")))
-        group = np.arange(start, stop) if inv is None else inv[start:stop]
-        # each j-row's ranges in turn
-        low = starts.take(group, axis=1).T.ravel()
-        sizes = stops.take(group, axis=1).T.ravel()
-        sizes -= low
-        col = order[np.arange(sizes.sum()) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)]
+    for j, col in _candidate_pairs(grid, inv, n, entries):
         buf = np.empty((slabs, a + col.size))
         buf[:, :a] = acc
-        fill(np.repeat(np.arange(start, stop), per_j[start:stop]), buf[:, a:], col)
+        fill(j, buf[:, a:], col)
+        del j  # off the peak of the bincounts
         bins = np.concatenate([np.arange(a), col])
         for s in range(slabs):
             acc[s] = np.bincount(bins, buf[s], minlength=a)
-        start = stop
+        del buf, bins  # before the next chunk's pairs are listed
     return acc
 
 
@@ -504,17 +559,39 @@ def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
     ``radius``, numbered contiguously from 0 in order of each component's
     smallest point index.
 
-    Coincident points are always joined, so the graph is built over the
-    distinct rows only (see :class:`DistinctRows`), one row block of their
-    squared distances at a time, and no n x n array is allocated.
+    Coincident points are always joined, so the graph is built over the a
+    distinct rows only (see :class:`DistinctRows`), and no a x a array is
+    allocated.  Where the rows' pairs span several blocks, the candidates
+    of a grid of cells (:func:`_cell_ranges`) number at most
+    ``_GRID_SHARE`` of them, and ``radius ** 2`` is a finite normal number,
+    only the candidates are tested, in chunks of about ``_BLOCK_ENTRIES``
+    pairs: every pair left out lies farther than ``radius``, bit for bit.
+    Otherwise the squared distances are scanned one row block at a time.
+    Either way only the pairs within ``radius`` whose ends have two roots
+    so far go to :func:`_union`, whose labels depend on the components
+    alone.
     """
     distinct = DistinctRows(points)
     rows, a = distinct.rows, distinct.a
     limit = radius * radius
     labels = np.arange(a)
-    for block in _row_blocks(a, a):
-        row, col = np.divmod(np.flatnonzero(pairwise_sqdist(rows[block], rows) <= limit), a)
-        labels = _union(labels, row + block.start, col)
+    grid = None
+    if a * a > _BLOCK_ENTRIES and 2.0 ** -500 <= radius and math.isfinite(limit):
+        grid = _cell_ranges(rows, radius)
+        if grid is not None and (grid[2] - grid[1]).sum() > _GRID_SHARE * a * a:
+            grid = None
+    if grid is None:
+        for block in _row_blocks(a, a):
+            near = pairwise_sqdist(rows[block], rows) <= limit
+            near &= labels[block, None] != labels
+            row, col = np.divmod(np.flatnonzero(near), a)
+            labels = _union(labels, row + block.start, col)
+    else:
+        for row, col in _candidate_pairs(grid, None, a, _BLOCK_ENTRIES):
+            near = labels[row] != labels[col]
+            row, col = row[near], col[near]
+            near = coordinate_sqdist(*_pair_ends(rows, rows, row, col)) <= limit
+            labels = _union(labels, row[near], col[near])
     return distinct.expand(_numbered(labels))
 
 

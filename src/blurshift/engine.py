@@ -290,10 +290,12 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
         distinct = state.distinct
         rows = state.update_rows()
         nxt = Configuration.from_points(distinct.expand(rows))
-        # each point moves as its distinct row does
-        max_move = float(np.max(np.linalg.norm(rows - distinct.rows, axis=1)))
+        # each point moves as its distinct row does (np.linalg.norm's
+        # formula for axis=1, without its wrapper)
+        moved = rows - distinct.rows
+        max_move = float(np.max(np.sqrt(np.add.reduce(moved * moved, axis=1))))
         fixed = stop.exact_fixed_point and np.array_equal(rows, distinct.rows)
-        del rows  # off the observer's peak
+        del rows, moved  # off the observer's peak
         on_step(t, state, nxt, max_move)
         # drop this step's arrays before the next state allocates its own
         state = None

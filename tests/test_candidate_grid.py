@@ -5,6 +5,7 @@ import contextlib
 import json
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import blurshift as bs
 from blurshift import _pairwise
 from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState
+from blurshift.config import pairwise_sqdist
 from blurshift.engine import StopRule, run_bms
 
 from conftest import representable_boundary_pair
@@ -189,3 +191,98 @@ def test_grid_state_finds_its_grid_once(monkeypatch):
     assert report.T == 3 and len(states) == 4  # three steps and the final state
     assert all(state._grid is not None for state in states)
     assert len(found) == len(states)
+
+
+# --- the grid's candidates, whatever its layout ------------------------------
+
+_RADIUS = 0.5
+_QUARTER_EDGE = 2.0 ** 28 * (_RADIUS * _pairwise._CELL_SIDE)  # a sub-cell quotient of 2**30
+_GRID_VALUES = [0.0, -0.0, 0.5, -0.5, 0.25, -1.0, *(sign * np.nextafter(_QUARTER_EDGE, step)
+                                                   for sign in (1.0, -1.0)
+                                                   for step in (0.0, math.inf))]
+
+
+@st.composite
+def _grid_rows(draw):
+    # up to 16 rows in a square a few cells wide, some coordinates from
+    # _GRID_VALUES (signed zeros, sub-cell quotients next to 2**30), some
+    # pools moved next to that edge, and the other rows repeats of them
+    d = draw(st.integers(1, 4), label="d")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    pool = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 17)), d))
+    edge = rng.random(pool.shape) < 0.15
+    pool[edge] = rng.choice(_GRID_VALUES, size=int(edge.sum()))
+    pool += draw(st.sampled_from([0.0, 0.0, _QUARTER_EDGE - 1.0, -_QUARTER_EDGE + 1.5]),
+                 label="offset")
+    return pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 41)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=_grid_rows())
+def test_grid_leaves_out_only_pairs_beyond_the_radius(rows):
+    # every pair within radius * (1 + 2**-21), in exact arithmetic, is a
+    # candidate, each row lists each candidate once, and the squared
+    # distance of every pair left out exceeds the rounded radius**2
+    grid = _pairwise._cell_ranges(rows, _RADIUS)
+    quotients = np.abs(rows) / (_RADIUS * _pairwise._CELL_SIDE)
+    if grid is None:  # only where a quotient, a sub-cell's times _SUB, reaches 2**30
+        assert np.any(quotients >= 2.0 ** 28)
+        return
+    order, starts, stops = grid
+    n = rows.shape[0]
+    candidate = np.zeros((n, n), dtype=bool)
+    for r in range(n):
+        cols = np.concatenate([order[lo:hi] for lo, hi in zip(starts[:, r], stops[:, r])])
+        assert np.unique(cols).size == cols.size
+        candidate[r, cols] = True
+    assert np.array_equal(candidate, candidate.T) and candidate.diagonal().all()
+    within = Fraction(_RADIUS) * (1 + Fraction(1, 2 ** 21))
+    exact = [[Fraction(float(x)) for x in row] for row in rows]
+    for i, j in zip(*np.nonzero(~candidate)):
+        sqd = sum((p - q) ** 2 for p, q in zip(exact[i], exact[j]))
+        assert sqd > within * within
+    with np.errstate(over="ignore"):
+        sqd = pairwise_sqdist(rows)
+    assert np.all(sqd[~candidate] > _RADIUS * _RADIUS)
+
+
+# --- the terminal grouping from the grid -------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4), layout=st.sampled_from(["plain", "offset", "far"]),
+       near=st.sampled_from(["at", "below", "above", "diagonal"]),
+       scale=st.sampled_from([0, 400, -400]), seed=st.integers(0, 2**32 - 1))
+def test_grid_linkage_equals_scanned_linkage(d, layout, near, scale, seed):
+    # lattice points of spacing s (a power of two, so every lattice distance
+    # is exact), half of them jittered, with repeated rows and -0.0, linked
+    # at radii at, one ulp beside and near the diagonal of the spacing
+    rng = np.random.default_rng(seed)
+    s, n = 0.25, 300
+    pts = rng.integers(0, (2000, 60, 20, 10)[d - 1], size=(n, d)) * s
+    jittered = rng.random(n) < 0.5
+    pts[jittered] += rng.uniform(-0.1, 0.1, size=(int(jittered.sum()), d)) * s
+    pts[pts == 0.0] *= np.where(rng.random(int((pts == 0.0).sum())) < 0.5, -1.0, 1.0)
+    dup = rng.choice(n, size=n // 5)
+    pts[dup] = pts[rng.choice(n, size=n // 5)]
+    if layout == "offset":  # quotients near 2**26, still exact lattice sums
+        pts += 2.0 ** 24
+    elif layout == "far":  # quotients beyond 2**30: the grid is not taken
+        pts[: n // 2, 0] += 2.0 ** 40
+    radius = {"at": s, "below": math.nextafter(s, 0.0), "above": math.nextafter(s, 1.0),
+              "diagonal": s * math.sqrt(2.0)}[near]
+    pts, radius = np.ldexp(pts, scale), math.ldexp(radius, scale)
+    taken = []
+    candidate_pairs = _pairwise._candidate_pairs
+
+    def spied(*args):
+        taken.append(True)
+        return candidate_pairs(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairwise, "_candidate_pairs", spied)
+        labels = _pairwise.single_linkage_labels(pts, radius)
+    assert bool(taken) == (layout != "far")
+    with _scanning():
+        want = _pairwise.single_linkage_labels(pts, radius)
+    assert labels.tobytes() == want.tobytes()
+    assert 1 < labels.max() + 1 < n  # some pairs linked, not all

@@ -17,9 +17,9 @@ from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
 from blurshift import _pairwise
-from blurshift._pairwise import (_BLOCK_ENTRIES, _CELL_SIDE, DistinctRows, PairwiseState,
-                                 _box_overflows, _cell_ranges, _pruned_max_sqdist,
-                                 _rows_max_sqdist)
+from blurshift._pairwise import (_BLOCK_ENTRIES, _CELL_SIDE, _SUB, DistinctRows,
+                                 PairwiseState, _box_overflows, _cell_ranges,
+                                 _pruned_max_sqdist, _rows_max_sqdist)
 from blurshift.config import coordinate_sqdist, pairwise_sqdist, profile_args
 from blurshift.engine import StopRule, _iterate
 
@@ -31,22 +31,25 @@ _TRUNCATED_IDS = [k for k in bs.BUILTIN_IDS if bs.builtin(k).truncated]  # tricu
 # --- the formulas on (n, d) rows that the transposes replaced ----------------
 
 def _row_cell_ranges(rows, radius):
+    # cells along the widest axis, _SUB sub-cells of each along the second
     side = radius * _CELL_SIDE
     axes = np.argsort(-np.ptp(rows, axis=0), kind="stable")[:2]
     q = rows.take(axes, axis=1) / side
+    if axes.size == 2:
+        q[:, 1] *= _SUB
     if not np.all(np.abs(q) < 2.0 ** 30):
         return None
     cell = np.floor(q).astype(np.int64)
-    cell -= cell.min(axis=0) - 1
-    key, low = cell[:, 0], np.array([-1])
+    cell -= cell.min(axis=0) - _SUB
+    key, low, span = cell[:, 0], np.array([-1]), 2
     if axes.size == 2:
-        width = int(cell[:, 1].max()) + 2
+        width = int(cell[:, 1].max()) + _SUB + 1
         key = key * width + cell[:, 1]
-        low = np.array([-width - 1, -1, width - 1])
+        low, span = np.array([-width - _SUB, -_SUB, width - _SUB]), 2 * _SUB
     order = np.argsort(key, kind="stable")
     keys = key[order]
     low = key[:, None] + low
-    return order, keys.searchsorted(low, "left"), keys.searchsorted(low + 2, "right")
+    return order, keys.searchsorted(low, "left"), keys.searchsorted(low + span, "right")
 
 
 def _row_box_overflows(rows):

@@ -296,12 +296,31 @@ def _assert_state_equals_full_rows(pts, kernel, h, moved):
 
 def _assert_holds_no_pairwise_array(state):
     """Every array the state holds, with its configuration and grouping,
-    has at most n * d entries: no chunk, join bit or edge outlives the pass."""
+    has at most n * d entries, or 3 a for a grid state's (3, a) ranges: no
+    chunk, join bit or edge outlives the pass."""
     held = [*vars(state).values(), *vars(state.distinct).values(), state.cfg.points]
     arrays = [item for value in held
               for item in (value if isinstance(value, tuple) else (value,))
               if isinstance(item, np.ndarray)]
-    assert max(array.size for array in arrays) <= state.n * state.cfg.d
+    assert max(array.size for array in arrays) <= max(state.n * state.cfg.d,
+                                                     3 * state.distinct.a)
+
+
+def test_grid_state_holds_no_pairwise_array():
+    # a standardized uniform square at the density of bench/scaling.py's
+    # sparse cells (about 13 points within the radius of each), read in
+    # every pass a run_verify step makes
+    n = 2000
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+    pts = (pts - pts.mean(axis=0)) / pts.std(axis=0)
+    state = PairwiseState(pts, bs.builtin("epanechnikov"), 0.25 * math.sqrt(400 / n),
+                          {"update", "moments", "objective", "margin", "labels", "gap"})
+    assert state._grid is not None
+    _assert_holds_no_pairwise_array(state)
+    state.minorizer_gap(state.update())
+    assert state.joined_rows().sum() < 20 * n  # about 13 joins a point
+    assert state.M >= 1 and state.margin >= 0.0  # the exact margin scans every pair
+    _assert_holds_no_pairwise_array(state)
 
 
 def _sites(rng, d, count):
