@@ -199,7 +199,7 @@ def operation(cell: dict, points: np.ndarray):
     if cell["op"] == "gap":
         from blurshift._pairwise import PairwiseState
 
-        state = PairwiseState(points, kernel, H, {"update", "objective", "margin", "gap",
+        state = PairwiseState(points, kernel, H, {"update", "objective", "stable", "gap",
                                                   "labels"})
         nxt = state.update()
 

@@ -19,16 +19,19 @@ next (:meth:`DistinctRows.after`), which groups the a blurred positions
 instead of the n points.
 
 Every state is built in one pass over chunks of j-rows (a distinct
-positions wide).  Each chunk gives its weights; its largest squared
-distance, a truncated kernel's largest joined squared distance, the
-objective's terms, a truncated kernel's boundary margin and boundary hit,
-and its degrees and components come from the chunks only when the caller
-declares that it reads them.  The state keeps none of the chunks, whatever
-the kernel: each chunk is added into every sum the caller reads, its
-joined pairs are counted per column, and those whose ends lie in two
-components so far are joined by :func:`_union`, so the memory is O(n d)
-plus one chunk per sum.  A value read but not declared runs the same pass
-again for that value alone.
+positions wide).  Each chunk gives its weights, which the kernel's
+evaluator (:func:`kernels.in_place`) writes over the profile arguments in
+the chunk's own slab; its largest squared distance, a truncated kernel's
+largest joined squared distance, the objective's terms, a truncated
+kernel's boundary margin and boundary hit, its margin test at the default
+tolerance, and its components and degrees come from the chunks only when
+the caller declares that it reads them.  The state keeps none of the
+chunks, whatever the kernel: each chunk is added into every sum the
+caller reads, its joined pairs whose ends lie in two components so far
+are joined by :func:`_union` (none once the rows form one component), and
+they are counted per column where the degrees are read, so the memory is
+O(n d) plus one chunk per sum.  A value read but not declared runs the
+same pass again for that value alone.
 Given the next configuration's points, a pass sums the minorizer gap's
 post-step term instead of its pre-step term, in its only slab, and given a
 boolean array it writes the join bits that ``joined_rows`` returns.  So
@@ -103,8 +106,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (Configuration, as_configuration, check_bandwidth, coordinate_sqdist,
-                     pairwise_sqdist, profile_args)
-from .kernels import KernelSpec, TruncationClass
+                     pairwise_sqdist, profile_args, real_array)
+from .kernels import KernelSpec, TruncationClass, in_place
 
 # Entries per block of the pairwise temporaries: the row blocks of
 # distances and each slab of a full-support state's chunks of j-rows (at
@@ -633,6 +636,52 @@ def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
     return float(np.min(gap))
 
 
+# The margin test's default tolerance, relative to the joining radius
+_STABILITY_TOL = 1e-9
+
+
+def _least(holds, s: float) -> float | None:
+    # the smallest float s >= 0 at which the monotone test ``holds`` does
+    # (inf where it holds at inf alone), by at most 64 steps of one float
+    # from a guess; None where it lies farther
+    up = not holds(s)
+    for _ in range(64):
+        if up:
+            s = math.nextafter(s, math.inf)
+            if holds(s):
+                return s
+        elif s == 0.0 or not holds(below := math.nextafter(s, 0.0)):
+            return s
+        else:
+            s = below
+    return None
+
+
+def _unstable_interval(radius: float, tol: float) -> tuple[float, float] | None:
+    """The squared distances s whose pairs fail the margin test: those with
+    ``|fl(sqrt(s)) - radius| <= tol``, as :func:`_block_margin` rounds them,
+    form the interval ``[lo, hi]`` (empty where ``lo > hi``), returned as
+    ``(lo, hi)``.
+
+    ``fl(sqrt(s)) - radius`` is monotone in s, each rounding being so, so
+    the interval's ends are where ``s`` crosses ``(radius -+ tol)**2``.  For
+    ``tol`` up to about half the radius the subtraction is exact there, so
+    each end lies a few floats from that square, and it is found by steps
+    of one float from it.  Returns None where an end lies farther, and
+    where ``tol >= radius``: the interval then holds ``s = 0``, the squared
+    distance of every point to itself, which the margin skips.
+    """
+    if not tol < radius:
+        return None
+    near = radius - tol
+    far = radius + tol  # a square of inf (a radius near the largest float) steps down
+    lo = _least(lambda s: math.sqrt(s) - radius >= -tol, near * near)
+    beyond = _least(lambda s: math.sqrt(s) - radius > tol, far * far)
+    if lo is None or beyond is None:
+        return None
+    return lo, math.nextafter(beyond, 0.0)
+
+
 def _ascending_total(row_sums: np.ndarray) -> float:
     # ((0.0 + s_0) + s_1) + ...: accumulate adds one entry at a time, and
     # the trailing + 0.0 stands for the +0.0 start (it only turns -0.0 into 0.0)
@@ -687,8 +736,8 @@ class PairwiseState:
     prune, and the margin only from the candidates.  Where their margin
     exceeds ``_FAR_MARGIN * beta * h``, a pair left out may lie nearer the
     radius; ``stable`` then decides a tolerance below that bound from the
-    candidates, and ``margin`` (or a larger tolerance) runs the pass again
-    over every pair.
+    candidates, as the ``"stable"`` read does, and ``margin`` (or a larger
+    tolerance) runs the pass again over every pair.
 
     ``reads`` declares what the caller reads, and the pass computes only
     that: ``"diameter"``, the largest squared distance (each chunk's
@@ -699,14 +748,24 @@ class PairwiseState:
     ``"objective"``, the objective's terms and their sum (free for a
     kernel whose profile is its weight function, such as gaussian, whose
     objective is the weights' sum); ``"margin"``, the boundary margin and
-    boundary hit of a truncated kernel; ``"labels"``, a truncated kernel's
-    degrees and components (each chunk counts its joins per column and
-    joins its pairs of distinct rows with :func:`_union`, which a block of
-    j-rows hands only the joined pairs whose ends have two roots so far),
-    which ``labels``, ``M``, ``components``, ``closed`` and
-    ``component_diameter`` read; and the sums ``"update"`` (the update's
-    denominator and numerators), ``"moments"`` and ``"gap"`` (the
-    minorizer gap's pre-step row sums, taken as distances times weights).
+    boundary hit of a truncated kernel; ``"stable"``, the margin test at
+    its default tolerance, which ``stable()`` reads: a pair fails it
+    exactly when its squared distance lies in an interval found once per
+    pass (:func:`_unstable_interval`), so no chunk takes a square root or
+    skips its self pairs (where no interval is found, as where the
+    tolerance reaches the radius and the interval would hold the self
+    pairs, the pass reads the margin instead);
+    ``"labels"``, a truncated kernel's components (each chunk joins its
+    pairs of distinct rows with :func:`_union`, which a block of j-rows
+    hands only the joined pairs whose ends have two roots so far, and no
+    pair once every root is 0), which ``labels``, ``M`` and ``components``
+    read; ``"closed"``, the components and the degrees (each chunk counts
+    its joins per column), which ``closed`` and ``component_diameter``
+    read, and the grouped ``labels`` of a kernel with ``g(0) = 0``, whose
+    coincident points with no join stay apart; and the sums ``"update"``
+    (the update's denominator and numerators), ``"moments"`` and ``"gap"``
+    (the minorizer gap's pre-step row sums, taken as distances times
+    weights).
     A value not declared runs the constructor's pass again on its first
     read, for that value alone: it computes the same chunks, bit for bit,
     and fills only that value, which is then kept.  The diameter, not
@@ -735,15 +794,16 @@ class PairwiseState:
     # boundary hit from the start for a full-support kernel): the largest
     # squared distance (also found by the constructor's overflow check or
     # the prune) and joined squared distance, the objective, the margin and
-    # boundary hit, the joins i != j and the component roots of each
-    # distinct row, the update's denominator and numerators, the moments
-    # and the gap's pre-step total
+    # boundary hit, the default margin test, the joins i != j and the
+    # component roots of each distinct row, the update's denominator and
+    # numerators, the moments and the gap's pre-step total
     _max_sqdist: float | None = None
     _joined_max: float | None = None
     _objective: float | None = None
     _margin: float | None = None
     _near_margin: float | None = None
     _boundary_hit: bool | None = None
+    _stable: bool | None = None
     _degree: np.ndarray | None = None
     _roots: np.ndarray | None = None
     _update: tuple[np.ndarray, np.ndarray] | None = None
@@ -782,12 +842,12 @@ class PairwiseState:
         moves.
 
         Raises ``ValueError`` for a configuration of more than 128 points
-        and, as the constructor does, for an empty configuration, a
-        non-finite coordinate, an out-of-range bandwidth and squared
-        distances that overflow.
+        and, as the constructor does, for complex input, an empty
+        configuration, a non-finite coordinate, an out-of-range bandwidth
+        and squared distances that overflow.
         """
         h = check_bandwidth(h)
-        points = [np.asarray(cfg, dtype=float) for cfg in configs]
+        points = [real_array(cfg) for cfg in configs]
         sizes = np.array([len(cfg) for cfg in points], dtype=np.intp)
         bad = np.flatnonzero((sizes * sizes > _BLOCK_ENTRIES) | (sizes == 0))
         if bad.size:  # the first in input order
@@ -855,8 +915,16 @@ class PairwiseState:
             name in reads for name in ("update", "moments", "gap", "singular"))
         shared = kernel.profile is kernel.g
         objective = "objective" in reads and not shared
+        radius = kernel.beta * h
         margin = truncated and "margin" in reads
-        labels = truncated and "labels" in reads
+        unstable = None  # the squared distances that fail the default margin test
+        if truncated and "stable" in reads and not margin:
+            unstable = _unstable_interval(radius, _STABILITY_TOL * radius)
+            margin = unstable is None  # no interval: the exact margin decides
+        labels = truncated and ("labels" in reads or "closed" in reads)
+        # the degrees: closed's, and the labels' where coincident points may stay apart
+        degrees = truncated and ("closed" in reads or (
+            labels and kernel.g0 == 0.0 and self.distinct.inv is not None))
         joined_max = truncated and singular
         # slabs: the weights (the denominator's terms; a post-step pass
         # holds only its gap terms), the objective's terms when read and not
@@ -870,9 +938,11 @@ class PairwiseState:
         segment = self._segment
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
+        own = None  # the own point of each distinct row, where the margin is read
         if margin:
-            first = self.distinct.first  # the own point of each distinct row
-            own = np.arange(a) if first is None else first
+            own = np.arange(a) if self.distinct.first is None else self.distinct.first
+        if unstable is not None:
+            self._stable = True
         # a full-support kernel's largest joined distance is the largest
         chunk_max = (self._max_sqdist is None
                      and ("diameter" in reads or (singular and not truncated)))
@@ -883,13 +953,15 @@ class PairwiseState:
         if joined_max and segment is None:
             self._joined_max = 0.0
         if labels:
-            self._degree, self._roots = np.zeros(a, dtype=np.intp), np.arange(a)
+            self._roots = np.arange(a)
+            self._degree = np.zeros(a, dtype=np.intp) if degrees else None
         coords = 0
         if grid is None:  # so that a block's subtracts and multiplies run over contiguous rows
             y, at = _coordinate_rows(y, at)
             if after is not None:
                 after = _coordinate_rows(*after)
             coords = (y.size + at.size * (at is not y)) * (1 + (after is not None))
+        weigh = in_place(kernel)
 
         # the terms of the j-rows ``rows`` against every distinct row, in
         # (rows, a) blocks, against the rows of a slice ``col`` in a tile of
@@ -910,17 +982,21 @@ class PairwiseState:
                     coordinate_sqdist(yj, ar, out=sqd)
                 _checked_max(sqd)
                 np.maximum.at(self._max_sqdist, segment[rows], sqd)
-            if margin:
+            if own is not None:
                 skip = _self_pairs(own, rows) if col is None else own[col] == rows
-                self._margin = min(self._margin, _block_margin(sqd, skip, kernel.beta * h))
-            # only the joined distances read a distance again, else in place
-            u = profile_args(sqd, h, out=None if joined_max else w)
-            if margin:
-                self._boundary_hit = self._boundary_hit or self._hits_boundary(u)
-            if objective:
-                out[1] = kernel.profile(u)
-            g = kernel.g(u)
-            del u
+                self._margin = min(self._margin,
+                                   _block_margin(sqd, skip, self.kernel.beta * h))
+            elif unstable is not None and self._stable:
+                failing = sqd >= unstable[0]
+                failing &= sqd <= unstable[1]
+                self._stable = not failing.any()
+            # g holds the profile arguments until weigh writes the weights
+            # over them: in the weights' slab, but where the distances are
+            # read again (the joined ones) or the slab takes the post-step ones
+            g = profile_args(sqd, h, out=w if after is None and not joined_max else None)
+            if own is not None:
+                self._boundary_hit = self._boundary_hit or self._hits_boundary(g)
+            weigh(g, out[1] if objective else None)
             if joined_max or labels or joins is not None:
                 joined = g != 0.0
             if joined_max:
@@ -938,11 +1014,11 @@ class PairwiseState:
                 joins[:, rows] = joined.T
             elif joins is not None:  # a list of pairs
                 joins[col, rows] = joined
-            if after is None:  # den: the weights have their slab
+            if after is not None:  # no slab sums the weights: they stay in their own array
+                w = g
+            elif g is not w:  # the joined distances took the weights' slab
                 w[...] = g
                 del g  # off the peak of the sums' terms
-            else:  # no slab sums the weights: w is the array kernel.g made
-                w = g
             if update:  # w_jr y_jk of every coordinate k
                 np.multiply(w, yj, out=out[num:mom])
             if pre > mom:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
@@ -953,9 +1029,10 @@ class PairwiseState:
             if gap:
                 out[pre] *= w
 
-        # a truncated chunk's temporaries (its profile arguments, margin and
-        # joins) come on top of its slabs, so its slabs share three blocks,
-        # at most three fifths of one each: with the profile argument and
+        # a truncated chunk's temporaries (its margin, its joins and, where
+        # they do not lie in a slab, its profile arguments) come on top of
+        # its slabs, so its slabs share three blocks, at most three fifths
+        # of one each: with the profile argument and
         # the weight of each entry, a chunk of the update's three slabs (or
         # fewer) then holds three blocks, below a grid chunk, so a run's
         # peak does not hang on the a of the states whose n x a pairs fit
@@ -992,9 +1069,9 @@ class PairwiseState:
             self._update = sums[0], sums[num:mom]
         if moments:
             self._moments = np.ascontiguousarray(sums[mom:pre].T)
-        if labels:  # the pair with its own point is joined exactly when g(0) != 0
+        if degrees:  # the pair with its own point is joined exactly when g(0) != 0
             self._degree -= kernel.g0 != 0.0
-        if margin and grid is not None and self._margin > _FAR_MARGIN * (kernel.beta * h):
+        if margin and grid is not None and self._margin > _FAR_MARGIN * radius:
             # a pair left out may lie nearer the radius: the margin is known
             # only to be the candidates' or above _FAR_MARGIN of the radius
             self._margin, self._near_margin = None, self._margin
@@ -1027,13 +1104,19 @@ class PairwiseState:
         return grid
 
     def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
-        # count the chunk's joins per column, and join the distinct row of
-        # each j-row to every column it reaches.  A block's pairs whose ends
-        # share a root already share a component, so only the pairs that
-        # cross two roots are listed (after the first blocks, almost none)
-        inv = self.distinct.inv
+        # count the chunk's joins per column where the degrees are read, and
+        # join the distinct row of each j-row to every column it reaches.  A
+        # block's pairs whose ends share a root already share a component,
+        # so only the pairs that cross two roots are listed (after the first
+        # blocks, almost none), and none once every root is 0: the rows then
+        # form one component so far, which a test of O(a) tells
+        inv, degree = self.distinct.inv, self._degree
+        if degree is not None:
+            degree += (np.count_nonzero(joined, axis=0) if col is None
+                       else np.bincount(col[joined], minlength=degree.size))
+        if not self._roots.any():
+            return
         if col is None:
-            self._degree += np.count_nonzero(joined, axis=0)
             own = self._roots[rows if inv is None else inv[rows]]
             cross = own[:, None] != self._roots
             cross &= joined
@@ -1042,7 +1125,6 @@ class PairwiseState:
         else:
             pairs = np.flatnonzero(joined)
             j, col = rows[pairs], col[pairs]
-            self._degree += np.bincount(col, minlength=self._degree.size)
         self._roots = _union(self._roots, j if inv is None else inv[j], col)
 
     @property
@@ -1120,11 +1202,13 @@ class PairwiseState:
                 # is the first point of its smallest row.  Coincident points
                 # are joined to each other where g(0) != 0; where g(0) = 0
                 # (tricube) a group with no join at all is not, so its points
-                # stay apart.
+                # stay apart, which its degree of 0 tells.
                 point = np.arange(self.n)
                 roots = distinct.first[roots][distinct.inv]
-                apart = (self._degree[distinct.inv] == 0) & (distinct.first[distinct.inv] != point)
-                roots = np.where(apart, point, roots)
+                if self.kernel.g0 == 0.0:
+                    apart = ((self._degree[distinct.inv] == 0)
+                             & (distinct.first[distinct.inv] != point))
+                    roots = np.where(apart, point, roots)
         labels = _numbered(roots)
         labels.setflags(write=False)
         return labels
@@ -1144,6 +1228,8 @@ class PairwiseState:
         """Every component is a clique."""
         if not self.kernel.truncated:
             return True
+        if self._degree is None:
+            self._pass({"closed"})
         sizes = np.bincount(self.labels)
         return bool(np.all(self.distinct.expand(self._degree) == sizes[self.labels] - 1))
 
@@ -1155,7 +1241,9 @@ class PairwiseState:
     def stable(self, stability_tol: float | None = None) -> bool:
         """Margin test with tolerance ``stability_tol`` (default ``1e-9 * beta * h``).
 
-        Raises ``ValueError`` for a negative or NaN ``stability_tol``.
+        At the default tolerance it is the ``"stable"`` read's, unless the
+        margin is known; any other tolerance reads the margin.  Raises
+        ``ValueError`` for a negative or NaN ``stability_tol``.
         """
         if stability_tol is not None and not stability_tol >= 0:
             raise ValueError(f"stability_tol must be non-negative, got {stability_tol}")
@@ -1163,7 +1251,11 @@ class PairwiseState:
             return True
         radius = self.kernel.beta * self.h
         if stability_tol is None:
-            stability_tol = 1e-9 * radius
+            if self._stable is None and self._margin is None and self._near_margin is None:
+                self._pass({"stable"})
+            if self._stable is not None:
+                return self._stable
+            stability_tol = _STABILITY_TOL * radius
         if (self._margin is None and self._near_margin is not None
                 and stability_tol < _FAR_MARGIN * radius):
             # the pairs left out of the pass are farther than the tolerance

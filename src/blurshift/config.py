@@ -30,7 +30,10 @@ class Configuration:
 
     @classmethod
     def from_points(cls, points) -> "Configuration":
-        arr = np.array(points, dtype=float, copy=True)
+        """Validate and copy ``points``; raises ``ValueError`` for complex
+        input (see :func:`real_array`), an empty or non-2-D array and a
+        non-finite coordinate."""
+        arr = real_array(points, copy=True)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -50,6 +53,19 @@ class Configuration:
 
     def __len__(self) -> int:
         return self.n
+
+
+def real_array(points, copy: bool = False) -> np.ndarray:
+    """``points`` as a float64 array, a copy when ``copy`` is true.
+
+    Raises ``ValueError`` naming the dtype for complex input: a cast to
+    float would drop the imaginary parts with only a ``ComplexWarning``
+    and leave a plausible configuration of the real parts.
+    """
+    arr = points if isinstance(points, np.ndarray) else np.asarray(points)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"expected real coordinates, got an array of dtype {arr.dtype}")
+    return np.array(arr, dtype=float) if copy else np.asarray(arr, dtype=float)
 
 
 def as_configuration(obj) -> Configuration:

@@ -262,10 +262,11 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     state: it is released before the next one is built.  ``reads`` names
     what ``on_step`` reads beyond the update, which the loop always reads,
     and the initial diameter, which step 1 always reads (``"diameter"``,
-    ``"singular"``, ``"objective"``, ``"margin"``, ``"labels"``,
-    ``"moments"``, ``"gap"``; see :class:`PairwiseState`), so that the
-    state computes it in its constructor's pass and nothing else, instead
-    of running that pass again for each value read; it moves no bit.
+    ``"singular"``, ``"objective"``, ``"margin"``, ``"stable"``,
+    ``"labels"``, ``"closed"``, ``"moments"``, ``"gap"``; see
+    :class:`PairwiseState`), so that the state computes it in its
+    constructor's pass and nothing else, instead of running that pass
+    again for each value read; it moves no bit.
 
     Coincident points blur alike, so each step after the first is handed
     the grouping of its points (:meth:`DistinctRows.after`, from the a
@@ -316,8 +317,10 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     return result
 
 
-# what a record reads of each state beyond the update
-_RECORD_READS = frozenset({"diameter", "singular", "objective", "margin", "labels"})
+# what a record reads of each state beyond the update: the margin test at
+# its default tolerance (stable), not the margin itself, and the components
+# with their degrees (closed), which the component diameter reads too
+_RECORD_READS = frozenset({"diameter", "singular", "objective", "stable", "closed"})
 
 
 def _record(t: int, state: PairwiseState, max_move: float) -> IterationRecord:

@@ -106,7 +106,7 @@ def classify(graph: BmsGraph, cfg, kernel: KernelSpec, h: float,
     are built from.  Raises ``ValueError`` for a negative or NaN
     ``stability_tol``.
     """
-    state = PairwiseState(cfg, kernel, h, {"margin", "labels", "singular"})
+    state = PairwiseState(cfg, kernel, h, {"margin", "closed", "singular"})
     if graph.n != state.n:
         raise ValueError(f"graph has {graph.n} vertices, configuration has {state.n} points")
     return GraphClassification(state.closed, state.singular,

@@ -202,34 +202,116 @@ def _tricube_g(u):
 
 _SQRT2 = math.sqrt(2.0)
 
+
+# ---------------------------------------------------------------------------
+# In-place evaluation for the pairwise pass.  An evaluator ``into(u, k)``
+# writes g(u) over the float64 array u, and the profile k(u) into the array
+# k of u's shape unless k is None.  A built-in's evaluator calls the ufuncs
+# of its profile and weight function in their order, on the same operands,
+# without their temporaries, so it gives their bits wherever u holds no NaN
+# (the pass's profile arguments never do); ``t ** 0.5`` is numpy's sqrt
+# and every other float exponent its power.
+
+def _poly_into(p: float):
+    def into(u, k):
+        if p == 1.0:  # k = (1 - u)_+ ** 1.0, and g = 1.0 where u <= 1, else 0.0
+            if k is not None:
+                np.subtract(1.0, u, out=k)
+                np.maximum(k, 0.0, out=k)
+                np.power(k, 1.0, out=k)
+            np.less_equal(u, 1.0, out=u)
+            return
+        # t = (1 - u)_+, shared: g's fmax and the profile's maximum agree but on NaN
+        t = np.subtract(1.0, u, out=u)
+        np.maximum(t, 0.0, out=t)
+        if k is not None:
+            np.power(t, p, out=k)
+        if p == 2.0:  # 2 t
+            t *= 2.0
+            return
+        # p t ** (p - 1), inside the support wherever u is not NaN
+        if p - 1.0 == 0.5:
+            np.sqrt(t, out=t)
+        else:
+            np.power(t, p - 1.0, out=t)
+        t *= p
+
+    return into
+
+
+def _gaussian_into(u, k):
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    if k is not None:
+        np.copyto(k, u)
+
+
+def _cauchy_into(u, k):
+    np.add(1.0, u, out=u)
+    if k is not None:
+        np.divide(1.0, u, out=k)
+    np.square(u, out=u)  # ``x ** 2``: an int exponent
+    np.divide(1.0, u, out=u)
+
+
+def _generic_into(spec: KernelSpec):
+    def into(u, k):
+        if k is not None:
+            k[...] = spec.profile(u)
+        u[...] = spec.g(u)
+
+    return into
+
+
+# the in-place evaluator of each built-in weight function, with its profile
+_IN_PLACE: dict[Callable, tuple[Callable, Callable]] = {}
+
+
+def in_place(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray | None], None]:
+    """The evaluator ``into(u, k)`` of ``spec`` for the pairwise pass (see
+    above): a built-in's own where ``spec`` holds a built-in's profile and
+    weight function, else one that calls ``spec.profile`` and ``spec.g``
+    and copies their values."""
+    known = _IN_PLACE.get(spec.g)
+    if known is not None and known[0] is spec.profile:
+        return known[1]
+    return _generic_into(spec)
+
+
 _BUILTINS: dict[str, KernelSpec] = {}
 
 
-def _register(spec: KernelSpec) -> KernelSpec:
+def _register(spec: KernelSpec, into=None) -> KernelSpec:
     _BUILTINS[spec.id] = spec
+    if into is not None:
+        _IN_PLACE[spec.g] = (spec.profile, into)
     return spec
 
 
 _register(KernelSpec("epanechnikov", _poly_profile(1.0), _poly_g(1.0), _SQRT2,
                      TruncationClass.NON_SMOOTHLY_TRUNCATED, 1.0, alpha=1.0,
-                     boundary_u=1.0))
+                     boundary_u=1.0), _poly_into(1.0))
 _register(KernelSpec("cosine", _cosine_profile, _cosine_g, _SQRT2,
                      TruncationClass.NON_SMOOTHLY_TRUNCATED, _COSINE_G0,
                      alpha=(0.25 * np.pi) / _COSINE_G0, boundary_u=1.0))
 _register(KernelSpec("quadweight", _poly_profile(4.0), _poly_g(4.0), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 4.0, boundary_u=1.0))
+                     TruncationClass.SMOOTHLY_TRUNCATED, 4.0, boundary_u=1.0),
+          _poly_into(4.0))
 _register(KernelSpec("triweight", _poly_profile(3.0), _poly_g(3.0), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 3.0, boundary_u=1.0))
+                     TruncationClass.SMOOTHLY_TRUNCATED, 3.0, boundary_u=1.0),
+          _poly_into(3.0))
 _register(KernelSpec("biweight", _poly_profile(2.0), _poly_g(2.0), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 2.0, boundary_u=1.0))
+                     TruncationClass.SMOOTHLY_TRUNCATED, 2.0, boundary_u=1.0),
+          _poly_into(2.0))
 _register(KernelSpec("three_halves", _poly_profile(1.5), _poly_g(1.5), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 1.5, boundary_u=1.0))
+                     TruncationClass.SMOOTHLY_TRUNCATED, 1.5, boundary_u=1.0),
+          _poly_into(1.5))
 _register(KernelSpec("gaussian", _gaussian_profile, _gaussian_profile, math.inf,
-                     TruncationClass.NON_TRUNCATED, 1.0))
+                     TruncationClass.NON_TRUNCATED, 1.0), _gaussian_into)
 _register(KernelSpec("logistic", _logistic_profile, _logistic_g, math.inf,
                      TruncationClass.NON_TRUNCATED, 0.25))
 _register(KernelSpec("cauchy", _cauchy_profile, _cauchy_g, math.inf,
-                     TruncationClass.NON_TRUNCATED, 1.0))
+                     TruncationClass.NON_TRUNCATED, 1.0), _cauchy_into)
 
 # Diagnostic-only kernel: violates the convexity requirement (and has a flat
 # initial slope), kept so that the validation report can demonstrate failures.

@@ -38,8 +38,9 @@ __all__ = ["CheckResult", "VerifyReport", "run_verify"]
 # to 6100 pairs), and the stage's memory does not grow with the probe
 # count.  400 probes take two calls of 200, of at most 4 stacks each, where
 # batches of 64 took 28 stacks.  Their stage peaks at 0.58 MiB (biweight,
-# h = 0.8), below the 0.66 to 0.85 MiB of verify-fuzz's steps; one call of
-# 400 probes peaks at 0.80 MiB.
+# h = 0.8), within the 0.57 to 0.77 MiB that run_verify's steps peak at on
+# verify-fuzz's 16 instances without probes; one call of 400 probes peaks
+# at 0.75 MiB.
 _FUZZ_BATCH = 256
 
 # The offsets from the joining radius of _fuzz_configuration's planted
@@ -243,7 +244,8 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         allowance = float_step_allowance(float(np.max(np.abs(cfg.points))))
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
-    reads = {"diameter", "objective", "margin", "gap", "labels"} | (
+    # the margin test at its default tolerance, and the components without degrees
+    reads = {"diameter", "objective", "stable", "gap", "labels"} | (
         {"moments"} if smooth else set())
     final, stop_reason, T = _iterate(points, kernel, h, stop, on_step, reads)
     # closes the last step's checks and tells whether a terminal fixed point is singular

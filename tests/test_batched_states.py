@@ -97,6 +97,7 @@ def test_batch_overflow_fails_by_name():
 @pytest.mark.parametrize("bad, message", [
     (np.zeros((0, 2)), r"expected an \(n, d\) array of points, got shape \(0, 2\)"),
     ([[0.0, 1.0], [np.nan, 0.0]], "non-finite coordinates"),
+    (np.array([[1j, 0.0], [0.0, 1.0]]), "real coordinates, got an array of dtype complex128"),
 ])
 def test_batch_validates_each_configuration(bad, message):
     kernel = bs.builtin("biweight")

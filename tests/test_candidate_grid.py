@@ -25,7 +25,7 @@ _SAMPLED = bs.kernel_from_descriptor({
     "beta": math.sqrt(2.0), "class": "non_smoothly_truncated"})
 _KERNELS = {**{k: bs.builtin(k) for k in ("epanechnikov", "biweight", "cosine", "tricube")},
             "sampled": _SAMPLED}
-_READS = frozenset({"update", "moments", "objective", "margin", "labels"})
+_READS = frozenset({"update", "moments", "objective", "margin", "labels", "closed"})
 
 
 def _bits(value):

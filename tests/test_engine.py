@@ -46,6 +46,16 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             bs.as_configuration([[math.inf, 0.0]])
 
+    def test_complex_rejected(self):
+        # a cast to float would drop the imaginary parts and run on the
+        # real ones: [[0, 0], [0, 1]] here, whose run ends after one step
+        for points in (np.array([[1j, 0], [0, 1]]), [[1j, 0], [0, 1]],
+                       np.array([[1.0, 0.0]], dtype=np.complex64)):
+            with pytest.raises(ValueError, match="real coordinates, got .* dtype complex"):
+                run_bms(points, bs.builtin("epanechnikov"), 0.5)
+        with pytest.raises(ValueError, match="dtype complex128"):
+            bs.run_verify(np.array([[1j, 0], [0, 1]]), bs.builtin("biweight"), 0.5)
+
 
 class TestBmsStep:
     def test_two_point_gaussian(self):

@@ -519,7 +519,7 @@ def test_later_pass_keeps_the_structure(n):
 
 
 _EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin", "labels",
-                         "diameter", "singular"})
+                         "closed", "diameter", "singular"})
 
 
 def _assert_reads_move_no_bit(pts, kernel, h, moved):
