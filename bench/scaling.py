@@ -50,6 +50,11 @@ sqrt(400 / n), so a point has pi (beta h)^2 n / 12, about 13, neighbours
 within beta * h at t = 1.  There a truncated state evaluates only the
 candidate pairs of its grid of cells, so n can reach 50 000.  The same
 grid runs ``run_verify`` for ``STEPS`` steps (op ``sparse_verify``).
+Those stop before the points collapse, so a tail grid runs the same
+epanechnikov ``cluster`` to its exact fixed point (``StopRule(move_tol=0)``,
+op ``tail``) on the same points and bandwidths at n in ``TAIL_SIZES``: its
+later steps start from a few bitwise-distinct positions per cluster, the
+grouped states of the paper's finite-time regime.
 
 A fourth record times the fuzz probes of ``run_verify``: one call on a
 single point with ``FUZZ_CASES`` probes (configurations of at most 12
@@ -111,6 +116,7 @@ FUZZ_H = 0.8
 FUZZ_CASES = 400
 SPARSE_SIZES = (4000, 16000, 50000)
 SPARSE_KERNEL = "epanechnikov"
+TAIL_SIZES = (500, 1000, 2000)
 SWEEP_H = (0.4, 0.5, 0.6)
 
 
@@ -133,8 +139,13 @@ def sparse_h(n: int) -> float:
     return 0.25 * (400 / n) ** 0.5
 
 
+def on_square(cell: dict) -> bool:
+    """Whether a cell runs on ``sparse_square`` at ``sparse_h``."""
+    return cell["op"].startswith("sparse") or cell["op"] == "tail"
+
+
 def points_for(cell: dict, n: int) -> np.ndarray:
-    return sparse_square(n) if cell["op"].startswith("sparse") else blobs(n)
+    return sparse_square(n) if on_square(cell) else blobs(n)
 
 
 def nproc() -> int:
@@ -210,11 +221,11 @@ def operation(cell: dict, points: np.ndarray):
         return post_step_gap
     if cell["op"] == "fuzz":
         return lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=cell["probes"]).T
-    if cell["op"] in ("fixed_point", "fixed_point_read", "sweep"):
+    if cell["op"] in ("fixed_point", "fixed_point_read", "sweep", "tail"):
         stop = bs.StopRule(move_tol=0.0)
     else:
         stop = bs.StopRule(max_iter=STEPS)
-    h = sparse_h(points.shape[0]) if cell["op"].startswith("sparse") else H
+    h = sparse_h(points.shape[0]) if on_square(cell) else H
     if cell["op"] in ("verify", "sparse_verify"):
         return lambda: bs.run_verify(points, kernel, h, stop=stop).T
     if cell["op"] == "sweep":
@@ -277,6 +288,8 @@ def cells() -> list[dict]:
              for k in FUZZ_KERNELS]
     grid += [{"group": "sparse_records", "kernel": SPARSE_KERNEL, "n": n, "op": op}
              for op in ("sparse", "sparse_verify") for n in SPARSE_SIZES]
+    grid += [{"group": "tail_records", "kernel": SPARSE_KERNEL, "n": n, "op": "tail"}
+             for n in TAIL_SIZES]
     return grid
 
 
@@ -308,14 +321,15 @@ def summary(runs: list[dict]) -> dict:
 
 def record(cell: dict, runs: list[dict]) -> dict:
     key = {"fixed_point": "cluster", "fixed_point_read": "cluster_read", "gap": "gap_after",
-           "fuzz": "verify", "sparse": "cluster", "sparse_verify": "verify"}.get(
+           "fuzz": "verify", "sparse": "cluster", "sparse_verify": "verify",
+           "tail": "cluster"}.get(
                cell["op"], cell["op"])
     if cell["group"] == "fuzz_records":
         out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
         out[key] = summary(runs)
         out["probe_us"] = round(1e6 * out[key]["wall_s"] / cell["probes"], 1)
         return out
-    h = sparse_h(cell["n"]) if cell["op"].startswith("sparse") else H
+    h = sparse_h(cell["n"]) if on_square(cell) else H
     out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": h, key: summary(runs)}
     if "mean_distinct_share" in runs[0]:
         out["mean_distinct_share"] = runs[0]["mean_distinct_share"]
@@ -325,7 +339,8 @@ def record(cell: dict, runs: list[dict]) -> dict:
 def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
     """Every cell of ``grid`` on every tree, alternating, grouped by tree."""
     out = {tree: {"records": [], "fixed_point_records": [], "sweep_records": [],
-                  "gap_records": [], "fuzz_records": [], "sparse_records": []}
+                  "gap_records": [], "fuzz_records": [], "sparse_records": [],
+                  "tail_records": []}
            for tree in trees}
     names = list(trees)
     for cell in grid:
@@ -385,6 +400,8 @@ def main(argv=None) -> int:
                   f"square in [-1, 1]^2 (seed 0), standardized, at h = 0.25 * sqrt(400 / n)",
         "sparse_verify": f"run_verify with StopRule(max_iter={STEPS}) on the sparse op's "
                          f"points and bandwidth",
+        "tail": f"{SPARSE_KERNEL} cluster with StopRule(move_tol=0.0) on the sparse op's "
+                f"points and bandwidth, to the exact fixed point",
     }
     environment = {
         "nproc": nproc(),

@@ -16,7 +16,10 @@ computed once per distinct position, against all n points, and read back
 through the point-to-position map where a point row is needed.  Coincident
 points also blur alike, so the iteration hands each step's grouping to the
 next (:meth:`DistinctRows.after`), which groups the a blurred positions
-instead of the n points.
+instead of the n points.  Where the a x a pairs of distinct rows fit one
+block for a pass's slabs and the pass takes no grid, each of them is
+evaluated once, and every chunk of point j-rows is gathered from those
+terms (:func:`_gathered_j`) and added as a chunk of computed j-rows is.
 
 Every state is built in one pass over chunks of j-rows (a distinct
 positions wide).  Each chunk gives its weights, which the kernel's
@@ -197,6 +200,40 @@ def _tiled_j(n: int, slabs: int, fill, entries: int = _BLOCK_ENTRIES) -> np.ndar
                 np.add.reduce(mirror, axis=1, out=acc[:, rows])
                 del mirror
     return acc[:, :n]
+
+
+def _gathered_j(inv: np.ndarray, width: int, slabs: int, fill) -> np.ndarray:
+    """:func:`_ascending_j`'s sums for j-rows that repeat ``width`` distinct
+    rows, j-row j's terms being bitwise those of distinct row ``inv[j]``,
+    from the terms of the distinct rows alone.
+
+    ``fill(rows, out)`` writes the terms of the distinct rows ``rows`` (all
+    of them, in one call) into the (slabs, width, width) array ``out``, as
+    :func:`_ascending_j`'s chunks take them.  The block is copied j-row
+    major, (width, slabs, width), and each chunk of j-rows, as large as the
+    block and the chunk together allow in two blocks of entries, is gathered
+    from it with one ``take`` below the running totals and reduced along its
+    j-rows, which numpy does one j-row at a time over every slab and column.
+    So every column adds one j at a time in ascending order from ``+0.0``,
+    and no bit moves.  A lone column gets a zero twin, as in
+    :func:`_ascending_j`.
+    """
+    cols = max(2, width)
+    block = np.zeros((slabs, width, cols))
+    fill(slice(0, width), block[:, :, :width])
+    terms = np.ascontiguousarray(block.transpose(1, 0, 2))
+    del block
+    n = inv.size
+    step = _even(n, max(8, (2 * _BLOCK_ENTRIES - terms.size) // (slabs * cols)))
+    buf = np.empty((step + 1, slabs, cols))
+    acc = np.zeros((slabs, cols))
+    for start in range(0, n, step):
+        size = min(step, n - start)
+        buf[0] = acc
+        # "clip" never clips valid indices; "raise" would gather into a copy
+        terms.take(inv[start:start + size], axis=0, out=buf[1:size + 1], mode="clip")
+        np.add.reduce(buf[:size + 1], axis=0, out=acc)
+    return acc[:, :width]
 
 
 # A truncated state whose pairs span several blocks sums only its
@@ -710,7 +747,18 @@ class PairwiseState:
     distance, profile and weight row is evaluated for the a distinct
     positions against all n points.  A coincident point's row is bitwise
     its group's row, so the values read back through ``distinct.inv`` are
-    the ones a full n x n evaluation gives.
+    the ones a full n x n evaluation gives.  A grouped state whose a x a
+    pairs of distinct rows fit one block for a pass's slabs
+    (``slabs * a * a <= _BLOCK_ENTRIES``), in a pass that takes no grid,
+    evaluates each of those pairs once, into an (a, slabs, a) block of
+    terms, and gathers each chunk of point j-rows from it
+    (:func:`_gathered_j`).  That pass serves every read: the maxima, the
+    boundary hit and the margin tests come from the distinct pairs (the
+    margin counts a diagonal pair where its group holds two or more points,
+    which are then at distance 0), the degrees count each distinct j-row's
+    points, the join bits and the sums are gathered, and the post-step gap
+    takes the next configuration's distinct rows.  The block and one chunk
+    hold about two blocks of entries.
 
     The constructor first bounds every squared distance by the squared
     diagonal of the distinct rows' bounding box (:func:`_box_overflows`,
@@ -934,12 +982,24 @@ class PairwiseState:
         num = den + objective
         mom = num + d * update
         pre = mom + d * moments
+        slabs = pre + gap
         grid = None if scan else self._grid
         segment = self._segment
+        inv = self.distinct.inv
+        # a grouped state whose pairs of distinct rows fit one block for its
+        # slabs fills them once and gathers the point j-rows from them
+        # (_gathered_j); sizes[r] counts the points of distinct row r, where
+        # the margin or the labels read them
+        gather = grid is None and inv is not None and slabs * a * a <= _BLOCK_ENTRIES
+        sizes = np.bincount(inv, minlength=a) if gather and (margin or labels) else None
         if margin or not truncated:  # a full-support kernel has no boundary
             self._margin, self._boundary_hit = math.inf, False
         own = None  # the own point of each distinct row, where the margin is read
-        if margin:
+        if margin and gather:
+            # the diagonal pair (r, r) stands for the pairs within group r:
+            # a point's pair with itself alone where the group has one point
+            own = np.flatnonzero(sizes == 1)
+        elif margin:
             own = np.arange(a) if self.distinct.first is None else self.distinct.first
         if unstable is not None:
             self._stable = True
@@ -955,6 +1015,13 @@ class PairwiseState:
         if labels:
             self._roots = np.arange(a)
             self._degree = np.zeros(a, dtype=np.intp) if degrees else None
+        point_joins = None  # the (a, n) join bits, gathered from the (a, a) ones
+        if gather:  # the j-rows are the distinct rows, and the next ones' too
+            y = at
+            if after is not None:
+                after = after[1], after[1]
+            if joins is not None:
+                point_joins, joins = joins, np.zeros((a, a), dtype=bool)
         coords = 0
         if grid is None:  # so that a block's subtracts and multiplies run over contiguous rows
             y, at = _coordinate_rows(y, at)
@@ -964,7 +1031,8 @@ class PairwiseState:
         weigh = in_place(kernel)
 
         # the terms of the j-rows ``rows`` against every distinct row, in
-        # (rows, a) blocks, against the rows of a slice ``col`` in a tile of
+        # (rows, a) blocks (the distinct rows themselves, once, where the
+        # pass gathers), against the rows of a slice ``col`` in a tile of
         # _tiled_j, or of the pairs (rows[p], col[p]) of the grid.
         # fill closes over fewer than 20 names: CPython 3.11 keeps every
         # freed 20-item tuple (such as a closure's) on a free list that it
@@ -983,9 +1051,12 @@ class PairwiseState:
                 _checked_max(sqd)
                 np.maximum.at(self._max_sqdist, segment[rows], sqd)
             if own is not None:
-                skip = _self_pairs(own, rows) if col is None else own[col] == rows
+                if sizes is not None:  # gathered: the one-point groups' diagonal
+                    skip = own, own
+                else:
+                    skip = _self_pairs(own, rows) if col is None else own[col] == rows
                 self._margin = min(self._margin,
-                                   _block_margin(sqd, skip, self.kernel.beta * h))
+                                   _block_margin(sqd, skip, self.kernel.beta * self.h))
             elif unstable is not None and self._stable:
                 failing = sqd >= unstable[0]
                 failing &= sqd <= unstable[1]
@@ -993,7 +1064,7 @@ class PairwiseState:
             # g holds the profile arguments until weigh writes the weights
             # over them: in the weights' slab, but where the distances are
             # read again (the joined ones) or the slab takes the post-step ones
-            g = profile_args(sqd, h, out=w if after is None and not joined_max else None)
+            g = profile_args(sqd, self.h, out=w if after is None and not joined_max else None)
             if own is not None:
                 self._boundary_hit = self._boundary_hit or self._hits_boundary(g)
             weigh(g, out[1] if objective else None)
@@ -1009,7 +1080,7 @@ class PairwiseState:
                 else:
                     np.maximum.at(self._joined_max, segment[rows], joined_sqd)
             if labels:
-                self._join_chunk(rows, joined, col)
+                self._join_chunk(rows, joined, col, sizes)
             if joins is not None and col is None:  # row r: the points joined to distinct row r
                 joins[:, rows] = joined.T
             elif joins is not None:  # a list of pairs
@@ -1051,15 +1122,17 @@ class PairwiseState:
         # a chunk's entries per slab.  A pass over blocks holds its
         # coordinate rows beside its chunks, so its slabs give up their
         # entries, up to an eighth of their own
-        slabs = pre + gap
         entries = 3 * _BLOCK_ENTRIES // max(slabs, 5) if truncated else _BLOCK_ENTRIES
         entries -= min(entries // 8, coords // slabs)
-        if grid is not None:
+        if gather:
+            sums = _gathered_j(inv, a, slabs, fill)
+            if point_joins is not None:  # point j's bits are its distinct row's
+                joins.take(inv, axis=1, out=point_joins, mode="clip")
+        elif grid is not None:
             per_pair = slabs + 2 * d + 4 + 2 * d * (after is not None)
-            sums = _candidate_sums(grid, self.distinct.inv, n, a, slabs, fill,
+            sums = _candidate_sums(grid, inv, n, a, slabs, fill,
                                    max(a, 3 * _BLOCK_ENTRIES // per_pair))
-        elif self.distinct.inv is None and not (update or moments or margin or labels
-                                                or joins is not None):
+        elif inv is None and not (update or moments or margin or labels or joins is not None):
             sums = _tiled_j(n, slabs, fill, entries)
         else:
             sums = _ascending_j(n, a, slabs, fill, entries)
@@ -1103,15 +1176,22 @@ class PairwiseState:
                 grid = None
         return grid
 
-    def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
+    def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None,
+                    sizes: np.ndarray | None) -> None:
         # count the chunk's joins per column where the degrees are read, and
-        # join the distinct row of each j-row to every column it reaches.  A
+        # join the distinct row of each j-row to every column it reaches
+        # (where ``sizes`` is given, the j-rows are the distinct rows, row r
+        # standing for its sizes[r] points in the degrees).  A
         # block's pairs whose ends share a root already share a component,
         # so only the pairs that cross two roots are listed (after the first
         # blocks, almost none), and none once every root is 0: the rows then
         # form one component so far, which a test of O(a) tells
         inv, degree = self.distinct.inv, self._degree
-        if degree is not None:
+        if sizes is not None:  # the j-rows are the distinct rows: count their points
+            inv = None
+            if degree is not None:
+                degree += sizes @ joined
+        elif degree is not None:
             degree += (np.count_nonzero(joined, axis=0) if col is None
                        else np.bincount(col[joined], minlength=degree.size))
         if not self._roots.any():
@@ -1169,9 +1249,13 @@ class PairwiseState:
     @property
     def boundary_hit(self) -> bool:
         """Some pair's profile argument is exactly the support boundary of a
-        non-smoothly truncated kernel."""
+        non-smoothly truncated kernel; False, without a pass, for any other
+        kernel."""
         if self._boundary_hit is None:
-            self._pass({"margin"})
+            if self.kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED:
+                self._pass({"margin"})
+            else:  # no pair of another kernel can hit a boundary
+                self._boundary_hit = False
         return self._boundary_hit
 
     def joined_rows(self) -> np.ndarray:

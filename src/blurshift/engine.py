@@ -30,7 +30,7 @@ from .config import (
     pairwise_sqdist,
     profile_args,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, TruncationClass
 
 __all__ = [
     "Configuration",
@@ -143,7 +143,10 @@ def gradient(cfg, kernel: KernelSpec, h: float) -> GradientResult:
     Computed from pairwise differences so that fixed-point configurations
     (every joined pair coincident) give an exactly zero gradient.
     """
-    state = PairwiseState(cfg, kernel, h, {"moments", "margin"})
+    # the boundary hit comes from the margin's pass, and only a non-smoothly
+    # truncated kernel's pair can hit the boundary
+    nonsmooth = kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
+    state = PairwiseState(cfg, kernel, h, {"moments", "margin"} if nonsmooth else {"moments"})
     return GradientResult(state.gradient(), state.boundary_hit)
 
 

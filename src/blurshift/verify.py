@@ -37,10 +37,11 @@ __all__ = ["CheckResult", "VerifyReport", "run_verify"]
 # a stack's pass runs over at most about 3800 pairs, about one chunk (2900
 # to 6100 pairs), and the stage's memory does not grow with the probe
 # count.  400 probes take two calls of 200, of at most 4 stacks each, where
-# batches of 64 took 28 stacks.  Their stage peaks at 0.58 MiB (biweight,
-# h = 0.8), within the 0.57 to 0.77 MiB that run_verify's steps peak at on
-# verify-fuzz's 16 instances without probes; one call of 400 probes peaks
-# at 0.75 MiB.
+# batches of 64 took 28 stacks.  Their stage peaks at 0.579 MiB (biweight,
+# h = 0.8), inside the 0.57 to 0.77 MiB that run_verify's steps peak at on
+# verify-fuzz's 16 instances without probes but not below all of them:
+# instance 1's steps peak at 0.569 MiB, so there the fuzz stage sets the
+# operation's peak.  One call of 400 probes peaks at 0.75 MiB.
 _FUZZ_BATCH = 256
 
 # The offsets from the joining radius of _fuzz_configuration's planted

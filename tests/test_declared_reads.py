@@ -2,7 +2,8 @@
 its default tolerance from an interval of squared distances (``"stable"``),
 the components without the degrees (``"labels"``) and with them
 (``"closed"``), each bitwise what the exact margin and the full matrix
-give."""
+give; and the gradient, whose boundary flag reads the margin only for a
+non-smoothly truncated kernel."""
 
 import math
 import struct
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
-from blurshift import _pairwise, verify
+from blurshift import _pairwise, engine, verify
 from blurshift._pairwise import (_BLOCK_ENTRIES, _STABILITY_TOL, PairwiseState,
                                  _unstable_interval)
 from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.engine import StopRule
+from conftest import representable_boundary_pair
 
 _SAMPLED = bs.kernel_from_descriptor({
     "id": "sampled", "samples": {"u": [0.0, 0.3, 1.0], "k": [1.0, 0.6, 0.0]},
@@ -325,9 +327,9 @@ def test_one_component_skips_the_crossing_test(monkeypatch):
     chunks = []
     join_chunk = PairwiseState._join_chunk
 
-    def chunk(self, rows, joined, col):
+    def chunk(self, *args):
         chunks.append(self._roots.any())
-        join_chunk(self, rows, joined, col)
+        join_chunk(self, *args)
 
     monkeypatch.setattr(PairwiseState, "_join_chunk", chunk)
     pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(300, 2))
@@ -335,3 +337,37 @@ def test_one_component_skips_the_crossing_test(monkeypatch):
     assert len(chunks) > 2 and chunks[0] and not any(chunks[1:])
     assert len(calls) == 1
     assert state.M == 1 and not state._roots.any()
+
+
+# --- the gradient's boundary flag --------------------------------------------
+
+@pytest.mark.parametrize("kernel_id", bs.ASSUMPTION1_IDS)
+@pytest.mark.parametrize("n", [12, 300])
+def test_gradient_reads_the_margin_only_where_a_pair_can_hit_the_boundary(kernel_id, n):
+    # a pair at exactly beta * h: the vector and the flag are bitwise those
+    # of a state that reads the margin, whatever the kernel
+    kernel = bs.builtin(kernel_id)
+    v, h = representable_boundary_pair(1.0)
+    pts = np.random.default_rng(4).uniform(-1.5, 1.5, size=(n, 2))
+    pts[0], pts[1] = (0.0, 0.0), (v, 0.0)
+    got = engine.gradient(pts, kernel, h)
+    want = PairwiseState(pts, kernel, h, {"moments", "margin"})
+    assert got.grad.tobytes() == want.gradient().tobytes()
+    assert got.nonsmooth_boundary is want.boundary_hit
+    assert got.nonsmooth_boundary is (
+        kernel.truncation is bs.TruncationClass.NON_SMOOTHLY_TRUNCATED)
+
+
+def test_smooth_gradient_state_runs_one_pass(monkeypatch):
+    passes = []
+    run = PairwiseState._pass
+
+    def counted(self, reads, *args, **kwargs):
+        passes.append(set(reads))
+        return run(self, reads, *args, **kwargs)
+
+    monkeypatch.setattr(PairwiseState, "_pass", counted)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(260, 2))
+    result = engine.gradient(pts, bs.builtin("biweight"), 0.8)
+    assert passes == [{"moments"}]
+    assert result.nonsmooth_boundary is False
