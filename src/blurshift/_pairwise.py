@@ -17,9 +17,10 @@ through the point-to-position map where a point row is needed.  Coincident
 points also blur alike, so the iteration hands each step's grouping to the
 next (:meth:`DistinctRows.after`), which groups the a blurred positions
 instead of the n points.  Where the a x a pairs of distinct rows fit one
-block for a pass's slabs and the pass takes no grid, each of them is
-evaluated once, and every chunk of point j-rows is gathered from those
-terms (:func:`_gathered_j`) and added as a chunk of computed j-rows is.
+block for a pass's slabs, the pass takes no grid and it reads only sums
+and maxima, each of those pairs is evaluated once, and every chunk of
+point j-rows is gathered from their terms (:func:`_gathered_j`) and added
+as a chunk of computed j-rows is.
 
 Every state is built in one pass over chunks of j-rows (a distinct
 positions wide).  Each chunk gives its weights, which the kernel's
@@ -252,10 +253,8 @@ def _gathered_j(inv: np.ndarray, width: int, slabs: int, fill) -> np.ndarray:
 _GRID_SHARE = 0.2
 # The grid's cells are wider than the joining radius by this factor, so
 # that rounding never brings a pair of rows whose cells do not touch within
-# the radius; such a pair's margin |distance - radius| is at least
-# _FAR_MARGIN times the radius.
+# the radius.
 _CELL_SIDE = 1.0 + 2.0 ** -20
-_FAR_MARGIN = 2.0 ** -24
 # Sub-cells per cell along the second-widest axis.  A row's candidates lie
 # in 3 bands of cells along the widest axis, within _SUB sub-cells of its
 # own in each (7.75 / 9 of the 3 x 3 cells' area with 4).  On perfbench's
@@ -293,7 +292,8 @@ def _cell_ranges(rows: np.ndarray, radius: float):
     normal number, so the pair is not within the radius of
     ``single_linkage_labels``; and its profile argument exceeds
     ``beta**2 / 2``, so it is not joined, adds zero terms, misses the
-    support boundary and has a margin above ``2**-24 * radius``.  Returns
+    support boundary and passes the margin test at its default tolerance,
+    ``1e-9 * radius``.  Returns
     None where some ``|q|`` reaches ``2**30``; below it, cell keys stay
     below 2**63.  The ranges come from a count of the rows below each key
     where the grid has at most ``_TABLE_KEYS`` keys, and from binary
@@ -527,12 +527,12 @@ def _pruned_max_sqdist(rows: np.ndarray) -> float:
 
 
 def max_sqdist(points: np.ndarray) -> float:
-    """Largest squared pairwise distance, from row blocks of the matrix over
-    the distinct rows.
+    """Largest squared pairwise distance, from the bounding-box prune
+    (:func:`_pruned_max_sqdist`) over the distinct rows.
 
     Raises ``ValueError`` when it overflows to inf.
     """
-    return _rows_max_sqdist(DistinctRows(points).rows)
+    return _pruned_max_sqdist(DistinctRows(points).rows)
 
 
 def component_diameter(rows: np.ndarray, groups: np.ndarray, floor: float = 0.0) -> float:
@@ -749,16 +749,14 @@ class PairwiseState:
     its group's row, so the values read back through ``distinct.inv`` are
     the ones a full n x n evaluation gives.  A grouped state whose a x a
     pairs of distinct rows fit one block for a pass's slabs
-    (``slabs * a * a <= _BLOCK_ENTRIES``), in a pass that takes no grid,
-    evaluates each of those pairs once, into an (a, slabs, a) block of
-    terms, and gathers each chunk of point j-rows from it
-    (:func:`_gathered_j`).  That pass serves every read: the maxima, the
-    boundary hit and the margin tests come from the distinct pairs (the
-    margin counts a diagonal pair where its group holds two or more points,
-    which are then at distance 0), the degrees count each distinct j-row's
-    points, the join bits and the sums are gathered, and the post-step gap
-    takes the next configuration's distinct rows.  The block and one chunk
-    hold about two blocks of entries.
+    (``slabs * a * a <= _BLOCK_ENTRIES``), in a pass that takes no grid
+    and reads only sums and maxima, evaluates each of those pairs once,
+    into an (a, slabs, a) block of terms, and gathers each chunk of point
+    j-rows from it (:func:`_gathered_j`): the maxima and the default margin
+    test come from the distinct pairs, the sums are gathered, and the
+    post-step gap takes the next configuration's distinct rows.  The block
+    and one chunk hold about two blocks of entries.  A pass that reads the
+    margin, the labels or the join bits runs over the point j-rows.
 
     The constructor first bounds every squared distance by the squared
     diagonal of the distinct rows' bounding box (:func:`_box_overflows`,
@@ -781,11 +779,9 @@ class PairwiseState:
     Every pair left out is farther than ``beta * h``, so it is not joined
     and adds zero terms, and the candidates give every value above bit for
     bit, but two: the largest squared distance comes from the bounding-box
-    prune, and the margin only from the candidates.  Where their margin
-    exceeds ``_FAR_MARGIN * beta * h``, a pair left out may lie nearer the
-    radius; ``stable`` then decides a tolerance below that bound from the
-    candidates, as the ``"stable"`` read does, and ``margin`` (or a larger
-    tolerance) runs the pass again over every pair.
+    prune, and the margin from a pass of its own that scans every pair, on
+    its first read.  A ``"margin"`` read on the grid fills the boundary hit
+    alone, which the candidates decide: every pair at the boundary is one.
 
     ``reads`` declares what the caller reads, and the pass computes only
     that: ``"diameter"``, the largest squared distance (each chunk's
@@ -849,7 +845,6 @@ class PairwiseState:
     _joined_max: float | None = None
     _objective: float | None = None
     _margin: float | None = None
-    _near_margin: float | None = None
     _boundary_hit: bool | None = None
     _stable: bool | None = None
     _degree: np.ndarray | None = None
@@ -987,19 +982,16 @@ class PairwiseState:
         segment = self._segment
         inv = self.distinct.inv
         # a grouped state whose pairs of distinct rows fit one block for its
-        # slabs fills them once and gathers the point j-rows from them
-        # (_gathered_j); sizes[r] counts the points of distinct row r, where
-        # the margin or the labels read them
-        gather = grid is None and inv is not None and slabs * a * a <= _BLOCK_ENTRIES
-        sizes = np.bincount(inv, minlength=a) if gather and (margin or labels) else None
+        # slabs, and whose pass reads only sums and maxima, fills them once
+        # and gathers the point j-rows from them (_gathered_j)
+        gather = (grid is None and inv is not None and slabs * a * a <= _BLOCK_ENTRIES
+                  and not (margin or labels or joins is not None))
         if margin or not truncated:  # a full-support kernel has no boundary
-            self._margin, self._boundary_hit = math.inf, False
+            self._boundary_hit = False
+            if grid is None:  # a grid state's margin comes from a scan (see margin)
+                self._margin = math.inf
         own = None  # the own point of each distinct row, where the margin is read
-        if margin and gather:
-            # the diagonal pair (r, r) stands for the pairs within group r:
-            # a point's pair with itself alone where the group has one point
-            own = np.flatnonzero(sizes == 1)
-        elif margin:
+        if margin and grid is None:
             own = np.arange(a) if self.distinct.first is None else self.distinct.first
         if unstable is not None:
             self._stable = True
@@ -1015,13 +1007,10 @@ class PairwiseState:
         if labels:
             self._roots = np.arange(a)
             self._degree = np.zeros(a, dtype=np.intp) if degrees else None
-        point_joins = None  # the (a, n) join bits, gathered from the (a, a) ones
         if gather:  # the j-rows are the distinct rows, and the next ones' too
             y = at
             if after is not None:
                 after = after[1], after[1]
-            if joins is not None:
-                point_joins, joins = joins, np.zeros((a, a), dtype=bool)
         coords = 0
         if grid is None:  # so that a block's subtracts and multiplies run over contiguous rows
             y, at = _coordinate_rows(y, at)
@@ -1050,13 +1039,9 @@ class PairwiseState:
                     coordinate_sqdist(yj, ar, out=sqd)
                 _checked_max(sqd)
                 np.maximum.at(self._max_sqdist, segment[rows], sqd)
-            if own is not None:
-                if sizes is not None:  # gathered: the one-point groups' diagonal
-                    skip = own, own
-                else:
-                    skip = _self_pairs(own, rows) if col is None else own[col] == rows
-                self._margin = min(self._margin,
-                                   _block_margin(sqd, skip, self.kernel.beta * self.h))
+            if own is not None:  # a block of j-rows against every distinct row
+                self._margin = min(self._margin, _block_margin(
+                    sqd, _self_pairs(own, rows), self.kernel.beta * self.h))
             elif unstable is not None and self._stable:
                 failing = sqd >= unstable[0]
                 failing &= sqd <= unstable[1]
@@ -1065,7 +1050,7 @@ class PairwiseState:
             # over them: in the weights' slab, but where the distances are
             # read again (the joined ones) or the slab takes the post-step ones
             g = profile_args(sqd, self.h, out=w if after is None and not joined_max else None)
-            if own is not None:
+            if margin:  # every pair at the boundary is a candidate of the grid
                 self._boundary_hit = self._boundary_hit or self._hits_boundary(g)
             weigh(g, out[1] if objective else None)
             if joined_max or labels or joins is not None:
@@ -1080,7 +1065,7 @@ class PairwiseState:
                 else:
                     np.maximum.at(self._joined_max, segment[rows], joined_sqd)
             if labels:
-                self._join_chunk(rows, joined, col, sizes)
+                self._join_chunk(rows, joined, col)
             if joins is not None and col is None:  # row r: the points joined to distinct row r
                 joins[:, rows] = joined.T
             elif joins is not None:  # a list of pairs
@@ -1126,8 +1111,6 @@ class PairwiseState:
         entries -= min(entries // 8, coords // slabs)
         if gather:
             sums = _gathered_j(inv, a, slabs, fill)
-            if point_joins is not None:  # point j's bits are its distinct row's
-                joins.take(inv, axis=1, out=point_joins, mode="clip")
         elif grid is not None:
             per_pair = slabs + 2 * d + 4 + 2 * d * (after is not None)
             sums = _candidate_sums(grid, inv, n, a, slabs, fill,
@@ -1144,10 +1127,6 @@ class PairwiseState:
             self._moments = np.ascontiguousarray(sums[mom:pre].T)
         if degrees:  # the pair with its own point is joined exactly when g(0) != 0
             self._degree -= kernel.g0 != 0.0
-        if margin and grid is not None and self._margin > _FAR_MARGIN * radius:
-            # a pair left out may lie nearer the radius: the margin is known
-            # only to be the candidates' or above _FAR_MARGIN of the radius
-            self._margin, self._near_margin = None, self._margin
         if gap:
             total = _ascending_total(self.distinct.expand(sums[pre]))
             if after is not None:
@@ -1176,22 +1155,15 @@ class PairwiseState:
                 grid = None
         return grid
 
-    def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None,
-                    sizes: np.ndarray | None) -> None:
+    def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
         # count the chunk's joins per column where the degrees are read, and
-        # join the distinct row of each j-row to every column it reaches
-        # (where ``sizes`` is given, the j-rows are the distinct rows, row r
-        # standing for its sizes[r] points in the degrees).  A
+        # join the distinct row of each j-row to every column it reaches.  A
         # block's pairs whose ends share a root already share a component,
         # so only the pairs that cross two roots are listed (after the first
         # blocks, almost none), and none once every root is 0: the rows then
         # form one component so far, which a test of O(a) tells
         inv, degree = self.distinct.inv, self._degree
-        if sizes is not None:  # the j-rows are the distinct rows: count their points
-            inv = None
-            if degree is not None:
-                degree += sizes @ joined
-        elif degree is not None:
+        if degree is not None:
             degree += (np.count_nonzero(joined, axis=0) if col is None
                        else np.bincount(col[joined], minlength=degree.size))
         if not self._roots.any():
@@ -1240,8 +1212,8 @@ class PairwiseState:
     @property
     def margin(self) -> float:
         """Smallest distance of a pair i != j to the joining radius
-        ``beta * h`` (``inf`` for a full-support kernel).  A state whose pass
-        took the candidate pairs of the grid may scan every pair for it."""
+        ``beta * h`` (``inf`` for a full-support kernel).  A state that takes
+        the grid finds it by a pass of its own that scans every pair."""
         if self._margin is None:
             self._pass({"margin"}, scan=True)
         return self._margin
@@ -1326,24 +1298,20 @@ class PairwiseState:
         """Margin test with tolerance ``stability_tol`` (default ``1e-9 * beta * h``).
 
         At the default tolerance it is the ``"stable"`` read's, unless the
-        margin is known; any other tolerance reads the margin.  Raises
-        ``ValueError`` for a negative or NaN ``stability_tol``.
+        margin is known; any other tolerance reads the margin, which a grid
+        state finds by scanning every pair.  Raises ``ValueError`` for a
+        negative or NaN ``stability_tol``.
         """
         if stability_tol is not None and not stability_tol >= 0:
             raise ValueError(f"stability_tol must be non-negative, got {stability_tol}")
         if not self.kernel.truncated:
             return True
-        radius = self.kernel.beta * self.h
         if stability_tol is None:
-            if self._stable is None and self._margin is None and self._near_margin is None:
+            if self._stable is None and self._margin is None:
                 self._pass({"stable"})
             if self._stable is not None:
                 return self._stable
-            stability_tol = _STABILITY_TOL * radius
-        if (self._margin is None and self._near_margin is not None
-                and stability_tol < _FAR_MARGIN * radius):
-            # the pairs left out of the pass are farther than the tolerance
-            return self._near_margin > stability_tol
+            stability_tol = _STABILITY_TOL * self.kernel.beta * self.h
         return self.margin > stability_tol
 
     @cached_property

@@ -96,8 +96,8 @@ def check_bandwidth(h) -> float:
 
 def check_count(name: str, value, least: int) -> None:
     """Validate a count: raises ``ValueError`` naming ``name`` for anything
-    but an integer (numpy integers accepted) of at least ``least``."""
-    if not isinstance(value, numbers.Integral):
+    but an integer (numpy integers accepted; bools not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"

@@ -206,7 +206,8 @@ class StopRule:
     move_tol: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.move_tol is not None and not self.move_tol >= 0:
             raise ValueError(f"move_tol must be non-negative, got {self.move_tol}")

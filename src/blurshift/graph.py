@@ -109,8 +109,9 @@ def classify(graph: BmsGraph, cfg, kernel: KernelSpec, h: float,
     state = PairwiseState(cfg, kernel, h, {"margin", "closed", "singular"})
     if graph.n != state.n:
         raise ValueError(f"graph has {graph.n} vertices, configuration has {state.n} points")
+    margin = state.margin  # first: a grid state's scan then decides the margin test too
     return GraphClassification(state.closed, state.singular,
-                               state.stable(stability_tol), state.margin)
+                               state.stable(stability_tol), margin)
 
 
 def component_count_bound(n: int, gamma: float, beta: float, h: float, d: int) -> int:

@@ -85,7 +85,7 @@ def simplex_recurrence_step(state: SimplexState, kernel: KernelSpec) -> SimplexS
 
 
 def _check_steps(steps) -> int:
-    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 0):
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     return int(steps)
 

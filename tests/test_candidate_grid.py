@@ -125,8 +125,9 @@ def test_grid_state_equals_scanned_state(kernel_id, d, layout, planted, scale, s
 @pytest.mark.parametrize("kernel_id", ["epanechnikov", "sampled"])
 def test_stable_beyond_the_inflation_reads_the_exact_margin(kernel_id):
     # a pair at 1.5 radii lies in a neighbouring cell, so it is a candidate
-    # and its margin is the candidates' 0.5 radii; a tolerance above 2**-24
-    # of the radius reads the exact margin, which scans every pair
+    # and its margin is the candidates' 0.5 radii; the default test is
+    # decided from the candidates, and any other tolerance reads the exact
+    # margin, which scans every pair
     kernel = _KERNELS[kernel_id]
     h = 0.5
     radius = kernel.beta * h
@@ -134,12 +135,30 @@ def test_stable_beyond_the_inflation_reads_the_exact_margin(kernel_id):
     pts[1] = pts[0] + (1.5 * radius, 0.0)
     state = PairwiseState(pts, kernel, h, _READS)
     assert state._grid is not None
-    assert state._margin is None and state._near_margin == pytest.approx(0.5 * radius)
+    assert state._margin is None  # a grid state's margin comes from a scan
     assert state.stable()
     assert state._margin is None  # decided from the candidates
     want = _scanned(pts, kernel, h)
     for tol in (0.25 * radius, 0.5 * radius, 0.75 * radius):
         assert state.stable(tol) == want.stable(tol)
+    assert _bits(state.margin) == _bits(want.margin)
+
+
+@pytest.mark.parametrize("kernel_id", ["epanechnikov", "cosine"])
+@pytest.mark.parametrize("planted", [True, False])
+def test_grid_margin_read_fills_the_boundary_hit_alone(kernel_id, planted):
+    # every pair at beta * h lies in a neighbouring cell, so the candidates
+    # decide the boundary hit; the margin is left to a scan of every pair
+    kernel = _KERNELS[kernel_id]
+    v, h = representable_boundary_pair(1.0)
+    radius = kernel.beta * h
+    pts = np.arange(300.0)[:, None] * (3.0 * radius) * np.ones(2)
+    pts[1] = pts[0] + (v if planted else 1.5 * radius, 0.0)
+    state = PairwiseState(pts, kernel, h, {"margin"})
+    assert state._grid is not None
+    assert state._margin is None and state._boundary_hit is planted
+    want = _scanned(pts, kernel, h)
+    assert state.boundary_hit == want.boundary_hit
     assert _bits(state.margin) == _bits(want.margin)
 
 

@@ -156,7 +156,7 @@ def test_stable_read_equals_the_margin_test(data):
 def _assert_stable_read_equals_the_margin_test(pts, kernel, h, layout):
     state = PairwiseState(pts, kernel, h, {"stable"})
     assert state._stable is not None and state._margin is None
-    assert state._near_margin is None and state._boundary_hit is None
+    assert state._boundary_hit is None
     assert (state._grid is not None) == (layout == "grid")
     if layout == "grouped":
         assert state.distinct.inv is not None

@@ -275,7 +275,7 @@ class TestRunDriver:
         with pytest.raises(ValueError):
             StopRule(move_tol=-1.0)
 
-    @pytest.mark.parametrize("max_iter", [math.nan, 2.5, "3", None])
+    @pytest.mark.parametrize("max_iter", [math.nan, 2.5, "3", None, True])
     def test_non_integer_max_iter_rejected(self, max_iter):
         # range() in the driver would fail on it with a TypeError mid-run
         with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):

@@ -1,12 +1,14 @@
 """A grouped state whose pairs of distinct rows fit one block fills their
-terms once and gathers each point's j-row from them (``_gathered_j``): every
-read is bitwise what the same points give without a grouping, signed zeros
-included, and no term block outlives its pass."""
+terms once and gathers each point's j-row from them (``_gathered_j``) in a
+pass that reads only sums and maxima: every read is bitwise what the same
+points give without a grouping, signed zeros included, and no term block
+outlives its pass."""
 
 import struct
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,3 +144,50 @@ def test_degrees_count_the_points_of_each_group():
     assert state._degree.tolist() == [99, 100, 0]
     assert state.closed == flat.closed is False
     assert np.array_equal(state.labels, flat.labels)
+
+
+# each read, what its state declares, and whether its passes gather: only
+# the sums and the maxima do
+_READ_PATHS = [
+    ("update", {"update"}, True, lambda state, moved: state.update().tobytes()),
+    ("moments", {"moments"}, True, lambda state, moved: state.moments().tobytes()),
+    ("objective", {"objective"}, True, lambda state, moved: _bits(state.objective)),
+    ("gap", {"gap"}, True, lambda state, moved: _bits(state.minorizer_gap(moved))),
+    ("diameter", {"diameter"}, True, lambda state, moved: _bits(state.diameter)),
+    ("singular", {"singular"}, True,
+     lambda state, moved: (state.singular, _bits(state._joined_max_sqdist()))),
+    ("stable", {"stable"}, True, lambda state, moved: state.stable()),
+    ("margin", {"margin"}, False, lambda state, moved: _bits(state.margin)),
+    ("boundary_hit", {"margin"}, False, lambda state, moved: state.boundary_hit),
+    ("labels", {"labels"}, False, lambda state, moved: state.labels.tobytes()),
+    ("closed", {"closed"}, False,
+     lambda state, moved: (state.closed, state.distinct.expand(state._degree).tobytes())),
+    ("joined_rows", {"labels"}, False,  # as build_graph reads them
+     lambda state, moved: state.distinct.expand(state.joined_rows()).tobytes()),
+]
+
+
+@pytest.mark.parametrize("kernel_id", ["epanechnikov", "biweight", "tricube"])
+@pytest.mark.parametrize("name,reads,gathers,read", _READ_PATHS,
+                         ids=[path[0] for path in _READ_PATHS])
+def test_only_sums_and_maxima_gather(kernel_id, name, reads, gathers, read):
+    kernel = bs.builtin(kernel_id)
+    v, h = representable_boundary_pair(1.0)  # a pair at beta * h hits the boundary
+    rng = np.random.default_rng(7)
+    sites = np.vstack([[0.0, 0.0], [v, 0.0], rng.uniform(-0.5, 0.5, size=(6, 2))])
+    pts = sites[rng.permutation(np.arange(200) % sites.shape[0])]
+    moved = 0.5 * pts + 0.125  # keeps the groups
+    calls = []
+    gathered_j = _pairwise._gathered_j
+
+    def counted(*args):
+        calls.append(args)
+        return gathered_j(*args)
+
+    with mock.patch.object(_pairwise, "_gathered_j", counted):
+        state = PairwiseState(pts, kernel, h, reads)
+        got = read(state, moved)
+    assert state.distinct.a == sites.shape[0] and state._grid is None
+    assert bool(calls) == gathers, name
+    flat = PairwiseState(pts, kernel, h, reads, DistinctRows(pts, grouped=False))
+    assert got == read(flat, moved)

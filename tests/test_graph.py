@@ -152,7 +152,11 @@ class TestComponentBound:
     ("direction count", lambda: direction_set(2, 2.5)),
     ("d", lambda: bs.component_count_bound(10, 1.0, math.sqrt(2), 1.0, 2.5)),
     ("gamma", lambda: bs.component_count_bound(10, math.nan, math.sqrt(2), 1.0, 2)),
-], ids=["fractional-direction-count", "fractional-dimension", "nan-gamma"])
+    # bool is an integer type, but True is no count
+    ("d", lambda: direction_set(True)),
+    ("n", lambda: bs.component_count_bound(True, 1.0, math.sqrt(2), 1.0, 2)),
+], ids=["fractional-direction-count", "fractional-dimension", "nan-gamma", "bool-dimension",
+        "bool-point-count"])
 def test_bad_count_or_distance_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()

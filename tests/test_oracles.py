@@ -160,7 +160,7 @@ class TestEngineAgreement:
                 prev = off[0]
 
 
-@pytest.mark.parametrize("steps", [-1, -2, 2.5, math.nan, "3"])
+@pytest.mark.parametrize("steps", [-1, -2, 2.5, math.nan, "3", True])
 @pytest.mark.parametrize("call", [
     lambda steps: bs.simplex_radius_sequence(GAUSS, 2, 1.0, 0.99, steps),
     lambda steps: bs.population_sequence(1.0, 1.0, steps),

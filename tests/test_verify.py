@@ -137,6 +137,13 @@ class TestOneDriver:
         with pytest.raises(ValueError, match="directions must be an integer, got 2.5"):
             run_verify(blob_points(20), bs.builtin("epanechnikov"), 1.5, directions=2.5)
 
+    @pytest.mark.parametrize("name", ["directions", "fuzz"])
+    def test_bool_count_rejected_by_name(self, name):
+        # bool is an integer type: directions=True would reach numpy's
+        # direction sampling and fail there with a TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+            run_verify(blob_points(20), bs.builtin("epanechnikov"), 1.5, **{name: True})
+
     def test_overflowing_component_bound_passes(self):
         # 20 points spread over [0, 1000]^50 at h = 1e-3: the packing bound
         # (1 + 2 gamma / (beta h))^50 exceeds every float, so the bound is n
