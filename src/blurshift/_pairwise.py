@@ -767,6 +767,14 @@ class PairwiseState:
     every sum it reads is symmetric), whatever the kernel.  Each
     chunk's squared distances against the a distinct rows give the weights
     (exactly symmetric, so the weight of j-row j in column r is ``g_rj``).
+    A pass that reads the moments writes each pair's coordinate differences
+    ``y_r - y_j`` into the moments' slabs first and takes the squared
+    distances from them (``coordinate_sqdist``'s ``diff``), so it subtracts
+    each pair's coordinates once, in row blocks, the gathered block, the
+    grid's pair lists and a batch's stacks alike; a negated difference
+    squares to the same bits and the squares add in ascending k, so the
+    distances are :func:`pairwise_sqdist`'s, bit for bit.  The moments'
+    terms are those differences times the weights.
     The state keeps no chunk: a full-support kernel joins every pair, and a
     truncated kernel's joins (``g != 0``) are counted and labelled as the
     chunks go by, so every state holds O(n d).
@@ -1030,13 +1038,14 @@ class PairwiseState:
             w = out[0]
             yj, ar = _pair_ends(y, at, rows, col)
             sqd = out[pre] if gap and after is None else w
+            diff = out[mom:pre] if pre > mom else None  # the moments' slabs
             if segment is None:  # within the bounding box's bound, checked already
-                coordinate_sqdist(yj, ar, out=sqd)
+                coordinate_sqdist(yj, ar, out=sqd, diff=diff)
                 if chunk_max:
                     self._max_sqdist = max(self._max_sqdist, float(sqd.max()))
             else:  # a stack's pairs: the largest of each configuration
                 with np.errstate(over="ignore"):  # an overflow raises by name just below
-                    coordinate_sqdist(yj, ar, out=sqd)
+                    coordinate_sqdist(yj, ar, out=sqd, diff=diff)
                 _checked_max(sqd)
                 np.maximum.at(self._max_sqdist, segment[rows], sqd)
             if own is not None:  # a block of j-rows against every distinct row
@@ -1077,9 +1086,8 @@ class PairwiseState:
                 del g  # off the peak of the sums' terms
             if update:  # w_jr y_jk of every coordinate k
                 np.multiply(w, yj, out=out[num:mom])
-            if pre > mom:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
-                np.subtract(ar, yj, out=out[mom:pre])
-                out[mom:pre] *= w
+            if diff is not None:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
+                diff *= w
             if gap and after is not None:  # the post-step distances
                 coordinate_sqdist(*_pair_ends(*after, rows, col), out=out[pre])
             if gap:

@@ -123,12 +123,24 @@ def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None,
     return coordinate_sqdist(points.T[:, :, None], others.T[:, None, :], out)
 
 
-def coordinate_sqdist(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def coordinate_sqdist(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
+                      diff: np.ndarray | None = None) -> np.ndarray:
     """``sum_k (p[k] - q[k])**2`` for two stacks of coordinate arrays that
     broadcast against each other, in :func:`pairwise_sqdist`'s order: the
     coordinates are added one at a time in ascending k.  Both the full
     matrix (``p[k]`` a column, ``q[k]`` a row) and a list of pairs (``p[k]``
-    and ``q[k]`` gathered per pair) give every entry the same bits."""
+    and ``q[k]`` gathered per pair) give every entry the same bits.
+
+    Given ``diff``, an array of the broadcast shape, the differences
+    ``q - p`` are written there first and squared from it, so a caller
+    that reads them too subtracts each coordinate once: a negated
+    difference squares to the same bits, so every entry keeps them."""
+    if diff is not None:
+        np.subtract(q, p, out=diff)
+        total = np.multiply(diff[0], diff[0], out=out)
+        for k in range(1, len(diff)):
+            total += diff[k] * diff[k]
+        return total
     total = np.subtract(p[0], q[0], out=out)
     total *= total
     for k in range(1, len(p)):

@@ -122,6 +122,19 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(x * x, axis=None)))
 
 
+def _distinct_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    # rng.choice(n, size=2, replace=False)'s pair, with the generator left in
+    # the same state, from three bounded draws and without choice's
+    # overhead: choice runs Floyd's algorithm (i from [0, n - 2], then j from
+    # [0, n - 1], taking n - 1 where j == i) and a one-swap shuffle (a draw
+    # from [0, 1] that swaps the two on 0)
+    i = int(rng.integers(n - 1))
+    j = int(rng.integers(n))
+    if j == i:
+        j = n - 1
+    return (j, i) if rng.integers(2) == 0 else (i, j)
+
+
 def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
     """Random configuration with occasional planted structure.
 
@@ -143,13 +156,13 @@ def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
     points = rng.uniform(-1.5, 1.5, size=(n, d))
     points *= radius
     if rng.random() < 0.3:
-        i, j = rng.choice(n, size=2, replace=False)
+        i, j = _distinct_pair(rng, n)
         points[j] = points[i]
     if truncated and rng.random() < 0.6:
         offsets = (_EDGE_OFFSETS if kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
                    else _SMOOTH_OFFSETS)
         offset = offsets[rng.integers(len(offsets))]  # rng.choice's draw, without its overhead
-        i, j = rng.choice(n, size=2, replace=False)
+        i, j = _distinct_pair(rng, n)
         direction = rng.standard_normal(d)
         direction /= _norm(direction)
         # points[i] + direction * radius * (1 + offset), in place

@@ -1,3 +1,7 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from blurshift.engine import StopRule
 
 EPA = bs.builtin("epanechnikov")
 GAUSS = bs.builtin("gaussian")
+GOLDEN_D2 = Path(__file__).parent / "golden" / "d2.csv"
 
 
 def blob_pair(seed=42, n_per=40):
@@ -104,6 +109,33 @@ class TestCluster:
         with pytest.raises(ValueError, match="overflow"):
             bs.cluster([[0.0, 0.0], [1e159, 0.0], [5e160, 0.0], [5.1e160, 0.0]],
                        EPA, h=1e150)
+
+    @pytest.mark.parametrize("kernel_id", ["epanechnikov", "gaussian", "biweight"])
+    def test_every_scale_fails_by_name_or_stays_finite(self, kernel_id):
+        # tests/golden/d2.csv and h = 1 scaled by 2**k across the float
+        # range, every 37th k from -1074 to 1023: a run raises a ValueError
+        # that names the bandwidth or the overflow, or it gives finite
+        # representatives, merge tolerance and diameters and labels 1..M.
+        # 40 steps keep gaussian off its 10 000 default steps
+        pts = np.loadtxt(GOLDEN_D2, delimiter=",")
+        ran = refused = 0
+        for k in range(-1074, 1024, 37):
+            try:
+                result = bs.cluster(np.ldexp(pts, k), bs.builtin(kernel_id),
+                                    math.ldexp(1.0, k), stop=StopRule(max_iter=40))
+            except ValueError as err:
+                assert re.match(r"bandwidth \S+ is out of range|squared pairwise distances "
+                                r"overflow", str(err)), (k, str(err))
+                refused += 1
+                continue
+            diameter = result.run.initial_diameter
+            merge_tol = 1e-8 * diameter  # cluster's default
+            assert math.isfinite(merge_tol) and math.isfinite(bs.diameter(result.final)), k
+            assert np.all(np.isfinite(result.representatives)), k
+            assert result.representatives.shape == (result.M, 2), k
+            assert np.array_equal(np.unique(result.labels), np.arange(1, result.M + 1)), k
+            ran += 1
+        assert ran and refused
 
     def test_records_are_the_runs(self):
         result = bs.cluster(blob_pair(), EPA, 0.8)

@@ -37,6 +37,14 @@ class TestExtents:
             with pytest.raises(ValueError, match="direction must be finite"):
                 directional_extents([[0.0, 0.0]], bad)
 
+    def test_direction_of_another_width_rejected_by_name(self):
+        # a wider direction used to give a plausible (0.0, 0.0), a narrower
+        # one a bare numpy IndexError
+        for bad, width in (([0.0, 0.0, 1.0], 3), ([1.0], 1)):
+            with pytest.raises(ValueError, match=rf"shape \(2,\) for points in R\^2, "
+                                                 rf"got shape \({width},\)"):
+                directional_extents([[1.0, 2.0], [3.0, -1.0]], bad)
+
     def test_direction_count_below_one_rejected(self):
         for count in (0, -3):
             with pytest.raises(ValueError, match=f"direction count must be at least 1, got {count}"):
@@ -201,6 +209,31 @@ class TestNesting:
         dirs = direction_set(1, 8)
         grew = interval_nesting_violation([[0.0], [1.0]], [[-0.5], [1.5]], dirs)
         assert grew == pytest.approx(0.5, abs=1e-12)
+
+
+    def test_directions_of_another_width_rejected_by_name(self):
+        a = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
+        # direction_set(3) used to give a plausible 0.0, direction_set(1) and
+        # a 1-D direction a bare numpy IndexError
+        for bad, shape in ((direction_set(3), r"\(256, 3\)"), (direction_set(1), r"\(256, 1\)"),
+                           (np.array([1.0, 0.0]), r"\(2,\)"), (np.zeros((0, 2)), r"\(0, 2\)")):
+            with pytest.raises(ValueError, match=r"shape \(m, 2\) with m >= 1 for points in "
+                                                 r"R\^2, got shape " + shape):
+                interval_nesting_violation(a, 0.5 * a, bad)
+
+    def test_non_finite_directions_rejected_by_name(self):
+        a = np.array([[0.0, 1.0], [2.0, -1.0]])
+        dirs = direction_set(2, 8)
+        for value in (math.nan, math.inf, -math.inf):
+            bad = dirs.copy()
+            bad[5, 1] = value  # a NaN used to give a nan violation
+            with pytest.raises(ValueError, match=rf"directions must be finite, got {value} "
+                                                 rf"at index \(5, 1\)"):
+                interval_nesting_violation(a, 0.5 * a, bad)
+
+    def test_configurations_of_two_dimensions_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"the configurations lie in R\^2 and R\^3"):
+            interval_nesting_violation([[0.0, 1.0]], [[0.0, 1.0, 2.0]], direction_set(2, 8))
 
 
 class TestRateEstimation:
