@@ -75,14 +75,16 @@ gap's at n = 500 do (4 to 30 ms on a 2-CPU x86-64 VM), the run times
 ``CALLS`` calls in all and counts their median: one fuzz call of 10 to
 30 ms in a fresh interpreter swung by a fifth from one invocation to the
 next.  Each timed call records its wall seconds (``time.perf_counter``)
-and its CPU seconds (``time.process_time``, every thread of the process);
-on a busy machine the CPU time moves less than the wall time, but it is
-not the same quantity.  A record holds the median wall and CPU times over
+and its CPU seconds (``time.process_time``, every thread of the process,
+OpenBLAS worker threads that spin included, so a single-threaded call can
+read up to about twice its wall time); on a busy machine the CPU time
+moves less than the wall time, but it is not the same quantity.  A record holds the median wall and CPU times over
 the runs with their quartiles, every run's time and every call's, and the
 median peak.  Each tree's entry also records its ``environment``: the CPUs
-the process may use, the CPU model, Python, numpy, and numpy's baseline
-SIMD features and the dispatch targets it found, so that a move of host
-between two files shows.
+the process may use, the CPU model, Python, numpy, numpy's baseline SIMD
+features and the dispatch targets it found, so that a move of host
+between two files shows, and the ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` that the runs inherit.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ def blobs(n: int) -> np.ndarray:
     return centres[rng.integers(0, 4, size=n)] + rng.normal(scale=0.4, size=(n, 2))
 
 
-def sparse_square(n: int) -> np.ndarray:
-    """A uniform square, standardized per axis (seed 0)."""
-    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
+def sparse_square(n: int, seed: int = 0) -> np.ndarray:
+    """A uniform square, standardized per axis."""
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
     return (pts - pts.mean(axis=0)) / pts.std(axis=0)
 
 
@@ -387,7 +389,10 @@ def main(argv=None) -> int:
                 f"alternate per cell and the first tree alternates per repeat; a run "
                 f"whose first call takes under {SHORT_CALL_S} s times {CALLS} calls "
                 f"and counts their median",
-        "cpu": "time.process_time of the same timed calls, summarised as the wall",
+        "cpu": "time.process_time of the same timed calls, summarised as the wall; it "
+               "counts every thread of the process, OpenBLAS worker threads that spin "
+               "included, so a single-threaded call can read up to about twice its wall "
+               "(see the environment's OPENBLAS_NUM_THREADS and OMP_NUM_THREADS)",
         "peak": "median tracemalloc peak of one further call per run",
         "fixed_point": "cluster with StopRule(move_tol=0.0)",
         "read": "the ops ending in _read also read the cluster's records",
@@ -410,6 +415,8 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "numpy": np.__version__,
         "numpy_simd": numpy_simd(),
+        # the BLAS thread counts the runs inherit (None: the library's default)
+        **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     for tree, entry in measure(trees, grid).items():

@@ -17,10 +17,10 @@ through the point-to-position map where a point row is needed.  Coincident
 points also blur alike, so the iteration hands each step's grouping to the
 next (:meth:`DistinctRows.after`), which groups the a blurred positions
 instead of the n points.  Where the a x a pairs of distinct rows fit one
-block for a pass's slabs, the pass takes no grid and it reads only sums
-and maxima, each of those pairs is evaluated once, and every chunk of
-point j-rows is gathered from their terms (:func:`_gathered_j`) and added
-as a chunk of computed j-rows is.
+block for a pass's slabs and the pass reads only sums and maxima, it may
+evaluate each of those pairs once and gather every chunk of point j-rows
+from their terms (:func:`_gathered_j`), adding it as a chunk of computed
+j-rows is added.
 
 Every state is built in one pass over chunks of j-rows (a distinct
 positions wide).  Each chunk gives its weights, which the kernel's
@@ -51,25 +51,32 @@ only a box of inf scans for the largest squared distance, which raises by
 name when it overflows.
 
 The weights, the objective's terms and the gap's terms are symmetric in
-the pair, bit for bit.  So a pass of an ungrouped state that scans every
-pair and sums only those (the post-step gap's pass among them) fills only
-the square tiles on and above the diagonal of its n x n pairs, each of a
-chunk's entries (:func:`_tiled_j`), and adds a transposed copy of each
-tile above the diagonal into the mirrored columns, in the same order.
+the pair, bit for bit.  So a pass of an ungrouped state that sums only
+those (the post-step gap's pass among them) may fill only the square tiles
+on and above the diagonal of its n x n pairs, each of a chunk's entries
+(:func:`_tiled_j`), and add a transposed copy of each tile above the
+diagonal into the mirrored columns, in the same order.
 
 A truncated kernel joins a pair only within its radius ``beta * h``.  So
-where a truncated state's pairs span several blocks and few of them lie in
-neighbouring cells of a grid of side ``beta * h``, cut into sub-cells
-along a second axis (:func:`_cell_ranges`, after the fixed-radius grid of
-Bentley, Stanat and Williams, 1977), the pass evaluates only those
-candidate pairs, with the same formulas, and sums them per column with
-``np.bincount`` in the same order; every pair left out adds a zero term,
-so no bit moves.  The candidates decide everything,
+where a truncated state's pairs span several blocks, a grid of side
+``beta * h``, cut into sub-cells along a second axis (:func:`_cell_ranges`,
+after the fixed-radius grid of Bentley, Stanat and Williams, 1977), lists
+each row's candidates: the rows in neighbouring cells.  A pass may
+evaluate only those candidate pairs, with the same formulas, and sum them
+per column with ``np.bincount`` in the same order; every pair left out
+adds a zero term, so no bit moves.  The candidates decide everything,
 the gap's post-step term and the join bits included, but the diameter,
 which the bounding-box prune finds, and the exact margin, which a read of
-``margin`` finds by scanning every pair.  The terminal grouping of
-``cluster`` (:func:`single_linkage_labels`) takes its pairs from the same
-grid at its own radius.
+``margin`` finds by scanning every pair.
+
+Each pass takes its pairs from one of these sources: the row blocks, the
+tiles, the gathered distinct rows, the grid's candidates or, for a batch,
+its stack (below).  One rule (:func:`_pair_source`) picks it: of the
+sources eligible for the pass, the one whose counted entries cost least by
+the per-entry costs ``_ENTRY_COST``, which ``bench/pair_sources.py``
+measures.  The terminal grouping of ``cluster``
+(:func:`single_linkage_labels`) picks between a scan and the same grid at
+its own radius by the same rule.
 
 Many small configurations, such as ``run_verify``'s fuzz probes, share
 one pass of that kind (:meth:`PairwiseState.batch`): stacked, each row's
@@ -237,20 +244,55 @@ def _gathered_j(inv: np.ndarray, width: int, slabs: int, fill) -> np.ndarray:
     return acc[:, :width]
 
 
-# A truncated state whose pairs span several blocks sums only its
-# candidate pairs (see _cell_ranges) when they number at most this share of
-# its n * a pairs, and the terminal grouping (single_linkage_labels) tests
-# only its candidates when they number at most this share of its a * a.
-# Epanechnikov states of 1000 and 2000 points on a uniform square, built
-# for the update alone, took 0.5 to 0.7 of the scan's time on the grid at
-# shares near 0.2 and 0.65 to 0.9 near 0.25 to 0.29, where the two break
-# even (measured with 3 x 3 whole cells, whose ranges came from binary
-# searches; the sub-cells cut the shares by about a fifth).  A
-# share of 0.35 put the four-blob states of bench/scaling.py on the grid
-# and slowed them: cluster of 4000 points took 0.66 s against 0.49 s
-# (run_verify of 2000 points held at 0.51 s); with the sub-cells their
-# shares are 0.21 to 0.26, so they stay off it.
-_GRID_SHARE = 0.2
+# The time of one counted entry of each pair source, relative to one of
+# the row blocks, as bench/pair_sources.py fits them to its timed passes:
+# the costs at which the rule's picks lose least against the fastest
+# source, each pass's loss relative to that source's time.  The row
+# blocks count their n * a pairs; the tiles the n * (n + 1) / 2 pairs on
+# and above the diagonal; the gathered rows the
+# a * a distinct pairs and the n * a gathered entries; the grid its
+# candidate pairs and the a running totals that each chunk of them copies
+# and adds to, which tell the grid's time at every n (per candidate alone,
+# it ran 3.7 times a row entry at n = 400 and 6.9 times at n = 4000).
+_ENTRY_COST = {"rows": 1.0, "gathered": 0.198, "tiles": 1.64, "grid": 3.02}
+
+
+def _pair_entries(n: int, a: int, slabs: int, plain: bool, symmetric: bool,
+                  candidates: int | None, chunk: int) -> dict[str, int]:
+    """The counted entries of each source eligible for a pass over the pairs
+    of n j-rows and a distinct rows (see ``_ENTRY_COST``).
+
+    The row blocks (``"rows"``) are always eligible; the gathered distinct
+    rows (``"gathered"``) where the rows are grouped (a < n), the pass fills
+    ``plain`` sums and maxima alone and the a x a pairs fit one block for
+    its ``slabs``; the tiles (``"tiles"``) where they are not and every sum
+    is ``symmetric`` in the pair; and the grid (``"grid"``) where it has
+    ``candidates`` (not None), listed in chunks of about ``chunk``.
+    """
+    entries = {"rows": n * a}
+    if a < n and plain and slabs * a * a <= _BLOCK_ENTRIES:
+        entries["gathered"] = a * a + n * a
+    if a == n and symmetric:
+        entries["tiles"] = n * (n + 1) // 2
+    if candidates is not None:
+        entries["grid"] = candidates + a * -(-candidates // chunk)
+    return entries
+
+
+def _pair_source(n: int, a: int, slabs: int, plain: bool, symmetric: bool,
+                 candidates: int | None, chunk: int, stacked: bool = False) -> str:
+    """The source of a pass over the pairs of n j-rows and a distinct rows:
+    a stack of configurations takes its pair lists (``"stack"``), since
+    every other source would pair rows of two configurations; otherwise the
+    eligible source (:func:`_pair_entries`) whose counted entries cost least
+    by ``_ENTRY_COST``, the first in the order rows, gathered, tiles, grid
+    on a tie."""
+    if stacked:
+        return "stack"
+    entries = _pair_entries(n, a, slabs, plain, symmetric, candidates, chunk)
+    return min(entries, key=lambda source: _ENTRY_COST[source] * entries[source])
+
+
 # The grid's cells are wider than the joining radius by this factor, so
 # that rounding never brings a pair of rows whose cells do not touch within
 # the radius.
@@ -270,7 +312,7 @@ _SUB = 4
 _TABLE_KEYS = 1 << 16
 
 
-def _cell_ranges(rows: np.ndarray, radius: float):
+def _cell_ranges(rows: np.ndarray, radius: float, h: float = math.inf):
     """Candidate rows of each of ``rows`` from a grid of cells of side
     ``radius * (1 + 2**-20)`` along the widest axis, each cut into
     ``_SUB`` sub-cells along the second-widest axis.
@@ -290,15 +332,20 @@ def _cell_ranges(rows: np.ndarray, radius: float):
     beyond ``radius * (1 + 2**-21)``: its squared distance, each rounding
     of which is monotone, exceeds the rounded ``radius**2`` while that is a
     normal number, so the pair is not within the radius of
-    ``single_linkage_labels``; and its profile argument exceeds
-    ``beta**2 / 2``, so it is not joined, adds zero terms, misses the
-    support boundary and passes the margin test at its default tolerance,
-    ``1e-9 * radius``.  Returns
-    None where some ``|q|`` reaches ``2**30``; below it, cell keys stay
+    ``single_linkage_labels``; and its profile argument at bandwidth ``h``
+    (``radius = beta * h``) exceeds ``beta**2 / 2`` while ``2 * h * h`` is
+    normal, so it is not joined, adds zero terms, misses the support
+    boundary and passes the margin test at its default tolerance,
+    ``1e-9 * radius``.  Returns None where the grid cannot decide the pairs
+    so: where ``radius`` or ``h`` (inf for a test of squared distances
+    alone) lies below ``2**-500``, where ``radius**2`` overflows,
+    and where some ``|q|`` reaches ``2**30``; below it, cell keys stay
     below 2**63.  The ranges come from a count of the rows below each key
     where the grid has at most ``_TABLE_KEYS`` keys, and from binary
     searches of the sorted keys otherwise: the same arrays either way.
     """
+    if not (2.0 ** -500 <= min(radius, h) and math.isfinite(radius * radius)):
+        return None
     side = radius * _CELL_SIDE
     coords = np.ascontiguousarray(rows.T)
     axes = np.argsort(-(coords.max(axis=1) - coords.min(axis=1)), kind="stable")[:2]
@@ -331,15 +378,13 @@ def _cell_ranges(rows: np.ndarray, radius: float):
 
 
 def _candidate_pairs(grid, inv, n: int, entries: int):
-    """The candidate pairs ``(j, col)`` of ``grid`` (see :func:`_cell_ranges`)
+    """The candidate pairs ``(j, col)`` of ``grid``, the ranges of
+    :func:`_cell_ranges` followed by the count of each j-row's candidates,
     of the j-rows ``0..n-1``, whose distinct row is ``inv[j]`` (``j`` when
     ``inv`` is None), in chunks of consecutive j-rows of about ``entries``
     pairs each (one j-row at least): listed in ascending j, each j-row's
     ranges in turn."""
-    order, starts, stops = grid
-    per_j = (stops - starts).sum(axis=0)
-    if inv is not None:
-        per_j = per_j[inv]
+    order, starts, stops, per_j = grid
     ends = np.cumsum(per_j)
     start = 0
     while start < n:
@@ -601,26 +646,24 @@ def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
 
     Coincident points are always joined, so the graph is built over the a
     distinct rows only (see :class:`DistinctRows`), and no a x a array is
-    allocated.  Where the rows' pairs span several blocks, the candidates
-    of a grid of cells (:func:`_cell_ranges`) number at most
-    ``_GRID_SHARE`` of them, and ``radius ** 2`` is a finite normal number,
-    only the candidates are tested, in chunks of about ``_BLOCK_ENTRIES``
-    pairs: every pair left out lies farther than ``radius``, bit for bit.
-    Otherwise the squared distances are scanned one row block at a time.
-    Either way only the pairs within ``radius`` whose ends have two roots
-    so far go to :func:`_union`, whose labels depend on the components
-    alone.
+    allocated.  Where the rows' pairs span several blocks and a grid of
+    cells (:func:`_cell_ranges`) decides them exactly, the rule of the
+    pairwise passes (:func:`_pair_source`) picks between its candidates,
+    tested in chunks of about ``_BLOCK_ENTRIES`` pairs (every pair left out
+    lies farther than ``radius``, bit for bit), and the a x a squared
+    distances, scanned one row block at a time.  Either way only the pairs
+    within ``radius`` whose ends have two roots so far go to
+    :func:`_union`, whose labels depend on the components alone.
     """
     distinct = DistinctRows(points)
     rows, a = distinct.rows, distinct.a
     limit = radius * radius
     labels = np.arange(a)
-    grid = None
-    if a * a > _BLOCK_ENTRIES and 2.0 ** -500 <= radius and math.isfinite(limit):
-        grid = _cell_ranges(rows, radius)
-        if grid is not None and (grid[2] - grid[1]).sum() > _GRID_SHARE * a * a:
-            grid = None
-    if grid is None:
+    grid = _cell_ranges(rows, radius) if a * a > _BLOCK_ENTRIES else None
+    if grid is not None:  # with the candidates of each row
+        grid = (*grid, (grid[2] - grid[1]).sum(axis=0))
+    candidates = None if grid is None else int(grid[3].sum())
+    if _pair_source(a, a, 1, False, False, candidates, _BLOCK_ENTRIES) == "rows":
         for block in _row_blocks(a, a):
             near = pairwise_sqdist(rows[block], rows) <= limit
             near &= labels[block, None] != labels
@@ -633,13 +676,6 @@ def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
             near = coordinate_sqdist(*_pair_ends(rows, rows, row, col)) <= limit
             labels = _union(labels, row[near], col[near])
     return distinct.expand(_numbered(labels))
-
-
-def _self_pairs(own: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    # the index in a (rows, a) block of each pair i == j of a distinct row
-    # whose own point (``own``, ascending) is a j-row in ``rows``
-    inside = np.arange(*own.searchsorted((rows.start, rows.stop)))
-    return own[inside] - rows.start, inside
 
 
 def _coordinate_rows(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -662,14 +698,15 @@ def _pair_ends(points: np.ndarray, rows: np.ndarray, j, col):
     return points[:, j, None], (rows if col is None else rows[:, col])[:, None, :]
 
 
-def _block_margin(sqd: np.ndarray, skip: tuple[np.ndarray, np.ndarray],
-                  radius: float) -> float:
-    # smallest |distance - radius| over the block's pairs i != j, where
-    # skip indexes the block's entries of a point against itself
+def _block_margin(sqd: np.ndarray, own: np.ndarray, rows: slice, radius: float) -> float:
+    # smallest |distance - radius| over the pairs i != j of a (rows, a)
+    # block of j-rows ``rows``: the pair of a distinct row with its own
+    # point (``own``, ascending) is skipped where that point is a j-row
     gap = np.sqrt(sqd)
     gap -= radius
     np.abs(gap, out=gap)
-    gap[skip] = math.inf
+    inside = np.arange(*own.searchsorted((rows.start, rows.stop)))
+    gap[own[inside] - rows.start, inside] = math.inf
     return float(np.min(gap))
 
 
@@ -747,26 +784,39 @@ class PairwiseState:
     distance, profile and weight row is evaluated for the a distinct
     positions against all n points.  A coincident point's row is bitwise
     its group's row, so the values read back through ``distinct.inv`` are
-    the ones a full n x n evaluation gives.  A grouped state whose a x a
-    pairs of distinct rows fit one block for a pass's slabs
-    (``slabs * a * a <= _BLOCK_ENTRIES``), in a pass that takes no grid
-    and reads only sums and maxima, evaluates each of those pairs once,
-    into an (a, slabs, a) block of terms, and gathers each chunk of point
-    j-rows from it (:func:`_gathered_j`): the maxima and the default margin
-    test come from the distinct pairs, the sums are gathered, and the
-    post-step gap takes the next configuration's distinct rows.  The block
-    and one chunk hold about two blocks of entries.  A pass that reads the
-    margin, the labels or the join bits runs over the point j-rows.
+    the ones a full n x n evaluation gives.
+
+    Each pass takes its pairs from the source that one rule picks
+    (:func:`_pair_source`): of the sources eligible for the pass (see
+    :func:`_pair_entries`), the one whose counted entries cost least by
+    ``_ENTRY_COST``, as ``bench/pair_sources.py`` measured them relative to
+    an entry of the row blocks (1): the gathered rows' 0.198 per entry of
+    their a * a distinct pairs and n * a gathered entries, the tiles' 1.64
+    per pair on and above the diagonal, and the grid's 3.02 per candidate
+    pair and per running total that a chunk of them copies.
+    - The row blocks (:func:`_ascending_j`) serve every pass.
+    - A grouped state whose a x a pairs of distinct rows fit one block for
+      the pass's slabs (``slabs * a * a <= _BLOCK_ENTRIES``), in a pass that
+      reads only sums and maxima, may evaluate each of those pairs once,
+      into an (a, slabs, a) block of terms, and gather each chunk of point
+      j-rows from it (:func:`_gathered_j`): the maxima and the default
+      margin test come from the distinct pairs, the sums are gathered, and
+      the post-step gap takes the next configuration's distinct rows.  The
+      block and one chunk hold about two blocks of entries.
+    - An ungrouped state whose sums are all symmetric may fill the tiles on
+      and above the diagonal (:func:`_tiled_j`).
+    - A truncated state whose pairs span several blocks may take the grid
+      (below).
+    - A stack of configurations (:meth:`batch`) takes its pair lists.
 
     The constructor first bounds every squared distance by the squared
     diagonal of the distinct rows' bounding box (:func:`_box_overflows`,
     O(a d)); only a box whose bound is inf finds the largest squared
     distance by the bounding-box prune (:func:`_pruned_max_sqdist`), which
     raises by name when it overflows.  It then makes one pass over chunks
-    of j-rows (see :func:`_ascending_j`; tiles, see :func:`_tiled_j`, where
-    every sum it reads is symmetric), whatever the kernel.  Each
-    chunk's squared distances against the a distinct rows give the weights
-    (exactly symmetric, so the weight of j-row j in column r is ``g_rj``).
+    of j-rows, whatever the kernel.  Each chunk's squared distances against
+    the a distinct rows give the weights (exactly symmetric, so the weight
+    of j-row j in column r is ``g_rj``).
     A pass that reads the moments writes each pair's coordinate differences
     ``y_r - y_j`` into the moments' slabs first and takes the squared
     distances from them (``coordinate_sqdist``'s ``diff``), so it subtracts
@@ -779,12 +829,13 @@ class PairwiseState:
     truncated kernel's joins (``g != 0``) are counted and labelled as the
     chunks go by, so every state holds O(n d).
 
-    A truncated state whose a x n pairs span several blocks evaluates only
-    the candidate pairs of a grid of cells (:func:`_cell_ranges`) when they
-    number at most ``_GRID_SHARE`` of its pairs and the grid decides them
-    exactly; its chunks hold candidate pairs (:func:`_candidate_sums`).  It
-    finds the grid once (O(a) indices) and keeps it for every later pass.
-    Every pair left out is farther than ``beta * h``, so it is not joined
+    A truncated state whose a x n pairs span several blocks, and whose grid
+    of cells (:func:`_cell_ranges`) decides them exactly, finds the grid
+    and counts its candidate pairs once (O(a) indices), and keeps both for
+    every later pass.  A pass that takes the grid evaluates only the
+    candidate pairs; its chunks hold candidate pairs
+    (:func:`_candidate_sums`).  Every pair left out is farther than
+    ``beta * h``, so it is not joined
     and adds zero terms, and the candidates give every value above bit for
     bit, but two: the largest squared distance comes from the bounding-box
     prune, and the margin from a pass of its own that scans every pair, on
@@ -923,7 +974,10 @@ class PairwiseState:
             # every row its own: a grouping could join rows of two configurations
             stack.distinct = DistinctRows(stack.cfg.points, grouped=False)
             counts = sizes[order]
-            stack._segment = np.repeat(np.arange(order.size), counts)
+            segment = stack._segment = np.repeat(np.arange(order.size), counts)
+            # each row's candidates: its own configuration's rows
+            low, high = segment.searchsorted(segment), segment.searchsorted(segment, "right")
+            stack._grid = (np.arange(stack.n), low[None], high[None], high - low), None
             # the largest of each configuration, from +0.0
             stack._max_sqdist, stack._joined_max = np.zeros((2, order.size))
             stack._pass({"moments", "labels", "diameter", "singular"})
@@ -940,15 +994,6 @@ class PairwiseState:
                 values.M[order] = np.bincount(stack._segment[roots], minlength=order.size)
         return values
 
-    def _hits_boundary(self, u: np.ndarray) -> bool:
-        # u_ii = 0 lies inside every support, so the diagonal never matches
-        kernel = self.kernel
-        return bool(
-            kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
-            and kernel.boundary_u is not None
-            and np.any(u == kernel.boundary_u)
-        )
-
     def _pass(self, reads, scan: bool = False, after: np.ndarray | None = None,
               joins: np.ndarray | None = None) -> float | None:
         # fill what ``reads`` names; ``scan`` evaluates every pair even where
@@ -957,235 +1002,25 @@ class PairwiseState:
         # are the post-step g_rj ||y'_r - y'_j||^2, and the pass returns
         # their total; ``joins``, an (a, n) boolean array of False, takes the
         # join bits g != 0
-        kernel, h, n, d = self.kernel, self.h, self.n, self.cfg.d
-        y, at, a = self.cfg.points, self.distinct.rows, self.distinct.a
-        if after is not None:
-            after = after, self.distinct.at_first(after)
-        truncated = kernel.truncated
-        update, moments, gap, singular = (
-            name in reads for name in ("update", "moments", "gap", "singular"))
-        shared = kernel.profile is kernel.g
-        objective = "objective" in reads and not shared
-        radius = kernel.beta * h
-        margin = truncated and "margin" in reads
-        unstable = None  # the squared distances that fail the default margin test
-        if truncated and "stable" in reads and not margin:
-            unstable = _unstable_interval(radius, _STABILITY_TOL * radius)
-            margin = unstable is None  # no interval: the exact margin decides
-        labels = truncated and ("labels" in reads or "closed" in reads)
-        # the degrees: closed's, and the labels' where coincident points may stay apart
-        degrees = truncated and ("closed" in reads or (
-            labels and kernel.g0 == 0.0 and self.distinct.inv is not None))
-        joined_max = truncated and singular
-        # slabs: the weights (the denominator's terms; a post-step pass
-        # holds only its gap terms), the objective's terms when read and not
-        # the weights (gaussian), then the d numerators, the d moments and
-        # the gap's terms when read
-        den = after is None
-        num = den + objective
-        mom = num + d * update
-        pre = mom + d * moments
-        slabs = pre + gap
-        grid = None if scan else self._grid
-        segment = self._segment
-        inv = self.distinct.inv
-        # a grouped state whose pairs of distinct rows fit one block for its
-        # slabs, and whose pass reads only sums and maxima, fills them once
-        # and gathers the point j-rows from them (_gathered_j)
-        gather = (grid is None and inv is not None and slabs * a * a <= _BLOCK_ENTRIES
-                  and not (margin or labels or joins is not None))
-        if margin or not truncated:  # a full-support kernel has no boundary
-            self._boundary_hit = False
-            if grid is None:  # a grid state's margin comes from a scan (see margin)
-                self._margin = math.inf
-        own = None  # the own point of each distinct row, where the margin is read
-        if margin and grid is None:
-            own = np.arange(a) if self.distinct.first is None else self.distinct.first
-        if unstable is not None:
-            self._stable = True
-        # a full-support kernel's largest joined distance is the largest
-        chunk_max = (self._max_sqdist is None
-                     and ("diameter" in reads or (singular and not truncated)))
-        if chunk_max and grid is not None:  # the grid's pairs miss the largest
-            self._max_sqdist, chunk_max = _pruned_max_sqdist(at), False
-        elif chunk_max:
-            self._max_sqdist = 0.0
-        if joined_max and segment is None:
-            self._joined_max = 0.0
-        if labels:
-            self._roots = np.arange(a)
-            self._degree = np.zeros(a, dtype=np.intp) if degrees else None
-        if gather:  # the j-rows are the distinct rows, and the next ones' too
-            y = at
-            if after is not None:
-                after = after[1], after[1]
-        coords = 0
-        if grid is None:  # so that a block's subtracts and multiplies run over contiguous rows
-            y, at = _coordinate_rows(y, at)
-            if after is not None:
-                after = _coordinate_rows(*after)
-            coords = (y.size + at.size * (at is not y)) * (1 + (after is not None))
-        weigh = in_place(kernel)
-
-        # the terms of the j-rows ``rows`` against every distinct row, in
-        # (rows, a) blocks (the distinct rows themselves, once, where the
-        # pass gathers), against the rows of a slice ``col`` in a tile of
-        # _tiled_j, or of the pairs (rows[p], col[p]) of the grid.
-        # fill closes over fewer than 20 names: CPython 3.11 keeps every
-        # freed 20-item tuple (such as a closure's) on a free list that it
-        # never takes one back from, so each state would leave 200 B behind
-        def fill(rows, out, col=None):
-            w = out[0]
-            yj, ar = _pair_ends(y, at, rows, col)
-            sqd = out[pre] if gap and after is None else w
-            diff = out[mom:pre] if pre > mom else None  # the moments' slabs
-            if segment is None:  # within the bounding box's bound, checked already
-                coordinate_sqdist(yj, ar, out=sqd, diff=diff)
-                if chunk_max:
-                    self._max_sqdist = max(self._max_sqdist, float(sqd.max()))
-            else:  # a stack's pairs: the largest of each configuration
-                with np.errstate(over="ignore"):  # an overflow raises by name just below
-                    coordinate_sqdist(yj, ar, out=sqd, diff=diff)
-                _checked_max(sqd)
-                np.maximum.at(self._max_sqdist, segment[rows], sqd)
-            if own is not None:  # a block of j-rows against every distinct row
-                self._margin = min(self._margin, _block_margin(
-                    sqd, _self_pairs(own, rows), self.kernel.beta * self.h))
-            elif unstable is not None and self._stable:
-                failing = sqd >= unstable[0]
-                failing &= sqd <= unstable[1]
-                self._stable = not failing.any()
-            # g holds the profile arguments until weigh writes the weights
-            # over them: in the weights' slab, but where the distances are
-            # read again (the joined ones) or the slab takes the post-step ones
-            g = profile_args(sqd, self.h, out=w if after is None and not joined_max else None)
-            if margin:  # every pair at the boundary is a candidate of the grid
-                self._boundary_hit = self._boundary_hit or self._hits_boundary(g)
-            weigh(g, out[1] if objective else None)
-            if joined_max or labels or joins is not None:
-                joined = g != 0.0
-            if joined_max:
-                # the distances are finite, so a joined one times 1.0 is
-                # itself and an unjoined one becomes +0.0; w is free until
-                # it takes the weights
-                joined_sqd = np.multiply(sqd, joined, out=w)
-                if segment is None:
-                    self._joined_max = max(self._joined_max, float(joined_sqd.max()))
-                else:
-                    np.maximum.at(self._joined_max, segment[rows], joined_sqd)
-            if labels:
-                self._join_chunk(rows, joined, col)
-            if joins is not None and col is None:  # row r: the points joined to distinct row r
-                joins[:, rows] = joined.T
-            elif joins is not None:  # a list of pairs
-                joins[col, rows] = joined
-            if after is not None:  # no slab sums the weights: they stay in their own array
-                w = g
-            elif g is not w:  # the joined distances took the weights' slab
-                w[...] = g
-                del g  # off the peak of the sums' terms
-            if update:  # w_jr y_jk of every coordinate k
-                np.multiply(w, yj, out=out[num:mom])
-            if diff is not None:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
-                diff *= w
-            if gap and after is not None:  # the post-step distances
-                coordinate_sqdist(*_pair_ends(*after, rows, col), out=out[pre])
-            if gap:
-                out[pre] *= w
-
-        # a truncated chunk's temporaries (its margin, its joins and, where
-        # they do not lie in a slab, its profile arguments) come on top of
-        # its slabs, so its slabs share three blocks, at most three fifths
-        # of one each: with the profile argument and
-        # the weight of each entry, a chunk of the update's three slabs (or
-        # fewer) then holds three blocks, below a grid chunk, so a run's
-        # peak does not hang on the a of the states whose n x a pairs fit
-        # one chunk (with a block per slab those peaked in proportion to a,
-        # above the grid's).  Each chunk costs a fixed count of numpy calls,
-        # so smaller chunks would slow the states of a few hundred points
-        # (a pair of the grid has 2 d + 4 more: its two ends, their
-        # coordinates, its profile argument and its weight, and 2 d more in
-        # a post-step pass: the coordinates of its ends' next points; and a
-        # grid chunk holds a pairs at least, so that the a running totals
-        # it copies cost no more than its pairs).  An ungrouped state
-        # without a grid whose slabs are all symmetric (the weights, the
-        # objective's and the gap's terms) and whose chunks fill nothing
-        # else but maxima, such as the post-step pass, fills only the tiles
-        # on and above the diagonal of its n x n pairs (_tiled_j), each of
-        # a chunk's entries per slab.  A pass over blocks holds its
-        # coordinate rows beside its chunks, so its slabs give up their
-        # entries, up to an eighth of their own
-        entries = 3 * _BLOCK_ENTRIES // max(slabs, 5) if truncated else _BLOCK_ENTRIES
-        entries -= min(entries // 8, coords // slabs)
-        if gather:
-            sums = _gathered_j(inv, a, slabs, fill)
-        elif grid is not None:
-            per_pair = slabs + 2 * d + 4 + 2 * d * (after is not None)
-            sums = _candidate_sums(grid, inv, n, a, slabs, fill,
-                                   max(a, 3 * _BLOCK_ENTRIES // per_pair))
-        elif inv is None and not (update or moments or margin or labels or joins is not None):
-            sums = _tiled_j(n, slabs, fill, entries)
-        else:
-            sums = _ascending_j(n, a, slabs, fill, entries)
-        if objective or (shared and den):  # the slab below the numerators: the weights' when shared
-            self._objective = _ascending_total(self.distinct.expand(sums[num - 1]))
-        if update:
-            self._update = sums[0], sums[num:mom]
-        if moments:
-            self._moments = np.ascontiguousarray(sums[mom:pre].T)
-        if degrees:  # the pair with its own point is joined exactly when g(0) != 0
-            self._degree -= kernel.g0 != 0.0
-        if gap:
-            total = _ascending_total(self.distinct.expand(sums[pre]))
-            if after is not None:
-                return total
-            self._gap_before = total
+        return _Pass(self, reads, scan, after, joins).run()
 
     @cached_property
     def _grid(self):
-        # the grid of a truncated state whose pairs span several blocks,
-        # when its candidate pairs are few enough (see _GRID_SHARE) and it
-        # decides them exactly (bandwidth and radius far from underflow,
-        # see _cell_ranges); else None.  Found once, for every pass
-        kernel, h, n, a = self.kernel, self.h, self.n, self.distinct.a
-        if self._segment is not None:  # a stack: each row's own configuration's rows
-            segment = self._segment
-            return (np.arange(n), segment.searchsorted(segment)[None],
-                    segment.searchsorted(segment, "right")[None])
-        radius = kernel.beta * h
-        if (not kernel.truncated or n * a <= _BLOCK_ENTRIES
-                or min(h, radius) < 2.0 ** -500):
-            return None
-        grid = _cell_ranges(self.distinct.rows, radius)
-        if grid is not None:
-            per_row = (grid[2] - grid[1]).sum(axis=0)
-            if self.distinct.expand(per_row).sum() > _GRID_SHARE * n * a:
-                grid = None
-        return grid
-
-    def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
-        # count the chunk's joins per column where the degrees are read, and
-        # join the distinct row of each j-row to every column it reaches.  A
-        # block's pairs whose ends share a root already share a component,
-        # so only the pairs that cross two roots are listed (after the first
-        # blocks, almost none), and none once every root is 0: the rows then
-        # form one component so far, which a test of O(a) tells
-        inv, degree = self.distinct.inv, self._degree
-        if degree is not None:
-            degree += (np.count_nonzero(joined, axis=0) if col is None
-                       else np.bincount(col[joined], minlength=degree.size))
-        if not self._roots.any():
-            return
-        if col is None:
-            own = self._roots[rows if inv is None else inv[rows]]
-            cross = own[:, None] != self._roots
-            cross &= joined
-            j, col = np.divmod(np.flatnonzero(cross), joined.shape[1])
-            j += rows.start
-        else:
-            pairs = np.flatnonzero(joined)
-            j, col = rows[pairs], col[pairs]
-        self._roots = _union(self._roots, j if inv is None else inv[j], col)
+        # the candidate pairs of a truncated state whose pairs span several
+        # blocks and whose grid decides them exactly (see _cell_ranges), and
+        # their count, as (the ranges and the count of each j-row's
+        # candidates, the count of all), where some pass can take them: the
+        # grid beats the row blocks in a pass of one slab, whose chunks of
+        # pairs are the largest; else None (a stack's are its
+        # configurations' rows, see batch).  Found once, for every pass
+        kernel, distinct, a = self.kernel, self.distinct, self.distinct.a
+        if kernel.truncated and self.n * a > _BLOCK_ENTRIES:
+            grid = _cell_ranges(distinct.rows, kernel.beta * self.h, self.h)
+            if grid is not None:  # with the candidates of each j-row
+                per_j = distinct.expand((grid[2] - grid[1]).sum(axis=0))
+                count, chunk = int(per_j.sum()), max(a, 3 * _BLOCK_ENTRIES // (2 * self.cfg.d + 5))
+                if _pair_source(self.n, a, 1, False, False, count, chunk) == "grid":
+                    return (*grid, per_j), count
 
     @property
     def max_sqdist(self) -> float:
@@ -1411,3 +1246,219 @@ class PairwiseState:
             self._pass({"gap"})
         after = self._pass({"gap"}, after=nxt)
         return (self._gap_before - after) / (2.0 * self.h * self.h)
+
+
+class _Pass:
+    """One pass of a :class:`PairwiseState` (see its docstring) over the
+    pairs of the source that :func:`_pair_source` picks for its reads.
+
+    The constructor picks the source and sets the state's values that the
+    chunks fill to their starts; :meth:`fill` writes the terms of one
+    chunk, and fills the maxima, the margin and the components from it, in
+    the state; :meth:`run` sums the chunks and keeps the sums in the state.
+    """
+
+    __slots__ = ("state", "source", "joins", "y", "at", "next_y", "next_at", "radius", "weigh",
+                 "boundary_u", "update", "moments", "objective", "gap", "unstable", "labels",
+                 "degrees", "joined_max", "chunk_max", "own", "num", "mom", "pre", "entries")
+
+    def __init__(self, state: PairwiseState, reads, scan: bool, after: np.ndarray | None,
+                 joins: np.ndarray | None):
+        kernel, n, d, distinct = state.kernel, state.n, state.cfg.d, state.distinct
+        a, truncated, grid = distinct.a, kernel.truncated, None if scan else state._grid
+        self.state, self.joins, self.radius = state, joins, kernel.beta * state.h
+        self.update, self.moments, self.gap = "update" in reads, "moments" in reads, "gap" in reads
+        singular = "singular" in reads
+        self.objective = "objective" in reads and kernel.profile is not kernel.g
+        margin = truncated and "margin" in reads
+        self.unstable = None  # the squared distances that fail the default margin test
+        if truncated and "stable" in reads and not margin:
+            self.unstable = _unstable_interval(self.radius, _STABILITY_TOL * self.radius)
+            margin = self.unstable is None  # no interval: the exact margin decides
+            state._stable = None if margin else True  # until a chunk fails the test
+        self.labels = labels = truncated and ("labels" in reads or "closed" in reads)
+        # the degrees: closed's, and the labels' where coincident points may stay apart
+        self.degrees = truncated and ("closed" in reads or (labels and kernel.g0 == 0.0 and a < n))
+        self.joined_max = truncated and singular
+        # slabs: the weights (the denominator's terms; a post-step pass
+        # holds only its gap terms), the objective's terms when read and not
+        # the weights (gaussian), then the d numerators, the d moments and
+        # the gap's terms when read
+        self.num = (after is None) + self.objective
+        self.mom = self.num + d * self.update
+        self.pre = self.mom + d * self.moments
+        slabs = self.pre + self.gap
+        # a pair of the grid has 2 d + 4 more entries: its two ends, their
+        # coordinates, its profile argument and its weight, and 2 d more in
+        # a post-step pass: the coordinates of its ends' next points; and a
+        # grid chunk holds a pairs at least, so that the a running totals
+        # it copies cost no more than its pairs
+        chunk = max(a, 3 * _BLOCK_ENTRIES // (slabs + 2 * d * (1 + (after is not None)) + 4))
+        plain = not (margin or labels or joins is not None)  # sums and maxima alone
+        self.source = _pair_source(n, a, slabs, plain, plain and not (self.update or self.moments),
+                                   grid[1] if grid else None, chunk, state._segment is not None)
+        listed = self.source in ("grid", "stack")
+        # every pair at the boundary is a candidate of the grid
+        self.boundary_u = kernel.boundary_u if margin and (
+            kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED) else None
+        if margin or not truncated:  # a full-support kernel has no boundary
+            state._boundary_hit = False
+            if not listed:  # a grid state's margin comes from a scan (see margin)
+                state._margin = math.inf
+        # the own point of each distinct row, where the margin is read
+        self.own = distinct.points_of(np.arange(a)) if margin and not listed else None
+        # a full-support kernel's largest joined distance is the largest
+        largest = state._max_sqdist is None and ("diameter" in reads or singular and not truncated)
+        self.chunk_max = largest and not listed
+        if largest:  # the grid's pairs miss the largest: the prune finds it
+            state._max_sqdist = _pruned_max_sqdist(distinct.rows) if listed else 0.0
+        if self.joined_max and state._segment is None:
+            state._joined_max = 0.0
+        if labels:
+            state._roots = np.arange(a)
+            state._degree = np.zeros(a, dtype=np.intp) if self.degrees else None
+        # the j-rows and their next points: the distinct rows' where the pass gathers
+        gathered = self.source == "gathered"
+        self.y, self.at = distinct.rows if gathered else state.cfg.points, distinct.rows
+        self.next_at = None if after is None else distinct.at_first(after)
+        self.next_y = self.next_at if gathered else after
+        self.weigh = in_place(kernel)
+        self.entries = chunk  # a chunk's pairs, or, in blocks of pairs, its entries per slab
+        if not listed:  # so that a block's subtracts and multiplies run over contiguous rows
+            self.y, self.at = _coordinate_rows(self.y, self.at)
+            if after is not None:
+                self.next_y, self.next_at = _coordinate_rows(self.next_y, self.next_at)
+            # a truncated chunk's temporaries (its margin, its joins and,
+            # where they do not lie in a slab, its profile arguments) come on
+            # top of its slabs, so its slabs share three blocks, at most three
+            # fifths of one each: with the profile argument and the weight of
+            # each entry, a chunk of the update's three slabs (or fewer) then
+            # holds three blocks, below a grid chunk, so a run's peak does not
+            # hang on the a of the states whose n x a pairs fit one chunk
+            # (with a block per slab those peaked in proportion to a, above
+            # the grid's).  Each chunk costs a fixed count of numpy calls, so
+            # smaller chunks would slow the states of a few hundred points
+            entries = 3 * _BLOCK_ENTRIES // max(slabs, 5) if truncated else _BLOCK_ENTRIES
+            # a pass over blocks holds its coordinate rows beside its chunks,
+            # so its slabs give up their entries, up to an eighth of their own
+            coords = self.y.size + self.at.size * (self.at is not self.y)
+            self.entries = entries - min(entries // 8, coords * (1 + (after is not None)) // slabs)
+
+    def run(self) -> float | None:
+        # sum the chunks of the source and keep what the pass read; returns
+        # the gap's post-step total in a post-step pass
+        state, slabs, num = self.state, self.pre + self.gap, self.num
+        n, inv, a = state.n, state.distinct.inv, state.distinct.a
+        if self.source == "gathered":
+            sums = _gathered_j(inv, a, slabs, self.fill)
+        elif self.source == "tiles":
+            sums = _tiled_j(n, slabs, self.fill, self.entries)
+        elif self.source == "rows":
+            sums = _ascending_j(n, a, slabs, self.fill, self.entries)
+        else:  # the pairs of the grid or of a stack
+            sums = _candidate_sums(state._grid[0], inv, n, a, slabs, self.fill, self.entries)
+        # the slab below the numerators: the weights' when they are the profile's
+        if self.objective or (num == 1 and state.kernel.profile is state.kernel.g):
+            state._objective = _ascending_total(state.distinct.expand(sums[num - 1]))
+        if self.update:
+            state._update = sums[0], sums[num:self.mom]
+        if self.moments:
+            state._moments = np.ascontiguousarray(sums[self.mom:self.pre].T)
+        if self.degrees:  # the pair with its own point is joined exactly when g(0) != 0
+            state._degree -= state.kernel.g0 != 0.0
+        if self.gap:
+            total = _ascending_total(state.distinct.expand(sums[self.pre]))
+            if self.next_y is not None:
+                return total
+            state._gap_before = total
+
+    def fill(self, rows, out, col=None) -> None:
+        """Write the terms of the j-rows ``rows`` against every distinct row,
+        in (rows, a) blocks (the distinct rows themselves, once, where the
+        pass gathers), against the rows of a slice ``col`` in a tile of
+        :func:`_tiled_j`, or of the pairs ``(rows[p], col[p])`` of the grid,
+        into ``out``, and fill the maxima, the margin and the components
+        from them."""
+        state, pre, joins, segment = self.state, self.pre, self.joins, self.state._segment
+        post = self.next_y is not None
+        w = out[0]
+        yj, ar = _pair_ends(self.y, self.at, rows, col)
+        sqd = out[pre] if self.gap and not post else w
+        diff = out[self.mom:pre] if pre > self.mom else None  # the moments' slabs
+        if segment is None:  # within the bounding box's bound, checked already
+            coordinate_sqdist(yj, ar, out=sqd, diff=diff)
+            if self.chunk_max:
+                state._max_sqdist = max(state._max_sqdist, float(sqd.max()))
+        else:  # a stack's pairs: the largest of each configuration
+            with np.errstate(over="ignore"):  # an overflow raises by name just below
+                coordinate_sqdist(yj, ar, out=sqd, diff=diff)
+            _checked_max(sqd)
+            np.maximum.at(state._max_sqdist, segment[rows], sqd)
+        if self.own is not None:  # a block of j-rows against every distinct row
+            state._margin = min(state._margin, _block_margin(sqd, self.own, rows, self.radius))
+        elif self.unstable is not None and state._stable:
+            failing = sqd >= self.unstable[0]
+            failing &= sqd <= self.unstable[1]
+            state._stable = not failing.any()
+        # g holds the profile arguments until weigh writes the weights over
+        # them: in the weights' slab, but where the distances are read again
+        # (the joined ones) or the slab takes the post-step ones
+        g = profile_args(sqd, state.h, out=None if post or self.joined_max else w)
+        # u_ii = 0 lies inside every support, so the diagonal never matches
+        if self.boundary_u is not None and not state._boundary_hit:
+            state._boundary_hit = bool(np.any(g == self.boundary_u))
+        self.weigh(g, out[1] if self.objective else None)
+        if self.joined_max or self.labels or joins is not None:
+            joined = g != 0.0
+        if self.joined_max:
+            # the distances are finite, so a joined one times 1.0 is itself
+            # and an unjoined one becomes +0.0; w is free until it takes the
+            # weights
+            joined_sqd = np.multiply(sqd, joined, out=w)
+            if segment is None:
+                state._joined_max = max(state._joined_max, float(joined_sqd.max()))
+            else:
+                np.maximum.at(state._joined_max, segment[rows], joined_sqd)
+        if self.labels:
+            self._join_chunk(rows, joined, col)
+        if joins is not None and col is None:  # row r: the points joined to distinct row r
+            joins[:, rows] = joined.T
+        elif joins is not None:  # a list of pairs
+            joins[col, rows] = joined
+        if post:  # no slab sums the weights: they stay in their own array
+            w = g
+        elif g is not w:  # the joined distances took the weights' slab
+            w[...] = g
+            del g  # off the peak of the sums' terms
+        if self.update:  # w_jr y_jk of every coordinate k
+            np.multiply(w, yj, out=out[self.num:self.mom])
+        if diff is not None:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
+            diff *= w
+        if self.gap and post:  # the post-step distances
+            coordinate_sqdist(*_pair_ends(self.next_y, self.next_at, rows, col), out=out[pre])
+        if self.gap:
+            out[pre] *= w
+
+    def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
+        # count the chunk's joins per column where the degrees are read, and
+        # join the distinct row of each j-row to every column it reaches.  A
+        # block's pairs whose ends share a root already share a component,
+        # so only the pairs that cross two roots are listed (after the first
+        # blocks, almost none), and none once every root is 0: the rows then
+        # form one component so far, which a test of O(a) tells
+        state, inv = self.state, self.state.distinct.inv
+        if state._degree is not None:
+            state._degree += (np.count_nonzero(joined, axis=0) if col is None
+                              else np.bincount(col[joined], minlength=state._degree.size))
+        if not state._roots.any():
+            return
+        if col is None:
+            own = state._roots[rows if inv is None else inv[rows]]
+            cross = own[:, None] != state._roots
+            cross &= joined
+            j, col = np.divmod(np.flatnonzero(cross), joined.shape[1])
+            j += rows.start
+        else:
+            pairs = np.flatnonzero(joined)
+            j, col = rows[pairs], col[pairs]
+        state._roots = _union(state._roots, j if inv is None else inv[j], col)

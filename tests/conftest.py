@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -9,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import blurshift as bs
+from blurshift import _pairwise
 from blurshift.diagnostics import (
     diameter,
     direction_set,
@@ -165,3 +167,23 @@ def representable_boundary_pair(boundary_u: float) -> tuple[float, float]:
                 return v, h
             v = math.nextafter(v, math.inf if u < boundary_u else 0.0)
     raise AssertionError("no representable boundary pair found")
+
+
+@contextlib.contextmanager
+def forced_source(**costs):
+    """Force the pair sources of the pairwise passes and of the terminal
+    grouping through their one rule, ``_pairwise._pair_source``, by the
+    cost of an entry of each source (``_pairwise._ENTRY_COST``): a cost of
+    0.0 takes a source wherever it is eligible, ``math.inf`` never takes
+    it.  Yields the list of the sources that the passes took, in order."""
+    taken = []
+    start = _pairwise._Pass.__init__
+
+    def recorded(self, *args):
+        start(self, *args)
+        taken.append(self.source)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairwise, "_ENTRY_COST", {**_pairwise._ENTRY_COST, **costs})
+        patch.setattr(_pairwise._Pass, "__init__", recorded)
+        yield taken

@@ -1,7 +1,6 @@
 """A truncated state's candidate pairs from a grid of cells give bit for bit
 the state that scans every pair."""
 
-import contextlib
 import json
 import math
 import struct
@@ -18,7 +17,7 @@ from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState
 from blurshift.config import pairwise_sqdist
 from blurshift.engine import StopRule, run_bms
 
-from conftest import representable_boundary_pair
+from conftest import forced_source, representable_boundary_pair
 
 _SAMPLED = bs.kernel_from_descriptor({
     "id": "sampled", "samples": {"u": [0.0, 0.3, 1.0], "k": [1.0, 0.6, 0.0]},
@@ -32,12 +31,9 @@ def _bits(value):
     return struct.pack("<d", value) if isinstance(value, float) else value
 
 
-@contextlib.contextmanager
 def _scanning():
-    # no share of candidates is small enough: every pair is evaluated
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_pairwise, "_GRID_SHARE", -1.0)
-        yield
+    # no state takes the grid: every pair is evaluated
+    return forced_source(grid=math.inf)
 
 
 def _scanned(pts, kernel, h):
@@ -114,11 +110,12 @@ def test_grid_state_equals_scanned_state(kernel_id, d, layout, planted, scale, s
     _, h = representable_boundary_pair(1.0)
     pts = _configuration(np.random.default_rng(seed), d, layout, planted, h)
     pts, h = np.ldexp(pts, scale), math.ldexp(h, scale)
-    state = PairwiseState(pts, kernel, h, _READS)
+    with forced_source() as taken:
+        state = PairwiseState(pts, kernel, h, _READS)
     assert state.n * state.distinct.a > _BLOCK_ENTRIES
     # 2**40 h is beyond 2**30 cells from the origin: the cell indices could
     # round by more than the cells' inflation, so the state scans every pair
-    assert (state._grid is None) == (layout == "far clusters")
+    assert (taken == ["grid"]) == (layout != "far clusters")
     assert _fields(state) == _scanned_fields(pts, kernel, h)
 
 
@@ -133,8 +130,9 @@ def test_stable_beyond_the_inflation_reads_the_exact_margin(kernel_id):
     radius = kernel.beta * h
     pts = np.arange(300.0)[:, None] * (3.0 * radius) * np.ones(2)
     pts[1] = pts[0] + (1.5 * radius, 0.0)
-    state = PairwiseState(pts, kernel, h, _READS)
-    assert state._grid is not None
+    with forced_source() as taken:
+        state = PairwiseState(pts, kernel, h, _READS)
+    assert taken == ["grid"]
     assert state._margin is None  # a grid state's margin comes from a scan
     assert state.stable()
     assert state._margin is None  # decided from the candidates
@@ -154,8 +152,9 @@ def test_grid_margin_read_fills_the_boundary_hit_alone(kernel_id, planted):
     radius = kernel.beta * h
     pts = np.arange(300.0)[:, None] * (3.0 * radius) * np.ones(2)
     pts[1] = pts[0] + (v if planted else 1.5 * radius, 0.0)
-    state = PairwiseState(pts, kernel, h, {"margin"})
-    assert state._grid is not None
+    with forced_source() as taken:
+        state = PairwiseState(pts, kernel, h, {"margin"})
+    assert taken == ["grid"]
     assert state._margin is None and state._boundary_hit is planted
     want = _scanned(pts, kernel, h)
     assert state.boundary_hit == want.boundary_hit
@@ -191,9 +190,9 @@ def test_grid_state_finds_its_grid_once(monkeypatch):
     found, states = [], []
     cell_ranges, init = _pairwise._cell_ranges, PairwiseState.__init__
 
-    def counted_cells(rows, radius):
+    def counted_cells(rows, *args):
         found.append(rows.shape)
-        return cell_ranges(rows, radius)
+        return cell_ranges(rows, *args)
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)

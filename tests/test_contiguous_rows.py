@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
-from blurshift import _pairwise
 from blurshift._pairwise import (_BLOCK_ENTRIES, _CELL_SIDE, _SUB, DistinctRows,
                                  PairwiseState, _box_overflows, _cell_ranges,
                                  _pruned_max_sqdist, _rows_max_sqdist)
 from blurshift.config import coordinate_sqdist, pairwise_sqdist, profile_args
 from blurshift.engine import StopRule, _iterate
+from conftest import forced_source
 
 _RADIUS = 0.5
 _SIDE = _RADIUS * _CELL_SIDE
@@ -191,26 +191,27 @@ def _layout(name, rng, n, radius):
 
 @pytest.mark.parametrize("kernel_id", _TRUNCATED_IDS)
 @pytest.mark.parametrize("layout", ["ungrouped", "grouped", "chain"])
-def test_crossing_test_components_equal_connected_components(kernel_id, layout, monkeypatch):
+def test_crossing_test_components_equal_connected_components(kernel_id, layout):
     # no state takes the grid, so every chunk is a block of j-rows
-    monkeypatch.setattr(_pairwise, "_GRID_SHARE", -1.0)
     kernel, h = bs.builtin(kernel_id), 0.5
     for seed, n in enumerate((200, 300)):
         pts = _layout(layout, np.random.default_rng(seed), n, kernel.beta * h)
-        state = PairwiseState(pts, kernel, h, {"labels"})
-        assert (state.distinct.inv is not None) == (layout == "grouped")
-        assert state._grid is None and state.n * state.distinct.a > _BLOCK_ENTRIES
-        joined = kernel.g(profile_args(pairwise_sqdist(pts), h)) != 0.0
-        np.fill_diagonal(joined, False)
-        _, raw = connected_components(joined, directed=False)
-        seen = {}
-        want = np.array([seen.setdefault(c, len(seen)) for c in raw])
-        assert np.array_equal(state.labels, want)
-        assert state.closed == all(
-            np.all(joined[np.ix_(c, c)] | np.eye(c.size, dtype=bool))
-            for c in state.components)
-        # the degrees come from the pass that closed runs
-        assert np.array_equal(state.distinct.expand(state._degree), joined.sum(axis=1))
+        with forced_source(grid=math.inf) as taken:
+            state = PairwiseState(pts, kernel, h, {"labels"})
+            assert (state.distinct.inv is not None) == (layout == "grouped")
+            assert state.n * state.distinct.a > _BLOCK_ENTRIES
+            joined = kernel.g(profile_args(pairwise_sqdist(pts), h)) != 0.0
+            np.fill_diagonal(joined, False)
+            _, raw = connected_components(joined, directed=False)
+            seen = {}
+            want = np.array([seen.setdefault(c, len(seen)) for c in raw])
+            assert np.array_equal(state.labels, want)
+            assert state.closed == all(
+                np.all(joined[np.ix_(c, c)] | np.eye(c.size, dtype=bool))
+                for c in state.components)
+            # the degrees come from the pass that closed runs
+            assert np.array_equal(state.distinct.expand(state._degree), joined.sum(axis=1))
+        assert set(taken) == {"rows"}
 
 
 # --- row norms ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from blurshift._pairwise import (_BLOCK_ENTRIES, _STABILITY_TOL, PairwiseState,
                                  _unstable_interval)
 from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.engine import StopRule
-from conftest import representable_boundary_pair
+from conftest import forced_source, representable_boundary_pair
 
 _SAMPLED = bs.kernel_from_descriptor({
     "id": "sampled", "samples": {"u": [0.0, 0.3, 1.0], "k": [1.0, 0.6, 0.0]},
@@ -147,17 +147,16 @@ def test_stable_read_equals_the_margin_test(data):
     kernel = _TRUNCATED[kernel_id]
     layout = data.draw(st.sampled_from(["one block", "blocks", "grouped", "grid"]), label="layout")
     pts, h = _planted(data, kernel, layout)
-    with pytest.MonkeyPatch.context() as patch:
-        if layout != "grid":  # every pair in blocks of j-rows
-            patch.setattr(_pairwise, "_GRID_SHARE", -1.0)
-        _assert_stable_read_equals_the_margin_test(pts, kernel, h, layout)
+    # every pair evaluated: no state takes the grid, but on the grid layout
+    with forced_source(**({} if layout == "grid" else {"grid": math.inf})) as taken:
+        _assert_stable_read_equals_the_margin_test(pts, kernel, h, layout, taken)
 
 
-def _assert_stable_read_equals_the_margin_test(pts, kernel, h, layout):
+def _assert_stable_read_equals_the_margin_test(pts, kernel, h, layout, taken):
     state = PairwiseState(pts, kernel, h, {"stable"})
     assert state._stable is not None and state._margin is None
     assert state._boundary_hit is None
-    assert (state._grid is not None) == (layout == "grid")
+    assert (taken[0] == "grid") == (layout == "grid")
     if layout == "grouped":
         assert state.distinct.inv is not None
     elif layout == "blocks":
@@ -230,9 +229,13 @@ def _reference_components(pts, kernel, h):
 
 @pytest.mark.parametrize("kernel_id", sorted(_TRUNCATED))
 @pytest.mark.parametrize("layout", ["one block", "blocks", "grouped", "grid"])
-def test_labels_without_degrees_equal_connected_components(kernel_id, layout, monkeypatch):
-    if layout != "grid":  # every pair in blocks of j-rows
-        monkeypatch.setattr(_pairwise, "_GRID_SHARE", -1.0)
+def test_labels_without_degrees_equal_connected_components(kernel_id, layout):
+    # every pair evaluated: no state takes the grid, but on the grid layout
+    with forced_source(**({} if layout == "grid" else {"grid": math.inf})) as taken:
+        _assert_labels_equal_connected_components(kernel_id, layout, taken)
+
+
+def _assert_labels_equal_connected_components(kernel_id, layout, taken):
     kernel, h = _TRUNCATED[kernel_id], 0.5
     radius = kernel.beta * h
     rng = np.random.default_rng(7)
@@ -243,7 +246,7 @@ def test_labels_without_degrees_equal_connected_components(kernel_id, layout, mo
         pts[-10:] = 100.0 * radius
     want, closed = _reference_components(pts, kernel, h)
     state = PairwiseState(pts, kernel, h, {"labels"})
-    assert (state._grid is not None) == (layout == "grid")
+    assert (taken[0] == "grid") == (layout == "grid")
     # only a grouped kernel with g(0) = 0 counts degrees for its labels
     apart = kernel.g0 == 0.0 and state.distinct.inv is not None
     assert (state._degree is not None) == apart
@@ -325,13 +328,13 @@ def test_one_component_skips_the_crossing_test(monkeypatch):
 
     monkeypatch.setattr(_pairwise, "_union", counted)
     chunks = []
-    join_chunk = PairwiseState._join_chunk
+    join_chunk = _pairwise._Pass._join_chunk
 
     def chunk(self, *args):
-        chunks.append(self._roots.any())
+        chunks.append(self.state._roots.any())
         join_chunk(self, *args)
 
-    monkeypatch.setattr(PairwiseState, "_join_chunk", chunk)
+    monkeypatch.setattr(_pairwise._Pass, "_join_chunk", chunk)
     pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(300, 2))
     state = PairwiseState(pts, bs.builtin("epanechnikov"), 10.0, {"labels"})
     assert len(chunks) > 2 and chunks[0] and not any(chunks[1:])

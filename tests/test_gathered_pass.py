@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import blurshift as bs
 from blurshift import _pairwise
 from blurshift._pairwise import _BLOCK_ENTRIES, DistinctRows, PairwiseState
-from conftest import representable_boundary_pair
+from conftest import forced_source, representable_boundary_pair
 from test_pairwise_state import _assert_holds_no_pairwise_array
 
 _KERNELS = ("epanechnikov", "biweight", "gaussian", "tricube")
@@ -103,7 +103,7 @@ def test_gathered_reads_equal_the_ungrouped_state(data):
         calls.append(slabs * width * width)
         return gathered_j(inv, width, slabs, fill)
 
-    with mock.patch.object(_pairwise, "_gathered_j", counted):
+    with mock.patch.object(_pairwise, "_gathered_j", counted), forced_source() as taken:
         state = PairwiseState(pts, kernel, h, reads, distinct)
         _assert_holds_no_pairwise_array(state)
         got = _read_all(state, moved, gathered=True)
@@ -111,7 +111,7 @@ def test_gathered_reads_equal_the_ungrouped_state(data):
     want = _read_all(flat, moved, gathered=False)
     assert got == want
     assert all(entries <= _BLOCK_ENTRIES for entries in calls)
-    if state._grid is None:  # joined_rows' pass holds one slab, which fits
+    if "grid" not in taken:  # joined_rows' pass holds one slab, which fits
         assert calls
 
 

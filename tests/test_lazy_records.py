@@ -43,9 +43,9 @@ def test_run_without_sink_reads_only_the_update(kernel_id, monkeypatch):
             super().__init__(cfg, kernel, h, reads, distinct)
             filled.append((self._max_sqdist is not None, self._joined_max is not None))
 
-        def _pass(self, reads, scan=False):
+        def _pass(self, reads, *args, **kwargs):
             passes.append(len(declared))
-            super()._pass(reads, scan)
+            return super()._pass(reads, *args, **kwargs)
 
     def counted(calls, fn):
         def wrapper(*args):

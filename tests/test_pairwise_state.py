@@ -20,7 +20,7 @@ from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.diagnostics import component_diameter, diameter
 from blurshift.engine import IterationRecord, StopRule, bms_step, objective, run_bms
 
-from conftest import representable_boundary_pair
+from conftest import forced_source, representable_boundary_pair
 
 
 def _bits(value):
@@ -313,9 +313,10 @@ def test_grid_state_holds_no_pairwise_array():
     n = 2000
     pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n, 2))
     pts = (pts - pts.mean(axis=0)) / pts.std(axis=0)
-    state = PairwiseState(pts, bs.builtin("epanechnikov"), 0.25 * math.sqrt(400 / n),
-                          {"update", "moments", "objective", "margin", "labels", "gap"})
-    assert state._grid is not None
+    with forced_source() as taken:
+        state = PairwiseState(pts, bs.builtin("epanechnikov"), 0.25 * math.sqrt(400 / n),
+                              {"update", "moments", "objective", "margin", "labels", "gap"})
+    assert taken == ["grid"]
     _assert_holds_no_pairwise_array(state)
     state.minorizer_gap(state.update())
     assert state.joined_rows().sum() < 20 * n  # about 13 joins a point
@@ -742,8 +743,9 @@ def test_overflow_fails_by_name_without_the_diameter(n):
     pts = np.column_stack([np.linspace(0.0, 1e159, n), np.zeros(n)])
     # the same configuration scaled by a power of two, which overflows
     # nothing and takes the same cells, takes the grid exactly when n = 200
-    tiny = PairwiseState(np.ldexp(pts, -600), kernel, math.ldexp(h, -600), {"update"})
-    assert (tiny._grid is not None) == (n == 200)
+    with forced_source() as taken:
+        PairwiseState(np.ldexp(pts, -600), kernel, math.ldexp(h, -600), {"update"})
+    assert (taken == ["grid"]) == (n == 200)
     for build in (lambda: bms_step(pts, kernel, h),
                   lambda: PairwiseState(pts, kernel, h, {"update"})):
         with pytest.raises(ValueError, match="squared pairwise distances overflow"):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import blurshift as bs
 from blurshift import _pairwise
 from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState, _ascending_j, _tiled_j
+from conftest import forced_source
 
 _KERNEL_IDS = (*bs.ASSUMPTION1_IDS, "tricube")
 # the tile sides: a truncated pass of at most five slabs fills three fifths
@@ -39,9 +40,9 @@ def _symmetric_values(pts, kernel, h, sums=_tiled_j):
         passes.append(sums(n, slabs, fill, entries))
         return passes[-1]
 
-    with pytest.MonkeyPatch.context() as patch:
+    # every pass tiles where it may, and no state takes the grid
+    with forced_source(tiles=0.0, grid=math.inf), pytest.MonkeyPatch.context() as patch:
         patch.setattr(_pairwise, "_tiled_j", recorded)
-        patch.setattr(_pairwise, "_GRID_SHARE", -1.0)  # no state takes the grid
         state = PairwiseState(pts, kernel, h, {"diameter"})
         n = state.n
         keep = 0.5 * pts + 0.125  # keeps every group of coincident points
@@ -98,11 +99,7 @@ def test_grouped_states_keep_the_row_chunk_pass():
     pts = _planted(np.random.default_rng(1), 3 * _SIDES[0] + 5, 2, 0.8, kernel)
     state = PairwiseState(pts, kernel, 0.8)
     assert state.distinct.inv is not None
-
-    def refuse(n, slabs, fill, entries):
-        raise AssertionError("tiled pass on a grouped state")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_pairwise, "_tiled_j", refuse)
+    with forced_source(tiles=0.0) as taken:  # tiles wherever a pass may tile
         state.minorizer_gap(0.5 * pts)
         assert state.objective > 0
+    assert len(taken) == 3 and "tiles" not in taken

@@ -24,6 +24,7 @@ from blurshift._pairwise import DistinctRows, PairwiseState
 from blurshift.config import coordinate_sqdist
 from blurshift.diagnostics import _extents, direction_set
 from blurshift.verify import _distinct_pair
+from conftest import forced_source
 
 # what run_verify's steps read with the moments, and fewer: the squared
 # distances go to the weights' slab, or to the gap's where it is read
@@ -84,8 +85,9 @@ def test_row_blocks_take_distances_from_the_moments_differences(kernel_id, d, re
     rng = np.random.default_rng([d, len(kernel_id), len(reads)])
     pts = _signed_points(rng, 200, d, 1.5)
     # every row its own, so the pass runs over blocks of j-rows
-    state = PairwiseState(pts, kernel, 0.9, reads, DistinctRows(pts, grouped=False))
-    assert state._grid is None and state.distinct.inv is None
+    with forced_source() as taken:
+        state = PairwiseState(pts, kernel, 0.9, reads, DistinctRows(pts, grouped=False))
+    assert taken == ["rows"] and state.distinct.inv is None
     _assert_state_matches(state, pts, kernel, 0.9, reads)
 
 
@@ -118,8 +120,9 @@ def test_grid_pairs_take_distances_from_the_moments_differences(kernel_id, d, re
     rng = np.random.default_rng([d, len(kernel_id), len(reads), 2])
     pts = _signed_points(rng, 500, d, 1.0)
     h = 0.03 / kernel.beta
-    state = PairwiseState(pts, kernel, h, reads)
-    assert state._grid is not None and state.distinct.inv is not None
+    with forced_source() as taken:
+        state = PairwiseState(pts, kernel, h, reads)
+    assert taken == ["grid"] and state.distinct.inv is not None
     _assert_state_matches(state, pts, kernel, h, reads)
 
 
