@@ -17,7 +17,9 @@ can both gather and take the grid), and the first ``STEPS`` steps on its
 four blobs at ``H``, of epanechnikov (denser: a fifth to a quarter of the
 pairs are grid candidates) and of gaussian (no grid: the tiles meet the
 row blocks alone), for n in ``--sizes``.  Each is built as a pairwise
-state with each read set of ``READS`` and each eligible source in turn,
+state with each read set of ``READS`` (the empty one followed by the
+state's ``minorizer_gap``, whose pass is the one timed) and each eligible
+source in turn,
 forced through the rule by setting the cost of that source to 0 and the
 others to inf, with its grouping handed in; a build is timed as the best
 of ``REPEATS`` runs of as many builds as take ``MIN_TIME`` seconds.
@@ -66,11 +68,12 @@ REPEATS = 5
 MIN_TIME = 0.002
 SPARSE_KERNEL = "epanechnikov"
 BLOB_KERNELS = ("epanechnikov", "gaussian")  # gaussian's states take no grid
-# the reads of a cluster step, of a run_verify step and of a pass whose
-# sums are all symmetric (the post-step gap's, here its pre-step twin)
+# the reads of a cluster step and of a run_verify step's constructor, and
+# none: a state that declares nothing runs no pass of its own, and its
+# minorizer gap, whose two sums are symmetric, is the pass timed
 READS = {"update": {"update"},
-         "verify": {"update", "objective", "stable", "gap", "labels"},
-         "gap": {"gap"}}
+         "verify": {"update", "objective", "stable", "labels"},
+         "gap": set()}
 SOURCES = ("rows", "gathered", "tiles", "grid")
 
 
@@ -133,11 +136,14 @@ def best_time(build) -> float:
 
 def measure(label, kernel, points, h, distinct, reads):
     """The counted entries and the time of every eligible source of the
-    constructor's pass, or None where the row blocks alone are eligible."""
+    constructor's pass, or of the gap's pass where ``reads`` is empty, or
+    None where the row blocks alone are eligible."""
     kernel = bs.builtin(kernel)
 
     def build():
-        return _pairwise.PairwiseState(points, kernel, h, reads, distinct)
+        state = _pairwise.PairwiseState(points, kernel, h, reads, distinct)
+        if not reads:  # the gap of the points to themselves
+            state.minorizer_gap(points)
 
     with forced("grid") as taken:  # so that the state keeps its grid, where it has one
         build()

@@ -36,12 +36,11 @@ and a sweep grid runs ``bandwidth_sweep`` per n over ``SWEEP_H`` to each
 bandwidth's exact fixed point (op ``sweep``), which reads no record; its
 ``T`` is the sum of the runs' steps.
 
-A third grid times, per n, the minorizer gap's post-step term of
-``run_verify``'s first epanechnikov step alone (op ``gap``): the pairwise
-state is built once with ``run_verify``'s reads, which include the gap's
-pre-step term, so the timed ``state.minorizer_gap`` call sums only
-``sum_ij g_ij ||y'_i - y'_j||^2`` over the blurred points, as the
-observer does at every step.
+A third grid times, per n, the minorizer gap of ``run_verify``'s first
+epanechnikov step alone (op ``gap``): the timed ``minorizer_gap(nxt,
+points, kernel, H)`` call, given the blurred points ``nxt`` computed once,
+sums both of its terms, ``sum_ij g_ij ||y_i - y_j||^2`` and
+``sum_ij g_ij ||y'_i - y'_j||^2``, as the observer does at every step.
 
 A sparse grid runs epanechnikov ``cluster`` for ``STEPS`` steps (op
 ``sparse``) at n in ``SPARSE_SIZES`` on a standardized uniform square (seed
@@ -210,17 +209,13 @@ def operation(cell: dict, points: np.ndarray):
 
     kernel = bs.builtin(cell["kernel"])
     if cell["op"] == "gap":
-        from blurshift._pairwise import PairwiseState
+        nxt = bs.bms_step(points, kernel, H)
 
-        state = PairwiseState(points, kernel, H, {"update", "objective", "stable", "gap",
-                                                  "labels"})
-        nxt = state.update()
+        def gap():
+            bs.minorizer_gap(nxt, points, kernel, H)
+            return 1  # the one step whose gap it is
 
-        def post_step_gap():
-            state.minorizer_gap(nxt)
-            return 1  # the one step whose term it is
-
-        return post_step_gap
+        return gap
     if cell["op"] == "fuzz":
         return lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=cell["probes"]).T
     if cell["op"] in ("fixed_point", "fixed_point_read", "sweep", "tail"):
@@ -322,7 +317,7 @@ def summary(runs: list[dict]) -> dict:
 
 
 def record(cell: dict, runs: list[dict]) -> dict:
-    key = {"fixed_point": "cluster", "fixed_point_read": "cluster_read", "gap": "gap_after",
+    key = {"fixed_point": "cluster", "fixed_point_read": "cluster_read", "gap": "gap",
            "fuzz": "verify", "sparse": "cluster", "sparse_verify": "verify",
            "tail": "cluster"}.get(
                cell["op"], cell["op"])
@@ -398,8 +393,9 @@ def main(argv=None) -> int:
         "read": "the ops ending in _read also read the cluster's records",
         "sweep": f"bandwidth_sweep over h in {list(SWEEP_H)} with StopRule(move_tol=0.0); "
                  f"T sums the runs' steps",
-        "gap": "post-step minorizer gap term of the first epanechnikov state, "
-               "built with run_verify's reads: state.minorizer_gap(state.update())",
+        "gap": "both terms of the minorizer gap of the first epanechnikov step: "
+               "minorizer_gap(bms_step(points, kernel, h), points, kernel, h), the "
+               "blurring update computed once, untimed",
         "fuzz": f"run_verify([[0.0, 0.0]], kernel, {FUZZ_H}, fuzz={FUZZ_CASES})",
         "sparse": f"{SPARSE_KERNEL} cluster with StopRule(max_iter={STEPS}) on a uniform "
                   f"square in [-1, 1]^2 (seed 0), standardized, at h = 0.25 * sqrt(400 / n)",

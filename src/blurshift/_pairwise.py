@@ -35,11 +35,12 @@ caller reads, its joined pairs whose ends lie in two components so far
 are joined by :func:`_union` (none once the rows form one component), and
 they are counted per column where the degrees are read, so the memory is
 O(n d) plus one chunk per sum.  A value read but not declared runs the
-same pass again for that value alone.
-Given the next configuration's points, a pass sums the minorizer gap's
-post-step term instead of its pre-step term, in its only slab, and given a
-boolean array it writes the join bits that ``joined_rows`` returns.  So
-the pass is the
+same pass again for that value alone, and a state that declares nothing
+runs no pass.  The minorizer gap is not declared: given the next
+configuration's points, one pass of its own sums both of its terms from
+the same weights, the pre-step one in one slab and the post-step one in
+the other.  Given a boolean array, a pass writes the join bits that
+``joined_rows`` returns, with the labels.  So the pass is the
 only code that computes a weight, and the only code that fills the
 objective, the margin, the labels, the largest joined distance, the
 update, the moments and both terms of the gap; the diameter, read but not
@@ -52,7 +53,7 @@ name when it overflows.
 
 The weights, the objective's terms and the gap's terms are symmetric in
 the pair, bit for bit.  So a pass of an ungrouped state that sums only
-those (the post-step gap's pass among them) may fill only the square tiles
+those (the gap's pass among them) may fill only the square tiles
 on and above the diagonal of its n x n pairs, each of a chunk's entries
 (:func:`_tiled_j`), and add a transposed copy of each tile above the
 diagonal into the mirrored columns, in the same order.
@@ -65,7 +66,7 @@ each row's candidates: the rows in neighbouring cells.  A pass may
 evaluate only those candidate pairs, with the same formulas, and sum them
 per column with ``np.bincount`` in the same order; every pair left out
 adds a zero term, so no bit moves.  The candidates decide everything,
-the gap's post-step term and the join bits included, but the diameter,
+both terms of the gap and the join bits included, but the diameter,
 which the bounding-box prune finds, and the exact margin, which a read of
 ``margin`` finds by scanning every pair.
 
@@ -801,7 +802,7 @@ class PairwiseState:
       into an (a, slabs, a) block of terms, and gather each chunk of point
       j-rows from it (:func:`_gathered_j`): the maxima and the default
       margin test come from the distinct pairs, the sums are gathered, and
-      the post-step gap takes the next configuration's distinct rows.  The
+      the gap's post-step term takes the next configuration's distinct rows.  The
       block and one chunk hold about two blocks of entries.
     - An ungrouped state whose sums are all symmetric may fill the tiles on
       and above the diagonal (:func:`_tiled_j`).
@@ -814,9 +815,9 @@ class PairwiseState:
     O(a d)); only a box whose bound is inf finds the largest squared
     distance by the bounding-box prune (:func:`_pruned_max_sqdist`), which
     raises by name when it overflows.  It then makes one pass over chunks
-    of j-rows, whatever the kernel.  Each chunk's squared distances against
-    the a distinct rows give the weights (exactly symmetric, so the weight
-    of j-row j in column r is ``g_rj``).
+    of j-rows, whatever the kernel, where ``reads`` names something.  Each
+    chunk's squared distances against the a distinct rows give the weights
+    (exactly symmetric, so the weight of j-row j in column r is ``g_rj``).
     A pass that reads the moments writes each pair's coordinate differences
     ``y_r - y_j`` into the moments' slabs first and takes the squared
     distances from them (``coordinate_sqdist``'s ``diff``), so it subtracts
@@ -866,17 +867,17 @@ class PairwiseState:
     its joins per column), which ``closed`` and ``component_diameter``
     read, and the grouped ``labels`` of a kernel with ``g(0) = 0``, whose
     coincident points with no join stay apart; and the sums ``"update"``
-    (the update's denominator and numerators), ``"moments"`` and ``"gap"``
-    (the minorizer gap's pre-step row sums, taken as distances times
-    weights).
+    (the update's denominator and numerators) and ``"moments"``.
     A value not declared runs the constructor's pass again on its first
     read, for that value alone: it computes the same chunks, bit for bit,
-    and fills only that value, which is then kept.  The diameter, not
-    declared, comes from the prune, which gives the same bits.  The gap's
-    post-step term (:meth:`minorizer_gap`) and the join bits
-    (:meth:`joined_rows`) come from passes of their own, over the same
-    pairs, so every weight is the pass's.  So a state holds O(n d) (its
-    grid included) and one chunk per sum, and ``reads`` moves no bit.
+    and fills only that value, which is then kept; a state that declares
+    nothing runs no pass in its constructor.  The diameter, not declared,
+    comes from the prune, which gives the same bits.  Both terms of the
+    gap (:meth:`minorizer_gap`) come from one pass of their own, and the
+    join bits (:meth:`joined_rows`) from one that also reads the labels,
+    over the same pairs, so every weight is the pass's.  So a state holds
+    O(n d) (its grid included) and one chunk per sum, and ``reads`` moves
+    no bit.
 
     Summation contract, the same for every kernel: the update's numerator
     ``sum_j g_ij y_j`` and denominator ``sum_j g_ij``, the moments
@@ -893,13 +894,12 @@ class PairwiseState:
     largest squared distance overflows to inf.
     """
 
-    # what a pass filled because its ``reads`` named it (the margin and the
-    # boundary hit from the start for a full-support kernel): the largest
+    # what a pass filled because its ``reads`` named it: the largest
     # squared distance (also found by the constructor's overflow check or
     # the prune) and joined squared distance, the objective, the margin and
     # boundary hit, the default margin test, the joins i != j and the
     # component roots of each distinct row, the update's denominator and
-    # numerators, the moments and the gap's pre-step total
+    # numerators, and the moments
     _max_sqdist: float | None = None
     _joined_max: float | None = None
     _objective: float | None = None
@@ -910,7 +910,6 @@ class PairwiseState:
     _roots: np.ndarray | None = None
     _update: tuple[np.ndarray, np.ndarray] | None = None
     _moments: np.ndarray | None = None
-    _gap_before: float | None = None
     # the configuration of each row of a stack of configurations (see batch)
     _segment: np.ndarray | None = None
 
@@ -923,7 +922,8 @@ class PairwiseState:
         self.distinct = DistinctRows(self.cfg.points) if distinct is None else distinct
         if _box_overflows(self.distinct.rows):  # the prune raises when a pair overflows
             self._max_sqdist = _pruned_max_sqdist(self.distinct.rows)
-        self._pass(reads)
+        if reads:
+            self._pass(reads)
 
     @classmethod
     def batch(cls, configs, kernel: KernelSpec, h: float) -> BatchValues:
@@ -995,13 +995,13 @@ class PairwiseState:
         return values
 
     def _pass(self, reads, scan: bool = False, after: np.ndarray | None = None,
-              joins: np.ndarray | None = None) -> float | None:
+              joins: np.ndarray | None = None) -> tuple[float, float] | None:
         # fill what ``reads`` names; ``scan`` evaluates every pair even where
         # the candidate pairs would do.  Given ``after``, the points of a
-        # next configuration that is constant on the groups, the gap's terms
-        # are the post-step g_rj ||y'_r - y'_j||^2, and the pass returns
-        # their total; ``joins``, an (a, n) boolean array of False, takes the
-        # join bits g != 0
+        # next configuration that is constant on the groups, the pass reads
+        # nothing else and returns the totals of the gap's pre-step terms
+        # g_rj ||y_r - y_j||^2 and post-step terms g_rj ||y'_r - y'_j||^2;
+        # ``joins``, an (a, n) boolean array of False, takes the join bits g != 0
         return _Pass(self, reads, scan, after, joins).run()
 
     @cached_property
@@ -1055,8 +1055,11 @@ class PairwiseState:
     @property
     def margin(self) -> float:
         """Smallest distance of a pair i != j to the joining radius
-        ``beta * h`` (``inf`` for a full-support kernel).  A state that takes
-        the grid finds it by a pass of its own that scans every pair."""
+        ``beta * h`` (``inf``, without a pass, for a full-support kernel).  A
+        state that takes the grid finds it by a pass of its own that scans
+        every pair."""
+        if not self.kernel.truncated:
+            return math.inf
         if self._margin is None:
             self._pass({"margin"}, scan=True)
         return self._margin
@@ -1075,12 +1078,12 @@ class PairwiseState:
 
     def joined_rows(self) -> np.ndarray:
         """A new (a, n) boolean array whose row r marks the points joined to
-        distinct row r: ``g != 0``, from a pass of its own, or every point
-        for a full-support kernel."""
+        distinct row r: ``g != 0``, from a pass of its own, which also reads
+        the labels, or every point for a full-support kernel."""
         if not self.kernel.truncated:
             return np.ones((self.distinct.a, self.n), dtype=bool)
         joins = np.zeros((self.distinct.a, self.n), dtype=bool)
-        self._pass((), joins=joins)
+        self._pass(() if self._roots is not None else {"labels"}, joins=joins)
         return joins
 
     @cached_property
@@ -1224,15 +1227,16 @@ class PairwiseState:
         - sum_ij g_ij ||y'_i - y'_j||^2)`` of ``cfg_next`` with these
         weights, summed as the class docstring's contract says.
 
-        The post-step term comes from a pass of its own, which computes the
-        weights again and sums ``g_rj ||y'_r - y'_j||^2`` over the same
-        pairs as every other sum (the candidates, on a grid state); so does
-        the pre-step term unless the constructor's pass read it.  That pass
-        holds the gap's terms alone, and on an ungrouped state that scans
-        every pair it fills only the tiles on and above the diagonal, since
-        the terms are symmetric (:func:`_tiled_j`).  Where ``cfg_next``
-        splits a group of coincident points (its rows differ bitwise), a
-        state with no grouping gives each point its own row.
+        Both terms come from one pass of their own, which computes the
+        weights again and sums, from the same weights, the pre-step terms
+        ``g_rj ||y_r - y_j||^2`` in one slab and the post-step terms
+        ``g_rj ||y'_r - y'_j||^2`` in the other, over the same pairs as
+        every other sum (the candidates, on a grid state).  Both slabs are
+        symmetric, so on an ungrouped state that scans every pair the pass
+        may fill only the tiles on and above the diagonal
+        (:func:`_tiled_j`).  Where ``cfg_next`` splits a group of coincident
+        points (its rows differ bitwise), a state with no grouping gives
+        each point its own row.
         """
         nxt = as_configuration(cfg_next).points
         distinct = self.distinct
@@ -1240,12 +1244,10 @@ class PairwiseState:
             bits = np.ascontiguousarray(nxt).view(np.int64)
             if np.any(bits != distinct.expand(distinct.at_first(bits))):
                 flat = DistinctRows(self.cfg.points, grouped=False)
-                return PairwiseState(self.cfg, self.kernel, self.h, {"gap"},
-                                     flat).minorizer_gap(nxt)
-        if self._gap_before is None:
-            self._pass({"gap"})
-        after = self._pass({"gap"}, after=nxt)
-        return (self._gap_before - after) / (2.0 * self.h * self.h)
+                return PairwiseState(self.cfg, self.kernel, self.h,
+                                     distinct=flat).minorizer_gap(nxt)
+        before, after = self._pass((), after=nxt)
+        return (before - after) / (2.0 * self.h * self.h)
 
 
 class _Pass:
@@ -1259,15 +1261,15 @@ class _Pass:
     """
 
     __slots__ = ("state", "source", "joins", "y", "at", "next_y", "next_at", "radius", "weigh",
-                 "boundary_u", "update", "moments", "objective", "gap", "unstable", "labels",
-                 "degrees", "joined_max", "chunk_max", "own", "num", "mom", "pre", "entries")
+                 "boundary_u", "update", "moments", "objective", "unstable", "labels",
+                 "degrees", "joined_max", "chunk_max", "own", "num", "mom", "slabs", "entries")
 
     def __init__(self, state: PairwiseState, reads, scan: bool, after: np.ndarray | None,
                  joins: np.ndarray | None):
         kernel, n, d, distinct = state.kernel, state.n, state.cfg.d, state.distinct
         a, truncated, grid = distinct.a, kernel.truncated, None if scan else state._grid
         self.state, self.joins, self.radius = state, joins, kernel.beta * state.h
-        self.update, self.moments, self.gap = "update" in reads, "moments" in reads, "gap" in reads
+        self.update, self.moments = "update" in reads, "moments" in reads
         singular = "singular" in reads
         self.objective = "objective" in reads and kernel.profile is not kernel.g
         margin = truncated and "margin" in reads
@@ -1280,20 +1282,22 @@ class _Pass:
         # the degrees: closed's, and the labels' where coincident points may stay apart
         self.degrees = truncated and ("closed" in reads or (labels and kernel.g0 == 0.0 and a < n))
         self.joined_max = truncated and singular
-        # slabs: the weights (the denominator's terms; a post-step pass
-        # holds only its gap terms), the objective's terms when read and not
-        # the weights (gaussian), then the d numerators, the d moments and
-        # the gap's terms when read
+        # slabs: the weights (the denominator's terms), the objective's
+        # terms when read and not the weights (gaussian), then the d
+        # numerators and the d moments; a gap pass (given ``after``) reads
+        # nothing else and holds the gap's pre-step and post-step terms alone
         self.num = (after is None) + self.objective
         self.mom = self.num + d * self.update
-        self.pre = self.mom + d * self.moments
-        slabs = self.pre + self.gap
+        self.slabs = slabs = 2 if after is not None else self.mom + d * self.moments
+        # every chunk budget counts the labels' temporaries (_join_chunk's
+        # int64 pairs and roots, which grow with the chunk) as one more slab
+        counted = slabs + labels
         # a pair of the grid has 2 d + 4 more entries: its two ends, their
         # coordinates, its profile argument and its weight, and 2 d more in
-        # a post-step pass: the coordinates of its ends' next points; and a
+        # a gap pass: the coordinates of its ends' next points; and a
         # grid chunk holds a pairs at least, so that the a running totals
         # it copies cost no more than its pairs
-        chunk = max(a, 3 * _BLOCK_ENTRIES // (slabs + 2 * d * (1 + (after is not None)) + 4))
+        chunk = max(a, 3 * _BLOCK_ENTRIES // (counted + 2 * d * (1 + (after is not None)) + 4))
         plain = not (margin or labels or joins is not None)  # sums and maxima alone
         self.source = _pair_source(n, a, slabs, plain, plain and not (self.update or self.moments),
                                    grid[1] if grid else None, chunk, state._segment is not None)
@@ -1301,7 +1305,7 @@ class _Pass:
         # every pair at the boundary is a candidate of the grid
         self.boundary_u = kernel.boundary_u if margin and (
             kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED) else None
-        if margin or not truncated:  # a full-support kernel has no boundary
+        if margin:
             state._boundary_hit = False
             if not listed:  # a grid state's margin comes from a scan (see margin)
                 state._margin = math.inf
@@ -1330,24 +1334,25 @@ class _Pass:
                 self.next_y, self.next_at = _coordinate_rows(self.next_y, self.next_at)
             # a truncated chunk's temporaries (its margin, its joins and,
             # where they do not lie in a slab, its profile arguments) come on
-            # top of its slabs, so its slabs share three blocks, at most three
-            # fifths of one each: with the profile argument and the weight of
-            # each entry, a chunk of the update's three slabs (or fewer) then
+            # top of its slabs, so its slabs (the labels' counted) share
+            # three blocks, at most three fifths of one each: with the profile
+            # argument and the weight of each entry, a chunk of the update's
+            # three slabs (or fewer) then
             # holds three blocks, below a grid chunk, so a run's peak does not
             # hang on the a of the states whose n x a pairs fit one chunk
             # (with a block per slab those peaked in proportion to a, above
             # the grid's).  Each chunk costs a fixed count of numpy calls, so
             # smaller chunks would slow the states of a few hundred points
-            entries = 3 * _BLOCK_ENTRIES // max(slabs, 5) if truncated else _BLOCK_ENTRIES
+            entries = 3 * _BLOCK_ENTRIES // max(counted, 5) if truncated else _BLOCK_ENTRIES
             # a pass over blocks holds its coordinate rows beside its chunks,
             # so its slabs give up their entries, up to an eighth of their own
             coords = self.y.size + self.at.size * (self.at is not self.y)
             self.entries = entries - min(entries // 8, coords * (1 + (after is not None)) // slabs)
 
-    def run(self) -> float | None:
+    def run(self) -> tuple[float, float] | None:
         # sum the chunks of the source and keep what the pass read; returns
-        # the gap's post-step total in a post-step pass
-        state, slabs, num = self.state, self.pre + self.gap, self.num
+        # the totals of the gap's pre-step and post-step terms in a gap pass
+        state, slabs, num = self.state, self.slabs, self.num
         n, inv, a = state.n, state.distinct.inv, state.distinct.a
         if self.source == "gathered":
             sums = _gathered_j(inv, a, slabs, self.fill)
@@ -1363,14 +1368,12 @@ class _Pass:
         if self.update:
             state._update = sums[0], sums[num:self.mom]
         if self.moments:
-            state._moments = np.ascontiguousarray(sums[self.mom:self.pre].T)
+            state._moments = np.ascontiguousarray(sums[self.mom:].T)
         if self.degrees:  # the pair with its own point is joined exactly when g(0) != 0
             state._degree -= state.kernel.g0 != 0.0
-        if self.gap:
-            total = _ascending_total(state.distinct.expand(sums[self.pre]))
-            if self.next_y is not None:
-                return total
-            state._gap_before = total
+        if self.next_y is not None:
+            expand = state.distinct.expand
+            return _ascending_total(expand(sums[0])), _ascending_total(expand(sums[1]))
 
     def fill(self, rows, out, col=None) -> None:
         """Write the terms of the j-rows ``rows`` against every distinct row,
@@ -1379,12 +1382,11 @@ class _Pass:
         :func:`_tiled_j`, or of the pairs ``(rows[p], col[p])`` of the grid,
         into ``out``, and fill the maxima, the margin and the components
         from them."""
-        state, pre, joins, segment = self.state, self.pre, self.joins, self.state._segment
-        post = self.next_y is not None
-        w = out[0]
+        state, joins, segment = self.state, self.joins, self.state._segment
+        gap = self.next_y is not None
+        sqd = w = out[0]
         yj, ar = _pair_ends(self.y, self.at, rows, col)
-        sqd = out[pre] if self.gap and not post else w
-        diff = out[self.mom:pre] if pre > self.mom else None  # the moments' slabs
+        diff = out[self.mom:] if self.moments else None  # the moments' slabs
         if segment is None:  # within the bounding box's bound, checked already
             coordinate_sqdist(yj, ar, out=sqd, diff=diff)
             if self.chunk_max:
@@ -1402,8 +1404,8 @@ class _Pass:
             state._stable = not failing.any()
         # g holds the profile arguments until weigh writes the weights over
         # them: in the weights' slab, but where the distances are read again
-        # (the joined ones) or the slab takes the post-step ones
-        g = profile_args(sqd, state.h, out=None if post or self.joined_max else w)
+        # (the joined ones, the gap's pre-step ones)
+        g = profile_args(sqd, state.h, out=None if gap or self.joined_max else w)
         # u_ii = 0 lies inside every support, so the diagonal never matches
         if self.boundary_u is not None and not state._boundary_hit:
             state._boundary_hit = bool(np.any(g == self.boundary_u))
@@ -1425,7 +1427,7 @@ class _Pass:
             joins[:, rows] = joined.T
         elif joins is not None:  # a list of pairs
             joins[col, rows] = joined
-        if post:  # no slab sums the weights: they stay in their own array
+        if gap:  # no slab sums the weights: they stay in their own array
             w = g
         elif g is not w:  # the joined distances took the weights' slab
             w[...] = g
@@ -1434,10 +1436,9 @@ class _Pass:
             np.multiply(w, yj, out=out[self.num:self.mom])
         if diff is not None:  # the moments' w_jr (y_rk - y_jk) of every coordinate k
             diff *= w
-        if self.gap and post:  # the post-step distances
-            coordinate_sqdist(*_pair_ends(self.next_y, self.next_at, rows, col), out=out[pre])
-        if self.gap:
-            out[pre] *= w
+        if gap:  # the pre-step distances and the post-step ones, times the weights
+            coordinate_sqdist(*_pair_ends(self.next_y, self.next_at, rows, col), out=out[1])
+            out *= w
 
     def _join_chunk(self, rows, joined: np.ndarray, col: np.ndarray | None) -> None:
         # count the chunk's joins per column where the degrees are read, and

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .cluster import _recording, bandwidth_sweep, cluster, standardize
+from .cluster import bandwidth_sweep, cluster, standardize
 from .diagnostics import DEFAULT_DIRECTION_SEED
 from .engine import StopRule, run_bms
 from .io import ParseError, emit_trace, load_points, write_csv, write_json
@@ -120,9 +120,8 @@ def _cmd_cluster(args) -> int:
     # a trace takes the records from a sink as the run goes: read from the
     # result, they would be built by a second run
     records = []
-    with _recording(None if args.trace is None else records.append):
-        result = cluster(points, kernel, args.h, stop=_stop_rule(args),
-                         merge_tol=args.merge_tol)
+    result = cluster(points, kernel, args.h, stop=_stop_rule(args), merge_tol=args.merge_tol,
+                     sink=None if args.trace is None else records.append)
     if args.trace is not None:
         emit_trace(records, args.trace)
     payload = result.to_json_dict()

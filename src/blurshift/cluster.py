@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,23 +67,6 @@ class ClusterResult:
         }
 
 
-# the sink that cluster() hands run_bms; see _recording
-_sink: ContextVar[Callable[[IterationRecord], None] | None] = ContextVar(
-    "blurshift_cluster_sink", default=None)
-
-
-@contextlib.contextmanager
-def _recording(sink: Callable[[IterationRecord], None] | None):
-    """Within the block, :func:`cluster` passes ``sink`` to ``run_bms``: a
-    sink makes its run build the records as it goes instead of on their
-    first read."""
-    token = _sink.set(sink)
-    try:
-        yield
-    finally:
-        _sink.reset(token)
-
-
 def _representatives(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """The mean of each group's points, for groups numbered ``0..M-1``.
 
@@ -99,7 +80,8 @@ def _representatives(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
 
 
 def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
-            merge_tol: float | None = None) -> ClusterResult:
+            merge_tol: float | None = None,
+            sink: Callable[[IterationRecord], None] | None = None) -> ClusterResult:
     """Run the blurring iteration and group the terminal points.
 
     Terminal points are grouped by single linkage at ``merge_tol``
@@ -107,12 +89,14 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     kernels land clusters on exactly coincident points, while smooth
     kernels only agree to within the stopping tolerance, so grouping by a
     small radius instead of bitwise equality works for both.  The run
-    builds no iteration record; ``records`` builds them on first read.
+    passes ``sink`` to :func:`~blurshift.engine.run_bms`: with one, it
+    builds one iteration record per step as it goes; without one, it builds
+    none, and ``records`` builds them on first read.
     """
     cfg = as_configuration(points)
     if merge_tol is not None and not merge_tol >= 0:
         raise ValueError(f"merge_tol must be non-negative, got {merge_tol}")
-    run = run_bms(cfg, kernel, h, stop=stop, sink=_sink.get())
+    run = run_bms(cfg, kernel, h, stop=stop, sink=sink)
     if merge_tol is None:
         merge_tol = 1e-8 * run.initial_diameter
     groups = single_linkage_labels(run.final.points, merge_tol)

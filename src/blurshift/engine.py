@@ -158,8 +158,8 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
     When ``cfg_next`` is the blurring update of ``cfg`` this is at least
     ``(2 g(0) / h^2) * ||y' - y||^2``, and the objective gain is at least
     this gap.  Each of the two terms is summed like the objective (rows in
-    ascending j, then the rows in ascending i), from the distances and
-    weights computed chunk by chunk, whatever the kernel.
+    ascending j, then the rows in ascending i), both in one pass, from the
+    same distances and weights computed chunk by chunk, whatever the kernel.
     """
     cfg = as_configuration(cfg)
     cfg_next = as_configuration(cfg_next)
@@ -167,7 +167,7 @@ def minorizer_gap(cfg_next, cfg, kernel: KernelSpec, h: float) -> float:
         raise ValueError(
             f"shape mismatch: {cfg_next.points.shape} vs {cfg.points.shape}"
         )
-    return PairwiseState(cfg, kernel, h, {"gap"}).minorizer_gap(cfg_next)
+    return PairwiseState(cfg, kernel, h).minorizer_gap(cfg_next)
 
 
 @dataclass(frozen=True)
@@ -267,10 +267,11 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     what ``on_step`` reads beyond the update, which the loop always reads,
     and the initial diameter, which step 1 always reads (``"diameter"``,
     ``"singular"``, ``"objective"``, ``"margin"``, ``"stable"``,
-    ``"labels"``, ``"closed"``, ``"moments"``, ``"gap"``; see
-    :class:`PairwiseState`), so that the state computes it in its
-    constructor's pass and nothing else, instead of running that pass
-    again for each value read; it moves no bit.
+    ``"labels"``, ``"closed"``, ``"moments"``; see :class:`PairwiseState`),
+    so that the state computes it in its constructor's pass and nothing
+    else, instead of running that pass again for each value read; it moves
+    no bit.  The minorizer gap is not declared: ``minorizer_gap`` sums
+    both of its terms in one pass of its own.
 
     Coincident points blur alike, so each step after the first is handed
     the grouping of its points (:meth:`DistinctRows.after`, from the a

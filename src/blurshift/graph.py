@@ -56,15 +56,16 @@ def build_graph(cfg, kernel: KernelSpec, h: float) -> BmsGraph:
 
     Edge ``{i, j}`` is present iff ``i != j`` and ``g`` is nonzero at the
     pairwise profile argument.  Components come from a min-label union over
-    the joined pairs, streamed through the pairwise state's pass, and are
-    numbered in order of their smallest vertex; the complete graph of a
-    non-truncated kernel is one component.
+    the joined pairs, streamed through the one pass of the pairwise state
+    that also writes the join bits, and are numbered in order of their
+    smallest vertex; the complete graph of a non-truncated kernel is one
+    component, and takes no pass.
 
     Nonzeroness follows the exact sign structure of ``g``: a non-truncated
     kernel joins every pair even where the evaluated weight underflows to
     zero in doubles.
     """
-    state = PairwiseState(cfg, kernel, h, {"labels"})
+    state = PairwiseState(cfg, kernel, h)
     adjacency = state.distinct.expand(state.joined_rows())
     np.fill_diagonal(adjacency, False)
     adjacency.setflags(write=False)

@@ -116,17 +116,9 @@ def _poly_profile(p: float):
 
 def _poly_g(p: float):
     # left derivative of (1-u)_+^p, p on the closed support; for p == 1
-    # (the flat weight) that is the indicator of u <= 1, which
-    # p * t**(p - 1) would also give, since 0**0 == 1
+    # (the flat weight) that is the indicator of u <= 1, since 0**0 == 1
     def g(u):
         u = np.asarray(u, dtype=float)
-        if p == 1.0:  # False (u > 1 or NaN) casts to 0.0; asarray keeps a 0-d array
-            return np.asarray(u <= 1.0).astype(float)
-        if p == 2.0:  # 2 (1 - u)_+ in place; fmax takes a NaN (from NaN) to 0.0
-            t = np.subtract(1.0, u, out=np.empty_like(u))
-            np.fmax(t, 0.0, out=t)
-            t *= 2.0
-            return t
         t = np.maximum(1.0 - u, 0.0)
         return np.where(u <= 1.0, p * t ** (p - 1.0), 0.0)
 
@@ -157,10 +149,7 @@ def _cosine_g(u):
 
 
 def _gaussian_profile(u):
-    # exp(-u) in one temporary: the dense paths evaluate it on every chunk
-    # of j-rows of their weights
-    out = np.negative(np.asarray(u, dtype=float))
-    return np.exp(out, out=out) if isinstance(out, np.ndarray) else np.exp(out)
+    return np.exp(-np.asarray(u, dtype=float))
 
 
 def _logistic_profile(u):
@@ -457,6 +446,8 @@ def _sampled_kernel(name: str, us: np.ndarray, ks: np.ndarray, beta: float,
                     truncation: TruncationClass) -> KernelSpec:
     if us.ndim != 1 or us.shape != ks.shape or us.size < 2:
         raise ValueError("samples must be two equal-length 1-D arrays with >= 2 points")
+    if not np.all(np.isfinite(us)):
+        raise ValueError("sample grid 'u' must be finite")
     if us[0] != 0.0 or np.any(np.diff(us) <= 0):
         raise ValueError("sample grid must start at 0 and be strictly increasing")
     if not np.all(np.isfinite(ks)):

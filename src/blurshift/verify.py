@@ -259,7 +259,7 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         pending = (t, state.objective, gap, move_sq, d_t, allowance)
 
     # the margin test at its default tolerance, and the components without degrees
-    reads = {"diameter", "objective", "stable", "gap", "labels"} | (
+    reads = {"diameter", "objective", "stable", "labels"} | (
         {"moments"} if smooth else set())
     final, stop_reason, T = _iterate(points, kernel, h, stop, on_step, reads)
     # closes the last step's checks and tells whether a terminal fixed point is singular

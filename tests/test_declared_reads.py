@@ -374,3 +374,38 @@ def test_smooth_gradient_state_runs_one_pass(monkeypatch):
     result = engine.gradient(pts, bs.builtin("biweight"), 0.8)
     assert passes == [{"moments"}]
     assert result.nonsmooth_boundary is False
+
+
+@pytest.mark.parametrize("kernel_id", ["epanechnikov", "gaussian"])
+@pytest.mark.parametrize("n", [12, 300])
+def test_no_pass_fills_nothing(kernel_id, n, monkeypatch):
+    # a state that declares nothing runs no pass, nor does a full-support
+    # kernel's margin; the gap's two terms take one pass, where the next
+    # points split the groups too, and build_graph one pass for its joins
+    # and labels together, or none for a full-support kernel
+    runs = []
+    run = _pairwise._Pass.run
+
+    def counted(self):
+        runs.append(self.source)
+        return run(self)
+
+    monkeypatch.setattr(_pairwise._Pass, "run", counted)
+    kernel, h = bs.builtin(kernel_id), 0.5
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
+    pts[n // 2:] = pts[:n - n // 2]  # coincident points, grouped when n > 128
+    state = PairwiseState(pts, kernel, h)
+    assert (state.distinct.inv is None) == (n == 12)
+    if not kernel.truncated:
+        assert state.margin == math.inf and state.boundary_hit is False
+    assert runs == []
+    engine.minorizer_gap(0.5 * pts + 0.125, pts, kernel, h)
+    assert len(runs) == 1
+    engine.minorizer_gap(pts + np.linspace(0.0, 1e-3, n)[:, None], pts, kernel, h)
+    assert len(runs) == 2
+    graph = bs.build_graph(pts, kernel, h)
+    assert len(runs) == 2 + kernel.truncated
+    want = PairwiseState(pts, kernel, h, {"labels"})
+    assert np.array_equal(graph.labels, want.labels)
+    assert np.array_equal(graph.adjacency, want.distinct.expand(want.joined_rows())
+                          & ~np.eye(n, dtype=bool))

@@ -73,9 +73,10 @@ class TestVectorForms:
 
     @pytest.mark.parametrize("kernel_id, p", [("epanechnikov", 1.0), ("biweight", 2.0)])
     def test_polynomial_weights_keep_the_where_formula_bits(self, kernel_id, p):
-        # the flat and the biweight weights are computed without np.where;
-        # every bit, the non-finite and signed-zero cases included, is the
-        # formula's: 1 or 0 for p = 1, else p (1 - u)_+^(p - 1) inside the support
+        # the flat and the biweight weights of scalar and per-query calls
+        # (the pass evaluates them in place, with kernels.in_place) keep
+        # every bit of the formula, the non-finite and signed-zero cases
+        # included: 1 or 0 for p = 1, else p (1 - u)_+^(p - 1) inside the support
         def formula(u):
             if p == 1.0:
                 return np.where(u <= 1.0, 1.0, 0.0)
@@ -309,6 +310,15 @@ class TestCustomKernels:
                     "samples": {"u": u, "k": k},
                     "beta": 1.0, "class": "non_smoothly_truncated",
                 })
+
+    def test_non_finite_sample_grid_rejected_by_name(self):
+        # NaN passes a test of np.diff(u) <= 0: these grids gave g(0) = nan,
+        # zeroed every weight, and reached only the beta check
+        for u in ([0.0, math.nan, 1.0], [0.0, 0.5, math.nan], [0.0, 0.5, math.inf]):
+            with pytest.raises(ValueError, match="sample grid 'u' must be finite"):
+                bs.kernel_from_descriptor({"samples": {"u": u, "k": [1.0, 0.5, 0.0]},
+                                           "beta": math.sqrt(2.0),
+                                           "class": "non_smoothly_truncated"})
 
     def test_load_from_json_file(self, tmp_path):
         path = tmp_path / "kern.json"

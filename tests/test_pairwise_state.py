@@ -315,7 +315,7 @@ def test_grid_state_holds_no_pairwise_array():
     pts = (pts - pts.mean(axis=0)) / pts.std(axis=0)
     with forced_source() as taken:
         state = PairwiseState(pts, bs.builtin("epanechnikov"), 0.25 * math.sqrt(400 / n),
-                              {"update", "moments", "objective", "margin", "labels", "gap"})
+                              {"update", "moments", "objective", "margin", "labels"})
     assert taken == ["grid"]
     _assert_holds_no_pairwise_array(state)
     state.minorizer_gap(state.update())
@@ -519,7 +519,7 @@ def test_later_pass_keeps_the_structure(n):
     _assert_holds_no_pairwise_array(state)
 
 
-_EVERY_READ = frozenset({"update", "moments", "gap", "objective", "margin", "labels",
+_EVERY_READ = frozenset({"update", "moments", "objective", "margin", "labels",
                          "closed", "diameter", "singular"})
 
 
@@ -529,18 +529,17 @@ def _assert_reads_move_no_bit(pts, kernel, h, moved):
     read = PairwiseState(pts, kernel, h, reads=_EVERY_READ)
     plain = PairwiseState(pts, kernel, h)
     # what each constructor's pass filled: a full-support kernel has no
-    # boundary and one component, and gaussian's objective is its weights'
-    # sum
-    filled = (read._update, read._moments, read._gap_before, read._max_sqdist)
+    # boundary and one component, so its margin (inf) and boundary hit
+    # (False) take no pass; a state that declares nothing runs no pass
+    filled = (read._update, read._moments, read._max_sqdist, read._objective)
     assert all(value is not None for value in filled)
     assert (read._joined_max is None) == (not kernel.truncated)
     assert plain._max_sqdist is None and plain._joined_max is None
-    assert read._objective is not None and read._margin is not None
+    assert (read._margin is None) == (read._boundary_hit is None) == (not kernel.truncated)
     assert (read._roots is None) == (read._degree is None) == (not kernel.truncated)
-    assert all(value is None for value in (plain._update, plain._moments, plain._gap_before,
+    assert all(value is None for value in (plain._update, plain._moments, plain._objective,
+                                           plain._margin, plain._boundary_hit,
                                            plain._roots, plain._degree))
-    assert (plain._margin is None) == (plain._boundary_hit is None) == kernel.truncated
-    assert (plain._objective is None) == (kernel.profile is not kernel.g)
     assert read.boundary_hit == plain.boundary_hit
     assert _bits(read.margin) == _bits(plain.margin)
     assert read.update().tobytes() == plain.update().tobytes()

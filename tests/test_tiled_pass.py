@@ -1,5 +1,5 @@
-"""The tiled pass of an ungrouped state whose slabs are all symmetric (the
-post-step minorizer gap, the objective, the largest squared distances) gives
+"""The tiled pass of an ungrouped state whose slabs are all symmetric (both
+terms of the minorizer gap, the objective, the largest squared distances) gives
 bit for bit what the row-chunk pass over every ordered pair gives."""
 
 import math
@@ -102,4 +102,4 @@ def test_grouped_states_keep_the_row_chunk_pass():
     with forced_source(tiles=0.0) as taken:  # tiles wherever a pass may tile
         state.minorizer_gap(0.5 * pts)
         assert state.objective > 0
-    assert len(taken) == 3 and "tiles" not in taken
+    assert len(taken) == 2 and "tiles" not in taken  # the gap's pass and the objective's

@@ -2,10 +2,11 @@
 
 A pass that reads the moments writes the differences ``y_r - y_j`` into
 the moments' slabs and takes the squared distances from them, so each
-pair's coordinates are subtracted once: the moments, the squared distances
-and the gap's terms must equal a direct n x n evaluation bit for bit, in
-every kind of pass (row blocks, the gathered block of a grouped state, a
-grid's pair lists and a batch's stacks).  The directional extents take the
+pair's coordinates are subtracted once: the moments and the squared
+distances must equal a direct n x n evaluation bit for bit, in every kind
+of pass (row blocks, the gathered block of a grouped state, a grid's pair
+lists and a batch's stacks), and so must both terms of the gap's pass of
+the same state.  The directional extents take the
 directions' coordinates from a contiguous copy of their transpose and must
 equal the outer-product form over the (m, d) array, across row blocks.
 The fuzz probes draw their pairs of distinct points without
@@ -13,6 +14,7 @@ The fuzz probes draw their pairs of distinct points without
 the same state.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -26,11 +28,12 @@ from blurshift.diagnostics import _extents, direction_set
 from blurshift.verify import _distinct_pair
 from conftest import forced_source
 
-# what run_verify's steps read with the moments, and fewer: the squared
-# distances go to the weights' slab, or to the gap's where it is read
-_READS = (frozenset({"moments", "diameter"}),
-          frozenset({"moments", "gap", "diameter"}),
-          frozenset({"moments", "gap", "update", "objective", "diameter", "labels", "stable"}))
+# what run_verify's steps read with the moments, and fewer, each with or
+# without the gap's pass of the state after it
+_READS = (pytest.param(frozenset({"moments", "diameter"}), False, id="reads0"),
+          pytest.param(frozenset({"moments", "diameter"}), True, id="reads1"),
+          pytest.param(frozenset({"moments", "update", "objective", "diameter", "labels",
+                                  "stable"}), True, id="reads2"))
 
 
 def _reference(points: np.ndarray, kernel, h: float):
@@ -69,34 +72,37 @@ def _signed_points(rng, n: int, d: int, spread: float) -> np.ndarray:
 
 
 def _assert_state_matches(state: PairwiseState, points: np.ndarray, kernel, h: float,
-                          reads) -> None:
-    sqd, moments, gap = _reference(points, kernel, h)
+                          gap: bool) -> None:
+    sqd, moments, total = _reference(points, kernel, h)
     assert state.moments().tobytes() == moments.tobytes()
     assert state.max_sqdist == sqd.max()
-    if "gap" in reads:
-        assert state._gap_before.hex() == gap.hex()
+    if gap:  # to the same points, both of the gap pass's terms are the pre-step total
+        assert [term.hex() for term in state._pass((), after=points)] == [total.hex()] * 2
 
 
-@pytest.mark.parametrize("reads", _READS)
+@pytest.mark.parametrize("reads,gap", _READS)
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kernel_id", ["gaussian", "biweight", "epanechnikov"])
-def test_row_blocks_take_distances_from_the_moments_differences(kernel_id, d, reads):
+def test_row_blocks_take_distances_from_the_moments_differences(kernel_id, d, reads, gap):
     kernel = bs.builtin(kernel_id)
-    rng = np.random.default_rng([d, len(kernel_id), len(reads)])
+    rng = np.random.default_rng([d, len(kernel_id), len(reads) + gap])
     pts = _signed_points(rng, 200, d, 1.5)
-    # every row its own, so the pass runs over blocks of j-rows
+    # every row its own, so the pass runs over blocks of j-rows (the gap's
+    # pass too, kept off the tiles)
     with forced_source() as taken:
         state = PairwiseState(pts, kernel, 0.9, reads, DistinctRows(pts, grouped=False))
     assert taken == ["rows"] and state.distinct.inv is None
-    _assert_state_matches(state, pts, kernel, 0.9, reads)
+    with forced_source(tiles=math.inf) as taken:
+        _assert_state_matches(state, pts, kernel, 0.9, gap)
+    assert taken == ["rows"] * gap
 
 
-@pytest.mark.parametrize("reads", _READS[:2])
+@pytest.mark.parametrize("reads,gap", _READS[:2])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kernel_id", ["gaussian", "biweight"])
-def test_gathered_block_takes_distances_from_the_moments_differences(kernel_id, d, reads):
+def test_gathered_block_takes_distances_from_the_moments_differences(kernel_id, d, reads, gap):
     kernel = bs.builtin(kernel_id)
-    rng = np.random.default_rng([d, len(kernel_id), len(reads), 1])
+    rng = np.random.default_rng([d, len(kernel_id), len(reads) + gap, 1])
     sites = _signed_points(rng, 16, d, 1.5)  # 14 distinct positions
     pts = sites[rng.integers(0, sites.shape[0], size=300)]
     calls = []
@@ -108,22 +114,24 @@ def test_gathered_block_takes_distances_from_the_moments_differences(kernel_id, 
 
     with mock.patch.object(_pairwise, "_gathered_j", counted):
         state = PairwiseState(pts, kernel, 0.9, reads)
-    assert calls and state.distinct.inv is not None
-    _assert_state_matches(state, pts, kernel, 0.9, reads)
+        assert calls and state.distinct.inv is not None
+        _assert_state_matches(state, pts, kernel, 0.9, gap)
+    assert len(calls) == 1 + gap
 
 
-@pytest.mark.parametrize("reads", _READS)
+@pytest.mark.parametrize("reads,gap", _READS)
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kernel_id", ["biweight", "epanechnikov"])
-def test_grid_pairs_take_distances_from_the_moments_differences(kernel_id, d, reads):
+def test_grid_pairs_take_distances_from_the_moments_differences(kernel_id, d, reads, gap):
     kernel = bs.builtin(kernel_id)
-    rng = np.random.default_rng([d, len(kernel_id), len(reads), 2])
+    rng = np.random.default_rng([d, len(kernel_id), len(reads) + gap, 2])
     pts = _signed_points(rng, 500, d, 1.0)
     h = 0.03 / kernel.beta
     with forced_source() as taken:
         state = PairwiseState(pts, kernel, h, reads)
-    assert taken == ["grid"] and state.distinct.inv is not None
-    _assert_state_matches(state, pts, kernel, h, reads)
+        assert taken == ["grid"] and state.distinct.inv is not None
+        _assert_state_matches(state, pts, kernel, h, gap)
+    assert taken == ["grid"] * (1 + gap)
 
 
 @pytest.mark.parametrize("kernel_id", ["gaussian", "biweight", "epanechnikov"])
