@@ -791,10 +791,8 @@ class PairwiseState:
     (:func:`_pair_source`): of the sources eligible for the pass (see
     :func:`_pair_entries`), the one whose counted entries cost least by
     ``_ENTRY_COST``, as ``bench/pair_sources.py`` measured them relative to
-    an entry of the row blocks (1): the gathered rows' 0.198 per entry of
-    their a * a distinct pairs and n * a gathered entries, the tiles' 1.64
-    per pair on and above the diagonal, and the grid's 3.02 per candidate
-    pair and per running total that a chunk of them copies.
+    an entry of the row blocks (the comment above ``_ENTRY_COST`` gives
+    the costs and what each source counts).
     - The row blocks (:func:`_ascending_j`) serve every pass.
     - A grouped state whose a x a pairs of distinct rows fit one block for
       the pass's slabs (``slabs * a * a <= _BLOCK_ENTRIES``), in a pass that

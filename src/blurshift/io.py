@@ -57,10 +57,9 @@ def _points_from_rows(path, rows: list[list[str]], first_data_row: int) -> Confi
         raise ParseError(path, str(exc)) from None
 
 
-def _looks_numeric(cells: Sequence[str]) -> bool:
+def _is_number(cell: str) -> bool:
     try:
-        for cell in cells:
-            float(cell)
+        float(cell)
     except ValueError:
         return False
     return True
@@ -69,10 +68,11 @@ def _looks_numeric(cells: Sequence[str]) -> bool:
 def load_points(path, fmt: str | None = None) -> Configuration:
     """Load an (n, d) point set from a CSV or JSON file.
 
-    CSV: one point per row, ``d`` numeric columns; a single leading header
-    row is auto-detected and skipped.  JSON: an array of equal-length
-    numeric arrays.  Malformed input raises :class:`ParseError` with the
-    offending row/column.
+    CSV: one point per row, ``d`` numeric columns; a leading row none of
+    whose cells is a number is a header and is skipped, while a leading row
+    with some numeric cell is data, so a bad cell there is an error.  JSON:
+    an array of equal-length numeric arrays.  Malformed input raises
+    :class:`ParseError` with the offending row/column.
     """
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
@@ -92,7 +92,7 @@ def load_points(path, fmt: str | None = None) -> Configuration:
     if not rows:
         raise ParseError(path, "empty file")
     first_data_row = 1
-    if not _looks_numeric(rows[0]):
+    if not any(_is_number(cell) for cell in rows[0]):
         rows = rows[1:]  # header
         first_data_row = 2
     return _points_from_rows(path, rows, first_data_row)

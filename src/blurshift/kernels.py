@@ -103,27 +103,10 @@ def _as_nonneg(u, what: str = "u") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Built-in profiles.  All are written to be vectorized and branch-safe
-# (no NaNs generated on the masked-out side of a where()).
-
-def _poly_profile(p: float):
-    def k(u):
-        t = np.maximum(1.0 - np.asarray(u, dtype=float), 0.0)
-        return t**p
-
-    return k
-
-
-def _poly_g(p: float):
-    # left derivative of (1-u)_+^p, p on the closed support; for p == 1
-    # (the flat weight) that is the indicator of u <= 1, since 0**0 == 1
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        t = np.maximum(1.0 - u, 0.0)
-        return np.where(u <= 1.0, p * t ** (p - 1.0), 0.0)
-
-    return g
-
+# Built-in profiles written as functions of u: the cosine, logistic and
+# tricube kernels.  All are written to be vectorized and branch-safe (no
+# NaNs generated on the masked-out side of a where()).  The polynomial,
+# gaussian and cauchy kernels are written once, as the evaluators below.
 
 def _cosine_profile(u):
     u = np.asarray(u, dtype=float)
@@ -148,10 +131,6 @@ def _cosine_g(u):
     return np.where(inside, _COSINE_G0 * ratio, 0.0)
 
 
-def _gaussian_profile(u):
-    return np.exp(-np.asarray(u, dtype=float))
-
-
 def _logistic_profile(u):
     # sech^2(sqrt(u)/2) written in an overflow-free form
     s = np.sqrt(np.asarray(u, dtype=float))
@@ -165,14 +144,6 @@ def _logistic_g(u):
     safe = np.where(s > 0.0, s, 1.0)
     val = _logistic_profile(u) * np.tanh(0.5 * s) / (2.0 * safe)
     return np.where(s > 0.0, val, 0.25)
-
-
-def _cauchy_profile(u):
-    return 1.0 / (1.0 + np.asarray(u, dtype=float))
-
-
-def _cauchy_g(u):
-    return 1.0 / (1.0 + np.asarray(u, dtype=float)) ** 2
 
 
 def _tricube_profile(u):
@@ -195,22 +166,24 @@ _SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # In-place evaluation for the pairwise pass.  An evaluator ``into(u, k)``
 # writes g(u) over the float64 array u, and the profile k(u) into the array
-# k of u's shape unless k is None.  A built-in's evaluator calls the ufuncs
-# of its profile and weight function in their order, on the same operands,
-# without their temporaries, so it gives their bits wherever u holds no NaN
-# (the pass's profile arguments never do); ``t ** 0.5`` is numpy's sqrt
-# and every other float exponent its power.
+# k of u's shape unless k is None.  The polynomial, gaussian and cauchy
+# evaluators are those kernels' only formulas: their public ``profile`` and
+# ``g`` run them on a float64 copy of u, with a support mask on a truncated
+# kernel's ``g`` (:func:`_from_evaluator`).  Each gives the bits of the
+# one-line formula that ``tests/test_kernels.py`` pins (numpy computes
+# ``t ** 0.5`` as sqrt and ``x ** 2`` as a square).
 
 def _poly_into(p: float):
     def into(u, k):
-        if p == 1.0:  # k = (1 - u)_+ ** 1.0, and g = 1.0 where u <= 1, else 0.0
+        # k = (1 - u)_+ ** p, and g its left derivative p (1 - u)_+ ** (p - 1)
+        if p == 1.0:  # g = 1.0 where u <= 1, else 0.0
             if k is not None:
                 np.subtract(1.0, u, out=k)
                 np.maximum(k, 0.0, out=k)
                 np.power(k, 1.0, out=k)
             np.less_equal(u, 1.0, out=u)
             return
-        # t = (1 - u)_+, shared: g's fmax and the profile's maximum agree but on NaN
+        # t = (1 - u)_+, shared by the profile and the weight
         t = np.subtract(1.0, u, out=u)
         np.maximum(t, 0.0, out=t)
         if k is not None:
@@ -218,7 +191,7 @@ def _poly_into(p: float):
         if p == 2.0:  # 2 t
             t *= 2.0
             return
-        # p t ** (p - 1), inside the support wherever u is not NaN
+        # p t ** (p - 1), which is 0.0 beyond the support wherever u is not NaN
         if p - 1.0 == 0.5:
             np.sqrt(t, out=t)
         else:
@@ -267,45 +240,63 @@ def in_place(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray | None], None
     return _generic_into(spec)
 
 
-_BUILTINS: dict[str, KernelSpec] = {}
+def _from_evaluator(kernel_id: str, into, *fields, profile_is_g: bool = False,
+                    **named) -> KernelSpec:
+    """The built-in whose only formula is its evaluator ``into``, entered
+    in ``_IN_PLACE``.
+
+    ``profile`` runs ``into`` on a float64 copy of ``u`` and returns k;
+    ``g`` returns the weights written over the copy, masked with
+    ``np.where`` to the support ``u <= boundary_u`` of a truncated kernel
+    (the evaluator alone gives NaN at a NaN argument).  A scalar ``u``
+    gives a numpy float, or a 0-d array from a masked ``g``.  Where
+    ``profile_is_g`` (gaussian), ``g`` is the profile too: that identity
+    tells the pass that the objective is the sum of the weights.
+    """
+    boundary = named.get("boundary_u")
+
+    def profile(u):
+        u = np.array(u, dtype=float)
+        k = np.empty_like(u)
+        with np.errstate(over="ignore"):  # at u >= 0 only cauchy's weights overflow
+            into(u, k)
+        return k[()]
+
+    def g(u):
+        w = np.array(u, dtype=float)
+        if boundary is None:
+            into(w, None)
+            return w[()]
+        inside = w <= boundary
+        into(w, None)
+        return np.where(inside, w, 0.0)
+
+    profile = g if profile_is_g else profile
+    _IN_PLACE[g] = (profile, into)
+    return KernelSpec(kernel_id, profile, g, *fields, **named)
 
 
-def _register(spec: KernelSpec, into=None) -> KernelSpec:
-    _BUILTINS[spec.id] = spec
-    if into is not None:
-        _IN_PLACE[spec.g] = (spec.profile, into)
-    return spec
-
-
-_register(KernelSpec("epanechnikov", _poly_profile(1.0), _poly_g(1.0), _SQRT2,
-                     TruncationClass.NON_SMOOTHLY_TRUNCATED, 1.0, alpha=1.0,
-                     boundary_u=1.0), _poly_into(1.0))
-_register(KernelSpec("cosine", _cosine_profile, _cosine_g, _SQRT2,
-                     TruncationClass.NON_SMOOTHLY_TRUNCATED, _COSINE_G0,
-                     alpha=(0.25 * np.pi) / _COSINE_G0, boundary_u=1.0))
-_register(KernelSpec("quadweight", _poly_profile(4.0), _poly_g(4.0), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 4.0, boundary_u=1.0),
-          _poly_into(4.0))
-_register(KernelSpec("triweight", _poly_profile(3.0), _poly_g(3.0), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 3.0, boundary_u=1.0),
-          _poly_into(3.0))
-_register(KernelSpec("biweight", _poly_profile(2.0), _poly_g(2.0), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 2.0, boundary_u=1.0),
-          _poly_into(2.0))
-_register(KernelSpec("three_halves", _poly_profile(1.5), _poly_g(1.5), _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 1.5, boundary_u=1.0),
-          _poly_into(1.5))
-_register(KernelSpec("gaussian", _gaussian_profile, _gaussian_profile, math.inf,
-                     TruncationClass.NON_TRUNCATED, 1.0), _gaussian_into)
-_register(KernelSpec("logistic", _logistic_profile, _logistic_g, math.inf,
-                     TruncationClass.NON_TRUNCATED, 0.25))
-_register(KernelSpec("cauchy", _cauchy_profile, _cauchy_g, math.inf,
-                     TruncationClass.NON_TRUNCATED, 1.0), _cauchy_into)
-
-# Diagnostic-only kernel: violates the convexity requirement (and has a flat
-# initial slope), kept so that the validation report can demonstrate failures.
-_register(KernelSpec("tricube", _tricube_profile, _tricube_g, _SQRT2,
-                     TruncationClass.SMOOTHLY_TRUNCATED, 0.0, boundary_u=1.0))
+_BUILTINS: dict[str, KernelSpec] = {spec.id: spec for spec in (
+    _from_evaluator("epanechnikov", _poly_into(1.0), _SQRT2,
+                    TruncationClass.NON_SMOOTHLY_TRUNCATED, 1.0, alpha=1.0, boundary_u=1.0),
+    KernelSpec("cosine", _cosine_profile, _cosine_g, _SQRT2,
+               TruncationClass.NON_SMOOTHLY_TRUNCATED, _COSINE_G0,
+               alpha=(0.25 * np.pi) / _COSINE_G0, boundary_u=1.0),
+    *(_from_evaluator(kernel_id, _poly_into(p), _SQRT2, TruncationClass.SMOOTHLY_TRUNCATED, p,
+                      boundary_u=1.0)
+      for kernel_id, p in (("quadweight", 4.0), ("triweight", 3.0), ("biweight", 2.0),
+                           ("three_halves", 1.5))),
+    _from_evaluator("gaussian", _gaussian_into, math.inf, TruncationClass.NON_TRUNCATED, 1.0,
+                    profile_is_g=True),
+    KernelSpec("logistic", _logistic_profile, _logistic_g, math.inf,
+               TruncationClass.NON_TRUNCATED, 0.25),
+    _from_evaluator("cauchy", _cauchy_into, math.inf, TruncationClass.NON_TRUNCATED, 1.0),
+    # Diagnostic-only kernel: violates the convexity requirement (and has a
+    # flat initial slope), kept so that the validation report can
+    # demonstrate failures.
+    KernelSpec("tricube", _tricube_profile, _tricube_g, _SQRT2,
+               TruncationClass.SMOOTHLY_TRUNCATED, 0.0, boundary_u=1.0),
+)}
 
 #: Built-in kernels satisfying the admissibility assumptions (convex,
 #: non-increasing profile with finite, non-zero initial slope).
@@ -519,7 +510,7 @@ def kernel_from_descriptor(desc: dict) -> KernelSpec:
     try:
         us = np.asarray(samples["u"], dtype=float)
         ks = np.asarray(samples["k"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("'samples' must contain numeric lists 'u' and 'k'") from exc
     if "beta" not in desc or "class" not in desc:
         raise ValueError("custom kernels must declare 'beta' and 'class'")

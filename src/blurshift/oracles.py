@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import Configuration
+from .config import Configuration, check_bandwidth, check_count
 from .diagnostics import residual_floor
 from .engine import bms_step
 from .kernels import KernelSpec
@@ -69,6 +69,13 @@ def simplex_vertices(n: int, d: int, r: float) -> Configuration:
     return Configuration.from_points(points)
 
 
+def _check_simplex(n, h) -> float:
+    # check_bandwidth(h), after a ValueError naming an n that is not an
+    # integer >= 2
+    check_count("n", n, 2)
+    return check_bandwidth(h)
+
+
 def _shrink_factor(kernel: KernelSpec, n: int, r: float, h: float) -> float:
     gv = float(kernel.g((r / h) ** 2 / (n - 1)))
     return (kernel.g0 - gv) / (kernel.g0 + (n - 1) * gv)
@@ -79,9 +86,12 @@ def simplex_recurrence_step(state: SimplexState, kernel: KernelSpec) -> SimplexS
 
     ``r' = (g(0) - g(u)) / (g(0) + (n-1) g(u)) * r`` with
     ``u = (r/h)^2 / (n-1)``.  The radius shrinks whenever ``g(u) > 0`` and
-    is unchanged when the vertices are beyond the joining radius.
+    is unchanged when the vertices are beyond the joining radius.  Raises
+    ``ValueError`` for fewer than 2 vertices and a bad bandwidth (see
+    :func:`~blurshift.config.check_bandwidth`).
     """
-    return replace(state, r=_shrink_factor(kernel, state.n, state.r, state.h) * state.r)
+    h = _check_simplex(state.n, state.h)
+    return replace(state, r=_shrink_factor(kernel, state.n, state.r, h) * state.r)
 
 
 def _check_steps(steps) -> int:
@@ -94,9 +104,15 @@ def simplex_radius_sequence(kernel: KernelSpec, n: int, h: float, r0: float,
                             steps: int) -> np.ndarray:
     """Radii ``r_1 = r0, ..., r_{steps+1}`` of the scalar recurrence.
 
-    Raises ``ValueError`` unless ``steps`` is an integer >= 0.
+    Raises ``ValueError`` unless ``steps`` is an integer >= 0, ``n`` an
+    integer >= 2, ``h`` a valid bandwidth (see
+    :func:`~blurshift.config.check_bandwidth`) and ``r0`` positive and
+    finite.
     """
     steps = _check_steps(steps)
+    h = _check_simplex(n, h)
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"r0 must be positive and finite, got {r0!r}")
     out = np.empty(steps + 1)
     out[0] = r = float(r0)
     for t in range(1, steps + 1):
@@ -106,9 +122,13 @@ def simplex_radius_sequence(kernel: KernelSpec, n: int, h: float, r0: float,
 
 
 def population_recurrence_step(s, h: float):
-    """Per-axis standard-deviation update ``s' = s^3 / (s^2 + h^2)``."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    """Per-axis standard-deviation update ``s' = s^3 / (s^2 + h^2)``.
+
+    Raises ``ValueError`` for a bad bandwidth (see
+    :func:`~blurshift.config.check_bandwidth`) and a standard deviation
+    that is not positive.
+    """
+    h = check_bandwidth(h)
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise ValueError("standard deviations must be positive")
@@ -121,11 +141,12 @@ def population_sequence(s0, h: float, steps: int) -> np.ndarray:
     Unlike the single-step function, the iteration tolerates standard
     deviations that underflow to exactly zero (the cubic decay reaches the
     smallest subnormal within a few dozen steps); zeros stay zero.  Raises
-    ``ValueError`` unless ``steps`` is an integer >= 0.
+    ``ValueError`` unless ``steps`` is an integer >= 0 and ``h`` a valid
+    bandwidth (see :func:`~blurshift.config.check_bandwidth`), and for a
+    standard deviation that is not positive.
     """
     steps = _check_steps(steps)
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    h = check_bandwidth(h)
     s = np.atleast_1d(np.asarray(s0, dtype=float))
     if np.any(s <= 0):
         raise ValueError("standard deviations must be positive")

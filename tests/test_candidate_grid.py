@@ -99,12 +99,13 @@ def _configuration(rng, d, layout, planted, h):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(kernel_id=st.sampled_from(sorted(_KERNELS)), d=st.sampled_from([1, 2, 3, 5]),
        layout=st.sampled_from(["plain", "ring", "offset", "far clusters"]),
-       planted=st.integers(0, 6), scale=st.sampled_from([0, 500, -500]),
+       planted=st.integers(0, 6), scale=st.sampled_from([0, 500, -500, -520]),
        seed=st.integers(0, 2**32 - 1))
 def test_grid_state_equals_scanned_state(kernel_id, d, layout, planted, scale, seed):
     # scaling the points and the bandwidth by 2**scale keeps every bit of
-    # the profile arguments, so the planted pairs stay at the radius
-    # (clusters 2**540 apart would overflow the squared distances)
+    # the profile arguments down to 2**-500, so the planted pairs stay at
+    # the radius (clusters 2**540 apart would overflow the squared
+    # distances); at 2**-520 the squared distances are subnormal
     assume(not (layout == "far clusters" and scale == 500))
     kernel = _KERNELS[kernel_id]
     _, h = representable_boundary_pair(1.0)
@@ -114,9 +115,35 @@ def test_grid_state_equals_scanned_state(kernel_id, d, layout, planted, scale, s
         state = PairwiseState(pts, kernel, h, _READS)
     assert state.n * state.distinct.a > _BLOCK_ENTRIES
     # 2**40 h is beyond 2**30 cells from the origin: the cell indices could
-    # round by more than the cells' inflation, so the state scans every pair
-    assert (taken == ["grid"]) == (layout != "far clusters")
+    # round by more than the cells' inflation, and below h = 2**-500 the
+    # squared distances lose bits, so the state scans every pair
+    assert (taken == ["grid"]) == (layout != "far clusters" and scale > -520)
     assert _fields(state) == _scanned_fields(pts, kernel, h)
+
+
+def test_grid_refuses_a_radius_whose_square_overflows():
+    # the profile vanishes beyond u = 1, but the declared beta = 2**600 is a
+    # radius whose square overflows: the grid cannot decide the pairs, and
+    # the state scans every one of them
+    kernel = bs.kernel_from_descriptor({
+        "id": "wide", "samples": {"u": [0.0, 1.0], "k": [1.0, 0.0]},
+        "beta": 2.0 ** 600, "class": "non_smoothly_truncated"})
+    pts = _configuration(np.random.default_rng(3), 2, "plain", 3, 1.0)
+    found = []
+    cell_ranges = _pairwise._cell_ranges
+
+    def spied(*args):
+        found.append(cell_ranges(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairwise, "_cell_ranges", spied)
+        with forced_source() as taken:
+            state = PairwiseState(pts, kernel, 1.0, _READS)
+    assert state.n * state.distinct.a > _BLOCK_ENTRIES
+    assert found == [None] and "grid" not in taken
+    assert _fields(state) == _scanned_fields(pts, kernel, 1.0)
+    assert 1 < state.labels.max() + 1 < state.n  # some pairs joined, not all
 
 
 @pytest.mark.parametrize("kernel_id", ["epanechnikov", "sampled"])
@@ -269,7 +296,7 @@ def test_grid_leaves_out_only_pairs_beyond_the_radius(rows):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(d=st.integers(1, 4), layout=st.sampled_from(["plain", "offset", "far"]),
        near=st.sampled_from(["at", "below", "above", "diagonal"]),
-       scale=st.sampled_from([0, 400, -400]), seed=st.integers(0, 2**32 - 1))
+       scale=st.sampled_from([0, 400, -400, -520]), seed=st.integers(0, 2**32 - 1))
 def test_grid_linkage_equals_scanned_linkage(d, layout, near, scale, seed):
     # lattice points of spacing s (a power of two, so every lattice distance
     # is exact), half of them jittered, with repeated rows and -0.0, linked
@@ -299,7 +326,8 @@ def test_grid_linkage_equals_scanned_linkage(d, layout, near, scale, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_pairwise, "_candidate_pairs", spied)
         labels = _pairwise.single_linkage_labels(pts, radius)
-    assert bool(taken) == (layout != "far")
+    # below a radius of 2**-500 the grid is not taken either
+    assert bool(taken) == (layout != "far" and scale > -520)
     with _scanning():
         want = _pairwise.single_linkage_labels(pts, radius)
     assert labels.tobytes() == want.tobytes()

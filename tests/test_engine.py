@@ -46,6 +46,11 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             bs.as_configuration([[math.inf, 0.0]])
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (0, 2), (2, 0)])
+    def test_not_an_n_by_d_array_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected an \(n, d\) array of points, got shape"):
+            bs.as_configuration(np.zeros(shape))
+
     def test_complex_rejected(self):
         # a cast to float would drop the imaginary parts and run on the
         # real ones: [[0, 0], [0, 1]] here, whose run ends after one step

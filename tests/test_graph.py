@@ -121,6 +121,12 @@ class TestClassify:
                     self.classify([[0.0], [EPA.beta * h]], kernel, h, stability_tol=tol)
 
 
+    def test_graph_of_another_size_rejected(self):
+        graph = bs.build_graph(bs.as_configuration([[0.0], [1.0]]), EPA, 1.0)
+        with pytest.raises(ValueError, match="graph has 2 vertices, configuration has 3 points"):
+            bs.classify(graph, bs.as_configuration([[0.0], [1.0], [2.0]]), EPA, 1.0)
+
+
 class TestComponentBound:
     def test_coincident_bound_is_one(self):
         assert bs.component_count_bound(10, 0.0, math.sqrt(2), 1.0, 3) == 1

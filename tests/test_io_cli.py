@@ -63,6 +63,34 @@ class TestLoadPoints:
         p.write_text("1.0\n2.0\n")
         assert load_points(p).d == 1
 
+    @pytest.mark.parametrize("text,col", [("1.0,2.O\n3.0,4.0\n5.0,6.0\n", 2),
+                                          ("x,1\n3,4\n", 1)], ids=["typo", "mixed"])
+    def test_first_row_with_a_number_is_data(self, tmp_path, text, col):
+        # a first row with some numeric cell is no header: its bad cell is
+        # an error, where it used to drop the row and load the rest
+        p = tmp_path / "pts.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"row 1:col {col}: non-numeric cell"):
+            load_points(p)
+
+    @pytest.mark.parametrize("name,text,match", [
+        ("header.csv", "x,y\n", "no data rows"),
+        ("empty.json", "[]", "no data rows"),
+        ("inf.json", "[[1e999, 0]]", "non-finite coordinates"),
+        ("broken.json", "[[1, 2]", "invalid JSON"),
+    ], ids=["header-only", "empty-json", "infinite-json", "broken-json"])
+    def test_unusable_file_is_a_parse_error(self, tmp_path, name, text, match):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_points(p)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("1.0\n")
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            load_points(p, fmt="xml")
+
 
 def _tiny_run():
     return run_bms([[0.0], [0.4]], bs.builtin("gaussian"), 1.0,
@@ -220,6 +248,12 @@ class TestCliCommands:
         code = main(["oracle", kind, *args, "--steps", steps])
         assert code == 2
         assert f"steps must be an integer >= 0, got {steps}" in capsys.readouterr().err
+
+    def test_oracle_population_out_of_range_bandwidth_exit_2(self, capsys):
+        # h * h overflowed, and the run printed the collapse 1, 0, 0
+        code = main(["oracle", "population", "--s0", "1.0", "--h", "inf", "--steps", "2"])
+        assert code == 2
+        assert "bandwidth inf is out of range" in capsys.readouterr().err
 
     def test_sweep_command(self, blob_csv, tmp_path):
         out = tmp_path / "sweep.csv"

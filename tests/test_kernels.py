@@ -47,6 +47,24 @@ class TestProfileValues:
         assert np.all(np.diff(vals) <= 0)
 
 
+def _assert_formula_bits(kernel, profile, weight):
+    # the kernel's profile and g against one-line formulas, at special and
+    # random arguments and at scalars, which give the formula's type (a
+    # numpy float, or a 0-d array from np.where)
+    one = np.array([1.0])
+    special = np.concatenate([
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1e308, -1e308],
+        np.nextafter(one, 2.0), np.nextafter(one, 0.0)])
+    u = np.concatenate([special, np.random.default_rng(5).uniform(-0.5, 2.5, 10**5)])
+    with np.errstate(over="ignore"):  # (1e308)**p and (1 + 1e308)**2 overflow in both
+        for public, formula in ((kernel.profile, profile), (kernel.g, weight)):
+            assert public(u).tobytes() == formula(u).tobytes()
+            for x in special:
+                value, want = public(x), formula(np.asarray(x))
+                assert type(value) is type(want) and np.shape(value) == ()
+                assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+
 class TestVectorForms:
     def test_kernel_value_at_origin(self):
         k = bs.builtin("gaussian")
@@ -71,30 +89,29 @@ class TestVectorForms:
         k = bs.builtin("gaussian")
         assert bs.g_value(k, [2.0], 2.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
-    @pytest.mark.parametrize("kernel_id, p", [("epanechnikov", 1.0), ("biweight", 2.0)])
+    @pytest.mark.parametrize("kernel_id, p", [("epanechnikov", 1.0), ("biweight", 2.0),
+                                              ("three_halves", 1.5), ("triweight", 3.0),
+                                              ("quadweight", 4.0)])
     def test_polynomial_weights_keep_the_where_formula_bits(self, kernel_id, p):
-        # the flat and the biweight weights of scalar and per-query calls
-        # (the pass evaluates them in place, with kernels.in_place) keep
-        # every bit of the formula, the non-finite and signed-zero cases
-        # included: 1 or 0 for p = 1, else p (1 - u)_+^(p - 1) inside the support
-        def formula(u):
+        # the profile and the weights of scalar and per-query calls (which
+        # run the pass's in-place evaluator, kernels.in_place) keep every
+        # bit of the formula, the non-finite and signed-zero cases
+        # included: (1 - u)_+^p, and 1 or 0 for p = 1, else
+        # p (1 - u)_+^(p - 1) inside the support
+        def weight(u):
             if p == 1.0:
                 return np.where(u <= 1.0, 1.0, 0.0)
             t = np.maximum(1.0 - u, 0.0)
             return np.where(u <= 1.0, p * t ** (p - 1.0), 0.0)
 
-        one = np.array([1.0])
-        special = np.concatenate([
-            [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1e308, -1e308],
-            np.nextafter(one, 2.0), np.nextafter(one, 0.0)])
-        u = np.concatenate([special, np.random.default_rng(5).uniform(-0.5, 2.5, 10**5)])
-        g = bs.builtin(kernel_id).g
-        with np.errstate(over="ignore"):  # 2 * 1e308 overflows to inf in both
-            assert g(u).tobytes() == formula(u).tobytes()
-            for x in special:  # a scalar gives a 0-d array
-                value = g(x)
-                assert isinstance(value, np.ndarray) and value.shape == ()
-                assert value.tobytes() == formula(np.asarray(x)).tobytes()
+        _assert_formula_bits(bs.builtin(kernel_id), lambda u: np.maximum(1 - u, 0) ** p, weight)
+
+    @pytest.mark.parametrize("kernel_id, profile, weight", [
+        ("gaussian", lambda u: np.exp(-u), lambda u: np.exp(-u)),
+        ("cauchy", lambda u: 1 / (1 + u), lambda u: 1 / (1 + u) ** 2),
+    ], ids=["gaussian", "cauchy"])
+    def test_gaussian_and_cauchy_keep_the_formula_bits(self, kernel_id, profile, weight):
+        _assert_formula_bits(bs.builtin(kernel_id), profile, weight)
 
     def test_bad_bandwidth(self):
         k = bs.builtin("gaussian")
@@ -319,6 +336,27 @@ class TestCustomKernels:
                 bs.kernel_from_descriptor({"samples": {"u": u, "k": [1.0, 0.5, 0.0]},
                                            "beta": math.sqrt(2.0),
                                            "class": "non_smoothly_truncated"})
+
+    @pytest.mark.parametrize("samples,match", [
+        ({"u": [0.0, 1.0], "k": [1.0, math.nan]}, "sample values must be finite"),
+        ({"u": [0.0, 1.0], "k": [math.inf, 0.0]}, "sample values must be finite"),
+        ({"u": [0.0, 1.0], "k": [0.0, 0.0]}, "profile must be positive at 0"),
+        ({"u": [0.0, 1.0], "k": [-1.0, 0.0]}, "profile must be positive at 0"),
+        ({"u": [0.0, 1.0], "k": [None, 0.0]}, "sample values must be finite"),  # null is NaN
+        ({"u": [0.0, 1.0], "k": {"0": 1.0}}, "numeric lists 'u' and 'k'"),
+        ({"u": [0.0, 1.0], "k": ["one", 0.0]}, "numeric lists 'u' and 'k'"),
+        ({"u": [0.0, 1.0]}, "numeric lists 'u' and 'k'"),
+    ], ids=["nan-k", "inf-k", "zero-k0", "negative-k0", "null-k", "object-k", "text-k", "no-k"])
+    def test_bad_sample_values_rejected_by_name(self, samples, match):
+        with pytest.raises(ValueError, match=match):
+            bs.kernel_from_descriptor({"samples": samples, "beta": math.sqrt(2.0),
+                                       "class": "non_smoothly_truncated"})
+
+    def test_descriptor_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "kern.json"
+        path.write_text('["gaussian"]')
+        with pytest.raises(ValueError, match="kernel descriptor must be a JSON object"):
+            bs.load_kernel_json(path)
 
     def test_load_from_json_file(self, tmp_path):
         path = tmp_path / "kern.json"

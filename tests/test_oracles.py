@@ -68,6 +68,9 @@ class TestRadiusRecurrence:
         state = SimplexState(n=3, d=2, r=0.9, h=1.0)
         out = bs.simplex_recurrence_step(state, EPA)
         assert out.r == 0.0
+        # a collapsed simplex is a valid state, and stays collapsed
+        assert bs.simplex_recurrence_step(out, EPA).r == 0.0
+        assert bs.simplex_radius_sequence(EPA, 3, 1.0, 0.9, 2).tolist() == [0.9, 0.0, 0.0]
 
     def test_sequence_shape_and_monotonicity(self):
         radii = bs.simplex_radius_sequence(GAUSS, 3, 1.0, 0.99, 10)
@@ -84,12 +87,20 @@ class TestPopulationRecurrence:
     def test_vector_form(self):
         out = bs.population_recurrence_step([1.0, 0.5], 1.0)
         assert out == pytest.approx([0.5, 0.1])
+        seq = bs.population_sequence([1.0, 0.5], 1.0, 2)  # one column per axis
+        assert seq.shape == (3, 2)
+        assert seq[:, 0].tobytes() == bs.population_sequence(1.0, 1.0, 2).tobytes()
+        assert seq[:, 1].tobytes() == bs.population_sequence(0.5, 1.0, 2).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             bs.population_recurrence_step(0.0, 1.0)
         with pytest.raises(ValueError):
             bs.population_recurrence_step(1.0, 0.0)
+        with pytest.raises(ValueError, match="^bandwidth must be positive"):
+            bs.population_sequence(1.0, -1.0, 2)
+        with pytest.raises(ValueError, match="^standard deviations must be positive"):
+            bs.population_sequence([1.0, 0.0], 1.0, 2)
 
     def test_cubic_limit_ratio(self):
         seq = bs.population_sequence(1.0, 1.0, 20)
@@ -170,3 +181,27 @@ def test_step_count_must_be_a_non_negative_integer(call, steps):
     with pytest.raises(ValueError, match="steps must be an integer >= 0"):
         call(steps)
     assert len(call(np.int64(0))) == 1  # numpy integers and zero steps run
+
+
+@pytest.mark.parametrize("name,call", [
+    ("bandwidth", lambda: bs.simplex_radius_sequence(GAUSS, 3, -1.0, 1.0, 2)),
+    ("bandwidth", lambda: bs.simplex_radius_sequence(GAUSS, 3, math.nan, 1.0, 2)),
+    ("bandwidth", lambda: bs.simplex_radius_sequence(GAUSS, 3, 0.0, 1.0, 2)),
+    ("n", lambda: bs.simplex_radius_sequence(GAUSS, 0, 1.0, 1.0, 2)),
+    ("n", lambda: bs.simplex_radius_sequence(GAUSS, 1, 1.0, 1.0, 2)),
+    ("n", lambda: bs.simplex_radius_sequence(GAUSS, 2.5, 1.0, 1.0, 2)),
+    ("r0", lambda: bs.simplex_radius_sequence(GAUSS, 3, 1.0, -1.0, 2)),
+    ("r0", lambda: bs.simplex_radius_sequence(GAUSS, 3, 1.0, 0.0, 2)),
+    ("r0", lambda: bs.simplex_radius_sequence(GAUSS, 3, 1.0, math.inf, 2)),
+    ("bandwidth", lambda: bs.simplex_recurrence_step(SimplexState(3, 2, 1.0, -1.0), GAUSS)),
+    ("n", lambda: bs.simplex_recurrence_step(SimplexState(1, 2, 1.0, 1.0), GAUSS)),
+    ("bandwidth", lambda: bs.population_sequence(1.0, 1e160, 2)),
+    ("bandwidth", lambda: bs.population_sequence(1.0, math.inf, 2)),
+    ("bandwidth", lambda: bs.population_recurrence_step(1.0, 1e-170)),
+], ids=["negative-h", "nan-h", "zero-h", "zero-n", "one-n", "fractional-n", "negative-r0",
+        "zero-r0", "inf-r0", "step-negative-h", "step-one-n", "population-huge-h",
+        "population-inf-h", "population-step-tiny-h"])
+def test_oracle_arguments_rejected_by_name(name, call):
+    # each used to run (or raise ZeroDivisionError) on the bad value
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
