@@ -103,7 +103,13 @@ divides.  The row norms (the largest move, the fixed-point test and a
 batch's moment norms) stay sums over each row of an (a, d) array, whose
 order numpy picks from the row's length (one at a time below 8 entries,
 pairwise from 8).  A pair list (the grid's, a batch's) gathers (n, d) rows
-with ``take``: gathering the columns of (d, n) rows was slower.
+with ``take``: gathering the columns of (d, n) rows was slower.  A block
+whose rows hold at least ``_UNBUFFERED_ROW`` entries is filled with
+numpy's buffers cut to one row (:class:`_unbuffered`): numpy otherwise
+copies each broadcast operand of its subtracts and multiplies into
+buffers, which set the pass's time and peak; and its squared distances
+square each coordinate after the first into a slab that holds nothing
+yet (``coordinate_sqdist``'s ``scratch``), not into a temporary.
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -135,6 +141,62 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + rows, n))
 
 
+# numpy (2.4 at least) copies each broadcast operand of a ufunc into a
+# buffer of up to ``np.getbufsize()`` entries (8192 by default, 64 KiB), even
+# given ``out``: a chunk's subtract or multiply of a row of one operand
+# against a column of another then allocates up to 128 KiB beyond the
+# slabs, and the copying, not the arithmetic, sets its time.  With a buffer
+# size of at most one row, numpy runs such an operand unbuffered, one row
+# at a time, with the same operation on every entry, so every bit stays;
+# an operand that must be cast (a bool written into a float array, as
+# epanechnikov's weights are) is still buffered, a row at a time.  On a
+# 2-CPU x86-64 VM with numpy 2.4.6, the (2, 57, 280) broadcast subtract of
+# a dense gaussian update's chunk took 46 us and its numerators' multiply
+# 40 us buffered, against 18 and 17 us with buffers of 272 entries, which
+# allocated none (tracemalloc: 131 KB before).  Buffers of 16 entries ran
+# those as fast, but a cast 6 to 12 times slower: an epanechnikov update
+# at n = 2000 took 50 ms against 36 ms buffered, its weights 27 ms against
+# 3 ms, where with buffers of a row it took 22 ms.
+# Short rows lose, each costing an inner loop of its own, and so do casts
+# in buffers of a short row (an epanechnikov gap pass over tiles of 76 to
+# 96 columns ran up to 1.1 times as long).  Blocks whose rows hold at least
+# this many entries run unbuffered: bench/unbuffered_rows.py times passes
+# and extents with the scope forced on and off, and this threshold lost
+# least against the faster mode summed over four of its runs on that VM,
+# whose own fits were 96, 96, 82 and 64 (76 to 96 lost within a fifth of
+# it; 64 lost 1.7 and 128 2.8 times as much)
+_UNBUFFERED_ROW = 80
+
+
+class _unbuffered:
+    """A context in which the ufuncs run with buffers of at most one row of
+    ``row >= _UNBUFFERED_ROW`` entries, so that no broadcast operand is
+    buffered (see the comment above); it restores the caller's buffer size
+    on the way out, as ``np.errstate`` does only from numpy 2.0, and does
+    nothing for shorter rows.  A class with slots, not a generator: it holds
+    about 500 bytes less while the block is filled.
+
+    A buffer size can move the bits of a reduction (``np.add.reduce`` over
+    a non-contiguous array sums in blocks of buffers), so callers keep
+    every sum out of the scope; maxima, minima and counts do not depend on
+    the order.
+    """
+
+    __slots__ = ("size", "old")
+
+    def __init__(self, row: int):
+        # numpy below 2.0 takes buffer sizes in multiples of 16
+        self.size = max(16, row // 16 * 16) if row >= _UNBUFFERED_ROW else None
+
+    def __enter__(self) -> None:
+        if self.size is not None:
+            self.old = np.setbufsize(self.size)
+
+    def __exit__(self, *exc) -> None:
+        if self.size is not None:
+            np.setbufsize(self.old)
+
+
 def _even(n: int, step: int) -> int:
     # the size of as many chunks of n rows as chunks of ``step`` rows take,
     # evened out: at most ``step``
@@ -154,6 +216,9 @@ def _ascending_j(n: int, width: int, slabs: int, fill,
     slab is one contiguous block, and reduced over its rows, which numpy
     does one row at a time, so the chunk size moves no bit.  A lone column
     gets a zero twin, since numpy sums one contiguous column pairwise.
+    Where ``width`` reaches ``_UNBUFFERED_ROW`` (80), ``fill`` runs with no
+    broadcast operand buffered (:class:`_unbuffered`), and the reduction, a
+    sum, outside that scope.
     """
     cols = max(2, width)
     step = _even(n, max(8, entries // cols))
@@ -162,7 +227,8 @@ def _ascending_j(n: int, width: int, slabs: int, fill,
     for start in range(0, n, step):
         size = min(step, n - start)
         buf[:, 0] = acc
-        fill(slice(start, start + size), buf[:, 1:size + 1, :width])
+        with _unbuffered(width):
+            fill(slice(start, start + size), buf[:, 1:size + 1, :width])
         np.add.reduce(buf[:, :size + 1], axis=1, out=acc)
     return acc[:, :width]
 
@@ -184,7 +250,10 @@ def _tiled_j(n: int, slabs: int, fill, entries: int = _BLOCK_ENTRIES) -> np.ndar
     the tile's transpose, whose rows are the j-rows R, is reduced into the
     columns J.  So column block C takes the j-row blocks 0..C while R = C,
     and then C+1, C+2, ... as mirrors: every column still adds one j at a
-    time in ascending order from ``+0.0``, and no bit moves.
+    time in ascending order from ``+0.0``, and no bit moves.  Where a
+    tile's columns number ``_UNBUFFERED_ROW`` (80) or more, ``fill`` runs
+    with no broadcast operand buffered (:class:`_unbuffered`), and the
+    reductions, sums, outside that scope.
     """
     side = _even(n, max(2, math.isqrt(entries)))
     acc = np.zeros((slabs, n + 1))  # a lone last column sums beside a zero twin
@@ -198,7 +267,8 @@ def _tiled_j(n: int, slabs: int, fill, entries: int = _BLOCK_ENTRIES) -> np.ndar
             size = rows.stop - j0
             tile = buf[:, 1:size + 1, :width]
             buf[:, 0] = into
-            fill(rows, tile, cols)
+            with _unbuffered(width):
+                fill(rows, tile, cols)
             np.add.reduce(buf[:, :size + 1], axis=1, out=into)
             if j0 < r0:  # a full block of rows: only the last block is short
                 # made after fill and freed before the next, so that it
@@ -452,7 +522,8 @@ class DistinctRows:
         bytes, and a new group's first point is the first point of its
         first old group, since ``first`` ascends; so the groups, their order
         of first appearance, ``first``, ``inv`` and ``rows`` are those of a
-        grouping of the n points.
+        grouping of the n points.  Where no two of the a rows coincide, the
+        groups are this grouping's, whose ``first`` and ``inv`` it keeps.
         """
         moved = DistinctRows.__new__(DistinctRows)
         moved._group(points, self.at_first(points), self)
@@ -480,6 +551,9 @@ class DistinctRows:
                              out=starts[1:])
         first = by_bits[starts]
         if first.size == n:
+            return
+        if first.size == by_bits.size:  # before's rows all apart: its groups stay
+            self.rows, self.first, self.inv = rows, before.first, before.inv
             return
         inv = np.empty_like(by_bits)
         inv[by_bits] = np.cumsum(starts) - 1
@@ -1385,13 +1459,17 @@ class _Pass:
         sqd = w = out[0]
         yj, ar = _pair_ends(self.y, self.at, rows, col)
         diff = out[self.mom:] if self.moments else None  # the moments' slabs
+        # the squares' scratch: the slab after the distances' where it holds
+        # nothing until they are written (the objective's terms, the first
+        # numerators or the gap's post-step terms), not a moments' slab
+        scratch = out[1] if self.mom > 1 or gap else None
         if segment is None:  # within the bounding box's bound, checked already
-            coordinate_sqdist(yj, ar, out=sqd, diff=diff)
+            coordinate_sqdist(yj, ar, out=sqd, diff=diff, scratch=scratch)
             if self.chunk_max:
                 state._max_sqdist = max(state._max_sqdist, float(sqd.max()))
         else:  # a stack's pairs: the largest of each configuration
             with np.errstate(over="ignore"):  # an overflow raises by name just below
-                coordinate_sqdist(yj, ar, out=sqd, diff=diff)
+                coordinate_sqdist(yj, ar, out=sqd, diff=diff, scratch=scratch)
             _checked_max(sqd)
             np.maximum.at(state._max_sqdist, segment[rows], sqd)
         if self.own is not None:  # a block of j-rows against every distinct row

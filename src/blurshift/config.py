@@ -124,7 +124,8 @@ def pairwise_sqdist(points: np.ndarray, others: np.ndarray | None = None,
 
 
 def coordinate_sqdist(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
-                      diff: np.ndarray | None = None) -> np.ndarray:
+                      diff: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
     """``sum_k (p[k] - q[k])**2`` for two stacks of coordinate arrays that
     broadcast against each other, in :func:`pairwise_sqdist`'s order: the
     coordinates are added one at a time in ascending k.  Both the full
@@ -134,17 +135,26 @@ def coordinate_sqdist(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = Non
     Given ``diff``, an array of the broadcast shape, the differences
     ``q - p`` are written there first and squared from it, so a caller
     that reads them too subtracts each coordinate once: a negated
-    difference squares to the same bits, so every entry keeps them."""
+    difference squares to the same bits, so every entry keeps them.
+    Given ``scratch``, an array of one coordinate's broadcast shape that
+    the caller does not read, each coordinate's square after the first is
+    written there before it is added, where a temporary of that shape is
+    made otherwise: the same operations, so the same bits.  A pairwise
+    pass hands one of its slabs that holds nothing yet (see
+    ``_pairwise._Pass.fill``); the blocks of such a pass whose rows hold at
+    least ``_pairwise._UNBUFFERED_ROW`` entries run these subtracts and
+    multiplies with no broadcast operand buffered
+    (``_pairwise._unbuffered``)."""
     if diff is not None:
         np.subtract(q, p, out=diff)
         total = np.multiply(diff[0], diff[0], out=out)
         for k in range(1, len(diff)):
-            total += diff[k] * diff[k]
+            total += np.multiply(diff[k], diff[k], out=scratch)
         return total
     total = np.subtract(p[0], q[0], out=out)
     total *= total
     for k in range(1, len(p)):
-        term = p[k] - q[k]
+        term = np.subtract(p[k], q[k], out=scratch)
         term *= term
         total += term
     return total

@@ -41,17 +41,23 @@ def _extents(points: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np
     The products take each coordinate of the directions from a contiguous
     (d, m) copy of their transpose: at a = 260, d = 2 and m = 256, a call
     took 90 us against 105 us from the strided columns of the (m, d) array
-    (2-CPU x86-64 VM, numpy 2.4).  Writing the products into buffers made
-    once per call saved nothing more: numpy 2.4 buffers the operands of such
-    a broadcast product, up to 64 KiB each, even given ``out``.
+    (2-CPU x86-64 VM, numpy 2.4).  Where the rows of a block hold at least
+    ``_pairwise._UNBUFFERED_ROW`` projections (m directions: 256 in
+    ``run_verify``), the products run with no broadcast operand buffered
+    (``_pairwise._unbuffered``), each element the same product and sum, and
+    the minima and maxima outside that scope: on a 2-CPU Intel Xeon VM
+    (numpy 2.4.6), where the buffered call took 237-266 us at a = 260, d = 2
+    and m = 256, it then took 168-209 us, and peaked at 273 KB against
+    404 KB (tracemalloc).
     """
     dirs = np.ascontiguousarray(directions.T)
     low = np.full(directions.shape[0], np.inf)
     high = np.full(directions.shape[0], -np.inf)
     for rows in _pairwise._row_blocks(points.shape[0], directions.shape[0]):
-        proj = np.multiply.outer(points[rows, 0], dirs[0])
-        for k in range(1, points.shape[1]):
-            proj += np.multiply.outer(points[rows, k], dirs[k])
+        with _pairwise._unbuffered(dirs.shape[1]):
+            proj = np.multiply.outer(points[rows, 0], dirs[0])
+            for k in range(1, points.shape[1]):
+                proj += np.multiply.outer(points[rows, k], dirs[k])
         np.minimum(low, proj.min(axis=0), out=low)
         np.maximum(high, proj.max(axis=0), out=high)
     return low, high

@@ -34,7 +34,10 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _points_from_rows(path, rows: list[list[str]], first_data_row: int) -> Configuration:
+def _points_from_rows(path, rows: list[list], first_data_row: int,
+                      parse=float) -> Configuration:
+    # ``parse`` turns a cell into a float, raising ValueError for a cell
+    # that is not a number
     if not rows:
         raise ParseError(path, "no data rows")
     width = len(rows[0])
@@ -46,7 +49,7 @@ def _points_from_rows(path, rows: list[list[str]], first_data_row: int) -> Confi
         out = []
         for c, cell in enumerate(row):
             try:
-                out.append(float(cell))
+                out.append(parse(cell))
             except ValueError:
                 raise ParseError(path, f"non-numeric cell {cell!r}",
                                  row=first_data_row + r, col=c + 1) from None
@@ -55,6 +58,14 @@ def _points_from_rows(path, rows: list[list[str]], first_data_row: int) -> Confi
         return Configuration.from_points(parsed)
     except ValueError as exc:
         raise ParseError(path, str(exc)) from None
+
+
+def _json_number(cell) -> float:
+    # a JSON cell is a number only as a JSON number: float() would read the
+    # string "1" or "nan" as one, and a bool is an int to Python
+    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        raise ValueError
+    return float(str(cell))  # an int beyond the floats reads as inf, as in a CSV
 
 
 def _is_number(cell: str) -> bool:
@@ -71,7 +82,8 @@ def load_points(path, fmt: str | None = None) -> Configuration:
     CSV: one point per row, ``d`` numeric columns; a leading row none of
     whose cells is a number is a header and is skipped, while a leading row
     with some numeric cell is data, so a bad cell there is an error.  JSON:
-    an array of equal-length numeric arrays.  Malformed input raises
+    an array of equal-length arrays of JSON numbers (a string such as
+    ``"1"``, a bool or null is no number).  Malformed input raises
     :class:`ParseError` with the offending row/column.
     """
     if fmt is None:
@@ -84,7 +96,7 @@ def load_points(path, fmt: str | None = None) -> Configuration:
                 raise ParseError(path, f"invalid JSON: {exc}") from None
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ParseError(path, "expected a JSON array of arrays")
-        return _points_from_rows(path, [[str(x) for x in row] for row in data], 1)
+        return _points_from_rows(path, data, 1, _json_number)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     with open(path, "r", encoding="utf-8", newline="") as fh:

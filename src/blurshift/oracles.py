@@ -52,9 +52,12 @@ def simplex_vertices(n: int, d: int, r: float) -> Configuration:
     vertex lies on the positive first axis at ``r / sqrt(n)``.  Built by
     orthonormalizing the centered standard-basis vertices of R^n and
     embedding the resulting (n-1)-dimensional coordinates into R^d.
+    Raises ``ValueError`` naming the argument for an ``n`` that is not an
+    integer of at least 2 (a simplex needs 2 vertices) or a ``d`` that is
+    not one of at least 1.
     """
-    if n < 2:
-        raise ValueError("a simplex needs at least 2 vertices")
+    check_count("n", n, 2)
+    check_count("d", d, 1)
     if n > d + 1:
         raise ValueError(f"cannot embed {n} affinely independent points in R^{d}")
     if not r > 0:

@@ -103,6 +103,26 @@ def test_signed_zero_groups_meet_after_a_step():
     _assert_same_grouping(after, DistinctRows(moved))
 
 
+@pytest.mark.parametrize("merge", [False, True], ids=["apart", "merging"])
+def test_handed_grouping_with_and_without_a_merge(merge):
+    # 150 points on 5 positions, blurred to 5 new positions, or to 4 where
+    # two groups meet; where none meet the grouping keeps before's groups
+    rng = np.random.default_rng(7)
+    sites = rng.normal(size=(5, 2))
+    points = sites[rng.permutation(np.arange(150) % 5)]
+    before = DistinctRows(points)
+    assert before.a == 5
+    moved_rows = before.rows + 0.5
+    if merge:
+        moved_rows[3] = moved_rows[1]
+    moved = before.expand(moved_rows)
+    after = before.after(moved)
+    _assert_same_grouping(after, DistinctRows(moved))
+    assert after.a == (4 if merge else 5)
+    if not merge:
+        assert after.first is before.first and after.inv is before.inv
+
+
 def _unique_bytes_grouping(points):
     """The grouping by ``np.unique`` over each row's bytes as one void key:
     the formula the sort of int64 words replaced, kept as the reference."""

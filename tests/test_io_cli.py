@@ -85,6 +85,23 @@ class TestLoadPoints:
         with pytest.raises(ParseError, match=match):
             load_points(p)
 
+    @pytest.mark.parametrize("cell", ['"1"', '"0x1p3"', '"nan"', "true"],
+                             ids=["string-one", "string-hex", "string-nan", "bool"])
+    def test_json_cell_must_be_a_json_number(self, tmp_path, cell):
+        # float() reads the strings "1" and "nan" as numbers, and a bool is
+        # an int to Python: none of these cells is a JSON number
+        p = tmp_path / "pts.json"
+        p.write_text(f"[[0.5, 1.5], [2.5, {cell}]]")
+        with pytest.raises(ParseError, match=r"row 2:col 2: non-numeric cell"):
+            load_points(p)
+
+    def test_json_numbers_load_as_their_floats(self, tmp_path):
+        p = tmp_path / "pts.json"
+        p.write_text("[[1, -0.0], [0.1, 12345678901234567890]]")
+        cfg = load_points(p)
+        assert cfg.points.tobytes() == np.array(
+            [[1.0, -0.0], [0.1, 12345678901234567890.0]]).tobytes()
+
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("1.0\n")

@@ -50,6 +50,23 @@ class TestSimplexVertices:
         with pytest.raises(ValueError):
             bs.simplex_vertices(2, 1, 0.0)
 
+    @pytest.mark.parametrize("n,match", [(2.5, "n must be an integer, got 2.5"),
+                                         (True, "n must be an integer, got True"),
+                                         (1, "n must be at least 2, got 1")])
+    def test_vertex_count_is_checked_by_name(self, n, match):
+        # a fractional count reached np.eye, which raised a bare TypeError
+        with pytest.raises(ValueError, match=match):
+            bs.simplex_vertices(n, 3, 1.0)
+        with pytest.raises(ValueError, match=match):
+            bs.compare_sim_to_oracle(bs.builtin("gaussian"), n, 3, 1.0, 0.9, 2)
+
+    @pytest.mark.parametrize("d,match", [(2.5, "d must be an integer, got 2.5"),
+                                         (True, "d must be an integer, got True"),
+                                         (0, "d must be at least 1, got 0")])
+    def test_dimension_is_checked_by_name(self, d, match):
+        with pytest.raises(ValueError, match=match):
+            bs.simplex_vertices(2, d, 1.0)
+
 
 class TestRadiusRecurrence:
     def test_gaussian_two_point_step(self):
