@@ -124,7 +124,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (Configuration, as_configuration, check_bandwidth, coordinate_sqdist,
-                     pairwise_sqdist, profile_args, real_array)
+                     pairwise_sqdist, profile_args)
 from .kernels import KernelSpec, TruncationClass, in_place
 
 # Entries per block of the pairwise temporaries: the row blocks of
@@ -602,8 +602,15 @@ def _rows_max_sqdist(rows: np.ndarray, scan: np.ndarray | None = None) -> float:
 
 
 def _block_max_sqdist(points: np.ndarray, rows: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # an overflow raises by name just below
-        sqd = pairwise_sqdist(points, rows)
+    # pairwise_sqdist's block, as a pass fills its blocks: unbuffered
+    # (_unbuffered) and squaring each coordinate after the first into a
+    # scratch block, so it holds two blocks, not the three or so of numpy's
+    # buffers and a temporary per coordinate; an overflow raises by name
+    # just below
+    sqd = np.empty((points.shape[0], rows.shape[0]))
+    scratch = np.empty_like(sqd) if points.shape[1] > 1 else None
+    with np.errstate(over="ignore"), _unbuffered(rows.shape[0]):
+        coordinate_sqdist(points.T[:, :, None], rows.T[:, None, :], sqd, scratch=scratch)
     return _checked_max(sqd)
 
 
@@ -998,13 +1005,16 @@ class PairwiseState:
             self._pass(reads)
 
     @classmethod
-    def batch(cls, configs, kernel: KernelSpec, h: float) -> BatchValues:
+    def batch(cls, stacks, sizes, kernel: KernelSpec, h: float) -> BatchValues:
         """What the fixed-point test and the component count of
-        ``PairwiseState(cfg, kernel, h)`` give for each of ``configs``
-        (arrays of at most 128 points: one block each, so that no state of
-        theirs groups its rows or takes the grid), bit for bit, as arrays in
-        input order (see :class:`BatchValues`), from one pass per dimension
-        d over the configurations of that d stacked.
+        ``PairwiseState(cfg, kernel, h)`` give for each configuration of
+        ``stacks``, bit for bit, as arrays in stack order (see
+        :class:`BatchValues`), from one pass per stack.
+
+        Each stack is an (N, d) array of configurations of one dimension d
+        stacked, and the matching entry of ``sizes`` gives their sizes in
+        order (adding to N), each of 1 to 128 points: one block each, so
+        that no state of theirs groups its rows or takes the grid.
 
         Each stack is validated once, as one configuration.  Its pass runs
         over pair lists (:func:`_candidate_sums`), whose candidates are each
@@ -1015,56 +1025,49 @@ class PairwiseState:
         joined squared distance are maxima per configuration, which no order
         moves.
 
-        Raises ``ValueError`` for a configuration of more than 128 points
-        and, as the constructor does, for complex input, an empty
-        configuration, a non-finite coordinate, an out-of-range bandwidth
-        and squared distances that overflow.
+        Raises ``ValueError`` for a configuration of no point or of more
+        than 128, for sizes that do not add to their stack's rows and, as
+        the constructor does, for a stack of complex coordinates, an empty
+        stack, a non-finite coordinate, an out-of-range bandwidth and
+        squared distances that overflow.
         """
         h = check_bandwidth(h)
-        points = [real_array(cfg) for cfg in configs]
-        sizes = np.array([len(cfg) for cfg in points], dtype=np.intp)
-        bad = np.flatnonzero((sizes * sizes > _BLOCK_ENTRIES) | (sizes == 0))
-        if bad.size:  # the first in input order
-            k = bad[0]
-            if sizes[k]:
-                raise ValueError(f"a batched configuration has at most 128 points, got {sizes[k]}")
-            raise ValueError(f"expected an (n, d) array of points, got shape {points[k].shape}")
-        # one stack per trailing shape, numbered in order of first appearance
-        tails = [cfg.shape[1:] for cfg in points]
-        number = {tail: k for k, tail in enumerate(dict.fromkeys(tails))}
-        stack_of = np.array([number[tail] for tail in tails])
-        values = BatchValues(sizes, np.empty_like(sizes), np.empty(sizes.size),
-                             np.empty(sizes.size, dtype=bool), np.empty(sizes.size),
-                             np.ones_like(sizes))
-        for k in range(len(number)):
-            order = np.flatnonzero(stack_of == k)
+        none = np.empty(0, dtype=np.intp)  # the values of no stack
+        parts = [BatchValues(none, none, np.empty(0), np.empty(0, dtype=bool), np.empty(0), none)]
+        for points, counts in zip(stacks, sizes, strict=True):
             stack = cls.__new__(cls)
             stack.h, stack.kernel = h, kernel
-            stack.cfg = Configuration.from_points(
-                np.concatenate([points[i] for i in order.tolist()]))
+            stack.cfg = Configuration.from_points(points)
             stack.n = stack.cfg.n
+            counts = np.asarray(counts, dtype=np.intp)
+            bad = counts[(counts < 1) | (counts * counts > _BLOCK_ENTRIES)]
+            if bad.size:  # the first in stack order
+                raise ValueError(f"a batched configuration has 1 to 128 points, got {bad[0]}")
+            if counts.sum() != stack.n:
+                raise ValueError(f"batched configurations of {counts.sum()} points in all "
+                                 f"stacked in {stack.n} rows")
             # every row its own: a grouping could join rows of two configurations
             stack.distinct = DistinctRows(stack.cfg.points, grouped=False)
-            counts = sizes[order]
-            segment = stack._segment = np.repeat(np.arange(order.size), counts)
+            segment = stack._segment = np.repeat(np.arange(counts.size), counts)
             # each row's candidates: its own configuration's rows
             low, high = segment.searchsorted(segment), segment.searchsorted(segment, "right")
             stack._grid = (np.arange(stack.n), low[None], high[None], high - low), None
             # the largest of each configuration, from +0.0
-            stack._max_sqdist, stack._joined_max = np.zeros((2, order.size))
+            stack._max_sqdist, stack._joined_max = np.zeros((2, counts.size))
             stack._pass({"moments", "labels", "diameter", "singular"})
-            starts = np.cumsum(counts) - counts
             moments = stack._moments
-            values.d[order] = stack.cfg.d
-            values.diameter[order] = np.sqrt(stack.max_sqdist)
-            values.singular[order] = stack._joined_max_sqdist() == 0.0
-            # is_fixed_point's norms, the largest of each configuration
-            values.moment_norm[order] = np.maximum.reduceat(
-                np.sqrt(np.add.reduce(moments * moments, axis=1)), starts)
+            M = np.ones_like(counts)
             if kernel.truncated:  # a component per row that is its own root
                 roots = np.flatnonzero(stack._roots == np.arange(stack.n))
-                values.M[order] = np.bincount(stack._segment[roots], minlength=order.size)
-        return values
+                M = np.bincount(segment[roots], minlength=counts.size)
+            parts.append(BatchValues(
+                counts, np.full_like(counts, stack.cfg.d), np.sqrt(stack.max_sqdist),
+                stack._joined_max_sqdist() == 0.0,
+                # is_fixed_point's norms, the largest of each configuration
+                np.maximum.reduceat(np.sqrt(np.add.reduce(moments * moments, axis=1)),
+                                    np.cumsum(counts) - counts),
+                M))
+        return BatchValues(*map(np.concatenate, zip(*parts)))
 
     def _pass(self, reads, scan: bool = False, after: np.ndarray | None = None,
               joins: np.ndarray | None = None) -> tuple[float, float] | None:

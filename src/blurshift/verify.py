@@ -37,15 +37,17 @@ __all__ = ["CheckResult", "VerifyReport", "run_verify"]
 # a stack's pass runs over at most about 3800 pairs, about one chunk (2900
 # to 6100 pairs), and the stage's memory does not grow with the probe
 # count.  400 probes take two calls of 200, of at most 4 stacks each, where
-# batches of 64 took 28 stacks.  Their stage peaks at 0.579 MiB (biweight,
-# h = 0.8), inside the 0.57 to 0.77 MiB that run_verify's steps peak at on
-# verify-fuzz's 16 instances without probes but not below all of them:
-# instance 1's steps peak at 0.569 MiB, so there the fuzz stage sets the
-# operation's peak.  One call of 400 probes peaks at 0.75 MiB.
+# batches of 64 took 28 stacks.  Drawn straight into those stacks, their
+# stage peaks at 0.503 MiB (biweight, h = 0.8; tracemalloc on a 2-CPU
+# x86-64 VM, numpy 2.4.6), against 0.567 MiB when each probe was drawn as
+# an array of its own; that is below the 0.51 to 0.72 MiB that
+# run_verify's steps peak at on verify-fuzz's 16 instances without probes,
+# so there the steps set the operation's peak.  One call of 400 probes
+# peaks at 0.65 MiB.
 _FUZZ_BATCH = 256
 
-# The offsets from the joining radius of _fuzz_configuration's planted
-# pairs, and the ones a non-smoothly truncated kernel adds.
+# The offsets from the joining radius of the fuzz probes' radius pairs, and
+# the ones a non-smoothly truncated kernel adds.
 _SMOOTH_OFFSETS = (1e-3, -1e-3, 1e-6, 1e-9)
 _EDGE_OFFSETS = _SMOOTH_OFFSETS + (0.0, -1e-6, -1e-9)
 
@@ -122,25 +124,48 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(x * x, axis=None)))
 
 
-def _distinct_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    # rng.choice(n, size=2, replace=False)'s pair, with the generator left in
-    # the same state, from three bounded draws and without choice's
-    # overhead: choice runs Floyd's algorithm (i from [0, n - 2], then j from
-    # [0, n - 1], taking n - 1 where j == i) and a one-swap shuffle (a draw
-    # from [0, 1] that swaps the two on 0)
-    i = int(rng.integers(n - 1))
-    j = int(rng.integers(n))
-    if j == i:
-        j = n - 1
-    return (j, i) if rng.integers(2) == 0 else (i, j)
+def _fuzz_streams(seed: int) -> list[np.random.Generator]:
+    # the probes' three streams: their scalar fields, their coordinates and
+    # the directions of their radius pairs
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
-def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
-    """Random configuration with occasional planted structure.
+def _below(u: np.ndarray, m) -> np.ndarray:
+    # floor(u * m), uniform over 0 .. m - 1 for u uniform in [0, 1): u * m
+    # rounds below m, since u <= 1 - 2**-53 (and is exact for m a power of 2)
+    return (u * m).astype(np.intp)
 
-    Plants: duplicated points, and pairs at distance ``beta*h*(1+offset)``
+
+def _distinct_rows(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # an ordered pair of distinct rows below n per probe, uniform, from a
+    # probe's two uniforms
+    i = _below(u[:, 0], n)
+    j = _below(u[:, 1], n - 1)
+    j += j >= i
+    return np.stack([i, j], axis=1)
+
+
+def _fuzz_probes(streams, count: int, kernel: KernelSpec, h: float):
+    """The next ``count`` fuzz probes of ``streams`` (see
+    :func:`_fuzz_streams`): the dimension of each, in probe order, and, in
+    ascending dimension, the points of each dimension's probes stacked in
+    probe order and the sizes of those probes.
+
+    Probe k holds n in 2..12 points in d in 1..4 dimensions, both uniform,
+    with coordinates uniform in (-1.5, 1.5) times the joining radius
+    (``beta * h``, or ``h`` for a full-support kernel).  With probability
+    0.3 one point is moved onto another (a duplicate).  A truncated
+    kernel's probe then, with probability 0.6, moves a point to distance
+    ``beta*h*(1+offset)`` from another, in a direction from d normals,
     with offsets down to 1e-9 around the joining radius (plus exactly at
     it), to exercise the boundary logic of the graph.
+
+    Each stream is read in probe order: row k of a (count, 9) block of
+    uniforms gives probe k's n, d, duplicate flag and pair, radius pair
+    flag, offset and pair; the coordinates stream its n*d coordinates and
+    the normals stream its d normals.  So probe k depends only on the
+    seed, the kernel's truncation class and ``beta``, ``h`` and k, and not
+    on how the probes are cut into batches.
 
     For smoothly truncated kernels the offsets at and just inside the
     radius are left out: there the weight vanishes like a power of the
@@ -149,28 +174,36 @@ def _fuzz_configuration(rng: np.random.Generator, kernel: KernelSpec, h: float):
     exact-arithmetic equivalence being cross-checked is not decidable
     in doubles.
     """
-    n = int(rng.integers(2, 13))
-    d = int(rng.integers(1, 5))
+    fields, coords, normals = streams
+    u = fields.random((count, 9))
+    n = 2 + _below(u[:, 0], 11)
+    d = 1 + _below(u[:, 1], 4)
     truncated = kernel.truncated
     radius = kernel.beta * h if truncated else h
-    points = rng.uniform(-1.5, 1.5, size=(n, d))
-    points *= radius
-    if rng.random() < 0.3:
-        i, j = _distinct_pair(rng, n)
+    flat = coords.uniform(-1.5, 1.5, size=int(n @ d))
+    flat *= radius
+    unit = normals.standard_normal(int(d.sum()))
+    offsets = np.array(_EDGE_OFFSETS if kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
+                       else _SMOOTH_OFFSETS)
+    scale = radius * (1.0 + offsets[_below(u[:, 6], offsets.size)])
+    duplicate, plant = u[:, 2] < 0.3, (u[:, 5] < 0.6) & truncated
+    duplicate_rows, plant_rows = _distinct_rows(u[:, 3:5], n), _distinct_rows(u[:, 7:9], n)
+    stacks, sizes = [], []
+    for dim in np.unique(d).tolist():
+        of = d == dim
+        points = flat[np.repeat(of, n * d)].reshape(-1, dim)
+        first = np.cumsum(n[of]) - n[of]  # each probe's first row in the stack
+        i, j = (first[:, None] + duplicate_rows[of])[duplicate[of]].T
         points[j] = points[i]
-    if truncated and rng.random() < 0.6:
-        offsets = (_EDGE_OFFSETS if kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
-                   else _SMOOTH_OFFSETS)
-        offset = offsets[rng.integers(len(offsets))]  # rng.choice's draw, without its overhead
-        i, j = _distinct_pair(rng, n)
-        direction = rng.standard_normal(d)
-        direction /= _norm(direction)
-        # points[i] + direction * radius * (1 + offset), in place
-        direction *= radius
-        direction *= 1.0 + offset
+        i, j = (first[:, None] + plant_rows[of])[plant[of]].T
+        direction = unit[np.repeat(of, d)].reshape(-1, dim)[plant[of]]
+        direction /= np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
+        direction *= scale[of][plant[of], None]
         direction += points[i]
         points[j] = direction
-    return points
+        stacks.append(points)
+        sizes.append(n[of])
+    return d, stacks, sizes
 
 
 def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
@@ -181,8 +214,14 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
 
     The checks observe the steps, stop rule and ``T`` of ``engine._iterate``.
     ``fuzz`` adds that many randomized fixed-point-versus-singularity
-    cross-checks.  ``inject_descent`` deliberately corrupts one objective
-    value so the harness itself can be tested for failure detection.
+    cross-checks.  Their probes are drawn from three child streams of
+    ``seed`` a batch at a time, each stream read in probe order
+    (:func:`_fuzz_probes`), so probe k is the same whatever ``fuzz``; the
+    streams are numpy's, which keeps no stream the same across its
+    versions, so what a seed guarantees is the probes' distribution and
+    that a rerun draws the same ones.  ``inject_descent`` deliberately
+    corrupts one objective value so the harness itself can be tested for
+    failure detection.
 
     Raises ``ValueError`` for a kernel with ``g(0) <= 0`` (tricube, or a
     sampled profile flat at 0): the checks' constants divide by ``g(0)``,
@@ -269,14 +308,13 @@ def run_verify(points, kernel: KernelSpec, h: float, *, directions: int = 256,
         terminal.update(1.0 if state.singular else -1.0, T)
 
     fuzz_mismatches = 0
-    rng = np.random.default_rng(seed)
+    streams = _fuzz_streams(seed)
     calls = -(-fuzz // _FUZZ_BATCH)
     for k in range(calls):
-        # batches as even as can be, of at most _FUZZ_BATCH probes; no draw
-        # depends on a probe's state, so a batch keeps the stream
-        configs = [_fuzz_configuration(rng, kernel, h)
-                   for _ in range((k + 1) * fuzz // calls - k * fuzz // calls)]
-        probes = PairwiseState.batch(configs, kernel, h)
+        # batches as even as can be, of at most _FUZZ_BATCH probes
+        _, stacks, sizes = _fuzz_probes(
+            streams, (k + 1) * fuzz // calls - k * fuzz // calls, kernel, h)
+        probes = PairwiseState.batch(stacks, sizes, kernel, h)
         fixed = probes.moment_norm <= 1e-12 * np.maximum(probes.diameter, h)
         fuzz_mismatches += int(np.count_nonzero(fixed != probes.singular))
         slack = min(_packing_bound(n, gamma, kernel.beta, h, d) - M for n, gamma, d, M in zip(

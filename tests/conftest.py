@@ -109,20 +109,51 @@ def corpus():
     return steps, runs
 
 
+def split_probes(dims, stacks, sizes) -> list[np.ndarray]:
+    """The probes of one ``verify._fuzz_probes`` draw, one (n, d) array
+    each, in probe order: its per-dimension stacks split back."""
+    probes = [None] * len(dims)
+    for stack, size in zip(stacks, sizes):
+        at = np.flatnonzero(dims == stack.shape[1]).tolist()
+        for k, points in zip(at, np.split(stack, np.cumsum(size)[:-1])):
+            probes[k] = points
+    return probes
+
+
+def fuzz_probes(seed, count: int, kernel, h: float) -> list[np.ndarray]:
+    """The first ``count`` fuzz probes that ``run_verify`` draws from
+    ``seed``, in probe order (see :func:`split_probes`)."""
+    from blurshift.verify import _fuzz_probes, _fuzz_streams
+
+    return split_probes(*_fuzz_probes(_fuzz_streams(seed), count, kernel, h))
+
+
+def batch_in_order(configs, kernel, h: float):
+    """``PairwiseState.batch`` over ``configs`` stacked by dimension, its
+    values put back in input order."""
+    configs = [np.asarray(c, dtype=float) for c in configs]
+    dims = [c.shape[1] for c in configs]
+    stacks, sizes, order = [], [], []
+    for dim in sorted(set(dims)):
+        at = [k for k, d in enumerate(dims) if d == dim]
+        stacks.append(np.concatenate([configs[k] for k in at]))
+        sizes.append([configs[k].shape[0] for k in at])
+        order += at
+    values = _pairwise.PairwiseState.batch(stacks, sizes, kernel, h)
+    back = np.argsort(order)
+    return type(values)(*(v[back] for v in values))
+
+
 @pytest.fixture(scope="session")
 def fuzz_corpus():
     """1000 randomized configurations per truncated kernel, with planted
     boundary pairs, plus singularity/fixed-point/bound verdicts."""
-    from blurshift.verify import _fuzz_configuration
-
-    rng = np.random.default_rng(0x5EED)
     results = []
-    for kid in bs.ASSUMPTION1_IDS:
+    for index, kid in enumerate(bs.ASSUMPTION1_IDS):
         kernel = bs.builtin(kid)
         if not kernel.truncated:
             continue
-        for _ in range(1000):
-            pts = _fuzz_configuration(rng, kernel, 1.0)
+        for pts in fuzz_probes(0x5EED + index, 1000, kernel, 1.0):
             cfg = bs.as_configuration(pts)
             graph = bs.build_graph(cfg, kernel, 1.0)
             singular = bs.classify(graph, cfg, kernel, 1.0).singular

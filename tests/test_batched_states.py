@@ -13,8 +13,9 @@ from blurshift import verify
 from blurshift._pairwise import PairwiseState
 from blurshift.engine import StopRule
 from blurshift.graph import component_count_bound
-from blurshift.verify import _fuzz_configuration, run_verify
+from blurshift.verify import run_verify
 
+from conftest import batch_in_order, fuzz_probes
 from synth_data import make_dataset
 
 _KERNEL_IDS = (*bs.ASSUMPTION1_IDS, "tricube")  # tricube: g(0) = 0 keeps coincident points apart
@@ -26,11 +27,13 @@ def _probes(kernel, h):
     duplicates and radius pairs they plant, then a single point and a
     configuration of 128 points, whose pairs fill several chunks of the
     stack's pass."""
-    rng = np.random.default_rng(11)
     configs, shapes = [], set()
-    while len(shapes) < 11 * 4:
-        configs.append(_fuzz_configuration(rng, kernel, h))
-        shapes.add(configs[-1].shape)
+    for pts in fuzz_probes(11, 2000, kernel, h):
+        configs.append(pts)
+        shapes.add(pts.shape)
+        if len(shapes) == 11 * 4:
+            break
+    rng = np.random.default_rng(11)
     return configs + [_spread(rng, kernel, h, 1, 3), _spread(rng, kernel, h, 128, 2)]
 
 
@@ -52,7 +55,7 @@ def _alone(cfg, kernel, h):
 
 
 def _assert_batch_gives_each_state_alone(configs, kernel, h):
-    values = PairwiseState.batch(configs, kernel, h)
+    values = batch_in_order(configs, kernel, h)
     assert [v.shape for v in values] == [(len(configs),)] * len(values)
     assert values.singular.dtype == bool
     got = [tuple(v[k].tobytes() for v in values) for k in range(len(configs))]
@@ -82,36 +85,44 @@ def test_batch_gives_each_state_alone_at_every_size(kernel_id):
     _assert_batch_gives_each_state_alone(configs, kernel, h)
 
 
-def test_batch_rejects_configurations_past_one_block():
+@pytest.mark.parametrize("size", (129, 0))
+def test_batch_rejects_configurations_past_one_block(size):
     kernel = bs.builtin("epanechnikov")
-    with pytest.raises(ValueError, match="at most 128 points, got 129"):
-        PairwiseState.batch([np.zeros((2, 2)), np.zeros((129, 2))], kernel, 0.8)
+    with pytest.raises(ValueError, match=f"1 to 128 points, got {size}"):
+        PairwiseState.batch([np.zeros((2, 1)), np.zeros((size + 2, 2))], [[2], [2, size]],
+                            kernel, 0.8)
+
+
+def test_batch_of_no_stack_gives_no_values():
+    values = PairwiseState.batch([], [], bs.builtin("biweight"), 0.8)
+    assert [(v.shape, v.dtype.kind) for v in values] == [
+        ((0,), kind) for kind in ("i", "i", "f", "b", "f", "i")]
 
 
 def test_batch_overflow_fails_by_name():
     kernel = bs.builtin("gaussian")
     with pytest.raises(ValueError, match="squared pairwise distances overflow"):
-        PairwiseState.batch([np.zeros((2, 1)), [[0.0], [1e155], [5e160]]], kernel, 1e150)
+        PairwiseState.batch([[[0.0], [0.0], [0.0], [1e155], [5e160]]], [[2, 3]], kernel, 1e150)
 
 
-@pytest.mark.parametrize("bad, message", [
-    (np.zeros((0, 2)), r"expected an \(n, d\) array of points, got shape \(0, 2\)"),
-    ([[0.0, 1.0], [np.nan, 0.0]], "non-finite coordinates"),
-    (np.array([[1j, 0.0], [0.0, 1.0]]), "real coordinates, got an array of dtype complex128"),
+@pytest.mark.parametrize("bad, sizes, message", [
+    (np.zeros((0, 2)), [], r"expected an \(n, d\) array of points, got shape \(0, 2\)"),
+    ([[0.0, 1.0], [np.nan, 0.0]], [2], "non-finite coordinates"),
+    (np.array([[1j, 0.0], [0.0, 1.0]]), [2], "real coordinates, got an array of dtype complex128"),
+    (np.zeros((5, 2)), [2, 2], "configurations of 4 points in all stacked in 5 rows"),
 ])
-def test_batch_validates_each_configuration(bad, message):
+def test_batch_validates_each_stack(bad, sizes, message):
     kernel = bs.builtin("biweight")
     with pytest.raises(ValueError, match=message):
-        PairwiseState.batch([np.ones((3, 2)), bad], kernel, 0.8)
+        PairwiseState.batch([np.ones((3, 2)), bad], [[3], sizes], kernel, 0.8)
 
 
 def _probe_by_probe(kernel, h, seed, fuzz):
     """The fuzz stage as a loop over each probe's own state: its mismatches
     and its smallest component-count slack."""
-    rng = np.random.default_rng(seed)
     mismatches, slack = 0, None
-    for _ in range(fuzz):
-        state = PairwiseState(_fuzz_configuration(rng, kernel, h), kernel, h)
+    for pts in fuzz_probes(seed, fuzz, kernel, h):
+        state = PairwiseState(pts, kernel, h)
         fixed = state.is_fixed_point(tol=1e-12 * max(state.diameter, h))
         mismatches += fixed != state.singular
         bound = component_count_bound(state.n, state.diameter, kernel.beta, h, state.cfg.d)

@@ -21,7 +21,7 @@ from blurshift._pairwise import (_BLOCK_ENTRIES, _CELL_SIDE, _SUB, DistinctRows,
                                  _pruned_max_sqdist, _rows_max_sqdist)
 from blurshift.config import coordinate_sqdist, pairwise_sqdist, profile_args
 from blurshift.engine import StopRule, _iterate
-from conftest import forced_source
+from conftest import batch_in_order, forced_source
 
 _RADIUS = 0.5
 _SIDE = _RADIUS * _CELL_SIDE
@@ -262,7 +262,7 @@ def test_batch_moment_norms_sum_each_row(d):
     configs = [_mixed(rng, 1, d), *(_mixed(rng, n, d) for n in (2, 7, 12, 128))]
     for kernel_id in ("gaussian", "biweight"):
         kernel, h = bs.builtin(kernel_id), 40.0
-        got = PairwiseState.batch(configs, kernel, h).moment_norm
+        got = batch_in_order(configs, kernel, h).moment_norm
         want = [float(np.max(_norms(PairwiseState(c, kernel, h).moments()))) for c in configs]
         assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
         assert want[0] == 0.0 and all(v > 0.0 for v in want[1:])

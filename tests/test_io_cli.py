@@ -95,6 +95,23 @@ class TestLoadPoints:
         with pytest.raises(ParseError, match=r"row 2:col 2: non-numeric cell"):
             load_points(p)
 
+    @pytest.mark.parametrize("name,text,match", [
+        ("cell.csv", "x,y\n1,2\n3,4\n5,abc\n", r":row 4:col 2: non-numeric cell 'abc'$"),
+        ("short.csv", "x,y\n1,2\n3,4\n5\n", r":row 4: expected 2 columns, found 1$"),
+        ("long.csv", "1,2\n3,4\n5,6,7\n", r":row 3: expected 2 columns, found 3$"),
+        ("cell.json", "[[1, 2], [3, 4], [5, null]]", r":row 3:col 2: non-numeric cell None$"),
+        ("short.json", "[[1, 2], [3, 4], [5]]", r":row 3: expected 2 columns, found 1$"),
+        ("ragged-first.csv", "1,2\n3\n5,abc\n", r":row 2: expected 2 columns, found 1$"),
+        ("cell-first.csv", "1,2\n3,abc\n5\n", r":row 2:col 2: non-numeric cell 'abc'$"),
+    ])
+    def test_first_bad_row_is_named_wherever_it_is(self, tmp_path, name, text, match):
+        # the cells are parsed all at once; a fault, even in the last row,
+        # still names the first bad row and cell
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_points(p)
+
     def test_json_numbers_load_as_their_floats(self, tmp_path):
         p = tmp_path / "pts.json"
         p.write_text("[[1, -0.0], [0.1, 12345678901234567890]]")

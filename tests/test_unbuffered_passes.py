@@ -2,7 +2,9 @@
 row, so that no broadcast operand is buffered (``_pairwise._unbuffered``),
 and square into a slab of the pass: every read keeps its bits whether the
 scope is on or off and whatever buffer size the caller set, which the
-scope hands back, and a dense update holds no chunk-sized temporary."""
+scope hands back, and a dense update holds no chunk-sized temporary.  The
+prune's scan of a block of rows does the same, holding the block and one
+scratch block."""
 
 import contextlib
 import math
@@ -15,6 +17,7 @@ import pytest
 import blurshift as bs
 from blurshift import _pairwise
 from blurshift._pairwise import DistinctRows, PairwiseState
+from blurshift.config import pairwise_sqdist
 from blurshift.diagnostics import _extents, direction_set
 from conftest import forced_source
 
@@ -163,3 +166,32 @@ def test_dense_update_holds_its_slabs_and_no_chunk_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= held + coords + 16 * 1024 < held + coords + chunk
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_block_scan_keeps_its_bits(d, mode):
+    # the prune's scan of a block of rows against every row: the largest of
+    # pairwise_sqdist's block, in and out of the scope
+    rng = np.random.default_rng(d)
+    rows = rng.normal(0.0, 1.0, size=(300, d)) * 10.0 ** rng.integers(-3, 3, size=(300, d))
+    with _mode(mode):
+        got = _pairwise._block_max_sqdist(rows[:50], rows)
+    assert _bits(got) == _bits(float(pairwise_sqdist(rows[:50], rows).max()))
+
+
+def test_block_scan_holds_the_block_and_one_scratch():
+    # one block of the prune's scan at n = 500, which held about three
+    # blocks: numpy's buffers of its broadcast operands and a temporary per
+    # coordinate
+    rows = np.random.default_rng(36).uniform(-3.0, 3.0, size=(500, 2))
+    scan = rows[:_pairwise._BLOCK_ENTRIES // 500]
+    block = 8 * scan.shape[0] * rows.shape[0]
+    _pairwise._block_max_sqdist(scan, rows)  # warm-up
+    tracemalloc.start()
+    try:
+        _pairwise._block_max_sqdist(scan, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block + 4 * 1024

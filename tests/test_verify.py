@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 import blurshift as bs
+from blurshift import verify
 from blurshift._pairwise import _BLOCK_ENTRIES
 from blurshift.engine import StopRule, run_bms
-from blurshift.verify import DEFAULT_DIRECTION_SEED, _fuzz_configuration, run_verify
+from blurshift.kernels import TruncationClass
+from blurshift.verify import (DEFAULT_DIRECTION_SEED, _below, _distinct_rows, _fuzz_probes,
+                             _fuzz_streams, run_verify)
 
+from conftest import fuzz_probes, split_probes
 from synth_data import make_dataset
 
 
@@ -200,25 +204,110 @@ def test_fuzz_peak_memory_does_not_grow_with_probes():
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 8 * _BLOCK_ENTRIES
 
-# sha256 of the first 400 probe configurations (shape and bytes of each)
-# and of the generator's state after them, drawn from run_verify's default
-# seed at h = 0.8; the smoothly truncated biweight draws from 4 offsets of
-# the joining radius and the non-smoothly truncated epanechnikov from 7
+# sha256 of the first 400 fuzz probes (shape and bytes of each, in probe
+# order, drawn in run_verify's two batches of 200) and of the state of
+# each of the three child streams after them, drawn from run_verify's
+# default seed at h = 0.8; the smoothly truncated biweight draws from 4
+# offsets of the joining radius and the non-smoothly truncated
+# epanechnikov from 7
 FUZZ_STREAM_SHA256 = {
-    "biweight": "9ffc69630a1cf3f6018ac86f62852f6c4911b8b2b6b42ae5a2d3d5bb131269ae",
-    "epanechnikov": "ba75d6c0dd5ffc07dc3fe503176cce3688991de5ba3e0c852a1190f4d6273f88",
+    "biweight": "1f9ca5dfbd5badc39a909a64b7c13533195bce09d2b0c6b4520fa02539158cac",
+    "epanechnikov": "c0217e673e25d590837dc6c39f75369ba6ba9b9d342f421dd9fc5a619dfbdceb",
 }
 
 
 @pytest.mark.parametrize("kernel_id", sorted(FUZZ_STREAM_SHA256))
-def test_fuzz_configurations_keep_their_stream(kernel_id):
-    # however the draws are made, they give the same probes and leave the
-    # generator in the same state for the draws that follow
-    rng = np.random.default_rng(DEFAULT_DIRECTION_SEED)
+def test_fuzz_probes_keep_their_streams(kernel_id):
+    streams = _fuzz_streams(DEFAULT_DIRECTION_SEED)
     digest = hashlib.sha256()
-    for _ in range(400):
-        pts = _fuzz_configuration(rng, bs.builtin(kernel_id), 0.8)
-        digest.update(repr(pts.shape).encode())
-        digest.update(pts.tobytes())
-    digest.update(repr(rng.bit_generator.state).encode())
+    for _ in range(2):
+        for pts in split_probes(*_fuzz_probes(streams, 200, bs.builtin(kernel_id), 0.8)):
+            digest.update(repr(pts.shape).encode())
+            digest.update(pts.tobytes())
+    for stream in streams:
+        digest.update(repr(stream.bit_generator.state).encode())
     assert digest.hexdigest() == FUZZ_STREAM_SHA256[kernel_id]
+
+
+def _fields(seed, count: int, kernel):
+    # what row k of the fields stream's block of uniforms decides for probe
+    # k: its duplicate's flag and rows, and its radius pair's flag, offset
+    # and rows
+    u = _fuzz_streams(seed)[0].random((count, 9))
+    n = 2 + _below(u[:, 0], 11)
+    offsets = np.array(verify._EDGE_OFFSETS
+                       if kernel.truncation is TruncationClass.NON_SMOOTHLY_TRUNCATED
+                       else verify._SMOOTH_OFFSETS)
+    return (u[:, 2] < 0.3, _distinct_rows(u[:, 3:5], n), (u[:, 5] < 0.6) & kernel.truncated,
+            offsets[_below(u[:, 6], offsets.size)], _distinct_rows(u[:, 7:9], n))
+
+
+def _same(a, b) -> bool:
+    return [(p.shape, p.tobytes()) for p in a] == [(p.shape, p.tobytes()) for p in b]
+
+
+@pytest.mark.parametrize("kernel_id", ["biweight", "epanechnikov", "gaussian"])
+def test_fuzz_probes_do_not_depend_on_the_count(kernel_id):
+    # the first m probes of N are the m probes drawn alone, and probes drawn
+    # in batches of any cut are the probes drawn at once
+    kernel = bs.builtin(kernel_id)
+    every = fuzz_probes(3, 300, kernel, 0.8)
+    for m in (1, 7, 150):
+        assert _same(fuzz_probes(3, m, kernel, 0.8), every[:m])
+    streams = _fuzz_streams(3)
+    cut = [pts for count in (1, 99, 200)
+           for pts in split_probes(*_fuzz_probes(streams, count, kernel, 0.8))]
+    assert _same(cut, every)
+
+
+def test_fuzz_probes_take_every_size_and_dimension():
+    shapes = {pts.shape for pts in fuzz_probes(DEFAULT_DIRECTION_SEED, 2000,
+                                                bs.builtin("biweight"), 0.8)}
+    assert shapes == {(n, d) for n in range(2, 13) for d in range(1, 5)}
+
+
+@pytest.mark.parametrize("kernel_id", ["biweight", "epanechnikov", "gaussian"])
+def test_planted_duplicates_are_their_source_rows(kernel_id):
+    kernel = bs.builtin(kernel_id)
+    duplicate, rows, plant, _, planted = _fields(5, 1000, kernel)
+    probes = fuzz_probes(5, 1000, kernel, 0.8)
+    seen = 0
+    for k in np.flatnonzero(duplicate).tolist():
+        i, j = rows[k]
+        if plant[k] and planted[k, 1] in (i, j):
+            continue  # the radius pair, planted after it, moved one of its rows
+        assert probes[k][j].tobytes() == probes[k][i].tobytes()
+        seen += 1
+    assert seen > 200  # of about 300 duplicates
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.8, 1e3])
+@pytest.mark.parametrize("kernel_id", ["biweight", "epanechnikov"])
+def test_planted_pairs_lie_at_the_offset_radius(kernel_id, h):
+    kernel = bs.builtin(kernel_id)
+    radius = kernel.beta * h
+    *_, plant, offset, rows = _fields(6, 1000, kernel)
+    probes = fuzz_probes(6, 1000, kernel, h)
+    for k in np.flatnonzero(plant).tolist():
+        i, j = rows[k]
+        gap = probes[k][j] - probes[k][i]
+        distance = float(np.sqrt(np.sum(gap * gap)))
+        # the rounding of the direction, of the point it is added to (up to
+        # 1.5 radius per coordinate) and of the difference taken back
+        assert abs(distance - radius * (1.0 + offset[k])) <= 8 * np.finfo(float).eps * radius
+    assert 500 <= np.count_nonzero(plant) <= 700
+    # a non-smoothly truncated kernel plants pairs at the radius itself
+    assert (0.0 in offset[plant]) == (kernel_id == "epanechnikov")
+
+
+def test_full_support_kernel_plants_no_radius_pair():
+    # every probe holds the coordinates stream's next n*d uniforms, but for
+    # the duplicate
+    kernel = bs.builtin("gaussian")
+    duplicate, rows, *_ = _fields(7, 1000, kernel)
+    coords = _fuzz_streams(7)[1]
+    for k, pts in enumerate(fuzz_probes(7, 1000, kernel, 0.8)):
+        want = coords.uniform(-1.5, 1.5, size=pts.shape) * 0.8
+        if duplicate[k]:
+            want[rows[k, 1]] = want[rows[k, 0]]
+        assert pts.tobytes() == want.tobytes()

@@ -9,9 +9,6 @@ lists and a batch's stacks), and so must both terms of the gap's pass of
 the same state.  The directional extents take the
 directions' coordinates from a contiguous copy of their transpose and must
 equal the outer-product form over the (m, d) array, across row blocks.
-The fuzz probes draw their pairs of distinct points without
-``Generator.choice`` and must draw what it draws, leaving the generator in
-the same state.
 """
 
 import math
@@ -25,8 +22,7 @@ from blurshift import _pairwise
 from blurshift._pairwise import DistinctRows, PairwiseState
 from blurshift.config import coordinate_sqdist
 from blurshift.diagnostics import _extents, direction_set
-from blurshift.verify import _distinct_pair
-from conftest import forced_source
+from conftest import batch_in_order, forced_source
 
 # what run_verify's steps read with the moments, and fewer, each with or
 # without the gap's pass of the state after it
@@ -142,7 +138,7 @@ def test_batch_takes_distances_from_the_moments_differences(kernel_id):
     for _ in range(120):
         n, d = int(rng.integers(5, 13)), int(rng.integers(1, 5))
         configs.append(_signed_points(rng, n, d, 1.2))
-    values = PairwiseState.batch(configs, kernel, 0.8)
+    values = batch_in_order(configs, kernel, 0.8)
     for k, pts in enumerate(configs):
         sqd, moments, _ = _reference(pts, kernel, 0.8)
         norm = np.sqrt(np.add.reduce(moments * moments, axis=1)).max()
@@ -181,21 +177,3 @@ def test_extents_equal_the_outer_product_form(d):
             low, high = _extents(pts, dirs)
             assert low.tobytes() == proj.min(axis=0).tobytes()
             assert high.tobytes() == proj.max(axis=0).tobytes()
-
-
-@pytest.mark.parametrize("n", range(2, 13))
-def test_pair_draws_are_choices(n):
-    # other draws between the pairs shift where a bounded draw's 32 bits
-    # fall in the generator's 64-bit words
-    for seed in range(3):
-        chosen = np.random.default_rng([seed, n])
-        drawn = np.random.default_rng([seed, n])
-        for t in range(4000):
-            want = tuple(int(v) for v in chosen.choice(n, size=2, replace=False))
-            assert _distinct_pair(drawn, n) == want
-            for rng in (chosen, drawn):
-                if (seed + t) % 3:
-                    rng.integers(2, 13)
-                if seed == 2:
-                    rng.random()
-        assert drawn.bit_generator.state == chosen.bit_generator.state
