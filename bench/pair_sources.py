@@ -3,8 +3,8 @@
     python bench/pair_sources.py [--sizes 400 1000 2000 4000] [--out BENCH_32.json]
 
 A pass of ``blurshift._pairwise.PairwiseState`` takes its pairs from one
-of four sources: row blocks, tiles, the gathered distinct rows or the grid
-of cells.  ``_pair_entries`` counts the entries of each source eligible for
+of three sources: row blocks, the gathered distinct rows or the grid of
+cells.  ``_pair_entries`` counts the entries of each source eligible for
 a pass, and ``_pair_source`` takes the one whose counted entries cost least
 by ``_ENTRY_COST``.  This script measures those costs.
 
@@ -13,32 +13,30 @@ fixed point on ``bench/scaling.py``'s standardized uniform square at its
 ``sparse_h(n)``, for the seeds ``range(max(1, SQUARE_POINTS // n))``
 (about 13 neighbours a point at the start, and a few positions per cluster
 in the tail, where at n = 400 some grouped states of 41 to 73 positions
-can both gather and take the grid), and the first ``STEPS`` steps on its
-four blobs at ``H``, of epanechnikov (denser: a fifth to a quarter of the
-pairs are grid candidates) and of gaussian (no grid: the tiles meet the
-row blocks alone), for n in ``--sizes``.  Each is built as a pairwise
-state with each read set of ``READS`` (the empty one followed by the
-state's ``minorizer_gap``, whose pass is the one timed) and each eligible
-source in turn,
-forced through the rule by setting the cost of that source to 0 and the
-others to inf, with its grouping handed in; a build is timed as the best
-of ``REPEATS`` runs of as many builds as take ``MIN_TIME`` seconds.
+can both gather and take the grid), and the first ``STEPS`` steps of
+epanechnikov on its four blobs at ``H`` (denser: a fifth to a quarter of
+the pairs are grid candidates), for n in ``--sizes``.  Each is built as a
+pairwise state with each read set of ``READS`` (the empty one followed by
+the state's ``minorizer_gap``, whose pass is the one timed) and each
+eligible source in turn, forced through the rule by setting the cost of
+that source to 0 and the others to inf, with its grouping handed in; a
+build is timed as the best of ``REPEATS`` runs of as many builds as take
+``MIN_TIME`` seconds.
 
 A case is one configuration and read set with two or more eligible
 sources.  The rule's picks lose ``sum(t_pick / t_fastest - 1)`` over the
 cases, so every decision weighs alike, whatever its size: the passes of
-perfbench's workloads hold a few hundred points.  The costs
-(the row blocks' fixed at 1) start from the medians of each source's time
-per counted entry over the row blocks' in the same case, and each in
-turn, where another value would lose less with the others held, moves to
-the geometric middle of the range of values that loses least (the widest
-such range on a tie), until none moves.  The script reports, for each
-pair of sources met in one case, how often the rule with the fitted and
-with the committed costs takes the slower of the two, and what its picks
-lose.  It prints one JSON object: the fitted costs, to put in
-``_ENTRY_COST``, the decisions, the host, and every case; ``--out`` also
-writes it under the key ``pair_sources`` of a JSON file, keeping the
-file's other keys (such as ``bench/scaling.py``'s trees).
+perfbench's workloads hold a few hundred points.  The row blocks' cost
+is fixed at 1, and the two others are searched exhaustively over a log
+grid of ``GRID_STEPS`` values each (``GATHERED_RANGE`` and
+``GRID_RANGE``): the fit is the grid point that loses least, and of those
+that tie, the one nearest (in log) to their geometric mean.  The script
+reports what the fitted and the committed costs lose, and, for each pair
+of sources met in one case, how often the rule with either takes the
+slower of the two.  It prints one JSON object: the fitted costs, to put in
+``_ENTRY_COST``, the losses, the decisions, the host, and every case;
+``--out`` also writes it under the key ``pair_sources`` of a JSON file,
+keeping the file's other keys (such as ``bench/scaling.py``'s trees).
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ import contextlib
 import json
 import math
 import platform
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -67,14 +64,18 @@ STEPS = 3
 REPEATS = 5
 MIN_TIME = 0.002
 SPARSE_KERNEL = "epanechnikov"
-BLOB_KERNELS = ("epanechnikov", "gaussian")  # gaussian's states take no grid
+BLOB_KERNEL = "epanechnikov"  # a full-support kernel's states take no grid
 # the reads of a cluster step and of a run_verify step's constructor, and
 # none: a state that declares nothing runs no pass of its own, and its
-# minorizer gap, whose two sums are symmetric, is the pass timed
+# minorizer gap is the pass timed
 READS = {"update": {"update"},
          "verify": {"update", "objective", "stable", "labels"},
          "gap": set()}
-SOURCES = ("rows", "gathered", "tiles", "grid")
+SOURCES = ("rows", "gathered", "grid")
+# the log grid of the fit: GRID_STEPS values of each free cost over its range
+GRID_STEPS = 41
+GATHERED_RANGE = (1 / 32, 2.0)
+GRID_RANGE = (1 / 2, 16.0)
 
 
 def configurations(n: int):
@@ -83,8 +84,8 @@ def configurations(n: int):
     runs = [(f"square{seed}", SPARSE_KERNEL, scaling.sparse_square(n, seed),
              scaling.sparse_h(n), StopRule(move_tol=0.0))
             for seed in range(max(1, SQUARE_POINTS // n))]
-    runs += [(f"blobs/{kernel}", kernel, scaling.blobs(n), scaling.H, StopRule(max_iter=STEPS))
-             for kernel in BLOB_KERNELS]
+    runs.append((f"blobs/{BLOB_KERNEL}", BLOB_KERNEL, scaling.blobs(n), scaling.H,
+                 StopRule(max_iter=STEPS)))
     out = []
     for label, kernel, points, h, stop in runs:
         def observe(t, state, nxt, move, label=label, kernel=kernel, h=h):
@@ -148,7 +149,7 @@ def measure(label, kernel, points, h, distinct, reads):
     with forced("grid") as taken:  # so that the state keeps its grid, where it has one
         build()
     args = taken[-1][0]  # the pass's choice, after its state's grid
-    entries = _pairwise._pair_entries(*args[:7])  # all but stacked
+    entries = _pairwise._pair_entries(*args[:6])  # all but stacked
     if len(entries) < 2:
         return None
     seconds = {}
@@ -174,33 +175,21 @@ def loss(cases, costs) -> float:
     return total
 
 
+def log_grid(low: float, high: float) -> list[float]:
+    return [low * (high / low) ** (k / (GRID_STEPS - 1)) for k in range(GRID_STEPS)]
+
+
 def fitted_costs(cases) -> dict[str, float]:
-    """The costs, the row blocks' fixed at 1, that lose least (see the
-    module docstring)."""
-    costs = {"rows": 1.0}
-    for source in SOURCES[1:]:
-        ratios = [(case["seconds"][source] / case["entries"][source])
-                  / (case["seconds"]["rows"] / case["entries"]["rows"])
-                  for case in cases if source in case["seconds"]]
-        costs[source] = statistics.median(ratios) if ratios else 1.0
-    for _ in range(20):
-        moved = False
-        for source in SOURCES[1:]:
-            # the values at which a pick between this source and another flips
-            flips = sorted({costs[other] * case["entries"][other] / case["entries"][source]
-                            for case in cases if source in case["entries"]
-                            for other in case["entries"] if other != source})
-            if not flips:
-                continue
-            ranges = list(zip([flips[0] / 4, *flips], [*flips, flips[-1] * 4]))
-            losses = [loss(cases, {**costs, source: math.sqrt(lo * hi)}) for lo, hi in ranges]
-            if loss(cases, costs) > min(losses):
-                lo, hi = max((r for r, value in zip(ranges, losses) if value == min(losses)),
-                             key=lambda r: r[1] / r[0])
-                costs[source], moved = math.sqrt(lo * hi), True
-        if not moved:
-            break
-    return {source: float(f"{cost:.3g}") for source, cost in costs.items()}
+    """The costs, the row blocks' fixed at 1, that lose least on the log
+    grid (see the module docstring)."""
+    points = [(gathered, grid) for gathered in log_grid(*GATHERED_RANGE)
+              for grid in log_grid(*GRID_RANGE)]
+    losses = [loss(cases, {"rows": 1.0, "gathered": gathered, "grid": grid})
+              for gathered, grid in points]
+    ties = [np.log(point) for point, value in zip(points, losses) if value == min(losses)]
+    middle = np.mean(ties, axis=0)
+    gathered, grid = np.exp(min(ties, key=lambda point: float(np.sum((point - middle) ** 2))))
+    return {"rows": 1.0, "gathered": float(f"{gathered:.3g}"), "grid": float(f"{grid:.3g}")}
 
 
 def decisions(cases, costs) -> dict:
@@ -235,6 +224,8 @@ def main(argv=None) -> int:
                     cases.append(case)
     costs = fitted_costs(cases)
     result = {"costs": costs, "committed": dict(_pairwise._ENTRY_COST),
+              "loss": round(loss(cases, costs), 4),
+              "committed_loss": round(loss(cases, _pairwise._ENTRY_COST), 4),
               "decisions": decisions(cases, costs),
               "committed_decisions": decisions(cases, _pairwise._ENTRY_COST),
               "environment": {"python": platform.python_version(), "numpy": np.__version__,

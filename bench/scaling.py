@@ -63,9 +63,12 @@ full-support kernel (gaussian) at bandwidth ``FUZZ_H``, as perfbench's
 ``verify-fuzz`` workload does for biweight.
 
 Every cell runs ``REPEATS`` times on each tree, each time in a fresh
-interpreter with that tree's ``src`` first on ``sys.path``.  The trees
-alternate within a cell, and the tree that goes first alternates from
-repeat to repeat, so a slow spell of a shared machine falls on both.  The
+interpreter with that tree's ``src`` first on ``sys.path``, and
+``SHORT_REPEATS`` times where the first call of every tree's first run
+took under ``SHORT_CELL_S``: at n <= 1000 one tree's runs fall into two
+modes about a third apart, so a median of 5 short runs lands in either.
+The trees alternate within a cell, and the tree that goes first alternates
+from repeat to repeat, so a slow spell of a shared machine falls on both.  The
 interpreter runs the operation once on a small input (imports and lazy
 set-up), times one call, then takes the ``tracemalloc`` peak of one more
 call (traced apart, so tracing does not slow the timed call).  When the
@@ -77,9 +80,13 @@ next.  Each timed call records its wall seconds (``time.perf_counter``)
 and its CPU seconds (``time.process_time``, every thread of the process,
 OpenBLAS worker threads that spin included, so a single-threaded call can
 read up to about twice its wall time); on a busy machine the CPU time
-moves less than the wall time, but it is not the same quantity.  A record holds the median wall and CPU times over
-the runs with their quartiles, every run's time and every call's, and the
-median peak.  Each tree's entry also records its ``environment``: the CPUs
+moves less than the wall time, but it is not the same quantity.  A
+record holds the median wall and CPU times over the runs with their
+quartiles, every run's time and every call's, and the median peak.  The
+record of each tree after the first also holds, under ``paired``, the
+ratio of its wall time to the first tree's in each repeat (two adjacent
+runs, which share a spell of the machine), their median, least and
+largest, and the repeats it won (a ratio below 1).  Each tree's entry also records its ``environment``: the CPUs
 the process may use, the CPU model, Python, numpy, numpy's baseline SIMD
 features and the dispatch targets it found, so that a move of host
 between two files shows, and the ``OPENBLAS_NUM_THREADS`` and
@@ -109,6 +116,8 @@ FIXED_POINT_KERNEL = "epanechnikov"
 H = 0.5
 STEPS = 3
 REPEATS = 5
+SHORT_REPEATS = 15  # for a cell whose first calls take under SHORT_CELL_S
+SHORT_CELL_S = 0.05
 SHORT_CALL_S = 0.1  # a run whose first call is shorter times CALLS calls
 CALLS = 5
 WARM_UP_N = 200
@@ -300,7 +309,7 @@ def spawn(src: str, cell: dict) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def summary(runs: list[dict]) -> dict:
+def summary(runs: list[dict], pairs: dict | None = None) -> dict:
     out = {}
     for clock in ("wall", "cpu"):
         times = [run[f"{clock}_s"] for run in runs]
@@ -313,21 +322,32 @@ def summary(runs: list[dict]) -> dict:
                peak_mib=round(statistics.median(run["peak_mib"] for run in runs), 3))
     if any(run["T"] != out["T"] for run in runs):
         raise RuntimeError(f"step counts differ between runs: {[r['T'] for r in runs]}")
+    if pairs is not None:
+        out["paired"] = pairs
     return out
 
 
-def record(cell: dict, runs: list[dict]) -> dict:
+def paired(runs: list[dict], first: list[dict], against: str) -> dict:
+    """Each repeat's wall time over the first tree's in the same repeat."""
+    ratios = [run["wall_s"] / base["wall_s"] for run, base in zip(runs, first, strict=True)]
+    return {"against": against, "wall_ratios": [round(r, 4) for r in ratios],
+            "wall_ratio_median": round(statistics.median(ratios), 4),
+            "wall_ratio_min": round(min(ratios), 4), "wall_ratio_max": round(max(ratios), 4),
+            "repeats_won": sum(r < 1.0 for r in ratios), "repeats": len(ratios)}
+
+
+def record(cell: dict, runs: list[dict], pairs: dict | None = None) -> dict:
     key = {"fixed_point": "cluster", "fixed_point_read": "cluster_read", "gap": "gap",
            "fuzz": "verify", "sparse": "cluster", "sparse_verify": "verify",
            "tail": "cluster"}.get(
                cell["op"], cell["op"])
     if cell["group"] == "fuzz_records":
         out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
-        out[key] = summary(runs)
+        out[key] = summary(runs, pairs)
         out["probe_us"] = round(1e6 * out[key]["wall_s"] / cell["probes"], 1)
         return out
     h = sparse_h(cell["n"]) if on_square(cell) else H
-    out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": h, key: summary(runs)}
+    out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": h, key: summary(runs, pairs)}
     if "mean_distinct_share" in runs[0]:
         out["mean_distinct_share"] = runs[0]["mean_distinct_share"]
     return out
@@ -342,12 +362,19 @@ def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
     names = list(trees)
     for cell in grid:
         runs = {tree: [] for tree in names}
-        for repeat in range(REPEATS):
+        repeat, repeats = 0, REPEATS
+        while repeat < repeats:
             for tree in (names if repeat % 2 == 0 else names[::-1]):
                 shares = repeat == 0 and cell["op"] == "fixed_point"
                 runs[tree].append(spawn(trees[tree], dict(cell, shares=shares)))
+            if repeat == 0 and all(runs[tree][0]["call_walls_s"][0] < SHORT_CELL_S
+                                   for tree in names):
+                repeats = SHORT_REPEATS
+            repeat += 1
+        first = names[0]
         for tree in names:
-            rec = record(cell, runs[tree])
+            pairs = None if tree == first else paired(runs[tree], runs[first], first)
+            rec = record(cell, runs[tree], pairs)
             out[tree][cell["group"]].append(rec)
             print(json.dumps({"tree": tree, "cell": label(cell), **rec}), flush=True)
     return out
@@ -379,11 +406,15 @@ def main(argv=None) -> int:
         "cells": [label(cell) for cell in grid], "d": 2, "h": H,
         "step_budget": STEPS, "stop": f"StopRule(max_iter={STEPS})",
         "trees": list(trees),
-        "wall": f"median and quartiles of {REPEATS} runs per tree, each in a fresh "
-                f"interpreter after a warm-up on {WARM_UP_N} points; the trees "
-                f"alternate per cell and the first tree alternates per repeat; a run "
+        "wall": f"median and quartiles of {REPEATS} runs per tree ({SHORT_REPEATS} where "
+                f"the first call of every tree's first run takes under {SHORT_CELL_S} s), "
+                f"each in a fresh interpreter after a warm-up on {WARM_UP_N} points; the "
+                f"trees alternate per cell and the first tree alternates per repeat; a run "
                 f"whose first call takes under {SHORT_CALL_S} s times {CALLS} calls "
                 f"and counts their median",
+        "paired": "each tree after the first: its wall time over the first tree's in "
+                  "each repeat, their median, least and largest, and the repeats in "
+                  "which its ratio is below 1",
         "cpu": "time.process_time of the same timed calls, summarised as the wall; it "
                "counts every thread of the process, OpenBLAS worker threads that spin "
                "included, so a single-threaded call can read up to about twice its wall "

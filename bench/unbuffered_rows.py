@@ -5,8 +5,8 @@
 numpy copies each broadcast operand of a ufunc into buffers of
 ``np.getbufsize()`` entries; inside ``blurshift._pairwise._unbuffered`` it
 runs them one row at a time instead, which pays on long rows and loses on
-short ones.  A pass of ``PairwiseState`` over row blocks or tiles fills a
-block unbuffered where its rows hold at least ``_UNBUFFERED_ROW`` entries,
+short ones.  A pass of ``PairwiseState`` over row blocks fills a block
+unbuffered where its rows hold at least ``_UNBUFFERED_ROW`` entries,
 and ``diagnostics._extents`` does so for m directions a row.  This script
 measures that threshold.
 
@@ -20,8 +20,7 @@ For each row length r of ``--rows`` it times, with the scope forced on
   with epanechnikov, whose weights are a bool cast to float, which numpy
   buffers whatever the scope (the row blocks forced);
 - ``gap``: the minorizer gap's pass of the r points to themselves, with
-  gaussian, biweight and epanechnikov (the tiles forced, whose rows are a
-  tile's columns: r, or fewer where r points take several column blocks);
+  gaussian, biweight and epanechnikov (the row blocks forced);
 - ``extents``: ``_extents`` of 260 blob points onto r directions.
 
 A case's row length is the shortest row of the blocks it filled.  Each
@@ -135,7 +134,7 @@ def cases(r: int):
     for name in ("gaussian", "biweight", "epanechnikov"):
         kernel = bs.builtin(name)
         out.append((f"gap/{name}", lambda kernel=kernel: _pairwise.PairwiseState(
-            points, kernel, scaling.H).minorizer_gap(points), "tiles"))
+            points, kernel, scaling.H).minorizer_gap(points), "rows"))
     return out
 
 

@@ -51,13 +51,6 @@ distance, bit for bit, so a state whose box stays finite cannot overflow;
 only a box of inf scans for the largest squared distance, which raises by
 name when it overflows.
 
-The weights, the objective's terms and the gap's terms are symmetric in
-the pair, bit for bit.  So a pass of an ungrouped state that sums only
-those (the gap's pass among them) may fill only the square tiles
-on and above the diagonal of its n x n pairs, each of a chunk's entries
-(:func:`_tiled_j`), and add a transposed copy of each tile above the
-diagonal into the mirrored columns, in the same order.
-
 A truncated kernel joins a pair only within its radius ``beta * h``.  So
 where a truncated state's pairs span several blocks, a grid of side
 ``beta * h``, cut into sub-cells along a second axis (:func:`_cell_ranges`,
@@ -71,10 +64,10 @@ which the bounding-box prune finds, and the exact margin, which a read of
 ``margin`` finds by scanning every pair.
 
 Each pass takes its pairs from one of these sources: the row blocks, the
-tiles, the gathered distinct rows, the grid's candidates or, for a batch,
-its stack (below).  One rule (:func:`_pair_source`) picks it: of the
-sources eligible for the pass, the one whose counted entries cost least by
-the per-entry costs ``_ENTRY_COST``, which ``bench/pair_sources.py``
+gathered distinct rows, the grid's candidates or, for a batch, its stack
+(below).  One rule (:func:`_pair_source`) picks it: of the sources
+eligible for the pass, the one whose counted entries cost least by the
+per-entry costs ``_ENTRY_COST``, which ``bench/pair_sources.py``
 measures.  The terminal grouping of ``cluster``
 (:func:`single_linkage_labels`) picks between a scan and the same grid at
 its own radius by the same rule.
@@ -87,11 +80,11 @@ arrays over the configurations, with no state per configuration, so the
 per-call cost of a pass and of a state, and of the validation, is paid
 once per stack.
 
-A pass over blocks of pairs (rows or tiles), and the per-point reductions
-of a state (the bounding box, the grid's cells, the prune's bounds and the
-grouping's word test), run over (d, n) coordinate rows: contiguous copies
-of the transposes of the points and of their distinct rows, one copy where
-those are the same array.  numpy loops over the columns of an (n, d) array
+A pass over row blocks, and the per-point reductions of a state (the
+bounding box, the grid's cells, the prune's bounds and the grouping's
+word test), run over (d, n) coordinate rows: contiguous copies of the
+transposes of the points and of their distinct rows, one copy where those
+are the same array.  numpy loops over the columns of an (n, d) array
 one short row at a time: on a 2-CPU x86-64 VM with numpy 2.4,
 ``rows.max(axis=0)`` took 8.0 us at n = 400 and 73 us at n = 4000, against
 0.8 us (and 0.4 us for the copy) on the contiguous transpose at n = 400,
@@ -109,7 +102,10 @@ numpy's buffers cut to one row (:class:`_unbuffered`): numpy otherwise
 copies each broadcast operand of its subtracts and multiplies into
 buffers, which set the pass's time and peak; and its squared distances
 square each coordinate after the first into a slab that holds nothing
-yet (``coordinate_sqdist``'s ``scratch``), not into a temporary.
+yet (``coordinate_sqdist``'s ``scratch``), not into a temporary.  The
+scans of blocks of squared distances outside the passes (the prune's and
+the terminal grouping's) fill their blocks the same way
+(:func:`_block_sqdist`).
 
 This module imports only ``config`` and ``kernels``, so ``engine``,
 ``graph`` and ``diagnostics`` can all import it.
@@ -124,7 +120,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (Configuration, as_configuration, check_bandwidth, coordinate_sqdist,
-                     pairwise_sqdist, profile_args)
+                     profile_args)
 from .kernels import KernelSpec, TruncationClass, in_place
 
 # Entries per block of the pairwise temporaries: the row blocks of
@@ -158,9 +154,8 @@ def _row_blocks(n: int, width: int):
 # at n = 2000 took 50 ms against 36 ms buffered, its weights 27 ms against
 # 3 ms, where with buffers of a row it took 22 ms.
 # Short rows lose, each costing an inner loop of its own, and so do casts
-# in buffers of a short row (an epanechnikov gap pass over tiles of 76 to
-# 96 columns ran up to 1.1 times as long).  Blocks whose rows hold at least
-# this many entries run unbuffered: bench/unbuffered_rows.py times passes
+# in buffers of a short row.  Blocks whose rows hold at least this many
+# entries run unbuffered: bench/unbuffered_rows.py times passes
 # and extents with the scope forced on and off, and this threshold lost
 # least against the faster mode summed over four of its runs on that VM,
 # whose own fits were 96, 96, 82 and 64 (76 to 96 lost within a fifth of
@@ -233,54 +228,6 @@ def _ascending_j(n: int, width: int, slabs: int, fill,
     return acc[:, :width]
 
 
-def _tiled_j(n: int, slabs: int, fill, entries: int = _BLOCK_ENTRIES) -> np.ndarray:
-    """:func:`_ascending_j`'s sums for an (n, n) array of terms that is
-    symmetric, bit for bit (``t[s, j, c] == t[s, c, j]``), from its tiles on
-    and above the diagonal alone.
-
-    The columns are cut into as few blocks as ``isqrt(entries)`` columns
-    (at least 2) allow, of even widths, so that a tile holds at most about
-    ``entries`` entries per slab.  The outer loop takes the column blocks R
-    in ascending order, and the inner loop the row blocks J = 0..R.
-    ``fill(rows, out, cols)`` writes the terms of the j-rows ``rows`` in the
-    columns ``cols`` (two slices) into the (slabs, len(rows), len(cols))
-    array ``out``, once per tile, and the tile's rows are reduced into the
-    columns R below their running totals, as :func:`_ascending_j` reduces a
-    chunk.  For J < R, a contiguous copy of
-    the tile's transpose, whose rows are the j-rows R, is reduced into the
-    columns J.  So column block C takes the j-row blocks 0..C while R = C,
-    and then C+1, C+2, ... as mirrors: every column still adds one j at a
-    time in ascending order from ``+0.0``, and no bit moves.  Where a
-    tile's columns number ``_UNBUFFERED_ROW`` (80) or more, ``fill`` runs
-    with no broadcast operand buffered (:class:`_unbuffered`), and the
-    reductions, sums, outside that scope.
-    """
-    side = _even(n, max(2, math.isqrt(entries)))
-    acc = np.zeros((slabs, n + 1))  # a lone last column sums beside a zero twin
-    for r0 in range(0, n, side):
-        width = min(side, n - r0)
-        cols = slice(r0, r0 + width)
-        into = acc[:, r0:r0 + max(2, width)]
-        buf = np.zeros((slabs, side + 1, into.shape[1]))
-        for j0 in range(0, r0 + 1, side):
-            rows = slice(j0, min(j0 + side, n))
-            size = rows.stop - j0
-            tile = buf[:, 1:size + 1, :width]
-            buf[:, 0] = into
-            with _unbuffered(width):
-                fill(rows, tile, cols)
-            np.add.reduce(buf[:, :size + 1], axis=1, out=into)
-            if j0 < r0:  # a full block of rows: only the last block is short
-                # made after fill and freed before the next, so that it
-                # never adds to the peak of fill's temporaries
-                mirror = np.empty((slabs, width + 1, side))
-                mirror[:, 0] = acc[:, rows]
-                mirror[:, 1:] = tile.transpose(0, 2, 1)
-                np.add.reduce(mirror, axis=1, out=acc[:, rows])
-                del mirror
-    return acc[:, :n]
-
-
 def _gathered_j(inv: np.ndarray, width: int, slabs: int, fill) -> np.ndarray:
     """:func:`_ascending_j`'s sums for j-rows that repeat ``width`` distinct
     rows, j-row j's terms being bitwise those of distinct row ``inv[j]``,
@@ -319,48 +266,44 @@ def _gathered_j(inv: np.ndarray, width: int, slabs: int, fill) -> np.ndarray:
 # the row blocks, as bench/pair_sources.py fits them to its timed passes:
 # the costs at which the rule's picks lose least against the fastest
 # source, each pass's loss relative to that source's time.  The row
-# blocks count their n * a pairs; the tiles the n * (n + 1) / 2 pairs on
-# and above the diagonal; the gathered rows the
-# a * a distinct pairs and the n * a gathered entries; the grid its
-# candidate pairs and the a running totals that each chunk of them copies
-# and adds to, which tell the grid's time at every n (per candidate alone,
-# it ran 3.7 times a row entry at n = 400 and 6.9 times at n = 4000).
-_ENTRY_COST = {"rows": 1.0, "gathered": 0.198, "tiles": 1.64, "grid": 3.02}
+# blocks count their n * a pairs; the gathered rows the a * a distinct
+# pairs and the n * a gathered entries; the grid its candidate pairs and
+# the a running totals that each chunk of them copies and adds to, which
+# tell the grid's time at every n (per candidate alone, it ran 3.7 times a
+# row entry at n = 400 and 6.9 times at n = 4000).
+_ENTRY_COST = {"rows": 1.0, "gathered": 0.198, "grid": 3.02}
 
 
-def _pair_entries(n: int, a: int, slabs: int, plain: bool, symmetric: bool,
-                  candidates: int | None, chunk: int) -> dict[str, int]:
+def _pair_entries(n: int, a: int, slabs: int, plain: bool, candidates: int | None,
+                  chunk: int) -> dict[str, int]:
     """The counted entries of each source eligible for a pass over the pairs
     of n j-rows and a distinct rows (see ``_ENTRY_COST``).
 
     The row blocks (``"rows"``) are always eligible; the gathered distinct
     rows (``"gathered"``) where the rows are grouped (a < n), the pass fills
     ``plain`` sums and maxima alone and the a x a pairs fit one block for
-    its ``slabs``; the tiles (``"tiles"``) where they are not and every sum
-    is ``symmetric`` in the pair; and the grid (``"grid"``) where it has
-    ``candidates`` (not None), listed in chunks of about ``chunk``.
+    its ``slabs``; and the grid (``"grid"``) where it has ``candidates``
+    (not None), listed in chunks of about ``chunk``.
     """
     entries = {"rows": n * a}
     if a < n and plain and slabs * a * a <= _BLOCK_ENTRIES:
         entries["gathered"] = a * a + n * a
-    if a == n and symmetric:
-        entries["tiles"] = n * (n + 1) // 2
     if candidates is not None:
         entries["grid"] = candidates + a * -(-candidates // chunk)
     return entries
 
 
-def _pair_source(n: int, a: int, slabs: int, plain: bool, symmetric: bool,
-                 candidates: int | None, chunk: int, stacked: bool = False) -> str:
+def _pair_source(n: int, a: int, slabs: int, plain: bool, candidates: int | None,
+                 chunk: int, stacked: bool = False) -> str:
     """The source of a pass over the pairs of n j-rows and a distinct rows:
     a stack of configurations takes its pair lists (``"stack"``), since
     every other source would pair rows of two configurations; otherwise the
     eligible source (:func:`_pair_entries`) whose counted entries cost least
-    by ``_ENTRY_COST``, the first in the order rows, gathered, tiles, grid
-    on a tie."""
+    by ``_ENTRY_COST``, the first in the order rows, gathered, grid on a
+    tie."""
     if stacked:
         return "stack"
-    entries = _pair_entries(n, a, slabs, plain, symmetric, candidates, chunk)
+    entries = _pair_entries(n, a, slabs, plain, candidates, chunk)
     return min(entries, key=lambda source: _ENTRY_COST[source] * entries[source])
 
 
@@ -601,17 +544,20 @@ def _rows_max_sqdist(rows: np.ndarray, scan: np.ndarray | None = None) -> float:
                for block in _row_blocks(scan.shape[0], rows.shape[0]))
 
 
-def _block_max_sqdist(points: np.ndarray, rows: np.ndarray) -> float:
-    # pairwise_sqdist's block, as a pass fills its blocks: unbuffered
-    # (_unbuffered) and squaring each coordinate after the first into a
-    # scratch block, so it holds two blocks, not the three or so of numpy's
-    # buffers and a temporary per coordinate; an overflow raises by name
-    # just below
+def _block_sqdist(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # pairwise_sqdist's block, bit for bit, as a pass fills its blocks:
+    # unbuffered (_unbuffered) and squaring each coordinate after the first
+    # into a scratch block, so it holds two blocks, not the three or so of
+    # numpy's buffers and a temporary per coordinate
     sqd = np.empty((points.shape[0], rows.shape[0]))
     scratch = np.empty_like(sqd) if points.shape[1] > 1 else None
-    with np.errstate(over="ignore"), _unbuffered(rows.shape[0]):
-        coordinate_sqdist(points.T[:, :, None], rows.T[:, None, :], sqd, scratch=scratch)
-    return _checked_max(sqd)
+    with _unbuffered(rows.shape[0]):
+        return coordinate_sqdist(points.T[:, :, None], rows.T[:, None, :], sqd, scratch=scratch)
+
+
+def _block_max_sqdist(points: np.ndarray, rows: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # an overflow raises by name just below
+        return _checked_max(_block_sqdist(points, rows))
 
 
 def _box_overflows(rows: np.ndarray) -> bool:
@@ -745,9 +691,9 @@ def single_linkage_labels(points: np.ndarray, radius: float) -> np.ndarray:
     if grid is not None:  # with the candidates of each row
         grid = (*grid, (grid[2] - grid[1]).sum(axis=0))
     candidates = None if grid is None else int(grid[3].sum())
-    if _pair_source(a, a, 1, False, False, candidates, _BLOCK_ENTRIES) == "rows":
+    if _pair_source(a, a, 1, False, candidates, _BLOCK_ENTRIES) == "rows":
         for block in _row_blocks(a, a):
-            near = pairwise_sqdist(rows[block], rows) <= limit
+            near = _block_sqdist(rows[block], rows) <= limit
             near &= labels[block, None] != labels
             row, col = np.divmod(np.flatnonzero(near), a)
             labels = _union(labels, row + block.start, col)
@@ -772,12 +718,11 @@ def _pair_ends(points: np.ndarray, rows: np.ndarray, j, col):
     # distinct ``rows``: of the pairs (j[p], col[p]) of a list, gathered
     # from (n, d) and (a, d) rows with take (numpy's fancy indexing is about
     # 10x slower, and gathering the columns of (d, n) copies slowed a sparse
-    # run by about 3%), or in a (j, col) block from (d, n) and (d, a)
-    # coordinate rows (see _coordinate_rows), against every row (``col``
-    # None) or the rows of a slice ``col``
-    if isinstance(col, np.ndarray):
-        return points.take(j, axis=0).T, rows.take(col, axis=0).T
-    return points[:, j, None], (rows if col is None else rows[:, col])[:, None, :]
+    # run by about 3%), or, where ``col`` is None, in a (j, a) block from
+    # (d, n) and (d, a) coordinate rows (see _coordinate_rows)
+    if col is None:
+        return points[:, j, None], rows[:, None, :]
+    return points.take(j, axis=0).T, rows.take(col, axis=0).T
 
 
 def _block_margin(sqd: np.ndarray, own: np.ndarray, rows: slice, radius: float) -> float:
@@ -883,8 +828,6 @@ class PairwiseState:
       margin test come from the distinct pairs, the sums are gathered, and
       the gap's post-step term takes the next configuration's distinct rows.  The
       block and one chunk hold about two blocks of entries.
-    - An ungrouped state whose sums are all symmetric may fill the tiles on
-      and above the diagonal (:func:`_tiled_j`).
     - A truncated state whose pairs span several blocks may take the grid
       (below).
     - A stack of configurations (:meth:`batch`) takes its pair lists.
@@ -1094,7 +1037,7 @@ class PairwiseState:
             if grid is not None:  # with the candidates of each j-row
                 per_j = distinct.expand((grid[2] - grid[1]).sum(axis=0))
                 count, chunk = int(per_j.sum()), max(a, 3 * _BLOCK_ENTRIES // (2 * self.cfg.d + 5))
-                if _pair_source(self.n, a, 1, False, False, count, chunk) == "grid":
+                if _pair_source(self.n, a, 1, False, count, chunk) == "grid":
                     return (*grid, per_j), count
 
     @property
@@ -1306,12 +1249,9 @@ class PairwiseState:
         weights again and sums, from the same weights, the pre-step terms
         ``g_rj ||y_r - y_j||^2`` in one slab and the post-step terms
         ``g_rj ||y'_r - y'_j||^2`` in the other, over the same pairs as
-        every other sum (the candidates, on a grid state).  Both slabs are
-        symmetric, so on an ungrouped state that scans every pair the pass
-        may fill only the tiles on and above the diagonal
-        (:func:`_tiled_j`).  Where ``cfg_next`` splits a group of coincident
-        points (its rows differ bitwise), a state with no grouping gives
-        each point its own row.
+        every other sum (the candidates, on a grid state).  Where
+        ``cfg_next`` splits a group of coincident points (its rows differ
+        bitwise), a state with no grouping gives each point its own row.
         """
         nxt = as_configuration(cfg_next).points
         distinct = self.distinct
@@ -1374,8 +1314,8 @@ class _Pass:
         # it copies cost no more than its pairs
         chunk = max(a, 3 * _BLOCK_ENTRIES // (counted + 2 * d * (1 + (after is not None)) + 4))
         plain = not (margin or labels or joins is not None)  # sums and maxima alone
-        self.source = _pair_source(n, a, slabs, plain, plain and not (self.update or self.moments),
-                                   grid[1] if grid else None, chunk, state._segment is not None)
+        self.source = _pair_source(n, a, slabs, plain, grid[1] if grid else None, chunk,
+                                   state._segment is not None)
         listed = self.source in ("grid", "stack")
         # every pair at the boundary is a candidate of the grid
         self.boundary_u = kernel.boundary_u if margin and (
@@ -1431,8 +1371,6 @@ class _Pass:
         n, inv, a = state.n, state.distinct.inv, state.distinct.a
         if self.source == "gathered":
             sums = _gathered_j(inv, a, slabs, self.fill)
-        elif self.source == "tiles":
-            sums = _tiled_j(n, slabs, self.fill, self.entries)
         elif self.source == "rows":
             sums = _ascending_j(n, a, slabs, self.fill, self.entries)
         else:  # the pairs of the grid or of a stack
@@ -1453,8 +1391,7 @@ class _Pass:
     def fill(self, rows, out, col=None) -> None:
         """Write the terms of the j-rows ``rows`` against every distinct row,
         in (rows, a) blocks (the distinct rows themselves, once, where the
-        pass gathers), against the rows of a slice ``col`` in a tile of
-        :func:`_tiled_j`, or of the pairs ``(rows[p], col[p])`` of the grid,
+        pass gathers), or of the pairs ``(rows[p], col[p])`` of the grid,
         into ``out``, and fill the maxima, the margin and the components
         from them."""
         state, joins, segment = self.state, self.joins, self.state._segment

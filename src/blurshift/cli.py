@@ -208,6 +208,9 @@ def _cmd_sweep(args) -> int:
     if not args.h_step > 0:
         raise ValueError(f"--h-step must be positive, got {args.h_step}")
     count = np.floor((args.h_max - args.h_min) / args.h_step + 1e-9) + 1
+    if count < 1:
+        raise ValueError(f"--h-min {args.h_min} exceeds --h-max {args.h_max}: "
+                         f"the bandwidth grid is empty")
     if count > MAX_SWEEP_BANDWIDTHS:
         raise ValueError(f"the grid has {count:.0f} bandwidths, more than "
                          f"{MAX_SWEEP_BANDWIDTHS}; raise --h-step")

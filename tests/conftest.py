@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -198,6 +199,23 @@ def representable_boundary_pair(boundary_u: float) -> tuple[float, float]:
                 return v, h
             v = math.nextafter(v, math.inf if u < boundary_u else 0.0)
     raise AssertionError("no representable boundary pair found")
+
+
+# the sizes on either side of the row blocks' sides: a block holds
+# _BLOCK_ENTRIES pairs, three fifths of it those of a truncated pass of at
+# most five slabs; a state of more than 128 points may group them
+_SIDES = (math.isqrt(3 * _pairwise._BLOCK_ENTRIES // 5), math.isqrt(_pairwise._BLOCK_ENTRIES))
+PLANTED_SIZES = sorted({n for side in _SIDES for n in (1, 2, side - 1, side, side + 1,
+                                                        3 * side + 5)})
+
+
+def planted_points(rng, n: int, d: int, h: float, kernel) -> np.ndarray:
+    """Points over a few joining radii, every third one coinciding with the
+    one before it."""
+    radius = kernel.beta * h if kernel.truncated else h
+    pts = rng.uniform(-3.0, 3.0, size=(n, d)) * radius
+    pts[1::3] = pts[::3][:pts[1::3].shape[0]]
+    return pts
 
 
 @contextlib.contextmanager

@@ -312,6 +312,8 @@ class TestCliCommands:
         (("-inf", "1.5", "0.5"), "--h-min must be finite, got -inf"),
         (("0.5", "1.5", "1e-5"), "the grid has 100001 bandwidths, more than 10000"),
         (("-1e308", "1e308", "1e-300"), "the grid has inf bandwidths, more than 10000"),
+        (("2", "1", "0.5"), "--h-min 2.0 exceeds --h-max 1.0: the bandwidth grid is empty"),
+        (("1e308", "-1e308", "1e-300"), "--h-min 1e+308 exceeds --h-max -1e+308"),
     ])
     def test_sweep_rejects_bad_grid_bounds(self, blob_csv, tmp_path, capsys,
                                            bounds, message):

@@ -9,7 +9,7 @@ import pytest
 import blurshift as bs
 from blurshift._pairwise import DistinctRows, PairwiseState
 from blurshift.engine import StopRule, run_bms
-from conftest import forced_source
+from conftest import PLANTED_SIZES, forced_source, planted_points
 
 _KERNEL = bs.builtin("epanechnikov")
 _H = 0.25
@@ -79,3 +79,41 @@ def test_rule_takes_the_measured_faster_source(seed, reads, faster):
         if not reads:
             state.minorizer_gap(points)
     assert taken == [faster]
+
+
+def _symmetric_values(pts, kernel, h, source):
+    """The symmetric reads of a state of ``pts`` (the largest squared
+    distances, the objective, both gaps' passes), every pass forced to
+    ``source`` where it is eligible, and the set of sources taken."""
+    with forced_source(**{source: 0.0}) as taken:
+        state = PairwiseState(pts, kernel, h, {"diameter"})
+        n = state.n
+        keep = 0.5 * pts + 0.125  # keeps every group of coincident points
+        split = pts + np.linspace(0.0, 1e-3, n)[:, None]  # splits every group
+        values = [state.max_sqdist, state.objective, state._joined_max_sqdist(),
+                  state.minorizer_gap(keep), state.minorizer_gap(split)]
+    return [_bits(v) for v in values], set(taken)
+
+
+# states of more than 128 points group the planted coincident points, so
+# some pass may take the gathered rows, whose distinct pairs fit one block
+# at the smallest of those sizes alone, or, for a truncated kernel, the grid
+_GROUPED = [n for n in PLANTED_SIZES if n > 128]
+_ELIGIBLE = [(kernel_id, n) for kernel_id in (*bs.ASSUMPTION1_IDS, "tricube")
+             for n in _GROUPED if n == _GROUPED[0] or bs.builtin(kernel_id).truncated]
+
+
+@pytest.mark.parametrize("kernel_id,n", _ELIGIBLE)
+def test_every_source_keeps_the_symmetric_values(kernel_id, n):
+    kernel = bs.builtin(kernel_id)
+    rng = np.random.default_rng(n)
+    taken = set()
+    for d, h in ((1, 0.05), (2, 0.8), (3, 50.0)):
+        pts = planted_points(rng, n, d, h, kernel)
+        want, on_rows = _symmetric_values(pts, kernel, h, "rows")
+        assert on_rows == {"rows"}
+        for source in _SOURCES[1:]:
+            got, sources = _symmetric_values(pts, kernel, h, source)
+            assert got == want, (source, d)
+            taken |= sources
+    assert taken - {"rows"}

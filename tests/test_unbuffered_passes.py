@@ -3,8 +3,8 @@ row, so that no broadcast operand is buffered (``_pairwise._unbuffered``),
 and square into a slab of the pass: every read keeps its bits whether the
 scope is on or off and whatever buffer size the caller set, which the
 scope hands back, and a dense update holds no chunk-sized temporary.  The
-prune's scan of a block of rows does the same, holding the block and one
-scratch block."""
+scans of a block of rows (the prune's and the terminal grouping's) do the
+same, holding the block and one scratch block."""
 
 import contextlib
 import math
@@ -22,7 +22,7 @@ from blurshift.diagnostics import _extents, direction_set
 from conftest import forced_source
 
 _H = 0.6
-_SOURCES = ("rows", "tiles", "gathered", "grid")
+_SOURCES = ("rows", "gathered", "grid")
 # forced on and off through the threshold, and the committed threshold
 # under a buffer size that the caller set
 _MODES = ("on", "off", 16, 8192)
@@ -121,10 +121,10 @@ def test_scope_restores_the_buffer_size_when_a_fill_raises():
 
 def test_long_rows_take_buffers_of_one_row():
     # a multiple of 16, as numpy below 2.0 requires, of at most one row:
-    # one chunk of 8 j-rows per width, and three tiles of 100 columns
+    # one chunk of 8 j-rows per width
     sizes = []
 
-    def fill(rows, out, cols=None):
+    def fill(rows, out):
         sizes.append(np.getbufsize())
 
     least = _pairwise._UNBUFFERED_ROW
@@ -132,8 +132,7 @@ def test_long_rows_take_buffers_of_one_row():
     with _mode(4096):
         for width in widths:
             _pairwise._ascending_j(8, width, 1, fill)
-        _pairwise._tiled_j(200, 1, fill, entries=100 * 100)
-    assert sizes == [4096, *(width // 16 * 16 for width in widths[1:]), 96, 96, 96]
+    assert sizes == [4096, *(width // 16 * 16 for width in widths[1:])]
 
 
 def test_dense_update_holds_its_slabs_and_no_chunk_temporary():
@@ -171,27 +170,43 @@ def test_dense_update_holds_its_slabs_and_no_chunk_temporary():
 @pytest.mark.parametrize("mode", _MODES)
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_block_scan_keeps_its_bits(d, mode):
-    # the prune's scan of a block of rows against every row: the largest of
-    # pairwise_sqdist's block, in and out of the scope
+    # a scan's block of rows against every row (the prune's and the terminal
+    # grouping's): pairwise_sqdist's block and its largest, in and out of
+    # the scope
     rng = np.random.default_rng(d)
     rows = rng.normal(0.0, 1.0, size=(300, d)) * 10.0 ** rng.integers(-3, 3, size=(300, d))
+    want = pairwise_sqdist(rows[:50], rows)
     with _mode(mode):
-        got = _pairwise._block_max_sqdist(rows[:50], rows)
-    assert _bits(got) == _bits(float(pairwise_sqdist(rows[:50], rows).max()))
+        block = _pairwise._block_sqdist(rows[:50], rows)
+        largest = _pairwise._block_max_sqdist(rows[:50], rows)
+    assert block.tobytes() == want.tobytes()
+    assert _bits(largest) == _bits(float(want.max()))
+
+
+def _peak(call) -> int:
+    call()  # warm-up
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_block_scan_holds_the_block_and_one_scratch():
-    # one block of the prune's scan at n = 500, which held about three
-    # blocks: numpy's buffers of its broadcast operands and a temporary per
+    # one block of the prune's scan at n = 500, and the row scan of the
+    # terminal grouping of 500 rows, each of which held about three blocks:
+    # numpy's buffers of its broadcast operands and a temporary per
     # coordinate
     rows = np.random.default_rng(36).uniform(-3.0, 3.0, size=(500, 2))
     scan = rows[:_pairwise._BLOCK_ENTRIES // 500]
     block = 8 * scan.shape[0] * rows.shape[0]
-    _pairwise._block_max_sqdist(scan, rows)  # warm-up
-    tracemalloc.start()
-    try:
-        _pairwise._block_max_sqdist(scan, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * block + 4 * 1024
+    assert _peak(lambda: _pairwise._block_max_sqdist(scan, rows)) <= 2 * block + 4 * 1024
+    # at radius 0 no grid decides the pairs, so the rows are scanned in
+    # blocks of 32 rows; beside the block and its scratch, a block holds
+    # two masks of a byte an entry and O(n) labels
+    with forced_source() as taken:
+        labels = _pairwise.single_linkage_labels(rows, 0.0)
+    assert taken == [] and labels.tobytes() == np.arange(500).tobytes()
+    peak = _peak(lambda: _pairwise.single_linkage_labels(rows, 0.0))
+    assert peak <= 2 * block + 2 * (block // 8) + 16 * 1024
