@@ -55,6 +55,18 @@ op ``tail``) on the same points and bandwidths at n in ``TAIL_SIZES``: its
 later steps start from a few bitwise-distinct positions per cluster, the
 grouped states of the paper's finite-time regime.
 
+A steps grid times the iteration's fixed work per step (op ``steps``):
+``cluster`` with a list sink, so every step builds its record, for both
+kernels on the blobs at n in ``STEPS_SIZES`` under
+``StopRule(max_iter=STEPS_MAX_ITER, move_tol=0.0)``.  Gaussian takes every
+step of that budget, most of them after its clusters have collapsed onto
+a few bitwise-distinct positions, where a step's pass is small beside its
+bookkeeping; epanechnikov stops at its exact fixed point.  Its records
+add ``step_us``, the median wall microseconds per step taken.  A gaussian
+call takes 0.1 to 0.2 s on a 2-CPU x86-64 VM, and one such call per fresh
+interpreter swung by a third between runs, so every steps run times
+``CALLS`` calls, and every steps cell runs ``SHORT_REPEATS`` times.
+
 A fourth record times the fuzz probes of ``run_verify``: one call on a
 single point with ``FUZZ_CASES`` probes (configurations of at most 12
 points), where the one-step iteration is negligible, for one smoothly
@@ -127,6 +139,8 @@ FUZZ_CASES = 400
 SPARSE_SIZES = (4000, 16000, 50000)
 SPARSE_KERNEL = "epanechnikov"
 TAIL_SIZES = (500, 1000, 2000)
+STEPS_SIZES = (100, 500)
+STEPS_MAX_ITER = 1000
 SWEEP_H = (0.4, 0.5, 0.6)
 
 
@@ -227,6 +241,9 @@ def operation(cell: dict, points: np.ndarray):
         return gap
     if cell["op"] == "fuzz":
         return lambda: bs.run_verify([[0.0, 0.0]], kernel, FUZZ_H, fuzz=cell["probes"]).T
+    if cell["op"] == "steps":
+        stop = bs.StopRule(max_iter=STEPS_MAX_ITER, move_tol=0.0)
+        return lambda: bs.cluster(points, kernel, H, stop=stop, sink=[].append).T
     if cell["op"] in ("fixed_point", "fixed_point_read", "sweep", "tail"):
         stop = bs.StopRule(move_tol=0.0)
     else:
@@ -248,7 +265,8 @@ def run_cell(cell: dict) -> dict:
     operation(dict(cell, probes=10), points_for(cell, min(n, WARM_UP_N)))()
     call = operation(cell, points_for(cell, n))
     walls, cpus = [], []
-    while not walls or (len(walls) < CALLS and walls[0] < SHORT_CALL_S):
+    while not walls or (len(walls) < CALLS and (walls[0] < SHORT_CALL_S
+                                                or cell["op"] == "steps")):
         start, cpu_start = time.perf_counter(), time.process_time()
         steps = call()
         walls.append(time.perf_counter() - start)
@@ -296,6 +314,8 @@ def cells() -> list[dict]:
              for op in ("sparse", "sparse_verify") for n in SPARSE_SIZES]
     grid += [{"group": "tail_records", "kernel": SPARSE_KERNEL, "n": n, "op": "tail"}
              for n in TAIL_SIZES]
+    grid += [{"group": "steps_records", "kernel": k, "n": n, "op": "steps"}
+             for k in KERNELS for n in STEPS_SIZES]
     return grid
 
 
@@ -339,8 +359,7 @@ def paired(runs: list[dict], first: list[dict], against: str) -> dict:
 def record(cell: dict, runs: list[dict], pairs: dict | None = None) -> dict:
     key = {"fixed_point": "cluster", "fixed_point_read": "cluster_read", "gap": "gap",
            "fuzz": "verify", "sparse": "cluster", "sparse_verify": "verify",
-           "tail": "cluster"}.get(
-               cell["op"], cell["op"])
+           "tail": "cluster", "steps": "cluster"}.get(cell["op"], cell["op"])
     if cell["group"] == "fuzz_records":
         out = {"kernel": cell["kernel"], "h": FUZZ_H, "probes": cell["probes"]}
         out[key] = summary(runs, pairs)
@@ -348,6 +367,8 @@ def record(cell: dict, runs: list[dict], pairs: dict | None = None) -> dict:
         return out
     h = sparse_h(cell["n"]) if on_square(cell) else H
     out = {"kernel": cell["kernel"], "n": cell["n"], "d": 2, "h": h, key: summary(runs, pairs)}
+    if cell["op"] == "steps":
+        out["step_us"] = round(1e6 * out[key]["wall_s"] / out[key]["T"], 2)
     if "mean_distinct_share" in runs[0]:
         out["mean_distinct_share"] = runs[0]["mean_distinct_share"]
     return out
@@ -357,7 +378,7 @@ def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
     """Every cell of ``grid`` on every tree, alternating, grouped by tree."""
     out = {tree: {"records": [], "fixed_point_records": [], "sweep_records": [],
                   "gap_records": [], "fuzz_records": [], "sparse_records": [],
-                  "tail_records": []}
+                  "tail_records": [], "steps_records": []}
            for tree in trees}
     names = list(trees)
     for cell in grid:
@@ -367,8 +388,8 @@ def measure(trees: dict[str, str], grid: list[dict]) -> dict[str, dict]:
             for tree in (names if repeat % 2 == 0 else names[::-1]):
                 shares = repeat == 0 and cell["op"] == "fixed_point"
                 runs[tree].append(spawn(trees[tree], dict(cell, shares=shares)))
-            if repeat == 0 and all(runs[tree][0]["call_walls_s"][0] < SHORT_CELL_S
-                                   for tree in names):
+            if repeat == 0 and (cell["op"] == "steps" or all(
+                    runs[tree][0]["call_walls_s"][0] < SHORT_CELL_S for tree in names)):
                 repeats = SHORT_REPEATS
             repeat += 1
         first = names[0]
@@ -434,6 +455,9 @@ def main(argv=None) -> int:
                          f"points and bandwidth",
         "tail": f"{SPARSE_KERNEL} cluster with StopRule(move_tol=0.0) on the sparse op's "
                 f"points and bandwidth, to the exact fixed point",
+        "steps": f"cluster with a list sink and StopRule(max_iter={STEPS_MAX_ITER}, "
+                 f"move_tol=0.0) on the blobs, {CALLS} calls per run and {SHORT_REPEATS} "
+                 f"runs per tree; step_us is the median wall over T, in us",
     }
     environment = {
         "nproc": nproc(),

@@ -484,8 +484,15 @@ class DistinctRows:
         # rows with the same bytes have the same int64 words: a stable sort
         # by the words puts each group's rows together in ascending order,
         # so a group starts where a row's words differ from its predecessor's
-        # (tested on the (d, n) words, whose rows numpy reduces contiguously)
+        # (tested on the (d, n) words, whose rows numpy reduces contiguously).
+        # Coincident rows share every word, so where no two rows share their
+        # first, no two coincide, and one sort of that word tells it
         words = np.ascontiguousarray(rows.T).view(np.int64)
+        lead = np.sort(words[0])
+        if (lead[1:] != lead[:-1]).all():
+            if before is not None:  # before's rows all apart: its groups stay
+                self.rows, self.first, self.inv = rows, before.first, before.inv
+            return
         by_bits = np.lexsort(words)
         sorted_words = words.take(by_bits, axis=1)
         starts = np.empty(by_bits.size, dtype=bool)
@@ -578,6 +585,12 @@ def _box_overflows(rows: np.ndarray) -> bool:
     return math.isinf(total)
 
 
+# Rows the bounding-box prune scans at a time, by decreasing bound: few
+# enough that the scan stops soon after the bounds fall below the largest
+# squared distance, enough that a block's numpy calls are shared
+_PRUNE_ROWS = 16
+
+
 def _pruned_max_sqdist(rows: np.ndarray) -> float:
     """:func:`_rows_max_sqdist` of the rows, scanning only the rows that can
     reach it.
@@ -586,17 +599,27 @@ def _pruned_max_sqdist(rows: np.ndarray) -> float:
     row's squared distance to its farther extreme on each axis, added in
     ``pairwise_sqdist``'s order, bounds its squared distance to every row
     from above, bit for bit, since every rounding in it is monotone (see
-    :func:`_box_overflows`).  Only the rows whose bound reaches the lower
-    bound are scanned.
+    :func:`_box_overflows`).  The rows whose bound reaches the lower bound
+    are scanned by decreasing bound, ``_PRUNE_ROWS`` at a time, and the scan
+    stops at the first bound that does not exceed the largest squared
+    distance found, as in :func:`component_diameter`: no row left can
+    exceed it, and a maximum does not depend on the order.
     """
     coords = np.ascontiguousarray(rows.T)
     extremes = np.unique(np.concatenate([coords.argmin(axis=1), coords.argmax(axis=1)]))
-    lower = _rows_max_sqdist(rows, rows.take(extremes, axis=0))
-    with np.errstate(over="ignore"):  # a bound of inf only keeps its row
+    worst = _rows_max_sqdist(rows, rows.take(extremes, axis=0))
+    with np.errstate(over="ignore"):  # a bound of inf comes first, and is scanned
         far = np.maximum(coords - coords.min(axis=1, keepdims=True),
                          coords.max(axis=1, keepdims=True) - coords)
         upper = coordinate_sqdist(far, np.zeros((rows.shape[1], 1)))
-    return max(lower, _rows_max_sqdist(rows, rows[upper >= lower]))
+    reach = np.flatnonzero(upper > worst)
+    reach = reach[np.argsort(-upper[reach], kind="stable")]
+    for start in range(0, reach.size, _PRUNE_ROWS):
+        if not upper[reach[start]] > worst:
+            break
+        worst = max(worst, _rows_max_sqdist(
+            rows, rows.take(reach[start:start + _PRUNE_ROWS], axis=0)))
+    return worst
 
 
 def max_sqdist(points: np.ndarray) -> float:
@@ -781,6 +804,17 @@ def _unstable_interval(radius: float, tol: float) -> tuple[float, float] | None:
     if lo is None or beyond is None:
         return None
     return lo, math.nextafter(beyond, 0.0)
+
+
+def _runs_max(largest: np.ndarray, seg: np.ndarray, values: np.ndarray,
+              runs: np.ndarray) -> np.ndarray:
+    # raise largest[seg[k]] to the largest of the run of values that starts
+    # at runs[k] (the seg distinct, each run non-empty); returns the new
+    # largest[seg]
+    top = np.maximum.reduceat(values, runs)
+    np.maximum(largest[seg], top, out=top)
+    largest[seg] = top
+    return top
 
 
 def _ascending_total(row_sums: np.ndarray) -> float:
@@ -1110,25 +1144,26 @@ class PairwiseState:
         contiguously from 0 in order of their smallest point index."""
         distinct = self.distinct
         if not self.kernel.truncated:  # a complete graph is one component
-            roots = np.zeros(self.n, dtype=np.intp)
-        else:
-            if self._roots is None:
-                self._pass({"labels"})
-            roots = self._roots
-            if distinct.inv is not None:
-                # the graph over the distinct positions, expanded: coincident
-                # points share every neighbour, and the distinct rows come in
-                # order of first appearance, so a component's smallest point
-                # is the first point of its smallest row.  Coincident points
-                # are joined to each other where g(0) != 0; where g(0) = 0
-                # (tricube) a group with no join at all is not, so its points
-                # stay apart, which its degree of 0 tells.
-                point = np.arange(self.n)
-                roots = distinct.first[roots][distinct.inv]
-                if self.kernel.g0 == 0.0:
-                    apart = ((self._degree[distinct.inv] == 0)
-                             & (distinct.first[distinct.inv] != point))
-                    roots = np.where(apart, point, roots)
+            labels = np.zeros(self.n, dtype=np.intp)
+            labels.setflags(write=False)
+            return labels
+        if self._roots is None:
+            self._pass({"labels"})
+        roots = self._roots
+        if distinct.inv is not None:
+            # the graph over the distinct positions, expanded: coincident
+            # points share every neighbour, and the distinct rows come in
+            # order of first appearance, so a component's smallest point is
+            # the first point of its smallest row.  Coincident points are
+            # joined to each other where g(0) != 0; where g(0) = 0 (tricube)
+            # a group with no join at all is not, so its points stay apart,
+            # which its degree of 0 tells.
+            point = np.arange(self.n)
+            roots = distinct.first[roots][distinct.inv]
+            if self.kernel.g0 == 0.0:
+                apart = ((self._degree[distinct.inv] == 0)
+                         & (distinct.first[distinct.inv] != point))
+                roots = np.where(apart, point, roots)
         labels = _numbered(roots)
         labels.setflags(write=False)
         return labels
@@ -1141,6 +1176,8 @@ class PairwiseState:
 
     @property
     def M(self) -> int:
+        if not self.kernel.truncated:  # a complete graph is one component
+            return 1
         return int(self.labels.max()) + 1  # labels run from 0 to M - 1
 
     @cached_property
@@ -1204,8 +1241,9 @@ class PairwiseState:
         if self._update is None:
             self._pass({"update"})
         den, num = self._update  # num: the (d, a) numerators
-        empty = np.flatnonzero(den == 0.0)
-        if empty.size:  # the first point of the first such row is the first such point
+        if not den.all():  # some row's weights sum to zero
+            # the first point of the first such row is the first such point
+            empty = np.flatnonzero(den == 0.0)
             raise ValueError(
                 f"point {self.distinct.points_of(empty)[0]} has zero total weight under "
                 f"kernel {self.kernel.id!r}: its g(0) = {self.kernel.g0!r} leaves a "
@@ -1410,8 +1448,12 @@ class _Pass:
         else:  # a stack's pairs: the largest of each configuration
             with np.errstate(over="ignore"):  # an overflow raises by name just below
                 coordinate_sqdist(yj, ar, out=sqd, diff=diff, scratch=scratch)
-            _checked_max(sqd)
-            np.maximum.at(state._max_sqdist, segment[rows], sqd)
+            # the pairs come in ascending j, so each configuration's are one
+            # run of the chunk, which starts where the configuration changes
+            seg = segment[rows]
+            runs = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+            seg = seg[runs]
+            _checked_max(_runs_max(state._max_sqdist, seg, sqd, runs))
         if self.own is not None:  # a block of j-rows against every distinct row
             state._margin = min(state._margin, _block_margin(sqd, self.own, rows, self.radius))
         elif self.unstable is not None and state._stable:
@@ -1436,7 +1478,7 @@ class _Pass:
             if segment is None:
                 state._joined_max = max(state._joined_max, float(joined_sqd.max()))
             else:
-                np.maximum.at(state._joined_max, segment[rows], joined_sqd)
+                _runs_max(state._joined_max, seg, joined_sqd, runs)
         if self.labels:
             self._join_chunk(rows, joined, col)
         if joins is not None and col is None:  # row r: the points joined to distinct row r
@@ -1473,6 +1515,8 @@ class _Pass:
             own = state._roots[rows if inv is None else inv[rows]]
             cross = own[:, None] != state._roots
             cross &= joined
+            if not cross.any():
+                return
             j, col = np.divmod(np.flatnonzero(cross), joined.shape[1])
             j += rows.start
         else:

@@ -73,10 +73,21 @@ def _representatives(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
     One stable sort puts each group's points in a contiguous slice in
     ascending point order, so each mean sums the rows ``points[groups ==
     c]`` would give, in the same order and layout, and keeps their bits.
+    For d >= 2, ``mean`` adds a group's rows one at a time from ``+0.0``
+    (so a group of ``-0.0`` has a mean of ``+0.0``); so does one
+    ``np.add.at`` of the sorted rows into zeros, and the sums are divided by
+    the counts as ``mean`` divides.  A lone column (d = 1) keeps its
+    per-group ``mean``, since numpy sums a contiguous column pairwise.
     """
     order = np.argsort(groups, kind="stable")
-    bounds = np.cumsum(np.bincount(groups))[:-1]
-    return np.vstack([part.mean(axis=0) for part in np.split(points.take(order, axis=0), bounds)])
+    counts = np.bincount(groups)
+    parts = points.take(order, axis=0)
+    if points.shape[1] == 1:
+        return np.vstack([part.mean(axis=0) for part in np.split(parts, np.cumsum(counts)[:-1])])
+    sums = np.zeros((counts.size, points.shape[1]))
+    np.add.at(sums, groups[order], parts)
+    sums /= counts[:, None]
+    return sums
 
 
 def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,

@@ -276,8 +276,9 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     Coincident points blur alike, so each step after the first is handed
     the grouping of its points (:meth:`DistinctRows.after`, from the a
     blurred rows), and the move and the fixed-point test run over the a
-    rows.  The ``blurshift`` logger gets a start and a stop summary at
-    DEBUG.
+    rows.  A blurred update that overflows to inf raises ``ValueError``
+    naming its step.  The ``blurshift`` logger gets a start and a stop
+    summary at DEBUG.
     """
     if stop is None:
         stop = StopRule()
@@ -295,12 +296,21 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
             move_tol = 1e-12 * state.diameter
         distinct = state.distinct
         rows = state.update_rows()
-        nxt = Configuration.from_points(distinct.expand(rows))
+        if not np.isfinite(rows).all():
+            raise ValueError(
+                f"the blurred update of step {t} overflows double precision; "
+                "rescale the points and the bandwidth")
+        # a new array of finite rows, as from_points would copy it
+        points = distinct.expand(rows)
+        points.setflags(write=False)
+        nxt = Configuration(points)
         # each point moves as its distinct row does (np.linalg.norm's
         # formula for axis=1, without its wrapper)
         moved = rows - distinct.rows
         max_move = float(np.max(np.sqrt(np.add.reduce(moved * moved, axis=1))))
-        fixed = stop.exact_fixed_point and np.array_equal(rows, distinct.rows)
+        # finite x - y is 0 exactly when x == y; a subnormal move's square is
+        # 0.0, so max_move cannot tell
+        fixed = stop.exact_fixed_point and not moved.any()
         del rows, moved  # off the observer's peak
         on_step(t, state, nxt, max_move)
         # drop this step's arrays before the next state allocates its own

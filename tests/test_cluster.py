@@ -161,6 +161,25 @@ class TestCluster:
             [terminal[result.labels == m].mean(axis=0)
              for m in range(1, result.M + 1)]).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_representatives_are_each_slice_mean_bit_for_bit(self, d):
+        # groups of 1 to 1000 rows (numpy sums a lone column pairwise from 8
+        # rows, in blocks of 128), one of -0.0 alone, one of +0.0 and -0.0
+        # rows, and one of rows of mixed magnitude
+        rng = np.random.default_rng([38, d])
+        sizes = [1, 2, 7, 8, 9, 130, 1000, 40, 25, 3]
+        groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        points = rng.normal(size=(groups.size, d)) * 10.0 ** rng.integers(
+            -8, 9, size=(groups.size, 1))
+        points[groups == 7] = -0.0
+        points[groups == 8] = rng.choice([0.0, -0.0], size=(25, d))
+        got = _representatives(points, groups)
+        order = np.argsort(groups, kind="stable")
+        want = np.vstack([part.mean(axis=0) for part in np.split(
+            points.take(order, axis=0), np.cumsum(sizes)[:-1])])
+        assert got.shape == (len(sizes), d)
+        assert got.tobytes() == want.tobytes()
+
     def test_json_payload(self):
         result = bs.cluster(blob_pair(), EPA, 0.8)
         payload = result.to_json_dict()

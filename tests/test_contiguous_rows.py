@@ -155,6 +155,39 @@ def test_box_and_pruned_largest_distance_equal_the_row_formulas(rows):
     assert (got == want) if isinstance(got, str) else _bits(got) == _bits(want)
 
 
+def _tied_rows(case):
+    # rows many of whose bounds tie, over several batches of the prune's
+    # scan: a lattice, a symmetric polygon, a few sites repeated, a lattice
+    # whose pairs overflow, and "decoys": 24 rows on 3 sites near a corner
+    # of the box, whose tied bounds come first but whose largest squared
+    # distance (442) falls short of the largest (450, between two rows of
+    # lower bounds), which neither extreme of either axis reaches (400)
+    if case == "decoys":
+        sites = np.array([[9.0, 9.0], [9.0, 8.5], [8.5, 9.0]])
+        return np.concatenate([[[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0], [0.0, -10.0]],
+                               sites[np.arange(24) % 3], [[7.5, -7.5], [-7.5, 7.5]]])
+    if case == "lattice":
+        return np.stack(np.meshgrid(np.arange(-9.0, 10.0), np.arange(-4.0, 5.0)), -1).reshape(-1, 2)
+    if case == "polygon":
+        angle = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        ring = np.stack([np.cos(angle), np.sin(angle)], -1)
+        return np.concatenate([ring, -ring, 0.5 * ring])
+    if case == "repeats":
+        sites = np.array([[0.0, 0.0, 1.0], [-0.0, 3.0, -1.0], [2.0, 3.0, 1.0]])
+        return sites[np.arange(90) % 3]
+    return 1e154 * np.stack(np.meshgrid(np.arange(-3.0, 4.0), np.arange(-3.0, 4.0)),
+                            -1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("case", ["lattice", "polygon", "repeats", "overflow", "decoys"])
+def test_pruned_largest_distance_with_tied_bounds(case):
+    rows = _tied_rows(case)
+    got, want = _outcome(_pruned_max_sqdist, rows), _outcome(_rows_max_sqdist, rows)
+    assert type(got) is type(want)
+    assert (got == want) if isinstance(got, str) else _bits(got) == _bits(want)
+    assert _outcome(_row_pruned_max_sqdist, rows) == want
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rows=_rows(least=1, most=300), merge=st.sampled_from([1.0, 0.5, 0.0]))
 def test_grouping_equals_the_row_formula(rows, merge):

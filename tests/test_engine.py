@@ -319,6 +319,37 @@ class TestRunDriver:
             with pytest.raises(ValueError, match=r"point 0 has zero total weight .*'tricube'.*g\(0\) = 0\.0"):
                 call()
 
+    @pytest.mark.parametrize("kernel", [GAUSS, EPA], ids=["gaussian", "epanechnikov"])
+    def test_subnormal_move_is_not_a_fixed_point(self, kernel):
+        # step 1 moves both points to 5e-311 by moves whose squares are 0.0,
+        # so a fixed-point test on max_move would stop there; the points did
+        # move, and only step 2 returns them bit for bit
+        records = []
+        run = run_bms([[0.0], [1e-310]], kernel, 1e-150, StopRule(move_tol=0.0),
+                      sink=records.append)
+        assert (run.T, run.stop_reason) == (2, STOP_EXACT_FIXED_POINT)
+        assert run.final.points.tolist() == [[5e-311], [5e-311]]
+        assert records[0].max_move == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_update_names_its_step(self):
+        # finite points whose blurred update's sums overflow to inf
+        with pytest.raises(ValueError, match="the blurred update of step 1 overflows "
+                                             "double precision; rescale the points"):
+            run_bms([[1e308]] * 3, EPA, 1.0)
+
+    @pytest.mark.parametrize("copies", [1, 70])  # 210 points are grouped
+    def test_next_configuration_is_read_only(self, copies):
+        # the driver wraps the blurred points without from_points' copy
+        seen = []
+        pts = np.repeat([[0.0], [1.0], [5.0]], copies, axis=0)
+        bs.engine._iterate(pts, GAUSS, 1.0, StopRule(max_iter=2),
+                           lambda t, state, nxt, move: seen.append(nxt))
+        assert len(seen) == 2
+        for nxt in seen:
+            assert not nxt.points.flags.writeable
+            assert nxt.points.flags.c_contiguous and nxt.points.dtype == np.float64
+
     def test_debug_log_summarises_each_run(self, caplog):
         pts = [[0.0, 0.0], [0.25, 0.0], [5.0, 5.0]]
         with caplog.at_level(logging.DEBUG, logger="blurshift"):

@@ -175,3 +175,60 @@ def test_grouping_matches_the_unique_bytes_reference(drawn):
     # that its points coincide, as blurring leaves them
     moved = grouping.expand(grouping.at_first(merged[pick]))
     _assert_reference_grouping(grouping.after(moved), moved)
+
+
+
+def _lexsorts(monkeypatch):
+    """Count the calls of ``np.lexsort`` (the grouping's sort of every word)."""
+    calls = []
+    real = np.lexsort
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+def _apart_rows(case, m):
+    """``m`` bitwise-distinct rows in d = 3: with distinct first coordinates,
+    or in pairs that share the first coordinate's word and differ in a later
+    one or only in the sign of a later zero, or with one pair that differs
+    only in the sign of a zero in the first coordinate."""
+    rows = np.random.default_rng(m).normal(size=(m, 3))
+    if case == "later_word":
+        rows[1::2, 0] = rows[::2, 0]
+    elif case == "later_signed_zero":
+        rows[1::2] = rows[::2]
+        rows[::2, 2], rows[1::2, 2] = 0.0, -0.0
+    elif case == "first_signed_zero":
+        rows[1] = rows[0]
+        rows[0, 0], rows[1, 0] = 0.0, -0.0
+    return rows
+
+
+# the cases whose first words some two rows share: those take the full sort
+_APART_CASES = {"first_apart": 0, "later_word": 1, "later_signed_zero": 1,
+                "first_signed_zero": 0}
+
+
+@pytest.mark.parametrize("case", list(_APART_CASES))
+def test_first_word_test_gives_the_full_sort(case, monkeypatch):
+    # rows all apart: the grouping sorts every word only where some two
+    # share their first word, and gives the grouping of the full sort
+    points = _apart_rows(case, 200)
+    calls = _lexsorts(monkeypatch)
+    grouping = DistinctRows(points)
+    assert len(calls) == _APART_CASES[case]
+    _assert_reference_grouping(grouping, points)
+    assert grouping.first is None and grouping.rows is points
+    # handed on: 200 points on 40 positions, blurred to 40 rows all apart,
+    # which keep before's groups
+    before = DistinctRows(np.random.default_rng(1).normal(size=(40, 3))[np.arange(200) % 40])
+    moved = before.expand(_apart_rows(case, 40))
+    del calls[:]
+    after = before.after(moved)
+    assert len(calls) == _APART_CASES[case]
+    _assert_reference_grouping(after, moved)
+    assert after.first is before.first and after.inv is before.inv

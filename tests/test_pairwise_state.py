@@ -15,6 +15,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 import blurshift as bs
+import blurshift._pairwise as pairwise_mod
 from blurshift._pairwise import _BLOCK_ENTRIES, PairwiseState, _box_overflows, _union
 from blurshift.config import pairwise_sqdist, profile_args
 from blurshift.diagnostics import component_diameter, diameter
@@ -386,6 +387,25 @@ def test_isolated_tricube_group_stays_apart():
         assert state.distinct.inv is not None
         assert (state.distinct.a * n <= _BLOCK_ENTRIES) == one_block
         assert len(set(state.labels[n - 10:])) == 10
+
+
+@pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy", "logistic"])
+@pytest.mark.parametrize("n", [1, 40, 300])
+def test_full_support_state_is_one_component(kernel_id, n, monkeypatch):
+    # a complete graph: M is 1, every label 0 and the component diameter
+    # the diameter, with no component numbered
+    def numbered(roots):
+        raise AssertionError("a full-support state numbered its components")
+
+    monkeypatch.setattr(pairwise_mod, "_numbered", numbered)
+    pts = np.random.default_rng(n).normal(size=(n, 2))
+    pts[n // 2:] = pts[0]
+    state = PairwiseState(pts, bs.builtin(kernel_id), 0.5, {"update"})
+    assert state.M == 1
+    assert state.labels.dtype == np.intp and not state.labels.flags.writeable
+    assert np.array_equal(state.labels, np.zeros(n, dtype=np.intp))
+    assert _bits(state.component_diameter) == _bits(state.diameter)
+    assert _bits(state.diameter) == _bits(math.sqrt(float(pairwise_sqdist(pts, pts).max())))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
