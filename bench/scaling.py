@@ -28,11 +28,11 @@ mean share of distinct positions (bitwise-distinct points over n) over the
 configurations the steps start from, counted once per tree in an untimed
 run.
 
-Iteration records are built only where they are read: ``cluster`` builds
-none, and reading its ``records`` runs the iteration again.  So each
-``cluster`` cell of the first two grids up to n = 4000 has a twin that
-also reads the records (op ``cluster_read``, and ``fixed_point_read`` to the fixed point),
-and a sweep grid runs ``bandwidth_sweep`` per n over ``SWEEP_H`` to each
+Iteration records exist only where a sink was given: ``cluster`` without
+one builds none.  So each ``cluster`` cell of the first two grids up to
+n = 4000 has a twin that passes a list sink and reads the records it kept
+(op ``cluster_read``, and ``fixed_point_read`` to the fixed point), one
+recorded run, and a sweep grid runs ``bandwidth_sweep`` per n over ``SWEEP_H`` to each
 bandwidth's exact fixed point (op ``sweep``), which reads no record; its
 ``T`` is the sum of the runs' steps.
 
@@ -254,7 +254,7 @@ def operation(cell: dict, points: np.ndarray):
     if cell["op"] == "sweep":
         return lambda: sum(e.T for e in bs.bandwidth_sweep(points, kernel, SWEEP_H, stop=stop))
     if cell["op"].endswith("_read"):
-        return lambda: len(bs.cluster(points, kernel, h, stop=stop).records)
+        return lambda: len(bs.cluster(points, kernel, h, stop=stop, sink=[].append).records)
     return lambda: bs.cluster(points, kernel, h, stop=stop).T
 
 
@@ -442,7 +442,7 @@ def main(argv=None) -> int:
                "(see the environment's OPENBLAS_NUM_THREADS and OMP_NUM_THREADS)",
         "peak": "median tracemalloc peak of one further call per run",
         "fixed_point": "cluster with StopRule(move_tol=0.0)",
-        "read": "the ops ending in _read also read the cluster's records",
+        "read": "the ops ending in _read pass cluster a list sink and read its records",
         "sweep": f"bandwidth_sweep over h in {list(SWEEP_H)} with StopRule(move_tol=0.0); "
                  f"T sums the runs' steps",
         "gap": "both terms of the minorizer gap of the first epanechnikov step: "

@@ -446,10 +446,9 @@ class DistinctRows:
     ``first[r]`` is the first row of group ``r``, ``inv[i]`` the group of
     row ``i`` and ``rows`` holds the a distinct rows, so row ``i`` is
     bitwise ``rows[inv[i]]``.  Rows are keyed by their bytes, so ``-0.0``
-    and ``+0.0`` stay apart.  When every row is distinct, when one row
-    block holds every pair (grouping would cost more than it saves), or
-    when ``grouped`` is false, no grouping is made: ``rows`` are the points
-    and ``first`` and ``inv`` are None.
+    and ``+0.0`` stay apart.  When every row is distinct, or when
+    ``grouped`` is false, no grouping is made: ``rows`` are the points and
+    ``first`` and ``inv`` are None.
     """
 
     def __init__(self, points: np.ndarray, grouped: bool = True):
@@ -479,7 +478,7 @@ class DistinctRows:
         # ``before`` is None; no grouping when ``rows`` is None
         n = points.shape[0]
         self.rows, self.first, self.inv = points, None, None
-        if rows is None or n * n <= _BLOCK_ENTRIES:
+        if rows is None:
             return
         # rows with the same bytes have the same int64 words: a stable sort
         # by the words puts each group's rows together in ascending order,
@@ -991,7 +990,9 @@ class PairwiseState:
         Each stack is an (N, d) array of configurations of one dimension d
         stacked, and the matching entry of ``sizes`` gives their sizes in
         order (adding to N), each of 1 to 128 points: one block each, so
-        that no state of theirs groups its rows or takes the grid.
+        that no state of theirs takes the grid.  A configuration's own state
+        groups its coincident rows, and the batch does not; grouping moves
+        no bit.
 
         Each stack is validated once, as one configuration.  Its pass runs
         over pair lists (:func:`_candidate_sums`), whose candidates are each

@@ -117,8 +117,8 @@ def _stop_rule(args) -> StopRule:
 def _cmd_cluster(args) -> int:
     kernel = get_kernel(args.kernel)
     points, stats = _load(args)
-    # a trace takes the records from a sink as the run goes: read from the
-    # result, they would be built by a second run
+    # only a run given a sink builds records, so only a traced run pays for
+    # them
     records = []
     result = cluster(points, kernel, args.h, stop=_stop_rule(args), merge_tol=args.merge_tol,
                      sink=None if args.trace is None else records.append)

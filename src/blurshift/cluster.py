@@ -44,15 +44,15 @@ class ClusterResult:
     run: BmsRun
 
     @property
-    def records(self) -> list[IterationRecord]:
-        """The run's iteration records, one per step: built on their first
-        read, by a second run, unless the run had a sink (see
+    def records(self) -> list[IterationRecord] | None:
+        """The run's iteration records, one per step, as its ``sink`` got
+        them; ``None`` when the run had no sink (see
         :func:`~blurshift.engine.run_bms`)."""
         return self.run.records
 
     @property
     def trace_summary(self) -> IterationRecord | None:
-        """The final iteration record."""
+        """The final iteration record; ``None`` when the run had no sink."""
         return self.records[-1] if self.records else None
 
     def to_json_dict(self) -> dict:
@@ -101,8 +101,8 @@ def cluster(points, kernel: KernelSpec, h: float, stop: StopRule | None = None,
     kernels only agree to within the stopping tolerance, so grouping by a
     small radius instead of bitwise equality works for both.  The run
     passes ``sink`` to :func:`~blurshift.engine.run_bms`: with one, it
-    builds one iteration record per step as it goes; without one, it builds
-    none, and ``records`` builds them on first read.
+    builds one iteration record per step as it goes and keeps them in
+    ``records``; without one, it builds none, and ``records`` is ``None``.
     """
     cfg = as_configuration(points)
     if merge_tol is not None and not merge_tol >= 0:

@@ -12,10 +12,8 @@ sum ``L`` with per-point step sizes.
 
 from __future__ import annotations
 
-import functools
 import logging
 import numbers
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -80,9 +78,26 @@ def bms_step(cfg, kernel: KernelSpec, h: float) -> Configuration:
     unchanged.
 
     Raises ``ValueError`` when a point's weights sum to zero (a kernel with
-    ``g(0) = 0``, such as ``tricube``, and no other point at nonzero weight).
+    ``g(0) = 0``, such as ``tricube``, and no other point at nonzero weight),
+    and when the sums overflow to inf.
     """
-    return Configuration.from_points(PairwiseState(cfg, kernel, h, {"update"}).update())
+    state, rows = _blurred(cfg, kernel, h, {"update"}, None, "the blurred update")
+    return Configuration.from_points(state.distinct.expand(rows))
+
+
+def _blurred(cfg, kernel: KernelSpec, h: float, reads, distinct,
+             what: str) -> tuple[PairwiseState, np.ndarray]:
+    """The pairwise state of ``cfg`` and its blurred distinct rows
+    (:meth:`PairwiseState.update_rows`); an update whose sums overflow to
+    inf raises ``ValueError`` naming ``what``, not numpy's overflow
+    warning."""
+    with np.errstate(over="ignore"):  # an overflow raises by name just below
+        state = PairwiseState(cfg, kernel, h, reads, distinct)
+        rows = state.update_rows()
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{what} overflows double precision; "
+                         "rescale the points and the bandwidth")
+    return state, rows
 
 
 def ms_step(query, data, kernel: KernelSpec, h: float) -> np.ndarray:
@@ -213,34 +228,14 @@ class StopRule:
             raise ValueError(f"move_tol must be non-negative, got {self.move_tol}")
 
 
-class _Records:
-    """A run's records, or the replay that builds them on their first read.
-
-    The first read takes a lock, so threads that read at once wait for one
-    replay and get the same list.
-    """
-
-    def __init__(self, records: list[IterationRecord] | None = None,
-                 replay: Callable[[], list[IterationRecord]] | None = None):
-        self._records, self._replay = records, replay
-        self._lock = threading.Lock()
-
-    def read(self) -> list[IterationRecord]:
-        with self._lock:
-            if self._records is None:
-                self._records = self._replay()
-                self._replay = None
-        return self._records
-
-
 @dataclass(frozen=True)
 class BmsRun:
     """Result of an iteration run: final state, stop reason, step count, the
     diameter of the starting configuration and the records.
 
-    ``records`` holds one :class:`IterationRecord` per step.  A run given a
-    ``sink`` built them as it went; a run without one built none, and its
-    first read of ``records`` runs the iteration again to build them (see
+    ``records`` holds the :class:`IterationRecord` of each step that the run
+    handed to its ``sink``, in step order.  It is ``None`` when the run kept
+    none: it had no sink, or ``keep_records`` was false (see
     :func:`run_bms`).
     """
 
@@ -248,11 +243,7 @@ class BmsRun:
     stop_reason: str
     T: int
     initial_diameter: float
-    _records: _Records = field(repr=False, compare=False)
-
-    @property
-    def records(self) -> list[IterationRecord]:
-        return self._records.read()
+    records: list[IterationRecord] | None = field(repr=False, compare=False)
 
 
 def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
@@ -290,16 +281,11 @@ def _iterate(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None,
     reads = frozenset({"update", *reads})
     distinct = None  # step 1 groups its points
     for t in range(1, stop.max_iter + 1):
-        state = PairwiseState(cfg, kernel, h, reads | {"diameter"} if t == 1 else reads,
-                              distinct)
+        state, rows = _blurred(cfg, kernel, h, reads | {"diameter"} if t == 1 else reads,
+                               distinct, f"the blurred update of step {t}")
         if move_tol is None:  # 1e-12 x the initial diameter
             move_tol = 1e-12 * state.diameter
         distinct = state.distinct
-        rows = state.update_rows()
-        if not np.isfinite(rows).all():
-            raise ValueError(
-                f"the blurred update of step {t} overflows double precision; "
-                "rescale the points and the bandwidth")
         # a new array of finite rows, as from_points would copy it
         points = distinct.expand(rows)
         points.setflags(write=False)
@@ -352,48 +338,27 @@ def _record(t: int, state: PairwiseState, max_move: float) -> IterationRecord:
     )
 
 
-def _replay(cfg: Configuration, kernel: KernelSpec, h: float, stop: StopRule | None,
-            run: tuple[Configuration, str, int]) -> list[IterationRecord]:
-    # the records of ``run``, from the iteration run again; it must take
-    # the same steps to the same bits
-    records: list[IterationRecord] = []
-    final, _, T = _iterate(cfg, kernel, h, stop,
-                           lambda t, state, nxt, move: records.append(_record(t, state, move)),
-                           _RECORD_READS)
-    same = final.points.tobytes() == run[0].points.tobytes()
-    if T != run[2] or not same:
-        raise RuntimeError(
-            f"replaying the run to build its records diverged: it took {T} steps "
-            f"against the run's {run[2]}, and its final configuration "
-            f"{'is bitwise the same' if same else 'differs'}")
-    return records
-
-
 def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
             sink: Callable[[IterationRecord], None] | None = None,
             keep_records: bool = True) -> BmsRun:
     """Iterate the blurring update from ``cfg0`` until a stop rule fires.
 
-    With a ``sink``, one record per iteration is passed to it as the run
-    goes, and collected in the returned run unless ``keep_records`` is
-    false, so long runs can stream their trace without buffering.  Without
-    one, the run builds no record, which makes it cheaper: a state computes
-    only the update, and the first one also the initial diameter; no later
-    one finds a largest distance or joined distance, and each is handed the
-    grouping of its points by the step before, from the blurred distinct
-    positions, instead of grouping its n points.  Its ``records`` are then
-    built on their first read
-    by running the iteration again, so reading them costs a second run; a
-    replay that does not end at the same step on the same bits raises
-    ``RuntimeError``.  With ``keep_records`` false and no sink, ``records``
-    is empty.  ``initial_diameter`` is kept either way.
+    With a ``sink``, one record per iteration is built from the step's own
+    pairwise state and passed to it as the run goes, and kept in the
+    returned run's ``records`` unless ``keep_records`` is false, so long
+    runs can stream their trace without buffering.  Without one, the run
+    builds no record, which makes it cheaper: a state computes only the
+    update, and the first one also the initial diameter; no later one finds
+    a largest distance or joined distance, and each is handed the grouping
+    of its points by the step before, from the blurred distinct positions,
+    instead of grouping its n points.  ``records`` is ``None`` whenever the
+    run kept none; ``initial_diameter`` is kept either way.
 
     Every record field comes from one :class:`PairwiseState` per iteration;
     the public per-layer functions wrap the same state, so a record rebuilt
     from them is bitwise equal to the one produced here.
     """
-    cfg = as_configuration(cfg0)
-    kept: list[IterationRecord] = []
+    kept = [] if sink is not None and keep_records else None
     initial = []
 
     def on_step(t, state, nxt, max_move):
@@ -402,14 +367,9 @@ def run_bms(cfg0, kernel: KernelSpec, h: float, stop: StopRule | None = None,
         if sink is not None:
             record = _record(t, state, max_move)
             sink(record)
-            if keep_records:
+            if kept is not None:
                 kept.append(record)
 
-    run = _iterate(cfg, kernel, h, stop, on_step,
-                   frozenset() if sink is None else _RECORD_READS)
-    if sink is None and keep_records:
-        records = _Records(replay=functools.partial(_replay, cfg, kernel, h, stop, run))
-    else:
-        records = _Records(kept)
-    final, stop_reason, T = run
-    return BmsRun(final, stop_reason, T, initial[0], records)
+    final, stop_reason, T = _iterate(cfg0, kernel, h, stop, on_step,
+                                     frozenset() if sink is None else _RECORD_READS)
+    return BmsRun(final, stop_reason, T, initial[0], kept)

@@ -203,7 +203,7 @@ def representable_boundary_pair(boundary_u: float) -> tuple[float, float]:
 
 # the sizes on either side of the row blocks' sides: a block holds
 # _BLOCK_ENTRIES pairs, three fifths of it those of a truncated pass of at
-# most five slabs; a state of more than 128 points may group them
+# most five slabs
 _SIDES = (math.isqrt(3 * _pairwise._BLOCK_ENTRIES // 5), math.isqrt(_pairwise._BLOCK_ENTRIES))
 PLANTED_SIZES = sorted({n for side in _SIDES for n in (1, 2, side - 1, side, side + 1,
                                                         3 * side + 5)})

@@ -12,8 +12,8 @@ between the state's two representations.
 
 ``golden.json`` records, for every input:
 
-- the sha256 of every ``run_bms`` run (all admissible kernels, at most
-  ``MAX_ITER`` steps): the bits
+- the sha256 of every ``run_bms`` run given a sink (all admissible kernels,
+  at most ``MAX_ITER`` steps): the bits
   of every record field, then the final points' bytes, with the readable
   final record, ``T`` and the stop reason beside it for diffing;
 - for the three small inputs, the sha256 of each file the in-process CLI
@@ -92,7 +92,8 @@ def _sha256(data: bytes) -> str:
 
 
 def run_digest(run: bs.BmsRun) -> str:
-    """sha256 of every record field's bits, then the final points' bytes."""
+    """sha256 of every record field's bits, then the final points' bytes, of
+    a run given a sink."""
     digest = hashlib.sha256()
     for record in run.records:
         digest.update(struct.pack(
@@ -127,7 +128,7 @@ def compute() -> dict:
             stem = path.stem
             for kid in bs.ASSUMPTION1_IDS:
                 run = bs.run_bms(points, bs.builtin(kid), H,
-                                 stop=bs.StopRule(max_iter=MAX_ITER))
+                                 stop=bs.StopRule(max_iter=MAX_ITER), sink=[].append)
                 golden["run_bms"][f"{stem}/{kid}"] = {
                     "sha256": run_digest(run),
                     "T": run.T,

@@ -28,7 +28,8 @@ def test_criterion_1_finite_time_convergence():
     for name in DATASETS:
         pts, h = make_dataset(name, n=500)
         std, _ = standardize(pts)
-        run = run_bms(std, kernel, h, stop=StopRule(max_iter=200, move_tol=0.0))
+        run = run_bms(std, kernel, h, stop=StopRule(max_iter=200, move_tol=0.0),
+                      sink=[].append)
         results[name] = (run.stop_reason, run.T, run.records[-1].n_components)
     elapsed = time.monotonic() - start
 

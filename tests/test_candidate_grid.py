@@ -199,9 +199,9 @@ def test_grid_runs_equal_scanned_runs(kernel_id, d, seed):
     _, h = representable_boundary_pair(1.0)
     pts = _configuration(np.random.default_rng(seed), d, "plain", 3, h)
     stop = StopRule(max_iter=6, move_tol=0.0)
-    run = run_bms(pts, kernel, h, stop)
+    run = run_bms(pts, kernel, h, stop, sink=[].append)
     with _scanning():
-        want = run_bms(pts, kernel, h, stop)
+        want = run_bms(pts, kernel, h, stop, sink=[].append)
     assert [tuple(map(_bits, vars(r).values())) for r in run.records] == \
         [tuple(map(_bits, vars(r).values())) for r in want.records]
     assert run.final.points.tobytes() == want.final.points.tobytes()

@@ -138,10 +138,11 @@ class TestCluster:
         assert ran and refused
 
     def test_records_are_the_runs(self):
-        result = bs.cluster(blob_pair(), EPA, 0.8)
-        run = bs.run_bms(blob_pair(), EPA, 0.8)
-        assert result.records == run.records
-        assert result.trace_summary == run.records[-1]
+        got = []
+        result = bs.cluster(blob_pair(), EPA, 0.8, sink=got.append)
+        run = bs.run_bms(blob_pair(), EPA, 0.8, sink=[].append)
+        assert result.records == got == run.records
+        assert result.trace_summary == got[-1]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_representatives_are_the_per_cluster_loop(self, d):

@@ -74,8 +74,6 @@ def _row_grouping(points, rows, before):
     # (rows, first, inv) of DistinctRows._group, from the int64 words of
     # (n, d) rows
     n = points.shape[0]
-    if n * n <= _BLOCK_ENTRIES:
-        return points, None, None
     rows = np.ascontiguousarray(rows)
     bits = rows.view(np.int64)
     by_bits = np.lexsort(bits.T)

@@ -393,9 +393,9 @@ def test_no_pass_fills_nothing(kernel_id, n, monkeypatch):
     monkeypatch.setattr(_pairwise._Pass, "run", counted)
     kernel, h = bs.builtin(kernel_id), 0.5
     pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
-    pts[n // 2:] = pts[:n - n // 2]  # coincident points, grouped when n > 128
+    pts[n // 2:] = pts[:n - n // 2]  # coincident points, grouped
     state = PairwiseState(pts, kernel, h)
-    assert (state.distinct.inv is None) == (n == 12)
+    assert state.distinct.a == n // 2
     if not kernel.truncated:
         assert state.margin == math.inf and state.boundary_hit is False
     assert runs == []

@@ -269,7 +269,7 @@ class TestMinorizerGap:
 
 class TestRunDriver:
     def test_single_iteration(self):
-        run = run_bms([[0.0], [1.0]], GAUSS, 1.0, stop=StopRule(max_iter=1))
+        run = run_bms([[0.0], [1.0]], GAUSS, 1.0, stop=StopRule(max_iter=1), sink=[].append)
         assert len(run.records) == 1
         assert run.T == 1
         assert run.stop_reason == STOP_MAX_ITER
@@ -296,7 +296,8 @@ class TestRunDriver:
         rng = np.random.default_rng(21)
         pts = np.vstack([rng.normal(-3, 0.2, size=(15, 2)),
                          rng.normal(3, 0.2, size=(15, 2))])
-        run = run_bms(pts, EPA, 0.7, stop=StopRule(max_iter=300, move_tol=0.0))
+        run = run_bms(pts, EPA, 0.7, stop=StopRule(max_iter=300, move_tol=0.0),
+                      sink=[].append)
         assert run.stop_reason == STOP_EXACT_FIXED_POINT
         assert run.records[-1].max_move == 0.0
         assert bs.is_fixed_point(run.final, EPA, 0.7, tol=0.0)
@@ -331,12 +332,18 @@ class TestRunDriver:
         assert run.final.points.tolist() == [[5e-311], [5e-311]]
         assert records[0].max_move == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_update_names_its_step(self):
         # finite points whose blurred update's sums overflow to inf
         with pytest.raises(ValueError, match="the blurred update of step 1 overflows "
                                              "double precision; rescale the points"):
             run_bms([[1e308]] * 3, EPA, 1.0)
+
+    def test_overflowing_single_step_names_the_update(self):
+        # the same points through one step raise the named error, not
+        # from_points' non-finite check on the overflowed update
+        with pytest.raises(ValueError, match="^the blurred update overflows "
+                                             "double precision; rescale the points"):
+            bms_step([[1e308]] * 3, EPA, 1.0)
 
     @pytest.mark.parametrize("copies", [1, 70])  # 210 points are grouped
     def test_next_configuration_is_read_only(self, copies):
@@ -382,7 +389,7 @@ class TestRunDriver:
         seen = []
         run = run_bms([[0.0], [2.5]], GAUSS, 1.0, stop=StopRule(max_iter=5),
                       sink=seen.append, keep_records=False)
-        assert run.records == []
+        assert run.records is None
         assert len(seen) == 5
         assert [r.t for r in seen] == [1, 2, 3, 4, 5]
         assert run.T == 5
@@ -390,7 +397,8 @@ class TestRunDriver:
     def test_records_monotone_objective_and_diameter(self):
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(20, 2))
-        run = run_bms(pts, bs.builtin("biweight"), 0.9, stop=StopRule(max_iter=60))
+        run = run_bms(pts, bs.builtin("biweight"), 0.9, stop=StopRule(max_iter=60),
+                      sink=[].append)
         Ls = [r.objective for r in run.records]
         ds = [r.diameter for r in run.records]
         assert all(b >= a - 1e-10 * (1 + abs(a)) for a, b in zip(Ls, Ls[1:]))
@@ -468,7 +476,7 @@ class TestRunDriver:
 
 def _run_or_error(pts, kernel, h):
     try:
-        return run_bms(pts, kernel, h, stop=StopRule(max_iter=60))
+        return run_bms(pts, kernel, h, stop=StopRule(max_iter=60), sink=[].append)
     except ValueError as exc:
         return str(exc)
 

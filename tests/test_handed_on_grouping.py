@@ -127,8 +127,6 @@ def _unique_bytes_grouping(points):
     """The grouping by ``np.unique`` over each row's bytes as one void key:
     the formula the sort of int64 words replaced, kept as the reference."""
     n = points.shape[0]
-    if n * n <= 1 << 14:
-        return points, None, None
     rows = np.ascontiguousarray(points)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
@@ -149,13 +147,13 @@ def _assert_reference_grouping(got, points):
 
 @st.composite
 def _duplicated_rows(draw):
-    """60 to 300 rows (a grouping starts above 128) in d = 1 to 4, drawn
+    """1 to 300 rows in d = 1 to 4, drawn
     from a few sites whose coordinates include +0.0 and -0.0, or from as
     many sites as rows; and a map of the sites onto fewer, as blurring
     would merge them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     d = draw(st.integers(1, 4), label="d")
-    n = draw(st.integers(60, 300), label="n")
+    n = draw(st.integers(1, 300), label="n")
     count = draw(st.sampled_from([1, 2, 5, 20, n]), label="sites")
     sites = rng.choice([0.0, -0.0, 1.0, -1.0, rng.normal()], size=(count, d))
     if count == n:  # as many distinct sites as rows, almost surely

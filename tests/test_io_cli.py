@@ -128,13 +128,13 @@ class TestLoadPoints:
 
 def _tiny_run():
     return run_bms([[0.0], [0.4]], bs.builtin("gaussian"), 1.0,
-                   stop=StopRule(max_iter=3))
+                   stop=StopRule(max_iter=3), sink=[].append)
 
 
 class TestTrace:
     def test_single_record_line(self, tmp_path):
         run = run_bms([[0.0], [0.4]], bs.builtin("gaussian"), 1.0,
-                      stop=StopRule(max_iter=1))
+                      stop=StopRule(max_iter=1), sink=[].append)
         path = tmp_path / "trace.jsonl"
         emit_trace(run.records, path)
         lines = path.read_text().splitlines()
@@ -203,7 +203,7 @@ class TestCliCommands:
         assert code == 0
         assert len(calls) == 1
         run = real(load_points(blob_csv), bs.builtin("gaussian"), 0.5,
-                   stop=StopRule(max_iter=6))
+                   stop=StopRule(max_iter=6), sink=[].append)
         assert trace.read_text().splitlines() == [trace_line(r) for r in run.records]
 
     def test_trace_command(self, blob_csv, tmp_path):

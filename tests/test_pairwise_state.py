@@ -342,9 +342,10 @@ def _sites(rng, d, count):
 @given(data=st.data())
 def test_state_equals_full_row_reference(data):
     # many coincident groups, so the state computes each row once per
-    # distinct position; n = 128 and 129 sit on both sides of the size
-    # below which no grouping is made, and a truncated state's a x n pairs
-    # fit in one block or span several; either way it holds O(n d)
+    # distinct position, at every n; n = 128 and 129 sit on both sides of
+    # the size whose n x n pairs fill one block, and a truncated state's
+    # a x n pairs fit in one block or span several; either way it holds
+    # O(n d)
     kernel = bs.builtin(data.draw(st.sampled_from(bs.BUILTIN_IDS), label="kernel"))
     n = data.draw(st.sampled_from([1, 2, 9, 128, 129, 200]), label="n")
     d = data.draw(st.integers(1, 3), label="d")
@@ -356,8 +357,7 @@ def test_state_equals_full_row_reference(data):
     moved = pts + rng.normal(scale=1e-3, size=pts.shape)  # groups move apart
     state = _assert_state_equals_full_rows(pts, kernel, h, moved)
     distinct = len({row.tobytes() for row in pts})
-    grouped = n > 128 and distinct < n
-    assert (state.distinct.inv is not None) == grouped
+    assert (state.distinct.inv is not None) == (distinct < n)
 
 
 @pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy", "logistic", "epanechnikov",

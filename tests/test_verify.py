@@ -96,7 +96,7 @@ class TestOneDriver:
         for kid in bs.ASSUMPTION1_IDS:
             kernel = bs.builtin(kid)
             for name, stop in self.STOP_RULES.items():
-                run = run_bms(pts, kernel, 0.7, stop=stop)
+                run = run_bms(pts, kernel, 0.7, stop=stop, sink=[].append)
                 report = run_verify(pts, kernel, 0.7, stop=stop, directions=16)
                 assert (report.stop_reason, report.T) == (run.stop_reason, run.T), (kid, name)
                 assert report.total_steps == run.T
